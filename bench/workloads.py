@@ -1,7 +1,7 @@
 """The four workloads: set-up, one job, and the checks every job passes.
 
 A job calls the library functions the CLI commands and experiment
-drivers call, in the same order, and writes no files. Checks compare
+scripts call, in the same order, and writes no files. Checks compare
 against values the benchmark works out itself (from the generated inputs
 or by hand) or against properties the method must have; none compares
 against a stored copy of earlier output.
