@@ -1,13 +1,15 @@
 """chemvm benchmark: one workload per run, one closed-loop client.
 
-    python3 bench/run.py --workload corpus --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload corpus --seed 1 --seconds 25 --trace 0
 
 Run it from the root of a checkout; it imports chemvm from ./src and
 reads ./fixtures. Each job starts when the previous one ends, in this one
 single-threaded process. With --trace 0 the run measures the named
-workload for --seconds and prints the end-to-end metrics; with --trace 1
-it makes the separate traced run over all four workloads and prints the
-per-layer metrics (see bench/README.md). Every job's outputs are checked.
+workload for --seconds and prints the end-to-end metrics, every time in
+them scaled to one reference speed of the host (see SPEED_LOOPS below);
+with --trace 1 it makes the separate traced run over all four workloads
+and prints the per-layer metrics (see bench/README.md). Every job's
+outputs are checked.
 The last line of stdout is one JSON object:
 {"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}.
 """
@@ -29,8 +31,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("corpus", "rules-5k", "dec-sweep", "mc")
 # set-up is sampled in this process and in PROBES fresh ones, spread over
-# the run so the samples see the same changes in machine speed the jobs do
-PROBES = 4
+# the run
+PROBES = 6
 MIN_JOBS = 100          # so the 90th percentile has ten samples beyond it
 WARMUP_S = 0.5
 PROBE_TIMEOUT_S = 60
@@ -107,6 +109,63 @@ def setup_probe(args) -> float:
     return json.loads(done.stdout.splitlines()[-1])["setup_s"]
 
 
+# The host's speed drifts by up to 1.8x within seconds and from minute to
+# minute (bench/README.md, "Machine drift"). A short fixed loop, timed
+# before every job and around every set-up probe, reads the speed; each
+# sample is scaled to the speed at which that loop takes its reference
+# time, so a run reports the same figures whatever speed the host ran it
+# at. Jobs are read with a loop of the workload's kind of work (its
+# `speed_loop`); set-up, mostly imports, with the interpreter loop.
+
+
+def interpreter_loop():
+    """Dict updates in pure Python: interpreter work."""
+    def loop() -> None:
+        counts: dict = {}
+        for i in range(2000):
+            counts[i % 97] = counts.get(i % 97, 0) + i
+    return loop
+
+
+def array_loop():
+    """The work of one eps0 row of `monte_carlo` over half its columns:
+    elementwise passes and a running product over 5,000 x 60 float arrays,
+    the temporaries made fresh as that function makes them. Numpy work
+    beyond the L2 cache, not chemvm's code."""
+    import numpy as np
+    values = np.random.default_rng(0).random((5000, 60))
+
+    def loop() -> None:
+        rates = np.clip(values * 0.5 + 0.01, 0.0, 1.0)
+        np.cumprod(1.0 - rates, axis=1).mean(axis=0)
+    return loop
+
+
+# a loop's factory and the loop's time at the reference speed
+SPEED_LOOPS = {"interpreter": (interpreter_loop, 300e-6), "array": (array_loop, 3.5e-3)}
+
+
+class Gauge:
+    def __init__(self, kind: str):
+        make, self.reference_s = SPEED_LOOPS[kind]
+        self.loop = make()
+
+    def reading(self) -> float:
+        """The better of two timings of the loop: how fast the host runs
+        this process at this moment."""
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            self.loop()
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    def scale(self, sample: float, before: float, after: float) -> float:
+        """`sample` as it would read at the reference speed, given the
+        readings taken just before and just after it."""
+        return sample * 2 * self.reference_s / (before + after)
+
+
 def percentile(times: list, q: float) -> tuple[float, int]:
     """Nearest-rank percentile and the number of samples beyond it."""
     ordered = sorted(times)
@@ -114,32 +173,70 @@ def percentile(times: list, q: float) -> tuple[float, int]:
     return ordered[k], len(ordered) - k - 1
 
 
-def measure(workload, tally: Tally, seed: int, seconds: float, probe) -> list:
+class Samples:
+    """Job and set-up times, each with the speed readings taken just before
+    and just after it (for a job, the reading after is the one before the
+    next job)."""
+
+    def __init__(self, speed_loop: str):
+        self.job_gauge = Gauge(speed_loop)
+        self.setup_gauge = Gauge("interpreter")
+        self.jobs: list = []        # (reading before, job time or None)
+        self.setups: list = []      # (reading before, set-up time, reading after)
+
+    def raw_jobs(self) -> list:
+        return [t for _, t in self.jobs if t is not None]
+
+    def scaled_jobs(self) -> list:
+        return [self.job_gauge.scale(t, before, after)
+                for (before, t), (after, _) in zip(self.jobs, self.jobs[1:]) if t is not None]
+
+    def scaled_setups(self) -> list:
+        return [self.setup_gauge.scale(s, before, after) for before, s, after in self.setups]
+
+
+def measure(workload, tally: Tally, seed: int, seconds: float,
+            setup_s: float, probe) -> Samples:
     """Warm up, then run whole rounds for `seconds` (and at least MIN_JOBS
-    jobs), calling `probe()` between rounds at even intervals. Returns the
-    job times of the measured rounds."""
+    jobs), timing `probe()`, a fresh process's set-up, between rounds at
+    even intervals. A speed reading precedes each job and one follows the
+    last. `setup_s`, this process's own set-up, gets the reading taken
+    right after it on both sides."""
+    samples = Samples(workload.speed_loop)
+    reading = samples.setup_gauge.reading()
+    samples.setups.append((reading, setup_s, reading))
+
+    def take_probe():
+        before = samples.setup_gauge.reading()
+        setup = probe()
+        samples.setups.append((before, setup, samples.setup_gauge.reading()))
+
     index = 0
     warm_until = time.perf_counter() + WARMUP_S
     while index == 0 or time.perf_counter() < warm_until:
         for job in workload.round(seed, index):
             tally.check(workload, job, tally.run(workload, job, []))
         index += 1
-    times: list = []
     start = time.perf_counter()
     probes = 0
-    while time.perf_counter() - start < seconds or len(times) < MIN_JOBS:
+    while time.perf_counter() - start < seconds or len(samples.raw_jobs()) < MIN_JOBS:
         for job in workload.round(seed, index):
-            tally.check(workload, job, tally.run(workload, job, times))
+            reading = samples.job_gauge.reading()
+            spent: list = []
+            out = tally.run(workload, job, spent)
+            samples.jobs.append((reading, spent[0] if spent else None))
+            tally.check(workload, job, out)
         index += 1
-        if tally.failed and not times:
+        if tally.failed and not samples.raw_jobs():
             break
         if probes < PROBES and time.perf_counter() - start >= probes * seconds / PROBES:
-            probe()
+            take_probe()
             probes += 1
+    samples.jobs.append((samples.job_gauge.reading(), None))
     while probes < PROBES:
-        probe()
+        take_probe()
         probes += 1
-    return times
+    return samples
 
 
 def main(argv=None) -> int:
@@ -157,15 +254,19 @@ def main(argv=None) -> int:
         import traced_run
         metrics = traced_run.traced_metrics(workloads, ROOT, args.seed, tally)
     else:
-        setups = [setup_s]
-        times = measure(workload, tally, args.seed, args.seconds,
-                        lambda: setups.append(setup_probe(args)))
+        samples = measure(workload, tally, args.seed, args.seconds, setup_s,
+                          lambda: setup_probe(args))
+        times = samples.scaled_jobs()
+        setups = samples.scaled_setups()
         if not times:
             print("bench: no job completed", file=sys.stderr)
             return 1
         p90, beyond = percentile(times, 0.9)
-        print(f"{args.workload}: {len(times)} timed jobs, {beyond} beyond p90; "
-              f"set-up samples {[round(s, 4) for s in setups]}")
+        raw = samples.raw_jobs()
+        print(f"{args.workload}: {len(times)} timed jobs, {beyond} beyond p90; unscaled "
+              f"{len(raw) / math.fsum(raw):.4g} jobs/s, p50 {statistics.median(raw) * 1e3:.4g} ms; "
+              f"median speed reading {statistics.median(r for r, _ in samples.jobs) * 1e6:.4g} us; "
+              f"scaled set-up samples {[round(s, 4) for s in setups]}")
         metrics = {
             "setup_s": (statistics.median(setups), "s"),
             "jobs_per_s": (len(times) / math.fsum(times), "1/s"),

@@ -123,6 +123,7 @@ class Corpus:
     validate / compile / run / run --graph / dec-run commands do."""
 
     name = "corpus"
+    speed_loop = "interpreter"      # the kind of work its jobs do (see run.py)
 
     def setup(self, root: Path, seed: int) -> float:
         self.db = rules.load_rules(root / "fixtures" / "tiny.rules")
@@ -168,6 +169,7 @@ class RuleChain:
     `chemvm plan --program` followed by `chemvm run` does."""
 
     name = "rules-5k"
+    speed_loop = "interpreter"
     n_rules = 5000
 
     def setup(self, root: Path, seed: int) -> float:
@@ -228,6 +230,7 @@ class DecSweep:
     size) pair once, in a seeded order."""
 
     name = "dec-sweep"
+    speed_loop = "interpreter"
 
     def setup(self, root: Path, seed: int) -> float:
         fixtures = root / "fixtures"
@@ -284,6 +287,7 @@ class MonteCarlo:
     then `mc_to_csv` and `mc_to_svg`, as `chemvm mc --svg` does."""
 
     name = "mc"
+    speed_loop = "array"
     sigma_tolerance = 6.0
 
     def setup(self, root: Path, seed: int) -> float:
