@@ -36,7 +36,6 @@ __all__ = [
     "n_min",
     "max_error_for",
     "assembly_bounds",
-    "check_realisable",
     "MonteCarloConfig",
     "MCResult",
     "monte_carlo",
@@ -99,18 +98,6 @@ def assembly_bounds(bonds: int) -> tuple[int, int]:
     if bonds == 1:
         return (0, 0)
     return ((bonds - 1).bit_length(), bonds - 1)
-
-
-def check_realisable(species, produced_perfect: float, phi: float
-                     ) -> tuple[bool, str | None]:
-    """Gate for claiming a synthesis made a detectable product: the species
-    must be stable and the flawless copy count must clear the threshold."""
-    if not species.stable:
-        return False, f"{species.id} is not stable enough to isolate"
-    if produced_perfect < phi:
-        return False, (f"{fmt_num(produced_perfect)} flawless copies is below "
-                       f"the detection threshold {fmt_num(phi)}")
-    return True, None
 
 
 # ---------------------------------------------------------------------------

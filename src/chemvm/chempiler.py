@@ -5,15 +5,22 @@ rotavaps, filters, storage, chromatograph, waste, product) connected
 through valves and a syringe pump. Compiling binds every program vessel to
 a node (by id when the graph has a compatible node of that name, else
 first-fit by ascending capability count so specialised stations stay free),
-checks a route exists for every matter movement, and reports problems as
-findings rather than exceptions, so a plan can explain everything wrong
-with it at once.
+routes every matter movement of the lowered primitives directly from its
+source node to its destination node, and reports problems as findings
+rather than exceptions, so a plan can explain everything wrong with it at
+once. A vessel that could not be bound gets no route finding on top.
 
 Executing a plan drives the same machine the abstract run uses; the only
-additions are stroke records describing how each movement is pumped
-(ceil(total / pump capacity) strokes, last stroke carrying the remainder)
-and a capacity watchdog that stops the run at q_fail when a vessel is
-overfilled. Amounts are mol, volumes mL, converted 1:1 nominal.
+additions are stroke records and a capacity watchdog. Each movement is
+booked once, ahead of the primitive that starts it, as one group of
+strokes along its `src->dst` route in the plan: ceil(total / pump
+capacity) strokes when the route runs through a pump, one otherwise, the
+last stroke carrying the remainder. A movement through the transit line
+(transfer, distil, sublime) is the pump's syringe filling and emptying, so
+it is booked once, ahead of the SM that fills the line. A movement whose
+route is missing from the plan stops the run at q_fail, and so does a
+vessel filled over its capacity. Amounts are mol, volumes mL, converted
+1:1 nominal.
 """
 
 from __future__ import annotations
@@ -24,16 +31,13 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .chemlang import (
-    ChemProgram, HardwareReq, OpKind, ReagentDecl, STATION_CAPABILITY,
-    UnitOperation,
-)
-from .chemlang.validate import Finding, MATTER_KINDS, ValidationReport, _KIND_WORDS
-from .jsonio import dumps_stable, write_text_atomic
+from .chemlang import ChemProgram, OpKind, STATION_CAPABILITY, UnitOperation
+from .chemlang.validate import MATTER_KINDS, ValidationReport, _KIND_WORDS
+from .jsonio import dumps_stable
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Primitive,
-    selected_species,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
+    expand_unit_op, movement_endpoints,
 )
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "FLOW_KINDS",
     "load_graph",
     "loads_graph",
-    "save_graph",
     "build_default_graph",
     "validate_graph",
     "route",
@@ -108,9 +111,6 @@ class HardwareGraph:
             if self.nodes[i].reserved:
                 return self.nodes[i]
         return None
-
-    def pump_ids(self) -> list[str]:
-        return [i for i in sorted(self.nodes) if self.nodes[i].kind == "Pump"]
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,6 @@ def graph_to_json(graph: HardwareGraph) -> str:
         nodes.append(obj)
     doc = {"nodes": nodes, "edges": [[a, b] for a, b in graph.edges]}
     return dumps_stable(doc, indent=2) + "\n"
-
-
-def save_graph(graph: HardwareGraph, path: str | Path) -> None:
-    write_text_atomic(path, graph_to_json(graph))
 
 
 def build_default_graph() -> HardwareGraph:
@@ -348,36 +344,6 @@ class CompiledPlan:
         return dumps_stable(payload, indent=2) + "\n"
 
 
-def _movements(op: UnitOperation, decl_map: dict[str, ReagentDecl],
-               reservoir_id: str | None) -> list[tuple[str | None, str | None]]:
-    """(src, dst) vessel pairs of matter this operation moves; declared
-    reagents resolve to their flask, a missing solvent parameter to the
-    reservoir."""
-    k, p = op.kind, op.params
-
-    def flask(reagent: str | None) -> str | None:
-        if reagent is None:
-            return reservoir_id
-        decl = decl_map.get(reagent)
-        return decl.source_vessel if decl else None
-
-    if k == OpKind.ADD:
-        return [(flask(p["reagent"]), p["vessel"])]
-    if k == OpKind.TRANSFER:
-        return [(p["from"], p["to"])]
-    if k in (OpKind.REACT_HOT, OpKind.REACT_COLD):
-        return [(flask(p["reagent"]), p["vessel"])]
-    if k == OpKind.SEPARATE:
-        return [(flask(p.get("solvent")), p["vessel"]), (p["vessel"], p["to"])]
-    if k in (OpKind.DRY, OpKind.EVAPORATE):
-        return [(p["vessel"], p.get("to", "waste"))]
-    if k in (OpKind.CRYSTALLISE, OpKind.FILTER, OpKind.DISTIL, OpKind.SUBLIME):
-        return [(p["vessel"], p["to"])]
-    if k == OpKind.CLEAN:
-        return [(flask(p.get("solvent")), p["vessel"]), (p["vessel"], "waste")]
-    return []
-
-
 def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
              db: RuleDatabase | None = None) -> CompiledPlan:
     """Bind a program (or a planned pathway) onto a rig.
@@ -398,6 +364,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
     report = ValidationReport()
     bindings: dict[str, str] = {}
     claimed: set[str] = set()
+    unbound: set[str] = set()          # vessels reported as impossible to bind
 
     waste_nodes = graph.by_kind("Waste")
     product_nodes = graph.by_kind("Product")
@@ -406,11 +373,13 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
         claimed.add(waste_nodes[0].id)
     else:
         report.add("vessel_class_exhausted", "no Waste node in graph", "waste")
+        unbound.add("waste")
     if product_nodes:
         bindings["product"] = product_nodes[0].id
         claimed.add(product_nodes[0].id)
     else:
         report.add("vessel_class_exhausted", "no Product node in graph", "product")
+        unbound.add("product")
 
     reservoir = graph.reservoir()
     reservoir_id = reservoir.id if reservoir else None
@@ -442,6 +411,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
         if not free:
             report.add("vessel_class_exhausted",
                        f"no free ReagentFlask for source vessel {v}", v)
+            unbound.add(v)
             continue
         bindings[v] = free[0]
         claimed.add(free[0])
@@ -475,6 +445,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
                 report.add("vessel_class_exhausted",
                            f"no free node of kind {want_kind or 'any'} for {req.vessel}",
                            req.vessel)
+            unbound.add(req.vessel)
             continue
         exact = [n for n in with_caps if n.id == req.vessel]
         chosen = exact[0] if exact else sorted(
@@ -504,7 +475,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
     cleaning: list[dict] = []
     allocations: dict[int, list[str]] = {}
     current_step = 1
-    decl_map = bound.decl_map
+    decl_map = prog.decl_map
     for i, op in enumerate(bound.steps):
         if op.reaction_step is not None:
             current_step = op.reaction_step
@@ -515,10 +486,17 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
                 alloc.append(v)
         if op.kind == OpKind.CLEAN:
             cleaning.append({"op_index": i, "vessel": op.params["vessel"]})
-        for src, dst in _movements(op, decl_map, reservoir_id):
-            src = mapped(src) if src else src
-            dst = mapped(dst) if dst else dst
-            if src is None or dst is None or src == dst:
+        for prim in expand_unit_op(prog.steps[i], i):
+            try:
+                ends = movement_endpoints(prim, decl_map)
+            except MachineError:            # undeclared reagent
+                continue
+            if ends is None or ends[0] in unbound or ends[1] in unbound:
+                continue
+            src, dst = ends
+            src = reservoir_id if src is None else mapped(src)
+            dst = mapped(dst)
+            if src is None or src == dst:
                 continue
             key = f"{src}->{dst}"
             if key in routes:
@@ -547,63 +525,6 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
 # ---------------------------------------------------------------------------
 # Plan execution with stroke bookkeeping
 
-def _planned_movement(machine: Machine, prim: Primitive,
-                      pump_home: str | None) -> tuple[str, str, float] | None:
-    """(src node, dst node, amount) a primitive is about to move, or None
-    for in-place energy moves. Mirrors the machine's own accounting without
-    touching state."""
-    st = machine.state
-    if prim.code == "AM":
-        src = prim.source
-        if src is None:
-            return None
-        if src[0] == "reagent":
-            decl = machine.decls.get(src[1])
-            if decl is None:
-                return None
-            flask = st.cell_named(decl.source_vessel) \
-                if decl.source_vessel in st.index else None
-            avail = flask.contents.get(decl.species, 0.0) if flask else 0.0
-            amount = avail if prim.amount is None else min(prim.amount, avail)
-            return (decl.source_vessel, prim.cell, amount)
-        if src[0] == "reservoir":
-            res = getattr(machine, "reservoir_id", None)
-            if res is None:
-                return None
-            return (res, prim.cell, prim.amount or 0.0)
-        if src[0] == "transit":
-            if pump_home is None:
-                return None
-            return (pump_home, prim.cell, math.fsum(st.transit.values()))
-        if src[0] == "vessel":
-            other = st.cell_named(src[1]) if src[1] in st.index else None
-            if other is None:
-                return None
-            total = other.total()
-            amount = total if prim.amount is None else min(prim.amount, total)
-            return (src[1], prim.cell, amount)
-    elif prim.code == "SM":
-        cell = st.cell_named(prim.cell) if prim.cell in st.index else None
-        if cell is None:
-            return None
-        names = selected_species(cell, prim.species, st.solvent_species)
-        total = math.fsum(cell.contents[s] for s in names)
-        if prim.amount is not None:
-            total = min(total, prim.amount)
-        if prim.dest == ("transit",):
-            if pump_home is None:
-                return None
-            return (prim.cell, pump_home, total)
-        if prim.dest and prim.dest[0] == "vessel":
-            dst = prim.dest[1]
-            if dst == "waste" and dst not in st.index:
-                dst = st.waste_cell.name
-            if dst == "product" and dst not in st.index:
-                dst = st.product_cell.name
-            return (prim.cell, dst, total)
-    return None
-
-
 def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                  budget: int = DEFAULT_BUDGET, explore: bool = False,
                  injector=None) -> ExecutionTrace:
@@ -613,27 +534,23 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
         raise GraphError("plan is not feasible:\n" + "\n".join(
             f"  [{f.code}] {f.message}" for f in plan.report.findings))
     graph = plan.graph
-    pumps = graph.pump_ids()
-    pump_home = pumps[0] if pumps else None
     reservoir = graph.reservoir()
+    reservoir_id = reservoir.id if reservoir else None
 
-    def pre(machine: Machine, prim: Primitive) -> None:
-        mv = _planned_movement(machine, prim, pump_home)
-        if mv is None:
+    def book_strokes(machine: Machine, prim: Primitive, move: Movement | None) -> None:
+        if move is None or move.total <= 0 or move.src == move.dst:
             return
-        src, dst, total = mv
-        if total <= 0 or src == dst:
+        src = reservoir_id if move.src is None else move.src
+        key = f"{src}->{move.dst}"
+        path = plan.routes.get(key)
+        if path is None:
+            machine.halted = "q_fail"
+            machine.halt_reason = f"no route {key} in the plan"
             return
-        try:
-            path = route(graph, src, dst)
-        except (RouteError, ValueError):
-            return
-        pump_cap = None
-        for nid in path[1:-1]:
-            node = graph.nodes[nid]
-            if node.kind == "Pump" and node.capacity:
-                pump_cap = node.capacity
-                break
+        pump_cap = next((graph.nodes[n].capacity for n in path
+                         if graph.nodes[n].kind == "Pump" and graph.nodes[n].capacity),
+                        None)
+        total = move.total
         strokes = 1 if pump_cap is None else max(1, math.ceil(total / pump_cap - 1e-12))
         per = total / strokes
         moved_so_far = 0.0
@@ -651,42 +568,32 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                 "total": total,
             })
 
-    def post(machine: Machine, prim: Primitive, record: dict) -> None:
+    def watch_capacity(machine: Machine, prim: Primitive, record: dict) -> None:
         st = machine.state
-        for cell in (st.cells[st.head],):
-            node = graph.nodes.get(cell.name)
-            if node is None or node.capacity is None:
-                continue
-            held = cell.total()
-            if held > node.capacity + 1e-9:
-                machine.emit({
-                    "kind": "deviation",
-                    "code": "capacity_exceeded",
-                    "step": st.step_count,
-                    "op_index": prim.op_index,
-                    "cell": cell.name,
-                    "held": held,
-                    "capacity": node.capacity,
-                })
-                machine.halted = "q_fail"
-                machine.halt_reason = (f"{cell.name} overfilled: {held:g} "
-                                       f"over capacity {node.capacity:g}")
+        cell = st.cells[st.head]
+        node = graph.nodes.get(cell.name)
+        if node is None or node.capacity is None:
+            return
+        held = cell.total()
+        if held > node.capacity + 1e-9:
+            machine.emit({
+                "kind": "deviation",
+                "code": "capacity_exceeded",
+                "step": st.step_count,
+                "op_index": prim.op_index,
+                "cell": cell.name,
+                "held": held,
+                "capacity": node.capacity,
+            })
+            machine.halted = "q_fail"
+            machine.halt_reason = (f"{cell.name} overfilled: {held:g} "
+                                   f"over capacity {node.capacity:g}")
 
-    machine = Machine(plan.program, db, seed=seed, explore=explore,
-                      budget=budget, injector=injector,
-                      pre_primitive=pre, post_primitive=post,
-                      waste_name=plan.bindings.get("waste", "waste"),
-                      product_name=plan.bindings.get("product", "product"))
-    machine.reservoir_id = reservoir.id if reservoir else None
-    try:
-        for i in range(len(plan.program.steps)):
-            if machine.halted:
-                break
-            machine.execute_op(i)
-    except MachineError as exc:
-        machine.halted = "q_fail"
-        machine.halt_reason = str(exc)
-    return machine.finalize()
+    return Machine(plan.program, db, seed=seed, explore=explore,
+                   budget=budget, injector=injector,
+                   pre_primitive=book_strokes, post_primitive=watch_capacity,
+                   waste_name=plan.bindings.get("waste", "waste"),
+                   product_name=plan.bindings.get("product", "product")).execute()
 
 
 def lowering_view(trace: ExecutionTrace, bindings: dict[str, str] | None = None

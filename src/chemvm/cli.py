@@ -173,11 +173,9 @@ def cmd_plan(args, argv: list[str]) -> int:
 def cmd_compile(args, argv: list[str]) -> int:
     prog = parse_program(_read_text(args.path))
     graph = load_graph(args.graph) if args.graph else build_default_graph()
-    db = load_rules(args.rules) if args.rules else None
-    plan = chempile(prog, graph, db)
+    plan = chempile(prog, graph)
     outputs = _emit(plan.to_json(), args.out)
-    inputs = [args.path] + ([args.graph] if args.graph else []) \
-        + ([args.rules] if args.rules else [])
+    inputs = [args.path] + ([args.graph] if args.graph else [])
     _write_manifest("compile", argv, inputs, None, outputs)
     return 0 if plan.feasible else 1
 
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="bind a program onto a hardware graph")
     p.add_argument("path")
     p.add_argument("--graph", help="hardware graph JSON (default: built-in rig)")
-    p.add_argument("--rules", help="rule database (for reagent sizing checks)")
     p.add_argument("--out", help="write the plan JSON here instead of stdout")
     p.set_defaults(func=cmd_compile)
 

@@ -34,13 +34,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chemlang import AMBIENT_C, ChemProgram, OpKind, Quantity, ReagentDecl
 from .jsonio import dumps_stable
 from .rng import substream
 from .rules import (
-    RuleDatabase, RuleMatch, classify_outcome, commit_discovery,
-    explore as _explore_latent, match_rule, promote,
+    RuleDatabase, RuleMatch, TransitionRule, classify_outcome, commit_discovery,
+    explore as _explore_latent, limiting_extent, match_rule, promote,
 )
 
 __all__ = [
@@ -53,14 +54,16 @@ __all__ = [
     "MachineError",
     "InsufficientMaterial",
     "UnknownDestination",
-    "CellStillFilled",
+    "Movement",
     "expansion_kinds",
     "expand_unit_op",
     "init_machine",
     "instantiate_cell",
+    "movement_endpoints",
+    "movement",
     "apply_primitive",
+    "apply_extent",
     "selected_species",
-    "step",
     "run",
     "read_trace_jsonl",
     "worst_halt",
@@ -98,10 +101,6 @@ class UnknownDestination(MachineError):
     pass
 
 
-class CellStillFilled(MachineError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Expansion of unit operations into primitives
 
@@ -128,15 +127,15 @@ def expansion_kinds(kind: OpKind | str) -> list[str]:
     return list(_EXPANSION[OpKind(kind)])
 
 
-@dataclass(frozen=True)
-class Primitive:
+class Primitive(NamedTuple):
     code: str                      # AM | SM | AE | SE
     cell: str                      # vessel the head must sit on
     op_index: int
     op_kind: OpKind
-    # AM source: ("reagent", decl) | ("vessel", name) | ("transit",) | ("reservoir",)
+    # AM source: ("reagent", decl) | ("transit",) | ("reservoir",)
     source: tuple | None = None
-    # SM destination: ("vessel", name) | ("transit",)
+    # SM destination: ("vessel", name), or ("transit", name) through the
+    # transit line to the vessel whose AM empties it
     dest: tuple | None = None
     # SM selector: None = everything, "solvents" = solvent-role species,
     # or an explicit tuple of species ids.
@@ -171,7 +170,7 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
         return [prim("AM", p["vessel"], source=("reagent", p["reagent"]), amount=amount)]
     if k == OpKind.TRANSFER:
         return [
-            prim("SM", p["from"], dest=("transit",), amount=amount),
+            prim("SM", p["from"], dest=("transit", p["to"]), amount=amount),
             prim("AM", p["to"], source=("transit",)),
         ]
     if k == OpKind.HEAT_STIR:
@@ -220,7 +219,7 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
             prim("AE", p["vessel"], setpoint=temp,
                  duration=duration if duration is not None else SOAK_S,
                  check_reaction=True),
-            prim("SM", p["vessel"], dest=("transit",), species=(p["species"],)),
+            prim("SM", p["vessel"], dest=("transit", p["to"]), species=(p["species"],)),
             prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
                  duration=AGITATE_S, check_reaction=True),
             prim("AM", p["to"], source=("transit",)),
@@ -228,7 +227,7 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
     if k == OpKind.SUBLIME:
         cool_to = _qv(op, "cool_to")
         return [
-            prim("SM", p["vessel"], dest=("transit",), species=(p["species"],)),
+            prim("SM", p["vessel"], dest=("transit", p["to"]), species=(p["species"],)),
             prim("AE", p["vessel"], setpoint=temp,
                  duration=duration if duration is not None else SOAK_S,
                  check_reaction=True),
@@ -323,43 +322,25 @@ def _drain(contents: dict[str, float], species: str, amount: float) -> None:
 def init_machine(prog: ChemProgram, waste_name: str = "waste",
                  product_name: str = "product") -> MachineState:
     """Lay out the tape and charge the source flasks from the declarations."""
-    cells = [VesselCell(waste_name), VesselCell(product_name)]
-    index = {waste_name: 0, product_name: 1}
-    state = MachineState(cells, index)
-
-    def ensure(name: str) -> VesselCell:
-        if name not in index:
-            index[name] = len(cells)
-            cells.append(VesselCell(name))
-        return cells[index[name]]
-
+    state = MachineState([VesselCell(waste_name), VesselCell(product_name)],
+                         {waste_name: 0, product_name: 1})
     for decl in prog.reagents:
-        flask = ensure(decl.source_vessel)
+        flask = _resolve_cell(state, decl.source_vessel)
         _pour(flask.contents, decl.species, decl.amount.value)
         _bump(state.stock_in, decl.species, decl.amount.value)
     for req in prog.hardware:
-        ensure(req.vessel)
+        _resolve_cell(state, req.vessel)
     state.solvent_species = frozenset(
         {RESERVOIR_SPECIES} | {d.species for d in prog.reagents if d.role == "solvent"}
     )
     return state
 
 
-def instantiate_cell(state: MachineState, vessel: str | None = None) -> VesselCell:
-    """Bring a blank cell into service at `vessel` (default: under the head).
-    An occupied cell must be emptied first."""
-    if vessel is None:
-        cell = state.cells[state.head]
-    elif vessel in state.index:
-        cell = state.cells[state.index[vessel]]
-    else:
-        cell = VesselCell(vessel)
-        state.index[vessel] = len(state.cells)
-        state.cells.append(cell)
-        return cell
-    if cell.contents:
-        raise CellStillFilled(cell.name)
-    cell.temp = AMBIENT_C
+def instantiate_cell(state: MachineState, vessel: str) -> VesselCell:
+    """Bring a blank cell for `vessel` into service at the end of the tape."""
+    cell = VesselCell(vessel)
+    state.index[vessel] = len(state.cells)
+    state.cells.append(cell)
     return cell
 
 
@@ -385,23 +366,105 @@ def selected_species(cell: VesselCell, selector,
     return [s for s in selector if s in cell.contents]
 
 
+class Movement(NamedTuple):
+    """Matter one primitive moves, resolved against the tape before it moves.
+
+    `src` and `dst` are cell names; a `src` of None is the shared solvent
+    reservoir, which books what it gives as fresh stock. A movement through
+    the transit line is one movement, named by the SM that fills the line,
+    with `dst` the vessel the line delivers to. `total` is the nominal
+    volume moved, the amount asked for when that is less than the selection.
+    """
+    src: str | None
+    dst: str
+    amounts: dict[str, float]
+    total: float
+
+
+def movement_endpoints(prim: Primitive, decls: dict[str, ReagentDecl]
+                       ) -> tuple[str | None, str] | None:
+    """(source, destination) vessel names of the matter a primitive moves,
+    before the tape resolves them; a source of None is the solvent
+    reservoir. None for energy moves and for the AM that empties the
+    transit line, whose matter the SM filling it already named."""
+    if prim.code == "SM":
+        return prim.cell, prim.dest[1]
+    if prim.code != "AM" or prim.source[0] == "transit":
+        return None
+    if prim.source[0] == "reservoir":
+        return None, prim.cell
+    decl = decls.get(prim.source[1])
+    if decl is None:
+        raise UnknownDestination(f"no reagent declaration {prim.source[1]!r}")
+    return decl.source_vessel, prim.cell
+
+
+def movement(state: MachineState, prim: Primitive,
+             decls: dict[str, ReagentDecl]) -> Movement | None:
+    """Resolve what a primitive is about to move, without moving it.
+    Raises MachineError subclasses on infeasible moves (missing material,
+    unknown reagents)."""
+    ends = movement_endpoints(prim, decls)
+    if ends is None:
+        return None
+    src, dst = ends
+    cell = _resolve_cell(state, prim.cell)
+    if prim.code == "AM":
+        if src is None:
+            amount = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
+            return Movement(None, cell.name, {RESERVOIR_SPECIES: amount}, amount)
+        decl = decls[prim.source[1]]
+        flask = _resolve_cell(state, src)
+        avail = flask.contents.get(decl.species, 0.0)
+        want = prim.amount if prim.amount is not None else avail
+        if want > avail + _AMOUNT_SLACK:
+            raise InsufficientMaterial(
+                f"{decl.name}: need {want:g} {decl.species}, flask "
+                f"{decl.source_vessel} holds {avail:g}"
+            )
+        take = min(want, avail)
+        return Movement(flask.name, cell.name, {decl.species: take}, take)
+    names = selected_species(cell, prim.species, state.solvent_species)
+    total = math.fsum(cell.contents[s] for s in names)
+    if prim.amount is None:
+        amounts = {s: cell.contents[s] for s in names}
+    else:
+        frac = min(1.0, prim.amount / total) if total > 0 else 0.0
+        amounts = {s: cell.contents[s] * frac for s in names}
+        total = min(total, prim.amount)
+    if prim.dest[0] == "vessel":
+        dst = _resolve_cell(state, dst).name
+    return Movement(cell.name, dst, amounts, total)
+
+
 def apply_primitive(state: MachineState, prim: Primitive,
-                    decls: dict[str, ReagentDecl] | None = None) -> dict:
-    """Execute one primitive: teleport the head, move matter or energy,
-    return the trace record. Raises MachineError subclasses on infeasible
-    moves (missing material, unknown vessels, drawing into a filled cell)."""
-    decls = decls or {}
-    target = _resolve_cell(state, prim.cell)
-    idx = state.index[target.name]
-    move = "N" if idx == state.head else ("R" if idx > state.head else "L")
+                    move: Movement | None) -> dict:
+    """Execute one primitive: teleport the head, apply its movement (see
+    `movement`) or its energy move, return the trace record."""
+    cell = _resolve_cell(state, prim.cell)
+    idx = state.index[cell.name]
+    head_move = "N" if idx == state.head else ("R" if idx > state.head else "L")
     state.head = idx
     state.step_count += 1
-    cell = target
 
-    if prim.code == "AM":
-        _apply_add_matter(state, prim, cell, decls)
-    elif prim.code == "SM":
-        _apply_sub_matter(state, prim, cell)
+    if move is not None:
+        if move.src is None:
+            for s, v in move.amounts.items():
+                _bump(state.stock_in, s, v)
+        else:
+            source = state.cell_named(move.src).contents
+            for s, v in move.amounts.items():
+                _drain(source, s, v)
+        into = state.transit if prim.dest and prim.dest[0] == "transit" \
+            else state.cell_named(move.dst).contents
+        for s in sorted(move.amounts):
+            _pour(into, s, move.amounts[s])
+        if prim.reset_cell and not cell.contents:
+            cell.temp = AMBIENT_C
+    elif prim.code == "AM":
+        for s in sorted(state.transit):
+            _pour(cell.contents, s, state.transit[s])
+        state.transit.clear()
     elif prim.code == "AE":
         rise = max(prim.setpoint - cell.temp, 0.0) if prim.setpoint is not None else 0.0
         cell.energy_in += rise + ENERGY_HOLD_PER_S * prim.duration
@@ -422,108 +485,34 @@ def apply_primitive(state: MachineState, prim: Primitive,
         "op": prim.op_kind.value,
         "code": prim.code,
         "cell": cell.name,
-        "move": move,
+        "move": head_move,
         "state": state.controller,
         "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
         "temp": cell.temp,
     }
 
 
-def _apply_add_matter(state: MachineState, prim: Primitive, cell: VesselCell,
-                      decls: dict[str, ReagentDecl]) -> None:
-    src = prim.source
-    if src is None:
-        raise UnknownDestination("AM needs a source")
-    if src[0] == "reagent":
-        decl = decls.get(src[1])
-        if decl is None:
-            raise UnknownDestination(f"no reagent declaration {src[1]!r}")
-        flask = _resolve_cell(state, decl.source_vessel)
-        avail = flask.contents.get(decl.species, 0.0)
-        want = prim.amount if prim.amount is not None else avail
-        if want > avail + _AMOUNT_SLACK:
-            raise InsufficientMaterial(
-                f"{decl.name}: need {want:g} {decl.species}, flask "
-                f"{decl.source_vessel} holds {avail:g}"
-            )
-        take = min(want, avail)
-        _drain(flask.contents, decl.species, take)
-        _pour(cell.contents, decl.species, take)
-    elif src[0] == "reservoir":
-        amt = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
-        _bump(state.stock_in, RESERVOIR_SPECIES, amt)
-        _pour(cell.contents, RESERVOIR_SPECIES, amt)
-    elif src[0] == "transit":
-        for s in sorted(state.transit):
-            _pour(cell.contents, s, state.transit[s])
-        state.transit.clear()
-    elif src[0] == "vessel":
-        if src[1] not in state.index:
-            raise UnknownDestination(src[1])
-        other = state.cells[state.index[src[1]]]
-        total = other.total()
-        if prim.amount is None or (total and prim.amount >= total):
-            moved = dict(other.contents)
-            other.contents.clear()
-        else:
-            frac = prim.amount / total if total else 0.0
-            moved = {s: v * frac for s, v in other.contents.items()}
-            for s, v in moved.items():
-                _drain(other.contents, s, v)
-        for s in sorted(moved):
-            _pour(cell.contents, s, moved[s])
-    else:
-        raise UnknownDestination(str(src))
-
-
-def _apply_sub_matter(state: MachineState, prim: Primitive, cell: VesselCell) -> None:
-    names = selected_species(cell, prim.species, state.solvent_species)
-    if prim.amount is None:
-        moved = {s: cell.contents[s] for s in names}
-    else:
-        total = math.fsum(cell.contents[s] for s in names)
-        frac = min(1.0, prim.amount / total) if total > 0 else 0.0
-        moved = {s: cell.contents[s] * frac for s in names}
-    for s, v in moved.items():
-        _drain(cell.contents, s, v)
-    if prim.dest == ("transit",):
-        for s, v in moved.items():
-            _bump(state.transit, s, v)
-    elif prim.dest and prim.dest[0] == "vessel":
-        dest = _resolve_cell(state, prim.dest[1])
-        for s in sorted(moved):
-            _pour(dest.contents, s, moved[s])
-    else:
-        raise UnknownDestination(str(prim.dest))
-    if prim.reset_cell and not cell.contents:
-        cell.temp = AMBIENT_C
-
-
-def step(state: MachineState, prim: Primitive | None = None,
-         decls: dict[str, ReagentDecl] | None = None) -> dict:
-    """Single machine step. With no primitive pending the head just moves
-    right over the (possibly fresh) blank cell."""
-    if prim is not None:
-        return apply_primitive(state, prim, decls)
-    state.head += 1
-    if state.head == len(state.cells):
-        name = f"cell_{state.head}"
-        state.index[name] = state.head
-        state.cells.append(VesselCell(name))
-    state.step_count += 1
-    cell = state.cells[state.head]
-    return {
-        "kind": "primitive",
-        "step": state.step_count,
-        "op_index": -1,
-        "op": "noop",
-        "code": "N",
-        "cell": cell.name,
-        "move": "R",
-        "state": state.controller,
-        "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
-        "temp": cell.temp,
-    }
+def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
+                 extent: float) -> None:
+    """Run `rule` forward by `extent` in `cell`: consume its reagents, book
+    its products, send its byproduct to waste and turn its catalysts over.
+    Zero amounts are not booked."""
+    for s in sorted(rule.reagent_pattern):
+        take = rule.reagent_pattern[s] * extent
+        _drain(cell.contents, s, take)
+        _bump(state.consumed, s, take)
+    for s in sorted(rule.products):
+        out = rule.products[s] * extent
+        _pour(cell.contents, s, out)
+        _bump(state.produced, s, out)
+    bp = rule.byproduct_species
+    if bp is not None and extent:
+        _bump(state.produced, bp, extent)
+        _pour(state.waste_cell.contents, bp, extent)
+    for c in rule.catalysts:
+        # turns over but is not used up; book both sides equally
+        _bump(state.consumed, c, extent)
+        _bump(state.produced, c, extent)
 
 
 # ---------------------------------------------------------------------------
@@ -623,22 +612,21 @@ class ExecutionTrace:
     def to_jsonl(self) -> str:
         return "".join(dumps_stable(r) + "\n" for r in self.records)
 
-    def reaction_records(self) -> list[dict]:
-        return [r for r in self.records if r["kind"] == "transition"]
-
 
 def read_trace_jsonl(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 class Machine:
-    """Stepwise executor. `run` drives a whole program; recovery layers
-    drive `execute_op` themselves and use checkpoint/restore between ops.
+    """Stepwise executor. `execute` drives a whole program; recovery layers
+    step in after each op and use checkpoint/restore between ops.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
-    process errors at reaction time; `pre_primitive(machine, prim)` and
-    `post_primitive(machine, prim, record)` let a hardware layer wrap each
-    move without touching the state the primitive produced.
+    process errors at reaction time; `pre_primitive(machine, prim, move)`
+    and `post_primitive(machine, prim, record)` let a hardware layer wrap
+    each primitive, reading the movement it is about to apply and the
+    record it wrote, without touching the state the primitive produced. A
+    pre hook that halts the machine stops the primitive from running.
     """
 
     def __init__(self, prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
@@ -664,11 +652,17 @@ class Machine:
 
     # -- trace plumbing ----------------------------------------------------
 
+    def out_of_budget(self) -> bool:
+        """True, halting the machine at q_fail, once the budget is spent."""
+        if self.budget > 0:
+            return False
+        if self.halted is None:
+            self.halted = "q_fail"
+            self.halt_reason = "budget exhausted"
+        return True
+
     def emit(self, record: dict) -> bool:
-        if self.budget <= 0:
-            if self.halted is None:
-                self.halted = "q_fail"
-                self.halt_reason = "budget exhausted"
+        if self.out_of_budget():
             return False
         self.budget -= 1
         self.records.append(record)
@@ -676,21 +670,28 @@ class Machine:
 
     # -- op execution ------------------------------------------------------
 
+    def apply(self, prim: Primitive) -> dict | None:
+        """Run one primitive and record it. Returns None, without running
+        it, when the machine halts first (a hook or the budget)."""
+        move = movement(self.state, prim, self.decls)
+        if self.pre_primitive is not None:
+            self.pre_primitive(self, prim, move)
+        if self.halted or self.out_of_budget():
+            return None
+        record = apply_primitive(self.state, prim, move)
+        self.emit(record)
+        if self.post_primitive is not None:
+            self.post_primitive(self, prim, record)
+        return record
+
     def execute_op(self, op_index: int) -> list[dict]:
         """Run one unit operation; returns the reaction records it caused."""
         op = self.prog.steps[op_index]
         self.state.controller = f"q{op_index}"
         events: list[dict] = []
         for prim in expand_unit_op(op, op_index):
-            if self.halted:
+            if self.halted or self.apply(prim) is None:
                 return events
-            if self.pre_primitive is not None:
-                self.pre_primitive(self, prim)
-            record = apply_primitive(self.state, prim, self.decls)
-            if not self.emit(record):
-                return events
-            if self.post_primitive is not None:
-                self.post_primitive(self, prim, record)
             if prim.check_reaction and prim.duration > 0 and not self.halted:
                 ev = self.check_reaction(prim)
                 if ev is not None:
@@ -699,6 +700,11 @@ class Machine:
         return events
 
     def check_reaction(self, prim: Primitive) -> dict | None:
+        """Run the reaction the conditions of `prim` trigger in the cell
+        under the head, if any, and record it. Nothing runs once the budget
+        is spent, so every booked reaction has its record."""
+        if self.out_of_budget():
+            return None
         state = self.state
         cell = state.cells[state.head]
         conditions = (cell.temp, prim.duration)
@@ -709,10 +715,8 @@ class Machine:
                 self.db = commit_discovery(self.db, found)
                 self.rule_events.append({"kind": "discovered", "rule_id": found.id})
                 rule = self.db.rules[found.id]
-                extents = {s: cell.contents[s] / r
-                           for s, r in rule.reagent_pattern.items()}
-                limiting = min(extents, key=lambda s: (extents[s], s))
-                m = RuleMatch(rule, extents[limiting], limiting)
+                m = RuleMatch(rule, *limiting_extent(rule.reagent_pattern,
+                                                     cell.contents))
         if m is None:
             if prim.expects_reaction:
                 self.halted = "q_fail"
@@ -737,22 +741,7 @@ class Machine:
             else self.injector.sample(m.rule)
         rule = m.rule
         extent = rule.yield_fraction * m.extent * factor
-        for s in sorted(rule.reagent_pattern):
-            take = rule.reagent_pattern[s] * extent
-            _drain(cell.contents, s, take)
-            _bump(state.consumed, s, take)
-        for s in sorted(rule.products):
-            out = rule.products[s] * extent
-            _pour(cell.contents, s, out)
-            _bump(state.produced, s, out)
-        bp = rule.byproduct_species
-        if bp is not None and extent:
-            _bump(state.produced, bp, extent)
-            _pour(state.waste_cell.contents, bp, extent)
-        for c in rule.catalysts:
-            # turns over but is not used up; book both sides equally
-            _bump(state.consumed, c, extent)
-            _bump(state.produced, c, extent)
+        apply_extent(state, cell, rule, extent)
 
         self.db = promote(self.db, rule.id)
         applied = self.db.rules[rule.id]
@@ -792,7 +781,6 @@ class Machine:
             "pc": self.pc,
             "head": st.head,
             "controller": st.controller,
-            "step_basis": st.step_count,
             "transit": dict(st.transit),
             "cells": [(c.name, dict(c.contents), c.temp) for c in st.cells[1:]],
             "n_cells": len(st.cells),
@@ -835,7 +823,24 @@ class Machine:
         self.db = ckpt["db"]
         del self.rule_events[ckpt["rule_events_len"]:]
 
-    # -- finalization --------------------------------------------------------
+    # -- driving and finalization ---------------------------------------------
+
+    def execute(self, after_op=None) -> ExecutionTrace:
+        """Run the program from `pc` to its end and finalize. `after_op(op_index,
+        events)` runs after each op and may halt the machine or restore a
+        checkpoint. Infeasible moves (overdrawn flasks, unknown reagents)
+        stop the machine at q_fail rather than raising: the trace stays a
+        complete account of how far the run got."""
+        try:
+            while self.pc < len(self.prog.steps) and not self.halted:
+                op_index = self.pc
+                events = self.execute_op(op_index)
+                if after_op is not None:
+                    after_op(op_index, events)
+        except MachineError as exc:
+            self.halted = "q_fail"
+            self.halt_reason = str(exc)
+        return self.finalize()
 
     def finalize(self) -> ExecutionTrace:
         halt = self.halted if self.halted else worst_halt(self.reaction_outcomes)
@@ -858,20 +863,7 @@ class Machine:
 def run(prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
         budget: int = DEFAULT_BUDGET, explore: bool = False,
         injector=None) -> ExecutionTrace:
-    """Execute a program against a rule database and return the full trace.
-
-    Infeasible moves (overdrawn flasks, unknown vessels) stop the machine
-    at q_fail rather than raising: the trace stays a complete account of
-    how far the run got.
-    """
-    machine = Machine(prog, db, seed=seed, explore=explore, budget=budget,
-                      injector=injector)
-    try:
-        for i in range(len(prog.steps)):
-            if machine.halted:
-                break
-            machine.execute_op(i)
-    except MachineError as exc:
-        machine.halted = "q_fail"
-        machine.halt_reason = str(exc)
-    return machine.finalize()
+    """Execute a program against a rule database and return the full trace
+    (see `Machine.execute`)."""
+    return Machine(prog, db, seed=seed, explore=explore, budget=budget,
+                   injector=injector).execute()

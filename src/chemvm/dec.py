@@ -30,11 +30,11 @@ from pathlib import Path
 
 from .chemlang import ChemProgram
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Primitive,
-    apply_primitive, expand_unit_op,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, apply_extent,
+    expand_unit_op,
 )
 from .rng import substream
-from .rules import RuleDatabase
+from .rules import RuleDatabase, limiting_extent
 
 __all__ = [
     "CorrectionPolicy",
@@ -211,33 +211,9 @@ def _tune(machine: Machine, event: dict, policy: CorrectionPolicy) -> dict:
         cell.energy_out += -delta
 
     want = rule.yield_fraction * event["extent_max"] - event["extent"]
-    headroom = min(
-        (cell.contents.get(s, 0.0) / ratio
-         for s, ratio in rule.reagent_pattern.items()),
-        default=0.0,
-    )
+    headroom, _ = limiting_extent(rule.reagent_pattern, cell.contents)
     extra = max(0.0, min(want, headroom))
-    for s in sorted(rule.reagent_pattern):
-        take = rule.reagent_pattern[s] * extra
-        left = cell.contents.get(s, 0.0) - take
-        if left == 0.0:
-            cell.contents.pop(s, None)
-        else:
-            cell.contents[s] = left
-        if take:
-            state.consumed[s] = state.consumed.get(s, 0.0) + take
-    for s in sorted(rule.products):
-        out = rule.products[s] * extra
-        if out:
-            cell.contents[s] = cell.contents.get(s, 0.0) + out
-            state.produced[s] = state.produced.get(s, 0.0) + out
-    bp = rule.byproduct_species
-    if bp is not None and extra:
-        state.produced[bp] = state.produced.get(bp, 0.0) + extra
-        state.waste_cell.contents[bp] = state.waste_cell.contents.get(bp, 0.0) + extra
-    for c in rule.catalysts:
-        state.consumed[c] = state.consumed.get(c, 0.0) + extra
-        state.produced[c] = state.produced.get(c, 0.0) + extra
+    apply_extent(state, cell, rule, extra)
     return {
         "kind": "action",
         "action": "tune",
@@ -254,7 +230,8 @@ def _redose_retrigger(machine: Machine, op, op_index: int,
                       policy: CorrectionPolicy) -> dict | None:
     """Intermediate shortfall: charge a fraction of the original dose and
     hold the conditions again. Returns the retriggered reaction event, or
-    None when no redose is possible (missing reagent or empty flask)."""
+    None when no redose is possible (missing reagent or empty flask) or
+    the machine halted first."""
     reagent = op.params.get("reagent")
     if not isinstance(reagent, str):
         return None
@@ -276,8 +253,8 @@ def _redose_retrigger(machine: Machine, op, op_index: int,
     eprim = energy[-1]
     redose = Primitive("AM", eprim.cell, op_index, op.kind,
                        source=("reagent", reagent), amount=take)
-    machine.emit(apply_primitive(machine.state, redose, machine.decls))
-    machine.emit(apply_primitive(machine.state, eprim, machine.decls))
+    if machine.apply(redose) is None or machine.apply(eprim) is None:
+        return None
     return machine.check_reaction(eprim)
 
 
@@ -424,30 +401,19 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
             machine.halt_reason = "revert budget exhausted"
             return "failed"
 
-    try:
-        while machine.pc < len(prog.steps) and not machine.halted:
-            op_index = machine.pc
-            op = prog.steps[op_index]
-            events = machine.execute_op(op_index)
-            status = "ok"
-            for event in events:
-                status = handle_event(event, op, op_index)
-                if status != "ok":
-                    break
-            if machine.halted or status == "failed":
-                break
-            if status == "reverted":
-                continue
-            if events and corrections_enabled:
-                checkpoint = machine.checkpoint()
-                machine.emit({"kind": "checkpoint", "op_index": op_index,
-                              "pc": machine.pc,
-                              "step": machine.state.step_count})
-    except MachineError as exc:
-        machine.halted = "q_fail"
-        machine.halt_reason = str(exc)
+    def after_op(op_index: int, events: list[dict]) -> None:
+        """Correct the op's reactions; checkpoint once they all validated."""
+        nonlocal checkpoint
+        for event in events:
+            if handle_event(event, prog.steps[op_index], op_index) != "ok":
+                return
+        if events and corrections_enabled and not machine.halted:
+            checkpoint = machine.checkpoint()
+            machine.emit({"kind": "checkpoint", "op_index": op_index,
+                          "pc": machine.pc,
+                          "step": machine.state.step_count})
 
-    trace = machine.finalize()
+    trace = machine.execute(after_op)
     result.trace = trace
     result.halt = trace.halt
     result.product_total = trace.ledger.total_product

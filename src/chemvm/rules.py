@@ -46,6 +46,7 @@ __all__ = [
     "loads_rules",
     "save_rules",
     "match_rule",
+    "limiting_extent",
     "classify_outcome",
     "promote",
     "explore",
@@ -382,9 +383,14 @@ def match_rule(db: RuleDatabase, contents: dict[str, float],
         return None
     eligible.sort(key=lambda r: (-r.priority, r.id))
     rule = eligible[0]
-    extents = {s: contents[s] / ratio for s, ratio in rule.reagent_pattern.items()}
-    limiting = min(extents, key=lambda s: (extents[s], s))
-    return RuleMatch(rule, extents[limiting], limiting)
+    return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
+
+
+def limiting_extent(pattern: dict[str, float],
+                    contents: dict[str, float]) -> tuple[float, str]:
+    """Largest extent a reagent pattern can run to on these contents, and
+    the species that limits it (ties go to the smallest id)."""
+    return min((contents.get(s, 0.0) / ratio, s) for s, ratio in pattern.items())
 
 
 def classify_outcome(match: RuleMatch | None, db: RuleDatabase, explore_flag: bool) -> str:

@@ -124,6 +124,18 @@ def test_finding_vessel_class_exhausted(default_graph):
     assert "vessel_class_exhausted" in _finding_codes(plan)
 
 
+def test_unbound_source_flask_gets_no_route_finding(default_graph):
+    decls = "".join(f"    r{i}: sp:r{i} 1 mol @F{i} reagent\n" for i in range(1, 6))
+    adds = "".join(f"    add(vessel=RX1, reagent=r{i}, amount=1 mol)\n"
+                   for i in range(1, 6))
+    prog = parse_program(
+        'procedure "x" {\n  reagents {\n' + decls + '  }\n'
+        '  hardware {\n    RX1: reactor\n  }\n  steps {\n' + adds + '  }\n}\n')
+    plan = chempile(prog, default_graph)
+    assert _finding_codes(plan) == ["vessel_class_exhausted"]
+    assert "F5" in plan.report.findings[0].message
+
+
 def test_finding_missing_capability_and_no_route():
     g = _simple_graph()
     prog = parse_program(
@@ -208,6 +220,62 @@ def test_runtime_capacity_enforced(default_graph):
         "kind": "deviation", "code": "capacity_exceeded", "step": 3,
         "op_index": 1, "cell": "F1", "held": 120.0, "capacity": 100.0,
     }]
+    strokes = [r for r in trace.records
+               if r.get("kind") == "transfer" and r["op_index"] == 1]
+    assert [r["stroke"] for r in strokes] == [1, 2, 3, 4, 5]
+    assert all(r["route"] == ["RX1", "V2", "P1", "V1", "F1"] for r in strokes)
+
+
+def _strokes_by_op(trace):
+    groups = {}
+    for r in trace.records:
+        if r["kind"] == "transfer":
+            groups.setdefault(r["op_index"], []).append(r)
+    return groups
+
+
+def test_transit_movement_is_one_stroke_group(default_graph):
+    prog = parse_program(
+        'procedure "x" {\n  reagents {\n    a: sp:a 45 mol @R1 reagent\n  }\n'
+        '  hardware {\n    RX1: reactor\n    S1: storage\n  }\n'
+        '  steps {\n    add(vessel=RX1, reagent=a, amount=45 mol)\n'
+        '    transfer(from=RX1, to=S1)\n  }\n}\n')
+    plan = chempile(prog, default_graph)
+    trace = execute_plan(plan, _MONO_DB, seed=0)
+    assert trace.halt == "q_out"
+    moves = _strokes_by_op(trace)[1]
+    assert [(m["stroke"], m["strokes"]) for m in moves] == [(1, 2), (2, 2)]
+    assert all(m["route"] == ["RX1", "V2", "P1", "V1", "S1"] for m in moves)
+    assert plan.routes["RX1->S1"] == moves[0]["route"]
+    assert sum(m["moved"] for m in moves) == pytest.approx(45.0)
+    # booked ahead of the SM that fills the transit line
+    first = trace.records.index(moves[0])
+    assert trace.records[first + 2]["code"] == "SM"
+
+
+def test_rig_without_pump_books_one_stroke_per_movement():
+    prog = parse_program(
+        'procedure "x" {\n  reagents {\n    a: sp:a 60 mol @R1 reagent\n  }\n'
+        '  hardware {\n    RX1: reactor\n  }\n'
+        '  steps {\n    add(vessel=RX1, reagent=a, amount=60 mol)\n'
+        '    transfer(from=RX1, to=product)\n  }\n}\n')
+    plan = chempile(prog, _simple_graph())
+    assert plan.feasible
+    trace = execute_plan(plan, _MONO_DB, seed=0)
+    assert trace.halt == "q_out"
+    groups = _strokes_by_op(trace)
+    assert [g[0]["route"] for g in groups.values()] == [["R1", "V1", "RX1"],
+                                                        ["RX1", "V1", "OUT"]]
+    assert all(len(g) == 1 and g[0]["moved"] == 60.0 for g in groups.values())
+
+
+def test_missing_route_halts_the_run(default_graph):
+    plan = chempile(parse_program(fixture_text("tiny.chem")), default_graph)
+    del plan.routes["RX1->F1"]
+    trace = execute_plan(plan, load_rules(FIXTURES / "tiny.rules"), seed=0)
+    assert trace.halt == "q_fail"
+    assert trace.records[-1]["reason"] == "no route RX1->F1 in the plan"
+    assert [r["op_index"] for r in trace.records if r["kind"] == "primitive"] == [0, 1, 1]
 
 
 def test_cleaning_schedule(default_graph):

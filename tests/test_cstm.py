@@ -1,19 +1,25 @@
 """Vessel-tape machine: macro-expansion, execution, ledgers, halting,
 checkpointing, and trace serialization."""
 
+import json
+
 import pytest
 
 from chemvm.chemlang import parse_program
+from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import (
     DEFAULT_BUDGET,
     Machine,
+    apply_extent,
     dumps_stable,
     expansion_kinds,
+    init_machine,
     read_trace_jsonl,
     run,
     worst_halt,
 )
-from chemvm.rules import load_rules
+from chemvm.dec import ScriptedInjector, run_with_dec
+from chemvm.rules import load_rules, loads_rules
 
 from _support import FIXTURES, fixture_text
 
@@ -97,6 +103,55 @@ def test_insufficient_material_fails():
     tr = run(parse_program(src), load_rules(FIXTURES / "tiny.rules"), seed=0)
     assert tr.halt == "q_fail"
     assert "need 2 a" in tr.records[-1]["reason"]
+    assert tr.records[-1]["step"] == 0      # the overdraw never ran
+
+
+@pytest.mark.parametrize("arm", ["run", "execute_plan", "redose"])
+@pytest.mark.parametrize("budget", range(1, 14))
+def test_budget_trace_records_every_executed_step(arm, budget):
+    prog = parse_program(fixture_text("tiny.chem"))
+    db = load_rules(FIXTURES / "tiny.rules")
+    if arm == "run":
+        tr = run(prog, db, seed=0, budget=budget)
+    elif arm == "execute_plan":
+        tr = execute_plan(chempile(prog, build_default_graph()), db, seed=0,
+                          budget=budget)
+    else:   # the first reaction falls short and is redosed
+        tr = run_with_dec(parse_program(fixture_text("dec_3step.chem")),
+                          load_rules(FIXTURES / "dec_chain.rules"), seed=0,
+                          budget=budget,
+                          injector=ScriptedInjector(["intermediate"])).trace
+    primitives = [r for r in tr.records if r["kind"] == "primitive"]
+    assert tr.records[-1]["step"] == len(primitives)
+    if arm != "redose":     # a revert rolls rule events back, not records
+        applied = [e for e in tr.rule_events if e["kind"] == "applied"]
+        reactions = [r for r in tr.records if r["kind"] == "transition" and r["rule"]]
+        assert len(applied) == len(reactions)
+
+
+def test_apply_extent_books_no_zero_amounts():
+    db = loads_rules(json.dumps({
+        "species": [{"id": s, "name": s, "molar_mass": 1.0,
+                     "element_counts": {"C": 1}} for s in ("a", "b", "k")],
+        "rules": [{"id": "r", "reagent_pattern": {"a": 1.0}, "products": {"b": 1.0},
+                   "catalysts": ["k"], "yield": 1.0, "epsilon": 0.0,
+                   "status": "characterised",
+                   "process_window": {"temp_min": 0.0, "temp_max": 100.0,
+                                      "duration_min": 0.0, "duration_max": 1e9}}],
+    }))
+    rule = db.rules["r"]
+    state = init_machine(parse_program(
+        'procedure "x" {\n  reagents {\n    a: sp:a 1 mol @R1 reagent\n'
+        '    k: sp:k 1 mol @R1 reagent\n  }\n'
+        '  steps {\n    add(vessel=RX1, reagent=a)\n  }\n}\n'))
+    cell = state.cell_named("R1")
+    apply_extent(state, cell, rule, 0.0)
+    assert (state.consumed, state.produced) == ({}, {})
+    assert cell.contents == {"a": 1.0, "k": 1.0}
+    apply_extent(state, cell, rule, 0.25)
+    assert state.consumed == {"a": 0.25, "k": 0.25}
+    assert state.produced == {"b": 0.25, "k": 0.25}
+    assert cell.contents == {"a": 0.75, "b": 0.25, "k": 1.0}
 
 
 def test_worst_halt_ordering():

@@ -1,0 +1,75 @@
+"""Byte-identity guard across commits: the SHA-256 of the seed-0 JSONL trace
+of every fixture program in each execution arm. A change that must keep
+behaviour keeps these hashes; a change that alters traces on purpose updates
+them and says which records changed and why."""
+
+import hashlib
+
+import pytest
+
+from chemvm.chemlang import parse_program
+from chemvm.chempiler import build_default_graph, chempile, execute_plan
+from chemvm.cstm import run
+from chemvm.dec import run_with_dec
+from chemvm.rules import load_rules
+
+from _support import FIXTURES, fixture_text
+
+# program -> (rule database, explore)
+PROGRAMS = {
+    "alkynol_1step.chem": ("default.rules", False),
+    "atropine_3step.chem": ("default.rules", False),
+    "dec_3step.chem": ("dec_chain.rules", False),
+    "explore.chem": ("explore.rules", True),
+    "indole_1step.chem": ("default.rules", False),
+    "norule.chem": ("tiny.rules", False),
+    "predicted.chem": ("predicted.rules", False),
+    "tiny.chem": ("tiny.rules", False),
+}
+
+GOLDEN = {
+    ("alkynol_1step.chem", "run"): "1a7adee8f2a2f0f6351230ca0a16e385f148b8d35d6be171a901d67c797e3856",
+    ("alkynol_1step.chem", "execute_plan"): "9286a824822aca47a5c88cfa185125784a75e8f842281d40438c4f5889af81c7",
+    ("alkynol_1step.chem", "run_with_dec"): "74bfd017efe28084663bc088a476525c61a35d558744f5497ae7bc474b01ff95",
+    ("atropine_3step.chem", "run"): "f2f1c035bad3f470b2c0b37b17b5da72a9b3a11d15d5ea641c1c54cf2320900f",
+    ("atropine_3step.chem", "execute_plan"): "a4bf73ff60267b997cfe35b248b23530ceb97d7ccaad04d97ac480de11d9f844",
+    ("atropine_3step.chem", "run_with_dec"): "4290ca92844362389fa09b7134994b02f7ac67a5b83c86bc09883abec295e7b7",
+    ("dec_3step.chem", "run"): "2141ab8ffcf041661ca6d7175f5c9cc4af9ed80515e5dd77d52f7d325c6684b6",
+    ("dec_3step.chem", "execute_plan"): "572877c200a996531dff22897f23eb320e1ff872bc442ef2634611b562085473",
+    ("dec_3step.chem", "run_with_dec"): "5bd7de97f1e2af7a57a0cca3acb8b7d31b8231965a0ce1a617c97869fd15dfcd",
+    ("explore.chem", "run"): "8279f70fcf528bc82bbf92ed69fa6f2499307fd00ee94407bb2c1d8df19fded8",
+    ("explore.chem", "execute_plan"): "1eb128c07fe29d784c30d2d4e8e36cc06d610a58a35d675aabb72f6f99ce78ed",
+    ("explore.chem", "run_with_dec"): "43025f0dafe6376e13da777ad78c1c42b72ac61245c1842069c804cc83e2a397",
+    ("indole_1step.chem", "run"): "4f3753689b1dffc6f0ec8b800b321208a42786810e32ce562314172e578290cb",
+    ("indole_1step.chem", "execute_plan"): "9efcd6c05d118c8025ab9742da5836f5e22038e56ad07162abf0035ce0c7b1e7",
+    ("indole_1step.chem", "run_with_dec"): "339fe64e7e1a77ec78eee7e1ac9ce159b5a8a8e17e5ed33da41c8b8a4e3ea6da",
+    ("norule.chem", "run"): "92e103ae03e039b6addaadaf5b48a8f886572de359a767380820640c3f2964d4",
+    ("norule.chem", "execute_plan"): "d45fafb291bb13d4b2579065f1feff48cb267541535c4063079b041710265852",
+    ("norule.chem", "run_with_dec"): "8ad97b6799055e99336f318cbc1a20ef04a62d68da9a173eaf1e39dbf560f745",
+    ("predicted.chem", "run"): "4347a6a741fbb64fa60c68ed5282f29e3824c32afc701314bb90388c99c88a8e",
+    ("predicted.chem", "execute_plan"): "94d7ad68a9f8a4bee5500b68c98496e2b948faa11491a74d686834c5cae02f09",
+    ("predicted.chem", "run_with_dec"): "85fad570e2e59b1a92c5e26628c8f935dde894c2cd3c3c9c566d7f04fa3c249d",
+    ("tiny.chem", "run"): "50d9e6abd2abd9e53344866564a8e5d05a9d6727a4bb83232a0ddd98f540a2c0",
+    ("tiny.chem", "execute_plan"): "5effe2c1131b9b5f20147b6a413ef48c0d472c47af190010bd22ff198a923c44",
+    ("tiny.chem", "run_with_dec"): "5f823e559d717d998e86e4b04de94455bbce017bd1cf7bf0dc37cf28a385fe46",
+}
+
+
+def test_every_fixture_program_is_pinned():
+    assert sorted(PROGRAMS) == sorted(p.name for p in FIXTURES.glob("*.chem"))
+
+
+@pytest.mark.parametrize("prog_name, arm", sorted(GOLDEN))
+def test_golden_trace(prog_name, arm):
+    rules_name, explore = PROGRAMS[prog_name]
+    prog = parse_program(fixture_text(prog_name))
+    db = load_rules(FIXTURES / rules_name)
+    if arm == "run":
+        trace = run(prog, db, seed=0, explore=explore)
+    elif arm == "execute_plan":
+        plan = chempile(prog, build_default_graph())
+        assert plan.feasible
+        trace = execute_plan(plan, db, seed=0, explore=explore)
+    else:
+        trace = run_with_dec(prog, db, eps=0.2, seed=0, explore=explore).trace
+    assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == GOLDEN[prog_name, arm]
