@@ -1,11 +1,13 @@
 """Static checks of a program against a hardware graph.
 
-An empty report means the program can be compiled onto the graph: every
-step has its required parameters in range, every station capability the
-steps call for exists on a bindable node, and the vessel/flask demand fits
-the inventory. The graph argument is duck-typed (`graph.nodes` mapping to
-objects with `.kind`, `.capabilities`, `.attachments`) so this module does
-not depend on the compiler.
+The validator reports every step whose required parameters are missing or
+out of range, then what the compiler reports about binding the program onto
+the graph and about its flask charges, in the compiler's order: the binding
+pass `bind_vessels` and the capacity screen `check_flask_capacity` live here
+and `chempile` calls both. Only routing (`no_route`) is left to the
+compiler. The graph is duck-typed (`nodes`, `by_kind`, `reservoir()`; nodes
+with `id`, `kind`, `capabilities`, `capacity`, `reserved`) so this module
+does not depend on the compiler.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from ..jsonio import dumps_stable
 from .ast import (
     REQUIRED_PARAMS,
     STATION_CAPABILITY,
-    BUILTIN_VESSELS,
     ChemProgram,
     OpKind,
     Quantity,
 )
 
-__all__ = ["Finding", "ValidationReport", "validate_program", "MATTER_KINDS"]
+__all__ = [
+    "Finding", "ValidationReport", "validate_program", "bind_vessels",
+    "check_flask_capacity", "MATTER_KINDS", "FLOW_KINDS", "NODE_KINDS",
+]
 
 TEMP_RANGE_C = (-200.0, 400.0)
 
@@ -31,6 +35,8 @@ MATTER_KINDS = frozenset({
     "ReagentFlask", "Reactor", "Separator", "Rotavap", "Filter",
     "Storage", "Chromatograph", "Waste", "Product",
 })
+FLOW_KINDS = frozenset({"Valve", "Pump"})
+NODE_KINDS = MATTER_KINDS | FLOW_KINDS
 
 # DSL hardware-kind word -> graph node kind (None = unconstrained).
 _KIND_WORDS = {
@@ -73,14 +79,12 @@ class ValidationReport:
         ) + "\n"
 
 
-def _is_reserved(node) -> bool:
-    return "solvent_reservoir" in getattr(node, "attachments", ())
-
-
 def validate_program(prog: ChemProgram, graph) -> ValidationReport:
     report = ValidationReport()
     _check_params(prog, report)
-    _check_hardware(prog, graph, report)
+    bindings, _, findings = bind_vessels(prog, graph)
+    report.findings += findings
+    check_flask_capacity(prog, bindings, graph, report)
     return report
 
 
@@ -104,72 +108,125 @@ def _check_params(prog: ChemProgram, report: ValidationReport) -> None:
                 report.add("param_out_of_range", f"{key} must be positive", where)
 
 
-def _check_hardware(prog: ChemProgram, graph, report: ValidationReport) -> None:
-    nodes = graph.nodes
-    matter = {
-        nid: n for nid, n in nodes.items()
-        if n.kind in MATTER_KINDS and n.kind not in ("Waste", "Product")
-    }
+def bind_vessels(prog: ChemProgram, graph
+                 ) -> tuple[dict[str, str], set[str], list[Finding]]:
+    """Bind every program vessel to a graph node.
 
-    # Station capabilities needed per program vessel (from `vessel` params).
+    Waste and product go to the first node of their kind. Source flasks, in
+    declaration order, go to the ReagentFlask of their name, else to the
+    first free one. Working vessels go to the node of their name, else to
+    the free node of the wanted kind that hosts every station capability
+    the steps ask of them and has the fewest capabilities. The solvent
+    reservoir is never bound, and a program that draws wash solvent needs
+    one. Returns the bindings (vessel -> node id), the vessels that could
+    not be bound, and the findings (vessel_class_exhausted,
+    missing_capability, no_reservoir).
+    """
+    report = ValidationReport()
+    bindings: dict[str, str] = {}
+    claimed: set[str] = set()
+    unbound: set[str] = set()          # vessels reported as impossible to bind
+
+    waste_nodes = graph.by_kind("Waste")
+    product_nodes = graph.by_kind("Product")
+    if waste_nodes:
+        bindings["waste"] = waste_nodes[0].id
+        claimed.add(waste_nodes[0].id)
+    else:
+        report.add("vessel_class_exhausted", "no Waste node in graph", "waste")
+        unbound.add("waste")
+    if product_nodes:
+        bindings["product"] = product_nodes[0].id
+        claimed.add(product_nodes[0].id)
+    else:
+        report.add("vessel_class_exhausted", "no Product node in graph", "product")
+        unbound.add("product")
+
+    reservoir = graph.reservoir()
+    needs_reservoir = any(
+        op.kind in (OpKind.SEPARATE, OpKind.CLEAN) and "solvent" not in op.params
+        for op in prog.steps
+    )
+    if needs_reservoir and reservoir is None:
+        report.add("no_reservoir", "program draws wash solvent but the graph "
+                   "has no reservoir flask", None)
+    if reservoir is not None:
+        claimed.add(reservoir.id)
+
+    # reagent flasks, declaration order
+    flask_pool = [n.id for n in graph.by_kind("ReagentFlask") if not n.reserved]
+    source_vessels: list[str] = []
+    for decl in prog.reagents:
+        if decl.source_vessel not in source_vessels:
+            source_vessels.append(decl.source_vessel)
+    for v in source_vessels:
+        if v in graph.nodes and graph.nodes[v].kind == "ReagentFlask" \
+                and v not in claimed and not graph.nodes[v].reserved:
+            bindings[v] = v
+            claimed.add(v)
+    for v in source_vessels:
+        if v in bindings:
+            continue
+        free = [f for f in flask_pool if f not in claimed]
+        if not free:
+            report.add("vessel_class_exhausted",
+                       f"no free ReagentFlask for source vessel {v}", v)
+            unbound.add(v)
+            continue
+        bindings[v] = free[0]
+        claimed.add(free[0])
+
+    # working vessels: capability needs from the steps, kind from hardware reqs
     caps_needed: dict[str, set[str]] = {}
     for op in prog.steps:
-        cap = STATION_CAPABILITY[op.kind]
-        vessel = op.params.get("vessel")
-        if cap and isinstance(vessel, str):
-            caps_needed.setdefault(vessel, set()).add(cap)
-
-    kind_by_vessel = {h.vessel: _KIND_WORDS.get(h.kind, h.kind) for h in prog.hardware}
-    claimed: set[str] = set()
-    for h in prog.hardware:
-        if h.vessel in BUILTIN_VESSELS:
+        cap = STATION_CAPABILITY.get(op.kind)
+        v = op.params.get("vessel")
+        if cap and isinstance(v, str):
+            caps_needed.setdefault(v, set()).add(cap)
+    for req in prog.hardware:
+        if req.vessel in bindings:
             continue
-        where = f"hardware {h.vessel}"
-        want_kind = kind_by_vessel[h.vessel]
-        need = caps_needed.get(h.vessel, set())
-        candidates = []
-        for nid, node in matter.items():
-            if nid in claimed or _is_reserved(node) or node.kind == "ReagentFlask":
-                continue
-            if want_kind is not None and node.kind != want_kind:
-                continue
-            if not need <= set(node.capabilities):
-                continue
-            candidates.append(nid)
-        if h.vessel in nodes and h.vessel in candidates:
-            claimed.add(h.vessel)  # bind by id when the graph has the name
-            continue
-        if not candidates:
-            if need:
-                report.add(
-                    "missing_capability",
-                    f"no available node hosts {sorted(need)} for vessel {h.vessel!r}",
-                    where,
-                )
+        need = caps_needed.get(req.vessel, set())
+        want_kind = _KIND_WORDS.get(req.kind, req.kind if req.kind in NODE_KINDS else None)
+        candidates = [
+            n for nid, n in sorted(graph.nodes.items())
+            if n.kind in MATTER_KINDS and n.kind not in ("ReagentFlask", "Waste", "Product")
+            and nid not in claimed
+            and (want_kind is None or n.kind == want_kind)
+        ]
+        with_caps = [n for n in candidates if need <= n.capabilities]
+        if not with_caps:
+            if candidates and need:
+                missing = need - max(candidates, key=lambda n: len(need & n.capabilities)).capabilities
+                report.add("missing_capability",
+                           f"no free node for {req.vessel} with {sorted(need)} "
+                           f"(closest lacks {sorted(missing)})", req.vessel)
             else:
-                report.add(
-                    "unsatisfied_hardware",
-                    f"no available node of kind {h.kind!r} for vessel {h.vessel!r}",
-                    where,
-                )
+                report.add("vessel_class_exhausted",
+                           f"no free node of kind {want_kind or 'any'} for {req.vessel}",
+                           req.vessel)
+            unbound.add(req.vessel)
             continue
-        claimed.add(sorted(candidates)[0])
+        exact = [n for n in with_caps if n.id == req.vessel]
+        chosen = exact[0] if exact else sorted(
+            with_caps, key=lambda n: (len(n.capabilities), n.id))[0]
+        bindings[req.vessel] = chosen.id
+        claimed.add(chosen.id)
 
-    # Source flasks: one per distinct source vessel, reserved nodes excluded.
-    sources: dict[str, None] = {}
+    return bindings, unbound, report.findings
+
+
+def check_flask_capacity(prog: ChemProgram, bindings: dict[str, str], graph,
+                         report: ValidationReport) -> None:
+    """Static capacity screen: the charges declared for a flask must fit
+    the node it is bound to."""
+    flask_load: dict[str, float] = {}
     for d in prog.reagents:
-        sources.setdefault(d.source_vessel)
-    flasks = [
-        nid for nid, n in nodes.items()
-        if n.kind == "ReagentFlask" and not _is_reserved(n)
-    ]
-    reserved_ids = {
-        nid for nid, n in nodes.items() if n.kind == "ReagentFlask" and _is_reserved(n)
-    }
-    usable = [v for v in sources if v not in reserved_ids]
-    if len(usable) > len(flasks):
-        report.add(
-            "unsatisfied_hardware",
-            f"program draws from {len(usable)} source flasks but the graph has {len(flasks)}",
-            "reagents",
-        )
+        fid = bindings.get(d.source_vessel, d.source_vessel)
+        flask_load[fid] = flask_load.get(fid, 0.0) + d.amount.value
+    for fid, load in sorted(flask_load.items()):
+        node = graph.nodes.get(fid)
+        if node is not None and node.capacity is not None and load > node.capacity:
+            report.add("capacity_exceeded",
+                       f"{fid} charged with {load:g} mL against capacity "
+                       f"{node.capacity:g}", fid)

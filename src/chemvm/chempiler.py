@@ -3,9 +3,10 @@
 A rig is a directed graph: matter nodes (flasks, reactors, separators,
 rotavaps, filters, storage, chromatograph, waste, product) connected
 through valves and a syringe pump. Compiling binds every program vessel to
-a node (by id when the graph has a compatible node of that name, else
-first-fit by ascending capability count so specialised stations stay free),
-routes every matter movement of the lowered primitives directly from its
+a node (`chemlang.validate.bind_vessels`, the binding the validator checks:
+by id when the graph has a compatible node of that name, else first-fit by
+ascending capability count so specialised stations stay free), routes
+every matter movement of the lowered primitives directly from its
 source node to its destination node, and reports problems as findings
 rather than exceptions, so a plan can explain everything wrong with it at
 once. A vessel that could not be bound gets no route finding on top.
@@ -31,8 +32,10 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .chemlang import ChemProgram, OpKind, STATION_CAPABILITY, UnitOperation
-from .chemlang.validate import MATTER_KINDS, ValidationReport, _KIND_WORDS
+from .chemlang import ChemProgram, OpKind, UnitOperation
+from .chemlang.validate import (
+    FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_flask_capacity,
+)
 from .jsonio import dumps_stable
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
@@ -57,9 +60,6 @@ __all__ = [
     "execute_plan",
     "lowering_view",
 ]
-
-FLOW_KINDS = frozenset({"Valve", "Pump"})
-NODE_KINDS = frozenset(MATTER_KINDS) | FLOW_KINDS
 
 RESERVOIR_ATTACHMENT = "solvent_reservoir"
 
@@ -265,18 +265,17 @@ def validate_graph(graph: HardwareGraph) -> ValidationReport:
         return report
     # directed reachability; anything that can hold matter must be able to
     # discard it
+    rev: dict[str, set[str]] = {}
+    for a, b in graph.edges:
+        rev.setdefault(b, set()).add(a)
     reach_waste: set[str] = set()
-    for w in waste_ids:
-        stack = [w]
-        rev: dict[str, set[str]] = {}
-        for a, b in graph.edges:
-            rev.setdefault(b, set()).add(a)
-        while stack:
-            x = stack.pop()
-            if x in reach_waste:
-                continue
-            reach_waste.add(x)
-            stack.extend(rev.get(x, ()))
+    stack = waste_ids
+    while stack:
+        x = stack.pop()
+        if x in reach_waste:
+            continue
+        reach_waste.add(x)
+        stack.extend(rev.get(x, ()))
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
         if node.kind in ("Waste", "Product") or node.kind in FLOW_KINDS:
@@ -361,97 +360,10 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
         prog = source
         origin = "program"
 
-    report = ValidationReport()
-    bindings: dict[str, str] = {}
-    claimed: set[str] = set()
-    unbound: set[str] = set()          # vessels reported as impossible to bind
-
-    waste_nodes = graph.by_kind("Waste")
-    product_nodes = graph.by_kind("Product")
-    if waste_nodes:
-        bindings["waste"] = waste_nodes[0].id
-        claimed.add(waste_nodes[0].id)
-    else:
-        report.add("vessel_class_exhausted", "no Waste node in graph", "waste")
-        unbound.add("waste")
-    if product_nodes:
-        bindings["product"] = product_nodes[0].id
-        claimed.add(product_nodes[0].id)
-    else:
-        report.add("vessel_class_exhausted", "no Product node in graph", "product")
-        unbound.add("product")
-
+    bindings, unbound, findings = bind_vessels(prog, graph)
+    report = ValidationReport(findings)
     reservoir = graph.reservoir()
     reservoir_id = reservoir.id if reservoir else None
-    needs_reservoir = any(
-        op.kind in (OpKind.SEPARATE, OpKind.CLEAN) and "solvent" not in op.params
-        for op in prog.steps
-    )
-    if needs_reservoir and reservoir_id is None:
-        report.add("no_reservoir", "program draws wash solvent but the graph "
-                   "has no reservoir flask", None)
-    if reservoir_id is not None:
-        claimed.add(reservoir_id)
-
-    # reagent flasks, declaration order
-    flask_pool = [n.id for n in graph.by_kind("ReagentFlask") if not n.reserved]
-    source_vessels: list[str] = []
-    for decl in prog.reagents:
-        if decl.source_vessel not in source_vessels:
-            source_vessels.append(decl.source_vessel)
-    for v in source_vessels:
-        if v in graph.nodes and graph.nodes[v].kind == "ReagentFlask" \
-                and v not in claimed and not graph.nodes[v].reserved:
-            bindings[v] = v
-            claimed.add(v)
-    for v in source_vessels:
-        if v in bindings:
-            continue
-        free = [f for f in flask_pool if f not in claimed]
-        if not free:
-            report.add("vessel_class_exhausted",
-                       f"no free ReagentFlask for source vessel {v}", v)
-            unbound.add(v)
-            continue
-        bindings[v] = free[0]
-        claimed.add(free[0])
-
-    # working vessels: capability needs from the steps, kind from hardware reqs
-    caps_needed: dict[str, set[str]] = {}
-    for op in prog.steps:
-        cap = STATION_CAPABILITY.get(op.kind)
-        v = op.params.get("vessel")
-        if cap and isinstance(v, str):
-            caps_needed.setdefault(v, set()).add(cap)
-    for req in prog.hardware:
-        if req.vessel in bindings:
-            continue
-        need = caps_needed.get(req.vessel, set())
-        want_kind = _KIND_WORDS.get(req.kind, req.kind if req.kind in NODE_KINDS else None)
-        candidates = [
-            n for nid, n in sorted(graph.nodes.items())
-            if n.kind in MATTER_KINDS and n.kind not in ("ReagentFlask", "Waste", "Product")
-            and nid not in claimed
-            and (want_kind is None or n.kind == want_kind)
-        ]
-        with_caps = [n for n in candidates if need <= n.capabilities]
-        if not with_caps:
-            if candidates and need:
-                missing = need - max(candidates, key=lambda n: len(need & n.capabilities)).capabilities
-                report.add("missing_capability",
-                           f"no free node for {req.vessel} with {sorted(need)} "
-                           f"(closest lacks {sorted(missing)})", req.vessel)
-            else:
-                report.add("vessel_class_exhausted",
-                           f"no free node of kind {want_kind or 'any'} for {req.vessel}",
-                           req.vessel)
-            unbound.add(req.vessel)
-            continue
-        exact = [n for n in with_caps if n.id == req.vessel]
-        chosen = exact[0] if exact else sorted(
-            with_caps, key=lambda n: (len(n.capabilities), n.id))[0]
-        bindings[req.vessel] = chosen.id
-        claimed.add(chosen.id)
 
     # rename the program onto the chosen nodes
     def mapped(v: str) -> str:
@@ -507,16 +419,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
                 report.add("no_route", f"no path {src} -> {dst} "
                            f"(operation {i + 1}, {op.kind.value})", key)
 
-    # static capacity screen: declared charges must fit their flask
-    flask_load: dict[str, float] = {}
-    for d in new_decls:
-        flask_load[d.source_vessel] = flask_load.get(d.source_vessel, 0.0) + d.amount.value
-    for fid, load in sorted(flask_load.items()):
-        node = graph.nodes.get(fid)
-        if node is not None and node.capacity is not None and load > node.capacity:
-            report.add("capacity_exceeded",
-                       f"{fid} charged with {load:g} mL against capacity "
-                       f"{node.capacity:g}", fid)
+    check_flask_capacity(prog, bindings, graph, report)
 
     return CompiledPlan(bound, graph, bindings, routes, cleaning, allocations,
                         report, origin)

@@ -652,9 +652,10 @@ class Machine:
 
     # -- trace plumbing ----------------------------------------------------
 
-    def out_of_budget(self) -> bool:
-        """True, halting the machine at q_fail, once the budget is spent."""
-        if self.budget > 0:
+    def out_of_budget(self, records: int = 1) -> bool:
+        """True, halting the machine at q_fail, once the budget cannot hold
+        `records` more records."""
+        if self.budget >= records:
             return False
         if self.halted is None:
             self.halted = "q_fail"

@@ -18,7 +18,10 @@ answered in kind:
 A checkpoint is taken after every operation whose reactions all validated.
 Reverting dumps the contaminated holdings to waste and re-credits the
 restored inventory as fresh stock, so mass conservation holds across
-timelines; re-execution draws fresh injector outcomes.
+timelines; re-execution draws fresh injector outcomes. A correction runs
+only when the budget holds every record it writes, so the trace records
+every correction that changed the workspace, and the result's lists and
+counters equal the trace's record counts.
 """
 
 from __future__ import annotations
@@ -330,7 +333,8 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 "reading": reading,
                 "step": machine.state.step_count,
             }
-            machine.emit(sensing)
+            if not machine.emit(sensing):
+                return "failed"
             result.sensings.append(sensing)
             if not corrections_enabled:
                 return "ok"
@@ -345,10 +349,13 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 "severity": deviation.severity,
                 "step": machine.state.step_count,
             }
-            machine.emit(dev_record)
+            if not machine.emit(dev_record):
+                return "failed"
             result.deviations.append(dev_record)
 
             if deviation.severity == "minor":
+                if machine.out_of_budget():
+                    return "failed"
                 action = _tune(machine, event, policy)
                 machine.emit(action)
                 result.actions.append(action)
@@ -356,7 +363,6 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
 
             if deviation.severity == "intermediate" \
                     and result.redoses < policy.max_redoses:
-                result.redoses += 1
                 action = {
                     "kind": "action",
                     "action": "redose_extend",
@@ -364,7 +370,9 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                     "rule": event.get("rule"),
                     "step": machine.state.step_count,
                 }
-                machine.emit(action)
+                if not machine.emit(action):
+                    return "failed"
+                result.redoses += 1
                 result.actions.append(action)
                 retried = _redose_retrigger(machine, op, op_index, policy)
                 if retried is None:
@@ -377,6 +385,8 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
 
             # major, or an intermediate with no redose budget left
             if result.reverts < policy.max_reverts:
+                if machine.out_of_budget(2):    # the action and the revert
+                    return "failed"
                 result.reverts += 1
                 action = {
                     "kind": "action",

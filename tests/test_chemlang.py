@@ -154,8 +154,9 @@ def test_validate_unsatisfied_hardware_kind(default_graph):
         'procedure "x" {\n  hardware {\n    XX9: chromatograph\n    YY1: chromatograph\n  }\n'
         '  steps {\n    dry(vessel=F1, time=600 s)\n  }\n}\n')
     report = validate_program(prog, default_graph)
-    assert _codes(report) == ["unsatisfied_hardware"]
-    assert "no available node of kind 'chromatograph'" in report.findings[0].message
+    assert _codes(report) == ["vessel_class_exhausted"]
+    assert report.findings[0].message == "no free node of kind Chromatograph for YY1"
+    assert report.findings[0].where == "YY1"
 
 
 def test_validate_too_many_source_flasks(default_graph):
@@ -164,8 +165,9 @@ def test_validate_too_many_source_flasks(default_graph):
         'procedure "x" {\n  reagents {\n' + decls + '  }\n'
         '  steps {\n    add(vessel=RX1, reagent=r1, amount=1 mol)\n  }\n}\n')
     report = validate_program(prog, default_graph)
-    assert _codes(report) == ["unsatisfied_hardware"]
-    assert "5 source flasks" in report.findings[0].message
+    assert _codes(report) == ["vessel_class_exhausted"]
+    assert report.findings[0].message == "no free ReagentFlask for source vessel R5"
+    assert report.findings[0].where == "R5"
 
 
 def test_classify_tiny():

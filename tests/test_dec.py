@@ -92,6 +92,25 @@ def test_revert_budget_exhaustion(chain):
     assert res.trace.records[-1]["reason"] == "revert budget exhausted"
 
 
+@pytest.mark.parametrize("mode", ["minor", "intermediate", "major"])
+@pytest.mark.parametrize("budget", range(1, 21))     # 20 records finish every run
+def test_budget_trace_records_every_correction(mode, budget):
+    res = run_with_dec(parse_program(fixture_text("tiny.chem")),
+                       load_rules(FIXTURES / "tiny.rules"), seed=0,
+                       budget=budget, injector=ScriptedInjector([mode]))
+    records = res.trace.records
+
+    def count(kind, action=None):
+        return sum(r["kind"] == kind and r.get("action") == action for r in records)
+
+    assert len(res.sensings) == count("sensing")
+    assert len(res.deviations) == count("deviation")
+    assert len(res.actions) == sum(r["kind"] == "action" for r in records)
+    assert res.redoses == count("action", "redose_extend")
+    assert res.reverts == count("action", "revert_replan") == count("revert")
+    assert records[-1]["step"] == count("primitive")
+
+
 def test_corrections_disabled_lets_faults_through(chain):
     prog, db = chain
     res = run_with_dec(prog, db, injector=ScriptedInjector(["major"]),

@@ -1,14 +1,17 @@
 """Byte-identity guard across commits: the SHA-256 of the seed-0 JSONL trace
-of every fixture program in each execution arm. A change that must keep
-behaviour keeps these hashes; a change that alters traces on purpose updates
-them and says which records changed and why."""
+of every fixture program in each execution arm, and of the compiled plan
+JSON of every fixture program on the built-in rig and of one infeasible
+plan on a small rig. A change that must keep behaviour keeps these hashes;
+a change that alters traces or plans on purpose updates them and says which
+records changed and why."""
 
 import hashlib
+import json
 
 import pytest
 
 from chemvm.chemlang import parse_program
-from chemvm.chempiler import build_default_graph, chempile, execute_plan
+from chemvm.chempiler import build_default_graph, chempile, execute_plan, loads_graph
 from chemvm.cstm import run
 from chemvm.dec import run_with_dec
 from chemvm.rules import load_rules
@@ -73,3 +76,45 @@ def test_golden_trace(prog_name, arm):
     else:
         trace = run_with_dec(prog, db, eps=0.2, seed=0, explore=explore).trace
     assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == GOLDEN[prog_name, arm]
+
+
+# A rig that cannot host tiny.chem: R1 is too small for its charge, there is
+# no second flask, the reactor cannot react_hot, and F1 has no way to OUT.
+SMALL_RIG = json.dumps({
+    "nodes": [
+        {"id": "R1", "kind": "ReagentFlask", "capacity": 0.5},
+        {"id": "V1", "kind": "Valve"},
+        {"id": "P1", "kind": "Pump", "capacity": 25.0},
+        {"id": "RX1", "kind": "Reactor", "capabilities": ["heat_stir"]},
+        {"id": "F1", "kind": "Filter", "capabilities": ["filter"]},
+        {"id": "W", "kind": "Waste"},
+        {"id": "OUT", "kind": "Product"},
+    ],
+    "edges": [["R1", "V1"], ["V1", "P1"], ["P1", "V1"], ["P1", "F1"],
+              ["F1", "P1"], ["V1", "W"]],
+})
+
+GOLDEN_PLANS = {
+    ("alkynol_1step.chem", "default"): "d5387a5dcfc6cc50a49f2e67c933499fa5faf88395ea97acdfeafb5864b7a06d",
+    ("atropine_3step.chem", "default"): "8ffd9b1fc2aeb9db909f84f7abce7136c50fa91da5b28ea4ee892c412480a6b0",
+    ("dec_3step.chem", "default"): "885b4fd2f823743a55b26b664d09eceace7367e1b0072885b3402ef03faa8a20",
+    ("explore.chem", "default"): "7b2ec53be562917bc6c754c6af26d3b4ebc0dd010dc2eb6d7340ad056ab03f74",
+    ("indole_1step.chem", "default"): "c2ea7a0dcf6d8a55ffe963d951d906be28be0a5cd1fd3af4d8991facce7ede8f",
+    ("norule.chem", "default"): "7b2ec53be562917bc6c754c6af26d3b4ebc0dd010dc2eb6d7340ad056ab03f74",
+    ("predicted.chem", "default"): "7b2ec53be562917bc6c754c6af26d3b4ebc0dd010dc2eb6d7340ad056ab03f74",
+    ("tiny.chem", "default"): "7b2ec53be562917bc6c754c6af26d3b4ebc0dd010dc2eb6d7340ad056ab03f74",
+    ("tiny.chem", "small"): "25580d38a406a5f109d5f423f8d3691df1d24a4e54d374b6752ab028fee82711",
+}
+
+
+def test_every_fixture_plan_is_pinned():
+    assert sorted(PROGRAMS) == sorted(name for name, rig in GOLDEN_PLANS
+                                      if rig == "default")
+
+
+@pytest.mark.parametrize("prog_name, rig", sorted(GOLDEN_PLANS))
+def test_golden_plan(prog_name, rig):
+    graph = build_default_graph() if rig == "default" else loads_graph(SMALL_RIG)
+    plan = chempile(parse_program(fixture_text(prog_name)), graph)
+    assert plan.feasible == (rig == "default")
+    assert hashlib.sha256(plan.to_json().encode()).hexdigest() == GOLDEN_PLANS[prog_name, rig]
