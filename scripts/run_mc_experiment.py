@@ -4,12 +4,13 @@ under drifting, jittered per-step error rates. Writes the CSV table and an
 SVG plot, and prints the detection horizon for a chosen instrument floor."""
 
 import argparse
-import json
+import dataclasses
 from pathlib import Path
 
 from chemvm.assembly import (
     MonteCarloConfig,
     detection_horizon,
+    load_mc_config,
     mc_to_csv,
     mc_to_svg,
     monte_carlo,
@@ -25,14 +26,12 @@ def main() -> None:
     ap.add_argument("--out-dir", default="mc_out")
     args = ap.parse_args()
 
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if "eps0_values" in overrides:
-        overrides["eps0_values"] = tuple(overrides["eps0_values"])
-    config = MonteCarloConfig(**overrides)
+    try:
+        config = load_mc_config(args.config) if args.config else MonteCarloConfig()
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
     result = monte_carlo(config)
     out = Path(args.out_dir)

@@ -22,12 +22,16 @@ the seed.
 from __future__ import annotations
 
 import io
+import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
 from .jsonio import fmt_num
+from .rules import assembly_bounds
 
 __all__ = [
     "N_AVOGADRO",
@@ -37,6 +41,8 @@ __all__ = [
     "max_error_for",
     "assembly_bounds",
     "MonteCarloConfig",
+    "loads_mc_config",
+    "load_mc_config",
     "MCResult",
     "monte_carlo",
     "detection_horizon",
@@ -89,17 +95,6 @@ def max_error_for(phi: float, n: float, a: int) -> float:
     return 1.0 - (phi / n) ** (1.0 / a)
 
 
-def assembly_bounds(bonds: int) -> tuple[int, int]:
-    """(lower, upper) bounds on the assembly index of an object with
-    `bonds` joints: reuse at best halves the work per step, no reuse
-    means one joint per step."""
-    if bonds < 1:
-        raise ValueError("an object needs at least one bond")
-    if bonds == 1:
-        return (0, 0)
-    return ((bonds - 1).bit_length(), bonds - 1)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -113,15 +108,62 @@ class MonteCarloConfig:
     ai_max: int = 120
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Reject what `monte_carlo` and `mc_to_svg` cannot use (ValueError);
+        the starting error rates become a tuple of floats."""
+        eps0 = self.eps0_values
+        if not (isinstance(eps0, (list, tuple)) and eps0
+                and all(_is_real(e) and 0.0 <= e <= 1.0 for e in eps0)):
+            raise ValueError("eps0_values must be a non-empty list of error rates in [0, 1]")
+        object.__setattr__(self, "eps0_values", tuple(float(e) for e in eps0))
+        for name, lowest in (("n_trajectories", 1), ("ai_max", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and _is_real(value)
+                    and value >= lowest):
+                raise ValueError(f"{name} must be an integer >= {lowest}")
+        for name, lowest in (("n0", 1.0), ("jitter_sd", 0.0)):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value >= lowest):
+                raise ValueError(f"{name} must be a finite number >= {lowest:g}")
+        if not (_is_real(self.drift_rate) and math.isfinite(self.drift_rate)):
+            raise ValueError("drift_rate must be a finite number")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_MC_CONFIG_KEYS = {f.name for f in fields(MonteCarloConfig)}
+
+
+def loads_mc_config(text: str, where: str = "<string>") -> MonteCarloConfig:
+    """A config from a JSON object that overrides some of the defaults.
+    Raises ValueError on bad JSON, unknown keys and unusable values."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    unknown = set(obj) - _MC_CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"{where}: unknown config keys {sorted(unknown)}")
+    try:
+        return MonteCarloConfig(**obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def load_mc_config(path: str | Path) -> MonteCarloConfig:
+    path = Path(path)
+    return loads_mc_config(path.read_text(encoding="utf-8"), where=str(path))
+
 
 @dataclass
 class MCResult:
     config: MonteCarloConfig
     assembly_indices: list[int]
     mean_n: dict[float, np.ndarray] = field(default_factory=dict)
-
-    def row(self, eps0: float) -> np.ndarray:
-        return self.mean_n[eps0]
 
 
 def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
@@ -168,8 +210,7 @@ _PALETTE = (
 _DISPLAY_FLOOR = 1e-30
 
 
-def mc_to_svg(result: MCResult, phi: float = 1.0,
-              title: str = "Flawless copies vs assembly index") -> str:
+def mc_to_svg(result: MCResult, phi: float = 1.0) -> str:
     """Self-contained SVG: log10 mean copy number against assembly index,
     one line per starting error rate, with the single-copy threshold."""
     width, height = 720.0, 480.0
@@ -191,7 +232,8 @@ def mc_to_svg(result: MCResult, phi: float = 1.0,
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}" '
         f'font-family="Helvetica, Arial, sans-serif" font-size="12">\n')
     out.write(f'<rect width="{width:g}" height="{height:g}" fill="white"/>\n')
-    out.write(f'<text x="{left:g}" y="22" font-size="15">{title}</text>\n')
+    out.write(f'<text x="{left:g}" y="22" font-size="15">'
+              'Flawless copies vs assembly index</text>\n')
     # axes
     out.write(f'<line x1="{left:g}" y1="{top:g}" x2="{left:g}" '
               f'y2="{top + plot_h:g}" stroke="black"/>\n')

@@ -25,8 +25,6 @@ __all__ = [
     "BUILTIN_VESSELS",
     "REQUIRED_PARAMS",
     "OPTIONAL_PARAMS",
-    "VESSEL_PARAMS",
-    "REAGENT_PARAMS",
     "STATION_CAPABILITY",
     "AMBIENT_C",
 ]
@@ -106,10 +104,6 @@ OPTIONAL_PARAMS: dict[OpKind, frozenset[str]] = {
     OpKind.EVAPORATE: frozenset({"species", "to"}),
     OpKind.CLEAN: frozenset({"solvent", "amount"}),
 }
-
-# Params whose value names a vessel / a declared reagent.
-VESSEL_PARAMS = frozenset({"vessel", "from", "to"})
-REAGENT_PARAMS = frozenset({"reagent", "solvent"})
 
 # Station capability a graph node must advertise to host the operation.
 # None: any matter-holding node will do.
@@ -199,15 +193,3 @@ class ChemProgram:
     @property
     def decl_map(self) -> dict[str, ReagentDecl]:
         return {d.name: d for d in self.reagents}
-
-    def declared_vessels(self) -> set[str]:
-        return {h.vessel for h in self.hardware}
-
-    def referenced_vessels(self) -> list[str]:
-        """Step-referenced vessels in first-use order, builtins excluded."""
-        seen: dict[str, None] = {}
-        for op in self.steps:
-            for v in op.vessels():
-                if v not in BUILTIN_VESSELS:
-                    seen.setdefault(v)
-        return list(seen)

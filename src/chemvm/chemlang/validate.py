@@ -38,7 +38,8 @@ MATTER_KINDS = frozenset({
 FLOW_KINDS = frozenset({"Valve", "Pump"})
 NODE_KINDS = MATTER_KINDS | FLOW_KINDS
 
-# DSL hardware-kind word -> graph node kind (None = unconstrained).
+# DSL hardware-kind word -> graph node kind (None = unconstrained); any
+# other word is read as a node kind itself.
 _KIND_WORDS = {
     "any": None,
     "reactor": "Reactor",
@@ -116,7 +117,8 @@ def bind_vessels(prog: ChemProgram, graph
     declaration order, go to the ReagentFlask of their name, else to the
     first free one. Working vessels go to the node of their name, else to
     the free node of the wanted kind that hosts every station capability
-    the steps ask of them and has the fewest capabilities. The solvent
+    the steps ask of them and has the fewest capabilities (a kind word that
+    names no node kind matches no node). The solvent
     reservoir is never bound, and a program that draws wash solvent needs
     one. Returns the bindings (vessel -> node id), the vessels that could
     not be bound, and the findings (vessel_class_exhausted,
@@ -187,7 +189,7 @@ def bind_vessels(prog: ChemProgram, graph
         if req.vessel in bindings:
             continue
         need = caps_needed.get(req.vessel, set())
-        want_kind = _KIND_WORDS.get(req.kind, req.kind if req.kind in NODE_KINDS else None)
+        want_kind = _KIND_WORDS.get(req.kind, req.kind)
         candidates = [
             n for nid, n in sorted(graph.nodes.items())
             if n.kind in MATTER_KINDS and n.kind not in ("ReagentFlask", "Waste", "Product")

@@ -429,8 +429,8 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
 # Plan execution with stroke bookkeeping
 
 def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
-                 budget: int = DEFAULT_BUDGET, explore: bool = False,
-                 injector=None) -> ExecutionTrace:
+                 budget: int = DEFAULT_BUDGET, explore: bool = False
+                 ) -> ExecutionTrace:
     """Run a compiled plan: the abstract machine semantics, plus stroke
     records ahead of each movement and capacity enforcement per node."""
     if not plan.feasible:
@@ -493,7 +493,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                                    f"over capacity {node.capacity:g}")
 
     return Machine(plan.program, db, seed=seed, explore=explore,
-                   budget=budget, injector=injector,
+                   budget=budget,
                    pre_primitive=book_strokes, post_primitive=watch_capacity,
                    waste_name=plan.bindings.get("waste", "waste"),
                    product_name=plan.bindings.get("product", "product")).execute()

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import shlex
 import sys
 from pathlib import Path
 
 from . import __version__
-from .assembly import MonteCarloConfig, mc_to_csv, mc_to_svg, monte_carlo
+from .assembly import (
+    MonteCarloConfig, loads_mc_config, mc_to_csv, mc_to_svg, monte_carlo,
+)
 from .chemlang import (
     ParseError,
     classify_steps,
@@ -58,7 +59,6 @@ from .rules import (
     RuleLoadError,
     Unreachable,
     UnstableTarget,
-    apply_rule_events,
     load_rules,
     pathway_to_program,
     plan_pathway,
@@ -132,7 +132,7 @@ def cmd_run(args, argv: list[str]) -> int:
     prog = parse_program(_read_text(args.path))
     if args.graph:
         graph = load_graph(args.graph)
-        plan = chempile(prog, graph, db)
+        plan = chempile(prog, graph)
         if not plan.feasible:
             for f in plan.report.findings:
                 print(f"infeasible: {f.code}: {f.message} ({f.where})",
@@ -151,7 +151,7 @@ def cmd_run(args, argv: list[str]) -> int:
     _print_json({"halt": trace.halt, "ledger": trace.ledger.to_json_dict()})
 
     if args.persist_rules:
-        save_rules(apply_rule_events(db, trace.rule_events), args.rules)
+        save_rules(trace.db, args.rules)
     inputs = [args.path, args.rules] + ([args.graph] if args.graph else [])
     _write_manifest("run", argv, inputs, args.seed, outputs)
     return HALT_EXIT[trace.halt]
@@ -238,31 +238,11 @@ def cmd_stats(args, argv: list[str]) -> int:
     return 0
 
 
-_MC_CONFIG_KEYS = {f.name for f in dataclasses.fields(MonteCarloConfig)}
-
-
-def _load_mc_config(path: str | None, seed: int | None) -> MonteCarloConfig:
-    config = MonteCarloConfig()
-    if path is not None:
-        try:
-            obj = json.loads(_read_text(path))
-        except json.JSONDecodeError as e:
-            raise PolicyError(f"{path}: not valid JSON: {e}") from None
-        if not isinstance(obj, dict):
-            raise PolicyError(f"{path}: expected a JSON object")
-        unknown = set(obj) - _MC_CONFIG_KEYS
-        if unknown:
-            raise PolicyError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "eps0_values" in obj:
-            obj["eps0_values"] = tuple(float(v) for v in obj["eps0_values"])
-        config = dataclasses.replace(config, **obj)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    return config
-
-
 def cmd_mc(args, argv: list[str]) -> int:
-    config = _load_mc_config(args.config, args.seed)
+    config = loads_mc_config(_read_text(args.config), where=args.config) \
+        if args.config else MonteCarloConfig()
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     result = monte_carlo(config)
     outputs = _emit(mc_to_csv(result), args.out)
     if args.svg:

@@ -166,6 +166,13 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
     def prim(code, cell, **kw):
         return Primitive(code, cell, op_index, k, **kw)
 
+    def charge_solvent(default: float) -> Primitive:
+        """AM of the op's solvent, or of the shared reservoir when it names none."""
+        solvent = p.get("solvent")
+        return prim("AM", p["vessel"],
+                    source=("reagent", solvent) if solvent else ("reservoir",),
+                    amount=amount if amount is not None else default)
+
     if k == OpKind.ADD:
         return [prim("AM", p["vessel"], source=("reagent", p["reagent"]), amount=amount)]
     if k == OpKind.TRANSFER:
@@ -173,11 +180,9 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
             prim("SM", p["from"], dest=("transit", p["to"]), amount=amount),
             prim("AM", p["to"], source=("transit",)),
         ]
-    if k == OpKind.HEAT_STIR:
-        return [prim("AE", p["vessel"], setpoint=temp, duration=duration,
-                     check_reaction=True)]
-    if k == OpKind.CHILL:
-        return [prim("SE", p["vessel"], setpoint=temp, duration=duration,
+    if k == OpKind.HEAT_STIR or k == OpKind.CHILL:
+        code = "AE" if k == OpKind.HEAT_STIR else "SE"
+        return [prim(code, p["vessel"], setpoint=temp, duration=duration,
                      check_reaction=True)]
     if k == OpKind.REACT_HOT or k == OpKind.REACT_COLD:
         energy = "AE" if k == OpKind.REACT_HOT else "SE"
@@ -187,16 +192,13 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
                  check_reaction=True, expects_reaction=True),
         ]
     if k == OpKind.SEPARATE:
-        solvent = p.get("solvent")
-        source = ("reagent", solvent) if solvent else ("reservoir",)
         return [
-            prim("AM", p["vessel"], source=source,
-                 amount=amount if amount is not None else SEPARATE_CHARGE_MOL),
+            charge_solvent(SEPARATE_CHARGE_MOL),
             prim("AE", p["vessel"], duration=duration if duration is not None else AGITATE_S,
                  check_reaction=True),
             prim("SM", p["vessel"], dest=("vessel", p["to"]), species=(p["species"],)),
         ]
-    if k == OpKind.DRY:
+    if k == OpKind.DRY or k == OpKind.EVAPORATE:
         selector = (p["species"],) if "species" in p else "solvents"
         return [
             prim("AE", p["vessel"], setpoint=temp, duration=duration,
@@ -213,24 +215,14 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
                  check_reaction=True),
             prim("SM", p["vessel"], dest=("vessel", p["to"]), species=(p["species"],)),
         ]
-    if k == OpKind.DISTIL:
+    if k == OpKind.DISTIL or k == OpKind.SUBLIME:
+        heat = prim("AE", p["vessel"], setpoint=temp,
+                    duration=duration if duration is not None else SOAK_S,
+                    check_reaction=True)
+        take = prim("SM", p["vessel"], dest=("transit", p["to"]), species=(p["species"],))
         cool_to = _qv(op, "cool_to")
-        return [
-            prim("AE", p["vessel"], setpoint=temp,
-                 duration=duration if duration is not None else SOAK_S,
-                 check_reaction=True),
-            prim("SM", p["vessel"], dest=("transit", p["to"]), species=(p["species"],)),
-            prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
-                 duration=AGITATE_S, check_reaction=True),
-            prim("AM", p["to"], source=("transit",)),
-        ]
-    if k == OpKind.SUBLIME:
-        cool_to = _qv(op, "cool_to")
-        return [
-            prim("SM", p["vessel"], dest=("transit", p["to"]), species=(p["species"],)),
-            prim("AE", p["vessel"], setpoint=temp,
-                 duration=duration if duration is not None else SOAK_S,
-                 check_reaction=True),
+        first = [heat, take] if k == OpKind.DISTIL else [take, heat]
+        return first + [
             prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
                  duration=AGITATE_S, check_reaction=True),
             prim("AM", p["to"], source=("transit",)),
@@ -238,20 +230,9 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
     if k == OpKind.FILTER:
         return [prim("SM", p["vessel"], dest=("vessel", p["to"]),
                      species=(p["species"],))]
-    if k == OpKind.EVAPORATE:
-        selector = (p["species"],) if "species" in p else "solvents"
-        return [
-            prim("AE", p["vessel"], setpoint=temp, duration=duration,
-                 check_reaction=True),
-            prim("SM", p["vessel"], dest=("vessel", p.get("to", "waste")),
-                 species=selector),
-        ]
     if k == OpKind.CLEAN:
-        solvent = p.get("solvent")
-        source = ("reagent", solvent) if solvent else ("reservoir",)
         return [
-            prim("AM", p["vessel"], source=source,
-                 amount=amount if amount is not None else CLEAN_CHARGE_MOL),
+            charge_solvent(CLEAN_CHARGE_MOL),
             prim("SM", p["vessel"], dest=("vessel", "waste"), reset_cell=True),
         ]
     raise ValueError(f"no expansion for {k!r}")
@@ -267,10 +248,6 @@ class VesselCell:
     temp: float = AMBIENT_C
     energy_in: float = 0.0
     energy_out: float = 0.0
-
-    @property
-    def blank(self) -> bool:
-        return not self.contents
 
     def total(self) -> float:
         return math.fsum(self.contents.values())
@@ -302,13 +279,9 @@ class MachineState:
 
 
 def _bump(d: dict[str, float], key: str, amount: float) -> None:
+    """Add `amount` to `d[key]`; a zero amount adds no key."""
     if amount:
         d[key] = d.get(key, 0.0) + amount
-
-
-def _pour(contents: dict[str, float], species: str, amount: float) -> None:
-    if amount:
-        contents[species] = contents.get(species, 0.0) + amount
 
 
 def _drain(contents: dict[str, float], species: str, amount: float) -> None:
@@ -326,7 +299,7 @@ def init_machine(prog: ChemProgram, waste_name: str = "waste",
                          {waste_name: 0, product_name: 1})
     for decl in prog.reagents:
         flask = _resolve_cell(state, decl.source_vessel)
-        _pour(flask.contents, decl.species, decl.amount.value)
+        _bump(flask.contents, decl.species, decl.amount.value)
         _bump(state.stock_in, decl.species, decl.amount.value)
     for req in prog.hardware:
         _resolve_cell(state, req.vessel)
@@ -458,12 +431,12 @@ def apply_primitive(state: MachineState, prim: Primitive,
         into = state.transit if prim.dest and prim.dest[0] == "transit" \
             else state.cell_named(move.dst).contents
         for s in sorted(move.amounts):
-            _pour(into, s, move.amounts[s])
+            _bump(into, s, move.amounts[s])
         if prim.reset_cell and not cell.contents:
             cell.temp = AMBIENT_C
     elif prim.code == "AM":
         for s in sorted(state.transit):
-            _pour(cell.contents, s, state.transit[s])
+            _bump(cell.contents, s, state.transit[s])
         state.transit.clear()
     elif prim.code == "AE":
         rise = max(prim.setpoint - cell.temp, 0.0) if prim.setpoint is not None else 0.0
@@ -503,12 +476,12 @@ def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
         _bump(state.consumed, s, take)
     for s in sorted(rule.products):
         out = rule.products[s] * extent
-        _pour(cell.contents, s, out)
+        _bump(cell.contents, s, out)
         _bump(state.produced, s, out)
     bp = rule.byproduct_species
     if bp is not None and extent:
         _bump(state.produced, bp, extent)
-        _pour(state.waste_cell.contents, bp, extent)
+        _bump(state.waste_cell.contents, bp, extent)
     for c in rule.catalysts:
         # turns over but is not used up; book both sides equally
         _bump(state.consumed, c, extent)
@@ -723,17 +696,7 @@ class Machine:
                 self.halted = "q_fail"
                 self.halt_reason = (f"no transition rule matched in {cell.name} "
                                     f"at {cell.temp:g} C / {prim.duration:g} s")
-                record = {
-                    "kind": "transition",
-                    "step": state.step_count,
-                    "op_index": prim.op_index,
-                    "rule": None,
-                    "outcome": "q_fail",
-                    "cell": cell.name,
-                    "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
-                    "temp": cell.temp,
-                    "state": state.controller,
-                }
+                record = self._transition(prim, cell, None, "q_fail")
                 self.emit(record)
                 return record
             return None
@@ -750,29 +713,33 @@ class Machine:
             "kind": "applied", "rule_id": rule.id,
             "occurrences": applied.occurrences, "status_after": applied.status,
         })
-        outcome = classify_outcome(m, self.db, self.explore_enabled)
+        outcome = classify_outcome(m, self.db)
         self.reaction_outcomes.append(outcome)
-        achieved = extent / m.extent if m.extent > 0 else 0.0
-        record = {
-            "kind": "transition",
-            "step": state.step_count,
-            "op_index": prim.op_index,
-            "rule": rule.id,
-            "outcome": outcome,
-            "extent": extent,
-            "extent_max": m.extent,
-            "limiting": m.limiting,
-            "expected_yield": rule.yield_fraction,
-            "achieved_yield": achieved,
-            "cell": cell.name,
-            "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
-            "temp": cell.temp,
-            "state": state.controller,
-        }
+        record = self._transition(
+            prim, cell, rule.id, outcome, extent=extent, extent_max=m.extent,
+            limiting=m.limiting, expected_yield=rule.yield_fraction,
+            achieved_yield=extent / m.extent if m.extent > 0 else 0.0)
         if mode is not None:
             record["injected"] = mode
         self.emit(record)
         return record
+
+    def _transition(self, prim: Primitive, cell: VesselCell, rule_id: str | None,
+                    outcome: str, **reaction) -> dict:
+        """The transition record of a reaction check; `reaction` holds the
+        extents and yields of a rule that fired."""
+        return {
+            "kind": "transition",
+            "step": self.state.step_count,
+            "op_index": prim.op_index,
+            "rule": rule_id,
+            "outcome": outcome,
+            **reaction,
+            "cell": cell.name,
+            "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
+            "temp": cell.temp,
+            "state": self.state.controller,
+        }
 
     # -- checkpointing (used by the recovery layer) -------------------------
 
@@ -798,9 +765,9 @@ class Machine:
         waste = st.waste_cell.contents
         for cell in st.cells[1:]:
             for s, v in cell.contents.items():
-                _pour(waste, s, v)
+                _bump(waste, s, v)
         for s, v in st.transit.items():
-            _pour(waste, s, v)
+            _bump(waste, s, v)
         st.transit.clear()
         fresh: dict[str, float] = {}
         for name, contents, temp in ckpt["cells"]:
@@ -862,9 +829,7 @@ class Machine:
 
 
 def run(prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
-        budget: int = DEFAULT_BUDGET, explore: bool = False,
-        injector=None) -> ExecutionTrace:
+        budget: int = DEFAULT_BUDGET, explore: bool = False) -> ExecutionTrace:
     """Execute a program against a rule database and return the full trace
     (see `Machine.execute`)."""
-    return Machine(prog, db, seed=seed, explore=explore, budget=budget,
-                   injector=injector).execute()
+    return Machine(prog, db, seed=seed, explore=explore, budget=budget).execute()

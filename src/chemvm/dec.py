@@ -20,15 +20,15 @@ Reverting dumps the contaminated holdings to waste and re-credits the
 restored inventory as fresh stock, so mass conservation holds across
 timelines; re-execution draws fresh injector outcomes. A correction runs
 only when the budget holds every record it writes, so the trace records
-every correction that changed the workspace, and the result's lists and
-counters equal the trace's record counts.
+every correction that changed the workspace, and the result reads its
+counts from the trace.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .chemlang import ChemProgram
@@ -266,19 +266,46 @@ def _redose_retrigger(machine: Machine, op, op_index: int,
 
 @dataclass
 class DecResult:
+    """A run under sensing and correction. Everything but the arm flag is
+    read from the trace, which records every sensing, deviation and
+    correction the run made."""
     trace: ExecutionTrace
-    halt: str
-    product_total: float
-    sensings: list[dict] = field(default_factory=list)
-    deviations: list[dict] = field(default_factory=list)
-    actions: list[dict] = field(default_factory=list)
-    redoses: int = 0
-    reverts: int = 0
     corrections_enabled: bool = True
+
+    def _records(self, kind: str) -> list[dict]:
+        return [r for r in self.trace.records if r["kind"] == kind]
+
+    @property
+    def halt(self) -> str:
+        return self.trace.halt
+
+    @property
+    def product_total(self) -> float:
+        return self.trace.ledger.total_product
 
     @property
     def success(self) -> bool:
         return self.halt == "q_out" and self.product_total > 0.0
+
+    @property
+    def sensings(self) -> list[dict]:
+        return self._records("sensing")
+
+    @property
+    def deviations(self) -> list[dict]:
+        return self._records("deviation")
+
+    @property
+    def actions(self) -> list[dict]:
+        return self._records("action")
+
+    @property
+    def redoses(self) -> int:
+        return sum(a["action"] == "redose_extend" for a in self.actions)
+
+    @property
+    def reverts(self) -> int:
+        return len(self._records("revert"))
 
     def summary(self) -> dict:
         return {
@@ -312,8 +339,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
     sense_rng = substream(seed, "sense")
     machine = Machine(prog, db, seed=seed, explore=explore, budget=budget,
                       injector=injector)
-    result = DecResult(trace=None, halt="", product_total=0.0,
-                       corrections_enabled=corrections_enabled)
+    redoses = reverts = 0           # against the policy's bounds
 
     checkpoint = machine.checkpoint()
     machine.emit({"kind": "checkpoint", "op_index": -1, "pc": 0,
@@ -322,6 +348,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
     def handle_event(event: dict, op, op_index: int) -> str:
         """Sense one reaction event and correct until validated.
         Returns "ok", "reverted" or "failed"."""
+        nonlocal redoses, reverts
         while True:
             if event.get("outcome") == "q_fail":
                 return "failed"
@@ -335,7 +362,6 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
             }
             if not machine.emit(sensing):
                 return "failed"
-            result.sensings.append(sensing)
             if not corrections_enabled:
                 return "ok"
             deviation = detect_deviation(reading, policy)
@@ -351,18 +377,15 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
             }
             if not machine.emit(dev_record):
                 return "failed"
-            result.deviations.append(dev_record)
 
             if deviation.severity == "minor":
                 if machine.out_of_budget():
                     return "failed"
-                action = _tune(machine, event, policy)
-                machine.emit(action)
-                result.actions.append(action)
+                machine.emit(_tune(machine, event, policy))
                 return "ok"
 
             if deviation.severity == "intermediate" \
-                    and result.redoses < policy.max_redoses:
+                    and redoses < policy.max_redoses:
                 action = {
                     "kind": "action",
                     "action": "redose_extend",
@@ -372,8 +395,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 }
                 if not machine.emit(action):
                     return "failed"
-                result.redoses += 1
-                result.actions.append(action)
+                redoses += 1
                 retried = _redose_retrigger(machine, op, op_index, policy)
                 if retried is None:
                     if machine.halted:
@@ -384,25 +406,23 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                     continue
 
             # major, or an intermediate with no redose budget left
-            if result.reverts < policy.max_reverts:
+            if reverts < policy.max_reverts:
                 if machine.out_of_budget(2):    # the action and the revert
                     return "failed"
-                result.reverts += 1
-                action = {
+                reverts += 1
+                machine.emit({
                     "kind": "action",
                     "action": "revert_replan",
                     "op_index": op_index,
                     "rule": event.get("rule"),
                     "step": machine.state.step_count,
-                }
-                machine.emit(action)
-                result.actions.append(action)
+                })
                 machine.restore(checkpoint)
                 machine.emit({
                     "kind": "revert",
                     "op_index": op_index,
                     "to_pc": machine.pc,
-                    "count": result.reverts,
+                    "count": reverts,
                     "step": machine.state.step_count,
                 })
                 return "reverted"
@@ -423,11 +443,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                           "pc": machine.pc,
                           "step": machine.state.step_count})
 
-    trace = machine.execute(after_op)
-    result.trace = trace
-    result.halt = trace.halt
-    result.product_total = trace.ledger.total_product
-    return result
+    return DecResult(machine.execute(after_op), corrections_enabled)
 
 
 # ---------------------------------------------------------------------------

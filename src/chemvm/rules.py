@@ -51,11 +51,10 @@ __all__ = [
     "promote",
     "explore",
     "commit_discovery",
-    "apply_rule_events",
     "plan_pathway",
     "pathway_to_program",
     "perfect_copy_fraction",
-    "assembly_bounds_ok",
+    "assembly_bounds",
 ]
 
 STATUSES = ("characterised", "predicted", "novel")
@@ -147,12 +146,15 @@ class RuleMatch:
 # ---------------------------------------------------------------------------
 # Load / save
 
-def assembly_bounds_ok(assembly_index: int, bonds: int) -> bool:
-    """Shortest-path assembly index bounds for an object with `bonds` parts:
-    at least ceil(log2 bonds), at most bonds - 1."""
-    if bonds < 2:
-        return False
-    return (bonds - 1).bit_length() <= assembly_index <= bonds - 1
+def assembly_bounds(bonds: int) -> tuple[int, int]:
+    """(lower, upper) bounds on the assembly index of an object with
+    `bonds` joints: reuse at best halves the work per step, no reuse
+    means one joint per step."""
+    if bonds < 1:
+        raise ValueError("an object needs at least one bond")
+    if bonds == 1:
+        return (0, 0)
+    return ((bonds - 1).bit_length(), bonds - 1)
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -182,14 +184,15 @@ def _parse_species(obj: dict) -> Species:
             raise RuleLoadError(f"{where}: element count for {el!r} must be a positive integer")
     ai = obj.get("assembly_index")
     bonds = obj.get("bonds")
-    if ai is not None:
-        if not isinstance(ai, int) or ai < 1:
-            raise RuleLoadError(f"{where}: assembly_index must be a positive integer")
-        if bonds is not None and not assembly_bounds_ok(ai, bonds):
-            lo = (bonds - 1).bit_length() if bonds >= 2 else None
+    if ai is not None and (not isinstance(ai, int) or ai < 1):
+        raise RuleLoadError(f"{where}: assembly_index must be a positive integer")
+    if bonds is not None and (not isinstance(bonds, int) or bonds < 1):
+        raise RuleLoadError(f"{where}: bonds must be a positive integer")
+    if ai is not None and bonds is not None:
+        lo, hi = assembly_bounds(bonds)
+        if not lo <= ai <= hi:
             raise RuleLoadError(
-                f"{where}: assembly_index {ai} outside [{lo}, {bonds - 1}] for {bonds} bonds"
-            )
+                f"{where}: assembly_index {ai} outside [{lo}, {hi}] for {bonds} bonds")
     return Species(sid, obj["name"], float(mm), dict(counts),
                    bool(obj.get("stable", True)), ai, bonds)
 
@@ -366,19 +369,20 @@ def save_rules(db: RuleDatabase, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Matching, outcome classification, promotion, exploration
 
+def _inputs_present(rules, contents: dict[str, float]) -> list[TransitionRule]:
+    """The rules, in order, whose reagents and catalysts are all present in
+    `contents`."""
+    return [r for r in rules
+            if all(contents.get(s, 0.0) > PRESENCE_EPS for s in r.reagent_pattern)
+            and all(contents.get(k, 0.0) > PRESENCE_EPS for k in r.catalysts)]
+
+
 def match_rule(db: RuleDatabase, contents: dict[str, float],
                conditions: tuple[float, float]) -> RuleMatch | None:
     """Best rule for the cell contents at (temperature C, duration s)."""
     temp, duration = conditions
-    eligible = []
-    for rule in db.rules.values():
-        if not all(contents.get(s, 0.0) > PRESENCE_EPS for s in rule.reagent_pattern):
-            continue
-        if not all(contents.get(k, 0.0) > PRESENCE_EPS for k in rule.catalysts):
-            continue
-        if not rule.process_window.contains(temp, duration):
-            continue
-        eligible.append(rule)
+    eligible = [rule for rule in _inputs_present(db.rules.values(), contents)
+                if rule.process_window.contains(temp, duration)]
     if not eligible:
         return None
     eligible.sort(key=lambda r: (-r.priority, r.id))
@@ -393,15 +397,14 @@ def limiting_extent(pattern: dict[str, float],
     return min((contents.get(s, 0.0) / ratio, s) for s, ratio in pattern.items())
 
 
-def classify_outcome(match: RuleMatch | None, db: RuleDatabase, explore_flag: bool) -> str:
-    """Halt classification for one reaction event. Call after promotion so a
-    second occurrence already reads as characterised. A None match means no
-    rule fired: with exploration off (or exploration that found nothing)
-    the event is a failure."""
-    if match is None:
-        return "q_fail"
-    status = db.rules.get(match.rule.id, match.rule).status
-    return {"characterised": "q_out", "predicted": "q_uout", "novel": "q_nout"}[status]
+_OUTCOME = {"characterised": "q_out", "predicted": "q_uout", "novel": "q_nout"}
+
+
+def classify_outcome(match: RuleMatch, db: RuleDatabase) -> str:
+    """Halt classification for one reaction event, by the status its rule
+    has in `db`. Call after promotion so a second occurrence already reads
+    as characterised."""
+    return _OUTCOME[db.rules[match.rule.id].status]
 
 
 def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
@@ -430,11 +433,7 @@ def explore(db: RuleDatabase, contents: dict[str, float],
     latent rule whose inputs are all present may reveal itself; the choice
     among several is a deterministic function of the rng stream.
     """
-    candidates = [
-        db.latent[k] for k in sorted(db.latent)
-        if all(contents.get(s, 0.0) > PRESENCE_EPS for s in db.latent[k].reagent_pattern)
-        and all(contents.get(c, 0.0) > PRESENCE_EPS for c in db.latent[k].catalysts)
-    ]
+    candidates = _inputs_present((db.latent[k] for k in sorted(db.latent)), contents)
     if not candidates:
         return None
     rule = candidates[rng.randrange(len(candidates))]
@@ -448,23 +447,6 @@ def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
     latent = {k: v for k, v in db.latent.items() if k != rule.id}
     event = {"event": "discovered", "rule": rule.id}
     return RuleDatabase(db.species, rules, latent, db.provenance + [event])
-
-
-def apply_rule_events(db: RuleDatabase, events: list[dict]) -> RuleDatabase:
-    """Replay a trace's rule events (discoveries and applications) onto a
-    database; used to persist what a run learned."""
-    for ev in events:
-        if ev["kind"] == "discovered":
-            if ev["rule_id"] not in db.rules:
-                base = db.latent.get(ev["rule_id"])
-                if base is None:
-                    raise RuleLoadError(f"cannot replay discovery of {ev['rule_id']!r}")
-                db = commit_discovery(db, replace(base, status="novel", occurrences=0))
-        elif ev["kind"] == "applied":
-            db = promote(db, ev["rule_id"])
-        else:
-            raise RuleLoadError(f"unknown rule event kind {ev.get('kind')!r}")
-    return db
 
 
 def perfect_copy_fraction(pathway: "Pathway") -> float:

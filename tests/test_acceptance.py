@@ -32,7 +32,6 @@ from chemvm.dec import evaluate_correction, run_with_dec
 from chemvm.rules import (
     RuleLoadError,
     Unreachable,
-    apply_rule_events,
     load_rules,
     loads_rules,
     pathway_to_program,
@@ -119,8 +118,7 @@ def test_criterion_06_halting_semantics():
     db = load_rules(FIXTURES / "predicted.rules")
     first = run(prog, db, seed=0)
     assert first.halt == "q_uout"
-    db = apply_rule_events(db, first.rule_events)
-    second = run(prog, db, seed=1)
+    second = run(prog, first.db, seed=1)
     assert second.halt == "q_out"
     norule = run(parse_program(fixture_text("norule.chem")),
                  load_rules(FIXTURES / "tiny.rules"), seed=0)

@@ -1,6 +1,7 @@
 """The validator and the compiler bind vessels with one function, so they
 agree on every binding and capacity finding: checked on seeded random
-(program, rig) pairs and on three programs their binders once disagreed on."""
+(program, rig) pairs, on three programs their binders once disagreed on, and
+on a hardware kind word that names no node kind."""
 
 import random
 
@@ -126,6 +127,11 @@ REPROS = {
         + '    s: sp:s 1 mol @SOLV solvent\n  }\n'
         '  steps {\n    add(vessel=RX1, reagent=r1, amount=1 mol)\n  }\n}\n',
         [("vessel_class_exhausted", "SOLV")]),
+    # a kind word that names no node kind matches no node (it once bound as any)
+    "unknown_kind_word": (
+        'procedure "r4" {\n  hardware {\n    X: oven\n  }\n'
+        '  steps {\n    heat_stir(vessel=X, temp=80 C, time=60 s)\n  }\n}\n',
+        [("vessel_class_exhausted", "X")]),
 }
 
 

@@ -231,6 +231,37 @@ def test_mc_outputs(tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ({"n_trajectories": "5"}, (), "n_trajectories must be an integer >= 1"),
+    ({"eps0_values": 5}, (), "eps0_values must be a non-empty list"),
+    ({"eps0_values": [0.1, 1.5]}, (), "eps0_values must be a non-empty list"),
+    ({"ai_max": 0}, (), "ai_max must be an integer >= 2"),
+    ({"ai_max": 1}, ("--svg", "mc.svg"), "ai_max must be an integer >= 2"),
+    ({"n0": 0}, (), "n0 must be a finite number >= 1"),
+    ({"jitter_sd": -0.1}, (), "jitter_sd must be a finite number >= 0"),
+    ({}, ("--seed", -1), "seed must be an integer >= 0"),
+])
+def test_mc_rejects_unusable_config(tmp_path, config, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = [tmp_path / f if str(f).endswith(".svg") else f for f in flags]
+    code, out, err = cli("mc", "--config", cfg, "--out", tmp_path / "mc.csv", *flags)
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "mc.csv").exists() and not (tmp_path / "mc.svg").exists()
+
+
+@pytest.mark.parametrize("bonds", [5.0, "x", 0])
+def test_bad_bonds_exit_2(tmp_path, bonds):
+    doc = json.loads(fixture_text("tiny.rules"))
+    doc["species"][0]["bonds"] = bonds
+    rules = tmp_path / "bad.rules"
+    rules.write_text(json.dumps(doc))
+    code, _, err = cli("run", FIXTURES / "tiny.chem", "--rules", rules)
+    assert code == 2
+    assert "bonds must be a positive integer" in err
+
+
 def test_dec_run_single_and_compare():
     code, out, _ = cli("dec-run", FIXTURES / "dec_3step.chem",
                        "--rules", FIXTURES / "dec_chain.rules",

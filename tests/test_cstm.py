@@ -5,13 +5,16 @@ import json
 
 import pytest
 
-from chemvm.chemlang import parse_program
+from chemvm.chemlang import (
+    OPTIONAL_PARAMS, REQUIRED_PARAMS, OpKind, Quantity, UnitOperation, parse_program,
+)
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import (
     DEFAULT_BUDGET,
     Machine,
     apply_extent,
     dumps_stable,
+    expand_unit_op,
     expansion_kinds,
     init_machine,
     read_trace_jsonl,
@@ -44,6 +47,21 @@ EXPANSIONS = {
 @pytest.mark.parametrize("kind, codes", sorted(EXPANSIONS.items()))
 def test_expansion_table(kind, codes):
     assert expansion_kinds(kind) == codes
+
+
+SAMPLE_PARAMS = {
+    "vessel": "A", "from": "A", "to": "B", "reagent": "r", "solvent": "s",
+    "species": "x", "amount": Quantity(0.5, "mol"), "temp": Quantity(80.0, "C"),
+    "cool_to": Quantity(20.0, "C"), "time": Quantity(60.0, "s"),
+}
+
+
+@pytest.mark.parametrize("optional", [False, True])
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_lowering_follows_expansion_table(kind, optional):
+    keys = REQUIRED_PARAMS[kind] | (OPTIONAL_PARAMS[kind] if optional else set())
+    op = UnitOperation(kind, {k: SAMPLE_PARAMS[k] for k in keys})
+    assert [p.code for p in expand_unit_op(op, 0)] == expansion_kinds(kind)
 
 
 @pytest.fixture(scope="module")

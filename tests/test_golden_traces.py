@@ -1,17 +1,21 @@
 """Byte-identity guard across commits: the SHA-256 of the seed-0 JSONL trace
-of every fixture program in each execution arm, and of the compiled plan
-JSON of every fixture program on the built-in rig and of one infeasible
-plan on a small rig. A change that must keep behaviour keeps these hashes;
-a change that alters traces or plans on purpose updates them and says which
-records changed and why."""
+of every fixture program in each execution arm, of the compiled plan JSON
+of every fixture program on the built-in rig and of one infeasible plan on
+a small rig, and of the rule file `run --persist-rules` writes. A change
+that must keep behaviour keeps these hashes; a change that alters traces
+or plans on purpose updates them and says which records changed and why."""
 
+import contextlib
 import hashlib
+import io
 import json
+import shutil
 
 import pytest
 
 from chemvm.chemlang import parse_program
 from chemvm.chempiler import build_default_graph, chempile, execute_plan, loads_graph
+from chemvm.cli import main
 from chemvm.cstm import run
 from chemvm.dec import run_with_dec
 from chemvm.rules import load_rules
@@ -118,3 +122,23 @@ def test_golden_plan(prog_name, rig):
     plan = chempile(parse_program(fixture_text(prog_name)), graph)
     assert plan.feasible == (rig == "default")
     assert hashlib.sha256(plan.to_json().encode()).hexdigest() == GOLDEN_PLANS[prog_name, rig]
+
+
+# (program, rule database, extra flags) -> the rule file one seed-0 run with
+# --persist-rules leaves behind: a predicted rule promoted on its first
+# occurrence, and a latent rule discovered and applied.
+GOLDEN_PERSISTED = {
+    ("predicted.chem", "predicted.rules", ()): "44b035bde9739b02f73b86a66add8543ec2164888d1366b231a90593a24a6101",
+    ("explore.chem", "explore.rules", ("--explore",)): "0db07dc28160bc982af390ebbc956f20494709c47fbc2ac1f4fd3f009043c466",
+}
+
+
+@pytest.mark.parametrize("prog_name, rules_name, flags", sorted(GOLDEN_PERSISTED))
+def test_golden_persisted_rules(prog_name, rules_name, flags, tmp_path):
+    rules = tmp_path / rules_name
+    shutil.copy(FIXTURES / rules_name, rules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", str(FIXTURES / prog_name), "--rules", str(rules),
+              "--persist-rules", *flags])
+    digest = hashlib.sha256(rules.read_bytes()).hexdigest()
+    assert digest == GOLDEN_PERSISTED[prog_name, rules_name, flags]

@@ -1,7 +1,8 @@
-"""Rule database: schema validation, matching, promotion, discovery,
-event replay, and the backward-chaining planner."""
+"""Rule database: schema validation, matching, promotion, discovery and
+the backward-chaining planner."""
 
 import json
+import re
 
 import pytest
 
@@ -11,7 +12,6 @@ from chemvm.rules import (
     RuleLoadError,
     Unreachable,
     UnstableTarget,
-    apply_rule_events,
     classify_outcome,
     commit_discovery,
     explore,
@@ -108,6 +108,23 @@ def test_assembly_index_must_fit_bond_bounds():
     assert loads_rules(ok).species["a"].assembly_index == 3
 
 
+@pytest.mark.parametrize("index, bonds, bounds", [(9, 8, "[3, 7]"), (2, 8, "[3, 7]"),
+                                                  (1, 1, "[0, 0]")])
+def test_assembly_bounds_message(index, bonds, bounds):
+    text = _db_text([_sp("a", {"C": 9}, assembly_index=index, bonds=bonds)])
+    message = f"assembly_index {index} outside {bounds} for {bonds} bonds"
+    with pytest.raises(RuleLoadError, match=re.escape(message)):
+        loads_rules(text)
+
+
+@pytest.mark.parametrize("bonds", [5.0, "x", 0, -3])
+@pytest.mark.parametrize("index", [{}, {"assembly_index": 2}])
+def test_bonds_must_be_a_positive_integer(bonds, index):
+    text = _db_text([_sp("a", {"C": 9}, bonds=bonds, **index)])
+    with pytest.raises(RuleLoadError, match="bonds must be a positive integer"):
+        loads_rules(text)
+
+
 def test_missing_fields_reported():
     with pytest.raises(RuleLoadError, match="element_counts"):
         loads_rules(json.dumps({
@@ -159,12 +176,10 @@ def test_match_requires_catalyst_presence():
 
 def test_classify_outcome_by_status(default_db):
     m = match_rule(default_db, {"tro": 1.0, "pha": 1.0}, (120.0, 3600.0))
-    assert classify_outcome(m, default_db, False) == "q_out"
-    assert classify_outcome(None, default_db, False) == "q_fail"
-    assert classify_outcome(None, default_db, True) == "q_fail"
+    assert classify_outcome(m, default_db) == "q_out"
     pdb = load_rules(FIXTURES / "predicted.rules")
     pm = match_rule(pdb, {"p": 1.0, "q": 1.0}, (70.0, 2700.0))
-    assert classify_outcome(pm, pdb, False) == "q_uout"
+    assert classify_outcome(pm, pdb) == "q_uout"
 
 
 def test_promote_twice_characterises():
@@ -185,17 +200,6 @@ def test_explore_and_commit_discovery():
     assert explore(db, {"e1": 1.0}, (60.0, 2700.0), random.Random(0)) is None
     db2 = commit_discovery(db, cand)
     assert "le" in db2.rules and not db2.latent
-
-
-def test_apply_rule_events_replays_history():
-    db = load_rules(FIXTURES / "explore.rules")
-    events = [
-        {"kind": "discovered", "rule_id": "le"},
-        {"kind": "applied", "rule_id": "le", "occurrences": 1,
-         "status_after": "novel"},
-    ]
-    db2 = apply_rule_events(db, events)
-    assert (db2.rules["le"].occurrences, db2.rules["le"].status) == (1, "novel")
 
 
 def test_plan_three_step_pathway(default_db):
