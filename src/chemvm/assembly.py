@@ -166,6 +166,12 @@ class MCResult:
     mean_n: dict[float, np.ndarray] = field(default_factory=dict)
 
 
+# Largest exponent whose exp is finite. Capping the drift's exponent here
+# keeps a row with eps0 = 0 at 0 rather than 0 * inf = NaN, and leaves
+# every drift that did not overflow as it was.
+_MAX_EXPONENT = float(np.log(np.finfo(np.float64).max))
+
+
 def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
     config = config or MonteCarloConfig()
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -173,7 +179,7 @@ def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
     offsets = rng.normal(0.0, config.jitter_sd, size=config.n_trajectories) \
         if config.jitter_sd > 0 else np.zeros(config.n_trajectories)
     steps = np.arange(1, config.ai_max + 1, dtype=np.float64)
-    drift = np.exp(config.drift_rate * (steps - 1.0))
+    drift = np.exp(np.minimum(config.drift_rate * (steps - 1.0), _MAX_EXPONENT))
     result = MCResult(config, list(range(1, config.ai_max + 1)))
     for eps0 in config.eps0_values:
         eps = np.clip(eps0 * drift[None, :] + offsets[:, None], 0.0, 1.0)

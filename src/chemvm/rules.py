@@ -17,6 +17,16 @@ second occurrence.
 The planner searches rule sequences of minimal length (ties broken by
 lexicographic rule-id sequence) that build a target species from stock,
 then sizes input amounts backward through the declared yields.
+
+Neither matching nor planning scans the whole database: an index, built
+on first use, files each rule under one of its inputs (reagent or
+catalyst), the one the fewest rules mention, ties to the smallest species
+id. A rule whose inputs are all present is filed under a present species,
+so only the rules filed under present species are candidates. Databases
+are never changed in place: `promote` returns one whose rules overlay the
+changed rules on the shared base, one level deep, and which shares the
+index, since promotion changes no rule's inputs; `commit_discovery`
+returns one that builds a new index.
 """
 
 from __future__ import annotations
@@ -24,7 +34,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import ChainMap
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .jsonio import dumps_stable, write_text_atomic
@@ -53,7 +66,6 @@ __all__ = [
     "commit_discovery",
     "plan_pathway",
     "pathway_to_program",
-    "perfect_copy_fraction",
     "assembly_bounds",
 ]
 
@@ -131,9 +143,34 @@ class TransitionRule:
 @dataclass
 class RuleDatabase:
     species: dict[str, Species]
-    rules: dict[str, TransitionRule]
+    rules: Mapping[str, TransitionRule]
     latent: dict[str, TransitionRule] = field(default_factory=dict)
     provenance: list[dict] = field(default_factory=list)
+    # input species -> the rules filed under it; None until first use
+    _index: dict[str, list[TransitionRule]] | None = field(
+        default=None, repr=False, compare=False)
+
+    def _candidates(self, present: Iterable[str]) -> list[TransitionRule]:
+        """The rules filed under the `present` species: a superset of the
+        rules whose inputs are all present, each once. They are the rules
+        the index was built from, so their occurrences and status may be
+        out of date; read those from `rules`."""
+        if self._index is None:
+            self._index = _build_index(self.rules.values())
+        index = self._index
+        return [rule for s in present for rule in index.get(s, ())]
+
+
+def _build_index(rules: Collection[TransitionRule]) -> dict[str, list[TransitionRule]]:
+    mentions: dict[str, int] = {}
+    for rule in rules:
+        for s in (*rule.reagent_pattern, *rule.catalysts):
+            mentions[s] = mentions.get(s, 0) + 1
+    index: dict[str, list[TransitionRule]] = {}
+    for rule in rules:
+        key = min((*rule.reagent_pattern, *rule.catalysts), key=lambda s: (mentions[s], s))
+        index.setdefault(key, []).append(rule)
+    return index
 
 
 @dataclass(frozen=True)
@@ -381,12 +418,13 @@ def match_rule(db: RuleDatabase, contents: dict[str, float],
                conditions: tuple[float, float]) -> RuleMatch | None:
     """Best rule for the cell contents at (temperature C, duration s)."""
     temp, duration = conditions
-    eligible = [rule for rule in _inputs_present(db.rules.values(), contents)
+    present = [s for s, amount in contents.items() if amount > PRESENCE_EPS]
+    eligible = [rule for rule in _inputs_present(db._candidates(present), contents)
                 if rule.process_window.contains(temp, duration)]
     if not eligible:
         return None
     eligible.sort(key=lambda r: (-r.priority, r.id))
-    rule = eligible[0]
+    rule = db.rules[eligible[0].id]
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
 
 
@@ -409,8 +447,9 @@ def classify_outcome(match: RuleMatch, db: RuleDatabase) -> str:
 
 def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
     """Record one observed application. Copy-on-write: returns a new
-    database; at the second occurrence a predicted/novel rule becomes
-    characterised, with a provenance event either way."""
+    database whose rules overlay the changed ones on `db`'s base, and which
+    shares `db`'s index; at the second occurrence a predicted/novel rule
+    becomes characterised, with a provenance event either way."""
     rule = db.rules[rule_id]
     new_occ = rule.occurrences + 1
     status = rule.status
@@ -419,10 +458,12 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
         event = {"event": "promoted", "rule": rule_id, "occurrences": new_occ,
                  "from": status}
         status = "characterised"
-    new_rule = replace(rule, occurrences=new_occ, status=status)
-    rules = dict(db.rules)
-    rules[rule_id] = new_rule
-    return RuleDatabase(db.species, rules, db.latent, db.provenance + [event])
+    changed, base = {}, db.rules
+    if type(base) is ChainMap:
+        changed, base = base.maps
+    rules = ChainMap({**changed, rule_id: replace(rule, occurrences=new_occ, status=status)},
+                     base)
+    return RuleDatabase(db.species, rules, db.latent, db.provenance + [event], db._index)
 
 
 def explore(db: RuleDatabase, contents: dict[str, float],
@@ -441,20 +482,13 @@ def explore(db: RuleDatabase, contents: dict[str, float],
 
 
 def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
-    """Move an explored rule into the visible database."""
+    """Move an explored rule into the visible database, which builds a
+    new index on first use."""
     rules = dict(db.rules)
     rules[rule.id] = rule
     latent = {k: v for k, v in db.latent.items() if k != rule.id}
     event = {"event": "discovered", "rule": rule.id}
     return RuleDatabase(db.species, rules, latent, db.provenance + [event])
-
-
-def perfect_copy_fraction(pathway: "Pathway") -> float:
-    """Probability that one molecule comes through every step flawless."""
-    out = 1.0
-    for step in pathway.steps:
-        out *= 1.0 - step.epsilon
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +549,6 @@ def plan_pathway(db: RuleDatabase, target: str, stock: set[str] | frozenset[str]
     if target in stock:
         return Pathway(target, ())
 
-    rule_ids = sorted(db.rules)
     for depth in range(1, max_depth + 1):
         dead: set[tuple[frozenset[str], int]] = set()
 
@@ -523,19 +556,18 @@ def plan_pathway(db: RuleDatabase, target: str, stock: set[str] | frozenset[str]
             key = (available, remaining)
             if key in dead:
                 return None
-            for rid in rule_ids:
-                rule = db.rules[rid]
+            for rule in sorted(db._candidates(available), key=attrgetter("id")):
                 if not _applicable(rule, available):
                     continue
                 new = available | set(rule.products)
                 if new == available:
                     continue  # adds nothing; a minimal sequence never does this
                 if target in new:
-                    return [rid]
+                    return [rule.id]
                 if remaining > 1:
                     tail = dfs(new, remaining - 1)
                     if tail is not None:
-                        return [rid] + tail
+                        return [rule.id] + tail
             dead.add(key)
             return None
 

@@ -1,14 +1,18 @@
-"""Shared helpers: fixture paths, a seeded rule-database generator, and a
-brute-force reachability oracle the planner is checked against."""
+"""Shared helpers: fixture paths, seeded rule-database generators, a
+brute-force reachability oracle the planner is checked against, and the
+whole-database scans the indexed matcher and planner are checked against."""
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from pathlib import Path
 
-from chemvm.rules import RuleDatabase, loads_rules
+from chemvm.rules import (
+    PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, loads_rules,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,10 +31,7 @@ def random_db(seed: int) -> tuple[RuleDatabase, str, frozenset[str]]:
     rng = random.Random(seed)
     n_species = rng.randint(2, 6)
     ids = [f"s{i}" for i in range(n_species)]
-    species = [
-        {"id": sid, "name": sid, "molar_mass": 10.0, "element_counts": {"U": 1}}
-        for sid in ids
-    ]
+    species = _unit_species(ids)
     n_rules = rng.randint(1, 5)
     rules = []
     for j in range(n_rules):
@@ -75,3 +76,138 @@ def min_applications(db: RuleDatabase, target: str, stock: frozenset[str]) -> in
                 seen.add(new)
                 queue.append((new, dist + 1))
     return None
+
+
+def _unit_species(ids: list[str]) -> list[dict]:
+    return [{"id": sid, "name": sid, "molar_mass": 10.0, "element_counts": {"U": 1}}
+            for sid in ids]
+
+
+def random_shared_db(seed: int) -> tuple[RuleDatabase, str, frozenset[str]]:
+    """A larger random rule database (30-80 rules) whose rules share inputs
+    from a small common pool, plus a target and a stock set that holds the
+    common pool. Every species weighs one unit of the same element."""
+    rng = random.Random(seed)
+    ids = [f"s{i}" for i in range(rng.randint(8, 12))]
+    common = ids[:3]
+    rules = []
+    for j in range(rng.randint(30, 80)):
+        inputs = set(rng.sample(common, rng.randint(0, 2)))
+        inputs |= set(rng.sample(ids, rng.randint(1, 2)))
+        product = rng.choice([s for s in ids if s not in inputs])
+        rules.append({
+            "id": f"r{j:02d}",
+            "reagent_pattern": {s: 1.0 for s in sorted(inputs)},
+            "process_window": {"temp_min": 40.0, "temp_max": 50.0,
+                               "duration_min": 1800.0, "duration_max": 7200.0},
+            "products": {product: 1.0},
+            "yield": 0.9,
+            "epsilon": 0.05,
+            "status": "characterised",
+        })
+    db = loads_rules(json.dumps({"species": _unit_species(ids), "rules": rules}))
+    target = rng.choice(ids[3:])
+    stock = frozenset(common + rng.sample(ids[3:], rng.randint(0, 2)))
+    return db, target, stock
+
+
+def plan_ids_linear(db: RuleDatabase, target: str, stock: frozenset[str],
+                    max_depth: int) -> list[str] | None:
+    """The rule ids `plan_pathway` should choose, by the same iterative
+    deepening with every rule tried in id order at every node; None when no
+    sequence within `max_depth` makes the target."""
+    if target in stock:
+        return []
+    rule_ids = sorted(db.rules)
+    for depth in range(1, max_depth + 1):
+        dead: set[tuple[frozenset[str], int]] = set()
+
+        def dfs(available: frozenset[str], remaining: int) -> list[str] | None:
+            if (available, remaining) in dead:
+                return None
+            for rid in rule_ids:
+                rule = db.rules[rid]
+                if not (set(rule.reagent_pattern) | set(rule.catalysts)) <= available:
+                    continue
+                new = available | set(rule.products)
+                if new == available:
+                    continue
+                if target in new:
+                    return [rid]
+                if remaining > 1:
+                    tail = dfs(new, remaining - 1)
+                    if tail is not None:
+                        return [rid] + tail
+            dead.add((available, remaining))
+            return None
+
+        seq = dfs(stock, depth)
+        if seq is not None:
+            return seq
+    return None
+
+
+# Amounts a probe gives a species: absent, exactly at the presence threshold
+# (still absent), the next float above it (present), and ordinary amounts.
+_PROBE_AMOUNTS = (0.0, PRESENCE_EPS, math.nextafter(PRESENCE_EPS, 1.0))
+
+
+def random_match_db(seed: int, n_probes: int = 40):
+    """A random rule database of 50-500 rules with catalysts, priority ties,
+    overlapping process windows and a few latent rules, plus `n_probes`
+    (contents, conditions) pairs to match against it. Probe contents hold
+    amounts at and just above the presence threshold and byproduct species
+    the database does not know."""
+    rng = random.Random(seed)
+    ids = [f"s{i}" for i in range(rng.randint(6, 30))]
+
+    def rule(rid: str) -> dict:
+        n_inputs, n_catalysts = rng.randint(1, 3), rng.choice((0, 0, 1))
+        picked = rng.sample(ids, n_inputs + n_catalysts + 1)
+        inputs, catalysts, product = picked[:n_inputs], picked[n_inputs:-1], picked[-1]
+        temp_min = float(rng.randrange(20, 100, 10))
+        duration_min = float(rng.choice((600, 1800, 3600)))
+        out = {
+            "id": rid,
+            "reagent_pattern": {s: float(rng.choice((1, 2))) for s in inputs},
+            "process_window": {"temp_min": temp_min,
+                               "temp_max": temp_min + rng.choice((10.0, 30.0, 60.0)),
+                               "duration_min": duration_min,
+                               "duration_max": duration_min + rng.choice((1800.0, 5400.0))},
+            "products": {product: 1.0},
+            "yield": 0.9,
+            "epsilon": 0.05,
+            "status": rng.choice(STATUSES),
+            "priority": rng.randint(0, 2),
+        }
+        if catalysts:
+            out["catalysts"] = catalysts
+        return out
+
+    n_rules = rng.randint(50, 500)
+    rules = [rule(f"r{j}") for j in rng.sample(range(10 * n_rules), n_rules)]
+    latent = [rule(f"l{j}") for j in range(rng.randint(1, 5))]
+    db = loads_rules(json.dumps({"species": _unit_species(ids), "rules": rules,
+                                 "latent": latent}))
+    probes = []
+    for _ in range(n_probes):
+        contents = {s: rng.choice(_PROBE_AMOUNTS + (rng.uniform(0.01, 2.0),) * 3)
+                    for s in rng.sample(ids, rng.randint(2, min(8, len(ids))))}
+        contents[f"{rng.choice(rules)['id']}.byproduct"] = rng.uniform(0.01, 1.0)
+        conditions = (rng.uniform(15.0, 170.0), rng.uniform(500.0, 9000.0))
+        probes.append((contents, conditions))
+    return db, probes
+
+
+def match_rule_linear(db: RuleDatabase, contents: dict[str, float],
+                      conditions: tuple[float, float]) -> RuleMatch | None:
+    """`match_rule` by a scan of every rule in the database."""
+    temp, duration = conditions
+    eligible = [rule for rule in db.rules.values()
+                if all(contents.get(s, 0.0) > PRESENCE_EPS
+                       for s in (*rule.reagent_pattern, *rule.catalysts))
+                and rule.process_window.contains(temp, duration)]
+    if not eligible:
+        return None
+    rule = min(eligible, key=lambda r: (-r.priority, r.id))
+    return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))

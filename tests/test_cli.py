@@ -5,8 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shutil
 import sys
+import warnings
 
 import pytest
 
@@ -249,6 +251,21 @@ def test_mc_rejects_unusable_config(tmp_path, config, flags, message):
     assert code == 2
     assert message in err
     assert not (tmp_path / "mc.csv").exists() and not (tmp_path / "mc.svg").exists()
+
+
+def test_mc_overflowing_drift_gives_finite_csv(tmp_path):
+    # exp(10 * 119) overflows; a zero starting rate must still read as 0 * drift
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps0_values": [0.0, 0.1], "drift_rate": 10,
+                               "n_trajectories": 40}))
+    csv_path = tmp_path / "mc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = cli("mc", "--config", cfg, "--out", csv_path)
+    assert code == 0, err
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert {eps0 for eps0, _, _ in rows} == {"0", "0.1"}
+    assert all(math.isfinite(float(value)) for _, _, value in rows)
 
 
 @pytest.mark.parametrize("bonds", [5.0, "x", 0])

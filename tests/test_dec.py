@@ -4,7 +4,7 @@ revert budgets, the paired sign test, and policy I/O."""
 import pytest
 
 from chemvm.chemlang import parse_program
-from chemvm.cstm import run
+from chemvm.cstm import Machine, run
 from chemvm.dec import (
     MODE_FACTORS,
     BernoulliInjector,
@@ -18,7 +18,7 @@ from chemvm.dec import (
     run_with_dec,
     sign_test,
 )
-from chemvm.rules import load_rules
+from chemvm.rules import load_rules, promote
 
 from _support import FIXTURES, fixture_text
 
@@ -28,6 +28,23 @@ def chain():
     prog = parse_program(fixture_text("dec_3step.chem"))
     db = load_rules(FIXTURES / "dec_chain.rules")
     return prog, db
+
+
+def test_restore_after_promote_brings_back_rule_state():
+    # a predicted rule seen once before: the run's reaction is its second
+    # occurrence and characterises it; the revert must undo both
+    prog = parse_program(fixture_text("predicted.chem"))
+    db = promote(load_rules(FIXTURES / "predicted.rules"), "rp")
+    m = Machine(prog, db, seed=0)
+    m.execute_op(0)
+    ck = m.checkpoint()
+    m.execute_op(1)
+    assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (2, "characterised")
+    m.restore(ck)
+    assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (1, "predicted")
+    m.execute_op(1)
+    assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (2, "characterised")
+    assert [e["status_after"] for e in m.rule_events] == ["characterised"]
 
 
 def test_mode_factors():

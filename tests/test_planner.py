@@ -1,12 +1,12 @@
-"""Planner equivalence against a brute-force reachability oracle on small
-random rule databases."""
+"""Planner equivalence against a brute-force reachability oracle and
+against a whole-database scan, on small and larger random rule databases."""
 
 import pytest
 
 from chemvm.cstm import run
 from chemvm.rules import Unreachable, pathway_to_program, plan_pathway
 
-from _support import min_applications, random_db
+from _support import min_applications, plan_ids_linear, random_db, random_shared_db
 
 DEPTH = 4
 
@@ -23,6 +23,18 @@ def test_planner_matches_bfs_oracle(seed):
     assert oracle is not None and oracle <= DEPTH
     # iterative deepening returns a minimal-length pathway
     assert len(pathway.steps) == oracle
+
+
+@pytest.mark.parametrize("make_db", [random_db, random_shared_db])
+@pytest.mark.parametrize("seed", range(40))
+def test_planner_matches_linear_scan(make_db, seed):
+    # same rule ids, not just the same length: lexicographic minimality
+    db, target, stock = make_db(seed)
+    try:
+        ids = plan_pathway(db, target, stock, max_depth=DEPTH).rule_ids()
+    except Unreachable:
+        ids = None
+    assert ids == plan_ids_linear(db, target, stock, DEPTH)
 
 
 @pytest.mark.parametrize("seed", range(40))
