@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Print `name sha256` for a fixed set of program outputs, one line each.
+
+A change that must keep outputs byte-identical is checked by running this
+script against the `chemvm` of each checkout and comparing the listings:
+
+    PYTHONPATH=src python3 scripts/digest_outputs.py > after.txt
+    PYTHONPATH=../parent/src python3 scripts/digest_outputs.py > before.txt
+    cmp before.txt after.txt
+
+The outputs, all with fixtures/tiny.rules:
+- the criterion-05 corpus (`random_program` seeds 0-999 on the built-in
+  rig): validate and compile JSON, and the JSONL traces of the abstract,
+  compiled and corrected (eps 0.2) runs at budgets 10,000 and 7;
+- seeded renamed-vessel pairs that validate accepts, from the binding
+  tests' generator (seeds 0-9,999), each program once on its random rig
+  and once on the built-in rig: compile JSON, and the JSONL traces of the
+  abstract and, where the plan is feasible, the compiled runs at both
+  budgets.
+
+The script takes no options. It imports the generator from tests/_support.py
+next to it and `chemvm` from the environment.
+"""
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+from chemvm.chemlang import parse_program, validate_program  # noqa: E402
+from chemvm.chemlang.corpus import random_program  # noqa: E402
+from chemvm.chempiler import build_default_graph, chempile, execute_plan  # noqa: E402
+from chemvm.cstm import run  # noqa: E402
+from chemvm.dec import run_with_dec  # noqa: E402
+from chemvm.rules import load_rules  # noqa: E402
+
+from _support import random_binding_case  # noqa: E402
+
+BUDGETS = (10000, 7)
+CORPUS_SEEDS = range(1000)
+PAIR_SEEDS = range(10000)
+
+
+def digest(name: str, text: str) -> None:
+    print(name, hashlib.sha256(text.encode()).hexdigest())
+
+
+def main() -> None:
+    db = load_rules(ROOT / "fixtures" / "tiny.rules")
+    graph = build_default_graph()
+    for seed in CORPUS_SEEDS:
+        prog = random_program(random.Random(seed))
+        digest(f"c05/{seed}/validate", validate_program(prog, graph).to_json())
+        plan = chempile(prog, graph)
+        digest(f"c05/{seed}/compile", plan.to_json())
+        for budget in BUDGETS:
+            digest(f"c05/{seed}/run/{budget}",
+                   run(prog, db, seed=seed, budget=budget).to_jsonl())
+            digest(f"c05/{seed}/execute_plan/{budget}",
+                   execute_plan(plan, db, seed=seed, budget=budget).to_jsonl())
+            digest(f"c05/{seed}/dec/{budget}",
+                   run_with_dec(prog, db, eps=0.2, seed=seed,
+                                budget=budget).trace.to_jsonl())
+    for seed in PAIR_SEEDS:
+        prog, rig = random_binding_case(seed)
+        accepted = [(where, on) for where, on in (("rig", rig), ("default", graph))
+                    if validate_program(prog, on).ok]
+        if accepted:
+            for budget in BUDGETS:
+                digest(f"pair/{seed}/run/{budget}",
+                       run(prog, db, seed=seed, budget=budget).to_jsonl())
+        for where, on in accepted:
+            name = f"pair/{seed}/{where}"
+            plan = chempile(prog, on)
+            digest(f"{name}/compile", plan.to_json())
+            if not plan.feasible:
+                continue
+            for budget in BUDGETS:
+                digest(f"{name}/execute_plan/{budget}",
+                       execute_plan(plan, db, seed=seed, budget=budget).to_jsonl())
+
+
+if __name__ == "__main__":
+    main()

@@ -2,10 +2,10 @@
 
 The validator reports every step whose required parameters are missing or
 out of range, then what the compiler reports about binding the program onto
-the graph and about its flask charges, in the compiler's order: the binding
-pass `bind_vessels` and the capacity screen `check_flask_capacity` live here
-and `chempile` calls both. Only routing (`no_route`) is left to the
-compiler. The graph is duck-typed (`nodes`, `by_kind`, `reservoir()`; nodes
+the graph and about its flask charges, in the compiler's order: the
+parameter check `check_params`, the binding pass `bind_vessels` and the
+capacity screen `check_flask_capacity` live here and `chempile` calls all
+three. Only routing (`no_route`) is left to the compiler. The graph is duck-typed (`nodes`, `by_kind`, `reservoir()`; nodes
 with `id`, `kind`, `capabilities`, `capacity`, `reserved`) so this module
 does not depend on the compiler.
 """
@@ -25,7 +25,7 @@ from .ast import (
 
 __all__ = [
     "Finding", "ValidationReport", "validate_program", "bind_vessels",
-    "check_flask_capacity", "MATTER_KINDS", "FLOW_KINDS", "NODE_KINDS",
+    "check_flask_capacity", "check_params", "MATTER_KINDS", "FLOW_KINDS", "NODE_KINDS",
 ]
 
 TEMP_RANGE_C = (-200.0, 400.0)
@@ -82,14 +82,16 @@ class ValidationReport:
 
 def validate_program(prog: ChemProgram, graph) -> ValidationReport:
     report = ValidationReport()
-    _check_params(prog, report)
+    check_params(prog, report)
     bindings, _, findings = bind_vessels(prog, graph)
     report.findings += findings
     check_flask_capacity(prog, bindings, graph, report)
     return report
 
 
-def _check_params(prog: ChemProgram, report: ValidationReport) -> None:
+def check_params(prog: ChemProgram, report: ValidationReport) -> None:
+    """Report every step's missing parameters (missing_param) and
+    temperatures, times and amounts out of range (param_out_of_range)."""
     for i, op in enumerate(prog.steps):
         where = f"step {i + 1} ({op.kind.value}, line {op.line})"
         missing = REQUIRED_PARAMS[op.kind] - set(op.params)

@@ -2,17 +2,21 @@
 
 A rig is a directed graph: matter nodes (flasks, reactors, separators,
 rotavaps, filters, storage, chromatograph, waste, product) connected
-through valves and a syringe pump. Compiling binds every program vessel to
-a node (`chemlang.validate.bind_vessels`, the binding the validator checks:
-by id when the graph has a compatible node of that name, else first-fit by
+through valves and a syringe pump. Compiling checks each step's
+parameters as the validator does, binds every program vessel to a node
+(`chemlang.validate.bind_vessels`, the binding the validator checks: by id
+when the graph has a compatible node of that name, else first-fit by
 ascending capability count so specialised stations stay free), routes
 every matter movement of the lowered primitives directly from its
 source node to its destination node, and reports problems as findings
 rather than exceptions, so a plan can explain everything wrong with it at
-once. A vessel that could not be bound gets no route finding on top.
+once. A vessel that could not be bound gets no route finding on top. The
+plan maps the program onto the rig; it does not rewrite it.
 
-Executing a plan drives the same machine the abstract run uses; the only
-additions are stroke records and a capacity watchdog. Each movement is
+Executing a plan runs the program as written on the same machine the
+abstract run uses, with the plan's bindings naming each vessel's cell
+after its node; the only additions are stroke records and a capacity
+watchdog. Each movement is
 booked once, ahead of the primitive that starts it, as one group of
 strokes along its `src->dst` route in the plan: ceil(total / pump
 capacity) strokes when the route runs through a pump, one otherwise, the
@@ -29,12 +33,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chemlang import ChemProgram, OpKind, UnitOperation
+from .chemlang import ChemProgram, OpKind
 from .chemlang.validate import (
     FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_flask_capacity,
+    check_params,
 )
 from .jsonio import dumps_stable
 from .rules import Pathway, RuleDatabase, pathway_to_program
@@ -170,24 +175,6 @@ def load_graph(path: str | Path) -> HardwareGraph:
     return loads_graph(path.read_text(encoding="utf-8"), where=str(path))
 
 
-def graph_to_json(graph: HardwareGraph) -> str:
-    nodes = []
-    for i in sorted(graph.nodes):
-        n = graph.nodes[i]
-        obj: dict = {"id": n.id, "kind": n.kind}
-        if n.capabilities:
-            obj["capabilities"] = sorted(n.capabilities)
-        if n.capacity is not None:
-            obj["capacity"] = n.capacity
-        if n.ports is not None:
-            obj["ports"] = n.ports
-        if n.attachments:
-            obj["attachments"] = list(n.attachments)
-        nodes.append(obj)
-    doc = {"nodes": nodes, "edges": [[a, b] for a, b in graph.edges]}
-    return dumps_stable(doc, indent=2) + "\n"
-
-
 def build_default_graph() -> HardwareGraph:
     """Reference bench: four reagent flasks and a solvent reservoir feeding,
     through three valves and one syringe pump, a heated/chilled reactor with
@@ -317,7 +304,7 @@ def route(graph: HardwareGraph, src: str, dst: str) -> list[str]:
 
 @dataclass
 class CompiledPlan:
-    program: ChemProgram               # vessels renamed to node ids
+    program: ChemProgram               # as written; run through `bindings`
     graph: HardwareGraph
     bindings: dict[str, str]           # program vessel -> node id
     routes: dict[str, list[str]]       # "SRC->DST" -> node path
@@ -360,27 +347,15 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
         prog = source
         origin = "program"
 
+    report = ValidationReport()
+    check_params(prog, report)
     bindings, unbound, findings = bind_vessels(prog, graph)
-    report = ValidationReport(findings)
+    report.findings += findings
     reservoir = graph.reservoir()
     reservoir_id = reservoir.id if reservoir else None
 
-    # rename the program onto the chosen nodes
     def mapped(v: str) -> str:
         return bindings.get(v, v)
-
-    new_decls = [replace(d, source_vessel=mapped(d.source_vessel))
-                 for d in prog.reagents]
-    new_hw = [replace(h, vessel=mapped(h.vessel)) for h in prog.hardware]
-    new_steps = []
-    for op in prog.steps:
-        params = dict(op.params)
-        for key in ("vessel", "from", "to"):
-            if key in params and isinstance(params[key], str):
-                params[key] = mapped(params[key])
-        new_steps.append(UnitOperation(op.kind, params, op.line))
-    bound = ChemProgram(prog.name, new_decls, new_hw, new_steps,
-                        dict(prog.metadata))
 
     # route every movement, collect cleaning ops and per-step allocations
     routes: dict[str, list[str]] = {}
@@ -388,17 +363,21 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
     allocations: dict[int, list[str]] = {}
     current_step = 1
     decl_map = prog.decl_map
-    for i, op in enumerate(bound.steps):
+    for i, op in enumerate(prog.steps):
         if op.reaction_step is not None:
             current_step = op.reaction_step
-        touched = set(op.vessels())
+        touched = set(op.vessels()) | ({"waste"} if op.kind == OpKind.CLEAN else set())
         alloc = allocations.setdefault(current_step, [])
-        for v in sorted(touched | ({mapped("waste")} if op.kind == OpKind.CLEAN else set())):
+        for v in sorted(map(mapped, touched)):
             if v not in alloc:
                 alloc.append(v)
+        try:
+            prims = expand_unit_op(op, i)
+        except MachineError:                # missing parameter, reported above
+            continue
         if op.kind == OpKind.CLEAN:
-            cleaning.append({"op_index": i, "vessel": op.params["vessel"]})
-        for prim in expand_unit_op(prog.steps[i], i):
+            cleaning.append({"op_index": i, "vessel": mapped(op.params["vessel"])})
+        for prim in prims:
             try:
                 ends = movement_endpoints(prim, decl_map)
             except MachineError:            # undeclared reagent
@@ -421,7 +400,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
 
     check_flask_capacity(prog, bindings, graph, report)
 
-    return CompiledPlan(bound, graph, bindings, routes, cleaning, allocations,
+    return CompiledPlan(prog, graph, bindings, routes, cleaning, allocations,
                         report, origin)
 
 
@@ -495,8 +474,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
     return Machine(plan.program, db, seed=seed, explore=explore,
                    budget=budget,
                    pre_primitive=book_strokes, post_primitive=watch_capacity,
-                   waste_name=plan.bindings.get("waste", "waste"),
-                   product_name=plan.bindings.get("product", "product")).execute()
+                   bindings=plan.bindings).execute()
 
 
 def lowering_view(trace: ExecutionTrace, bindings: dict[str, str] | None = None

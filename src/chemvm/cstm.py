@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .chemlang import AMBIENT_C, ChemProgram, OpKind, Quantity, ReagentDecl
+from .chemlang import AMBIENT_C, REQUIRED_PARAMS, ChemProgram, OpKind, Quantity, ReagentDecl
 from .jsonio import dumps_stable
 from .rng import substream
 from .rules import (
@@ -58,7 +58,6 @@ __all__ = [
     "expansion_kinds",
     "expand_unit_op",
     "init_machine",
-    "instantiate_cell",
     "movement_endpoints",
     "movement",
     "apply_primitive",
@@ -156,9 +155,14 @@ def _qv(op, key: str) -> float | None:
 
 
 def expand_unit_op(op, op_index: int) -> list[Primitive]:
-    """Lower one unit operation to its primitive sequence."""
+    """Lower one unit operation to its primitive sequence. Raises
+    MachineError when the operation lacks a required parameter."""
     k = op.kind
     p = op.params
+    missing = REQUIRED_PARAMS[k] - p.keys()
+    if missing:
+        raise MachineError(f"step {op_index + 1} ({k.value}, line {op.line}): "
+                           f"{k.value} requires parameter {min(missing)!r}")
     amount = _qv(op, "amount")
     temp = _qv(op, "temp")
     duration = _qv(op, "time")
@@ -265,6 +269,7 @@ class MachineState:
     consumed: dict[str, float] = field(default_factory=dict)
     produced: dict[str, float] = field(default_factory=dict)
     solvent_species: frozenset[str] = frozenset()
+    names: dict[str, str] = field(default_factory=dict)   # vessel -> cell name
 
     @property
     def waste_cell(self) -> VesselCell:
@@ -292,11 +297,16 @@ def _drain(contents: dict[str, float], species: str, amount: float) -> None:
         contents[species] = left
 
 
-def init_machine(prog: ChemProgram, waste_name: str = "waste",
-                 product_name: str = "product") -> MachineState:
-    """Lay out the tape and charge the source flasks from the declarations."""
-    state = MachineState([VesselCell(waste_name), VesselCell(product_name)],
-                         {waste_name: 0, product_name: 1})
+def init_machine(prog: ChemProgram, names: dict[str, str] | None = None
+                 ) -> MachineState:
+    """Lay out the tape and charge the source flasks from the declarations.
+    `names` maps program vessels to the names their cells run under (a
+    compiled plan's bindings: vessel -> node id); a vessel it does not name
+    runs under its own name."""
+    names = names or {}
+    waste, product = names.get("waste", "waste"), names.get("product", "product")
+    state = MachineState([VesselCell(waste), VesselCell(product)],
+                         {waste: 0, product: 1}, names=names)
     for decl in prog.reagents:
         flask = _resolve_cell(state, decl.source_vessel)
         _bump(flask.contents, decl.species, decl.amount.value)
@@ -309,23 +319,15 @@ def init_machine(prog: ChemProgram, waste_name: str = "waste",
     return state
 
 
-def instantiate_cell(state: MachineState, vessel: str) -> VesselCell:
-    """Bring a blank cell for `vessel` into service at the end of the tape."""
-    cell = VesselCell(vessel)
-    state.index[vessel] = len(state.cells)
-    state.cells.append(cell)
-    return cell
-
-
-def _resolve_cell(state: MachineState, name: str) -> VesselCell:
-    if name not in state.index:
-        # waste/product keep their tape slots whatever the cells are called
-        if name == "waste":
-            return state.cells[0]
-        if name == "product":
-            return state.cells[1]
-        return instantiate_cell(state, name)
-    return state.cells[state.index[name]]
+def _resolve_cell(state: MachineState, vessel: str) -> VesselCell:
+    """The cell a program vessel runs in, named through `state.names`; a
+    blank one comes into service at the end of the tape on first use."""
+    name = state.names.get(vessel, vessel)
+    i = state.index.get(name)
+    if i is None:
+        i = state.index[name] = len(state.cells)
+        state.cells.append(VesselCell(name))
+    return state.cells[i]
 
 
 def selected_species(cell: VesselCell, selector,
@@ -393,7 +395,7 @@ def movement(state: MachineState, prim: Primitive,
         if want > avail + _AMOUNT_SLACK:
             raise InsufficientMaterial(
                 f"{decl.name}: need {want:g} {decl.species}, flask "
-                f"{decl.source_vessel} holds {avail:g}"
+                f"{flask.name} holds {avail:g}"
             )
         take = min(want, avail)
         return Movement(flask.name, cell.name, {decl.species: take}, take)
@@ -407,6 +409,8 @@ def movement(state: MachineState, prim: Primitive,
         total = min(total, prim.amount)
     if prim.dest[0] == "vessel":
         dst = _resolve_cell(state, dst).name
+    else:   # the line's vessel comes into service at the AM that empties it
+        dst = state.names.get(dst, dst)
     return Movement(cell.name, dst, amounts, total)
 
 
@@ -592,7 +596,12 @@ def read_trace_jsonl(text: str) -> list[dict]:
 
 class Machine:
     """Stepwise executor. `execute` drives a whole program; recovery layers
-    step in after each op and use checkpoint/restore between ops.
+    step in after each op and use checkpoint/restore between ops. The
+    program is lowered once, at construction, into `ops` (one primitive
+    list per step); a step that cannot be lowered halts the machine at
+    q_fail before it starts. `bindings` (program vessel -> node id, a
+    compiled plan's) names the cells the vessels run in; without it each
+    cell carries its vessel's name.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
@@ -605,7 +614,7 @@ class Machine:
     def __init__(self, prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
                  explore: bool = False, budget: int = DEFAULT_BUDGET,
                  injector=None, pre_primitive=None, post_primitive=None,
-                 waste_name: str = "waste", product_name: str = "product"):
+                 bindings: dict[str, str] | None = None):
         self.prog = prog
         self.db = db
         self.explore_enabled = explore
@@ -613,13 +622,18 @@ class Machine:
         self.injector = injector
         self.pre_primitive = pre_primitive
         self.post_primitive = post_primitive
-        self.state = init_machine(prog, waste_name, product_name)
+        self.state = init_machine(prog, bindings)
         self.decls = prog.decl_map
         self.records: list[dict] = []
         self.rule_events: list[dict] = []
         self.reaction_outcomes: list[str] = []
         self.halted: str | None = None
         self.halt_reason: str | None = None
+        try:
+            self.ops = [expand_unit_op(op, i) for i, op in enumerate(prog.steps)]
+        except MachineError as exc:
+            self.halted = "q_fail"
+            self.halt_reason = str(exc)
         self.pc = 0
         self._explore_rng = substream(seed, "explore")
 
@@ -660,10 +674,9 @@ class Machine:
 
     def execute_op(self, op_index: int) -> list[dict]:
         """Run one unit operation; returns the reaction records it caused."""
-        op = self.prog.steps[op_index]
         self.state.controller = f"q{op_index}"
         events: list[dict] = []
-        for prim in expand_unit_op(op, op_index):
+        for prim in self.ops[op_index]:
             if self.halted or self.apply(prim) is None:
                 return events
             if prim.check_reaction and prim.duration > 0 and not self.halted:

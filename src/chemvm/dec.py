@@ -33,8 +33,8 @@ from pathlib import Path
 
 from .chemlang import ChemProgram
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, apply_extent,
-    expand_unit_op,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, _resolve_cell,
+    apply_extent,
 )
 from .rng import substream
 from .rules import RuleDatabase, limiting_extent
@@ -229,19 +229,20 @@ def _tune(machine: Machine, event: dict, policy: CorrectionPolicy) -> dict:
     }
 
 
-def _redose_retrigger(machine: Machine, op, op_index: int,
+def _redose_retrigger(machine: Machine, op_index: int,
                       policy: CorrectionPolicy) -> dict | None:
     """Intermediate shortfall: charge a fraction of the original dose and
     hold the conditions again. Returns the retriggered reaction event, or
     None when no redose is possible (missing reagent or empty flask) or
     the machine halted first."""
+    op = machine.prog.steps[op_index]
     reagent = op.params.get("reagent")
     if not isinstance(reagent, str):
         return None
     decl = machine.decls.get(reagent)
     if decl is None:
         return None
-    flask = machine.state.cell_named(decl.source_vessel)
+    flask = _resolve_cell(machine.state, decl.source_vessel)
     avail = flask.contents.get(decl.species, 0.0)
     amount = op.params.get("amount")
     base = amount.value if amount is not None else avail
@@ -249,8 +250,7 @@ def _redose_retrigger(machine: Machine, op, op_index: int,
     take = min(want, avail)
     if take <= 1e-12:
         return None
-    prims = expand_unit_op(op, op_index)
-    energy = [p for p in prims if p.check_reaction]
+    energy = [p for p in machine.ops[op_index] if p.check_reaction]
     if not energy:
         return None
     eprim = energy[-1]
@@ -345,7 +345,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
     machine.emit({"kind": "checkpoint", "op_index": -1, "pc": 0,
                   "step": machine.state.step_count})
 
-    def handle_event(event: dict, op, op_index: int) -> str:
+    def handle_event(event: dict, op_index: int) -> str:
         """Sense one reaction event and correct until validated.
         Returns "ok", "reverted" or "failed"."""
         nonlocal redoses, reverts
@@ -396,7 +396,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 if not machine.emit(action):
                     return "failed"
                 redoses += 1
-                retried = _redose_retrigger(machine, op, op_index, policy)
+                retried = _redose_retrigger(machine, op_index, policy)
                 if retried is None:
                     if machine.halted:
                         return "failed"
@@ -435,7 +435,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
         """Correct the op's reactions; checkpoint once they all validated."""
         nonlocal checkpoint
         for event in events:
-            if handle_event(event, prog.steps[op_index], op_index) != "ok":
+            if handle_event(event, op_index) != "ok":
                 return
         if events and corrections_enabled and not machine.halted:
             checkpoint = machine.checkpoint()

@@ -1,6 +1,7 @@
 """Shared helpers: fixture paths, seeded rule-database generators, a
-brute-force reachability oracle the planner is checked against, and the
-whole-database scans the indexed matcher and planner are checked against."""
+brute-force reachability oracle the planner is checked against, the
+whole-database scans the indexed matcher and planner are checked against,
+and a seeded generator of (program, rig) pairs for binding checks."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import random
 from collections import deque
 from pathlib import Path
 
+from chemvm.chemlang import ChemProgram, parse_program
+from chemvm.chempiler import HardwareGraph, build_default_graph
 from chemvm.rules import (
     PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, loads_rules,
 )
@@ -211,3 +214,74 @@ def match_rule_linear(db: RuleDatabase, contents: dict[str, float],
         return None
     rule = min(eligible, key=lambda r: (-r.priority, r.id))
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
+
+
+# Vessel names the steps use: free names, and names of default-rig nodes.
+VESSELS = ("A", "B", "C", "D", "RX1", "RV1", "SEP1", "F1", "CH1", "S1", "R1", "W")
+SOURCES = ("R1", "R2", "R3", "R4", "R5", "SOLV", "X1")
+KIND_WORDS = ("any", "reactor", "separator", "rotavap", "filter", "storage",
+              "flask", "chromatograph", "Reactor", "Valve", "oven")
+SINKS = ("product", "waste", "S1", "B", "F1")
+
+
+def random_rig(rng: random.Random) -> HardwareGraph:
+    """A random subset of the default rig's nodes and the edges among them."""
+    full = build_default_graph()
+    share = rng.choice((0.6, 0.9, 1.0))
+    keep = {nid for nid in full.nodes if rng.random() < share}
+    return HardwareGraph({nid: full.nodes[nid] for nid in sorted(keep)},
+                         [(a, b) for a, b in full.edges if a in keep and b in keep])
+
+
+def random_program_text(rng: random.Random, name: str) -> str:
+    """A program whose vessels are partly declared, partly undeclared (the
+    parser registers those as `any`), partly named after rig nodes, and
+    which calls for station capabilities, wash solvent and flask charges."""
+    reagents = [f"r{i}" for i in range(rng.randint(0, 6))]
+    lines = [f'procedure "{name}" {{']
+    if reagents:
+        lines.append("  reagents {")
+        for r in reagents:
+            amount = rng.choice((0.5, 1, 200, 450))
+            role = rng.choice(("reagent", "reagent", "solvent"))
+            lines.append(f"    {r}: sp:{r} {amount} mol @{rng.choice(SOURCES)} {role}")
+        lines.append("  }")
+    declared = rng.sample(VESSELS, rng.randint(0, 4))
+    if declared:
+        lines.append("  hardware {")
+        lines += [f"    {v}: {rng.choice(KIND_WORDS)}" for v in declared]
+        lines.append("  }")
+    lines.append("  steps {")
+    for _ in range(rng.randint(1, 6)):
+        v, to = rng.choice(VESSELS), rng.choice(SINKS)
+        temp = rng.choice(("80 C", "80 C", "500 C"))
+        ops = [
+            f"heat_stir(vessel={v}, temp={temp}, time=60 s)",
+            f"chill(vessel={v}, temp=0 C, time=60 s)",
+            f"dry(vessel={v}, time=60 s)",
+            f"evaporate(vessel={v}, temp=50 C, time=60 s)",
+            f"distil(vessel={v}, species=x, temp=80 C, to={to})",
+            f"sublime(vessel={v}, species=x, temp=80 C, to={to})",
+            f"filter(vessel={v}, species=x, to={to})",
+            f"crystallise(vessel={v}, temp=80 C, cool_to=0 C, species=x, to={to})",
+            f"separate(vessel={v}, species=x, to={to})",
+            f"clean(vessel={v})",
+            f"transfer(from={v}, to={to})",
+        ]
+        if reagents:
+            r = rng.choice(reagents)
+            ops += [
+                f"add(vessel={v}, reagent={r}, amount=0.1 mol)",
+                f"react_hot(vessel={v}, reagent={r}, temp={temp}, time=60 s)",
+                f"react_cold(vessel={v}, reagent={r}, temp=0 C, time=60 s)",
+                f"separate(vessel={v}, species=x, to={to}, solvent={r})",
+                f"clean(vessel={v}, solvent={r})",
+            ]
+        lines.append(f"    {rng.choice(ops)}")
+    lines += ["  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def random_binding_case(seed: int) -> tuple[ChemProgram, HardwareGraph]:
+    rng = random.Random(seed)
+    return parse_program(random_program_text(rng, f"p{seed}")), random_rig(rng)

@@ -1,91 +1,24 @@
-"""The validator and the compiler bind vessels with one function, so they
-agree on every binding and capacity finding: checked on seeded random
-(program, rig) pairs, on three programs their binders once disagreed on, and
-on a hardware kind word that names no node kind."""
+"""The validator and the compiler check parameters and bind vessels with
+the same functions, so they agree on every finding but routing: checked on
+seeded random (program, rig) pairs, on programs they once disagreed on, and
+on a hardware kind word that names no node kind. A compiled plan runs the
+program as written through its bindings, so vessels bound to nodes of other
+names run as they do in the abstract machine."""
 
 import random
 
 import pytest
 
 from chemvm.chemlang import parse_program, validate_program
-from chemvm.chempiler import HardwareGraph, build_default_graph, chempile
+from chemvm.chempiler import build_default_graph, chempile, execute_plan, lowering_view
+from chemvm.cstm import run
+from chemvm.rules import load_rules
 
-PARAM_CODES = {"missing_param", "param_out_of_range"}
-
-# Vessel names the steps use: free names, and names of default-rig nodes.
-VESSELS = ("A", "B", "C", "D", "RX1", "RV1", "SEP1", "F1", "CH1", "S1", "R1", "W")
-SOURCES = ("R1", "R2", "R3", "R4", "R5", "SOLV", "X1")
-KIND_WORDS = ("any", "reactor", "separator", "rotavap", "filter", "storage",
-              "flask", "chromatograph", "Reactor", "Valve", "oven")
-SINKS = ("product", "waste", "S1", "B", "F1")
-
-
-def random_rig(rng: random.Random) -> HardwareGraph:
-    """A random subset of the default rig's nodes and the edges among them."""
-    full = build_default_graph()
-    share = rng.choice((0.6, 0.9, 1.0))
-    keep = {nid for nid in full.nodes if rng.random() < share}
-    return HardwareGraph({nid: full.nodes[nid] for nid in sorted(keep)},
-                         [(a, b) for a, b in full.edges if a in keep and b in keep])
-
-
-def random_program_text(rng: random.Random, name: str) -> str:
-    """A program whose vessels are partly declared, partly undeclared (the
-    parser registers those as `any`), partly named after rig nodes, and
-    which calls for station capabilities, wash solvent and flask charges."""
-    reagents = [f"r{i}" for i in range(rng.randint(0, 6))]
-    lines = [f'procedure "{name}" {{']
-    if reagents:
-        lines.append("  reagents {")
-        for r in reagents:
-            amount = rng.choice((0.5, 1, 200, 450))
-            role = rng.choice(("reagent", "reagent", "solvent"))
-            lines.append(f"    {r}: sp:{r} {amount} mol @{rng.choice(SOURCES)} {role}")
-        lines.append("  }")
-    declared = rng.sample(VESSELS, rng.randint(0, 4))
-    if declared:
-        lines.append("  hardware {")
-        lines += [f"    {v}: {rng.choice(KIND_WORDS)}" for v in declared]
-        lines.append("  }")
-    lines.append("  steps {")
-    for _ in range(rng.randint(1, 6)):
-        v, to = rng.choice(VESSELS), rng.choice(SINKS)
-        temp = rng.choice(("80 C", "80 C", "500 C"))
-        ops = [
-            f"heat_stir(vessel={v}, temp={temp}, time=60 s)",
-            f"chill(vessel={v}, temp=0 C, time=60 s)",
-            f"dry(vessel={v}, time=60 s)",
-            f"evaporate(vessel={v}, temp=50 C, time=60 s)",
-            f"distil(vessel={v}, species=x, temp=80 C, to={to})",
-            f"sublime(vessel={v}, species=x, temp=80 C, to={to})",
-            f"filter(vessel={v}, species=x, to={to})",
-            f"crystallise(vessel={v}, temp=80 C, cool_to=0 C, species=x, to={to})",
-            f"separate(vessel={v}, species=x, to={to})",
-            f"clean(vessel={v})",
-            f"transfer(from={v}, to={to})",
-        ]
-        if reagents:
-            r = rng.choice(reagents)
-            ops += [
-                f"add(vessel={v}, reagent={r}, amount=0.1 mol)",
-                f"react_hot(vessel={v}, reagent={r}, temp={temp}, time=60 s)",
-                f"react_cold(vessel={v}, reagent={r}, temp=0 C, time=60 s)",
-                f"separate(vessel={v}, species=x, to={to}, solvent={r})",
-                f"clean(vessel={v}, solvent={r})",
-            ]
-        lines.append(f"    {rng.choice(ops)}")
-    lines += ["  }", "}"]
-    return "\n".join(lines) + "\n"
-
-
-def random_binding_case(seed: int):
-    rng = random.Random(seed)
-    return parse_program(random_program_text(rng, f"p{seed}")), random_rig(rng)
+from _support import FIXTURES, random_binding_case, random_program_text
 
 
 def _validate_findings(prog, rig) -> list[dict]:
-    return [f.as_dict() for f in validate_program(prog, rig).findings
-            if f.code not in PARAM_CODES]
+    return [f.as_dict() for f in validate_program(prog, rig).findings]
 
 
 def _compile_findings(prog, rig) -> list[dict]:
@@ -103,9 +36,10 @@ def test_validate_agrees_with_compile_on_random_pairs():
         assert findings == _compile_findings(prog, rig), seed
         codes |= {f["code"] for f in findings}
         feasible += not findings
-    # the pairs reach every binding and capacity finding, and both verdicts
-    assert codes == {"vessel_class_exhausted", "missing_capability",
-                     "no_reservoir", "capacity_exceeded"}
+    # the pairs reach every parameter, binding and capacity finding but a
+    # missing parameter, and both verdicts
+    assert codes == {"param_out_of_range", "vessel_class_exhausted",
+                     "missing_capability", "no_reservoir", "capacity_exceeded"}
     assert 0 < feasible < n
 
 
@@ -127,6 +61,12 @@ REPROS = {
         + '    s: sp:s 1 mol @SOLV solvent\n  }\n'
         '  steps {\n    add(vessel=RX1, reagent=r1, amount=1 mol)\n  }\n}\n',
         [("vessel_class_exhausted", "SOLV")]),
+    # a step without a required parameter (compiling it once raised KeyError)
+    "missing_param": (
+        'procedure "r5" {\n  steps {\n    heat_stir(vessel=RX1, temp=80 C)\n'
+        '    filter(vessel=F1, to=product)\n  }\n}\n',
+        [("missing_param", "step 1 (heat_stir, line 3)"),
+         ("missing_param", "step 2 (filter, line 4)")]),
     # a kind word that names no node kind matches no node (it once bound as any)
     "unknown_kind_word": (
         'procedure "r4" {\n  hardware {\n    X: oven\n  }\n'
@@ -144,3 +84,29 @@ def test_validate_and_compile_agree_on_former_disagreements(name, default_graph)
     assert [(f.code, f.where) for f in report.findings] == expected
     assert report.findings == plan.report.findings
     assert report.ok == plan.feasible == (not expected)
+
+
+def test_renamed_vessels_lower_as_written():
+    graph = build_default_graph()
+    db = load_rules(FIXTURES / "tiny.rules")
+    equal = prefixes = renamed = 0
+    for seed in range(600):
+        prog = parse_program(random_program_text(random.Random(seed), f"p{seed}"))
+        plan = chempile(prog, graph)
+        if not plan.feasible:
+            continue
+        renamed += any(v != node for v, node in plan.bindings.items()
+                       if v not in ("waste", "product"))
+        abstract = run(prog, db, seed=seed)
+        compiled = execute_plan(plan, db, seed=seed)
+        view = lowering_view(compiled, plan.bindings)
+        if compiled.records[-2].get("code") == "capacity_exceeded":
+            # the rig stops a run the abstract machine lets go on
+            assert compiled.halt == "q_fail", seed
+            assert view == lowering_view(abstract)[:len(view)], seed
+            prefixes += 1
+        else:
+            assert compiled.halt == abstract.halt, seed
+            assert view == lowering_view(abstract), seed
+            equal += 1
+    assert equal > 50 and prefixes > 0 and renamed > 50

@@ -14,7 +14,6 @@ from chemvm.chempiler import (
     build_default_graph,
     chempile,
     execute_plan,
-    graph_to_json,
     loads_graph,
     lowering_view,
     route,
@@ -57,12 +56,7 @@ def test_default_graph_shape(default_graph):
 
 
 def test_default_graph_matches_fixture(default_graph):
-    assert graph_to_json(default_graph) == fixture_text("default_rig.graph")
-
-
-def test_graph_json_roundtrip(default_graph):
-    text = graph_to_json(default_graph)
-    assert graph_to_json(loads_graph(text)) == text
+    assert loads_graph(fixture_text("default_rig.graph")) == default_graph
 
 
 def test_graph_rejects_dangling_edge():
@@ -276,6 +270,20 @@ def test_missing_route_halts_the_run(default_graph):
     assert trace.halt == "q_fail"
     assert trace.records[-1]["reason"] == "no route RX1->F1 in the plan"
     assert [r["op_index"] for r in trace.records if r["kind"] == "primitive"] == [0, 1, 1]
+
+
+def test_overdraw_names_the_bound_flask(default_graph):
+    prog = parse_program('procedure "x" {\n  reagents {\n'
+                         '    a: sp:a 1 mol @A reagent\n  }\n'
+                         '  steps {\n    add(vessel=RX1, reagent=a, amount=2 mol)\n'
+                         '  }\n}\n')
+    db = load_rules(FIXTURES / "tiny.rules")
+    plan = chempile(prog, default_graph)
+    assert plan.feasible and plan.bindings["A"] == "R1"
+    compiled = execute_plan(plan, db)
+    assert compiled.halt == "q_fail"
+    assert compiled.records[-1]["reason"] == "a: need 2 a, flask R1 holds 1"
+    assert run(prog, db).records[-1]["reason"] == "a: need 2 a, flask A holds 1"
 
 
 def test_cleaning_schedule(default_graph):

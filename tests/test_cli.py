@@ -195,6 +195,40 @@ def test_compile_infeasible_exit_1(tmp_path):
     assert not json.loads(out)["feasible"]
 
 
+def test_step_without_required_parameter(tmp_path):
+    # validate and compile report it; run and dec-run halt before the step
+    bad = tmp_path / "bad.chem"
+    bad.write_text('procedure "x" {\n  reagents {\n'
+                   '    a: sp:a 1 mol @R1 reagent\n  }\n  steps {\n'
+                   '    add(vessel=RX1, reagent=a, amount=0.5 mol)\n'
+                   '    heat_stir(vessel=RX1, temp=80 C)\n'
+                   '    filter(vessel=F1, to=product)\n  }\n}\n')
+    code, out, _ = cli("validate", bad)
+    assert code == 2
+    findings = json.loads(out)["findings"]
+    assert [(f["code"], f["message"]) for f in findings] == [
+        ("missing_param", "heat_stir requires parameter 'time'"),
+        ("missing_param", "filter requires parameter 'species'"),
+    ]
+    code, out, _ = cli("compile", bad)
+    assert code == 1
+    assert json.loads(out)["findings"] == findings
+    reason = "step 2 (heat_stir, line 7): heat_stir requires parameter 'time'"
+    assert findings[0]["where"] + ": " + findings[0]["message"] == reason
+    rules = FIXTURES / "tiny.rules"
+    for argv in (("run", bad, "--rules", rules),
+                 ("dec-run", bad, "--rules", rules)):
+        trace = tmp_path / "t.jsonl"
+        code, out, _ = cli(*argv, "--trace", trace)
+        assert code == HALT_EXIT["q_fail"]
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert (last["halt"], last["reason"], last["step"]) == ("q_fail", reason, 0)
+    code, _, err = cli("run", bad, "--rules", rules, "--graph",
+                       FIXTURES / "default_rig.graph")
+    assert code == 2
+    assert "infeasible: missing_param" in err
+
+
 def test_stats_csv_and_fit(tmp_path):
     paths = []
     for k in (1, 2, 3):

@@ -3,6 +3,7 @@ revert budgets, the paired sign test, and policy I/O."""
 
 import pytest
 
+from chemvm import cstm
 from chemvm.chemlang import parse_program
 from chemvm.cstm import Machine, run
 from chemvm.dec import (
@@ -98,6 +99,20 @@ def test_major_fault_reverted_and_replayed(chain):
     assert summary["reverts"] == 1
     assert summary["product_total"] == pytest.approx(0.729)
     assert res.actions[0]["action"] == "revert_replan"
+
+
+def test_one_lowering_per_run(chain, monkeypatch):
+    # a redose and a revert run steps again; neither lowers them again
+    prog, db = chain
+    lowered = []
+    lower = cstm.expand_unit_op
+    monkeypatch.setattr(cstm, "expand_unit_op",
+                        lambda op, i: lowered.append(i) or lower(op, i))
+    res = run_with_dec(prog, db, injector=ScriptedInjector(["intermediate", "major"]),
+                       seed=0)
+    assert res.redoses == 1 and res.reverts > 0
+    assert res.halt == "q_out"
+    assert lowered == list(range(len(prog.steps)))
 
 
 def test_revert_budget_exhaustion(chain):
