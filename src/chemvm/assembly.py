@@ -16,21 +16,20 @@ assembly steps under a drifting, trajectory-jittered error rate
 so rows differ only through eps0 and pointwise ordering between rows is
 preserved trajectory by trajectory. Randomness comes from a counter-based
 (Philox) generator, making every cell of the result a pure function of
-the seed.
+the seed. A config file is a JSON object overriding some of the defaults;
+the config checks every value and raises `ValueError`.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .jsonio import fmt_num
+from .jsonio import fmt_num, is_number, loads_object
 from .rules import assembly_bounds
 
 __all__ = [
@@ -113,41 +112,25 @@ class MonteCarloConfig:
         the starting error rates become a tuple of floats."""
         eps0 = self.eps0_values
         if not (isinstance(eps0, (list, tuple)) and eps0
-                and all(_is_real(e) and 0.0 <= e <= 1.0 for e in eps0)):
+                and all(is_number(e) and 0.0 <= e <= 1.0 for e in eps0)):
             raise ValueError("eps0_values must be a non-empty list of error rates in [0, 1]")
         object.__setattr__(self, "eps0_values", tuple(float(e) for e in eps0))
         for name, lowest in (("n_trajectories", 1), ("ai_max", 2), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and _is_real(value)
-                    and value >= lowest):
+            if not (is_number(value) and isinstance(value, int) and value >= lowest):
                 raise ValueError(f"{name} must be an integer >= {lowest}")
         for name, lowest in (("n0", 1.0), ("jitter_sd", 0.0)):
             value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and value >= lowest):
+            if not (is_number(value) and math.isfinite(value) and value >= lowest):
                 raise ValueError(f"{name} must be a finite number >= {lowest:g}")
-        if not (_is_real(self.drift_rate) and math.isfinite(self.drift_rate)):
+        if not (is_number(self.drift_rate) and math.isfinite(self.drift_rate)):
             raise ValueError("drift_rate must be a finite number")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-_MC_CONFIG_KEYS = {f.name for f in fields(MonteCarloConfig)}
 
 
 def loads_mc_config(text: str, where: str = "<string>") -> MonteCarloConfig:
     """A config from a JSON object that overrides some of the defaults.
     Raises ValueError on bad JSON, unknown keys and unusable values."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    unknown = set(obj) - _MC_CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"{where}: unknown config keys {sorted(unknown)}")
+    obj = loads_object(text, where, optional=frozenset(f.name for f in fields(MonteCarloConfig)))
     try:
         return MonteCarloConfig(**obj)
     except ValueError as exc:

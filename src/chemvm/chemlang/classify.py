@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..jsonio import dumps_stable
 from .ast import ChemProgram
 
 __all__ = ["CATEGORIES", "StepHistogram", "classify_steps"]
@@ -42,16 +41,6 @@ class StepHistogram:
             for c, n in counts.items():
                 out[c] += n
         return out
-
-    def to_json(self) -> str:
-        payload = {
-            "per_reaction_step": [
-                {"reaction_step": m, "counts": {c: counts[c] for c in CATEGORIES}}
-                for m, counts in self.per_reaction_step
-            ],
-            "cumulative": self.cumulative,
-        }
-        return dumps_stable(payload, indent=2) + "\n"
 
 
 def classify_steps(prog: ChemProgram) -> StepHistogram:

@@ -2,7 +2,11 @@
 
 A rig is a directed graph: matter nodes (flasks, reactors, separators,
 rotavaps, filters, storage, chromatograph, waste, product) connected
-through valves and a syringe pump. Compiling checks each step's
+through valves and a syringe pump. `loads_graph` checks a rig's structure
+once, at load: each node's fields, known edge endpoints, no self-edges,
+and no node with more tube partners than ports; it raises `GraphError` (a
+`ValueError`). Whether matter can move between two nodes is decided by
+`route` alone, when a program is compiled. Compiling checks each step's
 parameters as the validator does, binds every program vessel to a node
 (`chemlang.validate.bind_vessels`, the binding the validator checks: by id
 when the graph has a compatible node of that name, else first-fit by
@@ -31,7 +35,6 @@ vessel filled over its capacity. Amounts are mol, volumes mL, converted
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +44,7 @@ from .chemlang.validate import (
     FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_flask_capacity,
     check_params,
 )
-from .jsonio import dumps_stable
+from .jsonio import dumps_stable, is_number, json_object, loads_object
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
@@ -59,7 +62,6 @@ __all__ = [
     "load_graph",
     "loads_graph",
     "build_default_graph",
-    "validate_graph",
     "route",
     "chempile",
     "execute_plan",
@@ -69,7 +71,7 @@ __all__ = [
 RESERVOIR_ATTACHMENT = "solvent_reservoir"
 
 
-class GraphError(Exception):
+class GraphError(ValueError):
     pass
 
 
@@ -121,38 +123,46 @@ class HardwareGraph:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _parse_node(obj: dict) -> HardwareNode:
-    where = f"node {obj.get('id', '?')!r}"
-    required = {"id", "kind"}
-    optional = {"capabilities", "capacity", "ports", "attachments"}
-    missing = required - set(obj)
-    if missing:
-        raise GraphError(f"{where}: missing {sorted(missing)}")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise GraphError(f"{where}: unknown field(s) {sorted(unknown)}")
-    if obj["kind"] not in NODE_KINDS:
+_NODE_KEYS = frozenset({"id", "kind"})
+_NODE_OPTIONAL = frozenset({"capabilities", "capacity", "ports", "attachments"})
+_GRAPH_KEYS = frozenset({"nodes"})
+_GRAPH_OPTIONAL = frozenset({"edges"})
+
+
+def _strings(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _parse_node(obj) -> HardwareNode:
+    where = f"node {obj.get('id', '?') if isinstance(obj, dict) else '?'!r}"
+    json_object(obj, where, _NODE_KEYS, _NODE_OPTIONAL, GraphError)
+    if not isinstance(obj["id"], str):
+        raise GraphError(f"{where}: id must be a string")
+    if not isinstance(obj["kind"], str) or obj["kind"] not in NODE_KINDS:
         raise GraphError(f"{where}: unknown kind {obj['kind']!r}")
     caps = obj.get("capabilities", [])
-    if not isinstance(caps, list):
-        raise GraphError(f"{where}: capabilities must be a list")
+    attachments = obj.get("attachments", [])
+    if not (_strings(caps) and _strings(attachments)):
+        raise GraphError(f"{where}: capabilities and attachments must be lists of strings")
     capacity = obj.get("capacity")
-    if capacity is not None and (not isinstance(capacity, (int, float)) or capacity <= 0):
+    if capacity is not None and (not is_number(capacity) or capacity <= 0):
         raise GraphError(f"{where}: capacity must be positive")
     ports = obj.get("ports")
     if ports is not None and (not isinstance(ports, int) or ports < 1):
         raise GraphError(f"{where}: ports must be a positive integer")
     return HardwareNode(obj["id"], obj["kind"], frozenset(caps),
-                        capacity, ports, tuple(obj.get("attachments", [])))
+                        capacity, ports, tuple(attachments))
 
 
 def loads_graph(text: str, where: str = "<string>") -> HardwareGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"{where}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) - {"nodes", "edges"} or "nodes" not in doc:
-        raise GraphError(f"{where}: top level must be an object with nodes and edges")
+    """A rig from its JSON document. Besides each node's fields, rejects
+    duplicate node ids, edges that are not pairs of known node ids,
+    self-edges, and nodes with more tube partners (in either direction)
+    than their `ports`."""
+    doc = loads_object(text, where, _GRAPH_KEYS, _GRAPH_OPTIONAL, GraphError)
+    edge_list = doc.get("edges", [])
+    if not (isinstance(doc["nodes"], list) and isinstance(edge_list, list)):
+        raise GraphError(f"{where}: nodes and edges must be lists")
     nodes: dict[str, HardwareNode] = {}
     for obj in doc["nodes"]:
         node = _parse_node(obj)
@@ -160,13 +170,22 @@ def loads_graph(text: str, where: str = "<string>") -> HardwareGraph:
             raise GraphError(f"duplicate node id {node.id!r}")
         nodes[node.id] = node
     edges: list[tuple[str, str]] = []
-    for e in doc.get("edges", []):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise GraphError(f"{where}: edge must be a pair, got {e!r}")
+    partners: dict[str, set[str]] = {n: set() for n in nodes}
+    for e in edge_list:
+        if not (_strings(e) and len(e) == 2):
+            raise GraphError(f"{where}: edge must be a pair of node ids, got {e!r}")
         a, b = e
         if a not in nodes or b not in nodes:
             raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
+        if a == b:
+            raise GraphError(f"{where}: self-edge on {a!r}")
         edges.append((a, b))
+        partners[a].add(b)
+        partners[b].add(a)
+    for nid, node in nodes.items():
+        if node.ports is not None and len(partners[nid]) > node.ports:
+            raise GraphError(f"{where}: node {nid!r} has {len(partners[nid])} "
+                             f"connections, {node.ports} ports")
     return HardwareGraph(nodes, edges)
 
 
@@ -225,52 +244,7 @@ def build_default_graph() -> HardwareGraph:
 
 
 # ---------------------------------------------------------------------------
-# Graph validation and routing
-
-def validate_graph(graph: HardwareGraph) -> ValidationReport:
-    report = ValidationReport()
-    for a, b in graph.edges:
-        if a == b:
-            report.add("bad_edge", f"self-edge on {a}", a)
-        if a not in graph.nodes or b not in graph.nodes:
-            report.add("bad_edge", f"edge ({a}, {b}) references unknown node", a)
-    # one physical tube per neighbor pair, both directions included
-    for nid in sorted(graph.nodes):
-        node = graph.nodes[nid]
-        if node.ports is None:
-            continue
-        partners = {b for a, b in graph.edges if a == nid}
-        partners |= {a for a, b in graph.edges if b == nid}
-        partners.discard(nid)
-        if len(partners) > node.ports:
-            report.add("ports_exceeded",
-                       f"{nid} has {len(partners)} connections, {node.ports} ports",
-                       nid)
-    waste_ids = [n.id for n in graph.by_kind("Waste")]
-    if not waste_ids:
-        report.add("no_waste_node", "graph has no Waste node", None)
-        return report
-    # directed reachability; anything that can hold matter must be able to
-    # discard it
-    rev: dict[str, set[str]] = {}
-    for a, b in graph.edges:
-        rev.setdefault(b, set()).add(a)
-    reach_waste: set[str] = set()
-    stack = waste_ids
-    while stack:
-        x = stack.pop()
-        if x in reach_waste:
-            continue
-        reach_waste.add(x)
-        stack.extend(rev.get(x, ()))
-    for nid in sorted(graph.nodes):
-        node = graph.nodes[nid]
-        if node.kind in ("Waste", "Product") or node.kind in FLOW_KINDS:
-            continue
-        if nid not in reach_waste:
-            report.add("unreachable_waste", f"{nid} cannot reach a waste node", nid)
-    return report
-
+# Routing
 
 def route(graph: HardwareGraph, src: str, dst: str) -> list[str]:
     """Shortest pump path src -> dst whose interior is valves and pumps

@@ -14,7 +14,8 @@ Exit codes:
     11      halted q_nout (expected product missing)
     12      halted q_fail
     1       parse errors; compile onto a rig that cannot host the program
-    2       I/O, validation and configuration errors
+    2       I/O, validation and configuration errors, among them a
+            malformed rule, rig, policy or config file
     3       planning found no pathway (unreachable or unstable target)
 """
 
@@ -38,25 +39,11 @@ from .chemlang import (
     parse_program,
     validate_program,
 )
-from .chempiler import (
-    GraphError,
-    RouteError,
-    build_default_graph,
-    chempile,
-    execute_plan,
-    load_graph,
-)
+from .chempiler import build_default_graph, chempile, execute_plan, load_graph
 from .cstm import DEFAULT_BUDGET, run
-from .dec import (
-    CorrectionPolicy,
-    PolicyError,
-    evaluate_correction,
-    load_policy,
-    run_with_dec,
-)
+from .dec import CorrectionPolicy, evaluate_correction, load_policy, run_with_dec
 from .jsonio import dumps_stable, sha256_file, write_text_atomic
 from .rules import (
-    RuleLoadError,
     Unreachable,
     UnstableTarget,
     load_rules,
@@ -383,12 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UnstableTarget, Unreachable) as e:
         print(f"no pathway: {e}", file=sys.stderr)
         return 3
-    except (RuleLoadError, PolicyError, GraphError, RouteError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except KeyError as e:
-        print(f"error: unknown name {e}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -22,13 +22,16 @@ timelines; re-execution draws fresh injector outcomes. A correction runs
 only when the budget holds every record it writes, so the trace records
 every correction that changed the workspace, and the result reads its
 counts from the trace.
+
+A policy file is a JSON object overriding some of the defaults; the
+policy checks every field's type and range and raises `PolicyError`, a
+`ValueError`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .chemlang import ChemProgram
@@ -36,6 +39,7 @@ from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, _resolve_cell,
     apply_extent,
 )
+from .jsonio import is_number, loads_object
 from .rng import substream
 from .rules import RuleDatabase, limiting_extent
 
@@ -47,10 +51,8 @@ __all__ = [
     "BernoulliInjector",
     "ScriptedInjector",
     "MODE_FACTORS",
-    "Deviation",
     "sample_sensor",
     "classify_severity",
-    "detect_deviation",
     "DecResult",
     "run_with_dec",
     "sign_test",
@@ -63,7 +65,7 @@ MODE_FACTORS = {"minor": 0.9, "intermediate": 0.75, "major": 0.0}
 _MODE_CUTS = ((0.25, "minor"), (0.55, "intermediate"), (1.0, "major"))
 
 
-class PolicyError(Exception):
+class PolicyError(ValueError):
     pass
 
 
@@ -79,6 +81,12 @@ class CorrectionPolicy:
     sensor_noise_sd: float = 0.005
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not (is_number(value) and isinstance(value, int)):
+                raise PolicyError(f"{f.name} must be an integer")
+            if not is_number(value):
+                raise PolicyError(f"{f.name} must be a number")
         if not (0.0 < self.minor_threshold < self.intermediate_threshold
                 < self.major_threshold):
             raise PolicyError(
@@ -95,27 +103,15 @@ class CorrectionPolicy:
             raise PolicyError("tune_temp_delta_c must be non-negative")
 
 
-_POLICY_FIELDS = {
-    "minor_threshold", "intermediate_threshold", "major_threshold",
-    "max_redoses", "max_reverts", "tune_temp_delta_c", "redose_fraction",
-    "sensor_noise_sd",
-}
-
-
 def loads_policy(text: str, where: str = "<string>") -> CorrectionPolicy:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolicyError(f"{where}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise PolicyError(f"{where}: policy must be an object")
-    unknown = set(doc) - _POLICY_FIELDS
-    if unknown:
-        raise PolicyError(f"{where}: unknown field(s) {sorted(unknown)}")
+    """A policy from a JSON object that overrides some of the defaults.
+    Raises PolicyError on bad JSON, unknown keys and unusable values."""
+    doc = loads_object(text, where, optional=frozenset(f.name for f in fields(CorrectionPolicy)),
+                       error=PolicyError)
     try:
         return CorrectionPolicy(**doc)
-    except TypeError as exc:
-        raise PolicyError(f"{where}: {exc}") from exc
+    except PolicyError as exc:
+        raise PolicyError(f"{where}: {exc}") from None
 
 
 def load_policy(path: str | Path) -> CorrectionPolicy:
@@ -170,12 +166,6 @@ def sample_sensor(event: dict, rng, noise_sd: float) -> float:
     return achieved / expected + (rng.gauss(0.0, noise_sd) if noise_sd else 0.0)
 
 
-@dataclass(frozen=True)
-class Deviation:
-    gap: float          # relative shortfall, 0 = nominal
-    severity: str       # minor | intermediate | major
-
-
 def classify_severity(gap: float, policy: CorrectionPolicy) -> str | None:
     if gap < policy.minor_threshold:
         return None
@@ -184,14 +174,6 @@ def classify_severity(gap: float, policy: CorrectionPolicy) -> str | None:
     if gap < policy.major_threshold:
         return "intermediate"
     return "major"
-
-
-def detect_deviation(reading: float, policy: CorrectionPolicy) -> Deviation | None:
-    gap = max(0.0, 1.0 - reading)
-    severity = classify_severity(gap, policy)
-    if severity is None:
-        return None
-    return Deviation(gap, severity)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +327,13 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
     machine.emit({"kind": "checkpoint", "op_index": -1, "pc": 0,
                   "step": machine.state.step_count})
 
-    def handle_event(event: dict, op_index: int) -> str:
-        """Sense one reaction event and correct until validated.
-        Returns "ok", "reverted" or "failed"."""
+    def handle_event(event: dict, op_index: int) -> bool:
+        """Sense one reaction event and correct until validated. Returns
+        False when the run reverted or failed instead."""
         nonlocal redoses, reverts
         while True:
             if event.get("outcome") == "q_fail":
-                return "failed"
+                return False
             reading = sample_sensor(event, sense_rng, policy.sensor_noise_sd)
             sensing = {
                 "kind": "sensing",
@@ -361,30 +343,31 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 "step": machine.state.step_count,
             }
             if not machine.emit(sensing):
-                return "failed"
+                return False
             if not corrections_enabled:
-                return "ok"
-            deviation = detect_deviation(reading, policy)
-            if deviation is None:
-                return "ok"
+                return True
+            gap = max(0.0, 1.0 - reading)
+            severity = classify_severity(gap, policy)
+            if severity is None:
+                return True
             dev_record = {
                 "kind": "deviation",
                 "op_index": op_index,
                 "rule": event.get("rule"),
-                "gap": deviation.gap,
-                "severity": deviation.severity,
+                "gap": gap,
+                "severity": severity,
                 "step": machine.state.step_count,
             }
             if not machine.emit(dev_record):
-                return "failed"
+                return False
 
-            if deviation.severity == "minor":
+            if severity == "minor":
                 if machine.out_of_budget():
-                    return "failed"
+                    return False
                 machine.emit(_tune(machine, event, policy))
-                return "ok"
+                return True
 
-            if deviation.severity == "intermediate" \
+            if severity == "intermediate" \
                     and redoses < policy.max_redoses:
                 action = {
                     "kind": "action",
@@ -394,12 +377,12 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                     "step": machine.state.step_count,
                 }
                 if not machine.emit(action):
-                    return "failed"
+                    return False
                 redoses += 1
                 retried = _redose_retrigger(machine, op_index, policy)
                 if retried is None:
                     if machine.halted:
-                        return "failed"
+                        return False
                     # nothing left to redose with; escalate below
                 else:
                     event = retried
@@ -408,7 +391,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
             # major, or an intermediate with no redose budget left
             if reverts < policy.max_reverts:
                 if machine.out_of_budget(2):    # the action and the revert
-                    return "failed"
+                    return False
                 reverts += 1
                 machine.emit({
                     "kind": "action",
@@ -425,17 +408,17 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                     "count": reverts,
                     "step": machine.state.step_count,
                 })
-                return "reverted"
+                return False
 
             machine.halted = "q_fail"
             machine.halt_reason = "revert budget exhausted"
-            return "failed"
+            return False
 
     def after_op(op_index: int, events: list[dict]) -> None:
         """Correct the op's reactions; checkpoint once they all validated."""
         nonlocal checkpoint
         for event in events:
-            if handle_event(event, op_index) != "ok":
+            if not handle_event(event, op_index):
                 return
         if events and corrections_enabled and not machine.halted:
             checkpoint = machine.checkpoint()

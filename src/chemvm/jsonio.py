@@ -1,9 +1,14 @@
-"""Stable serialization helpers.
+"""Stable serialization helpers, and the one reader for JSON inputs.
 
 All file outputs of the toolchain must be byte-identical across runs with
 the same inputs and seed, so everything funnels through these helpers: no
 timestamps, no locale, no hash-order leakage, floats via `repr` (shortest
 round-trip form, so reading a trace back reproduces the exact float).
+
+Every input document (rule databases, rigs, correction policies, Monte
+Carlo configs) is read through `loads_object` and `json_object`: a JSON
+object with every required key and no key outside the declared ones, or
+the loader's own error naming where the document went wrong.
 """
 
 from __future__ import annotations
@@ -16,12 +21,48 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "is_number",
+    "json_object",
+    "loads_object",
     "fmt_num",
     "dumps_stable",
     "write_text_atomic",
     "sha256_file",
     "sha256_bytes",
 ]
+
+
+def is_number(x: object) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_object(obj: Any, where: str, required: frozenset[str] = frozenset(),
+                optional: frozenset[str] = frozenset(),
+                error: type[Exception] = ValueError) -> dict:
+    """`obj`, checked to be a JSON object that has every `required` key and
+    no key outside `required` and `optional`; else raises `error`."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    keys = obj.keys()
+    if not keys >= required:
+        raise error(f"{where}: missing field(s) {sorted(required - keys)}")
+    if len(keys) > len(required):
+        unknown = keys - required - optional
+        if unknown:
+            raise error(f"{where}: unknown field(s) {sorted(unknown)}")
+    return obj
+
+
+def loads_object(text: str, where: str, required: frozenset[str] = frozenset(),
+                 optional: frozenset[str] = frozenset(),
+                 error: type[Exception] = ValueError) -> dict:
+    """Decode `text` and check the result as `json_object` does."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: not valid JSON: {exc}") from None
+    return json_object(doc, where, required, optional, error)
 
 
 def fmt_num(x: float | int) -> str:

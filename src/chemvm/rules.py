@@ -2,10 +2,12 @@
 
 A rule database is a JSON document with two collections, `species` and
 `rules` (plus optional `latent` rules invisible to matching and planning
-until discovered by exploration, and a `provenance` log). Rules are
-checked for element-mass balance at load time: inputs must cover outputs
-element-wise, and any surplus is booked per application to an implicit
-byproduct that the machine routes to waste.
+until discovered by exploration, and a `provenance` log). Loading checks
+every entry's fields and their types and raises `RuleLoadError` (a
+`ValueError`) at the first fault. Rules are also checked for element-mass
+balance at load time: inputs must cover outputs element-wise, and any
+surplus is booked per application to an implicit byproduct that the
+machine routes to waste.
 
 Matching is multiset-superset on the reagent pattern plus catalyst
 presence plus the condition point lying inside the rule's process window;
@@ -31,7 +33,6 @@ returns one that builds a new index.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import ChainMap
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .jsonio import dumps_stable, write_text_atomic
+from .jsonio import dumps_stable, is_number, json_object, loads_object, write_text_atomic
 
 __all__ = [
     "Species",
@@ -81,7 +82,7 @@ CATALYST_CHARGE_MOL = 0.05
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class RuleLoadError(Exception):
+class RuleLoadError(ValueError):
     pass
 
 
@@ -194,24 +195,31 @@ def assembly_bounds(bonds: int) -> tuple[int, int]:
     return ((bonds - 1).bit_length(), bonds - 1)
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    missing = required - set(obj)
-    if missing:
-        raise RuleLoadError(f"{where}: missing field(s) {sorted(missing)}")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise RuleLoadError(f"{where}: unknown field(s) {sorted(unknown)}")
+_SPECIES_KEYS = frozenset({"id", "name", "molar_mass", "element_counts"})
+_SPECIES_OPTIONAL = frozenset({"stable", "assembly_index", "bonds"})
+_RULE_KEYS = frozenset({"id", "reagent_pattern", "process_window", "products", "yield",
+                        "epsilon", "status"})
+_RULE_OPTIONAL = frozenset({"catalysts", "occurrences", "priority"})
+_WINDOW_KEYS = frozenset({"temp_min", "temp_max", "duration_min", "duration_max"})
+_DB_KEYS = frozenset({"species", "rules"})
+_DB_OPTIONAL = frozenset({"latent", "provenance"})
 
 
-def _parse_species(obj: dict) -> Species:
-    where = f"species {obj.get('id', '?')!r}"
-    _require_keys(obj, {"id", "name", "molar_mass", "element_counts"},
-                  {"stable", "assembly_index", "bonds"}, where)
+def _entry(obj, kind: str, required: frozenset[str],
+           optional: frozenset[str]) -> tuple[dict, str]:
+    """A `species`/`rules`/`latent` entry checked as an object, and its name
+    for messages."""
+    where = f"{kind} {obj.get('id', '?') if isinstance(obj, dict) else '?'!r}"
+    return json_object(obj, where, required, optional, RuleLoadError), where
+
+
+def _parse_species(obj) -> Species:
+    obj, where = _entry(obj, "species", _SPECIES_KEYS, _SPECIES_OPTIONAL)
     sid = obj["id"]
     if not isinstance(sid, str) or not _ID_RE.match(sid):
         raise RuleLoadError(f"{where}: id must be an identifier")
     mm = obj["molar_mass"]
-    if not isinstance(mm, (int, float)) or mm <= 0:
+    if not is_number(mm) or mm <= 0:
         raise RuleLoadError(f"{where}: molar_mass must be positive")
     counts = obj["element_counts"]
     if not isinstance(counts, dict) or not counts:
@@ -219,6 +227,9 @@ def _parse_species(obj: dict) -> Species:
     for el, n in counts.items():
         if not isinstance(n, int) or n <= 0:
             raise RuleLoadError(f"{where}: element count for {el!r} must be a positive integer")
+    stable = obj.get("stable", True)
+    if not isinstance(stable, bool):
+        raise RuleLoadError(f"{where}: stable must be true or false")
     ai = obj.get("assembly_index")
     bonds = obj.get("bonds")
     if ai is not None and (not isinstance(ai, int) or ai < 1):
@@ -230,18 +241,11 @@ def _parse_species(obj: dict) -> Species:
         if not lo <= ai <= hi:
             raise RuleLoadError(
                 f"{where}: assembly_index {ai} outside [{lo}, {hi}] for {bonds} bonds")
-    return Species(sid, obj["name"], float(mm), dict(counts),
-                   bool(obj.get("stable", True)), ai, bonds)
+    return Species(sid, obj["name"], float(mm), dict(counts), stable, ai, bonds)
 
 
-def _parse_rule(obj: dict, species: dict[str, Species]) -> TransitionRule:
-    where = f"rule {obj.get('id', '?')!r}"
-    _require_keys(
-        obj,
-        {"id", "reagent_pattern", "process_window", "products", "yield", "epsilon", "status"},
-        {"catalysts", "occurrences", "priority"},
-        where,
-    )
+def _parse_rule(obj, species: dict[str, Species]) -> TransitionRule:
+    obj, where = _entry(obj, "rule", _RULE_KEYS, _RULE_OPTIONAL)
     rid = obj["id"]
     if not isinstance(rid, str) or not rid:
         raise RuleLoadError(f"{where}: bad id")
@@ -253,19 +257,20 @@ def _parse_rule(obj: dict, species: dict[str, Species]) -> TransitionRule:
         for sid, ratio in mapping.items():
             if sid not in species:
                 raise RuleLoadError(f"{where}: unknown species {sid!r} in {label}")
-            if not isinstance(ratio, (int, float)) or ratio <= 0:
+            if not is_number(ratio) or ratio <= 0:
                 raise RuleLoadError(f"{where}: {label}[{sid!r}] must be positive")
     catalysts = obj.get("catalysts", [])
     if not isinstance(catalysts, list):
         raise RuleLoadError(f"{where}: catalysts must be a list")
     for k in catalysts:
-        if k not in species:
+        if not isinstance(k, str) or k not in species:
             raise RuleLoadError(f"{where}: unknown catalyst species {k!r}")
         if k in pattern:
             raise RuleLoadError(f"{where}: catalyst {k!r} also appears in reagent_pattern")
-    win = obj["process_window"]
-    _require_keys(win, {"temp_min", "temp_max", "duration_min", "duration_max"}, set(),
-                  f"{where} process_window")
+    win = json_object(obj["process_window"], f"{where} process_window", _WINDOW_KEYS,
+                      error=RuleLoadError)
+    if not all(map(is_number, win.values())):
+        raise RuleLoadError(f"{where}: process_window bounds must be numbers")
     window = ProcessWindow(float(win["temp_min"]), float(win["temp_max"]),
                            float(win["duration_min"]), float(win["duration_max"]))
     if window.temp_min > window.temp_max or window.duration_min > window.duration_max:
@@ -273,10 +278,10 @@ def _parse_rule(obj: dict, species: dict[str, Species]) -> TransitionRule:
     if window.duration_min < 0:
         raise RuleLoadError(f"{where}: negative duration window")
     y = obj["yield"]
-    if not isinstance(y, (int, float)) or not (0 < y <= 1):
+    if not is_number(y) or not (0 < y <= 1):
         raise RuleLoadError(f"{where}: yield must lie in (0, 1]")
     eps = obj["epsilon"]
-    if not isinstance(eps, (int, float)) or not (0 <= eps < 1):
+    if not is_number(eps) or not (0 <= eps < 1):
         raise RuleLoadError(f"{where}: epsilon must lie in [0, 1)")
     status = obj["status"]
     if status not in STATUSES:
@@ -315,15 +320,10 @@ def _parse_rule(obj: dict, species: dict[str, Species]) -> TransitionRule:
 
 
 def loads_rules(text: str, where: str = "<string>") -> RuleDatabase:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RuleLoadError(f"{where}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise RuleLoadError(f"{where}: top level must be an object")
-    _require_keys(doc, {"species", "rules"}, {"latent", "provenance"}, where)
-    if not isinstance(doc["species"], list) or not isinstance(doc["rules"], list):
-        raise RuleLoadError(f"{where}: species and rules must be lists")
+    doc = loads_object(text, where, _DB_KEYS, _DB_OPTIONAL, RuleLoadError)
+    for key in ("species", "rules", "latent", "provenance"):
+        if not isinstance(doc.get(key, []), list):
+            raise RuleLoadError(f"{where}: {key} must be a list")
     species: dict[str, Species] = {}
     for obj in doc["species"]:
         sp = _parse_species(obj)
@@ -342,10 +342,7 @@ def loads_rules(text: str, where: str = "<string>") -> RuleDatabase:
         if rule.id in rules or rule.id in latent:
             raise RuleLoadError(f"duplicate rule id {rule.id!r} (latent)")
         latent[rule.id] = rule
-    provenance = doc.get("provenance", [])
-    if not isinstance(provenance, list):
-        raise RuleLoadError(f"{where}: provenance must be a list")
-    return RuleDatabase(species, rules, latent, list(provenance))
+    return RuleDatabase(species, rules, latent, list(doc.get("provenance", [])))
 
 
 def load_rules(path: str | Path) -> RuleDatabase:
@@ -538,11 +535,12 @@ def plan_pathway(db: RuleDatabase, target: str, stock: set[str] | frozenset[str]
     Iterative deepening over rule applications, trying rules in id order at
     every position, so the first sequence found is the lexicographically
     smallest among those of minimal length. Raises `Unreachable` if no
-    sequence within `max_depth` produces the target and `UnstableTarget`
-    if the target species cannot be isolated.
+    sequence within `max_depth` produces the target, `UnstableTarget` if
+    the target species cannot be isolated and `ValueError` if the database
+    has no such species.
     """
     if target not in db.species:
-        raise KeyError(f"unknown species {target!r}")
+        raise ValueError(f"unknown species {target!r}")
     if not db.species[target].stable:
         raise UnstableTarget(target)
     stock = frozenset(stock)

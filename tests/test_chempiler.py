@@ -17,7 +17,6 @@ from chemvm.chempiler import (
     loads_graph,
     lowering_view,
     route,
-    validate_graph,
 )
 from chemvm.cstm import run
 from chemvm.rules import load_rules, loads_rules, plan_pathway
@@ -48,7 +47,6 @@ def _simple_graph(extra_nodes=(), edges=None):
 
 
 def test_default_graph_shape(default_graph):
-    assert validate_graph(default_graph).ok
     assert {n: node.capacity for n, node in default_graph.nodes.items()} == CAPACITIES
     assert default_graph.nodes["RX1"].kind == "Reactor"
     assert "react_hot" in default_graph.nodes["RX1"].capabilities
@@ -63,6 +61,22 @@ def test_graph_rejects_dangling_edge():
     doc = {"nodes": [{"id": "A", "kind": "Reactor"}], "edges": [["A", "B"]]}
     with pytest.raises(GraphError, match=r"edge \('A', 'B'\) references unknown node"):
         loads_graph(json.dumps(doc))
+
+
+def test_graph_rejects_self_edge():
+    with pytest.raises(GraphError, match="self-edge on 'V1'"):
+        _simple_graph(edges=[["R1", "V1"], ["V1", "V1"]])
+
+
+def test_graph_rejects_more_tube_partners_than_ports():
+    # R1 -> V1 and V1 -> R1 share one tube; a third partner overflows 2 ports
+    nodes = [{"id": "R1", "kind": "ReagentFlask", "ports": 2},
+             {"id": "V1", "kind": "Valve"}, {"id": "V2", "kind": "Valve"},
+             {"id": "W", "kind": "Waste"}]
+    edges = [["R1", "V1"], ["V1", "R1"], ["R1", "V2"]]
+    loads_graph(json.dumps({"nodes": nodes, "edges": edges}))
+    with pytest.raises(GraphError, match="node 'R1' has 3 connections, 2 ports"):
+        loads_graph(json.dumps({"nodes": nodes, "edges": edges + [["W", "R1"]]}))
 
 
 def test_pinned_route(default_graph):

@@ -251,6 +251,27 @@ def test_stats_csv_and_fit(tmp_path):
     assert csv_path.read_text().startswith(header)
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("run", "tiny.chem", "--rules", "BAD"), '{"species": ["x"], "rules": []}'),
+    (("compile", "tiny.chem", "--graph", "BAD"), '{"nodes": [], "edges": 5}'),
+    (("dec-run", "tiny.chem", "--rules", "tiny.rules", "--policy", "BAD"),
+     '{"max_reverts": 2.5}'),
+    (("mc", "--config", "BAD"), "[1]"),
+])
+def test_malformed_input_file_exits_2(tmp_path, argv, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = [bad if a == "BAD" else FIXTURES / a if "." in a else a for a in argv]
+    code, out, err = cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_plan_unknown_target_exits_2():
+    code, out, err = cli("plan", "--rules", FIXTURES / "tiny.rules", "--target", "zz")
+    assert (code, out, err) == (2, "", "error: unknown species 'zz'\n")
+
+
 def test_mc_outputs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_trajectories": 40, "ai_max": 12}))
@@ -264,7 +285,7 @@ def test_mc_outputs(tmp_path):
     bad.write_text(json.dumps({"n_traj": 5}))
     code, _, err = cli("mc", "--config", bad)
     assert code == 2
-    assert "unknown config keys" in err
+    assert "unknown field(s) ['n_traj']" in err
 
 
 @pytest.mark.parametrize("config, flags, message", [

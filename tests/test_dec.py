@@ -174,6 +174,17 @@ def test_policy_io(tmp_path):
     assert custom.minor_threshold == 0.05
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"max_reverts": 2.5}', "max_reverts must be an integer"),
+    ('{"max_redoses": true}', "max_redoses must be an integer"),
+    ('{"redose_fraction": true}', "redose_fraction must be a number"),
+    ('{"sensor_noise_sd": "0.1"}', "sensor_noise_sd must be a number"),
+])
+def test_policy_field_types(text, message):
+    with pytest.raises(PolicyError, match=f"<string>: {message}"):
+        loads_policy(text)
+
+
 def test_evaluate_correction_small_sample(chain):
     prog, db = chain
     out = evaluate_correction(prog, db, eps=0.3, n_seeds=12, seed0=0)

@@ -253,7 +253,7 @@ def test_plan_single_step_and_in_stock(default_db):
 
 
 def test_plan_errors(default_db):
-    with pytest.raises(KeyError, match="unknown species 'nope'"):
+    with pytest.raises(ValueError, match="unknown species 'nope'"):
         plan_pathway(default_db, "nope", {"tro"})
     with pytest.raises(Unreachable):
         plan_pathway(default_db, "atr", {"tro"}, max_depth=2)
