@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print `name sha256` for a fixed set of program outputs, one line each.
+"""Print `name sha256` for a fixed set of program outputs, one line each
+(`name ParseError[code] line:col: message` for a text that does not parse).
 
 A change that must keep outputs byte-identical is checked by running this
 script against the `chemvm` of each checkout and comparing the listings:
@@ -8,18 +9,22 @@ script against the `chemvm` of each checkout and comparing the listings:
     PYTHONPATH=../parent/src python3 scripts/digest_outputs.py > before.txt
     cmp before.txt after.txt
 
-The outputs, all with fixtures/tiny.rules:
-- the criterion-05 corpus (`random_program` seeds 0-999 on the built-in
-  rig): validate and compile JSON, and the JSONL traces of the abstract,
-  compiled and corrected (eps 0.2) runs at budgets 10,000 and 7;
+The outputs:
+- `parse` of every fixture program and of 2,000 seeded mutations of
+  program texts (the scanner tests' generator, seed 1): the canonical text,
+  or the `ParseError` itself, with its code and `line:col`, printed as is;
+- with fixtures/tiny.rules, the criterion-05 corpus (`random_program`
+  seeds 0-999 on the built-in rig): validate and compile JSON, and the
+  JSONL traces of the abstract, compiled and corrected (eps 0.2) runs at
+  budgets 10,000 and 7;
 - seeded renamed-vessel pairs that validate accepts, from the binding
   tests' generator (seeds 0-9,999), each program once on its random rig
   and once on the built-in rig: compile JSON, and the JSONL traces of the
   abstract and, where the plan is feasible, the compiled runs at both
   budgets.
 
-The script takes no options. It imports the generator from tests/_support.py
-next to it and `chemvm` from the environment.
+The script takes no options. It imports the generators from
+tests/_support.py next to it and `chemvm` from the environment.
 """
 
 import hashlib
@@ -30,26 +35,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from chemvm.chemlang import parse_program, validate_program  # noqa: E402
+from chemvm.chemlang import (  # noqa: E402
+    ParseError, format_program, parse_program, validate_program,
+)
 from chemvm.chemlang.corpus import random_program  # noqa: E402
 from chemvm.chempiler import build_default_graph, chempile, execute_plan  # noqa: E402
 from chemvm.cstm import run  # noqa: E402
 from chemvm.dec import run_with_dec  # noqa: E402
 from chemvm.rules import load_rules  # noqa: E402
 
-from _support import random_binding_case  # noqa: E402
+from _support import FIXTURES, mutated_texts, random_binding_case  # noqa: E402
 
 BUDGETS = (10000, 7)
 CORPUS_SEEDS = range(1000)
 PAIR_SEEDS = range(10000)
+PARSE_MUTANTS = 2000
 
 
 def digest(name: str, text: str) -> None:
     print(name, hashlib.sha256(text.encode()).hexdigest())
 
 
+def digest_parse(name: str, text: str) -> None:
+    try:
+        digest(name, format_program(parse_program(text)))
+    except ParseError as exc:
+        print(name, f"ParseError[{exc.code}] {exc}")
+
+
 def main() -> None:
-    db = load_rules(ROOT / "fixtures" / "tiny.rules")
+    for path in sorted(FIXTURES.glob("*.chem")):
+        digest_parse(f"parse/{path.name}", path.read_text(encoding="utf-8"))
+    for i, text in enumerate(mutated_texts(seed=1, count=PARSE_MUTANTS)):
+        digest_parse(f"parse/mutant/{i}", text)
+    db = load_rules(FIXTURES / "tiny.rules")
     graph = build_default_graph()
     for seed in CORPUS_SEEDS:
         prog = random_program(random.Random(seed))

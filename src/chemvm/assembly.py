@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonio import fmt_num, is_number, loads_object
+from .jsonio import fmt_num, is_integer, is_number, loads_object
 from .rules import assembly_bounds
 
 __all__ = [
@@ -117,7 +117,7 @@ class MonteCarloConfig:
         object.__setattr__(self, "eps0_values", tuple(float(e) for e in eps0))
         for name, lowest in (("n_trajectories", 1), ("ai_max", 2), ("seed", 0)):
             value = getattr(self, name)
-            if not (is_number(value) and isinstance(value, int) and value >= lowest):
+            if not (is_integer(value) and value >= lowest):
                 raise ValueError(f"{name} must be an integer >= {lowest}")
         for name, lowest in (("n0", 1.0), ("jitter_sd", 0.0)):
             value = getattr(self, name)

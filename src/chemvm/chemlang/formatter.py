@@ -8,19 +8,17 @@ is structurally equal to `p`.
 
 from __future__ import annotations
 
-import re
-
 from ..jsonio import fmt_num
 from .ast import ChemProgram, Quantity, UnitOperation
+from .parser import ESCAPES, IDENT_RE
 
 __all__ = ["format_program"]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_QUOTED = str.maketrans({char: "\\" + letter for letter, char in ESCAPES.items()})
 
 
 def _escape(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{out}"'
+    return f'"{text.translate(_QUOTED)}"'
 
 
 def _value_text(v) -> str:
@@ -30,7 +28,7 @@ def _value_text(v) -> str:
         raise TypeError("bool parameter")
     if isinstance(v, (int, float)):
         return fmt_num(v)
-    if _IDENT_RE.match(v):
+    if IDENT_RE.fullmatch(v):
         return v
     return _escape(v)
 

@@ -1,6 +1,6 @@
-"""Recursive-descent parser for the synthesis DSL.
+r"""Recursive-descent parser for the synthesis DSL.
 
-Surface form (LL(1), `#` starts a comment running to end of line):
+Surface form (LL(1)):
 
     procedure "name" {
       reagents {
@@ -18,17 +18,26 @@ Surface form (LL(1), `#` starts a comment running to end of line):
       }
     }
 
-Identifiers are `[A-Za-z_][A-Za-z0-9_]*`; quantities are `<number> <unit>`
-with units mol, mmol, g, mg, mL, C, s, min, h, normalized to base units
-(mol, g, mL, C, s) in the AST. Vessels referenced by steps but not listed
-under `hardware` are auto-registered with the unconstrained kind `any`;
-`waste` and `product` are built-ins and never need declaring.
+Lexical grammar, scanned by one compiled pattern (`_TOKEN_RE`): blanks
+(space, tab, carriage return) and newlines separate tokens, and `#` starts
+a comment that runs to the end of the line. Identifiers (`IDENT_RE`) are a
+letter or `_` followed by letters, digits and `_`. Numbers are decimal,
+with an optional leading `-`, fraction and exponent: `1`, `-0.5`, `.5`,
+`2.`, `1e-3`. Strings are double-quoted, hold no bare newline, and take the
+escapes `\n \t \" \\` (`ESCAPES`); any other escaped character stands for
+itself. Punctuation is one of `{ } ( ) , : = @`.
+
+Quantities are `<number> <unit>` with units mol, mmol, g, mg, mL, C, s,
+min, h, normalized to base units (mol, g, mL, C, s) in the AST. Vessels
+referenced by steps but not listed under `hardware` are auto-registered
+with the unconstrained kind `any`; `waste` and `product` are built-ins and
+never need declaring.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 from .ast import (
     BUILTIN_VESSELS,
@@ -45,7 +54,7 @@ from .ast import (
     UnitOperation,
 )
 
-__all__ = ["ParseError", "parse_program"]
+__all__ = ["ESCAPES", "IDENT_RE", "ParseError", "parse_program"]
 
 _OP_KINDS = {k.value: k for k in OpKind}
 
@@ -69,76 +78,54 @@ class ParseError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | number | string | punct | eof
     text: str
     line: int
     col: int
 
 
-_NUMBER_RE = re.compile(r"-?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = set("{}(),:=@")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# escape letter -> the character it stands for; the formatter writes the
+# inverse, and any other escaped character stands for itself
+ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+# One alternative per token kind, tried in this order; `bad` catches the
+# character no other kind starts with, including the `"` of a string that
+# meets a newline or the end of input before its closing quote.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("newline", r"\n"),
+    ("skip", r"[ \t\r]+|#[^\n]*"),
+    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
+    ("number", r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"),
+    ("ident", IDENT_RE.pattern),
+    ("punct", r"[{}(),:=@]"),
+    ("bad", r"."),
+)), re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
+        col = m.start() - line_start + 1
+        value = m.group()
+        if kind == "string":
+            value = _ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), value[1:-1])
+        elif kind == "bad":
+            if value == '"':
                 raise ParseError("unterminated string", line, col)
-            toks.append(_Tok("string", "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or ch == "." or (ch == "-" and m.end() > i + 1)):
-            toks.append(_Tok("number", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Tok("ident", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        toks.append(_Tok(kind, value, line, col))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -155,7 +142,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Tok | None = None, code: str = "syntax"):
+    def fail(self, message: str, tok: _Tok | None = None, code: str = "syntax") -> NoReturn:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col, code)
 
@@ -285,7 +272,6 @@ class _Parser:
                 value = Quantity(float(tok.text) * scale, base)
             elif nxt.kind == "ident":
                 self.fail(f"unknown unit {nxt.text!r}", nxt)
-                raise AssertionError
             else:
                 raw = float(tok.text)
                 value = int(raw) if raw == int(raw) else raw
@@ -293,7 +279,6 @@ class _Parser:
             value = self.next().text
         else:
             self.fail("expected a parameter value")
-            raise AssertionError
         dims = _QUANTITY_PARAMS.get(key.text)
         if dims is not None and (not isinstance(value, Quantity) or value.unit not in dims):
             self.fail(f"parameter {key.text!r} takes a quantity in {'/'.join(dims)}", tok)

@@ -44,7 +44,7 @@ from .chemlang.validate import (
     FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_flask_capacity,
     check_params,
 )
-from .jsonio import dumps_stable, is_number, json_object, loads_object
+from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
@@ -133,9 +133,8 @@ def _strings(x) -> bool:
     return isinstance(x, list) and all(isinstance(v, str) for v in x)
 
 
-def _parse_node(obj) -> HardwareNode:
-    where = f"node {obj.get('id', '?') if isinstance(obj, dict) else '?'!r}"
-    json_object(obj, where, _NODE_KEYS, _NODE_OPTIONAL, GraphError)
+def _parse_node(obj, where: str) -> HardwareNode:
+    obj, where = json_entry(obj, "node", where, _NODE_KEYS, _NODE_OPTIONAL, GraphError)
     if not isinstance(obj["id"], str):
         raise GraphError(f"{where}: id must be a string")
     if not isinstance(obj["kind"], str) or obj["kind"] not in NODE_KINDS:
@@ -148,7 +147,7 @@ def _parse_node(obj) -> HardwareNode:
     if capacity is not None and (not is_number(capacity) or capacity <= 0):
         raise GraphError(f"{where}: capacity must be positive")
     ports = obj.get("ports")
-    if ports is not None and (not isinstance(ports, int) or ports < 1):
+    if ports is not None and (not is_integer(ports) or ports < 1):
         raise GraphError(f"{where}: ports must be a positive integer")
     return HardwareNode(obj["id"], obj["kind"], frozenset(caps),
                         capacity, ports, tuple(attachments))
@@ -165,9 +164,9 @@ def loads_graph(text: str, where: str = "<string>") -> HardwareGraph:
         raise GraphError(f"{where}: nodes and edges must be lists")
     nodes: dict[str, HardwareNode] = {}
     for obj in doc["nodes"]:
-        node = _parse_node(obj)
+        node = _parse_node(obj, where)
         if node.id in nodes:
-            raise GraphError(f"duplicate node id {node.id!r}")
+            raise GraphError(f"{where}: duplicate node id {node.id!r}")
         nodes[node.id] = node
     edges: list[tuple[str, str]] = []
     partners: dict[str, set[str]] = {n: set() for n in nodes}
@@ -176,7 +175,7 @@ def loads_graph(text: str, where: str = "<string>") -> HardwareGraph:
             raise GraphError(f"{where}: edge must be a pair of node ids, got {e!r}")
         a, b = e
         if a not in nodes or b not in nodes:
-            raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
+            raise GraphError(f"{where}: edge ({a!r}, {b!r}) references unknown node")
         if a == b:
             raise GraphError(f"{where}: self-edge on {a!r}")
         edges.append((a, b))

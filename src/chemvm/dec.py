@@ -39,7 +39,7 @@ from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, _resolve_cell,
     apply_extent,
 )
-from .jsonio import is_number, loads_object
+from .jsonio import is_integer, is_number, loads_object
 from .rng import substream
 from .rules import RuleDatabase, limiting_extent
 
@@ -83,7 +83,7 @@ class CorrectionPolicy:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not (is_number(value) and isinstance(value, int)):
+            if f.type == "int" and not is_integer(value):
                 raise PolicyError(f"{f.name} must be an integer")
             if not is_number(value):
                 raise PolicyError(f"{f.name} must be a number")

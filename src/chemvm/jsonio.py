@@ -6,9 +6,10 @@ timestamps, no locale, no hash-order leakage, floats via `repr` (shortest
 round-trip form, so reading a trace back reproduces the exact float).
 
 Every input document (rule databases, rigs, correction policies, Monte
-Carlo configs) is read through `loads_object` and `json_object`: a JSON
-object with every required key and no key outside the declared ones, or
-the loader's own error naming where the document went wrong.
+Carlo configs) is read through `loads_object`, and its parts through
+`json_object` and `json_entry`: a JSON object with every required key and
+no key outside the declared ones, or the loader's own error naming where
+the document went wrong.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "is_integer",
     "is_number",
+    "json_entry",
     "json_object",
     "loads_object",
     "fmt_num",
@@ -35,6 +38,11 @@ __all__ = [
 def is_number(x: object) -> bool:
     """A JSON number: an int or a float, not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_integer(x: object) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def json_object(obj: Any, where: str, required: frozenset[str] = frozenset(),
@@ -54,13 +62,26 @@ def json_object(obj: Any, where: str, required: frozenset[str] = frozenset(),
     return obj
 
 
+def json_entry(obj: Any, kind: str, where: str, required: frozenset[str],
+               optional: frozenset[str], error: type[Exception]) -> tuple[dict, str]:
+    """An entry of a list in the document `where`, checked as `json_object`
+    does, and its name for messages: `{where}: {kind} {id!r}`."""
+    where = f"{where}: {kind} {obj.get('id', '?') if isinstance(obj, dict) else '?'!r}"
+    return json_object(obj, where, required, optional, error), where
+
+
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
 def loads_object(text: str, where: str, required: frozenset[str] = frozenset(),
                  optional: frozenset[str] = frozenset(),
                  error: type[Exception] = ValueError) -> dict:
-    """Decode `text` and check the result as `json_object` does."""
+    """Decode `text` and check the result as `json_object` does. `NaN` and
+    `Infinity`, which `json` decodes by default, are not JSON."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_not_a_number)
+    except ValueError as exc:  # JSONDecodeError is one
         raise error(f"{where}: not valid JSON: {exc}") from None
     return json_object(doc, where, required, optional, error)
 

@@ -21,27 +21,31 @@ lexicographic rule-id sequence) that build a target species from stock,
 then sizes input amounts backward through the declared yields.
 
 Neither matching nor planning scans the whole database: an index, built
-on first use, files each rule under one of its inputs (reagent or
-catalyst), the one the fewest rules mention, ties to the smallest species
-id. A rule whose inputs are all present is filed under a present species,
-so only the rules filed under present species are candidates. Databases
-are never changed in place: `promote` returns one whose rules overlay the
-changed rules on the shared base, one level deep, and which shares the
-index, since promotion changes no rule's inputs; `commit_discovery`
-returns one that builds a new index.
+when the database is made, files each rule under one of its inputs
+(reagent or catalyst), the one the fewest rules mention, ties to the
+smallest species id. A rule whose inputs are all present is filed under a
+present species, so only the rules filed under present species are
+candidates. Databases are never changed in place: `promote` returns one
+whose rules overlay the changed rules on the shared base, one level deep,
+and which shares the index, since promotion changes no rule's inputs;
+`commit_discovery` returns one that builds a new index.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import ChainMap
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .jsonio import dumps_stable, is_number, json_object, loads_object, write_text_atomic
+from .chemlang import ChemProgram, HardwareReq, OpKind, Quantity, ReagentDecl, UnitOperation
+from .chemlang.parser import IDENT_RE
+from .jsonio import (
+    dumps_stable, is_integer, is_number, json_entry, json_object, loads_object,
+    write_text_atomic,
+)
 
 __all__ = [
     "Species",
@@ -78,9 +82,6 @@ PRESENCE_EPS = 1e-12
 
 # Nominal catalyst charge the planner allocates per step that needs one.
 CATALYST_CHARGE_MOL = 0.05
-
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 class RuleLoadError(ValueError):
     pass
@@ -147,19 +148,21 @@ class RuleDatabase:
     rules: Mapping[str, TransitionRule]
     latent: dict[str, TransitionRule] = field(default_factory=dict)
     provenance: list[dict] = field(default_factory=list)
-    # input species -> the rules filed under it; None until first use
+    # input species -> the rules filed under it; built from `rules` unless
+    # given (`promote` passes its source's, as no rule's inputs change)
     _index: dict[str, list[TransitionRule]] | None = field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._index is None:
+            self._index = _build_index(self.rules.values())
 
     def _candidates(self, present: Iterable[str]) -> list[TransitionRule]:
         """The rules filed under the `present` species: a superset of the
         rules whose inputs are all present, each once. They are the rules
         the index was built from, so their occurrences and status may be
         out of date; read those from `rules`."""
-        if self._index is None:
-            self._index = _build_index(self.rules.values())
-        index = self._index
-        return [rule for s in present for rule in index.get(s, ())]
+        return [rule for s in present for rule in self._index.get(s, ())]
 
 
 def _build_index(rules: Collection[TransitionRule]) -> dict[str, list[TransitionRule]]:
@@ -205,18 +208,11 @@ _DB_KEYS = frozenset({"species", "rules"})
 _DB_OPTIONAL = frozenset({"latent", "provenance"})
 
 
-def _entry(obj, kind: str, required: frozenset[str],
-           optional: frozenset[str]) -> tuple[dict, str]:
-    """A `species`/`rules`/`latent` entry checked as an object, and its name
-    for messages."""
-    where = f"{kind} {obj.get('id', '?') if isinstance(obj, dict) else '?'!r}"
-    return json_object(obj, where, required, optional, RuleLoadError), where
-
-
-def _parse_species(obj) -> Species:
-    obj, where = _entry(obj, "species", _SPECIES_KEYS, _SPECIES_OPTIONAL)
+def _parse_species(obj, where: str) -> Species:
+    obj, where = json_entry(obj, "species", where, _SPECIES_KEYS, _SPECIES_OPTIONAL,
+                            RuleLoadError)
     sid = obj["id"]
-    if not isinstance(sid, str) or not _ID_RE.match(sid):
+    if not isinstance(sid, str) or not IDENT_RE.fullmatch(sid):
         raise RuleLoadError(f"{where}: id must be an identifier")
     mm = obj["molar_mass"]
     if not is_number(mm) or mm <= 0:
@@ -225,16 +221,16 @@ def _parse_species(obj) -> Species:
     if not isinstance(counts, dict) or not counts:
         raise RuleLoadError(f"{where}: element_counts must be a non-empty object")
     for el, n in counts.items():
-        if not isinstance(n, int) or n <= 0:
+        if not is_integer(n) or n <= 0:
             raise RuleLoadError(f"{where}: element count for {el!r} must be a positive integer")
     stable = obj.get("stable", True)
     if not isinstance(stable, bool):
         raise RuleLoadError(f"{where}: stable must be true or false")
     ai = obj.get("assembly_index")
     bonds = obj.get("bonds")
-    if ai is not None and (not isinstance(ai, int) or ai < 1):
+    if ai is not None and (not is_integer(ai) or ai < 1):
         raise RuleLoadError(f"{where}: assembly_index must be a positive integer")
-    if bonds is not None and (not isinstance(bonds, int) or bonds < 1):
+    if bonds is not None and (not is_integer(bonds) or bonds < 1):
         raise RuleLoadError(f"{where}: bonds must be a positive integer")
     if ai is not None and bonds is not None:
         lo, hi = assembly_bounds(bonds)
@@ -244,8 +240,8 @@ def _parse_species(obj) -> Species:
     return Species(sid, obj["name"], float(mm), dict(counts), stable, ai, bonds)
 
 
-def _parse_rule(obj, species: dict[str, Species]) -> TransitionRule:
-    obj, where = _entry(obj, "rule", _RULE_KEYS, _RULE_OPTIONAL)
+def _parse_rule(obj, species: dict[str, Species], where: str) -> TransitionRule:
+    obj, where = json_entry(obj, "rule", where, _RULE_KEYS, _RULE_OPTIONAL, RuleLoadError)
     rid = obj["id"]
     if not isinstance(rid, str) or not rid:
         raise RuleLoadError(f"{where}: bad id")
@@ -287,10 +283,10 @@ def _parse_rule(obj, species: dict[str, Species]) -> TransitionRule:
     if status not in STATUSES:
         raise RuleLoadError(f"{where}: status must be one of {STATUSES}")
     occurrences = obj.get("occurrences", 0)
-    if not isinstance(occurrences, int) or occurrences < 0:
+    if not is_integer(occurrences) or occurrences < 0:
         raise RuleLoadError(f"{where}: occurrences must be a non-negative integer")
     priority = obj.get("priority", 0)
-    if not isinstance(priority, int):
+    if not is_integer(priority):
         raise RuleLoadError(f"{where}: priority must be an integer")
 
     # Element-mass balance: inputs (catalysts excluded) must cover products.
@@ -326,21 +322,21 @@ def loads_rules(text: str, where: str = "<string>") -> RuleDatabase:
             raise RuleLoadError(f"{where}: {key} must be a list")
     species: dict[str, Species] = {}
     for obj in doc["species"]:
-        sp = _parse_species(obj)
+        sp = _parse_species(obj, where)
         if sp.id in species:
-            raise RuleLoadError(f"duplicate species id {sp.id!r}")
+            raise RuleLoadError(f"{where}: duplicate species id {sp.id!r}")
         species[sp.id] = sp
     rules: dict[str, TransitionRule] = {}
     for obj in doc["rules"]:
-        rule = _parse_rule(obj, species)
+        rule = _parse_rule(obj, species, where)
         if rule.id in rules:
-            raise RuleLoadError(f"duplicate rule id {rule.id!r}")
+            raise RuleLoadError(f"{where}: duplicate rule id {rule.id!r}")
         rules[rule.id] = rule
     latent: dict[str, TransitionRule] = {}
     for obj in doc.get("latent", []):
-        rule = _parse_rule(obj, species)
+        rule = _parse_rule(obj, species, where)
         if rule.id in rules or rule.id in latent:
-            raise RuleLoadError(f"duplicate rule id {rule.id!r} (latent)")
+            raise RuleLoadError(f"{where}: duplicate rule id {rule.id!r} (latent)")
         latent[rule.id] = rule
     return RuleDatabase(species, rules, latent, list(doc.get("provenance", [])))
 
@@ -480,7 +476,7 @@ def explore(db: RuleDatabase, contents: dict[str, float],
 
 def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
     """Move an explored rule into the visible database, which builds a
-    new index on first use."""
+    new index."""
     rules = dict(db.rules)
     rules[rule.id] = rule
     latent = {k: v for k, v in db.latent.items() if k != rule.id}
@@ -623,10 +619,6 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = No
     target is harvested on F1 by species, so the product vessel ends up
     pure.
     """
-    from .chemlang import (
-        ChemProgram, HardwareReq, OpKind, Quantity, ReagentDecl, UnitOperation,
-    )
-
     def q(value: float, unit: str) -> Quantity:
         return Quantity(float(value), unit)
 

@@ -1,17 +1,21 @@
 """Shared helpers: fixture paths, seeded rule-database generators, a
 brute-force reachability oracle the planner is checked against, the
 whole-database scans the indexed matcher and planner are checked against,
-and a seeded generator of (program, rig) pairs for binding checks."""
+a seeded generator of (program, rig) pairs for binding checks, and the
+char-by-char tokenizer the DSL scanner is checked against, with seeded
+mutations of program texts to check it on."""
 
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
 from collections import deque
 from pathlib import Path
 
-from chemvm.chemlang import ChemProgram, parse_program
+from chemvm.chemlang import ChemProgram, ParseError, format_program, parse_program
+from chemvm.chemlang.corpus import random_program
 from chemvm.chempiler import HardwareGraph, build_default_graph
 from chemvm.rules import (
     PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, loads_rules,
@@ -285,3 +289,115 @@ def random_program_text(rng: random.Random, name: str) -> str:
 def random_binding_case(seed: int) -> tuple[ChemProgram, HardwareGraph]:
     rng = random.Random(seed)
     return parse_program(random_program_text(rng, f"p{seed}")), random_rig(rng)
+
+
+# ---------------------------------------------------------------------------
+# The DSL scanner's oracle and inputs
+
+_REF_NUMBER_RE = re.compile(r"-?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_PUNCT = set("{}(),:=@")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The char-by-char tokenizer that `chemlang.parser._tokenize` replaced:
+    (kind, text, line, col) tokens, or the same `ParseError`. It does not
+    advance the column over a comment, so after a trailing comment with no
+    final newline its end-of-input column is that of the `#`."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError("unterminated string", line, col)
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string", line, col)
+            toks.append(("string", "".join(buf), line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        m = _REF_NUMBER_RE.match(text, i)
+        if m and (ch.isdigit() or ch == "." or (ch == "-" and m.end() > i + 1)):
+            toks.append(("number", m.group(0), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _REF_IDENT_RE.match(text, i)
+        if m:
+            toks.append(("ident", m.group(0), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        if ch in _REF_PUNCT:
+            toks.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+# what the mutations insert: the scanner's delimiters, escapes and signs,
+# and a first character of each token kind
+MUTATION_CHARS = '"\\#-.\n\t\r {}(),:=@_ae1'
+
+
+def program_texts() -> list[str]:
+    """The texts the mutations start from: the fixture programs, canonical
+    texts of `random_program` seeds 0-19 and `random_program_text` seeds
+    0-299."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.chem"))]
+    texts += [format_program(random_program(random.Random(seed))) for seed in range(20)]
+    texts += [random_program_text(random.Random(seed), f"p{seed}") for seed in range(300)]
+    return texts
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """`text` with one to three characters deleted, inserted, or swapped
+    with their right neighbour, and one time in ten cut short."""
+    if rng.random() < 0.1:
+        text = text[:rng.randrange(len(text))]
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("delete", "insert", "swap")) if len(chars) > 1 else "insert"
+        if op == "insert":
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(MUTATION_CHARS))
+        elif op == "delete":
+            del chars[rng.randrange(len(chars))]
+        else:
+            i = rng.randrange(len(chars) - 1)
+            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    return "".join(chars)
+
+
+def mutated_texts(seed: int, count: int) -> list[str]:
+    """`count` seeded mutations of `program_texts()`."""
+    rng = random.Random(seed)
+    texts = program_texts()
+    return [mutate(rng, rng.choice(texts)) for _ in range(count)]

@@ -1,12 +1,19 @@
-"""Property tests for the program corpus: formatting is a fixpoint and the
-step histogram obeys its counting invariants on arbitrary generated programs."""
+"""Property tests for the program corpus: formatting is a fixpoint, quoted
+names and meta values survive it, and the step histogram obeys its counting
+invariants on arbitrary generated programs."""
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from chemvm.chemlang import classify_steps, format_program, parse_program
 from chemvm.chemlang.corpus import random_program, synthetic_program
+from chemvm.chemlang.parser import IDENT_RE
+
+# text that needs quoting and escaping: quotes, backslashes, tabs, newlines,
+# comment and punctuation characters, and any other character
+_AWKWARD = st.text(st.sampled_from('"\\\t\n\r #{}=@ab_1-.') | st.characters(), max_size=12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -15,6 +22,27 @@ def test_format_parse_fixpoint(seed):
     prog = random_program(random.Random(seed))
     text = format_program(prog)
     assert format_program(parse_program(text)) == text
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=10_000), _AWKWARD,
+       st.dictionaries(st.from_regex(IDENT_RE, fullmatch=True), _AWKWARD, max_size=3))
+def test_quoted_name_and_meta_values_round_trip(seed, name, metadata):
+    prog = replace(random_program(random.Random(seed)), name=name, metadata=metadata)
+    text = format_program(prog)
+    back = parse_program(text)
+    assert (back.name, back.metadata) == (name, metadata)
+    assert format_program(back) == text
+
+
+def test_escapes_in_canonical_text():
+    prog = replace(random_program(random.Random(0)), name='a "b" \\ c\td\ne',
+                   metadata={"note": "\\\"", "x": "#"})
+    text = format_program(prog)
+    assert text.startswith('procedure "a \\"b\\" \\\\ c\\td\\ne" {\n')
+    assert '    note = "\\\\\\""\n    x = "#"\n' in text
+    back = parse_program(text)
+    assert (back.name, back.metadata) == (prog.name, prog.metadata)
 
 
 @settings(deadline=None, max_examples=60)

@@ -264,7 +264,7 @@ def test_malformed_input_file_exits_2(tmp_path, argv, text):
     argv = [bad if a == "BAD" else FIXTURES / a if "." in a else a for a in argv]
     code, out, err = cli(*argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 def test_plan_unknown_target_exits_2():

@@ -3,6 +3,7 @@ error class: rule databases, rigs, correction policies and Monte Carlo
 configs, each changed one value at a time."""
 
 import json
+import re
 
 import pytest
 
@@ -66,3 +67,57 @@ def test_string_attachments_are_rejected():
     solv["attachments"] = "solvent_reservoir"
     with pytest.raises(GraphError, match="attachments must be lists of strings"):
         loads_graph(json.dumps(doc))
+
+
+def _set(name, path, value) -> str:
+    return json.dumps(_replaced(json.loads(fixture_text(name)), path, value))
+
+
+@pytest.mark.parametrize("name, loads, error, path, message", [
+    ("default_rig.graph", loads_graph, GraphError, ("nodes", 0, "ports"),
+     "ports must be a positive integer"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "priority"),
+     "priority must be an integer"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("species", 0, "bonds"),
+     "bonds must be a positive integer"),
+    ("policy_default.json", loads_policy, PolicyError, ("max_redoses",),
+     "max_redoses must be an integer"),
+])
+def test_integer_fields_reject_booleans(name, loads, error, path, message):
+    with pytest.raises(error, match=message):
+        loads(_set(name, path, True))
+
+
+@pytest.mark.parametrize("name, loads, error, path", [
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "process_window", "temp_min")),
+    ("default_rig.graph", loads_graph, GraphError, ("nodes", 0, "capacity")),
+    ("policy_default.json", loads_policy, PolicyError, ("sensor_noise_sd",)),
+    ("mc_small.json", loads_mc_config, ValueError, ("jitter_sd",)),
+])
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "NaN is not a number$"),
+    ("Infinity", "Infinity is not a number$"),
+    ("-Infinity", "-Infinity is not a number$"),
+    ("1" * 5000, "Exceeds the limit"),
+])
+def test_numbers_json_cannot_carry_are_rejected(name, loads, error, path, literal, message):
+    text = _set(name, path, "LITERAL").replace('"LITERAL"', literal)
+    with pytest.raises(error, match=f"^where: not valid JSON: {message}"):
+        loads(text, where="where")
+
+
+@pytest.mark.parametrize("name, loads, error, path, value, message", [
+    ("tiny.rules", loads_rules, RuleLoadError, ("species", 0), "x",
+     "species '?': expected a JSON object"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("species", 1, "id"), "a",
+     "duplicate species id 'a'"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "yield"), 2,
+     "rule 'r1': yield must lie"),
+    ("default_rig.graph", loads_graph, GraphError, ("edges", 0), ["R1", "nope"],
+     "edge ('R1', 'nope') references unknown node"),
+    ("default_rig.graph", loads_graph, GraphError, ("nodes", 1, "id"), "CH1",
+     "duplicate node id 'CH1'"),
+])
+def test_entry_errors_name_the_file(name, loads, error, path, value, message):
+    with pytest.raises(error, match=f"^file.json: {re.escape(message)}"):
+        loads(_set(name, path, value), where="file.json")
