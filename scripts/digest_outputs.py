@@ -21,7 +21,11 @@ The outputs:
   tests' generator (seeds 0-9,999), each program once on its random rig
   and once on the built-in rig: compile JSON, and the JSONL traces of the
   abstract and, where the plan is feasible, the compiled runs at both
-  budgets.
+  budgets;
+- `mc`: the CSV and SVG of `monte_carlo` on the kernel tests' configs
+  (the default at seeds 0-2, fixtures/mc_small.json, `jitter_sd=0`, eps0
+  0, 1 and 0.5 under a drift that overflows `exp`, and one trajectory of
+  two steps).
 
 The script takes no options. It imports the generators from
 tests/_support.py next to it and `chemvm` from the environment.
@@ -35,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from chemvm.assembly import mc_to_csv, mc_to_svg, monte_carlo  # noqa: E402
 from chemvm.chemlang import (  # noqa: E402
     ParseError, format_program, parse_program, validate_program,
 )
@@ -44,7 +49,9 @@ from chemvm.cstm import run  # noqa: E402
 from chemvm.dec import run_with_dec  # noqa: E402
 from chemvm.rules import load_rules  # noqa: E402
 
-from _support import FIXTURES, mutated_texts, random_binding_case  # noqa: E402
+from _support import (  # noqa: E402
+    FIXTURES, mc_configs, mutated_texts, random_binding_case,
+)
 
 BUDGETS = (10000, 7)
 CORPUS_SEEDS = range(1000)
@@ -100,6 +107,10 @@ def main() -> None:
             for budget in BUDGETS:
                 digest(f"{name}/execute_plan/{budget}",
                        execute_plan(plan, db, seed=seed, budget=budget).to_jsonl())
+    for name, config in mc_configs():
+        result = monte_carlo(config)
+        digest(f"mc/{name}/csv", mc_to_csv(result))
+        digest(f"mc/{name}/svg", mc_to_svg(result))
 
 
 if __name__ == "__main__":

@@ -164,10 +164,25 @@ def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
     steps = np.arange(1, config.ai_max + 1, dtype=np.float64)
     drift = np.exp(np.minimum(config.drift_rate * (steps - 1.0), _MAX_EXPONENT))
     result = MCResult(config, list(range(1, config.ai_max + 1)))
+    # One (trajectory, step) buffer serves every eps0 row. The passes below
+    # run in place and round exactly as
+    #     cumprod(1 - clip(eps0 * drift + offset, 0, 1), axis=1)
+    # does, so mean_n is bit-identical to that expression. The layout stays
+    # (trajectory, step): numpy sums a (step, trajectory) buffer pairwise
+    # along its rows, which would change the CSV. The product runs column
+    # by column, p[:, s] *= p[:, s - 1]: cumprod's multiplications, but
+    # n_trajectories independent ones per call, not a dependent chain per
+    # trajectory.
+    buf = np.empty((config.n_trajectories, config.ai_max))
+    columns = list(buf.T)
     for eps0 in config.eps0_values:
-        eps = np.clip(eps0 * drift[None, :] + offsets[:, None], 0.0, 1.0)
-        survival = np.cumprod(1.0 - eps, axis=1)
-        result.mean_n[eps0] = config.n0 * survival.mean(axis=0)
+        buf[...] = offsets[:, None]
+        buf += eps0 * drift
+        np.clip(buf, 0.0, 1.0, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        for prev, cur in zip(columns, columns[1:]):
+            np.multiply(cur, prev, out=cur)
+        result.mean_n[eps0] = config.n0 * buf.mean(axis=0)
     return result
 
 
@@ -185,9 +200,9 @@ def mc_to_csv(result: MCResult) -> str:
     buf = io.StringIO()
     buf.write("eps0,assembly_index,mean_N\n")
     for eps0 in result.config.eps0_values:
-        row = result.mean_n[eps0]
-        for a, value in zip(result.assembly_indices, row):
-            buf.write(f"{fmt_num(eps0)},{a},{fmt_num(float(value))}\n")
+        prefix = f"{fmt_num(eps0)},"
+        for a, value in zip(result.assembly_indices, result.mean_n[eps0].tolist()):
+            buf.write(f"{prefix}{a},{fmt_num(value)}\n")
     return buf.getvalue()
 
 
@@ -253,14 +268,14 @@ def mc_to_svg(result: MCResult, phi: float = 1.0) -> str:
     out.write(f'<text x="{left + plot_w - 4:g}" y="{y_phi - 5:.2f}" '
               f'text-anchor="end" fill="#666">detection threshold</text>\n')
     # one polyline per starting error rate
+    xs = [f"{x_of(a):.2f}," for a in result.assembly_indices]
     for i, eps0 in enumerate(result.config.eps0_values):
         color = _PALETTE[i % len(_PALETTE)]
-        points = []
-        for a, value in zip(result.assembly_indices, result.mean_n[eps0]):
-            logn = math.log10(max(float(value), _DISPLAY_FLOOR))
-            points.append(f"{x_of(a):.2f},{y_of(logn):.2f}")
+        points = " ".join(
+            f"{x}{y_of(math.log10(max(value, _DISPLAY_FLOOR))):.2f}"
+            for x, value in zip(xs, result.mean_n[eps0].tolist()))
         out.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
-                  f'points="{" ".join(points)}"/>\n')
+                  f'points="{points}"/>\n')
         ly = top + 14 + i * 18
         lx = left + plot_w + 16
         out.write(f'<line x1="{lx:g}" y1="{ly - 4:.2f}" x2="{lx + 22:g}" '

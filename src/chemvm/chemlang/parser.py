@@ -36,6 +36,7 @@ never need declaring.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple, NoReturn
 
@@ -146,6 +147,14 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col, code)
 
+    def number(self, tok: _Tok, scale: float = 1.0) -> float:
+        """The value of a number token, times a unit's scale; a value too
+        large for a float is an error at the token."""
+        value = float(tok.text) * scale
+        if not math.isfinite(value):
+            self.fail(f"number {tok.text!r} is out of range", tok)
+        return value
+
     def expect(self, kind: str, text: str | None = None) -> _Tok:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
@@ -228,7 +237,7 @@ class _Parser:
         base, scale = UNITS[unit.text]
         if base not in allowed:
             self.fail(f"expected a quantity in {'/'.join(allowed)}", unit)
-        return Quantity(float(num.text) * scale, base)
+        return Quantity(self.number(num, scale), base)
 
     def hardware_req(self, existing: list[HardwareReq]) -> HardwareReq:
         vessel = self.expect("ident")
@@ -269,11 +278,11 @@ class _Parser:
             if nxt.kind == "ident" and nxt.text in UNITS:
                 self.next()
                 base, scale = UNITS[nxt.text]
-                value = Quantity(float(tok.text) * scale, base)
+                value = Quantity(self.number(tok, scale), base)
             elif nxt.kind == "ident":
                 self.fail(f"unknown unit {nxt.text!r}", nxt)
             else:
-                raw = float(tok.text)
+                raw = self.number(tok)
                 value = int(raw) if raw == int(raw) else raw
         elif tok.kind in ("ident", "string"):
             value = self.next().text

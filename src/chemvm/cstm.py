@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .chemlang import AMBIENT_C, REQUIRED_PARAMS, ChemProgram, OpKind, Quantity, ReagentDecl
-from .jsonio import dumps_stable
+from .jsonio import dumps_jsonl
 from .rng import substream
 from .rules import (
     RuleDatabase, RuleMatch, TransitionRule, classify_outcome, commit_discovery,
@@ -587,7 +587,7 @@ class ExecutionTrace:
     db: RuleDatabase
 
     def to_jsonl(self) -> str:
-        return "".join(dumps_stable(r) + "\n" for r in self.records)
+        return dumps_jsonl(self.records)
 
 
 def read_trace_jsonl(text: str) -> list[dict]:

@@ -29,6 +29,7 @@ __all__ = [
     "loads_object",
     "fmt_num",
     "dumps_stable",
+    "dumps_jsonl",
     "write_text_atomic",
     "sha256_file",
     "sha256_bytes",
@@ -97,12 +98,24 @@ def fmt_num(x: float | int) -> str:
     return repr(x)
 
 
+# `json.dumps` with any non-default argument builds a new encoder per call;
+# this one is built once and gives the same text.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def dumps_stable(obj: Any, *, indent: int | None = None) -> str:
     """JSON text with stable layout. Dict insertion order is the contract:
     callers build dicts in the field order they want on disk."""
     if indent is None:
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+        return _COMPACT.encode(obj)
     return json.dumps(obj, indent=indent, ensure_ascii=False)
+
+
+def dumps_jsonl(records: list) -> str:
+    """One compact `dumps_stable` line per record, each ending in a newline."""
+    if not records:
+        return ""
+    return "\n".join(map(_COMPACT.encode, records)) + "\n"
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

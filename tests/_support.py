@@ -1,9 +1,11 @@
 """Shared helpers: fixture paths, seeded rule-database generators, a
 brute-force reachability oracle the planner is checked against, the
 whole-database scans the indexed matcher and planner are checked against,
-a seeded generator of (program, rig) pairs for binding checks, and the
+a seeded generator of (program, rig) pairs for binding checks, the
 char-by-char tokenizer the DSL scanner is checked against, with seeded
-mutations of program texts to check it on."""
+mutations of program texts to check it on, and the Monte Carlo kernel
+that `assembly.monte_carlo` is checked against, with the configs to check
+it on."""
 
 from __future__ import annotations
 
@@ -14,6 +16,9 @@ import re
 from collections import deque
 from pathlib import Path
 
+import numpy as np
+
+from chemvm.assembly import MonteCarloConfig, load_mc_config
 from chemvm.chemlang import ChemProgram, ParseError, format_program, parse_program
 from chemvm.chemlang.corpus import random_program
 from chemvm.chempiler import HardwareGraph, build_default_graph
@@ -401,3 +406,37 @@ def mutated_texts(seed: int, count: int) -> list[str]:
     rng = random.Random(seed)
     texts = program_texts()
     return [mutate(rng, rng.choice(texts)) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo kernel's oracle and configs
+
+def reference_monte_carlo(config: MonteCarloConfig) -> dict[float, np.ndarray]:
+    """`mean_n` as `assembly.monte_carlo` computed it before it reused one
+    buffer: fresh arrays for the sum, the clip, `1 - eps` and the product
+    of every eps0 row."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    offsets = rng.normal(0.0, config.jitter_sd, size=config.n_trajectories) \
+        if config.jitter_sd > 0 else np.zeros(config.n_trajectories)
+    steps = np.arange(1, config.ai_max + 1, dtype=np.float64)
+    max_exponent = float(np.log(np.finfo(np.float64).max))
+    drift = np.exp(np.minimum(config.drift_rate * (steps - 1.0), max_exponent))
+    mean_n = {}
+    for eps0 in config.eps0_values:
+        eps = np.clip(eps0 * drift[None, :] + offsets[:, None], 0.0, 1.0)
+        survival = np.cumprod(1.0 - eps, axis=1)
+        mean_n[eps0] = config.n0 * survival.mean(axis=0)
+    return mean_n
+
+
+def mc_configs() -> list[tuple[str, MonteCarloConfig]]:
+    """Named configs the kernel is checked on: the default at seeds 0-2,
+    fixtures/mc_small.json, no jitter, a drift that overflows `exp`, and
+    the smallest population and depth."""
+    return [
+        *((f"default/{seed}", MonteCarloConfig(seed=seed)) for seed in range(3)),
+        ("mc_small", load_mc_config(FIXTURES / "mc_small.json")),
+        ("no_jitter", MonteCarloConfig(jitter_sd=0)),
+        ("overflow", MonteCarloConfig(eps0_values=(0.0, 1.0, 0.5), drift_rate=50)),
+        ("tiny", MonteCarloConfig(n_trajectories=1, ai_max=2)),
+    ]

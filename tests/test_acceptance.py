@@ -27,8 +27,9 @@ from chemvm.chempiler import (
     lowering_view,
     route,
 )
-from chemvm.cstm import Machine, dumps_stable, expansion_kinds, run
+from chemvm.cstm import Machine, expansion_kinds, run
 from chemvm.dec import evaluate_correction, run_with_dec
+from chemvm.jsonio import dumps_stable
 from chemvm.rules import (
     RuleLoadError,
     Unreachable,

@@ -1,6 +1,7 @@
 """Detectability math and the error-propagation Monte Carlo."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from chemvm.assembly import (
     n_min,
     survival_fraction,
 )
+
+from _support import mc_configs, reference_monte_carlo
 
 
 def test_survival_fraction_frozen_oracle():
@@ -160,3 +163,29 @@ def test_detection_horizon_semantics(small_result):
             idx = small_result.assembly_indices.index(ai)
             assert row[idx] < phi
             assert np.all(row[:idx] >= phi)
+
+
+# the kernel that reuses one buffer against the one that built fresh arrays
+@pytest.mark.parametrize("name, config", mc_configs())
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_mc_kernel_matches_reference(name, config, seed):
+    config = dataclasses.replace(config, seed=seed)
+    expected = reference_monte_carlo(config)
+    result = monte_carlo(config)
+    assert list(result.mean_n) == list(expected)
+    for eps0, row in expected.items():
+        assert np.array_equal(result.mean_n[eps0], row)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_mc_outputs_pinned(small_result):
+    # what the fresh-array kernel and the per-scalar formatters wrote for SMALL
+    assert _sha256(mc_to_csv(small_result)) == \
+        "6029ba431c02ab1ac4bdc0edcf2b559f77a3f2a4520d2184533cc00696af1129"
+    assert _sha256(mc_to_svg(small_result)) == \
+        "5cde5f90dba8a7b1448ddc553897100ce86f36be4964ea595c11c1e66c585b69"
+    assert _sha256(mc_to_svg(small_result, 1e6)) == \
+        "e133ac2259970d3da30eea857e1af71c6002534a520014480d46c8a075c178d3"

@@ -108,6 +108,25 @@ def test_parse_errors(src, message):
         parse_program(src)
 
 
+@pytest.mark.parametrize(
+    "src, col",
+    [
+        ('procedure "p" { steps { clean(vessel=A, reaction_step=1e999) } }', 55),
+        ('procedure "p" { reagents { a: sp:a 1e999 mol @R1 reagent } '
+         'steps { add(vessel=A, reagent=a) } }', 36),
+        ('procedure "p" { reagents { a: sp:a 1 mol @R1 reagent } '
+         'steps { add(vessel=A, reagent=a, amount=1e999 mol) } }', 96),
+        # finite as written, infinite once scaled into seconds
+        ('procedure "p" { reagents { a: sp:a 1 mol @R1 reagent } '
+         'steps { react_hot(vessel=A, reagent=a, temp=80 C, time=1e306 h) } }', 111),
+    ],
+)
+def test_number_too_large_for_a_float_is_a_parse_error(src, col):
+    with pytest.raises(ParseError, match="out of range") as info:
+        parse_program(src)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
 def _codes(report):
     return [f.code for f in report.findings]
 

@@ -13,7 +13,6 @@ from chemvm.cstm import (
     DEFAULT_BUDGET,
     Machine,
     apply_extent,
-    dumps_stable,
     expand_unit_op,
     expansion_kinds,
     init_machine,
@@ -22,6 +21,7 @@ from chemvm.cstm import (
     worst_halt,
 )
 from chemvm.dec import ScriptedInjector, run_with_dec
+from chemvm.jsonio import dumps_stable
 from chemvm.rules import load_rules, loads_rules
 
 from _support import FIXTURES, fixture_text

@@ -18,6 +18,7 @@ from chemvm.chempiler import build_default_graph, chempile, execute_plan, loads_
 from chemvm.cli import main
 from chemvm.cstm import run
 from chemvm.dec import run_with_dec
+from chemvm.jsonio import dumps_jsonl
 from chemvm.rules import load_rules
 
 from _support import FIXTURES, fixture_text
@@ -66,8 +67,8 @@ def test_every_fixture_program_is_pinned():
     assert sorted(PROGRAMS) == sorted(p.name for p in FIXTURES.glob("*.chem"))
 
 
-@pytest.mark.parametrize("prog_name, arm", sorted(GOLDEN))
-def test_golden_trace(prog_name, arm):
+def _trace(prog_name, arm):
+    """The seed-0 trace of a fixture program in one execution arm."""
     rules_name, explore = PROGRAMS[prog_name]
     prog = parse_program(fixture_text(prog_name))
     db = load_rules(FIXTURES / rules_name)
@@ -79,7 +80,26 @@ def test_golden_trace(prog_name, arm):
         trace = execute_plan(plan, db, seed=0, explore=explore)
     else:
         trace = run_with_dec(prog, db, eps=0.2, seed=0, explore=explore).trace
+    return trace
+
+
+@pytest.mark.parametrize("prog_name, arm", sorted(GOLDEN))
+def test_golden_trace(prog_name, arm):
+    trace = _trace(prog_name, arm)
     assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == GOLDEN[prog_name, arm]
+
+
+@pytest.mark.parametrize("prog_name, arm", sorted(GOLDEN))
+def test_to_jsonl_is_json_dumps_per_record(prog_name, arm):
+    # the shared encoder writes what a fresh `json.dumps` per record wrote
+    trace = _trace(prog_name, arm)
+    assert trace.to_jsonl() == "".join(
+        json.dumps(r, separators=(",", ":"), ensure_ascii=False) + "\n"
+        for r in trace.records)
+
+
+def test_dumps_jsonl_of_no_records_is_empty():
+    assert dumps_jsonl([]) == ""
 
 
 # A rig that cannot host tiny.chem: R1 is too small for its charge, there is
