@@ -9,6 +9,9 @@ script against the `chemvm` of each checkout and comparing the listings:
     PYTHONPATH=../parent/src python3 scripts/digest_outputs.py > before.txt
     cmp before.txt after.txt
 
+The listing of this checkout is committed as tests/data/digest_outputs.txt,
+which tests/test_digest.py checks it against.
+
 The outputs:
 - `parse` of every fixture program and of 2,000 seeded mutations of
   program texts (the scanner tests' generator, seed 1): the canonical text,

@@ -5,6 +5,10 @@ source flask), hardware requirements (which station kinds the steps need),
 an ordered list of unit operations, and free-form metadata. Quantities are
 normalized to base units (mol, g, mL, C, s) at parse time; the canonical
 text emitted by the formatter always uses base units.
+
+A parsed program is never mutated: code that needs a different program
+builds a new one (`dataclasses.replace`), so work derived from a program
+alone may be kept on it.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ class HardwareReq:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitOperation:
     kind: OpKind
     params: dict[str, ParamValue]
@@ -189,7 +193,6 @@ class ChemProgram:
     hardware: list[HardwareReq]
     steps: list[UnitOperation]
     metadata: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def decl_map(self) -> dict[str, ReagentDecl]:
-        return {d.name: d for d in self.reagents}
+    # the machine's lowering of this program, made on first run or compile
+    # (`cstm.lower_program`); sound because a parsed program is never mutated
+    _lowering: object = field(default=None, init=False, compare=False, repr=False)

@@ -48,7 +48,7 @@ from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_objec
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
-    expand_unit_op, movement_endpoints,
+    lower_program, movement_endpoints,
 )
 
 __all__ = [
@@ -335,7 +335,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
     cleaning: list[dict] = []
     allocations: dict[int, list[str]] = {}
     current_step = 1
-    decl_map = prog.decl_map
+    lowering = lower_program(prog)
     for i, op in enumerate(prog.steps):
         if op.reaction_step is not None:
             current_step = op.reaction_step
@@ -344,15 +344,14 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
         for v in sorted(map(mapped, touched)):
             if v not in alloc:
                 alloc.append(v)
-        try:
-            prims = expand_unit_op(op, i)
-        except MachineError:                # missing parameter, reported above
+        prims = lowering.ops[i]
+        if isinstance(prims, str):          # missing parameter, reported above
             continue
         if op.kind == OpKind.CLEAN:
             cleaning.append({"op_index": i, "vessel": mapped(op.params["vessel"])})
         for prim in prims:
             try:
-                ends = movement_endpoints(prim, decl_map)
+                ends = movement_endpoints(prim, lowering.decls)
             except MachineError:            # undeclared reagent
                 continue
             if ends is None or ends[0] in unbound or ends[1] in unbound:

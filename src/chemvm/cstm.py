@@ -14,6 +14,11 @@ conditions, not of which surface operation requested the heating. A
 matched rule consumes inputs and books products at its declared yield;
 element surplus goes straight to the waste cell as the rule's byproduct.
 
+A program is lowered once: `lower_program` expands every step the first
+time the program is run or compiled and keeps the result on the program,
+which every later machine and compile reads. This rests on a parsed
+program being immutable; a different program is a new `ChemProgram`.
+
 Halting is classified per run: a characterised rule keeps q_out, a
 predicted one downgrades the run to q_uout, a novel (explored) one to
 q_nout, and a mandatory reaction that matched nothing stops the machine
@@ -57,7 +62,10 @@ __all__ = [
     "Movement",
     "expansion_kinds",
     "expand_unit_op",
+    "Lowering",
+    "lower_program",
     "init_machine",
+    "cell_index",
     "movement_endpoints",
     "movement",
     "apply_primitive",
@@ -242,6 +250,35 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
     raise ValueError(f"no expansion for {k!r}")
 
 
+class Lowering(NamedTuple):
+    """What running a program needs that depends on the program alone."""
+    # per step, its primitives, or the MachineError message of a step that
+    # cannot be lowered
+    ops: tuple[tuple[Primitive, ...] | str, ...]
+    error: str | None                  # the first such message
+    decls: dict[str, ReagentDecl]      # reagent name -> declaration
+    solvents: frozenset[str]           # what an SM "solvents" selector takes
+
+
+def lower_program(prog: ChemProgram) -> Lowering:
+    """The program's lowering, made on the first call and kept on the
+    program for every later run and compile."""
+    lowering = prog._lowering
+    if lowering is None:
+        ops = []
+        for i, op in enumerate(prog.steps):
+            try:
+                ops.append(tuple(expand_unit_op(op, i)))
+            except MachineError as exc:
+                ops.append(str(exc))
+        lowering = prog._lowering = Lowering(
+            tuple(ops), next((o for o in ops if isinstance(o, str)), None),
+            {d.name: d for d in prog.reagents},
+            frozenset({RESERVOIR_SPECIES}
+                      | {d.species for d in prog.reagents if d.role == "solvent"}))
+    return lowering
+
+
 # ---------------------------------------------------------------------------
 # Tape state
 
@@ -306,28 +343,28 @@ def init_machine(prog: ChemProgram, names: dict[str, str] | None = None
     names = names or {}
     waste, product = names.get("waste", "waste"), names.get("product", "product")
     state = MachineState([VesselCell(waste), VesselCell(product)],
-                         {waste: 0, product: 1}, names=names)
+                         {waste: 0, product: 1}, names=names,
+                         solvent_species=lower_program(prog).solvents)
+    cells, stock_in = state.cells, state.stock_in
     for decl in prog.reagents:
-        flask = _resolve_cell(state, decl.source_vessel)
-        _bump(flask.contents, decl.species, decl.amount.value)
-        _bump(state.stock_in, decl.species, decl.amount.value)
+        amount = decl.amount.value
+        _bump(cells[cell_index(state, decl.source_vessel)].contents, decl.species, amount)
+        _bump(stock_in, decl.species, amount)
     for req in prog.hardware:
-        _resolve_cell(state, req.vessel)
-    state.solvent_species = frozenset(
-        {RESERVOIR_SPECIES} | {d.species for d in prog.reagents if d.role == "solvent"}
-    )
+        cell_index(state, req.vessel)
     return state
 
 
-def _resolve_cell(state: MachineState, vessel: str) -> VesselCell:
-    """The cell a program vessel runs in, named through `state.names`; a
-    blank one comes into service at the end of the tape on first use."""
+def cell_index(state: MachineState, vessel: str) -> int:
+    """Tape index of the cell a program vessel runs in, named through
+    `state.names`; a blank cell comes into service at the end of the tape
+    on first use."""
     name = state.names.get(vessel, vessel)
     i = state.index.get(name)
     if i is None:
         i = state.index[name] = len(state.cells)
         state.cells.append(VesselCell(name))
-    return state.cells[i]
+    return i
 
 
 def selected_species(cell: VesselCell, selector,
@@ -383,13 +420,13 @@ def movement(state: MachineState, prim: Primitive,
     if ends is None:
         return None
     src, dst = ends
-    cell = _resolve_cell(state, prim.cell)
+    cell = state.cells[cell_index(state, prim.cell)]
     if prim.code == "AM":
         if src is None:
             amount = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
             return Movement(None, cell.name, {RESERVOIR_SPECIES: amount}, amount)
         decl = decls[prim.source[1]]
-        flask = _resolve_cell(state, src)
+        flask = state.cells[cell_index(state, src)]
         avail = flask.contents.get(decl.species, 0.0)
         want = prim.amount if prim.amount is not None else avail
         if want > avail + _AMOUNT_SLACK:
@@ -399,16 +436,17 @@ def movement(state: MachineState, prim: Primitive,
             )
         take = min(want, avail)
         return Movement(flask.name, cell.name, {decl.species: take}, take)
+    contents = cell.contents
     names = selected_species(cell, prim.species, state.solvent_species)
-    total = math.fsum(cell.contents[s] for s in names)
+    total = math.fsum(contents[s] for s in names)
     if prim.amount is None:
-        amounts = {s: cell.contents[s] for s in names}
+        amounts = {s: contents[s] for s in names}
     else:
         frac = min(1.0, prim.amount / total) if total > 0 else 0.0
-        amounts = {s: cell.contents[s] * frac for s in names}
+        amounts = {s: contents[s] * frac for s in names}
         total = min(total, prim.amount)
     if prim.dest[0] == "vessel":
-        dst = _resolve_cell(state, dst).name
+        dst = state.cells[cell_index(state, dst)].name
     else:   # the line's vessel comes into service at the AM that empties it
         dst = state.names.get(dst, dst)
     return Movement(cell.name, dst, amounts, total)
@@ -418,53 +456,57 @@ def apply_primitive(state: MachineState, prim: Primitive,
                     move: Movement | None) -> dict:
     """Execute one primitive: teleport the head, apply its movement (see
     `movement`) or its energy move, return the trace record."""
-    cell = _resolve_cell(state, prim.cell)
-    idx = state.index[cell.name]
-    head_move = "N" if idx == state.head else ("R" if idx > state.head else "L")
+    idx = cell_index(state, prim.cell)
+    cell = state.cells[idx]
+    head = state.head
+    head_move = "N" if idx == head else ("R" if idx > head else "L")
     state.head = idx
     state.step_count += 1
+    code = prim.code
 
     if move is not None:
+        amounts = move.amounts
         if move.src is None:
-            for s, v in move.amounts.items():
+            for s, v in amounts.items():
                 _bump(state.stock_in, s, v)
         else:
             source = state.cell_named(move.src).contents
-            for s, v in move.amounts.items():
+            for s, v in amounts.items():
                 _drain(source, s, v)
-        into = state.transit if prim.dest and prim.dest[0] == "transit" \
+        into = state.transit if prim.dest is not None and prim.dest[0] == "transit" \
             else state.cell_named(move.dst).contents
-        for s in sorted(move.amounts):
-            _bump(into, s, move.amounts[s])
+        for s in sorted(amounts):
+            _bump(into, s, amounts[s])
         if prim.reset_cell and not cell.contents:
             cell.temp = AMBIENT_C
-    elif prim.code == "AM":
-        for s in sorted(state.transit):
-            _bump(cell.contents, s, state.transit[s])
-        state.transit.clear()
-    elif prim.code == "AE":
+    elif code == "AM":
+        transit = state.transit
+        for s in sorted(transit):
+            _bump(cell.contents, s, transit[s])
+        transit.clear()
+    elif code == "AE":
         rise = max(prim.setpoint - cell.temp, 0.0) if prim.setpoint is not None else 0.0
         cell.energy_in += rise + ENERGY_HOLD_PER_S * prim.duration
         if prim.setpoint is not None and prim.setpoint > cell.temp:
             cell.temp = prim.setpoint
-    elif prim.code == "SE":
+    elif code == "SE":
         drop = max(cell.temp - prim.setpoint, 0.0) if prim.setpoint is not None else 0.0
         cell.energy_out += drop + ENERGY_HOLD_PER_S * prim.duration
         if prim.setpoint is not None and prim.setpoint < cell.temp:
             cell.temp = prim.setpoint
     else:
-        raise ValueError(f"unknown primitive code {prim.code!r}")
+        raise ValueError(f"unknown primitive code {code!r}")
 
     return {
         "kind": "primitive",
         "step": state.step_count,
         "op_index": prim.op_index,
-        "op": prim.op_kind.value,
-        "code": prim.code,
+        "op": prim.op_kind._value_,      # the value, without the property call
+        "code": code,
         "cell": cell.name,
         "move": head_move,
         "state": state.controller,
-        "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
+        "contents": dict(sorted(cell.contents.items())),
         "temp": cell.temp,
     }
 
@@ -512,7 +554,7 @@ class LedgerReport:
 
     def to_json_dict(self) -> dict:
         def srt(d: dict[str, float]) -> dict[str, float]:
-            return {k: d[k] for k in sorted(d)}
+            return dict(sorted(d.items()))
         return {
             "total_in": srt(self.total_in),
             "total_consumed": srt(self.total_consumed),
@@ -531,35 +573,33 @@ class LedgerReport:
 
 def build_ledger(state: MachineState) -> LedgerReport:
     held: dict[str, float] = {}
-    for i, cell in enumerate(state.cells):
-        if i in (0, 1):
-            continue
+    for cell in state.cells[2:]:
         for s, v in cell.contents.items():
             _bump(held, s, v)
     for s, v in state.transit.items():
         _bump(held, s, v)
+    stock_in, produced, consumed = state.stock_in, state.produced, state.consumed
     waste = dict(state.waste_cell.contents)
     product = dict(state.product_cell.contents)
-    species = (set(state.stock_in) | set(state.produced) | set(state.consumed)
-               | set(held) | set(waste) | set(product))
     total_in = {}
     residual = 0.0
-    for s in sorted(species):
-        inflow = state.stock_in.get(s, 0.0) + state.produced.get(s, 0.0)
-        total_in[s] = inflow
-        outflow = (state.consumed.get(s, 0.0) + held.get(s, 0.0)
+    for s in sorted({**stock_in, **produced, **consumed, **held, **waste, **product}):
+        inflow = total_in[s] = stock_in.get(s, 0.0) + produced.get(s, 0.0)
+        outflow = (consumed.get(s, 0.0) + held.get(s, 0.0)
                    + waste.get(s, 0.0) + product.get(s, 0.0))
-        residual = max(residual, abs(inflow - outflow) / max(inflow, 1e-30))
+        gap = abs(inflow - outflow) / (inflow if inflow > 1e-30 else 1e-30)
+        if gap > residual:
+            residual = gap
     return LedgerReport(
         total_in=total_in,
-        total_consumed=dict(state.consumed),
+        total_consumed=dict(consumed),
         total_held=held,
         total_waste=math.fsum(waste.values()),
         total_product=math.fsum(product.values()),
         waste_by_species=waste,
         product_by_species=product,
-        stock_in=dict(state.stock_in),
-        produced=dict(state.produced),
+        stock_in=dict(stock_in),
+        produced=dict(produced),
         energy_in=math.fsum(c.energy_in for c in state.cells),
         energy_out=math.fsum(c.energy_out for c in state.cells),
         residual=residual,
@@ -596,10 +636,10 @@ def read_trace_jsonl(text: str) -> list[dict]:
 
 class Machine:
     """Stepwise executor. `execute` drives a whole program; recovery layers
-    step in after each op and use checkpoint/restore between ops. The
-    program is lowered once, at construction, into `ops` (one primitive
-    list per step); a step that cannot be lowered halts the machine at
-    q_fail before it starts. `bindings` (program vessel -> node id, a
+    step in after each op and use checkpoint/restore between ops. `ops`
+    is the program's lowering (see `lower_program`), one primitive tuple
+    per step; a step that cannot be lowered halts the machine at q_fail
+    before it starts. `bindings` (program vessel -> node id, a
     compiled plan's) names the cells the vessels run in; without it each
     cell carries its vessel's name.
 
@@ -623,19 +663,17 @@ class Machine:
         self.pre_primitive = pre_primitive
         self.post_primitive = post_primitive
         self.state = init_machine(prog, bindings)
-        self.decls = prog.decl_map
+        lowering = lower_program(prog)
+        self.ops = lowering.ops
+        self.decls = lowering.decls
         self.records: list[dict] = []
         self.rule_events: list[dict] = []
         self.reaction_outcomes: list[str] = []
-        self.halted: str | None = None
-        self.halt_reason: str | None = None
-        try:
-            self.ops = [expand_unit_op(op, i) for i, op in enumerate(prog.steps)]
-        except MachineError as exc:
-            self.halted = "q_fail"
-            self.halt_reason = str(exc)
+        self.halted: str | None = None if lowering.error is None else "q_fail"
+        self.halt_reason: str | None = lowering.error
         self.pc = 0
-        self._explore_rng = substream(seed, "explore")
+        self.seed = seed
+        self._explore_rng = None        # drawn when the run first explores
 
     # -- trace plumbing ----------------------------------------------------
 
@@ -650,7 +688,7 @@ class Machine:
         return True
 
     def emit(self, record: dict) -> bool:
-        if self.out_of_budget():
+        if self.budget < 1 and self.out_of_budget():
             return False
         self.budget -= 1
         self.records.append(record)
@@ -664,10 +702,11 @@ class Machine:
         move = movement(self.state, prim, self.decls)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
-        if self.halted or self.out_of_budget():
+        if self.halted or (self.budget < 1 and self.out_of_budget()):
             return None
         record = apply_primitive(self.state, prim, move)
-        self.emit(record)
+        self.budget -= 1
+        self.records.append(record)
         if self.post_primitive is not None:
             self.post_primitive(self, prim, record)
         return record
@@ -690,13 +729,15 @@ class Machine:
         """Run the reaction the conditions of `prim` trigger in the cell
         under the head, if any, and record it. Nothing runs once the budget
         is spent, so every booked reaction has its record."""
-        if self.out_of_budget():
+        if self.budget < 1 and self.out_of_budget():
             return None
         state = self.state
         cell = state.cells[state.head]
         conditions = (cell.temp, prim.duration)
         m = match_rule(self.db, cell.contents, conditions)
         if m is None and self.explore_enabled and self.db.latent:
+            if self._explore_rng is None:
+                self._explore_rng = substream(self.seed, "explore")
             found = _explore_latent(self.db, cell.contents, conditions, self._explore_rng)
             if found is not None:
                 self.db = commit_discovery(self.db, found)
@@ -749,7 +790,7 @@ class Machine:
             "outcome": outcome,
             **reaction,
             "cell": cell.name,
-            "contents": {k: cell.contents[k] for k in sorted(cell.contents)},
+            "contents": dict(sorted(cell.contents.items())),
             "temp": cell.temp,
             "state": self.state.controller,
         }

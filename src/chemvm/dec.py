@@ -36,8 +36,7 @@ from pathlib import Path
 
 from .chemlang import ChemProgram
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, _resolve_cell,
-    apply_extent,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, apply_extent, cell_index,
 )
 from .jsonio import is_integer, is_number, loads_object
 from .rng import substream
@@ -224,7 +223,8 @@ def _redose_retrigger(machine: Machine, op_index: int,
     decl = machine.decls.get(reagent)
     if decl is None:
         return None
-    flask = _resolve_cell(machine.state, decl.source_vessel)
+    state = machine.state
+    flask = state.cells[cell_index(state, decl.source_vessel)]
     avail = flask.contents.get(decl.species, 0.0)
     amount = op.params.get("amount")
     base = amount.value if amount is not None else avail

@@ -17,7 +17,7 @@ _MASK64 = (1 << 64) - 1
 
 def derive_seed(seed: int, *names: object) -> int:
     """Map (seed, name parts) to a stable 64-bit child seed."""
-    tag = "/".join(str(n) for n in names)
+    tag = "/".join(map(str, names))
     digest = hashlib.sha256(f"{seed}/{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big") & _MASK64
 

@@ -2,7 +2,8 @@
 
 A rule database is a JSON document with two collections, `species` and
 `rules` (plus optional `latent` rules invisible to matching and planning
-until discovered by exploration, and a `provenance` log). Loading checks
+until discovered by exploration, and a `provenance` log, oldest event
+first). Loading checks
 every entry's fields and their types and raises `RuleLoadError` (a
 `ValueError`) at the first fault. Rules are also checked for element-mass
 balance at load time: inputs must cover outputs element-wise, and any
@@ -28,7 +29,10 @@ present species, so only the rules filed under present species are
 candidates. Databases are never changed in place: `promote` returns one
 whose rules overlay the changed rules on the shared base, one level deep,
 and which shares the index, since promotion changes no rule's inputs;
-`commit_discovery` returns one that builds a new index.
+`commit_discovery` returns one that builds a new index. The provenance
+log is append-only: each new version links one event onto the log of the
+version it was made from, so versions share their common history and
+adding an event copies nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .chemlang import ChemProgram, HardwareReq, OpKind, Quantity, ReagentDecl, UnitOperation
 from .chemlang.parser import IDENT_RE
@@ -142,12 +147,19 @@ class TransitionRule:
         return f"{self.id}.byproduct" if self.byproduct_elements else None
 
 
+class _Logged(NamedTuple):
+    """A provenance event linked onto the log before it."""
+    before: _Logged | None
+    event: dict
+
+
 @dataclass
 class RuleDatabase:
     species: dict[str, Species]
     rules: Mapping[str, TransitionRule]
     latent: dict[str, TransitionRule] = field(default_factory=dict)
-    provenance: list[dict] = field(default_factory=list)
+    # the provenance log's newest event; read the log as `provenance`
+    _log: _Logged | None = field(default=None, repr=False, compare=False)
     # input species -> the rules filed under it; built from `rules` unless
     # given (`promote` passes its source's, as no rule's inputs change)
     _index: dict[str, list[TransitionRule]] | None = field(
@@ -156,6 +168,17 @@ class RuleDatabase:
     def __post_init__(self) -> None:
         if self._index is None:
             self._index = _build_index(self.rules.values())
+
+    @property
+    def provenance(self) -> list[dict]:
+        """The provenance events, oldest first."""
+        events = []
+        entry = self._log
+        while entry is not None:
+            events.append(entry.event)
+            entry = entry.before
+        events.reverse()
+        return events
 
     def _candidates(self, present: Iterable[str]) -> list[TransitionRule]:
         """The rules filed under the `present` species: a superset of the
@@ -338,7 +361,10 @@ def loads_rules(text: str, where: str = "<string>") -> RuleDatabase:
         if rule.id in rules or rule.id in latent:
             raise RuleLoadError(f"{where}: duplicate rule id {rule.id!r} (latent)")
         latent[rule.id] = rule
-    return RuleDatabase(species, rules, latent, list(doc.get("provenance", [])))
+    log = None
+    for event in doc.get("provenance", []):
+        log = _Logged(log, event)
+    return RuleDatabase(species, rules, latent, log)
 
 
 def load_rules(path: str | Path) -> RuleDatabase:
@@ -391,33 +417,39 @@ def save_rules(db: RuleDatabase, path: str | Path) -> None:
     }
     if db.latent:
         doc["latent"] = [_rule_json(db.latent[k]) for k in sorted(db.latent)]
-    if db.provenance:
-        doc["provenance"] = db.provenance
+    provenance = db.provenance
+    if provenance:
+        doc["provenance"] = provenance
     write_text_atomic(path, dumps_stable(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Matching, outcome classification, promotion, exploration
 
-def _inputs_present(rules, contents: dict[str, float]) -> list[TransitionRule]:
-    """The rules, in order, whose reagents and catalysts are all present in
+def _inputs_present(rule: TransitionRule, contents: dict[str, float]) -> bool:
+    """True when the rule's reagents and catalysts are all present in
     `contents`."""
-    return [r for r in rules
-            if all(contents.get(s, 0.0) > PRESENCE_EPS for s in r.reagent_pattern)
-            and all(contents.get(k, 0.0) > PRESENCE_EPS for k in r.catalysts)]
+    for s in (*rule.reagent_pattern, *rule.catalysts):
+        if not contents.get(s, 0.0) > PRESENCE_EPS:
+            return False
+    return True
 
 
 def match_rule(db: RuleDatabase, contents: dict[str, float],
                conditions: tuple[float, float]) -> RuleMatch | None:
-    """Best rule for the cell contents at (temperature C, duration s)."""
+    """Best rule for the cell contents at (temperature C, duration s): one
+    pass over the rules filed under the present species, keeping the
+    eligible one first in (-priority, id) order."""
     temp, duration = conditions
-    present = [s for s, amount in contents.items() if amount > PRESENCE_EPS]
-    eligible = [rule for rule in _inputs_present(db._candidates(present), contents)
-                if rule.process_window.contains(temp, duration)]
-    if not eligible:
+    best = None
+    for rule in db._candidates(s for s, amount in contents.items() if amount > PRESENCE_EPS):
+        if (best is None or (-rule.priority, rule.id) < (-best.priority, best.id)) \
+                and rule.process_window.contains(temp, duration) \
+                and _inputs_present(rule, contents):
+            best = rule
+    if best is None:
         return None
-    eligible.sort(key=lambda r: (-r.priority, r.id))
-    rule = db.rules[eligible[0].id]
+    rule = db.rules[best.id]
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
 
 
@@ -443,7 +475,10 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
     database whose rules overlay the changed ones on `db`'s base, and which
     shares `db`'s index; at the second occurrence a predicted/novel rule
     becomes characterised, with a provenance event either way."""
-    rule = db.rules[rule_id]
+    changed, base = {}, db.rules
+    if type(base) is ChainMap:
+        changed, base = base.maps
+    rule = changed.get(rule_id) or base[rule_id]
     new_occ = rule.occurrences + 1
     status = rule.status
     event = {"event": "occurrence", "rule": rule_id, "occurrences": new_occ}
@@ -451,12 +486,12 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
         event = {"event": "promoted", "rule": rule_id, "occurrences": new_occ,
                  "from": status}
         status = "characterised"
-    changed, base = {}, db.rules
-    if type(base) is ChainMap:
-        changed, base = base.maps
-    rules = ChainMap({**changed, rule_id: replace(rule, occurrences=new_occ, status=status)},
-                     base)
-    return RuleDatabase(db.species, rules, db.latent, db.provenance + [event], db._index)
+    # the frozen rule copied with its new count and status, without the
+    # field-by-field rebuild of dataclasses.replace
+    counted = object.__new__(TransitionRule)
+    counted.__dict__.update(rule.__dict__, occurrences=new_occ, status=status)
+    rules = ChainMap({**changed, rule_id: counted}, base)
+    return RuleDatabase(db.species, rules, db.latent, _Logged(db._log, event), db._index)
 
 
 def explore(db: RuleDatabase, contents: dict[str, float],
@@ -467,7 +502,8 @@ def explore(db: RuleDatabase, contents: dict[str, float],
     latent rule whose inputs are all present may reveal itself; the choice
     among several is a deterministic function of the rng stream.
     """
-    candidates = _inputs_present((db.latent[k] for k in sorted(db.latent)), contents)
+    candidates = [db.latent[k] for k in sorted(db.latent)
+                  if _inputs_present(db.latent[k], contents)]
     if not candidates:
         return None
     rule = candidates[rng.randrange(len(candidates))]
@@ -481,7 +517,7 @@ def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
     rules[rule.id] = rule
     latent = {k: v for k, v in db.latent.items() if k != rule.id}
     event = {"event": "discovered", "rule": rule.id}
-    return RuleDatabase(db.species, rules, latent, db.provenance + [event])
+    return RuleDatabase(db.species, rules, latent, _Logged(db._log, event))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ revert budgets, the paired sign test, and policy I/O."""
 import pytest
 
 from chemvm import cstm
-from chemvm.chemlang import parse_program
+from chemvm import dec as dec_module
+from chemvm.chemlang import parse_program, validate_program
+from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import Machine, run
 from chemvm.dec import (
     MODE_FACTORS,
@@ -46,6 +48,26 @@ def test_restore_after_promote_brings_back_rule_state():
     m.execute_op(1)
     assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (2, "characterised")
     assert [e["status_after"] for e in m.rule_events] == ["characterised"]
+
+
+def test_restored_database_keeps_its_provenance():
+    # the branch that ran ahead and the branch restored from the checkpoint
+    # each keep their own provenance, which shares the checkpoint's history
+    prog = parse_program(fixture_text("predicted.chem"))
+    db = promote(load_rules(FIXTURES / "predicted.rules"), "rp")
+    m = Machine(prog, db, seed=0)
+    m.execute_op(0)
+    ck = m.checkpoint()
+    m.execute_op(1)
+    ahead = m.db
+    m.restore(ck)
+    assert m.db.provenance == db.provenance
+    m.execute_op(1)
+    m.db = promote(m.db, "rp")
+    assert [e["occurrences"] for e in ahead.provenance] == [1, 2]
+    assert [e["event"] for e in ahead.provenance] == ["occurrence", "promoted"]
+    assert [e["occurrences"] for e in m.db.provenance] == [1, 2, 3]
+    assert [e["occurrences"] for e in ck["db"].provenance] == [1]
 
 
 def test_mode_factors():
@@ -101,18 +123,51 @@ def test_major_fault_reverted_and_replayed(chain):
     assert res.actions[0]["action"] == "revert_replan"
 
 
-def test_one_lowering_per_run(chain, monkeypatch):
-    # a redose and a revert run steps again; neither lowers them again
-    prog, db = chain
+def test_one_lowering_per_program(monkeypatch):
+    # twenty runs with reverts and redoses lower each step once in all
     lowered = []
     lower = cstm.expand_unit_op
     monkeypatch.setattr(cstm, "expand_unit_op",
                         lambda op, i: lowered.append(i) or lower(op, i))
-    res = run_with_dec(prog, db, injector=ScriptedInjector(["intermediate", "major"]),
-                       seed=0)
-    assert res.redoses == 1 and res.reverts > 0
-    assert res.halt == "q_out"
+    prog = parse_program(fixture_text("dec_3step.chem"))
+    db = load_rules(FIXTURES / "dec_chain.rules")
+    out = evaluate_correction(prog, db, eps=0.5, n_seeds=10)
+    assert out["n"] == 10
     assert lowered == list(range(len(prog.steps)))
+
+    # and so does a job that parses, validates, compiles and runs all three arms
+    lowered.clear()
+    graph = build_default_graph()
+    prog = parse_program(fixture_text("tiny.chem"))
+    db = load_rules(FIXTURES / "tiny.rules")
+    assert validate_program(prog, graph).ok
+    plan = chempile(prog, graph)
+    traces = [run(prog, db, seed=1), execute_plan(plan, db, seed=1),
+              run_with_dec(prog, db, eps=0.2, seed=1).trace]
+    assert [t.halt for t in traces] == ["q_out"] * 3
+    assert lowered == list(range(len(prog.steps)))
+
+
+def test_explore_stream_drawn_on_first_use(chain, monkeypatch):
+    drawn = []
+    draw = cstm.substream
+
+    def counted(seed, *names):
+        drawn.append(names)
+        return draw(seed, *names)
+
+    monkeypatch.setattr(cstm, "substream", counted)
+    monkeypatch.setattr(dec_module, "substream", counted)
+    prog, db = chain
+    run_with_dec(prog, db, eps=0.5, seed=3)
+    assert drawn == [("inject",), ("sense",)]
+
+    # a run that explores draws its stream once, when it first explores
+    drawn.clear()
+    res = run_with_dec(parse_program(fixture_text("explore.chem")),
+                       load_rules(FIXTURES / "explore.rules"), seed=0, explore=True)
+    assert res.halt == "q_nout"
+    assert drawn == [("inject",), ("sense",), ("explore",)]
 
 
 def test_revert_budget_exhaustion(chain):

@@ -192,6 +192,21 @@ def test_promote_twice_characterises():
     assert db.rules["rp"].occurrences == 0
 
 
+def test_promote_links_onto_the_log_without_copying(tmp_path):
+    text = json.dumps({**json.loads((FIXTURES / "predicted.rules").read_text()),
+                       "provenance": [{"event": "note", "n": i} for i in range(3)]})
+    db = loads_rules(text)
+    promoted = promote(db, "rp")
+    # the new version's log is one event on the old one, not a copy of it
+    assert promoted._log.before is db._log
+    assert promoted.provenance == db.provenance + [
+        {"event": "occurrence", "rule": "rp", "occurrences": 1}]
+    assert len(db.provenance) == 3
+    save_rules(promoted, tmp_path / "out.rules")
+    saved = json.loads((tmp_path / "out.rules").read_text())
+    assert saved["provenance"] == promoted.provenance
+
+
 def _match_key(m):
     return None if m is None else (m.rule, m.extent, m.limiting)
 
