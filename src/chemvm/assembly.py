@@ -18,16 +18,18 @@ preserved trajectory by trajectory. Randomness comes from a counter-based
 (Philox) generator, making every cell of the result a pure function of
 the seed. A config file is a JSON object overriding some of the defaults;
 the config checks every value and raises `ValueError`.
+
+Only `monte_carlo` needs numpy, and it imports it on its first call, so
+a process that never runs the Monte Carlo never loads numpy.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from .jsonio import fmt_num, is_integer, is_number, loads_object
 from .rules import assembly_bounds
@@ -146,16 +148,19 @@ def load_mc_config(path: str | Path) -> MonteCarloConfig:
 class MCResult:
     config: MonteCarloConfig
     assembly_indices: list[int]
+    # a string annotation (see the __future__ import): numpy is not loaded here
     mean_n: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 # Largest exponent whose exp is finite. Capping the drift's exponent here
 # keeps a row with eps0 = 0 at 0 rather than 0 * inf = NaN, and leaves
 # every drift that did not overflow as it was.
-_MAX_EXPONENT = float(np.log(np.finfo(np.float64).max))
+_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
+    import numpy as np
+
     config = config or MonteCarloConfig()
     rng = np.random.Generator(np.random.Philox(config.seed))
     # one offset per trajectory, shared across every eps0 row
@@ -191,7 +196,7 @@ def detection_horizon(result: MCResult, phi: float = 1.0) -> dict[float, int | N
     below phi; None when the population stays detectable throughout."""
     out: dict[float, int | None] = {}
     for eps0, row in result.mean_n.items():
-        below = np.nonzero(row < phi)[0]
+        below = (row < phi).nonzero()[0]
         out[eps0] = int(below[0]) + 1 if below.size else None
     return out
 

@@ -118,9 +118,15 @@ def _tokenize(text: str) -> list[_Tok]:
             line_start = m.end()
             continue
         col = m.start() - line_start + 1
-        value = m.group()
+        value = raw = m.group()
         if kind == "string":
-            value = _ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), value[1:-1])
+            value = _ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), raw[1:-1])
+            if "\n" in raw:
+                # an escaped newline still ends a source line
+                toks.append(_Tok(kind, value, line, col))
+                line += raw.count("\n")
+                line_start = m.start() + raw.rindex("\n") + 1
+                continue
         elif kind == "bad":
             if value == '"':
                 raise ParseError("unterminated string", line, col)

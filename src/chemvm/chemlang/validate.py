@@ -93,22 +93,25 @@ def check_params(prog: ChemProgram, report: ValidationReport) -> None:
     """Report every step's missing parameters (missing_param) and
     temperatures, times and amounts out of range (param_out_of_range)."""
     for i, op in enumerate(prog.steps):
-        where = f"step {i + 1} ({op.kind.value}, line {op.line})"
-        missing = REQUIRED_PARAMS[op.kind] - set(op.params)
-        for key in sorted(missing):
-            report.add("missing_param", f"{op.kind.value} requires parameter {key!r}", where)
+        params = op.params
+        missing = REQUIRED_PARAMS[op.kind] - params.keys()
+        found = [("missing_param", f"{op.kind.value} requires parameter {key!r}")
+                 for key in sorted(missing)] if missing else []
         for key in ("temp", "cool_to"):
-            v = op.params.get(key)
+            v = params.get(key)
             if isinstance(v, Quantity) and not (TEMP_RANGE_C[0] <= v.value <= TEMP_RANGE_C[1]):
-                report.add(
+                found.append((
                     "param_out_of_range",
                     f"{key}={v.value:g} C outside [{TEMP_RANGE_C[0]:g}, {TEMP_RANGE_C[1]:g}]",
-                    where,
-                )
+                ))
         for key in ("time", "amount"):
-            v = op.params.get(key)
+            v = params.get(key)
             if isinstance(v, Quantity) and v.value <= 0:
-                report.add("param_out_of_range", f"{key} must be positive", where)
+                found.append(("param_out_of_range", f"{key} must be positive"))
+        if found:
+            where = f"step {i + 1} ({op.kind.value}, line {op.line})"
+            for code, message in found:
+                report.add(code, message, where)
 
 
 def bind_vessels(prog: ChemProgram, graph

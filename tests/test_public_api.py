@@ -1,6 +1,6 @@
 """The public surface: every name a module lists in `__all__` exists,
-loading rule files does not pull in numpy, and every function the traced
-benchmark wraps still exists."""
+only the Monte Carlo loads numpy, and every function the traced benchmark
+wraps still exists."""
 
 import importlib
 import os
@@ -26,12 +26,31 @@ def test_exported_names_resolve(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_rules_import_does_not_load_numpy():
-    code = "import sys, chemvm.rules; print('numpy' in sys.modules)"
+_NUMPY_CHILD = """
+import contextlib, io, sys
+from chemvm.cli import main
+fx, out = sys.argv[1], sys.argv[2]
+tiny, rules = fx + "/tiny.chem", fx + "/tiny.rules"
+loaded = []
+for argv in (["validate", tiny], ["compile", tiny], ["run", tiny, "--rules", rules],
+             ["dec-run", tiny, "--rules", rules],
+             ["mc", "--config", fx + "/mc_small.json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", out])
+    loaded.append((argv[0], code, "numpy" in sys.modules))
+print(loaded)
+"""
+
+
+def test_only_mc_loads_numpy(tmp_path):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(chemvm.__path__[0])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_CHILD, str(fixtures), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == str([
+        ("validate", 0, False), ("compile", 0, False), ("run", 0, False),
+        ("dec-run", 0, False), ("mc", 0, True)])
 
 
 def test_traced_benchmark_functions_resolve():

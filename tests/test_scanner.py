@@ -1,8 +1,8 @@
 """The DSL scanner against the char-by-char tokenizer it replaced: the same
 tokens, or the same `ParseError` at the same line and column, on seeded
-mutations of program texts. The one allowed difference is the end-of-input
-column after a trailing comment with no final newline, where the scanner
-gives the true column."""
+mutations of program texts. The scanner gives true positions where the
+reference does not: the end-of-input column after a trailing comment with
+no final newline, and every line after an escaped newline in a string."""
 
 import pytest
 
@@ -45,7 +45,6 @@ def test_scanner_agrees_with_reference_on_mutated_texts():
 
 
 @pytest.mark.parametrize("text", [
-    'procedure "a\\\nb" {\n  steps { clean(vessel=A) }\n}\n',  # escaped newline
     'procedure "a\\q\\\\" {\r\n\tsteps{clean(vessel=A)}}',
     "procedure \"p\" { steps { heat_stir(vessel=A, temp=-1.5e+2 C, time=.5 h) } }",
     "-1.-.5 1e 1e-2.3 - .",
@@ -63,6 +62,17 @@ def test_end_of_input_column_after_trailing_comment():
     with pytest.raises(ParseError, match="got 'end of input'") as exc:
         parse_program(text)
     assert (exc.value.line, exc.value.col) == (2, 23)
+
+
+def test_escaped_newline_in_a_string_ends_a_line():
+    text = 'procedure "a\\\nb" {\n  steps { clean(vessel=A) }\n}\n'
+    assert [(t.text, t.line, t.col) for t in _tokenize(text)][:5] == [
+        ("procedure", 1, 1), ("a\nb", 1, 11), ("{", 2, 4), ("steps", 3, 3), ("{", 3, 9)]
+    # the reference stays one line short from the string on
+    assert reference_tokenize(text)[2:4] == [("punct", "{", 1, 18), ("ident", "steps", 2, 3)]
+    with pytest.raises(ParseError) as exc:
+        parse_program('procedure "a\\\nb" {\n steps { nope() } }')
+    assert str(exc.value) == "3:10: unknown step kind 'nope'"
 
 
 @pytest.mark.parametrize("text, message, col", [
