@@ -2,12 +2,14 @@
 
 The validator reports every step whose required parameters are missing or
 out of range, then what the compiler reports about binding the program onto
-the graph and about its flask charges, in the compiler's order: the
-parameter check `check_params`, the binding pass `bind_vessels` and the
-capacity screen `check_flask_capacity` live here and `chempile` calls all
-three. Only routing (`no_route`) is left to the compiler. The graph is duck-typed (`nodes`, `by_kind`, `reservoir()`; nodes
-with `id`, `kind`, `capabilities`, `capacity`, `reserved`) so this module
-does not depend on the compiler.
+the graph and about its capacities, in the compiler's order: the parameter
+check `check_params`, the binding pass `bind_vessels` and the capacity
+screen `check_capacity` live here, and `chempile` calls all three. Only
+routing (`no_route`) is left to the compiler. The capacity screen walks
+the program on the machine's movement model (`cstm`), imported when it
+runs, since `cstm` imports this package. The graph is duck-typed (`nodes`,
+`by_kind`, `reservoir()`; nodes with `id`, `kind`, `capabilities`,
+`capacity`, `reserved`) so this module does not depend on the compiler.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .ast import (
 
 __all__ = [
     "Finding", "ValidationReport", "validate_program", "bind_vessels",
-    "check_flask_capacity", "check_params", "MATTER_KINDS", "FLOW_KINDS", "NODE_KINDS",
+    "check_capacity", "check_params", "MATTER_KINDS", "FLOW_KINDS", "NODE_KINDS",
 ]
 
 TEMP_RANGE_C = (-200.0, 400.0)
@@ -85,7 +87,7 @@ def validate_program(prog: ChemProgram, graph) -> ValidationReport:
     check_params(prog, report)
     bindings, _, findings = bind_vessels(prog, graph)
     report.findings += findings
-    check_flask_capacity(prog, bindings, graph, report)
+    check_capacity(prog, bindings, graph, report)
     return report
 
 
@@ -223,17 +225,53 @@ def bind_vessels(prog: ChemProgram, graph
     return bindings, unbound, report.findings
 
 
-def check_flask_capacity(prog: ChemProgram, bindings: dict[str, str], graph,
-                         report: ValidationReport) -> None:
-    """Static capacity screen: the charges declared for a flask must fit
-    the node it is bound to."""
-    flask_load: dict[str, float] = {}
-    for d in prog.reagents:
-        fid = bindings.get(d.source_vessel, d.source_vessel)
-        flask_load[fid] = flask_load.get(fid, 0.0) + d.amount.value
-    for fid, load in sorted(flask_load.items()):
-        node = graph.nodes.get(fid)
-        if node is not None and node.capacity is not None and load > node.capacity:
-            report.add("capacity_exceeded",
-                       f"{fid} charged with {load:g} mL against capacity "
-                       f"{node.capacity:g}", fid)
+def check_capacity(prog: ChemProgram, bindings: dict[str, str], graph,
+                   report: ValidationReport) -> None:
+    """Static capacity screen, on the movement model the machine runs.
+
+    The tape is laid out and its flasks charged by `init_machine`, with
+    `bindings` naming the cells after their nodes. Every flask charged over
+    its node's capacity is reported (capacity_exceeded, by node id).
+    Otherwise the screen walks the program's lowering: it resolves each
+    primitive's movement with `cstm.movement`, applies it with
+    `cstm.step_tape`, and checks the cell it filled (`cstm.filled_cell`)
+    with `cstm.over_capacity`, as `execute_plan`'s watchdog does. The first
+    overfill is reported with its node and operation, and the walk stops
+    there; it also stops at an infeasible move, where the run halts too.
+    No reactions run, so the screen is exact for movement; a reaction that
+    raises a cell's amount is caught at run time, by the watchdog, which
+    checks a cell after the reaction in it.
+    """
+    from ..cstm import (  # deferred: cstm imports this package
+        MachineError, filled_cell, init_machine, lower_program, movement,
+        over_capacity, step_tape,
+    )
+
+    nodes = graph.nodes
+    state = init_machine(prog, bindings)
+    charged = False
+    for cell in sorted(state.cells, key=lambda c: c.name):
+        over = over_capacity(cell, nodes)
+        if over is not None:
+            report.add("capacity_exceeded", f"{cell.name} charged with {over[0]:g} mL "
+                       f"against capacity {over[1]:g}", cell.name)
+            charged = True
+    lowering = lower_program(prog)
+    if charged or lowering.error is not None:
+        return
+    decls = lowering.decls
+    for prims in lowering.ops:
+        for prim in prims:
+            try:
+                move = movement(state, prim, decls)
+            except MachineError:
+                return
+            step_tape(state, prim, move)
+            cell = filled_cell(state, prim)
+            over = None if cell is None else over_capacity(cell, nodes)
+            if over is not None:
+                report.add("capacity_exceeded",
+                           f"{cell.name} filled with {over[0]:g} mL against "
+                           f"capacity {over[1]:g} (operation {prim.op_index + 1}, "
+                           f"{prim.op_kind.value})", cell.name)
+                return

@@ -15,6 +15,9 @@ every matter movement of the lowered primitives directly from its
 source node to its destination node, and reports problems as findings
 rather than exceptions, so a plan can explain everything wrong with it at
 once. A vessel that could not be bound gets no route finding on top. The
+capacity screen (`chemlang.validate.check_capacity`) walks the lowered
+primitives on the machine's movement model without running reactions, so
+a plan it passes overfills no node unless a reaction raises an amount. The
 plan maps the program onto the rig; it does not rewrite it.
 
 Executing a plan runs the program as written on the same machine the
@@ -27,9 +30,11 @@ capacity) strokes when the route runs through a pump, one otherwise, the
 last stroke carrying the remainder. A movement through the transit line
 (transfer, distil, sublime) is the pump's syringe filling and emptying, so
 it is booked once, ahead of the SM that fills the line. A movement whose
-route is missing from the plan stops the run at q_fail, and so does a
-vessel filled over its capacity. Amounts are mol, volumes mL, converted
-1:1 nominal.
+route is missing from the plan stops the run at q_fail. So does a cell
+filled over its node's capacity: after each primitive, and the reaction it
+triggered, the watchdog checks the cell that primitive filled
+(`cstm.filled_cell`) with the screen's predicate (`cstm.over_capacity`).
+Amounts are mol, volumes mL, converted 1:1 nominal.
 """
 
 from __future__ import annotations
@@ -41,14 +46,14 @@ from pathlib import Path
 
 from .chemlang import ChemProgram, OpKind
 from .chemlang.validate import (
-    FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_flask_capacity,
+    FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_capacity,
     check_params,
 )
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
-    lower_program, movement_endpoints,
+    filled_cell, lower_program, movement_endpoints, over_capacity,
 )
 
 __all__ = [
@@ -370,7 +375,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
                 report.add("no_route", f"no path {src} -> {dst} "
                            f"(operation {i + 1}, {op.kind.value})", key)
 
-    check_flask_capacity(prog, bindings, graph, report)
+    check_capacity(prog, bindings, graph, report)
 
     return CompiledPlan(prog, graph, bindings, routes, cleaning, allocations,
                         report, origin)
@@ -383,7 +388,8 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                  budget: int = DEFAULT_BUDGET, explore: bool = False
                  ) -> ExecutionTrace:
     """Run a compiled plan: the abstract machine semantics, plus stroke
-    records ahead of each movement and capacity enforcement per node."""
+    records ahead of each movement and the capacity watchdog on the cell
+    each primitive fills."""
     if not plan.feasible:
         raise GraphError("plan is not feasible:\n" + "\n".join(
             f"  [{f.code}] {f.message}" for f in plan.report.findings))
@@ -422,26 +428,24 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                 "total": total,
             })
 
-    def watch_capacity(machine: Machine, prim: Primitive, record: dict) -> None:
+    def watch_capacity(machine: Machine, prim: Primitive) -> None:
         st = machine.state
-        cell = st.cells[st.head]
-        node = graph.nodes.get(cell.name)
-        if node is None or node.capacity is None:
+        cell = filled_cell(st, prim)
+        over = None if cell is None else over_capacity(cell, graph.nodes)
+        if over is None:
             return
-        held = cell.total()
-        if held > node.capacity + 1e-9:
-            machine.emit({
-                "kind": "deviation",
-                "code": "capacity_exceeded",
-                "step": st.step_count,
-                "op_index": prim.op_index,
-                "cell": cell.name,
-                "held": held,
-                "capacity": node.capacity,
-            })
-            machine.halted = "q_fail"
-            machine.halt_reason = (f"{cell.name} overfilled: {held:g} "
-                                   f"over capacity {node.capacity:g}")
+        held, capacity = over
+        machine.emit({
+            "kind": "deviation",
+            "code": "capacity_exceeded",
+            "step": st.step_count,
+            "op_index": prim.op_index,
+            "cell": cell.name,
+            "held": held,
+            "capacity": capacity,
+        })
+        machine.halted = "q_fail"
+        machine.halt_reason = f"{cell.name} overfilled: {held:g} over capacity {capacity:g}"
 
     return Machine(plan.program, db, seed=seed, explore=explore,
                    budget=budget,

@@ -68,7 +68,10 @@ __all__ = [
     "cell_index",
     "movement_endpoints",
     "movement",
+    "step_tape",
     "apply_primitive",
+    "filled_cell",
+    "over_capacity",
     "apply_extent",
     "selected_species",
     "run",
@@ -94,6 +97,7 @@ ENERGY_HOLD_PER_S = 0.01
 RESERVOIR_SPECIES = "solvent"
 
 _AMOUNT_SLACK = 1e-9
+_CAPACITY_SLACK = 1e-9
 
 
 class MachineError(Exception):
@@ -290,9 +294,6 @@ class VesselCell:
     energy_in: float = 0.0
     energy_out: float = 0.0
 
-    def total(self) -> float:
-        return math.fsum(self.contents.values())
-
 
 @dataclass
 class MachineState:
@@ -437,13 +438,12 @@ def movement(state: MachineState, prim: Primitive,
         take = min(want, avail)
         return Movement(flask.name, cell.name, {decl.species: take}, take)
     contents = cell.contents
-    names = selected_species(cell, prim.species, state.solvent_species)
-    total = math.fsum(contents[s] for s in names)
-    if prim.amount is None:
-        amounts = {s: contents[s] for s in names}
-    else:
+    amounts = {s: contents[s] for s in selected_species(cell, prim.species,
+                                                         state.solvent_species)}
+    total = math.fsum(amounts.values())
+    if prim.amount is not None:
         frac = min(1.0, prim.amount / total) if total > 0 else 0.0
-        amounts = {s: contents[s] * frac for s in names}
+        amounts = {s: v * frac for s, v in amounts.items()}
         total = min(total, prim.amount)
     if prim.dest[0] == "vessel":
         dst = state.cells[cell_index(state, dst)].name
@@ -452,29 +452,28 @@ def movement(state: MachineState, prim: Primitive,
     return Movement(cell.name, dst, amounts, total)
 
 
-def apply_primitive(state: MachineState, prim: Primitive,
-                    move: Movement | None) -> dict:
-    """Execute one primitive: teleport the head, apply its movement (see
-    `movement`) or its energy move, return the trace record."""
-    idx = cell_index(state, prim.cell)
+def step_tape(state: MachineState, prim: Primitive,
+              move: Movement | None) -> VesselCell:
+    """Apply one primitive to the tape without recording it: teleport the
+    head, apply its movement (see `movement`) or its energy move. Returns
+    the cell under the head."""
+    idx = state.head = cell_index(state, prim.cell)
     cell = state.cells[idx]
-    head = state.head
-    head_move = "N" if idx == head else ("R" if idx > head else "L")
-    state.head = idx
     state.step_count += 1
     code = prim.code
 
     if move is not None:
+        cells, index = state.cells, state.index
         amounts = move.amounts
         if move.src is None:
             for s, v in amounts.items():
                 _bump(state.stock_in, s, v)
         else:
-            source = state.cell_named(move.src).contents
+            source = cells[index[move.src]].contents
             for s, v in amounts.items():
                 _drain(source, s, v)
         into = state.transit if prim.dest is not None and prim.dest[0] == "transit" \
-            else state.cell_named(move.dst).contents
+            else cells[index[move.dst]].contents
         for s in sorted(amounts):
             _bump(into, s, amounts[s])
         if prim.reset_cell and not cell.contents:
@@ -485,30 +484,61 @@ def apply_primitive(state: MachineState, prim: Primitive,
             _bump(cell.contents, s, transit[s])
         transit.clear()
     elif code == "AE":
-        rise = max(prim.setpoint - cell.temp, 0.0) if prim.setpoint is not None else 0.0
+        setpoint, rise = prim.setpoint, 0.0
+        if setpoint is not None and setpoint > cell.temp:
+            rise, cell.temp = setpoint - cell.temp, setpoint
         cell.energy_in += rise + ENERGY_HOLD_PER_S * prim.duration
-        if prim.setpoint is not None and prim.setpoint > cell.temp:
-            cell.temp = prim.setpoint
     elif code == "SE":
-        drop = max(cell.temp - prim.setpoint, 0.0) if prim.setpoint is not None else 0.0
+        setpoint, drop = prim.setpoint, 0.0
+        if setpoint is not None and setpoint < cell.temp:
+            drop, cell.temp = cell.temp - setpoint, setpoint
         cell.energy_out += drop + ENERGY_HOLD_PER_S * prim.duration
-        if prim.setpoint is not None and prim.setpoint < cell.temp:
-            cell.temp = prim.setpoint
     else:
         raise ValueError(f"unknown primitive code {code!r}")
+    return cell
 
+
+def apply_primitive(state: MachineState, prim: Primitive,
+                    move: Movement | None) -> dict:
+    """Execute one primitive (see `step_tape`) and return its trace record."""
+    head = state.head
+    cell = step_tape(state, prim, move)
+    idx = state.head
     return {
         "kind": "primitive",
         "step": state.step_count,
         "op_index": prim.op_index,
         "op": prim.op_kind._value_,      # the value, without the property call
-        "code": code,
+        "code": prim.code,
         "cell": cell.name,
-        "move": head_move,
+        "move": "N" if idx == head else ("R" if idx > head else "L"),
         "state": state.controller,
         "contents": dict(sorted(cell.contents.items())),
         "temp": cell.temp,
     }
+
+
+def filled_cell(state: MachineState, prim: Primitive) -> VesselCell | None:
+    """The cell a primitive just put matter into: the named destination of
+    an SM, or None when the SM fills the transit line, which is not a cell;
+    the head cell after an AM, and after an energy move, whose reaction
+    books its products there."""
+    if prim.code == "SM":
+        return state.cells[cell_index(state, prim.dest[1])] if prim.dest[0] == "vessel" \
+            else None
+    return state.cells[state.head]
+
+
+def over_capacity(cell: VesselCell, nodes) -> tuple[float, float] | None:
+    """(held, capacity) when `cell` holds more than the capacity of the
+    node it runs as, by more than 1e-9; None when it fits or the node has
+    no capacity. `nodes` maps node ids to nodes with a `capacity`."""
+    node = nodes.get(cell.name)
+    capacity = None if node is None else node.capacity
+    if capacity is None:
+        return None
+    held = math.fsum(cell.contents.values())
+    return (held, capacity) if held > capacity + _CAPACITY_SLACK else None
 
 
 def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
@@ -645,10 +675,10 @@ class Machine:
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
-    and `post_primitive(machine, prim, record)` let a hardware layer wrap
-    each primitive, reading the movement it is about to apply and the
-    record it wrote, without touching the state the primitive produced. A
-    pre hook that halts the machine stops the primitive from running.
+    and `post_primitive(machine, prim)` let a hardware layer wrap each
+    primitive, reading the movement it is about to apply and the state it
+    and the reaction it triggered left, without touching that state. A pre
+    hook that halts the machine stops the primitive from running.
     """
 
     def __init__(self, prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
@@ -707,8 +737,6 @@ class Machine:
         record = apply_primitive(self.state, prim, move)
         self.budget -= 1
         self.records.append(record)
-        if self.post_primitive is not None:
-            self.post_primitive(self, prim, record)
         return record
 
     def execute_op(self, op_index: int) -> list[dict]:
@@ -722,6 +750,8 @@ class Machine:
                 ev = self.check_reaction(prim)
                 if ev is not None:
                     events.append(ev)
+            if self.post_primitive is not None and not self.halted:
+                self.post_primitive(self, prim)
         self.pc = op_index + 1
         return events
 

@@ -645,15 +645,16 @@ def _size_pathway(db: RuleDatabase, target: str, stock: frozenset[str],
 def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = None):
     """Encode a pathway as a runnable program.
 
-    Each step charges its stock inputs into the reactor RX1 and drives the
-    rule at the midpoint of its process window. Selective moves happen on
-    stations that can make them: after a step the whole reactor contents go
-    to the filter F1, products that later steps consume are filtered off to
-    storage S1 and the residue is washed to waste; a consuming step takes
-    storage back in one transfer when it needs everything parked there, or
-    picks species out via the chromatograph CH1 when it does not. The
-    target is harvested on F1 by species, so the product vessel ends up
-    pure.
+    The stock species are declared in the built-in rig's four unreserved
+    flasks, R1 to R4, in turn. Each step charges its stock inputs into the
+    reactor RX1 and drives the rule at the midpoint of its process window.
+    Selective moves happen on stations that can make them: after a step
+    the whole reactor contents go to the filter F1, products that later
+    steps consume are filtered off to storage S1 and the residue is washed
+    to waste; a consuming step takes storage back in one transfer when it
+    needs everything parked there, or picks species out via the
+    chromatograph CH1 when it does not. The target is harvested on F1 by
+    species, so the product vessel ends up pure.
     """
     def q(value: float, unit: str) -> Quantity:
         return Quantity(float(value), unit)
@@ -671,7 +672,7 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = No
         return ChemProgram(prog_name, decls, [HardwareReq("F1", "filter")], steps,
                            {"target": pathway.target})
 
-    # One flask per distinct stock species, R1, R2, ... in sorted order.
+    # Stock species in sorted order, R1, R2, R3, R4, R1, ...
     totals: dict[str, float] = {}
     catalyst_only: set[str] = set()
     for step in pathway.steps:
@@ -685,9 +686,9 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = No
         for s in db.rules[step.rule_id].reagent_pattern if s in step.inputs
     }
     decls: list[ReagentDecl] = []
-    for i, s in enumerate(sorted(totals), start=1):
+    for i, s in enumerate(sorted(totals)):
         role = "catalyst" if s in catalyst_only and s not in consumed_as_reagent else "reagent"
-        decls.append(ReagentDecl(s, s, q(totals[s], "mol"), f"R{i}", role))
+        decls.append(ReagentDecl(s, s, q(totals[s], "mol"), f"R{i % 4 + 1}", role))
 
     n_steps = len(pathway.steps)
     rules_seq = [db.rules[s.rule_id] for s in pathway.steps]

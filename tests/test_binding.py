@@ -89,7 +89,7 @@ def test_validate_and_compile_agree_on_former_disagreements(name, default_graph)
 def test_renamed_vessels_lower_as_written():
     graph = build_default_graph()
     db = load_rules(FIXTURES / "tiny.rules")
-    equal = prefixes = renamed = 0
+    equal = renamed = 0
     for seed in range(600):
         prog = parse_program(random_program_text(random.Random(seed), f"p{seed}"))
         plan = chempile(prog, graph)
@@ -99,14 +99,7 @@ def test_renamed_vessels_lower_as_written():
                        if v not in ("waste", "product"))
         abstract = run(prog, db, seed=seed)
         compiled = execute_plan(plan, db, seed=seed)
-        view = lowering_view(compiled, plan.bindings)
-        if compiled.records[-2].get("code") == "capacity_exceeded":
-            # the rig stops a run the abstract machine lets go on
-            assert compiled.halt == "q_fail", seed
-            assert view == lowering_view(abstract)[:len(view)], seed
-            prefixes += 1
-        else:
-            assert compiled.halt == abstract.halt, seed
-            assert view == lowering_view(abstract), seed
-            equal += 1
-    assert equal > 50 and prefixes > 0 and renamed > 50
+        assert compiled.halt == abstract.halt, seed
+        assert lowering_view(compiled, plan.bindings) == lowering_view(abstract), seed
+        equal += 1
+    assert equal > 50 and renamed > 50

@@ -3,10 +3,11 @@ runtime capacity enforcement, and the lowering view."""
 
 import itertools
 import json
+import random
 
 import pytest
 
-from chemvm.chemlang import parse_program
+from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import (
     FLOW_KINDS,
     GraphError,
@@ -21,7 +22,7 @@ from chemvm.chempiler import (
 from chemvm.cstm import run
 from chemvm.rules import load_rules, loads_rules, plan_pathway
 
-from _support import FIXTURES, fixture_text
+from _support import FIXTURES, fixture_text, random_program_text
 
 CAPACITIES = {
     "SOLV": 1000.0, "R1": 500.0, "R2": 500.0, "R3": 500.0, "R4": 500.0,
@@ -188,6 +189,7 @@ def test_finding_no_reservoir():
     assert "no_reservoir" in _finding_codes(plan)
 
 
+_NO_RULES = loads_rules(json.dumps({"species": [], "rules": []}))
 _MONO_DB = loads_rules(json.dumps({
     "species": [{"id": "a", "name": "a", "molar_mass": 10.0,
                  "element_counts": {"C": 1}}],
@@ -212,26 +214,116 @@ def test_transfer_is_stroked_by_pump_capacity(default_graph):
     assert all(m["total"] == pytest.approx(60.0) for m in moves)
 
 
+# 1 a (C2) -> 2 b (C1): a reaction that doubles the mol its cell holds
+_DOUBLING_DB = loads_rules(json.dumps({
+    "species": [{"id": "a", "name": "a", "molar_mass": 20.0, "element_counts": {"C": 2}},
+                {"id": "b", "name": "b", "molar_mass": 10.0, "element_counts": {"C": 1}}],
+    "rules": [{"id": "r1", "reagent_pattern": {"a": 1.0}, "products": {"b": 2.0},
+               "process_window": {"temp_min": 60.0, "temp_max": 100.0,
+                                  "duration_min": 300.0, "duration_max": 3600.0},
+               "yield": 1.0, "epsilon": 0.0, "status": "characterised"}],
+}))
+
+
+def _doubling_program(steps: str):
+    return parse_program(
+        'procedure "x" {\n  reagents {\n    a: sp:a 200 mol @R1 reagent\n  }\n'
+        '  hardware {\n    RX1: reactor\n    F1: filter\n  }\n'
+        '  steps {\n' + steps + '  }\n}\n')
+
+
 def test_runtime_capacity_enforced(default_graph):
-    prog = parse_program(
-        'procedure "x" {\n  reagents {\n    a: sp:a 120 mol @R1 reagent\n  }\n'
-        '  hardware {\n    RX1: reactor\n  }\n'
-        '  steps {\n    add(vessel=RX1, reagent=a, amount=120 mol)\n'
-        '    transfer(from=RX1, to=F1)\n  }\n}\n')
+    # the screen moves 60 mol of a into F1 (capacity 100); the run moves
+    # the 120 mol of b the reaction made of it
+    prog = _doubling_program(
+        '    react_hot(vessel=RX1, reagent=a, amount=60 mol, temp=80 C, time=600 s)\n'
+        '    transfer(from=RX1, to=F1)\n')
     plan = chempile(prog, default_graph)
-    assert plan.feasible  # static screen sees only declared flask charges
-    trace = execute_plan(plan, _MONO_DB, seed=0)
+    assert plan.feasible
+    trace = execute_plan(plan, _DOUBLING_DB, seed=0)
     assert trace.halt == "q_fail"
     assert trace.records[-1]["reason"] == "F1 overfilled: 120 over capacity 100"
     deviations = [r for r in trace.records if r.get("kind") == "deviation"]
     assert deviations == [{
-        "kind": "deviation", "code": "capacity_exceeded", "step": 3,
+        "kind": "deviation", "code": "capacity_exceeded", "step": 4,
         "op_index": 1, "cell": "F1", "held": 120.0, "capacity": 100.0,
     }]
     strokes = [r for r in trace.records
                if r.get("kind") == "transfer" and r["op_index"] == 1]
     assert [r["stroke"] for r in strokes] == [1, 2, 3, 4, 5]
     assert all(r["route"] == ["RX1", "V2", "P1", "V1", "F1"] for r in strokes)
+
+
+@pytest.mark.parametrize("steps, after, overfill", [
+    # evaporate's SM fills F1 while the head stays on RX1
+    ('    add(vessel=RX1, reagent=a, amount=60 mol)\n'
+     '    evaporate(vessel=RX1, species=b, to=F1, temp=80 C, time=600 s)\n', "primitive",
+     {"step": 3, "op_index": 1, "cell": "F1", "held": 120.0, "capacity": 100.0}),
+    # the reaction books 400 mol of b in RX1, checked after it runs
+    ('    react_hot(vessel=RX1, reagent=a, amount=200 mol, temp=80 C, time=600 s)\n',
+     "transition",
+     {"step": 2, "op_index": 0, "cell": "RX1", "held": 400.0, "capacity": 250.0}),
+], ids=["named_destination", "reaction_cell"])
+def test_runtime_capacity_checks_the_filled_cell(default_graph, steps, after, overfill):
+    plan = chempile(_doubling_program(steps), default_graph)
+    assert plan.feasible
+    trace = execute_plan(plan, _DOUBLING_DB, seed=0)
+    assert trace.halt == "q_fail"
+    assert trace.records[-1]["reason"] == (f"{overfill['cell']} overfilled: "
+                                           f"{overfill['held']:g} over capacity "
+                                           f"{overfill['capacity']:g}")
+    assert trace.records[-3]["kind"] == after and trace.records[-3]["cell"] == "RX1"
+    assert trace.records[-2] == {"kind": "deviation", "code": "capacity_exceeded",
+                                 **overfill}
+
+
+def test_compile_refuses_a_movement_overfill(default_graph):
+    # six 90 mol charges filtered on to S1 (capacity 500), each within
+    # F1's 100: only following the matter finds the 540 mol in S1
+    steps = "".join(f"    add(vessel=F1, reagent={r}, amount=90 mol)\n"
+                    "    filter(vessel=F1, species=a, to=S1)\n"
+                    for r in ("a1", "a2") * 3)
+    prog = parse_program(
+        'procedure "x" {\n  reagents {\n    a1: sp:a 270 mol @R1 reagent\n'
+        '    a2: sp:a 270 mol @R2 reagent\n  }\n'
+        '  hardware {\n    F1: filter\n    S1: storage\n  }\n'
+        '  steps {\n' + steps + '  }\n}\n')
+    plan = chempile(prog, default_graph)
+    assert [f.as_dict() for f in plan.report.findings] == [{
+        "code": "capacity_exceeded", "where": "S1",
+        "message": "S1 filled with 540 mL against capacity 500 (operation 12, filter)",
+    }]
+    assert validate_program(prog, default_graph).findings == plan.report.findings
+
+
+# Programs whose flask charges fit but that overfill RX1 once run: a
+# react_cold without an amount draws its whole 450 mol flask.
+FORMER_RUNTIME_OVERFILLS = {111: 1, 229: 2, 347: 1, 349: 2, 468: 1, 579: 2}
+
+
+def test_screen_finds_the_former_runtime_overfills(default_graph):
+    for seed, operation in FORMER_RUNTIME_OVERFILLS.items():
+        prog = parse_program(random_program_text(random.Random(seed), f"p{seed}"))
+        assert [f.as_dict() for f in chempile(prog, default_graph).report.findings] == [{
+            "code": "capacity_exceeded", "where": "RX1",
+            "message": f"RX1 filled with 450 mL against capacity 250 "
+                       f"(operation {operation}, react_cold)",
+        }], seed
+
+
+@pytest.mark.parametrize("rules_name", [None, "tiny.rules"])
+def test_feasible_plans_run_without_a_capacity_halt(default_graph, rules_name):
+    db = _NO_RULES if rules_name is None else load_rules(FIXTURES / rules_name)
+    feasible = 0
+    for seed in range(600):
+        prog = parse_program(random_program_text(random.Random(seed), f"p{seed}"))
+        plan = chempile(prog, default_graph)
+        if not plan.feasible:
+            continue
+        feasible += 1
+        trace = execute_plan(plan, db, seed=seed)
+        assert not any(r["kind"] == "deviation" for r in trace.records), seed
+    assert feasible == 86
 
 
 def _strokes_by_op(trace):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from chemvm.chemlang import parse_program
+from chemvm.chempiler import chempile, execute_plan
 from chemvm.cstm import run
 from chemvm.rules import (
     RuleLoadError,
@@ -284,6 +285,28 @@ def test_pathway_program_executes(default_db):
     assert tr.halt == "q_out"
     assert tr.ledger.product_by_species.get("atr", 0.0) > 0.0
     assert tr.ledger.residual <= 1e-9
+
+
+# c0 + s1 -> c1, c1 + s2 -> c2, ..., c7 + s8 -> c8
+_CHAIN_DB = loads_rules(_db_text(
+    [_sp(f"c{k}", {"C": k + 1}) for k in range(9)]
+    + [_sp(f"s{k}", {"C": 1}) for k in range(1, 9)],
+    [_rule(f"r{k}", {f"c{k - 1}": 1.0, f"s{k}": 1.0}, {f"c{k}": 1.0})
+     for k in range(1, 9)]))
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6, 7, 8])
+def test_long_pathway_compiles_on_the_builtin_rig(depth, default_graph):
+    # depth + 1 stock species share the rig's four unreserved flasks
+    stock = {"c0"} | {f"s{k}" for k in range(1, depth + 1)}
+    prog = pathway_to_program(plan_pathway(_CHAIN_DB, f"c{depth}", stock), _CHAIN_DB)
+    assert [(d.species, d.source_vessel) for d in prog.reagents] == [
+        (s, f"R{i % 4 + 1}") for i, s in enumerate(sorted(stock))]
+    plan = chempile(prog, default_graph)
+    assert plan.feasible, plan.report.findings
+    trace = execute_plan(plan, _CHAIN_DB, seed=0)
+    assert trace.halt == "q_out"
+    assert trace.ledger.product_by_species[f"c{depth}"] == pytest.approx(1.0)
 
 
 def test_pathway_program_for_stocked_target(default_db):
