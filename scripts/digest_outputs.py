@@ -16,6 +16,11 @@ The outputs:
 - `parse` of every fixture program and of 2,000 seeded mutations of
   program texts (the scanner tests' generator, seed 1): the canonical text,
   or the `ParseError` itself, with its code and `line:col`, printed as is;
+- `fixture`: the seed-0 JSONL trace of every fixture program in each
+  execution arm, with the rule database `FIXTURE_RUNS` names, and the plan
+  JSON of every fixture program on the built-in rig and of one infeasible
+  plan on a small rig (tests/test_golden_traces.py checks each against its
+  line);
 - with fixtures/tiny.rules, the criterion-05 corpus (`random_program`
   seeds 0-999 on the built-in rig): validate and compile JSON, and the
   JSONL traces of the abstract, compiled and corrected (eps 0.2) runs at
@@ -53,7 +58,8 @@ from chemvm.dec import run_with_dec  # noqa: E402
 from chemvm.rules import load_rules  # noqa: E402
 
 from _support import (  # noqa: E402
-    FIXTURES, mc_configs, mutated_texts, random_binding_case,
+    FIXTURE_ARMS, FIXTURE_PLANS, FIXTURE_RUNS, FIXTURES, fixture_plan, fixture_trace,
+    mc_configs, mutated_texts, random_binding_case,
 )
 
 BUDGETS = (10000, 7)
@@ -78,6 +84,11 @@ def main() -> None:
         digest_parse(f"parse/{path.name}", path.read_text(encoding="utf-8"))
     for i, text in enumerate(mutated_texts(seed=1, count=PARSE_MUTANTS)):
         digest_parse(f"parse/mutant/{i}", text)
+    for name in sorted(FIXTURE_RUNS):
+        for arm in FIXTURE_ARMS:
+            digest(f"fixture/{name}/{arm}", fixture_trace(name, arm).to_jsonl())
+    for name, rig in FIXTURE_PLANS:
+        digest(f"fixture/{name}/plan/{rig}", fixture_plan(name, rig).to_json())
     db = load_rules(FIXTURES / "tiny.rules")
     graph = build_default_graph()
     for seed in CORPUS_SEEDS:

@@ -1,19 +1,23 @@
-"""Static checks of a program against a hardware graph.
+"""Static checks of a program against a hardware graph: one pass that
+decides whether the program fits the rig.
 
-The validator reports every step whose required parameters are missing or
-out of range, then what the compiler reports about binding the program onto
-the graph and about its capacities, in the compiler's order: the parameter
-check `check_params`, the binding pass `bind_vessels` and the capacity
-screen `check_capacity` live here, and `chempile` calls all three. Only
-routing (`no_route`) is left to the compiler. The capacity screen walks
-the program on the machine's movement model (`cstm`), imported when it
-runs, since `cstm` imports this package. The graph is duck-typed (`nodes`,
-`by_kind`, `reservoir()`; nodes with `id`, `kind`, `capabilities`,
-`capacity`, `reserved`) so this module does not depend on the compiler.
+`check_program` runs the parameter check `check_params`, the binding pass
+`bind_vessels`, then one walk of the program's lowered primitives. The walk
+routes every matter movement from its source node to its destination node
+(`route`, no_route) and, on the machine's movement model (`cstm`, imported
+when the pass runs, since `cstm` imports this package), screens the cells
+it fills against their nodes' capacities (capacity_exceeded). Findings come
+in that order: parameters, binding, routing, capacity. `validate_program`
+reports them, and `chempile` builds its plan on the same pass, so the two
+agree on every program and rig. The graph is duck-typed (`nodes`,
+`by_kind`, `reservoir()`, `neighbors()`; nodes with `id`, `kind`,
+`capabilities`, `capacity`, `reserved`) so this module does not depend on
+the compiler.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..jsonio import dumps_stable
@@ -26,8 +30,9 @@ from .ast import (
 )
 
 __all__ = [
-    "Finding", "ValidationReport", "validate_program", "bind_vessels",
-    "check_capacity", "check_params", "MATTER_KINDS", "FLOW_KINDS", "NODE_KINDS",
+    "Finding", "ValidationReport", "validate_program", "check_program",
+    "bind_vessels", "check_params", "route", "RouteError", "MATTER_KINDS",
+    "FLOW_KINDS", "NODE_KINDS",
 ]
 
 TEMP_RANGE_C = (-200.0, 400.0)
@@ -39,6 +44,37 @@ MATTER_KINDS = frozenset({
 })
 FLOW_KINDS = frozenset({"Valve", "Pump"})
 NODE_KINDS = MATTER_KINDS | FLOW_KINDS
+
+
+class RouteError(Exception):
+    pass
+
+
+def route(graph, src: str, dst: str) -> list[str]:
+    """Shortest pump path src -> dst whose interior is valves and pumps
+    only; among equal lengths the lexicographically smallest node sequence.
+    """
+    if src == dst:
+        raise ValueError("route endpoints must differ")
+    if src not in graph.nodes or dst not in graph.nodes:
+        raise RouteError(f"unknown endpoint {src!r} or {dst!r}")
+    heap: list[tuple[int, tuple[str, ...]]] = [(1, (src,))]
+    settled: set[str] = set()
+    while heap:
+        n, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == dst:
+            return list(path)
+        if node in settled:
+            continue
+        settled.add(node)
+        for nxt in graph.neighbors(node):
+            if nxt in settled or nxt in path:
+                continue
+            if nxt != dst and graph.nodes[nxt].kind not in FLOW_KINDS:
+                continue
+            heapq.heappush(heap, (n + 1, path + (nxt,)))
+    raise RouteError(f"no route {src} -> {dst}")
 
 # DSL hardware-kind word -> graph node kind (None = unconstrained); any
 # other word is read as a node kind itself.
@@ -83,12 +119,7 @@ class ValidationReport:
 
 
 def validate_program(prog: ChemProgram, graph) -> ValidationReport:
-    report = ValidationReport()
-    check_params(prog, report)
-    bindings, _, findings = bind_vessels(prog, graph)
-    report.findings += findings
-    check_capacity(prog, bindings, graph, report)
-    return report
+    return check_program(prog, graph)[0]
 
 
 def check_params(prog: ChemProgram, report: ValidationReport) -> None:
@@ -225,53 +256,86 @@ def bind_vessels(prog: ChemProgram, graph
     return bindings, unbound, report.findings
 
 
-def check_capacity(prog: ChemProgram, bindings: dict[str, str], graph,
-                   report: ValidationReport) -> None:
-    """Static capacity screen, on the movement model the machine runs.
+def check_program(prog: ChemProgram, graph
+                  ) -> tuple[ValidationReport, dict[str, str], dict[str, list[str]]]:
+    """Whether a program fits a rig: its findings, its bindings (vessel ->
+    node id) and its routes ("SRC->DST" -> node path).
 
-    The tape is laid out and its flasks charged by `init_machine`, with
-    `bindings` naming the cells after their nodes. Every flask charged over
-    its node's capacity is reported (capacity_exceeded, by node id).
-    Otherwise the screen walks the program's lowering: it resolves each
-    primitive's movement with `cstm.movement`, applies it with
-    `cstm.step_tape`, and checks the cell it filled (`cstm.filled_cell`)
-    with `cstm.over_capacity`, as `execute_plan`'s watchdog does. The first
-    overfill is reported with its node and operation, and the walk stops
-    there; it also stops at an infeasible move, where the run halts too.
-    No reactions run, so the screen is exact for movement; a reaction that
-    raises a cell's amount is caught at run time, by the watchdog, which
-    checks a cell after the reaction in it.
+    One walk of the lowered primitives routes each matter movement, once
+    per `SRC->DST` key, and reports each movement with no route (no_route);
+    a vessel that could not be bound gets no route finding on top. The
+    same walk screens capacity on a tape laid out by `init_machine` with
+    the bindings naming its cells: unless a flask is charged over its
+    node's capacity (every such flask is reported), each movement is
+    resolved with `cstm.movement`, applied with `cstm.step_tape`, and the
+    cell it filled (`cstm.filled_cell`) is checked with
+    `cstm.over_capacity`, as `execute_plan`'s watchdog does. The first
+    overfill or infeasible move ends the screen. The screen runs no
+    reactions, so it is exact for movement, and energy moves, which then
+    fill no cell, are skipped; a reaction that raises a cell's amount is
+    caught at run time by the watchdog.
     """
     from ..cstm import (  # deferred: cstm imports this package
         MachineError, filled_cell, init_machine, lower_program, movement,
-        over_capacity, step_tape,
+        movement_endpoints, over_capacity, step_tape,
     )
+
+    report = ValidationReport()
+    check_params(prog, report)
+    bindings, unbound, findings = bind_vessels(prog, graph)
+    report.findings += findings
+    reservoir = graph.reservoir()
+    reservoir_id = None if reservoir is None else reservoir.id
 
     nodes = graph.nodes
     state = init_machine(prog, bindings)
-    charged = False
+    capacity = ValidationReport()      # reported after the routing findings
     for cell in sorted(state.cells, key=lambda c: c.name):
         over = over_capacity(cell, nodes)
         if over is not None:
-            report.add("capacity_exceeded", f"{cell.name} charged with {over[0]:g} mL "
-                       f"against capacity {over[1]:g}", cell.name)
-            charged = True
+            capacity.add("capacity_exceeded", f"{cell.name} charged with {over[0]:g} mL "
+                         f"against capacity {over[1]:g}", cell.name)
     lowering = lower_program(prog)
-    if charged or lowering.error is not None:
-        return
     decls = lowering.decls
+    screening = capacity.ok and lowering.error is None
+    routes: dict[str, list[str]] = {}
     for prims in lowering.ops:
+        if isinstance(prims, str):     # a missing parameter, reported above
+            continue
         for prim in prims:
+            if prim.code == "AE" or prim.code == "SE":
+                continue
+            try:
+                ends = movement_endpoints(prim, decls)
+            except MachineError:       # undeclared reagent: the run halts here
+                screening = False
+                continue
+            if ends is not None and ends[0] not in unbound and ends[1] not in unbound:
+                src, dst = ends
+                src = reservoir_id if src is None else bindings.get(src, src)
+                dst = bindings.get(dst, dst)
+                key = f"{src}->{dst}"
+                if src is not None and src != dst and key not in routes:
+                    try:
+                        routes[key] = route(graph, src, dst)
+                    except RouteError:
+                        report.add("no_route", f"no path {src} -> {dst} (operation "
+                                   f"{prim.op_index + 1}, {prim.op_kind.value})", key)
+            if not screening:
+                continue
             try:
                 move = movement(state, prim, decls)
             except MachineError:
-                return
+                screening = False
+                continue
             step_tape(state, prim, move)
             cell = filled_cell(state, prim)
             over = None if cell is None else over_capacity(cell, nodes)
             if over is not None:
-                report.add("capacity_exceeded",
-                           f"{cell.name} filled with {over[0]:g} mL against "
-                           f"capacity {over[1]:g} (operation {prim.op_index + 1}, "
-                           f"{prim.op_kind.value})", cell.name)
-                return
+                capacity.add("capacity_exceeded",
+                             f"{cell.name} filled with {over[0]:g} mL against "
+                             f"capacity {over[1]:g} (operation {prim.op_index + 1}, "
+                             f"{prim.op_kind.value})", cell.name)
+                screening = False
+    report.findings += capacity.findings
+    return report, bindings, routes

@@ -5,20 +5,18 @@ rotavaps, filters, storage, chromatograph, waste, product) connected
 through valves and a syringe pump. `loads_graph` checks a rig's structure
 once, at load: each node's fields, known edge endpoints, no self-edges,
 and no node with more tube partners than ports; it raises `GraphError` (a
-`ValueError`). Whether matter can move between two nodes is decided by
-`route` alone, when a program is compiled. Compiling checks each step's
-parameters as the validator does, binds every program vessel to a node
-(`chemlang.validate.bind_vessels`, the binding the validator checks: by id
-when the graph has a compatible node of that name, else first-fit by
-ascending capability count so specialised stations stay free), routes
-every matter movement of the lowered primitives directly from its
-source node to its destination node, and reports problems as findings
-rather than exceptions, so a plan can explain everything wrong with it at
-once. A vessel that could not be bound gets no route finding on top. The
-capacity screen (`chemlang.validate.check_capacity`) walks the lowered
-primitives on the machine's movement model without running reactions, so
-a plan it passes overfills no node unless a reaction raises an amount. The
-plan maps the program onto the rig; it does not rewrite it.
+`ValueError`). Whether a program fits a rig is decided by one static pass,
+`chemlang.validate.check_program`, the one `validate_program` reports: it
+checks each step's parameters, binds every program vessel to a node (by
+id when the graph has a compatible node of that name, else first-fit by
+ascending capability count so specialised stations stay free), and walks
+the lowered primitives once, routing every matter movement directly from
+its source node to its destination node (`route`) and screening
+capacities on the machine's movement model. Problems are findings rather
+than exceptions, so a plan can explain everything wrong with it at once.
+`chempile` adds to that pass's bindings and routes only the plan's
+cleaning steps and per-step allocations. The plan maps the program onto
+the rig; it does not rewrite it.
 
 Executing a plan runs the program as written on the same machine the
 abstract run uses, with the plan's bindings naming each vessel's cell
@@ -39,21 +37,19 @@ Amounts are mol, volumes mL, converted 1:1 nominal.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chemlang import ChemProgram, OpKind
 from .chemlang.validate import (
-    FLOW_KINDS, NODE_KINDS, ValidationReport, bind_vessels, check_capacity,
-    check_params,
+    FLOW_KINDS, NODE_KINDS, RouteError, ValidationReport, check_program, route,
 )
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import Pathway, RuleDatabase, pathway_to_program
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
-    filled_cell, lower_program, movement_endpoints, over_capacity,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, Movement, Primitive, filled_cell,
+    over_capacity,
 )
 
 __all__ = [
@@ -77,10 +73,6 @@ RESERVOIR_ATTACHMENT = "solvent_reservoir"
 
 
 class GraphError(ValueError):
-    pass
-
-
-class RouteError(Exception):
     pass
 
 
@@ -248,36 +240,6 @@ def build_default_graph() -> HardwareGraph:
 
 
 # ---------------------------------------------------------------------------
-# Routing
-
-def route(graph: HardwareGraph, src: str, dst: str) -> list[str]:
-    """Shortest pump path src -> dst whose interior is valves and pumps
-    only; among equal lengths the lexicographically smallest node sequence.
-    """
-    if src == dst:
-        raise ValueError("route endpoints must differ")
-    if src not in graph.nodes or dst not in graph.nodes:
-        raise RouteError(f"unknown endpoint {src!r} or {dst!r}")
-    heap: list[tuple[int, tuple[str, ...]]] = [(1, (src,))]
-    settled: set[str] = set()
-    while heap:
-        n, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return list(path)
-        if node in settled:
-            continue
-        settled.add(node)
-        for nxt in graph.neighbors(node):
-            if nxt in settled or nxt in path:
-                continue
-            if nxt != dst and graph.nodes[nxt].kind not in FLOW_KINDS:
-                continue
-            heapq.heappush(heap, (n + 1, path + (nxt,)))
-    raise RouteError(f"no route {src} -> {dst}")
-
-
-# ---------------------------------------------------------------------------
 # Compilation
 
 @dataclass
@@ -325,57 +287,22 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
         prog = source
         origin = "program"
 
-    report = ValidationReport()
-    check_params(prog, report)
-    bindings, unbound, findings = bind_vessels(prog, graph)
-    report.findings += findings
-    reservoir = graph.reservoir()
-    reservoir_id = reservoir.id if reservoir else None
-
-    def mapped(v: str) -> str:
-        return bindings.get(v, v)
-
-    # route every movement, collect cleaning ops and per-step allocations
-    routes: dict[str, list[str]] = {}
+    report, bindings, routes = check_program(prog, graph)
     cleaning: list[dict] = []
     allocations: dict[int, list[str]] = {}
     current_step = 1
-    lowering = lower_program(prog)
     for i, op in enumerate(prog.steps):
         if op.reaction_step is not None:
             current_step = op.reaction_step
         touched = set(op.vessels()) | ({"waste"} if op.kind == OpKind.CLEAN else set())
         alloc = allocations.setdefault(current_step, [])
-        for v in sorted(map(mapped, touched)):
+        for v in sorted(bindings.get(v, v) for v in touched):
             if v not in alloc:
                 alloc.append(v)
-        prims = lowering.ops[i]
-        if isinstance(prims, str):          # missing parameter, reported above
-            continue
-        if op.kind == OpKind.CLEAN:
-            cleaning.append({"op_index": i, "vessel": mapped(op.params["vessel"])})
-        for prim in prims:
-            try:
-                ends = movement_endpoints(prim, lowering.decls)
-            except MachineError:            # undeclared reagent
-                continue
-            if ends is None or ends[0] in unbound or ends[1] in unbound:
-                continue
-            src, dst = ends
-            src = reservoir_id if src is None else mapped(src)
-            dst = mapped(dst)
-            if src is None or src == dst:
-                continue
-            key = f"{src}->{dst}"
-            if key in routes:
-                continue
-            try:
-                routes[key] = route(graph, src, dst)
-            except RouteError:
-                report.add("no_route", f"no path {src} -> {dst} "
-                           f"(operation {i + 1}, {op.kind.value})", key)
-
-    check_capacity(prog, bindings, graph, report)
+        # a clean without its vessel is a missing_param finding
+        if op.kind == OpKind.CLEAN and "vessel" in op.params:
+            vessel = op.params["vessel"]
+            cleaning.append({"op_index": i, "vessel": bindings.get(vessel, vessel)})
 
     return CompiledPlan(prog, graph, bindings, routes, cleaning, allocations,
                         report, origin)

@@ -15,7 +15,8 @@ Exit codes:
     12      halted q_fail
     1       parse errors; compile onto a rig that cannot host the program
     2       I/O, validation and configuration errors, among them a
-            malformed rule, rig, policy or config file
+            malformed rule, rig, policy or config file, and a program
+            `validate` finds infeasible (any finding, `no_route` included)
     3       planning found no pathway (unreachable or unstable target)
 """
 

@@ -1,11 +1,12 @@
-"""Shared helpers: fixture paths, seeded rule-database generators, a
-brute-force reachability oracle the planner is checked against, the
-whole-database scans the indexed matcher and planner are checked against,
-a seeded generator of (program, rig) pairs for binding checks, the
-char-by-char tokenizer the DSL scanner is checked against, with seeded
-mutations of program texts to check it on, and the Monte Carlo kernel
-that `assembly.monte_carlo` is checked against, with the configs to check
-it on."""
+"""Shared helpers: fixture paths and the fixture programs' pinned outputs
+(their traces in each execution arm and their compiled plans), seeded
+rule-database generators, a brute-force reachability oracle the planner is
+checked against, the whole-database scans the indexed matcher and planner
+are checked against, a seeded generator of (program, rig) pairs for
+binding checks, the char-by-char tokenizer the DSL scanner is checked
+against, with seeded mutations of program texts to check it on, and the
+Monte Carlo kernel that `assembly.monte_carlo` is checked against, with
+the configs to check it on."""
 
 from __future__ import annotations
 
@@ -21,9 +22,14 @@ import numpy as np
 from chemvm.assembly import MonteCarloConfig, load_mc_config
 from chemvm.chemlang import ChemProgram, ParseError, format_program, parse_program
 from chemvm.chemlang.corpus import random_program
-from chemvm.chempiler import HardwareGraph, build_default_graph
+from chemvm.chempiler import (
+    CompiledPlan, HardwareGraph, build_default_graph, chempile, execute_plan, loads_graph,
+)
+from chemvm.cstm import ExecutionTrace, run
+from chemvm.dec import run_with_dec
 from chemvm.rules import (
-    PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, loads_rules,
+    PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, load_rules,
+    loads_rules,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -31,6 +37,59 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+# fixture program -> (rule database, explore) it runs with in its pinned
+# traces; `scripts/digest_outputs.py` lists their hashes as `fixture/...`
+FIXTURE_RUNS = {
+    "alkynol_1step.chem": ("default.rules", False),
+    "atropine_3step.chem": ("default.rules", False),
+    "dec_3step.chem": ("dec_chain.rules", False),
+    "explore.chem": ("explore.rules", True),
+    "indole_1step.chem": ("default.rules", False),
+    "norule.chem": ("tiny.rules", False),
+    "predicted.chem": ("predicted.rules", False),
+    "tiny.chem": ("tiny.rules", False),
+}
+FIXTURE_ARMS = ("run", "execute_plan", "run_with_dec")
+# every fixture program on the built-in rig, and tiny.chem on SMALL_RIG
+FIXTURE_PLANS = [(name, "default") for name in FIXTURE_RUNS] + [("tiny.chem", "small")]
+
+# A rig that cannot host tiny.chem: R1 is too small for its charge, there is
+# no second flask, the reactor cannot react_hot, and F1 has no way to OUT.
+SMALL_RIG = json.dumps({
+    "nodes": [
+        {"id": "R1", "kind": "ReagentFlask", "capacity": 0.5},
+        {"id": "V1", "kind": "Valve"},
+        {"id": "P1", "kind": "Pump", "capacity": 25.0},
+        {"id": "RX1", "kind": "Reactor", "capabilities": ["heat_stir"]},
+        {"id": "F1", "kind": "Filter", "capabilities": ["filter"]},
+        {"id": "W", "kind": "Waste"},
+        {"id": "OUT", "kind": "Product"},
+    ],
+    "edges": [["R1", "V1"], ["V1", "P1"], ["P1", "V1"], ["P1", "F1"],
+              ["F1", "P1"], ["V1", "W"]],
+})
+
+
+def fixture_plan(name: str, rig: str) -> CompiledPlan:
+    """A fixture program compiled on the built-in rig ("default") or on
+    SMALL_RIG ("small")."""
+    graph = build_default_graph() if rig == "default" else loads_graph(SMALL_RIG)
+    return chempile(parse_program(fixture_text(name)), graph)
+
+
+def fixture_trace(name: str, arm: str) -> ExecutionTrace:
+    """The seed-0 trace of a fixture program in one execution arm: `run`,
+    `execute_plan` on the built-in rig, or `run_with_dec` at eps 0.2."""
+    rules_name, explore = FIXTURE_RUNS[name]
+    prog = parse_program(fixture_text(name))
+    db = load_rules(FIXTURES / rules_name)
+    if arm == "run":
+        return run(prog, db, seed=0, explore=explore)
+    if arm == "execute_plan":
+        return execute_plan(fixture_plan(name, "default"), db, seed=0, explore=explore)
+    return run_with_dec(prog, db, eps=0.2, seed=0, explore=explore).trace
 
 
 def random_db(seed: int) -> tuple[RuleDatabase, str, frozenset[str]]:

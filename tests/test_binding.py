@@ -1,9 +1,9 @@
-"""The validator and the compiler check parameters and bind vessels with
-the same functions, so they agree on every finding but routing: checked on
-seeded random (program, rig) pairs, on programs they once disagreed on, and
-on a hardware kind word that names no node kind. A compiled plan runs the
-program as written through its bindings, so vessels bound to nodes of other
-names run as they do in the abstract machine."""
+"""The validator and the compiler decide feasibility with one static pass
+(`chemlang.validate.check_program`), so they report the same findings:
+checked on seeded random (program, rig) pairs, on programs they once
+disagreed on, and on a hardware kind word that names no node kind. A
+compiled plan runs the program as written through its bindings, so vessels
+bound to nodes of other names run as they do in the abstract machine."""
 
 import random
 
@@ -17,29 +17,21 @@ from chemvm.rules import load_rules
 from _support import FIXTURES, random_binding_case, random_program_text
 
 
-def _validate_findings(prog, rig) -> list[dict]:
-    return [f.as_dict() for f in validate_program(prog, rig).findings]
-
-
-def _compile_findings(prog, rig) -> list[dict]:
-    return [f.as_dict() for f in chempile(prog, rig).report.findings
-            if f.code != "no_route"]
-
-
 def test_validate_agrees_with_compile_on_random_pairs():
     codes: set[str] = set()
     feasible = 0
     n = 240
     for seed in range(n):
         prog, rig = random_binding_case(seed)
-        findings = _validate_findings(prog, rig)
-        assert findings == _compile_findings(prog, rig), seed
-        codes |= {f["code"] for f in findings}
-        feasible += not findings
-    # the pairs reach every parameter, binding and capacity finding but a
-    # missing parameter, and both verdicts
+        report = validate_program(prog, rig)
+        assert report.findings == chempile(prog, rig).report.findings, seed
+        codes |= {f.code for f in report.findings}
+        feasible += report.ok
+    # the pairs reach every parameter, binding, routing and capacity finding
+    # but a missing parameter, and both verdicts
     assert codes == {"param_out_of_range", "vessel_class_exhausted",
-                     "missing_capability", "no_reservoir", "capacity_exceeded"}
+                     "missing_capability", "no_reservoir", "no_route",
+                     "capacity_exceeded"}
     assert 0 < feasible < n
 
 

@@ -1,6 +1,8 @@
 """Hardware graphs, routing, compilation findings, stroked transfers,
 runtime capacity enforcement, and the lowering view."""
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -19,6 +21,7 @@ from chemvm.chempiler import (
     lowering_view,
     route,
 )
+from chemvm.cli import main
 from chemvm.cstm import run
 from chemvm.rules import load_rules, loads_rules, plan_pathway
 
@@ -32,7 +35,7 @@ CAPACITIES = {
 }
 
 
-def _simple_graph(extra_nodes=(), edges=None):
+def _simple_rig(extra_nodes=(), edges=None) -> str:
     nodes = [
         {"id": "R1", "kind": "ReagentFlask", "capacity": 500.0},
         {"id": "V1", "kind": "Valve", "ports": 8},
@@ -44,7 +47,11 @@ def _simple_graph(extra_nodes=(), edges=None):
     if edges is None:
         edges = [["R1", "V1"], ["V1", "RX1"], ["RX1", "V1"],
                  ["V1", "W"], ["V1", "OUT"]]
-    return loads_graph(json.dumps({"nodes": nodes, "edges": edges}))
+    return json.dumps({"nodes": nodes, "edges": edges})
+
+
+def _simple_graph(extra_nodes=(), edges=None):
+    return loads_graph(_simple_rig(extra_nodes, edges))
 
 
 def test_default_graph_shape(default_graph):
@@ -156,16 +163,27 @@ def test_finding_missing_capability_and_no_route():
     assert "missing_capability" in _finding_codes(plan)
 
 
-def test_finding_no_route():
-    cut = _simple_graph(edges=[["R1", "V1"], ["V1", "RX1"],
-                               ["RX1", "V1"], ["V1", "W"]])
-    prog = parse_program(
-        'procedure "x" {\n  reagents {\n    a: sp:a 1 mol @R1 reagent\n  }\n'
-        '  steps {\n    add(vessel=RX1, reagent=a, amount=1 mol)\n'
-        '    transfer(from=RX1, to=product)\n  }\n}\n')
+def test_finding_no_route(tmp_path):
+    # validate reports the compiler's no_route finding, and the CLI exits 2
+    cut_edges = [["R1", "V1"], ["V1", "RX1"], ["RX1", "V1"], ["V1", "W"]]
+    text = ('procedure "x" {\n  reagents {\n    a: sp:a 1 mol @R1 reagent\n  }\n'
+            '  steps {\n    add(vessel=RX1, reagent=a, amount=1 mol)\n'
+            '    transfer(from=RX1, to=product)\n  }\n}\n')
+    finding = {"code": "no_route", "message": "no path RX1 -> OUT (operation 2, transfer)",
+               "where": "RX1->OUT"}
+    prog, cut = parse_program(text), _simple_graph(edges=cut_edges)
     plan = chempile(prog, cut)
     assert not plan.feasible
-    assert _finding_codes(plan) == ["no_route"]
+    assert [f.as_dict() for f in plan.report.findings] == [finding]
+    assert validate_program(prog, cut).findings == plan.report.findings
+    prog_path, rig_path = tmp_path / "cut.chem", tmp_path / "cut.json"
+    prog_path.write_text(text)
+    rig_path.write_text(_simple_rig(edges=cut_edges))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", str(prog_path), "--graph", str(rig_path)])
+    assert code == 2
+    assert json.loads(out.getvalue()) == {"ok": False, "findings": [finding]}
 
 
 def test_finding_static_capacity(default_graph):
