@@ -123,13 +123,20 @@ def validate_program(prog: ChemProgram, graph) -> ValidationReport:
 
 
 def check_params(prog: ChemProgram, report: ValidationReport) -> None:
-    """Report every step's missing parameters (missing_param) and
+    """Report every step's missing parameters (missing_param), reagents
+    and solvents that name no declaration (undeclared_reference), and
     temperatures, times and amounts out of range (param_out_of_range)."""
+    declared = {d.name for d in prog.reagents}
     for i, op in enumerate(prog.steps):
         params = op.params
         missing = REQUIRED_PARAMS[op.kind] - params.keys()
         found = [("missing_param", f"{op.kind.value} requires parameter {key!r}")
                  for key in sorted(missing)] if missing else []
+        for key in ("reagent", "solvent"):
+            ref = params.get(key)
+            if ref is not None and ref not in declared:
+                found.append(("undeclared_reference",
+                              f"step references undeclared reagent {ref!r}"))
         for key in ("temp", "cool_to"):
             v = params.get(key)
             if isinstance(v, Quantity) and not (TEMP_RANGE_C[0] <= v.value <= TEMP_RANGE_C[1]):
@@ -277,7 +284,7 @@ def check_program(prog: ChemProgram, graph
     """
     from ..cstm import (  # deferred: cstm imports this package
         MachineError, filled_cell, init_machine, lower_program, movement,
-        movement_endpoints, over_capacity, step_tape,
+        over_capacity, step_tape,
     )
 
     report = ValidationReport()
@@ -296,20 +303,13 @@ def check_program(prog: ChemProgram, graph
             capacity.add("capacity_exceeded", f"{cell.name} charged with {over[0]:g} mL "
                          f"against capacity {over[1]:g}", cell.name)
     lowering = lower_program(prog)
-    decls = lowering.decls
     screening = capacity.ok and lowering.error is None
     routes: dict[str, list[str]] = {}
-    for prims in lowering.ops:
-        if isinstance(prims, str):     # a missing parameter, reported above
-            continue
+    for prims in lowering.ops:         # () for a step reported above
         for prim in prims:
             if prim.code == "AE" or prim.code == "SE":
                 continue
-            try:
-                ends = movement_endpoints(prim, decls)
-            except MachineError:       # undeclared reagent: the run halts here
-                screening = False
-                continue
+            ends = prim.ends
             if ends is not None and ends[0] not in unbound and ends[1] not in unbound:
                 src, dst = ends
                 src = reservoir_id if src is None else bindings.get(src, src)
@@ -324,7 +324,7 @@ def check_program(prog: ChemProgram, graph
             if not screening:
                 continue
             try:
-                move = movement(state, prim, decls)
+                move = movement(state, prim)
             except MachineError:
                 screening = False
                 continue

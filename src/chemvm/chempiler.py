@@ -46,7 +46,7 @@ from .chemlang.validate import (
     FLOW_KINDS, NODE_KINDS, RouteError, ValidationReport, check_program, route,
 )
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
-from .rules import Pathway, RuleDatabase, pathway_to_program
+from .rules import RuleDatabase
 from .cstm import (
     DEFAULT_BUDGET, ExecutionTrace, Machine, Movement, Primitive, filled_cell,
     over_capacity,
@@ -251,7 +251,6 @@ class CompiledPlan:
     cleaning: list[dict]               # clean ops: {"op_index", "vessel"}
     allocations: dict[int, list[str]]  # reaction step -> node ids it uses
     report: ValidationReport
-    source: str                        # "program" | "pathway"
 
     @property
     def feasible(self) -> bool:
@@ -259,7 +258,7 @@ class CompiledPlan:
 
     def to_json(self) -> str:
         payload = {
-            "source": self.source,
+            "source": "program",
             "feasible": self.feasible,
             "bindings": {k: self.bindings[k] for k in sorted(self.bindings)},
             "routes": {k: self.routes[k] for k in sorted(self.routes)},
@@ -270,23 +269,15 @@ class CompiledPlan:
         return dumps_stable(payload, indent=2) + "\n"
 
 
-def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
-             db: RuleDatabase | None = None) -> CompiledPlan:
-    """Bind a program (or a planned pathway) onto a rig.
+def chempile(prog: ChemProgram, graph: HardwareGraph) -> CompiledPlan:
+    """Bind a program onto a rig (a planned pathway compiles as
+    `pathway_to_program(pathway, db)`).
 
     Always returns a plan; infeasibility is reported through plan.report
-    findings (vessel_class_exhausted, missing_capability, no_route,
+    findings (missing_param, param_out_of_range, undeclared_reference,
+    vessel_class_exhausted, missing_capability, no_route,
     capacity_exceeded, no_reservoir).
     """
-    if isinstance(source, Pathway):
-        if db is None:
-            raise ValueError("compiling a pathway needs the rule database")
-        prog = pathway_to_program(source, db)
-        origin = "pathway"
-    else:
-        prog = source
-        origin = "program"
-
     report, bindings, routes = check_program(prog, graph)
     cleaning: list[dict] = []
     allocations: dict[int, list[str]] = {}
@@ -305,7 +296,7 @@ def chempile(source: ChemProgram | Pathway, graph: HardwareGraph,
             cleaning.append({"op_index": i, "vessel": bindings.get(vessel, vessel)})
 
     return CompiledPlan(prog, graph, bindings, routes, cleaning, allocations,
-                        report, origin)
+                        report)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +322,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
         key = f"{src}->{move.dst}"
         path = plan.routes.get(key)
         if path is None:
-            machine.halted = "q_fail"
-            machine.halt_reason = f"no route {key} in the plan"
-            return
+            machine.fail(f"no route {key} in the plan")
         pump_cap = next((graph.nodes[n].capacity for n in path
                          if graph.nodes[n].kind == "Pump" and graph.nodes[n].capacity),
                         None)
@@ -362,7 +351,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
         if over is None:
             return
         held, capacity = over
-        machine.emit({
+        machine.fail(f"{cell.name} overfilled: {held:g} over capacity {capacity:g}", {
             "kind": "deviation",
             "code": "capacity_exceeded",
             "step": st.step_count,
@@ -371,8 +360,6 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
             "held": held,
             "capacity": capacity,
         })
-        machine.halted = "q_fail"
-        machine.halt_reason = f"{cell.name} overfilled: {held:g} over capacity {capacity:g}"
 
     return Machine(plan.program, db, seed=seed, explore=explore,
                    budget=budget,

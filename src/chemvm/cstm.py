@@ -21,9 +21,13 @@ program being immutable; a different program is a new `ChemProgram`.
 
 Halting is classified per run: a characterised rule keeps q_out, a
 predicted one downgrades the run to q_uout, a novel (explored) one to
-q_nout, and a mandatory reaction that matched nothing stops the machine
-at q_fail. Every record appended to the trace costs one unit of budget;
-an exhausted budget is also q_fail.
+q_nout. A run stops early one way: something raises `MachineError` (a
+reaction step whose conditions matched no rule, an overdrawn flask, a hook
+calling `Machine.fail`), and `Machine.execute`, the one place that catches
+it, halts the run at q_fail with the error as the reason. Every record
+appended to the trace costs one unit of budget: `Machine.emit` raises once
+the budget is spent, and `Machine.reserve(n)` raises unless n more records
+fit, so a correction can check before it changes the workspace.
 
 Mass conservation is audited per species:
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .chemlang import AMBIENT_C, REQUIRED_PARAMS, ChemProgram, OpKind, Quantity, ReagentDecl
 from .jsonio import dumps_jsonl
@@ -57,8 +61,6 @@ __all__ = [
     "LedgerReport",
     "Machine",
     "MachineError",
-    "InsufficientMaterial",
-    "UnknownDestination",
     "Movement",
     "expansion_kinds",
     "expand_unit_op",
@@ -66,7 +68,6 @@ __all__ = [
     "lower_program",
     "init_machine",
     "cell_index",
-    "movement_endpoints",
     "movement",
     "step_tape",
     "apply_primitive",
@@ -104,14 +105,6 @@ class MachineError(Exception):
     pass
 
 
-class InsufficientMaterial(MachineError):
-    pass
-
-
-class UnknownDestination(MachineError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Expansion of unit operations into primitives
 
@@ -143,11 +136,13 @@ class Primitive(NamedTuple):
     cell: str                      # vessel the head must sit on
     op_index: int
     op_kind: OpKind
-    # AM source: ("reagent", decl) | ("transit",) | ("reservoir",)
-    source: tuple | None = None
-    # SM destination: ("vessel", name), or ("transit", name) through the
-    # transit line to the vessel whose AM empties it
-    dest: tuple | None = None
+    # (source, destination) vessels of the matter an AM or SM moves; a
+    # source of None is the solvent reservoir, and the destination of an SM
+    # into the transit line is the vessel whose AM empties it. None for
+    # energy moves and for that AM, whose matter the SM already moved.
+    ends: tuple[str | None, str] | None = None
+    reagent: ReagentDecl | None = None   # the declaration an AM draws from
+    transit: bool = False                # an SM into the transit line
     # SM selector: None = everything, "solvents" = solvent-role species,
     # or an explicit tuple of species ids.
     species: tuple[str, ...] | str | None = None
@@ -166,15 +161,16 @@ def _qv(op, key: str) -> float | None:
     return v.value if isinstance(v, Quantity) else float(v)
 
 
-def expand_unit_op(op, op_index: int) -> list[Primitive]:
-    """Lower one unit operation to its primitive sequence. Raises
-    MachineError when the operation lacks a required parameter."""
+def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Primitive]:
+    """Lower one unit operation to its primitive sequence, drawing reagents
+    from `decls` (reagent name -> declaration). Raises MachineError when the
+    operation lacks a required parameter or names an undeclared reagent."""
     k = op.kind
     p = op.params
+    where = f"step {op_index + 1} ({k.value}, line {op.line})"
     missing = REQUIRED_PARAMS[k] - p.keys()
     if missing:
-        raise MachineError(f"step {op_index + 1} ({k.value}, line {op.line}): "
-                           f"{k.value} requires parameter {min(missing)!r}")
+        raise MachineError(f"{where}: {k.value} requires parameter {min(missing)!r}")
     amount = _qv(op, "amount")
     temp = _qv(op, "temp")
     duration = _qv(op, "time")
@@ -182,19 +178,31 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
     def prim(code, cell, **kw):
         return Primitive(code, cell, op_index, k, **kw)
 
+    def draw(name: str, charge: float | None) -> Primitive:
+        """AM of a declared reagent from its flask into the op's vessel."""
+        decl = decls.get(name)
+        if decl is None:
+            raise MachineError(f"{where}: no reagent declaration {name!r}")
+        return prim("AM", p["vessel"], ends=(decl.source_vessel, p["vessel"]),
+                    reagent=decl, amount=charge)
+
     def charge_solvent(default: float) -> Primitive:
         """AM of the op's solvent, or of the shared reservoir when it names none."""
         solvent = p.get("solvent")
-        return prim("AM", p["vessel"],
-                    source=("reagent", solvent) if solvent else ("reservoir",),
-                    amount=amount if amount is not None else default)
+        charge = amount if amount is not None else default
+        return draw(solvent, charge) if solvent else \
+            prim("AM", p["vessel"], ends=(None, p["vessel"]), amount=charge)
+
+    def take(cell: str, to: str, **kw) -> Primitive:
+        """SM out of `cell` into vessel `to`."""
+        return prim("SM", cell, ends=(cell, to), **kw)
 
     if k == OpKind.ADD:
-        return [prim("AM", p["vessel"], source=("reagent", p["reagent"]), amount=amount)]
+        return [draw(p["reagent"], amount)]
     if k == OpKind.TRANSFER:
         return [
-            prim("SM", p["from"], dest=("transit", p["to"]), amount=amount),
-            prim("AM", p["to"], source=("transit",)),
+            take(p["from"], p["to"], transit=True, amount=amount),
+            prim("AM", p["to"]),
         ]
     if k == OpKind.HEAT_STIR or k == OpKind.CHILL:
         code = "AE" if k == OpKind.HEAT_STIR else "SE"
@@ -203,7 +211,7 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
     if k == OpKind.REACT_HOT or k == OpKind.REACT_COLD:
         energy = "AE" if k == OpKind.REACT_HOT else "SE"
         return [
-            prim("AM", p["vessel"], source=("reagent", p["reagent"]), amount=amount),
+            draw(p["reagent"], amount),
             prim(energy, p["vessel"], setpoint=temp, duration=duration,
                  check_reaction=True, expects_reaction=True),
         ]
@@ -212,15 +220,14 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
             charge_solvent(SEPARATE_CHARGE_MOL),
             prim("AE", p["vessel"], duration=duration if duration is not None else AGITATE_S,
                  check_reaction=True),
-            prim("SM", p["vessel"], dest=("vessel", p["to"]), species=(p["species"],)),
+            take(p["vessel"], p["to"], species=(p["species"],)),
         ]
     if k == OpKind.DRY or k == OpKind.EVAPORATE:
         selector = (p["species"],) if "species" in p else "solvents"
         return [
             prim("AE", p["vessel"], setpoint=temp, duration=duration,
                  check_reaction=True),
-            prim("SM", p["vessel"], dest=("vessel", p.get("to", "waste")),
-                 species=selector),
+            take(p["vessel"], p.get("to", "waste"), species=selector),
         ]
     if k == OpKind.CRYSTALLISE:
         return [
@@ -229,38 +236,35 @@ def expand_unit_op(op, op_index: int) -> list[Primitive]:
                  check_reaction=True),
             prim("SE", p["vessel"], setpoint=_qv(op, "cool_to"), duration=SOAK_S,
                  check_reaction=True),
-            prim("SM", p["vessel"], dest=("vessel", p["to"]), species=(p["species"],)),
+            take(p["vessel"], p["to"], species=(p["species"],)),
         ]
     if k == OpKind.DISTIL or k == OpKind.SUBLIME:
         heat = prim("AE", p["vessel"], setpoint=temp,
                     duration=duration if duration is not None else SOAK_S,
                     check_reaction=True)
-        take = prim("SM", p["vessel"], dest=("transit", p["to"]), species=(p["species"],))
+        vapour = take(p["vessel"], p["to"], transit=True, species=(p["species"],))
         cool_to = _qv(op, "cool_to")
-        first = [heat, take] if k == OpKind.DISTIL else [take, heat]
+        first = [heat, vapour] if k == OpKind.DISTIL else [vapour, heat]
         return first + [
             prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
                  duration=AGITATE_S, check_reaction=True),
-            prim("AM", p["to"], source=("transit",)),
+            prim("AM", p["to"]),
         ]
     if k == OpKind.FILTER:
-        return [prim("SM", p["vessel"], dest=("vessel", p["to"]),
-                     species=(p["species"],))]
+        return [take(p["vessel"], p["to"], species=(p["species"],))]
     if k == OpKind.CLEAN:
         return [
             charge_solvent(CLEAN_CHARGE_MOL),
-            prim("SM", p["vessel"], dest=("vessel", "waste"), reset_cell=True),
+            take(p["vessel"], "waste", reset_cell=True),
         ]
     raise ValueError(f"no expansion for {k!r}")
 
 
 class Lowering(NamedTuple):
     """What running a program needs that depends on the program alone."""
-    # per step, its primitives, or the MachineError message of a step that
-    # cannot be lowered
-    ops: tuple[tuple[Primitive, ...] | str, ...]
-    error: str | None                  # the first such message
-    decls: dict[str, ReagentDecl]      # reagent name -> declaration
+    # per step, its primitives; () for a step that cannot be lowered
+    ops: tuple[tuple[Primitive, ...], ...]
+    error: str | None                  # the MachineError message of the first such step
     solvents: frozenset[str]           # what an SM "solvents" selector takes
 
 
@@ -269,15 +273,16 @@ def lower_program(prog: ChemProgram) -> Lowering:
     program for every later run and compile."""
     lowering = prog._lowering
     if lowering is None:
-        ops = []
+        decls = {d.name: d for d in prog.reagents}
+        ops, error = [], None
         for i, op in enumerate(prog.steps):
             try:
-                ops.append(tuple(expand_unit_op(op, i)))
+                ops.append(tuple(expand_unit_op(op, i, decls)))
             except MachineError as exc:
-                ops.append(str(exc))
+                ops.append(())
+                error = error or str(exc)
         lowering = prog._lowering = Lowering(
-            tuple(ops), next((o for o in ops if isinstance(o, str)), None),
-            {d.name: d for d in prog.reagents},
+            tuple(ops), error,
             frozenset({RESERVOIR_SPECIES}
                       | {d.species for d in prog.reagents if d.role == "solvent"}))
     return lowering
@@ -394,30 +399,11 @@ class Movement(NamedTuple):
     total: float
 
 
-def movement_endpoints(prim: Primitive, decls: dict[str, ReagentDecl]
-                       ) -> tuple[str | None, str] | None:
-    """(source, destination) vessel names of the matter a primitive moves,
-    before the tape resolves them; a source of None is the solvent
-    reservoir. None for energy moves and for the AM that empties the
-    transit line, whose matter the SM filling it already named."""
-    if prim.code == "SM":
-        return prim.cell, prim.dest[1]
-    if prim.code != "AM" or prim.source[0] == "transit":
-        return None
-    if prim.source[0] == "reservoir":
-        return None, prim.cell
-    decl = decls.get(prim.source[1])
-    if decl is None:
-        raise UnknownDestination(f"no reagent declaration {prim.source[1]!r}")
-    return decl.source_vessel, prim.cell
-
-
-def movement(state: MachineState, prim: Primitive,
-             decls: dict[str, ReagentDecl]) -> Movement | None:
-    """Resolve what a primitive is about to move, without moving it.
-    Raises MachineError subclasses on infeasible moves (missing material,
-    unknown reagents)."""
-    ends = movement_endpoints(prim, decls)
+def movement(state: MachineState, prim: Primitive) -> Movement | None:
+    """Resolve what a primitive is about to move (see `Primitive.ends`),
+    without moving it. Raises MachineError when a flask holds less than
+    the primitive draws."""
+    ends = prim.ends
     if ends is None:
         return None
     src, dst = ends
@@ -426,12 +412,12 @@ def movement(state: MachineState, prim: Primitive,
         if src is None:
             amount = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
             return Movement(None, cell.name, {RESERVOIR_SPECIES: amount}, amount)
-        decl = decls[prim.source[1]]
+        decl = prim.reagent
         flask = state.cells[cell_index(state, src)]
         avail = flask.contents.get(decl.species, 0.0)
         want = prim.amount if prim.amount is not None else avail
         if want > avail + _AMOUNT_SLACK:
-            raise InsufficientMaterial(
+            raise MachineError(
                 f"{decl.name}: need {want:g} {decl.species}, flask "
                 f"{flask.name} holds {avail:g}"
             )
@@ -445,10 +431,10 @@ def movement(state: MachineState, prim: Primitive,
         frac = min(1.0, prim.amount / total) if total > 0 else 0.0
         amounts = {s: v * frac for s, v in amounts.items()}
         total = min(total, prim.amount)
-    if prim.dest[0] == "vessel":
-        dst = state.cells[cell_index(state, dst)].name
-    else:   # the line's vessel comes into service at the AM that empties it
+    if prim.transit:    # the line's vessel comes into service at the AM that empties it
         dst = state.names.get(dst, dst)
+    else:
+        dst = state.cells[cell_index(state, dst)].name
     return Movement(cell.name, dst, amounts, total)
 
 
@@ -472,8 +458,7 @@ def step_tape(state: MachineState, prim: Primitive,
             source = cells[index[move.src]].contents
             for s, v in amounts.items():
                 _drain(source, s, v)
-        into = state.transit if prim.dest is not None and prim.dest[0] == "transit" \
-            else cells[index[move.dst]].contents
+        into = state.transit if prim.transit else cells[index[move.dst]].contents
         for s in sorted(amounts):
             _bump(into, s, amounts[s])
         if prim.reset_cell and not cell.contents:
@@ -524,8 +509,7 @@ def filled_cell(state: MachineState, prim: Primitive) -> VesselCell | None:
     the head cell after an AM, and after an energy move, whose reaction
     books its products there."""
     if prim.code == "SM":
-        return state.cells[cell_index(state, prim.dest[1])] if prim.dest[0] == "vessel" \
-            else None
+        return None if prim.transit else state.cells[cell_index(state, prim.ends[1])]
     return state.cells[state.head]
 
 
@@ -673,12 +657,18 @@ class Machine:
     compiled plan's) names the cells the vessels run in; without it each
     cell carries its vessel's name.
 
+    A run stops by raising MachineError: `emit` and `reserve` raise when
+    the budget is spent, `execute_op` raises when the run stops, and a hook
+    or a recovery layer stops the run with `fail`. `execute` catches it and
+    halts at q_fail with `halt_reason` set.
+
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
     and `post_primitive(machine, prim)` let a hardware layer wrap each
     primitive, reading the movement it is about to apply and the state it
-    and the reaction it triggered left, without touching that state. A pre
-    hook that halts the machine stops the primitive from running.
+    and the reaction it triggered left, without touching that state. A hook
+    stops the run with `machine.fail`; a pre hook that does so stops the
+    primitive from running.
     """
 
     def __init__(self, prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
@@ -695,72 +685,70 @@ class Machine:
         self.state = init_machine(prog, bindings)
         lowering = lower_program(prog)
         self.ops = lowering.ops
-        self.decls = lowering.decls
         self.records: list[dict] = []
         self.rule_events: list[dict] = []
         self.reaction_outcomes: list[str] = []
-        self.halted: str | None = None if lowering.error is None else "q_fail"
-        self.halt_reason: str | None = lowering.error
+        self.halt_reason: str | None = lowering.error   # set once the run stops
         self.pc = 0
         self.seed = seed
         self._explore_rng = None        # drawn when the run first explores
 
     # -- trace plumbing ----------------------------------------------------
 
-    def out_of_budget(self, records: int = 1) -> bool:
-        """True, halting the machine at q_fail, once the budget cannot hold
-        `records` more records."""
-        if self.budget >= records:
-            return False
-        if self.halted is None:
-            self.halted = "q_fail"
-            self.halt_reason = "budget exhausted"
-        return True
+    def fail(self, reason: str, record: dict | None = None) -> NoReturn:
+        """Stop the run: write `record` when the budget holds it, then raise
+        MachineError(reason)."""
+        if record is not None and self.budget >= 1:
+            self.budget -= 1
+            self.records.append(record)
+        raise MachineError(reason)
 
-    def emit(self, record: dict) -> bool:
-        if self.budget < 1 and self.out_of_budget():
-            return False
+    def reserve(self, records: int = 1) -> None:
+        """Stop the run unless the budget holds `records` more records."""
+        if self.budget < records:
+            self.fail("budget exhausted")
+
+    def emit(self, record: dict) -> None:
+        """Append a record for one unit of budget; stop the run when the
+        budget is spent."""
+        self.reserve()
         self.budget -= 1
         self.records.append(record)
-        return True
 
     # -- op execution ------------------------------------------------------
 
-    def apply(self, prim: Primitive) -> dict | None:
-        """Run one primitive and record it. Returns None, without running
-        it, when the machine halts first (a hook or the budget)."""
-        move = movement(self.state, prim, self.decls)
+    def apply(self, prim: Primitive) -> None:
+        """Run one primitive and record it; stopped before it runs by a pre
+        hook or a spent budget."""
+        move = movement(self.state, prim)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
-        if self.halted or (self.budget < 1 and self.out_of_budget()):
-            return None
-        record = apply_primitive(self.state, prim, move)
+        self.reserve()
         self.budget -= 1
-        self.records.append(record)
-        return record
+        self.records.append(apply_primitive(self.state, prim, move))
 
     def execute_op(self, op_index: int) -> list[dict]:
-        """Run one unit operation; returns the reaction records it caused."""
+        """Run one unit operation; returns the reaction records it caused.
+        Raises MachineError when the run stops."""
         self.state.controller = f"q{op_index}"
         events: list[dict] = []
         for prim in self.ops[op_index]:
-            if self.halted or self.apply(prim) is None:
-                return events
-            if prim.check_reaction and prim.duration > 0 and not self.halted:
+            self.apply(prim)
+            if prim.check_reaction and prim.duration > 0:
                 ev = self.check_reaction(prim)
                 if ev is not None:
                     events.append(ev)
-            if self.post_primitive is not None and not self.halted:
+            if self.post_primitive is not None:
                 self.post_primitive(self, prim)
         self.pc = op_index + 1
         return events
 
     def check_reaction(self, prim: Primitive) -> dict | None:
         """Run the reaction the conditions of `prim` trigger in the cell
-        under the head, if any, and record it. Nothing runs once the budget
-        is spent, so every booked reaction has its record."""
-        if self.budget < 1 and self.out_of_budget():
-            return None
+        under the head and record it; None when no reaction runs. Nothing
+        runs once the budget is spent, so every booked reaction has its
+        record, and a reaction step that matches nothing stops the run."""
+        self.reserve()
         state = self.state
         cell = state.cells[state.head]
         conditions = (cell.temp, prim.duration)
@@ -777,12 +765,9 @@ class Machine:
                                                      cell.contents))
         if m is None:
             if prim.expects_reaction:
-                self.halted = "q_fail"
-                self.halt_reason = (f"no transition rule matched in {cell.name} "
-                                    f"at {cell.temp:g} C / {prim.duration:g} s")
-                record = self._transition(prim, cell, None, "q_fail")
-                self.emit(record)
-                return record
+                self.fail(f"no transition rule matched in {cell.name} "
+                          f"at {cell.temp:g} C / {prim.duration:g} s",
+                          self._transition(prim, cell, None, "q_fail"))
             return None
 
         factor, mode = (1.0, None) if self.injector is None \
@@ -878,24 +863,29 @@ class Machine:
     # -- driving and finalization ---------------------------------------------
 
     def execute(self, after_op=None) -> ExecutionTrace:
-        """Run the program from `pc` to its end and finalize. `after_op(op_index,
-        events)` runs after each op and may halt the machine or restore a
-        checkpoint. Infeasible moves (overdrawn flasks, unknown reagents)
-        stop the machine at q_fail rather than raising: the trace stays a
-        complete account of how far the run got."""
+        """Run the program from `pc` to its end and finalize.
+        `after_op(op_index, events)` runs once before the first op, with
+        op_index `pc - 1` and no events, then after each op with the
+        reaction records it caused; it may stop the run or restore a
+        checkpoint. A stop (a MachineError from anywhere in the run) halts
+        the machine at q_fail rather than raising, with the first stop's
+        message as the reason: the trace stays a complete account of how
+        far the run got."""
         try:
-            while self.pc < len(self.prog.steps) and not self.halted:
+            if after_op is not None:
+                after_op(self.pc - 1, [])
+            while self.halt_reason is None and self.pc < len(self.ops):
                 op_index = self.pc
                 events = self.execute_op(op_index)
                 if after_op is not None:
                     after_op(op_index, events)
         except MachineError as exc:
-            self.halted = "q_fail"
-            self.halt_reason = str(exc)
+            if self.halt_reason is None:
+                self.halt_reason = str(exc)
         return self.finalize()
 
     def finalize(self) -> ExecutionTrace:
-        halt = self.halted if self.halted else worst_halt(self.reaction_outcomes)
+        halt = worst_halt(self.reaction_outcomes) if self.halt_reason is None else "q_fail"
         self.state.controller = halt
         ledger = build_ledger(self.state)
         halt_record = {
@@ -905,7 +895,7 @@ class Machine:
             "ledger": ledger.to_json_dict(),
             "rule_events": self.rule_events,
         }
-        if self.halt_reason:
+        if self.halt_reason is not None:
             halt_record["reason"] = self.halt_reason
         self.records.append(halt_record)
         return ExecutionTrace(self.records, halt, ledger, self.rule_events,

@@ -35,9 +35,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .chemlang import ChemProgram
-from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, Primitive, apply_extent, cell_index,
-)
+from .cstm import DEFAULT_BUDGET, ExecutionTrace, Machine, apply_extent, cell_index
 from .jsonio import is_integer, is_number, loads_object
 from .rng import substream
 from .rules import RuleDatabase, limiting_extent
@@ -212,34 +210,24 @@ def _tune(machine: Machine, event: dict, policy: CorrectionPolicy) -> dict:
 
 def _redose_retrigger(machine: Machine, op_index: int,
                       policy: CorrectionPolicy) -> dict | None:
-    """Intermediate shortfall: charge a fraction of the original dose and
-    hold the conditions again. Returns the retriggered reaction event, or
-    None when no redose is possible (missing reagent or empty flask) or
-    the machine halted first."""
-    op = machine.prog.steps[op_index]
-    reagent = op.params.get("reagent")
-    if not isinstance(reagent, str):
+    """Intermediate shortfall: charge a fraction of a react step's dose
+    again and hold its conditions again. Returns the retriggered reaction
+    event, or None when there is nothing to redose (not a react step, or an
+    empty flask)."""
+    prims = machine.ops[op_index]
+    dose, eprim = prims[0], prims[-1]   # a react step's AM and its energy move
+    if not eprim.expects_reaction:
         return None
-    decl = machine.decls.get(reagent)
-    if decl is None:
-        return None
+    decl = dose.reagent
     state = machine.state
     flask = state.cells[cell_index(state, decl.source_vessel)]
     avail = flask.contents.get(decl.species, 0.0)
-    amount = op.params.get("amount")
-    base = amount.value if amount is not None else avail
-    want = policy.redose_fraction * base
-    take = min(want, avail)
+    base = dose.amount if dose.amount is not None else avail
+    take = min(policy.redose_fraction * base, avail)
     if take <= 1e-12:
         return None
-    energy = [p for p in machine.ops[op_index] if p.check_reaction]
-    if not energy:
-        return None
-    eprim = energy[-1]
-    redose = Primitive("AM", eprim.cell, op_index, op.kind,
-                       source=("reagent", reagent), amount=take)
-    if machine.apply(redose) is None or machine.apply(eprim) is None:
-        return None
+    machine.apply(dose._replace(amount=take))
+    machine.apply(eprim)
     return machine.check_reaction(eprim)
 
 
@@ -322,18 +310,13 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
     machine = Machine(prog, db, seed=seed, explore=explore, budget=budget,
                       injector=injector)
     redoses = reverts = 0           # against the policy's bounds
-
-    checkpoint = machine.checkpoint()
-    machine.emit({"kind": "checkpoint", "op_index": -1, "pc": 0,
-                  "step": machine.state.step_count})
+    checkpoint = None               # taken before the first op
 
     def handle_event(event: dict, op_index: int) -> bool:
         """Sense one reaction event and correct until validated. Returns
-        False when the run reverted or failed instead."""
+        False when the run reverted instead; a stop raises."""
         nonlocal redoses, reverts
         while True:
-            if event.get("outcome") == "q_fail":
-                return False
             reading = sample_sensor(event, sense_rng, policy.sensor_noise_sd)
             sensing = {
                 "kind": "sensing",
@@ -342,8 +325,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 "reading": reading,
                 "step": machine.state.step_count,
             }
-            if not machine.emit(sensing):
-                return False
+            machine.emit(sensing)
             if not corrections_enabled:
                 return True
             gap = max(0.0, 1.0 - reading)
@@ -358,12 +340,10 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 "severity": severity,
                 "step": machine.state.step_count,
             }
-            if not machine.emit(dev_record):
-                return False
+            machine.emit(dev_record)
 
             if severity == "minor":
-                if machine.out_of_budget():
-                    return False
+                machine.reserve()
                 machine.emit(_tune(machine, event, policy))
                 return True
 
@@ -376,22 +356,17 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                     "rule": event.get("rule"),
                     "step": machine.state.step_count,
                 }
-                if not machine.emit(action):
-                    return False
+                machine.emit(action)
                 redoses += 1
                 retried = _redose_retrigger(machine, op_index, policy)
-                if retried is None:
-                    if machine.halted:
-                        return False
-                    # nothing left to redose with; escalate below
-                else:
+                if retried is not None:
                     event = retried
                     continue
+                # nothing left to redose with; escalate below
 
             # major, or an intermediate with no redose budget left
             if reverts < policy.max_reverts:
-                if machine.out_of_budget(2):    # the action and the revert
-                    return False
+                machine.reserve(2)              # the action and the revert
                 reverts += 1
                 machine.emit({
                     "kind": "action",
@@ -410,17 +385,16 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 })
                 return False
 
-            machine.halted = "q_fail"
-            machine.halt_reason = "revert budget exhausted"
-            return False
+            machine.fail("revert budget exhausted")
 
     def after_op(op_index: int, events: list[dict]) -> None:
-        """Correct the op's reactions; checkpoint once they all validated."""
+        """Correct the op's reactions; checkpoint once they all validated,
+        and at the start of the run."""
         nonlocal checkpoint
         for event in events:
             if not handle_event(event, op_index):
                 return
-        if events and corrections_enabled and not machine.halted:
+        if op_index < 0 or (events and corrections_enabled):
             checkpoint = machine.checkpoint()
             machine.emit({"kind": "checkpoint", "op_index": op_index,
                           "pc": machine.pc,

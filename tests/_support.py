@@ -1,5 +1,6 @@
 """Shared helpers: fixture paths and the fixture programs' pinned outputs
-(their traces in each execution arm and their compiled plans), seeded
+(their traces in each execution arm and their compiled plans), a program
+built in Python that names an undeclared reagent, seeded
 rule-database generators, a brute-force reachability oracle the planner is
 checked against, the whole-database scans the indexed matcher and planner
 are checked against, a seeded generator of (program, rig) pairs for
@@ -20,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from chemvm.assembly import MonteCarloConfig, load_mc_config
-from chemvm.chemlang import ChemProgram, ParseError, format_program, parse_program
+from chemvm.chemlang import (
+    ChemProgram, OpKind, ParseError, UnitOperation, format_program, parse_program,
+)
 from chemvm.chemlang.corpus import random_program
 from chemvm.chempiler import (
     CompiledPlan, HardwareGraph, build_default_graph, chempile, execute_plan, loads_graph,
@@ -70,6 +73,15 @@ SMALL_RIG = json.dumps({
     "edges": [["R1", "V1"], ["V1", "P1"], ["P1", "V1"], ["P1", "F1"],
               ["F1", "P1"], ["V1", "W"]],
 })
+
+
+def undeclared_reagent_program() -> ChemProgram:
+    """tiny.chem with a second step that adds the undeclared reagent "zz",
+    a program only Python can build: the parser rejects such text."""
+    prog = parse_program(fixture_text("tiny.chem"))
+    steps = list(prog.steps)
+    steps.insert(1, UnitOperation(OpKind.ADD, {"vessel": "RX1", "reagent": "zz"}))
+    return ChemProgram(prog.name, prog.reagents, prog.hardware, steps, prog.metadata)
 
 
 def fixture_plan(name: str, rig: str) -> CompiledPlan:

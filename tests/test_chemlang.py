@@ -14,7 +14,7 @@ from chemvm.chemlang import (
     validate_program,
 )
 
-from _support import FIXTURES, fixture_text
+from _support import FIXTURES, fixture_text, undeclared_reagent_program
 
 
 def test_parse_tiny_structure():
@@ -142,6 +142,15 @@ def test_validate_missing_param(default_graph):
     report = validate_program(prog, default_graph)
     assert _codes(report) == ["missing_param"]
     assert "requires parameter 'time'" in report.findings[0].message
+
+
+def test_validate_undeclared_reagent_built_program(default_graph):
+    report = validate_program(undeclared_reagent_program(), default_graph)
+    assert [f.as_dict() for f in report.findings] == [{
+        "code": "undeclared_reference",
+        "message": "step references undeclared reagent 'zz'",
+        "where": "step 2 (add, line 0)",
+    }]
 
 
 def test_validate_temp_out_of_range(default_graph):

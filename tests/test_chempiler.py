@@ -23,7 +23,7 @@ from chemvm.chempiler import (
 )
 from chemvm.cli import main
 from chemvm.cstm import run
-from chemvm.rules import load_rules, loads_rules, plan_pathway
+from chemvm.rules import load_rules, loads_rules, pathway_to_program, plan_pathway
 
 from _support import FIXTURES, fixture_text, random_program_text
 
@@ -295,6 +295,26 @@ def test_runtime_capacity_checks_the_filled_cell(default_graph, steps, after, ov
                                  **overfill}
 
 
+@pytest.mark.parametrize("budget, reason, deviation", [
+    (10, "budget exhausted", False),
+    (11, "RX1 overfilled: 400 over capacity 250", False),
+    (12, "RX1 overfilled: 400 over capacity 250", True),
+])
+def test_overfill_at_the_budget_edge(default_graph, budget, reason, deviation):
+    # 11 records (8 strokes, the AM, the AE and the transition) come before
+    # the deviation: without room for the transition the budget stops the
+    # run; the overfill stops it once the reaction is recorded, and its
+    # deviation record is written when the budget holds it
+    plan = chempile(_doubling_program(
+        '    react_hot(vessel=RX1, reagent=a, amount=200 mol, temp=80 C, time=600 s)\n'),
+        default_graph)
+    trace = execute_plan(plan, _DOUBLING_DB, seed=0, budget=budget)
+    assert trace.halt == "q_fail"
+    assert trace.records[-1]["reason"] == reason
+    assert len(trace.records) == budget + 1
+    assert (trace.records[-2]["kind"] == "deviation") == deviation
+
+
 def test_compile_refuses_a_movement_overfill(default_graph):
     # six 90 mol charges filtered on to S1 (capacity 500), each within
     # F1's 100: only following the matter finds the 540 mol in S1
@@ -438,9 +458,7 @@ def test_lowering_matches_abstract_run(default_graph, prog_name, rules_name):
 def test_compile_pathway_requires_db(default_graph):
     db = load_rules(FIXTURES / "default.rules")
     pathway = plan_pathway(db, "atr", {"tro", "pha", "fml", "hyd"})
-    with pytest.raises(ValueError):
-        chempile(pathway, default_graph)
-    plan = chempile(pathway, default_graph, db)
+    plan = chempile(pathway_to_program(pathway, db), default_graph)
     assert plan.feasible
     trace = execute_plan(plan, db, seed=0)
     assert trace.halt == "q_out"

@@ -1,13 +1,16 @@
 """Vessel-tape machine: macro-expansion, execution, ledgers, halting,
 checkpointing, and trace serialization."""
 
+import dataclasses
 import json
 
 import pytest
 
 from chemvm.chemlang import (
-    OPTIONAL_PARAMS, REQUIRED_PARAMS, OpKind, Quantity, UnitOperation, parse_program,
+    OPTIONAL_PARAMS, REQUIRED_PARAMS, OpKind, Quantity, ReagentDecl, UnitOperation,
+    parse_program,
 )
+from chemvm.chemlang.validate import ValidationReport
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import (
     DEFAULT_BUDGET,
@@ -24,7 +27,7 @@ from chemvm.dec import ScriptedInjector, run_with_dec
 from chemvm.jsonio import dumps_stable
 from chemvm.rules import load_rules, loads_rules
 
-from _support import FIXTURES, fixture_text
+from _support import FIXTURES, fixture_text, undeclared_reagent_program
 
 EXPANSIONS = {
     "add": ["AM"],
@@ -54,6 +57,8 @@ SAMPLE_PARAMS = {
     "species": "x", "amount": Quantity(0.5, "mol"), "temp": Quantity(80.0, "C"),
     "cool_to": Quantity(20.0, "C"), "time": Quantity(60.0, "s"),
 }
+SAMPLE_DECLS = {name: ReagentDecl(name, name, Quantity(1.0, "mol"), "R1")
+                for name in ("r", "s")}
 
 
 @pytest.mark.parametrize("optional", [False, True])
@@ -61,7 +66,7 @@ SAMPLE_PARAMS = {
 def test_lowering_follows_expansion_table(kind, optional):
     keys = REQUIRED_PARAMS[kind] | (OPTIONAL_PARAMS[kind] if optional else set())
     op = UnitOperation(kind, {k: SAMPLE_PARAMS[k] for k in keys})
-    assert [p.code for p in expand_unit_op(op, 0)] == expansion_kinds(kind)
+    assert [p.code for p in expand_unit_op(op, 0, SAMPLE_DECLS)] == expansion_kinds(kind)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +127,26 @@ def test_insufficient_material_fails():
     assert tr.halt == "q_fail"
     assert "need 2 a" in tr.records[-1]["reason"]
     assert tr.records[-1]["step"] == 0      # the overdraw never ran
+
+
+@pytest.mark.parametrize("arm", ["run", "execute_plan", "run_with_dec"])
+def test_undeclared_reagent_halts_before_the_first_primitive(arm):
+    # the step cannot be lowered, so no arm starts the run
+    prog = undeclared_reagent_program()
+    db = load_rules(FIXTURES / "tiny.rules")
+    if arm == "run":
+        tr = run(prog, db, seed=0)
+    elif arm == "execute_plan":
+        plan = chempile(prog, build_default_graph())
+        assert [f.code for f in plan.report.findings] == ["undeclared_reference"]
+        # a plan run regardless halts as the other arms do
+        tr = execute_plan(dataclasses.replace(plan, report=ValidationReport()), db, seed=0)
+    else:
+        tr = run_with_dec(prog, db, seed=0).trace
+    assert tr.halt == "q_fail"
+    assert tr.records[-1]["reason"] == "step 2 (add, line 0): no reagent declaration 'zz'"
+    assert tr.records[-1]["step"] == 0
+    assert not any(r["kind"] == "primitive" for r in tr.records)
 
 
 @pytest.mark.parametrize("arm", ["run", "execute_plan", "redose"])

@@ -128,7 +128,7 @@ def test_one_lowering_per_program(monkeypatch):
     lowered = []
     lower = cstm.expand_unit_op
     monkeypatch.setattr(cstm, "expand_unit_op",
-                        lambda op, i: lowered.append(i) or lower(op, i))
+                        lambda op, i, decls: lowered.append(i) or lower(op, i, decls))
     prog = parse_program(fixture_text("dec_3step.chem"))
     db = load_rules(FIXTURES / "dec_chain.rules")
     out = evaluate_correction(prog, db, eps=0.5, n_seeds=10)
