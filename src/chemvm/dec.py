@@ -422,7 +422,18 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
                         seed0: int = 0) -> dict:
     """Paired comparison, same seeds with and without correction. Returns
     success rates, the discordant counts and the exact sign-test p-value
-    for "correction helps"."""
+    for "correction helps".
+
+    The arms share each seed's `inject` and `sense` streams, so a baseline
+    run is made only where it can differ from its corrected twin. A
+    corrected run that wrote no deviation record took no correction: it
+    made the same reactions from the same draws as its baseline, and the
+    two differ only by the corrected arm's checkpoint records, which draw
+    nothing and change no state but do spend budget. So the baseline runs
+    when the corrected trace holds a deviation, or when the corrected run
+    halted on "budget exhausted" (its baseline writes fewer records and
+    may get further); otherwise the baseline's success is the corrected
+    run's."""
     policy = policy or CorrectionPolicy()
     b = 0  # corrected succeeded where baseline failed
     c = 0  # baseline succeeded where corrected failed
@@ -432,13 +443,16 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
         seed = seed0 + k
         on = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
                           corrections_enabled=True)
-        off = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                           corrections_enabled=False)
+        if on.deviations or on.trace.records[-1].get("reason") == "budget exhausted":
+            off_success = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
+                                       corrections_enabled=False).success
+        else:
+            off_success = on.success
         wins_on += on.success
-        wins_off += off.success
-        if on.success and not off.success:
+        wins_off += off_success
+        if on.success and not off_success:
             b += 1
-        elif off.success and not on.success:
+        elif off_success and not on.success:
             c += 1
     return {
         "n": n_seeds,

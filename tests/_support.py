@@ -5,9 +5,10 @@ rule-database generators, a brute-force reachability oracle the planner is
 checked against, the whole-database scans the indexed matcher and planner
 are checked against, a seeded generator of (program, rig) pairs for
 binding checks, the char-by-char tokenizer the DSL scanner is checked
-against, with seeded mutations of program texts to check it on, and the
+against, with seeded mutations of program texts to check it on, the
 Monte Carlo kernel that `assembly.monte_carlo` is checked against, with
-the configs to check it on."""
+the configs to check it on, and the paired loop that
+`dec.evaluate_correction` is checked against."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from chemvm.chempiler import (
     CompiledPlan, HardwareGraph, build_default_graph, chempile, execute_plan, loads_graph,
 )
 from chemvm.cstm import ExecutionTrace, run
-from chemvm.dec import run_with_dec
+from chemvm.dec import CorrectionPolicy, run_with_dec, sign_test
 from chemvm.rules import (
     PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, load_rules,
     loads_rules,
@@ -511,3 +512,39 @@ def mc_configs() -> list[tuple[str, MonteCarloConfig]]:
         ("overflow", MonteCarloConfig(eps0_values=(0.0, 1.0, 0.5), drift_rate=50)),
         ("tiny", MonteCarloConfig(n_trajectories=1, ai_max=2)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# The paired DEC loop's oracle
+
+def reference_evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
+                                  policy: CorrectionPolicy | None = None,
+                                  eps: float | None = None, n_seeds: int = 200,
+                                  seed0: int = 0) -> dict:
+    """`dec.evaluate_correction` as it was before it skipped the baseline
+    runs that cannot differ: both arms run on every seed."""
+    policy = policy or CorrectionPolicy()
+    b = 0  # corrected succeeded where baseline failed
+    c = 0  # baseline succeeded where corrected failed
+    wins_on = 0
+    wins_off = 0
+    for k in range(n_seeds):
+        seed = seed0 + k
+        on = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
+                          corrections_enabled=True)
+        off = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
+                           corrections_enabled=False)
+        wins_on += on.success
+        wins_off += off.success
+        if on.success and not off.success:
+            b += 1
+        elif off.success and not on.success:
+            c += 1
+    return {
+        "n": n_seeds,
+        "rate_corrected": wins_on / n_seeds,
+        "rate_baseline": wins_off / n_seeds,
+        "discordant_better": b,
+        "discordant_worse": c,
+        "p_value": sign_test(b, c),
+    }

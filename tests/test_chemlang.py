@@ -127,6 +127,42 @@ def test_number_too_large_for_a_float_is_a_parse_error(src, col):
     assert (info.value.line, info.value.col) == (1, col)
 
 
+_STEP = '  steps {\n    clean(vessel=A)\n  }\n'
+
+
+@pytest.mark.parametrize(
+    "body, message, line, col",
+    [
+        (_STEP + _STEP, "duplicate section 'steps'", 5, 3),
+        (_STEP + '  meta {\n    target = "t"\n    target = "u"\n  }\n',
+         "duplicate meta key 'target'", 7, 5),
+        ('  reagents {\n    a: sp:a 1 mol @R1 reagent\n    a: sp:b 1 mol @R2 reagent\n  }\n'
+         + _STEP, "duplicate reagent 'a'", 4, 5),
+        ('  hardware {\n    RX1: reactor\n    RX1: filter\n  }\n' + _STEP,
+         "duplicate hardware entry 'RX1'", 4, 5),
+        ('  steps {\n    clean(vessel=A, vessel=B)\n  }\n',
+         "duplicate parameter 'vessel'", 3, 21),
+        ('  steps {\n  }\n', "program has no steps", 4, 1),
+        ('  steps {\n    heat_stir(vessel=A, temp=80, time=60 s)\n  }\n',
+         "parameter 'temp' takes a quantity in C", 3, 30),
+        ('  steps {\n    clean(vessel=A, reaction_step=1.5)\n  }\n',
+         "reaction_step takes a bare integer", 3, 35),
+        ('  steps {\n    clean(vessel=A, reaction_step=0)\n  }\n',
+         "reaction_step must be a positive integer", 3, 1),
+        ('  steps {\n    clean(vessel=A, reaction_step=2)\n'
+         '    clean(vessel=A, reaction_step=1)\n  }\n',
+         "reaction_step markers must be non-decreasing", 4, 1),
+        ('  reagents {\n    a: sp:a 1 mol @R1 reagent\n  }\n'
+         '  steps {\n    add(vessel=A, reagent=a, amount=0 mol)\n  }\n',
+         "amount must be positive", 6, 1),
+    ],
+)
+def test_parse_error_positions(body, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_program('procedure "x" {\n' + body + '}\n')
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
 def _codes(report):
     return [f.code for f in report.findings]
 

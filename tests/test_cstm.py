@@ -172,6 +172,39 @@ def test_budget_trace_records_every_executed_step(arm, budget):
         assert len(applied) == len(reactions)
 
 
+@pytest.mark.parametrize("arm", ["run", "execute_plan", "run_with_dec"])
+def test_partial_transfer_moves_its_amount(arm):
+    # 30 of RX1's 40 mol move, split over its species as they are held
+    prog = parse_program(
+        'procedure "x" {\n  reagents {\n    a: sp:a 30 mol @R1 reagent\n'
+        '    b: sp:b 10 mol @R2 reagent\n  }\n'
+        '  hardware {\n    RX1: reactor\n    S1: storage\n  }\n'
+        '  steps {\n    add(vessel=RX1, reagent=a, amount=30 mol)\n'
+        '    add(vessel=RX1, reagent=b, amount=10 mol)\n'
+        '    transfer(from=RX1, to=S1, amount=30 mol)\n  }\n}\n')
+    db = loads_rules(json.dumps({"species": [], "rules": []}))
+    names = {}
+    if arm == "run":
+        tr = run(prog, db, seed=0)
+    elif arm == "execute_plan":
+        plan = chempile(prog, build_default_graph())
+        names = plan.bindings
+        tr = execute_plan(plan, db, seed=0)
+        strokes = [r for r in tr.records if r["kind"] == "transfer" and r["op_index"] == 2]
+        # 30 mol through the 25 mL pump
+        assert [(r["stroke"], r["strokes"]) for r in strokes] == [(1, 2), (2, 2)]
+        assert [r["moved"] for r in strokes] == pytest.approx([15.0, 15.0])
+        assert all(r["total"] == pytest.approx(30.0) for r in strokes)
+    else:
+        tr = run_with_dec(prog, db, seed=0).trace
+    assert tr.halt == "q_out"
+    moved = tr.state.cell_named(names.get("S1", "S1")).contents
+    left = tr.state.cell_named(names.get("RX1", "RX1")).contents
+    assert moved == pytest.approx({"a": 22.5, "b": 7.5})
+    assert left == pytest.approx({"a": 7.5, "b": 2.5})
+    assert tr.ledger.residual <= 1e-9
+
+
 def test_apply_extent_books_no_zero_amounts():
     db = loads_rules(json.dumps({
         "species": [{"id": s, "name": s, "molar_mass": 1.0,

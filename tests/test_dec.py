@@ -1,5 +1,5 @@
 """Closed-loop error correction: severity classes, scripted fault scenarios,
-revert budgets, the paired sign test, and policy I/O."""
+revert budgets, the paired sign test and its baseline skip, and policy I/O."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from chemvm import cstm
 from chemvm import dec as dec_module
 from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
-from chemvm.cstm import Machine, run
+from chemvm.cstm import DEFAULT_BUDGET, Machine, run
 from chemvm.dec import (
     MODE_FACTORS,
     BernoulliInjector,
@@ -23,7 +23,7 @@ from chemvm.dec import (
 )
 from chemvm.rules import load_rules, promote
 
-from _support import FIXTURES, fixture_text
+from _support import FIXTURES, fixture_text, reference_evaluate_correction
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +251,64 @@ def test_evaluate_correction_small_sample(chain):
         "discordant_worse": 0,
         "p_value": pytest.approx(1 / 32),
     }
+
+
+# the default policy; a noiseless sensor; and one that tunes every reading
+# the noise puts below 1
+ORACLE_POLICIES = {
+    "default": CorrectionPolicy(),
+    "noiseless": CorrectionPolicy(sensor_noise_sd=0),
+    "tune_all": CorrectionPolicy(minor_threshold=1e-9),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.2, 0.3, 0.5])
+@pytest.mark.parametrize("policy", sorted(ORACLE_POLICIES))
+def test_evaluate_correction_matches_both_arms_run(chain, policy, eps):
+    prog, db = chain
+    kw = dict(policy=ORACLE_POLICIES[policy], eps=eps, n_seeds=200, seed0=1000)
+    assert evaluate_correction(prog, db, **kw) == reference_evaluate_correction(prog, db, **kw)
+
+
+def _record_runs(monkeypatch) -> list:
+    """Wrap `run_with_dec`; returns the list each run's `DecResult` is
+    appended to."""
+    runs = []
+    inner = dec_module.run_with_dec
+    monkeypatch.setattr(dec_module, "run_with_dec",
+                        lambda *args, **kw: runs.append(inner(*args, **kw)) or runs[-1])
+    return runs
+
+
+def test_baseline_runs_only_where_it_can_differ(chain, monkeypatch):
+    prog, db = chain
+    runs = _record_runs(monkeypatch)
+    evaluate_correction(prog, db, eps=0.0, n_seeds=40)
+    assert [r.corrections_enabled for r in runs] == [True] * 40
+
+    runs.clear()
+    evaluate_correction(prog, db, eps=0.3, n_seeds=40)
+    assert sum(r.corrections_enabled for r in runs) == 40
+    assert 40 < len(runs) < 80
+
+
+def test_baseline_runs_when_checkpoints_spend_the_budget(monkeypatch):
+    # every react step writes two primitives, a transition and a sensing; the
+    # corrected arm adds a checkpoint, which takes it past the budget
+    n = 2200
+    assert 4 * n + 3 <= DEFAULT_BUDGET < 5 * n + 3
+    prog = parse_program(
+        'procedure "long" {\n  reagents {\n    a: sp:a 3000 mol @R1 reagent\n'
+        f'    b: sp:b {n} mol @R2 reagent\n  }}\n  steps {{\n'
+        '    add(vessel=RX1, reagent=a, amount=3000 mol)\n'
+        + '    react_hot(vessel=RX1, reagent=b, amount=1 mol, temp=80 C, time=600 s)\n' * n
+        + '    filter(vessel=RX1, species=x, to=product)\n  }\n}\n')
+    db = load_rules(FIXTURES / "tiny.rules")
+    runs = _record_runs(monkeypatch)
+    out = evaluate_correction(prog, db, eps=0.0, n_seeds=1)
+    on, off = runs
+    assert on.trace.records[-1]["reason"] == "budget exhausted"
+    assert not on.deviations
+    assert not off.corrections_enabled and off.success
+    assert out == reference_evaluate_correction(prog, db, eps=0.0, n_seeds=1)
+    assert (out["rate_corrected"], out["rate_baseline"]) == (0.0, 1.0)
