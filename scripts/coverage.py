@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print every line of `src/` that the tier-1 suite never runs.
+
+    python3 scripts/coverage.py
+
+A stdlib-only line tracer: it installs a `sys.settrace` hook, runs the
+tier-1 suite (`pytest tests`) in this process, and prints each executable
+line of `src/` that no test reached, as `path:line: text`, then the count.
+A line is executable when the compiled module attributes bytecode to it;
+it is reached when the tracer sees a `call` or `line` event on it.
+`sys.settrace` is used because Python 3.11 has no `sys.monitoring`.
+
+Tests that run code in a child process are not traced: of tier-1, that
+is `tests/test_public_api.py::test_only_mc_loads_numpy`. So the lines only
+it reaches count as unreached.
+
+The traced run is slow (minutes, against well under a minute untraced),
+so this is not part of tier-1. It exits with pytest's exit code.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def executable_lines(path: Path) -> set[int]:
+    """Lines the compiled module attributes bytecode to."""
+    lines: set[int] = set()
+    codes = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        codes += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    return lines
+
+
+def main() -> int:
+    files = {str(p): p for p in sorted(SRC.rglob("*.py"))}
+    reached: dict[str, set[int]] = {name: set() for name in files}
+
+    def trace(frame, event, arg):
+        hits = reached.get(frame.f_code.co_filename)
+        if hits is None:
+            return None                # no line events for frames outside src/
+
+        def local(frame, event, arg):
+            if event == "line":
+                hits.add(frame.f_lineno)
+            return local
+
+        hits.add(frame.f_lineno)       # the call event, on the def line
+        return local
+
+    sys.path.insert(0, str(SRC))
+    import pytest                      # imported untraced; chemvm is not yet loaded
+
+    sys.settrace(trace)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    finally:
+        sys.settrace(None)
+
+    total = missed = 0
+    for name, path in files.items():
+        text = path.read_text(encoding="utf-8").splitlines()
+        lines = executable_lines(path)
+        total += len(lines)
+        for line in sorted(lines - reached[name]):
+            missed += 1
+            print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
+    print(f"{missed} of {total} executable lines of src/ unreached")
+    return int(status)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

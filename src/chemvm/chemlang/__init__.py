@@ -3,14 +3,13 @@
 from .ast import (
     AMBIENT_C,
     BUILTIN_VESSELS,
-    OPTIONAL_PARAMS,
-    REQUIRED_PARAMS,
+    OP_SPECS,
     ROLES,
-    STATION_CAPABILITY,
     UNITS,
     ChemProgram,
     HardwareReq,
     OpKind,
+    OpSpec,
     Quantity,
     ReagentDecl,
     UnitOperation,
@@ -28,14 +27,13 @@ __all__ = [
     "ChemProgram",
     "Finding",
     "HardwareReq",
+    "OP_SPECS",
     "OpKind",
-    "OPTIONAL_PARAMS",
+    "OpSpec",
     "ParseError",
     "Quantity",
     "ReagentDecl",
-    "REQUIRED_PARAMS",
     "ROLES",
-    "STATION_CAPABILITY",
     "StepHistogram",
     "UNITS",
     "UnitOperation",

@@ -6,15 +6,25 @@ an ordered list of unit operations, and free-form metadata. Quantities are
 normalized to base units (mol, g, mL, C, s) at parse time; the canonical
 text emitted by the formatter always uses base units.
 
+`OP_SPECS` is the one definition of each unit operation: the parameters
+it requires and allows, the station capability its vessel needs, and the
+AM/SM/AE/SE primitive codes it lowers to. The parser, the validator, the
+vessel binder, the machine's lowering and the step classifier all read it;
+`PARAM_UNITS` beside it gives the units of the quantity parameters.
+
 A parsed program is never mutated: code that needs a different program
 builds a new one (`dataclasses.replace`), so work derived from a program
-alone may be kept on it.
+alone may be kept on it. A step's `params` is a read-only view of a copy
+of the mapping it was built from, so item assignment raises `TypeError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
+from typing import NamedTuple
 
 __all__ = [
     "OpKind",
@@ -27,9 +37,9 @@ __all__ = [
     "BASE_UNITS",
     "ROLES",
     "BUILTIN_VESSELS",
-    "REQUIRED_PARAMS",
-    "OPTIONAL_PARAMS",
-    "STATION_CAPABILITY",
+    "OpSpec",
+    "OP_SPECS",
+    "PARAM_UNITS",
     "AMBIENT_C",
 ]
 
@@ -72,60 +82,49 @@ class OpKind(str, Enum):
     CLEAN = "clean"
 
 
-# Parameter contracts per operation. `reaction_step` (int) is accepted on
-# every step and marks which reaction stage of a multi-step synthesis the
-# operation belongs to; unmarked steps inherit the previous marker.
-REQUIRED_PARAMS: dict[OpKind, frozenset[str]] = {
-    OpKind.ADD: frozenset({"vessel", "reagent"}),
-    OpKind.TRANSFER: frozenset({"from", "to"}),
-    OpKind.HEAT_STIR: frozenset({"vessel", "temp", "time"}),
-    OpKind.CHILL: frozenset({"vessel", "temp", "time"}),
-    OpKind.REACT_HOT: frozenset({"vessel", "reagent", "temp", "time"}),
-    OpKind.REACT_COLD: frozenset({"vessel", "reagent", "temp", "time"}),
-    OpKind.SEPARATE: frozenset({"vessel", "species", "to"}),
-    OpKind.DRY: frozenset({"vessel", "time"}),
-    OpKind.CRYSTALLISE: frozenset({"vessel", "temp", "cool_to", "species", "to"}),
-    OpKind.DISTIL: frozenset({"vessel", "species", "temp", "to"}),
-    OpKind.SUBLIME: frozenset({"vessel", "species", "temp", "to"}),
-    OpKind.FILTER: frozenset({"vessel", "species", "to"}),
-    OpKind.EVAPORATE: frozenset({"vessel", "temp", "time"}),
-    OpKind.CLEAN: frozenset({"vessel"}),
+class OpSpec(NamedTuple):
+    """One unit operation's definition."""
+
+    required: frozenset[str]       # parameters the step must give
+    optional: frozenset[str]       # parameters it may give besides `reaction_step`
+    station: str | None            # capability its vessel's node must advertise;
+                                   # None: any matter-holding node will do
+    primitives: tuple[str, ...]    # the AM/SM/AE/SE codes it lowers to, in order
+
+
+def _spec(required: str, optional: str, station: str | None, primitives: str) -> OpSpec:
+    return OpSpec(frozenset(required.split()), frozenset(optional.split()), station,
+                  tuple(primitives.split()))
+
+
+# The one definition of each unit operation. `reaction_step` (int) is
+# accepted on every step and marks which reaction stage of a multi-step
+# synthesis the operation belongs to; unmarked steps inherit the previous
+# marker.
+OP_SPECS: dict[OpKind, OpSpec] = {
+    OpKind.ADD: _spec("vessel reagent", "amount", None, "AM"),
+    OpKind.TRANSFER: _spec("from to", "amount", None, "SM AM"),
+    OpKind.HEAT_STIR: _spec("vessel temp time", "", "heat_stir", "AE"),
+    OpKind.CHILL: _spec("vessel temp time", "", "chill", "SE"),
+    OpKind.REACT_HOT: _spec("vessel reagent temp time", "amount", "react_hot", "AM AE"),
+    OpKind.REACT_COLD: _spec("vessel reagent temp time", "amount", "react_cold", "AM SE"),
+    OpKind.SEPARATE: _spec("vessel species to", "solvent amount time", "separate", "AM AE SM"),
+    OpKind.DRY: _spec("vessel time", "temp species to", "dry", "AE SM"),
+    OpKind.CRYSTALLISE: _spec("vessel temp cool_to species to", "time", "crystallise", "AE SE SM"),
+    OpKind.DISTIL: _spec("vessel species temp to", "time cool_to", "distil", "AE SM SE AM"),
+    OpKind.SUBLIME: _spec("vessel species temp to", "time cool_to", "sublime", "SM AE SE AM"),
+    OpKind.FILTER: _spec("vessel species to", "", "filter", "SM"),
+    OpKind.EVAPORATE: _spec("vessel temp time", "species to", "evaporate", "AE SM"),
+    OpKind.CLEAN: _spec("vessel", "solvent amount", None, "AM SM"),
 }
 
-OPTIONAL_PARAMS: dict[OpKind, frozenset[str]] = {
-    OpKind.ADD: frozenset({"amount"}),
-    OpKind.TRANSFER: frozenset({"amount"}),
-    OpKind.HEAT_STIR: frozenset(),
-    OpKind.CHILL: frozenset(),
-    OpKind.REACT_HOT: frozenset({"amount"}),
-    OpKind.REACT_COLD: frozenset({"amount"}),
-    OpKind.SEPARATE: frozenset({"solvent", "amount", "time"}),
-    OpKind.DRY: frozenset({"temp", "species", "to"}),
-    OpKind.CRYSTALLISE: frozenset({"time"}),
-    OpKind.DISTIL: frozenset({"time", "cool_to"}),
-    OpKind.SUBLIME: frozenset({"time", "cool_to"}),
-    OpKind.FILTER: frozenset(),
-    OpKind.EVAPORATE: frozenset({"species", "to"}),
-    OpKind.CLEAN: frozenset({"solvent", "amount"}),
-}
-
-# Station capability a graph node must advertise to host the operation.
-# None: any matter-holding node will do.
-STATION_CAPABILITY: dict[OpKind, str | None] = {
-    OpKind.ADD: None,
-    OpKind.TRANSFER: None,
-    OpKind.CLEAN: None,
-    OpKind.HEAT_STIR: "heat_stir",
-    OpKind.CHILL: "chill",
-    OpKind.REACT_HOT: "react_hot",
-    OpKind.REACT_COLD: "react_cold",
-    OpKind.SEPARATE: "separate",
-    OpKind.DRY: "dry",
-    OpKind.CRYSTALLISE: "crystallise",
-    OpKind.DISTIL: "distil",
-    OpKind.SUBLIME: "sublime",
-    OpKind.FILTER: "filter",
-    OpKind.EVAPORATE: "evaporate",
+# Base units each quantity parameter takes; temperatures are range-checked,
+# the other quantities must be positive.
+PARAM_UNITS: dict[str, tuple[str, ...]] = {
+    "temp": ("C",),
+    "cool_to": ("C",),
+    "time": ("s",),
+    "amount": ("mol", "g", "mL"),
 }
 
 
@@ -168,8 +167,11 @@ class HardwareReq:
 @dataclass(frozen=True)
 class UnitOperation:
     kind: OpKind
-    params: dict[str, ParamValue]
+    params: Mapping[str, ParamValue]   # read-only: a copy of what was given
     line: int = field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @property
     def reaction_step(self) -> int | None:

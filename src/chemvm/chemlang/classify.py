@@ -1,17 +1,17 @@
 """Abstraction-step accounting.
 
 Each unit operation is counted once, under the category of the dominant
-(first) primitive of its machine expansion; operations that expand to more
-than two primitives additionally increment the Composite counter. Counts
-are grouped by the `reaction_step` marker (carried forward over unmarked
-steps) and reported with a running cumulative total.
+(first) primitive of its machine expansion (`OP_SPECS`); operations that
+expand to more than two primitives additionally increment the Composite
+counter. Counts are grouped by the `reaction_step` marker (carried forward
+over unmarked steps) and reported with a running cumulative total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast import ChemProgram
+from .ast import OP_SPECS, ChemProgram
 
 __all__ = ["CATEGORIES", "StepHistogram", "classify_steps"]
 
@@ -44,8 +44,6 @@ class StepHistogram:
 
 
 def classify_steps(prog: ChemProgram) -> StepHistogram:
-    from ..cstm import expansion_kinds  # deferred: cstm imports this package
-
     groups: list[tuple[int, dict[str, int], int]] = []  # (marker, counts, ops)
     marker = 1
     for op in prog.steps:
@@ -54,7 +52,7 @@ def classify_steps(prog: ChemProgram) -> StepHistogram:
         if not groups or groups[-1][0] != marker:
             groups.append((marker, {c: 0 for c in CATEGORIES}, 0))
         m, counts, ops = groups[-1]
-        prims = expansion_kinds(op.kind)
+        prims = OP_SPECS[op.kind].primitives
         counts[_PRIM_CATEGORY[prims[0]]] += 1
         if len(prims) > 2:
             counts["Composite"] += 1

@@ -42,8 +42,8 @@ from typing import NamedTuple, NoReturn
 
 from .ast import (
     BUILTIN_VESSELS,
-    OPTIONAL_PARAMS,
-    REQUIRED_PARAMS,
+    OP_SPECS,
+    PARAM_UNITS,
     ROLES,
     UNITS,
     ChemProgram,
@@ -58,14 +58,6 @@ from .ast import (
 __all__ = ["ESCAPES", "IDENT_RE", "ParseError", "parse_program"]
 
 _OP_KINDS = {k.value: k for k in OpKind}
-
-# Param value typing: which quantity dimension each well-known key takes.
-_QUANTITY_PARAMS = {
-    "temp": ("C",),
-    "cool_to": ("C",),
-    "time": ("s",),
-    "amount": ("mol", "g", "mL"),
-}
 
 
 class ParseError(Exception):
@@ -269,9 +261,9 @@ class _Parser:
             self.expect("punct", "=")
             params[key.text] = self.param_value(kind, key)
         self.expect("punct", ")")
-        allowed = REQUIRED_PARAMS[kind] | OPTIONAL_PARAMS[kind] | {"reaction_step"}
+        spec = OP_SPECS[kind]
         for key in params:
-            if key not in allowed:
+            if key not in spec.required and key not in spec.optional and key != "reaction_step":
                 self.fail(f"unknown parameter {key!r} for {kind.value}", name)
         return UnitOperation(kind, params, line=name.line)
 
@@ -294,7 +286,7 @@ class _Parser:
             value = self.next().text
         else:
             self.fail("expected a parameter value")
-        dims = _QUANTITY_PARAMS.get(key.text)
+        dims = PARAM_UNITS.get(key.text)
         if dims is not None and (not isinstance(value, Quantity) or value.unit not in dims):
             self.fail(f"parameter {key.text!r} takes a quantity in {'/'.join(dims)}", tok)
         if key.text == "reaction_step" and not isinstance(value, int):

@@ -21,13 +21,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from ..jsonio import dumps_stable
-from .ast import (
-    REQUIRED_PARAMS,
-    STATION_CAPABILITY,
-    ChemProgram,
-    OpKind,
-    Quantity,
-)
+from .ast import OP_SPECS, PARAM_UNITS, ChemProgram, OpKind, Quantity
 
 __all__ = [
     "Finding", "ValidationReport", "validate_program", "check_program",
@@ -129,7 +123,7 @@ def check_params(prog: ChemProgram, report: ValidationReport) -> None:
     declared = {d.name for d in prog.reagents}
     for i, op in enumerate(prog.steps):
         params = op.params
-        missing = REQUIRED_PARAMS[op.kind] - params.keys()
+        missing = OP_SPECS[op.kind].required - params.keys()
         found = [("missing_param", f"{op.kind.value} requires parameter {key!r}")
                  for key in sorted(missing)] if missing else []
         for key in ("reagent", "solvent"):
@@ -137,16 +131,17 @@ def check_params(prog: ChemProgram, report: ValidationReport) -> None:
             if ref is not None and ref not in declared:
                 found.append(("undeclared_reference",
                               f"step references undeclared reagent {ref!r}"))
-        for key in ("temp", "cool_to"):
+        for key, units in PARAM_UNITS.items():
             v = params.get(key)
-            if isinstance(v, Quantity) and not (TEMP_RANGE_C[0] <= v.value <= TEMP_RANGE_C[1]):
-                found.append((
-                    "param_out_of_range",
-                    f"{key}={v.value:g} C outside [{TEMP_RANGE_C[0]:g}, {TEMP_RANGE_C[1]:g}]",
-                ))
-        for key in ("time", "amount"):
-            v = params.get(key)
-            if isinstance(v, Quantity) and v.value <= 0:
+            if not isinstance(v, Quantity):
+                continue
+            if units == ("C",):
+                if not TEMP_RANGE_C[0] <= v.value <= TEMP_RANGE_C[1]:
+                    found.append((
+                        "param_out_of_range",
+                        f"{key}={v.value:g} C outside [{TEMP_RANGE_C[0]:g}, {TEMP_RANGE_C[1]:g}]",
+                    ))
+            elif v.value <= 0:
                 found.append(("param_out_of_range", f"{key} must be positive"))
         if found:
             where = f"step {i + 1} ({op.kind.value}, line {op.line})"
@@ -226,7 +221,7 @@ def bind_vessels(prog: ChemProgram, graph
     # working vessels: capability needs from the steps, kind from hardware reqs
     caps_needed: dict[str, set[str]] = {}
     for op in prog.steps:
-        cap = STATION_CAPABILITY.get(op.kind)
+        cap = OP_SPECS[op.kind].station
         v = op.params.get("vessel")
         if cap and isinstance(v, str):
             caps_needed.setdefault(v, set()).add(cap)

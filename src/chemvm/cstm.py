@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
-from .chemlang import AMBIENT_C, REQUIRED_PARAMS, ChemProgram, OpKind, Quantity, ReagentDecl
+from .chemlang import AMBIENT_C, OP_SPECS, ChemProgram, OpKind, Quantity, ReagentDecl
 from .jsonio import dumps_jsonl
 from .rng import substream
 from .rules import (
@@ -62,7 +62,6 @@ __all__ = [
     "Machine",
     "MachineError",
     "Movement",
-    "expansion_kinds",
     "expand_unit_op",
     "Lowering",
     "lower_program",
@@ -108,29 +107,6 @@ class MachineError(Exception):
 # ---------------------------------------------------------------------------
 # Expansion of unit operations into primitives
 
-_EXPANSION: dict[OpKind, tuple[str, ...]] = {
-    OpKind.ADD: ("AM",),
-    OpKind.TRANSFER: ("SM", "AM"),
-    OpKind.HEAT_STIR: ("AE",),
-    OpKind.CHILL: ("SE",),
-    OpKind.REACT_HOT: ("AM", "AE"),
-    OpKind.REACT_COLD: ("AM", "SE"),
-    OpKind.SEPARATE: ("AM", "AE", "SM"),
-    OpKind.DRY: ("AE", "SM"),
-    OpKind.CRYSTALLISE: ("AE", "SE", "SM"),
-    OpKind.DISTIL: ("AE", "SM", "SE", "AM"),
-    OpKind.SUBLIME: ("SM", "AE", "SE", "AM"),
-    OpKind.FILTER: ("SM",),
-    OpKind.EVAPORATE: ("AE", "SM"),
-    OpKind.CLEAN: ("AM", "SM"),
-}
-
-
-def expansion_kinds(kind: OpKind | str) -> list[str]:
-    """Primitive codes a unit operation expands to, in order."""
-    return list(_EXPANSION[OpKind(kind)])
-
-
 class Primitive(NamedTuple):
     code: str                      # AM | SM | AE | SE
     cell: str                      # vessel the head must sit on
@@ -162,13 +138,14 @@ def _qv(op, key: str) -> float | None:
 
 
 def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Primitive]:
-    """Lower one unit operation to its primitive sequence, drawing reagents
-    from `decls` (reagent name -> declaration). Raises MachineError when the
-    operation lacks a required parameter or names an undeclared reagent."""
+    """Lower one unit operation to its primitive sequence, whose codes are
+    its `OP_SPECS` row's, drawing reagents from `decls` (reagent name ->
+    declaration). Raises MachineError when the operation lacks a required
+    parameter or names an undeclared reagent."""
     k = op.kind
     p = op.params
     where = f"step {op_index + 1} ({k.value}, line {op.line})"
-    missing = REQUIRED_PARAMS[k] - p.keys()
+    missing = OP_SPECS[k].required - p.keys()
     if missing:
         raise MachineError(f"{where}: {k.value} requires parameter {min(missing)!r}")
     amount = _qv(op, "amount")

@@ -36,6 +36,18 @@ def test_parse_tiny_structure():
     assert prog.steps[2].params == {"from": "RX1", "to": "F1"}
 
 
+def test_step_params_are_read_only():
+    parsed = parse_program(fixture_text("tiny.chem")).steps[2]
+    given = {"from": "RX1", "to": "F1"}
+    built = UnitOperation(OpKind.TRANSFER, given)
+    for op in (parsed, built):
+        with pytest.raises(TypeError):
+            op.params["to"] = "waste"
+    # the step keeps a copy: changing the mapping it was built from does not reach it
+    given["to"] = "waste"
+    assert built.params == parsed.params == {"from": "RX1", "to": "F1"}
+
+
 def test_quantities_normalise_to_canonical_units():
     src = """procedure "u" {
   reagents {

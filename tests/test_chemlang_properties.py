@@ -1,4 +1,4 @@
-"""Property tests for the program corpus: formatting is a fixpoint, quoted
+"""Property tests for the program generators: formatting is a fixpoint, quoted
 names and meta values survive it, and the step histogram obeys its counting
 invariants on arbitrary generated programs."""
 
@@ -11,15 +11,21 @@ from chemvm.chemlang import classify_steps, format_program, parse_program
 from chemvm.chemlang.corpus import random_program, synthetic_program
 from chemvm.chemlang.parser import IDENT_RE
 
+from _support import random_program_text
+
 # text that needs quoting and escaping: quotes, backslashes, tabs, newlines,
 # comment and punctuation characters, and any other character
 _AWKWARD = st.text(st.sampled_from('"\\\t\n\r #{}=@ab_1-.') | st.characters(), max_size=12)
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_format_parse_fixpoint(seed):
-    prog = random_program(random.Random(seed))
+@settings(deadline=None, max_examples=120)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_format_parse_fixpoint(seed, all_kinds):
+    # random_program emits 8 op kinds; random_program_text all 14, with
+    # optional parameters
+    rng = random.Random(seed)
+    prog = parse_program(random_program_text(rng, f"p{seed}")) if all_kinds \
+        else random_program(rng)
     text = format_program(prog)
     assert format_program(parse_program(text)) == text
 

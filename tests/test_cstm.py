@@ -7,8 +7,7 @@ import json
 import pytest
 
 from chemvm.chemlang import (
-    OPTIONAL_PARAMS, REQUIRED_PARAMS, OpKind, Quantity, ReagentDecl, UnitOperation,
-    parse_program,
+    OP_SPECS, OpKind, Quantity, ReagentDecl, UnitOperation, parse_program,
 )
 from chemvm.chemlang.validate import ValidationReport
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
@@ -17,7 +16,6 @@ from chemvm.cstm import (
     Machine,
     apply_extent,
     expand_unit_op,
-    expansion_kinds,
     init_machine,
     read_trace_jsonl,
     run,
@@ -49,7 +47,7 @@ EXPANSIONS = {
 
 @pytest.mark.parametrize("kind, codes", sorted(EXPANSIONS.items()))
 def test_expansion_table(kind, codes):
-    assert expansion_kinds(kind) == codes
+    assert list(OP_SPECS[OpKind(kind)].primitives) == codes
 
 
 SAMPLE_PARAMS = {
@@ -64,9 +62,10 @@ SAMPLE_DECLS = {name: ReagentDecl(name, name, Quantity(1.0, "mol"), "R1")
 @pytest.mark.parametrize("optional", [False, True])
 @pytest.mark.parametrize("kind", list(OpKind))
 def test_lowering_follows_expansion_table(kind, optional):
-    keys = REQUIRED_PARAMS[kind] | (OPTIONAL_PARAMS[kind] if optional else set())
+    spec = OP_SPECS[kind]
+    keys = spec.required | (spec.optional if optional else set())
     op = UnitOperation(kind, {k: SAMPLE_PARAMS[k] for k in keys})
-    assert [p.code for p in expand_unit_op(op, 0, SAMPLE_DECLS)] == expansion_kinds(kind)
+    assert [p.code for p in expand_unit_op(op, 0, SAMPLE_DECLS)] == EXPANSIONS[kind.value]
 
 
 @pytest.fixture(scope="module")

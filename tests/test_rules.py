@@ -7,10 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from chemvm.chemlang import parse_program
+from chemvm.chemlang import Quantity, parse_program
 from chemvm.chempiler import chempile, execute_plan
 from chemvm.cstm import run
 from chemvm.rules import (
+    CATALYST_CHARGE_MOL,
     RuleLoadError,
     Unreachable,
     UnstableTarget,
@@ -315,3 +316,81 @@ def test_pathway_program_for_stocked_target(default_db):
     tr = run(prog, default_db, seed=0)
     assert tr.halt == "q_out"
     assert tr.ledger.product_by_species.get("tro", 0.0) > 0.0
+
+
+# a + b -> x + y, x + c -> z, z + y -> t: step 2 needs only x of the parked
+# {x, y}, so it picks x out on the chromatograph; step 3's inputs are all
+# parked, so it charges nothing and drives the rule by conditions alone
+_PARKING_DB = loads_rules(_db_text(
+    [_sp(s, {"C": 1}) for s in ("a", "b", "c", "x", "y")]
+    + [_sp("z", {"C": 2}), _sp("t", {"C": 3})],
+    [_rule("r1", {"a": 1.0, "b": 1.0}, {"x": 1.0, "y": 1.0}),
+     _rule("r2", {"x": 1.0, "c": 1.0}, {"z": 1.0}),
+     _rule("r3", {"z": 1.0, "y": 1.0}, {"t": 1.0},
+           process_window={"temp_min": -10.0, "temp_max": 20.0,
+                           "duration_min": 60.0, "duration_max": 7200.0})]))
+
+
+def _block(prog, k):
+    """The (kind, params) of reaction step k's operations."""
+    marks = [i for i, op in enumerate(prog.steps) if op.reaction_step is not None]
+    end = marks[k] if k < len(marks) else len(prog.steps)
+    return [(op.kind.value, dict(op.params)) for op in prog.steps[marks[k - 1]:end]]
+
+
+def _compiled_run(prog, db, graph):
+    plan = chempile(prog, graph)
+    assert plan.feasible, plan.report.findings
+    return execute_plan(plan, db, seed=0)
+
+
+def test_pathway_picks_from_storage_and_runs_a_conditions_only_step(default_graph):
+    pw = plan_pathway(_PARKING_DB, "t", {"a", "b", "c"})
+    assert [s.rule_id for s in pw.steps] == ["r1", "r2", "r3"]
+    prog = pathway_to_program(pw, _PARKING_DB)
+    assert [(h.vessel, h.kind) for h in prog.hardware] == [
+        ("RX1", "reactor"), ("F1", "filter"), ("S1", "storage"), ("CH1", "chromatograph")]
+    step2, step3 = _block(prog, 2), _block(prog, 3)
+    assert [kind for kind, _ in step2[:3]] == ["transfer", "filter", "transfer"]
+    assert step2[0][1] == {"from": "S1", "to": "CH1", "reaction_step": 2}
+    assert step2[1][1] == {"vessel": "CH1", "species": "x", "to": "RX1"}
+    assert step2[2][1] == {"from": "CH1", "to": "S1"}
+    assert step3[0][1] == {"from": "S1", "to": "RX1", "reaction_step": 3}
+    # no stock input: the reactor, at 50 C from step 2, is chilled to r3's window
+    assert step3[1] == ("chill", {"vessel": "RX1", "temp": Quantity(5.0, "C"),
+                                  "time": Quantity(3630.0, "s")})
+    assert all(kind != "add" and not kind.startswith("react") for kind, _ in step3)
+    trace = _compiled_run(prog, _PARKING_DB, default_graph)
+    assert trace.halt == "q_out"
+    assert trace.ledger.product_by_species["t"] > 0.0
+    assert set(trace.ledger.product_by_species) == {"t"}
+    assert trace.ledger.residual <= 1e-9
+
+
+_CATALYST_DB = loads_rules(_db_text(
+    [_sp(s, {"C": 1}) for s in ("a", "b", "k")],
+    [_rule("rk", {"a": 1.0}, {"b": 1.0}, catalysts=["k"])],
+    latent=[_rule("lat", {"b": 1.0}, {"a": 1.0}, status="novel")]))
+
+
+def test_planned_pathway_charges_its_catalyst(default_graph):
+    pw = plan_pathway(_CATALYST_DB, "b", {"a", "k"})
+    assert pw.steps[0].inputs == {"a": pytest.approx(1.0 / 0.9), "k": CATALYST_CHARGE_MOL}
+    prog = pathway_to_program(pw, _CATALYST_DB)
+    assert [(d.name, d.role) for d in prog.reagents] == [("a", "reagent"), ("k", "catalyst")]
+    trace = _compiled_run(prog, _CATALYST_DB, default_graph)
+    assert trace.halt == "q_out"
+    assert trace.ledger.product_by_species["b"] == pytest.approx(1.0)
+
+
+def test_save_load_round_trip_with_catalysts_and_latent_rules(tmp_path):
+    out = tmp_path / "cat.rules"
+    save_rules(_CATALYST_DB, out)
+    text = out.read_text()
+    saved = json.loads(text)
+    assert saved["rules"][0]["catalysts"] == ["k"]
+    assert [r["id"] for r in saved["latent"]] == ["lat"]
+    back = load_rules(out)
+    assert back == _CATALYST_DB
+    save_rules(back, out)
+    assert out.read_text() == text
