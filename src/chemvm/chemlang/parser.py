@@ -26,6 +26,9 @@ with an optional leading `-`, fraction and exponent: `1`, `-0.5`, `.5`,
 `2.`, `1e-3`. Strings are double-quoted, hold no bare newline, and take the
 escapes `\n \t \" \\` (`ESCAPES`); any other escaped character stands for
 itself. Punctuation is one of `{ } ( ) , : = @`.
+Tokens are plain `(kind, value, offset)` tuples, a string's value unescaped;
+a line and column are computed from the offset only where one is needed:
+for a `ParseError`, and the `line` of each reagent, hardware entry and step.
 
 Quantities are `<number> <unit>` with units mol, mmol, g, mg, mL, C, s,
 min, h, normalized to base units (mol, g, mL, C, s) in the AST. Vessels
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple, NoReturn
+from bisect import bisect_right
+from typing import NoReturn
 
 from .ast import (
     BUILTIN_VESSELS,
@@ -58,6 +62,7 @@ from .ast import (
 __all__ = ["ESCAPES", "IDENT_RE", "ParseError", "parse_program"]
 
 _OP_KINDS = {k.value: k for k in OpKind}
+_NAME_PARAMS = frozenset(("vessel", "from", "to", "reagent", "solvent", "species"))
 
 
 class ParseError(Exception):
@@ -71,228 +76,223 @@ class ParseError(Exception):
         self.code = code
 
 
-class _Tok(NamedTuple):
-    kind: str  # ident | number | string | punct | eof
-    text: str
-    line: int
-    col: int
-
-
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # escape letter -> the character it stands for; the formatter writes the
 # inverse, and any other escaped character stands for itself
 ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-# One alternative per token kind, tried in this order; `bad` catches the
-# character no other kind starts with, including the `"` of a string that
-# meets a newline or the end of input before its closing quote.
-_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("newline", r"\n"),
-    ("skip", r"[ \t\r]+|#[^\n]*"),
-    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
-    ("number", r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"),
-    ("ident", IDENT_RE.pattern),
-    ("punct", r"[{}(),:=@]"),
-    ("bad", r"."),
-)), re.DOTALL)
+# Blanks, newlines and comments, then one token. The kinds start with distinct
+# characters; `bad` takes any other one (the `"` of an unterminated string
+# among them), so a token always matches and no blank is ever given back.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in (
+        ("ident", IDENT_RE.pattern),
+        ("punct", r"[{}(),:=@]"),
+        ("number", r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"),
+        ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
+        ("eof", r"\Z"),
+        ("bad", r"."),
+    )) + ")", re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
+_Token = tuple[str, str, int]  # kind, value, offset of its first character
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0
+
+def _tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
-        value = raw = m.group()
+        value, offset = m[kind], m.start(kind)
         if kind == "string":
-            value = _ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), raw[1:-1])
-            if "\n" in raw:
-                # an escaped newline still ends a source line
-                toks.append(_Tok(kind, value, line, col))
-                line += raw.count("\n")
-                line_start = m.start() + raw.rindex("\n") + 1
-                continue
+            value = _ESCAPE_RE.sub(lambda e: ESCAPES.get(e[1], e[1]), value[1:-1])
         elif kind == "bad":
-            if value == '"':
-                raise ParseError("unterminated string", line, col)
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        toks.append(_Tok(kind, value, line, col))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
+            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+            raise ParseError(message, *_position(_line_starts(text), offset))
+        toks.append((kind, value, offset))
+        if kind == "eof":
+            break  # after trailing blanks, `\Z` would match once more
     return toks
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line's first character."""
+    return [0, *(m.end() for m in re.finditer("\n", text))]
 
-    def peek(self) -> _Tok:
+
+def _position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset`, given `_line_starts`."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.starts = _line_starts(text)
+
+    def line(self, tok: _Token) -> int:
+        return bisect_right(self.starts, tok[2])
+
+    def peek(self) -> _Token:
         return self.toks[self.pos]
 
-    def next(self) -> _Tok:
+    def next(self) -> _Token:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Tok | None = None, code: str = "syntax") -> NoReturn:
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, code)
+    def fail(self, message: str, tok: _Token | None = None, code: str = "syntax") -> NoReturn:
+        raise ParseError(message, *_position(self.starts, (tok or self.peek())[2]), code)
 
-    def number(self, tok: _Tok, scale: float = 1.0) -> float:
+    def number(self, tok: _Token, scale: float = 1.0) -> float:
         """The value of a number token, times a unit's scale; a value too
         large for a float is an error at the token."""
-        value = float(tok.text) * scale
+        value = float(tok[1]) * scale
         if not math.isfinite(value):
-            self.fail(f"number {tok.text!r} is out of range", tok)
+            self.fail(f"number {tok[1]!r} is out of range", tok)
         return value
 
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, kind: str, text: str | None = None) -> _Token:
+        tok = self.toks[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            got = tok.text if tok.kind != "eof" else "end of input"
+            got = tok[1] if tok[0] != "eof" else "end of input"
             self.fail(f"expected {want!r}, got {got!r}")
-        return self.next()
+        self.pos += 1
+        return tok
 
     # --- grammar ---
 
     def program(self) -> ChemProgram:
         self.expect("ident", "procedure")
-        name = self.expect("string").text
+        name = self.expect("string")[1]
         self.expect("punct", "{")
         reagents: list[ReagentDecl] = []
         hardware: list[HardwareReq] = []
         steps: list[UnitOperation] = []
         metadata: dict[str, str] = {}
         seen: set[str] = set()
-        while self.peek().text != "}":
-            tok = self.peek()
-            if tok.kind != "ident" or tok.text not in ("reagents", "hardware", "steps", "meta"):
+        while self.peek()[1] != "}":
+            kind, section, _ = self.peek()
+            if kind != "ident" or section not in ("reagents", "hardware", "steps", "meta"):
                 self.fail("expected a section: reagents, hardware, steps or meta")
-            if tok.text in seen:
-                self.fail(f"duplicate section {tok.text!r}")
-            seen.add(tok.text)
-            section = self.next().text
+            if section in seen:
+                self.fail(f"duplicate section {section!r}")
+            seen.add(section)
+            self.next()
             self.expect("punct", "{")
             if section == "reagents":
-                while self.peek().text != "}":
+                while self.peek()[1] != "}":
                     reagents.append(self.reagent_decl(reagents))
             elif section == "hardware":
-                while self.peek().text != "}":
+                while self.peek()[1] != "}":
                     hardware.append(self.hardware_req(hardware))
             elif section == "steps":
-                while self.peek().text != "}":
+                while self.peek()[1] != "}":
                     steps.append(self.step())
             else:
-                while self.peek().text != "}":
+                while self.peek()[1] != "}":
                     key = self.expect("ident")
-                    if key.text in metadata:
-                        self.fail(f"duplicate meta key {key.text!r}", key)
+                    if key[1] in metadata:
+                        self.fail(f"duplicate meta key {key[1]!r}", key)
                     self.expect("punct", "=")
-                    metadata[key.text] = self.expect("string").text
+                    metadata[key[1]] = self.expect("string")[1]
             self.expect("punct", "}")
         close = self.expect("punct", "}")
-        if self.peek().kind != "eof":
+        if self.peek()[0] != "eof":
             self.fail("trailing input after program")
         if not steps:
-            raise ParseError("program has no steps", close.line, close.col)
+            self.fail("program has no steps", close)
         prog = ChemProgram(name, reagents, hardware, steps, metadata)
         self._check_references(prog)
         return prog
 
     def reagent_decl(self, existing: list[ReagentDecl]) -> ReagentDecl:
         name = self.expect("ident")
-        if any(d.name == name.text for d in existing):
-            self.fail(f"duplicate reagent {name.text!r}", name, code="duplicate_reagent")
+        if any(d.name == name[1] for d in existing):
+            self.fail(f"duplicate reagent {name[1]!r}", name, code="duplicate_reagent")
         self.expect("punct", ":")
         sp = self.expect("ident")
-        if sp.text != "sp":
+        if sp[1] != "sp":
             self.fail("expected species tag 'sp:'", sp)
         self.expect("punct", ":")
-        species = self.expect("ident").text
+        species = self.expect("ident")[1]
         amount = self.quantity(allowed=("mol", "g", "mL"))
         if amount.value <= 0:
             self.fail("reagent amount must be positive", name)
         self.expect("punct", "@")
-        source = self.expect("ident").text
-        role_tok = self.expect("ident")
-        if role_tok.text not in ROLES:
-            self.fail(f"unknown role {role_tok.text!r} (expected one of {', '.join(ROLES)})", role_tok)
-        return ReagentDecl(name.text, species, amount, source, role_tok.text, line=name.line)
+        source = self.expect("ident")[1]
+        role = self.expect("ident")
+        if role[1] not in ROLES:
+            self.fail(f"unknown role {role[1]!r} (expected one of {', '.join(ROLES)})", role)
+        return ReagentDecl(name[1], species, amount, source, role[1], line=self.line(name))
 
     def quantity(self, allowed: tuple[str, ...]) -> Quantity:
         num = self.expect("number")
         unit = self.expect("ident")
-        if unit.text not in UNITS:
-            self.fail(f"unknown unit {unit.text!r}", unit)
-        base, scale = UNITS[unit.text]
+        if unit[1] not in UNITS:
+            self.fail(f"unknown unit {unit[1]!r}", unit)
+        base, scale = UNITS[unit[1]]
         if base not in allowed:
             self.fail(f"expected a quantity in {'/'.join(allowed)}", unit)
         return Quantity(self.number(num, scale), base)
 
     def hardware_req(self, existing: list[HardwareReq]) -> HardwareReq:
         vessel = self.expect("ident")
-        if any(h.vessel == vessel.text for h in existing):
-            self.fail(f"duplicate hardware entry {vessel.text!r}", vessel)
+        if any(h.vessel == vessel[1] for h in existing):
+            self.fail(f"duplicate hardware entry {vessel[1]!r}", vessel)
         self.expect("punct", ":")
-        kind = self.expect("ident").text
-        return HardwareReq(vessel.text, kind, line=vessel.line)
+        kind = self.expect("ident")[1]
+        return HardwareReq(vessel[1], kind, line=self.line(vessel))
 
     def step(self) -> UnitOperation:
         name = self.expect("ident")
-        kind = _OP_KINDS.get(name.text)
+        kind = _OP_KINDS.get(name[1])
         if kind is None:
-            self.fail(f"unknown step kind {name.text!r}", name, code="unknown_step_kind")
+            self.fail(f"unknown step kind {name[1]!r}", name, code="unknown_step_kind")
         self.expect("punct", "(")
         params: dict[str, ParamValue] = {}
-        while self.peek().text != ")":
+        while self.peek()[1] != ")":
             if params:
                 self.expect("punct", ",")
             key = self.expect("ident")
-            if key.text in params:
-                self.fail(f"duplicate parameter {key.text!r}", key)
+            if key[1] in params:
+                self.fail(f"duplicate parameter {key[1]!r}", key)
             self.expect("punct", "=")
-            params[key.text] = self.param_value(kind, key)
+            params[key[1]] = self.param_value(key[1])
         self.expect("punct", ")")
         spec = OP_SPECS[kind]
         for key in params:
             if key not in spec.required and key not in spec.optional and key != "reaction_step":
                 self.fail(f"unknown parameter {key!r} for {kind.value}", name)
-        return UnitOperation(kind, params, line=name.line)
+        return UnitOperation(kind, params, line=self.line(name))
 
-    def param_value(self, kind: OpKind, key: _Tok) -> ParamValue:
-        tok = self.peek()
+    def param_value(self, key: str) -> ParamValue:
+        tok = self.next()
         value: ParamValue
-        if tok.kind == "number":
-            self.next()
+        if tok[0] == "number":
             nxt = self.peek()
-            if nxt.kind == "ident" and nxt.text in UNITS:
+            if nxt[0] == "ident" and nxt[1] in UNITS:
                 self.next()
-                base, scale = UNITS[nxt.text]
+                base, scale = UNITS[nxt[1]]
                 value = Quantity(self.number(tok, scale), base)
-            elif nxt.kind == "ident":
-                self.fail(f"unknown unit {nxt.text!r}", nxt)
+            elif nxt[0] == "ident":
+                self.fail(f"unknown unit {nxt[1]!r}", nxt)
             else:
                 raw = self.number(tok)
                 value = int(raw) if raw == int(raw) else raw
-        elif tok.kind in ("ident", "string"):
-            value = self.next().text
+        elif tok[0] == "ident" or tok[0] == "string":
+            value = tok[1]
         else:
-            self.fail("expected a parameter value")
-        dims = PARAM_UNITS.get(key.text)
+            self.fail("expected a parameter value", tok)
+        dims = PARAM_UNITS.get(key)
         if dims is not None and (not isinstance(value, Quantity) or value.unit not in dims):
-            self.fail(f"parameter {key.text!r} takes a quantity in {'/'.join(dims)}", tok)
-        if key.text == "reaction_step" and not isinstance(value, int):
+            self.fail(f"parameter {key!r} takes a quantity in {'/'.join(dims)}", tok)
+        if key == "reaction_step" and not isinstance(value, int):
             self.fail("reaction_step takes a bare integer", tok)
-        if key.text in ("vessel", "from", "to", "reagent", "solvent", "species") and not isinstance(value, str):
-            self.fail(f"parameter {key.text!r} takes an identifier", tok)
+        if key in _NAME_PARAMS and not (tok[0] == "ident" or tok[0] == "string" and IDENT_RE.fullmatch(value)):
+            self.fail(f"parameter {key!r} takes an identifier", tok)
         return value
 
     def _check_references(self, prog: ChemProgram) -> None:
@@ -329,4 +329,4 @@ class _Parser:
 
 def parse_program(text: str) -> ChemProgram:
     """Parse DSL text into a `ChemProgram`; raises `ParseError` on bad input."""
-    return _Parser(_tokenize(text)).program()
+    return _Parser(text).program()

@@ -98,24 +98,30 @@ def fmt_num(x: float | int) -> str:
     return repr(x)
 
 
-# `json.dumps` with any non-default argument builds a new encoder per call;
-# this one is built once and gives the same text.
+# The compact layout: `json.dumps(obj, separators=(",", ":"),
+# ensure_ascii=False)`.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+# `_COMPACT.encode` builds a fresh C encoder on every call; this one is
+# built once, with `_COMPACT`'s settings, and called per record. It keeps
+# no `markers` dict for finding circular references: records and
+# documents are trees, and a dict shared across calls could keep stale ids
+# after an exception.
+_encode_compact = json.encoder.c_make_encoder(
+    None, _COMPACT.default, json.encoder.encode_basestring, None,
+    _COMPACT.key_separator, _COMPACT.item_separator, False, False, _COMPACT.allow_nan)
 
 
 def dumps_stable(obj: Any, *, indent: int | None = None) -> str:
     """JSON text with stable layout. Dict insertion order is the contract:
     callers build dicts in the field order they want on disk."""
     if indent is None:
-        return _COMPACT.encode(obj)
+        return "".join(_encode_compact(obj, 0))
     return json.dumps(obj, indent=indent, ensure_ascii=False)
 
 
 def dumps_jsonl(records: list) -> str:
     """One compact `dumps_stable` line per record, each ending in a newline."""
-    if not records:
-        return ""
-    return "\n".join(map(_COMPACT.encode, records)) + "\n"
+    return "".join(["".join(_encode_compact(r, 0)) + "\n" for r in records])
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -175,6 +175,23 @@ def test_parse_error_positions(body, message, line, col):
     assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
 
 
+def test_a_quoted_name_must_be_an_identifier():
+    # a vessel written as "my flask" would reach the canonical text as an
+    # unquoted hardware entry that does not parse again
+    with pytest.raises(ParseError) as info:
+        parse_program('procedure "p" { steps { clean(vessel="my flask") } }')
+    assert str(info.value) == "1:38: parameter 'vessel' takes an identifier"
+    prog = parse_program('procedure "p" { steps { clean(vessel="RX1") } }')
+    assert prog.steps[0].params["vessel"] == "RX1"
+    assert "    clean(vessel=RX1)\n" in format_program(prog)
+
+
+def test_an_unexpected_string_is_quoted_unescaped():
+    with pytest.raises(ParseError) as info:
+        parse_program(r'procedure "p" { steps { "x\ty" } }')
+    assert str(info.value) == "1:25: expected 'ident', got 'x\\ty'"
+
+
 def _codes(report):
     return [f.code for f in report.findings]
 

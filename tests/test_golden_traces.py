@@ -18,6 +18,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemvm.cli import main
 from chemvm.jsonio import dumps_jsonl
@@ -65,6 +66,24 @@ def test_to_jsonl_is_json_dumps_per_record(prog_name, arm):
 
 def test_dumps_jsonl_of_no_records_is_empty():
     assert dumps_jsonl([]) == ""
+
+
+# JSON-like records: nested dicts and lists; keys and strings with quotes,
+# backslashes, control and non-ASCII characters; ints, bools, None, and
+# floats at the edges of their text form
+_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f/éß☃\u2028😀') | st.characters(), max_size=8)
+_SCALAR = (st.none() | st.booleans() | st.integers() | _TEXT | st.floats()
+           | st.sampled_from([-0.0, 1e-300, 1e300, 5e-324, 1e16, 0.1]))
+_RECORD = st.recursive(
+    _SCALAR, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_RECORD, max_size=4))
+def test_dumps_jsonl_is_json_dumps_on_any_records(records):
+    assert dumps_jsonl(records) == "".join(
+        json.dumps(r, separators=(",", ":"), ensure_ascii=False) + "\n" for r in records)
 
 
 def test_every_fixture_plan_is_pinned():

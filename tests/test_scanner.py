@@ -1,15 +1,23 @@
 """The DSL scanner against the char-by-char tokenizer it replaced: the same
 tokens, or the same `ParseError` at the same line and column, on seeded
-mutations of program texts. The scanner gives true positions where the
-reference does not: the end-of-input column after a trailing comment with
-no final newline, and every line after an escaped newline in a string."""
+mutations of program texts. The scanner's tokens carry offsets; each is
+placed at a line and column by the parser's own helper before comparing.
+The scanner gives true positions where the reference does not: the
+end-of-input column after a trailing comment with no final newline, and
+every line after an escaped newline in a string."""
 
 import pytest
 
 from chemvm.chemlang import ParseError, parse_program
-from chemvm.chemlang.parser import _tokenize
+from chemvm.chemlang.parser import _line_starts, _position, _tokenize
 
 from _support import mutated_texts, reference_tokenize
+
+
+def _placed(text):
+    """`_tokenize`'s tokens as (kind, value, line, col)."""
+    starts = _line_starts(text)
+    return [(kind, value, *_position(starts, offset)) for kind, value, offset in _tokenize(text)]
 
 
 def _scan(tokenize, text):
@@ -32,7 +40,7 @@ def _trailing_comment_column(text, want, got) -> bool:
 def test_scanner_agrees_with_reference_on_mutated_texts():
     trailing, errors, differ = 0, 0, []
     for text in mutated_texts(seed=0, count=10_000):
-        want, got = _scan(reference_tokenize, text), _scan(_tokenize, text)
+        want, got = _scan(reference_tokenize, text), _scan(_placed, text)
         if got == want:
             errors += isinstance(got, tuple)
         elif _trailing_comment_column(text, want, got):
@@ -52,13 +60,13 @@ def test_scanner_agrees_with_reference_on_mutated_texts():
     "",
 ])
 def test_scanner_agrees_with_reference_on_edge_cases(text):
-    assert _scan(_tokenize, text) == _scan(reference_tokenize, text)
+    assert _scan(_placed, text) == _scan(reference_tokenize, text)
 
 
 def test_end_of_input_column_after_trailing_comment():
     text = 'procedure "p" {\n  steps {  # cut short'
     assert reference_tokenize(text)[-1] == ("eof", "", 2, 12)
-    assert _tokenize(text)[-1] == ("eof", "", 2, 23)
+    assert _placed(text)[-1] == ("eof", "", 2, 23)
     with pytest.raises(ParseError, match="got 'end of input'") as exc:
         parse_program(text)
     assert (exc.value.line, exc.value.col) == (2, 23)
@@ -66,7 +74,7 @@ def test_end_of_input_column_after_trailing_comment():
 
 def test_escaped_newline_in_a_string_ends_a_line():
     text = 'procedure "a\\\nb" {\n  steps { clean(vessel=A) }\n}\n'
-    assert [(t.text, t.line, t.col) for t in _tokenize(text)][:5] == [
+    assert [(value, line, col) for _, value, line, col in _placed(text)][:5] == [
         ("procedure", 1, 1), ("a\nb", 1, 11), ("{", 2, 4), ("steps", 3, 3), ("{", 3, 9)]
     # the reference stays one line short from the string on
     assert reference_tokenize(text)[2:4] == [("punct", "{", 1, 18), ("ident", "steps", 2, 3)]
@@ -91,4 +99,4 @@ def test_scan_errors_point_at_the_offending_character(text, message, col):
 
 def test_string_escapes():
     toks = _tokenize(r'"a\"b\\c\nd\te\qf"')
-    assert toks[0].text == 'a"b\\c\nd\te' + "qf"
+    assert toks[0][:2] == ("string", 'a"b\\c\nd\te' + "qf")
