@@ -270,7 +270,7 @@ def check_program(prog: ChemProgram, graph
     the bindings naming its cells: unless a flask is charged over its
     node's capacity (every such flask is reported), each movement is
     resolved with `cstm.movement`, applied with `cstm.step_tape`, and the
-    cell it filled (`cstm.filled_cell`) is checked with
+    cell it filled, which `step_tape` returns, is checked with
     `cstm.over_capacity`, as `execute_plan`'s watchdog does. The first
     overfill or infeasible move ends the screen. The screen runs no
     reactions, so it is exact for movement, and energy moves, which then
@@ -278,8 +278,8 @@ def check_program(prog: ChemProgram, graph
     caught at run time by the watchdog.
     """
     from ..cstm import (  # deferred: cstm imports this package
-        MachineError, filled_cell, init_machine, lower_program, movement,
-        over_capacity, step_tape,
+        MachineError, init_machine, lower_program, movement, over_capacity,
+        step_tape,
     )
 
     report = ValidationReport()
@@ -323,8 +323,7 @@ def check_program(prog: ChemProgram, graph
             except MachineError:
                 screening = False
                 continue
-            step_tape(state, prim, move)
-            cell = filled_cell(state, prim)
+            cell = step_tape(state, prim, move)
             over = None if cell is None else over_capacity(cell, nodes)
             if over is not None:
                 capacity.add("capacity_exceeded",

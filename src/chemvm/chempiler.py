@@ -30,8 +30,9 @@ last stroke carrying the remainder. A movement through the transit line
 it is booked once, ahead of the SM that fills the line. A movement whose
 route is missing from the plan stops the run at q_fail. So does a cell
 filled over its node's capacity: after each primitive, and the reaction it
-triggered, the watchdog checks the cell that primitive filled
-(`cstm.filled_cell`) with the screen's predicate (`cstm.over_capacity`).
+triggered, the watchdog checks the cell that primitive filled (the cell
+`cstm.step_tape` returns) with the screen's predicate
+(`cstm.over_capacity`).
 Amounts are mol, volumes mL, converted 1:1 nominal.
 """
 
@@ -48,7 +49,7 @@ from .chemlang.validate import (
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import RuleDatabase
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, Movement, Primitive, filled_cell,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, Movement, Primitive, VesselCell,
     over_capacity,
 )
 
@@ -316,10 +317,10 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
     reservoir_id = reservoir.id if reservoir else None
 
     def book_strokes(machine: Machine, prim: Primitive, move: Movement | None) -> None:
-        if move is None or move.total <= 0 or move.src == move.dst:
+        if move is None or move.total <= 0 or move.src is move.dst:
             return
-        src = reservoir_id if move.src is None else move.src
-        key = f"{src}->{move.dst}"
+        src = reservoir_id if move.src is None else move.src.name
+        key = f"{src}->{move.dst.name}"
         path = plan.routes.get(key)
         if path is None:
             machine.fail(f"no route {key} in the plan")
@@ -344,9 +345,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                 "total": total,
             })
 
-    def watch_capacity(machine: Machine, prim: Primitive) -> None:
-        st = machine.state
-        cell = filled_cell(st, prim)
+    def watch_capacity(machine: Machine, prim: Primitive, cell: VesselCell | None) -> None:
         over = None if cell is None else over_capacity(cell, graph.nodes)
         if over is None:
             return
@@ -354,7 +353,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
         machine.fail(f"{cell.name} overfilled: {held:g} over capacity {capacity:g}", {
             "kind": "deviation",
             "code": "capacity_exceeded",
-            "step": st.step_count,
+            "step": machine.state.step_count,
             "op_index": prim.op_index,
             "cell": cell.name,
             "held": held,

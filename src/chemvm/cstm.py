@@ -1,8 +1,9 @@
 """Vessel-tape machine: unit operations lowered to matter/energy primitives.
 
-The tape is a row of vessel cells (waste at index 0, product at index 1,
-then source flasks, then working vessels, growing on demand). Every unit
-operation expands to a short fixed sequence of four primitive moves:
+The tape is a row of vessel cells, laid out once when a machine starts:
+waste at index 0, product at index 1, then every other vessel the program
+names, in the order a run first uses it (see `Lowering.vessels`). Every
+unit operation expands to a short fixed sequence of four primitive moves:
 
     AM  add matter       SM  subtract matter
     AE  add energy       SE  subtract energy
@@ -70,7 +71,6 @@ __all__ = [
     "movement",
     "step_tape",
     "apply_primitive",
-    "filled_cell",
     "over_capacity",
     "apply_extent",
     "selected_species",
@@ -243,6 +243,10 @@ class Lowering(NamedTuple):
     ops: tuple[tuple[Primitive, ...], ...]
     error: str | None                  # the MachineError message of the first such step
     solvents: frozenset[str]           # what an SM "solvents" selector takes
+    # each vessel the program names, once, in the order a run first uses it:
+    # waste, product, the source flasks, the hardware, then each step's
+    # `op.vessels()`, whose order is the order its primitives use them
+    vessels: tuple[str, ...]
 
 
 def lower_program(prog: ChemProgram) -> Lowering:
@@ -252,7 +256,10 @@ def lower_program(prog: ChemProgram) -> Lowering:
     if lowering is None:
         decls = {d.name: d for d in prog.reagents}
         ops, error = [], None
+        vessels = ["waste", "product", *(d.source_vessel for d in prog.reagents),
+                   *(req.vessel for req in prog.hardware)]
         for i, op in enumerate(prog.steps):
+            vessels += op.vessels()
             try:
                 ops.append(tuple(expand_unit_op(op, i, decls)))
             except MachineError as exc:
@@ -261,7 +268,8 @@ def lower_program(prog: ChemProgram) -> Lowering:
         lowering = prog._lowering = Lowering(
             tuple(ops), error,
             frozenset({RESERVOIR_SPECIES}
-                      | {d.species for d in prog.reagents if d.role == "solvent"}))
+                      | {d.species for d in prog.reagents if d.role == "solvent"}),
+            tuple(dict.fromkeys(vessels)))
     return lowering
 
 
@@ -319,35 +327,31 @@ def _drain(contents: dict[str, float], species: str, amount: float) -> None:
 
 def init_machine(prog: ChemProgram, names: dict[str, str] | None = None
                  ) -> MachineState:
-    """Lay out the tape and charge the source flasks from the declarations.
-    `names` maps program vessels to the names their cells run under (a
-    compiled plan's bindings: vessel -> node id); a vessel it does not name
-    runs under its own name."""
+    """Lay out the tape, one cell per distinct cell name of the program's
+    vessels (`Lowering.vessels`), and charge the source flasks from the
+    declarations. `names` maps program vessels to the names their cells run
+    under (a compiled plan's bindings: vessel -> node id); a vessel it does
+    not name runs under its own name."""
     names = names or {}
-    waste, product = names.get("waste", "waste"), names.get("product", "product")
-    state = MachineState([VesselCell(waste), VesselCell(product)],
-                         {waste: 0, product: 1}, names=names,
-                         solvent_species=lower_program(prog).solvents)
-    cells, stock_in = state.cells, state.stock_in
+    lowering = lower_program(prog)
+    state = MachineState([], {}, names=names, solvent_species=lowering.solvents)
+    cells, index = state.cells, state.index
+    for vessel in lowering.vessels:
+        name = names.get(vessel, vessel)
+        if name not in index:
+            index[name] = len(cells)
+            cells.append(VesselCell(name))
     for decl in prog.reagents:
         amount = decl.amount.value
         _bump(cells[cell_index(state, decl.source_vessel)].contents, decl.species, amount)
-        _bump(stock_in, decl.species, amount)
-    for req in prog.hardware:
-        cell_index(state, req.vessel)
+        _bump(state.stock_in, decl.species, amount)
     return state
 
 
 def cell_index(state: MachineState, vessel: str) -> int:
     """Tape index of the cell a program vessel runs in, named through
-    `state.names`; a blank cell comes into service at the end of the tape
-    on first use."""
-    name = state.names.get(vessel, vessel)
-    i = state.index.get(name)
-    if i is None:
-        i = state.index[name] = len(state.cells)
-        state.cells.append(VesselCell(name))
-    return i
+    `state.names`."""
+    return state.index[state.names.get(vessel, vessel)]
 
 
 def selected_species(cell: VesselCell, selector,
@@ -364,22 +368,23 @@ def selected_species(cell: VesselCell, selector,
 class Movement(NamedTuple):
     """Matter one primitive moves, resolved against the tape before it moves.
 
-    `src` and `dst` are cell names; a `src` of None is the shared solvent
-    reservoir, which books what it gives as fresh stock. A movement through
-    the transit line is one movement, named by the SM that fills the line,
-    with `dst` the vessel the line delivers to. `total` is the nominal
-    volume moved, the amount asked for when that is less than the selection.
+    `src` and `dst` are the cells the matter leaves and enters; a `src` of
+    None is the shared solvent reservoir, which books what it gives as
+    fresh stock. A movement through the transit line is one movement, named
+    by the SM that fills the line, with `dst` the cell the line delivers
+    to. `total` is the nominal volume moved, the amount asked for when that
+    is less than the selection.
     """
-    src: str | None
-    dst: str
+    src: VesselCell | None
+    dst: VesselCell
     amounts: dict[str, float]
     total: float
 
 
 def movement(state: MachineState, prim: Primitive) -> Movement | None:
-    """Resolve what a primitive is about to move (see `Primitive.ends`),
-    without moving it. Raises MachineError when a flask holds less than
-    the primitive draws."""
+    """Resolve what a primitive is about to move (see `Primitive.ends`)
+    against the tape, without moving it. Raises MachineError when a flask
+    holds less than the primitive draws."""
     ends = prim.ends
     if ends is None:
         return None
@@ -388,7 +393,7 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
     if prim.code == "AM":
         if src is None:
             amount = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
-            return Movement(None, cell.name, {RESERVOIR_SPECIES: amount}, amount)
+            return Movement(None, cell, {RESERVOIR_SPECIES: amount}, amount)
         decl = prim.reagent
         flask = state.cells[cell_index(state, src)]
         avail = flask.contents.get(decl.species, 0.0)
@@ -399,7 +404,7 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
                 f"{flask.name} holds {avail:g}"
             )
         take = min(want, avail)
-        return Movement(flask.name, cell.name, {decl.species: take}, take)
+        return Movement(flask, cell, {decl.species: take}, take)
     contents = cell.contents
     amounts = {s: contents[s] for s in selected_species(cell, prim.species,
                                                          state.solvent_species)}
@@ -408,39 +413,39 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
         frac = min(1.0, prim.amount / total) if total > 0 else 0.0
         amounts = {s: v * frac for s, v in amounts.items()}
         total = min(total, prim.amount)
-    if prim.transit:    # the line's vessel comes into service at the AM that empties it
-        dst = state.names.get(dst, dst)
-    else:
-        dst = state.cells[cell_index(state, dst)].name
-    return Movement(cell.name, dst, amounts, total)
+    return Movement(cell, state.cells[cell_index(state, dst)], amounts, total)
 
 
 def step_tape(state: MachineState, prim: Primitive,
-              move: Movement | None) -> VesselCell:
+              move: Movement | None) -> VesselCell | None:
     """Apply one primitive to the tape without recording it: teleport the
     head, apply its movement (see `movement`) or its energy move. Returns
-    the cell under the head."""
+    the cell the primitive put matter into: the destination of an SM, or
+    None when the SM fills the transit line, which is not a cell; the head
+    cell after an AM, and after an energy move, whose reaction books its
+    products there."""
     idx = state.head = cell_index(state, prim.cell)
     cell = state.cells[idx]
     state.step_count += 1
     code = prim.code
 
     if move is not None:
-        cells, index = state.cells, state.index
         amounts = move.amounts
         if move.src is None:
             for s, v in amounts.items():
                 _bump(state.stock_in, s, v)
         else:
-            source = cells[index[move.src]].contents
+            source = move.src.contents
             for s, v in amounts.items():
                 _drain(source, s, v)
-        into = state.transit if prim.transit else cells[index[move.dst]].contents
+        filled = None if prim.transit else move.dst
+        into = state.transit if filled is None else filled.contents
         for s in sorted(amounts):
             _bump(into, s, amounts[s])
         if prim.reset_cell and not cell.contents:
             cell.temp = AMBIENT_C
-    elif code == "AM":
+        return filled
+    if code == "AM":
         transit = state.transit
         for s in sorted(transit):
             _bump(cell.contents, s, transit[s])
@@ -460,12 +465,14 @@ def step_tape(state: MachineState, prim: Primitive,
     return cell
 
 
-def apply_primitive(state: MachineState, prim: Primitive,
-                    move: Movement | None) -> dict:
-    """Execute one primitive (see `step_tape`) and return its trace record."""
+def apply_primitive(state: MachineState, prim: Primitive, move: Movement | None
+                    ) -> tuple[dict, VesselCell | None]:
+    """Execute one primitive and return its trace record and the cell it
+    filled (see `step_tape`)."""
     head = state.head
-    cell = step_tape(state, prim, move)
+    filled = step_tape(state, prim, move)
     idx = state.head
+    cell = state.cells[idx]
     return {
         "kind": "primitive",
         "step": state.step_count,
@@ -477,17 +484,7 @@ def apply_primitive(state: MachineState, prim: Primitive,
         "state": state.controller,
         "contents": dict(sorted(cell.contents.items())),
         "temp": cell.temp,
-    }
-
-
-def filled_cell(state: MachineState, prim: Primitive) -> VesselCell | None:
-    """The cell a primitive just put matter into: the named destination of
-    an SM, or None when the SM fills the transit line, which is not a cell;
-    the head cell after an AM, and after an energy move, whose reaction
-    books its products there."""
-    if prim.code == "SM":
-        return None if prim.transit else state.cells[cell_index(state, prim.ends[1])]
-    return state.cells[state.head]
+    }, filled
 
 
 def over_capacity(cell: VesselCell, nodes) -> tuple[float, float] | None:
@@ -641,11 +638,12 @@ class Machine:
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
-    and `post_primitive(machine, prim)` let a hardware layer wrap each
-    primitive, reading the movement it is about to apply and the state it
-    and the reaction it triggered left, without touching that state. A hook
-    stops the run with `machine.fail`; a pre hook that does so stops the
-    primitive from running.
+    and `post_primitive(machine, prim, cell)` let a hardware layer wrap each
+    primitive, reading the movement it is about to apply and, in `cell`, the
+    cell it filled (see `step_tape`) as it and the reaction it triggered
+    left it, without touching that state. A hook stops the run with
+    `machine.fail`; a pre hook that does so stops the primitive from
+    running.
     """
 
     def __init__(self, prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
@@ -694,15 +692,18 @@ class Machine:
 
     # -- op execution ------------------------------------------------------
 
-    def apply(self, prim: Primitive) -> None:
-        """Run one primitive and record it; stopped before it runs by a pre
-        hook or a spent budget."""
+    def apply(self, prim: Primitive) -> VesselCell | None:
+        """Run one primitive and record it; returns the cell it filled (see
+        `step_tape`). Stopped before it runs by a pre hook or a spent
+        budget."""
         move = movement(self.state, prim)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
         self.reserve()
         self.budget -= 1
-        self.records.append(apply_primitive(self.state, prim, move))
+        record, filled = apply_primitive(self.state, prim, move)
+        self.records.append(record)
+        return filled
 
     def execute_op(self, op_index: int) -> list[dict]:
         """Run one unit operation; returns the reaction records it caused.
@@ -710,13 +711,13 @@ class Machine:
         self.state.controller = f"q{op_index}"
         events: list[dict] = []
         for prim in self.ops[op_index]:
-            self.apply(prim)
+            filled = self.apply(prim)
             if prim.check_reaction and prim.duration > 0:
                 ev = self.check_reaction(prim)
                 if ev is not None:
                     events.append(ev)
             if self.post_primitive is not None:
-                self.post_primitive(self, prim)
+                self.post_primitive(self, prim, filled)
         self.pc = op_index + 1
         return events
 
@@ -796,8 +797,7 @@ class Machine:
             "head": st.head,
             "controller": st.controller,
             "transit": dict(st.transit),
-            "cells": [(c.name, dict(c.contents), c.temp) for c in st.cells[1:]],
-            "n_cells": len(st.cells),
+            "cells": [(dict(c.contents), c.temp) for c in st.cells[1:]],
             "outcomes": list(self.reaction_outcomes),
             "db": self.db,
             "rule_events_len": len(self.rule_events),
@@ -809,22 +809,16 @@ class Machine:
         conservation ledger stays closed across the revert."""
         st = self.state
         waste = st.waste_cell.contents
-        for cell in st.cells[1:]:
+        fresh: dict[str, float] = {}
+        for cell, (contents, temp) in zip(st.cells[1:], ckpt["cells"]):
             for s, v in cell.contents.items():
                 _bump(waste, s, v)
-        for s, v in st.transit.items():
-            _bump(waste, s, v)
-        st.transit.clear()
-        fresh: dict[str, float] = {}
-        for name, contents, temp in ckpt["cells"]:
-            cell = st.cells[st.index[name]]
             cell.contents = dict(contents)
             cell.temp = temp
             for s, v in contents.items():
                 _bump(fresh, s, v)
-        for i in range(ckpt["n_cells"], len(st.cells)):
-            st.cells[i].contents = {}
-            st.cells[i].temp = AMBIENT_C
+        for s, v in st.transit.items():
+            _bump(waste, s, v)
         st.transit = dict(ckpt["transit"])
         for s, v in ckpt["transit"].items():
             _bump(fresh, s, v)

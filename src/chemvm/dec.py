@@ -59,7 +59,7 @@ __all__ = [
 # Yield factor that survives each injected error mode.
 MODE_FACTORS = {"minor": 0.9, "intermediate": 0.75, "major": 0.0}
 # Mode split within an error: 25% minor, 30% intermediate, 45% major.
-_MODE_CUTS = ((0.25, "minor"), (0.55, "intermediate"), (1.0, "major"))
+_MINOR_CUT, _INTERMEDIATE_CUT = 0.25, 0.55
 
 
 class PolicyError(ValueError):
@@ -121,9 +121,12 @@ def load_policy(path: str | Path) -> CorrectionPolicy:
 
 class BernoulliInjector:
     """Per-reaction-attempt error model. With `eps` (or, when eps is None,
-    the rule's own epsilon) an attempt misfires; the mode split is fixed."""
+    the rule's own epsilon) an attempt misfires; the mode split is fixed.
+    Raises ValueError when `eps` is given and is not a number in [0, 1]."""
 
     def __init__(self, rng, eps: float | None = None):
+        if eps is not None and not (is_number(eps) and 0.0 <= eps <= 1.0):
+            raise ValueError(f"inject eps must be a number in [0, 1], not {eps!r}")
         self.rng = rng
         self.eps = eps
 
@@ -132,10 +135,9 @@ class BernoulliInjector:
         if self.rng.random() >= eps:
             return 1.0, None
         w = self.rng.random()
-        for cut, mode in _MODE_CUTS:
-            if w < cut:
-                return MODE_FACTORS[mode], mode
-        return MODE_FACTORS["major"], "major"
+        mode = "minor" if w < _MINOR_CUT else \
+            "intermediate" if w < _INTERMEDIATE_CUT else "major"
+        return MODE_FACTORS[mode], mode
 
 
 class ScriptedInjector:
@@ -433,7 +435,9 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     when the corrected trace holds a deviation, or when the corrected run
     halted on "budget exhausted" (its baseline writes fewer records and
     may get further); otherwise the baseline's success is the corrected
-    run's."""
+    run's. Raises ValueError when `n_seeds` is below 1."""
+    if n_seeds < 1:
+        raise ValueError(f"seeds must be at least 1, not {n_seeds}")
     policy = policy or CorrectionPolicy()
     b = 0  # corrected succeeded where baseline failed
     c = 0  # baseline succeeded where corrected failed

@@ -200,7 +200,7 @@ def test_criterion_09_correction_beats_baseline():
     machine.execute_op(2)
     machine.restore(snapshot)
     again = machine.checkpoint()
-    for key in ("pc", "head", "controller", "transit", "cells", "n_cells",
+    for key in ("pc", "head", "controller", "transit", "cells",
                 "outcomes", "rule_events_len"):
         assert dumps_stable(snapshot[key]) == dumps_stable(again[key]), key
     print(f"PASS criterion 9: corrected {noisy['rate_corrected']:.2f} vs baseline "

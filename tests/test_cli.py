@@ -354,6 +354,20 @@ def test_dec_run_single_and_compare():
     }
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--compare", "--seeds", 0), "seeds must be at least 1, not 0"),
+    (("--compare", "--seeds", -2), "seeds must be at least 1, not -2"),
+    (("--inject-eps", "nan"), "inject eps must be a number in [0, 1], not nan"),
+    (("--inject-eps", -1), "inject eps must be a number in [0, 1], not -1.0"),
+    (("--inject-eps", 1.5, "--compare", "--seeds", 3),
+     "inject eps must be a number in [0, 1], not 1.5"),
+])
+def test_dec_run_rejects_unusable_seeds_and_eps(flags, message):
+    code, out, err = cli("dec-run", FIXTURES / "dec_3step.chem",
+                         "--rules", FIXTURES / "dec_chain.rules", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_dec_run_policy_file():
     code, out, _ = cli("dec-run", FIXTURES / "dec_3step.chem",
                        "--rules", FIXTURES / "dec_chain.rules",

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from chemvm.chemlang import (
-    OP_SPECS, OpKind, Quantity, ReagentDecl, UnitOperation, parse_program,
+    OP_SPECS, ChemProgram, OpKind, Quantity, ReagentDecl, UnitOperation,
+    parse_program,
 )
 from chemvm.chemlang.validate import ValidationReport
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
@@ -204,6 +205,34 @@ def test_partial_transfer_moves_its_amount(arm):
     assert tr.ledger.residual <= 1e-9
 
 
+@pytest.mark.parametrize("arm", ["run", "execute_plan", "run_with_dec"])
+def test_vessels_missing_from_hardware_take_first_use_order(arm):
+    # RX1 and S1 are named only by steps: their cells follow the listed F1
+    # in the order the steps first use them, as if the hardware listed them
+    text = fixture_text("dec_3step.chem").replace(
+        "    RX1: reactor\n    F1: filter\n",
+        "    F1: filter\n    RX1: reactor\n    S1: storage\n").replace(
+        "transfer(from=RX1, to=F1)", "transfer(from=RX1, to=S1)\n"
+        "    transfer(from=S1, to=F1)")
+    listed = parse_program(text)
+    unlisted = ChemProgram(listed.name, listed.reagents, listed.hardware[:1],
+                           listed.steps, listed.metadata)
+    db = load_rules(FIXTURES / "dec_chain.rules")
+    traces = []
+    for prog in (listed, unlisted):
+        if arm == "run":
+            tr = run(prog, db, seed=0)
+        elif arm == "execute_plan":     # unlisted vessels run under their node's id
+            tr = execute_plan(chempile(prog, build_default_graph()), db, seed=0)
+        else:   # the first reaction fails, reverting to before RX1 was first used
+            tr = run_with_dec(prog, db, seed=0, injector=ScriptedInjector(["major"])).trace
+            assert [r["to_pc"] for r in tr.records if r["kind"] == "revert"] == [0]
+        assert tr.halt == "q_out"
+        traces.append(tr)
+    assert [c.name for c in traces[1].state.cells][-3:] == ["F1", "RX1", "S1"]
+    assert traces[1].to_jsonl() == traces[0].to_jsonl()
+
+
 def test_apply_extent_books_no_zero_amounts():
     db = loads_rules(json.dumps({
         "species": [{"id": s, "name": s, "molar_mass": 1.0,
@@ -265,7 +294,7 @@ def test_checkpoint_restore_is_bit_identical():
     m.execute_op(3)
     m.restore(ck)
     ck2 = m.checkpoint()
-    for key in ("pc", "head", "controller", "transit", "cells", "n_cells",
+    for key in ("pc", "head", "controller", "transit", "cells",
                 "outcomes", "rule_events_len"):
         assert dumps_stable(ck[key]) == dumps_stable(ck2[key]), key
     assert ck2["db"] is ck["db"]
