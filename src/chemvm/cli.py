@@ -15,8 +15,10 @@ Exit codes:
     12      halted q_fail
     1       parse errors; compile onto a rig that cannot host the program
     2       I/O, validation and configuration errors, among them a
-            malformed rule, rig, policy or config file, and a program
-            `validate` finds infeasible (any finding, `no_route` included)
+            malformed rule, rig, policy or config file, an option out of
+            its range (a --budget or --depth below 1, a --seed below 0),
+            and a program `validate` finds infeasible (any finding,
+            `no_route` included)
     3       planning found no pathway (unreachable or unstable target)
 """
 
@@ -56,6 +58,16 @@ from .rules import (
 __all__ = ["main", "HALT_EXIT"]
 
 HALT_EXIT = {"q_out": 0, "q_uout": 10, "q_nout": 11, "q_fail": 12}
+
+# The lowest value of each integer option, on every subcommand that has it.
+_LOWEST = {"budget": 1, "depth": 1, "seed": 0}
+
+
+def _check_ranges(args) -> None:
+    for name, lowest in _LOWEST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < lowest:
+            raise ValueError(f"{name} must be an integer >= {lowest}")
 
 
 def _read_text(path: str) -> str:
@@ -364,6 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args, argv)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -130,11 +130,56 @@ class Primitive(NamedTuple):
     reset_cell: bool = False
 
 
-def _qv(op, key: str) -> float | None:
-    v = op.params.get(key)
+def _qv(v) -> float | None:
+    """A quantity parameter's value; None when the step does not give it."""
     if v is None:
         return None
     return v.value if isinstance(v, Quantity) else float(v)
+
+
+def _matter(code: str, cell: str, op_index: int, kind: OpKind,
+            ends: tuple[str | None, str] | None = None, reagent: ReagentDecl | None = None,
+            transit: bool = False, species: tuple[str, ...] | str | None = None,
+            amount: float | None = None, reset_cell: bool = False) -> Primitive:
+    """An AM or SM move."""
+    return Primitive(code, cell, op_index, kind, ends, reagent, transit, species, amount,
+                     None, 0.0, False, False, reset_cell)
+
+
+def _energy(code: str, cell: str, op_index: int, kind: OpKind, setpoint: float | None,
+            duration: float | None, expects_reaction: bool = False) -> Primitive:
+    """An AE or SE move; the machine checks for a reaction after its dwell."""
+    return Primitive(code, cell, op_index, kind, None, None, False, None, None,
+                     setpoint, duration, expects_reaction, True)
+
+
+def _where(op, op_index: int) -> str:
+    return f"step {op_index + 1} ({op.kind.value}, line {op.line})"
+
+
+def _draw(op, op_index: int, decls: dict[str, ReagentDecl], name: str,
+          amount: float | None) -> Primitive:
+    """AM of the declared reagent `name` from its flask into the op's vessel."""
+    decl = decls.get(name)
+    if decl is None:
+        raise MachineError(f"{_where(op, op_index)}: no reagent declaration {name!r}")
+    vessel = op.params["vessel"]
+    return _matter("AM", vessel, op_index, op.kind, (decl.source_vessel, vessel), decl,
+                   False, None, amount)
+
+
+def _charge_solvent(op, op_index: int, decls: dict[str, ReagentDecl],
+                    default: float) -> Primitive:
+    """AM of the op's solvent, or of the shared reservoir when it names none."""
+    p = op.params
+    amount = _qv(p.get("amount"))
+    if amount is None:
+        amount = default
+    solvent = p.get("solvent")
+    if solvent:
+        return _draw(op, op_index, decls, solvent, amount)
+    vessel = p["vessel"]
+    return _matter("AM", vessel, op_index, op.kind, (None, vessel), None, False, None, amount)
 
 
 def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Primitive]:
@@ -144,96 +189,54 @@ def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Pri
     parameter or names an undeclared reagent."""
     k = op.kind
     p = op.params
-    where = f"step {op_index + 1} ({k.value}, line {op.line})"
-    missing = OP_SPECS[k].required - p.keys()
-    if missing:
-        raise MachineError(f"{where}: {k.value} requires parameter {min(missing)!r}")
-    amount = _qv(op, "amount")
-    temp = _qv(op, "temp")
-    duration = _qv(op, "time")
-
-    def prim(code, cell, **kw):
-        return Primitive(code, cell, op_index, k, **kw)
-
-    def draw(name: str, charge: float | None) -> Primitive:
-        """AM of a declared reagent from its flask into the op's vessel."""
-        decl = decls.get(name)
-        if decl is None:
-            raise MachineError(f"{where}: no reagent declaration {name!r}")
-        return prim("AM", p["vessel"], ends=(decl.source_vessel, p["vessel"]),
-                    reagent=decl, amount=charge)
-
-    def charge_solvent(default: float) -> Primitive:
-        """AM of the op's solvent, or of the shared reservoir when it names none."""
-        solvent = p.get("solvent")
-        charge = amount if amount is not None else default
-        return draw(solvent, charge) if solvent else \
-            prim("AM", p["vessel"], ends=(None, p["vessel"]), amount=charge)
-
-    def take(cell: str, to: str, **kw) -> Primitive:
-        """SM out of `cell` into vessel `to`."""
-        return prim("SM", cell, ends=(cell, to), **kw)
-
-    if k == OpKind.ADD:
-        return [draw(p["reagent"], amount)]
-    if k == OpKind.TRANSFER:
-        return [
-            take(p["from"], p["to"], transit=True, amount=amount),
-            prim("AM", p["to"]),
-        ]
-    if k == OpKind.HEAT_STIR or k == OpKind.CHILL:
-        code = "AE" if k == OpKind.HEAT_STIR else "SE"
-        return [prim(code, p["vessel"], setpoint=temp, duration=duration,
-                     check_reaction=True)]
-    if k == OpKind.REACT_HOT or k == OpKind.REACT_COLD:
-        energy = "AE" if k == OpKind.REACT_HOT else "SE"
-        return [
-            draw(p["reagent"], amount),
-            prim(energy, p["vessel"], setpoint=temp, duration=duration,
-                 check_reaction=True, expects_reaction=True),
-        ]
-    if k == OpKind.SEPARATE:
-        return [
-            charge_solvent(SEPARATE_CHARGE_MOL),
-            prim("AE", p["vessel"], duration=duration if duration is not None else AGITATE_S,
-                 check_reaction=True),
-            take(p["vessel"], p["to"], species=(p["species"],)),
-        ]
-    if k == OpKind.DRY or k == OpKind.EVAPORATE:
+    required = OP_SPECS[k].required
+    if not p.keys() >= required:
+        raise MachineError(f"{_where(op, op_index)}: {k.value} requires parameter "
+                           f"{min(required - p.keys())!r}")
+    i = op_index
+    if k is OpKind.ADD:
+        return [_draw(op, i, decls, p["reagent"], _qv(p.get("amount")))]
+    if k is OpKind.TRANSFER:
+        src, to = p["from"], p["to"]
+        return [_matter("SM", src, i, k, (src, to), None, True, None, _qv(p.get("amount"))),
+                _matter("AM", to, i, k)]
+    v = p["vessel"]  # every other kind requires one
+    if k is OpKind.HEAT_STIR or k is OpKind.CHILL:
+        return [_energy("AE" if k is OpKind.HEAT_STIR else "SE", v, i, k,
+                        _qv(p["temp"]), _qv(p["time"]))]
+    if k is OpKind.REACT_HOT or k is OpKind.REACT_COLD:
+        return [_draw(op, i, decls, p["reagent"], _qv(p.get("amount"))),
+                _energy("AE" if k is OpKind.REACT_HOT else "SE", v, i, k,
+                        _qv(p["temp"]), _qv(p["time"]), True)]
+    if k is OpKind.SEPARATE:
+        time = _qv(p.get("time"))
+        return [_charge_solvent(op, i, decls, SEPARATE_CHARGE_MOL),
+                _energy("AE", v, i, k, None, AGITATE_S if time is None else time),
+                _matter("SM", v, i, k, (v, p["to"]), species=(p["species"],))]
+    if k is OpKind.DRY or k is OpKind.EVAPORATE:
         selector = (p["species"],) if "species" in p else "solvents"
-        return [
-            prim("AE", p["vessel"], setpoint=temp, duration=duration,
-                 check_reaction=True),
-            take(p["vessel"], p.get("to", "waste"), species=selector),
-        ]
-    if k == OpKind.CRYSTALLISE:
-        return [
-            prim("AE", p["vessel"], setpoint=temp,
-                 duration=duration if duration is not None else SOAK_S,
-                 check_reaction=True),
-            prim("SE", p["vessel"], setpoint=_qv(op, "cool_to"), duration=SOAK_S,
-                 check_reaction=True),
-            take(p["vessel"], p["to"], species=(p["species"],)),
-        ]
-    if k == OpKind.DISTIL or k == OpKind.SUBLIME:
-        heat = prim("AE", p["vessel"], setpoint=temp,
-                    duration=duration if duration is not None else SOAK_S,
-                    check_reaction=True)
-        vapour = take(p["vessel"], p["to"], transit=True, species=(p["species"],))
-        cool_to = _qv(op, "cool_to")
-        first = [heat, vapour] if k == OpKind.DISTIL else [vapour, heat]
-        return first + [
-            prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
-                 duration=AGITATE_S, check_reaction=True),
-            prim("AM", p["to"]),
-        ]
-    if k == OpKind.FILTER:
-        return [take(p["vessel"], p["to"], species=(p["species"],))]
-    if k == OpKind.CLEAN:
-        return [
-            charge_solvent(CLEAN_CHARGE_MOL),
-            take(p["vessel"], "waste", reset_cell=True),
-        ]
+        return [_energy("AE", v, i, k, _qv(p.get("temp")), _qv(p["time"])),
+                _matter("SM", v, i, k, (v, p.get("to", "waste")), species=selector)]
+    if k is OpKind.CRYSTALLISE:
+        time = _qv(p.get("time"))
+        return [_energy("AE", v, i, k, _qv(p["temp"]), SOAK_S if time is None else time),
+                _energy("SE", v, i, k, _qv(p["cool_to"]), SOAK_S),
+                _matter("SM", v, i, k, (v, p["to"]), species=(p["species"],))]
+    if k is OpKind.DISTIL or k is OpKind.SUBLIME:
+        to = p["to"]
+        time = _qv(p.get("time"))
+        cool_to = _qv(p.get("cool_to"))
+        heat = _energy("AE", v, i, k, _qv(p["temp"]), SOAK_S if time is None else time)
+        vapour = _matter("SM", v, i, k, (v, to), None, True, (p["species"],))
+        cool = _energy("SE", to, i, k, AMBIENT_C if cool_to is None else cool_to, AGITATE_S)
+        if k is OpKind.DISTIL:
+            return [heat, vapour, cool, _matter("AM", to, i, k)]
+        return [vapour, heat, cool, _matter("AM", to, i, k)]
+    if k is OpKind.FILTER:
+        return [_matter("SM", v, i, k, (v, p["to"]), species=(p["species"],))]
+    if k is OpKind.CLEAN:
+        return [_charge_solvent(op, i, decls, CLEAN_CHARGE_MOL),
+                _matter("SM", v, i, k, (v, "waste"), reset_cell=True)]
     raise ValueError(f"no expansion for {k!r}")
 
 

@@ -17,9 +17,10 @@ observed twice stops being a prediction: `promote` increments the
 occurrence counter and flips predicted/novel rules to characterised at the
 second occurrence.
 
-The planner searches rule sequences of minimal length (ties broken by
-lexicographic rule-id sequence) that build a target species from stock,
-then sizes input amounts backward through the declared yields.
+The planner searches forward from stock, breadth first over the sets of
+available species, for a rule sequence of minimal length (ties broken by
+lexicographic rule-id sequence) that builds a target species, then sizes
+input amounts backward through the declared yields.
 
 Neither matching nor planning scans the whole database: an index, built
 when the database is made, files each rule under one of its inputs
@@ -555,21 +556,21 @@ class Pathway:
         return dumps_stable(payload, indent=2) + "\n"
 
 
-def _applicable(rule: TransitionRule, available: frozenset[str]) -> bool:
-    return (set(rule.reagent_pattern) <= available
-            and set(rule.catalysts) <= available)
-
-
 def plan_pathway(db: RuleDatabase, target: str, stock: set[str] | frozenset[str],
                  max_depth: int = 12) -> Pathway:
     """Minimal-length rule sequence making `target` from `stock`.
 
-    Iterative deepening over rule applications, trying rules in id order at
-    every position, so the first sequence found is the lexicographically
-    smallest among those of minimal length. Raises `Unreachable` if no
-    sequence within `max_depth` produces the target, `UnstableTarget` if
-    the target species cannot be isolated and `ValueError` if the database
-    has no such species.
+    Breadth-first search over the sets of available species, one level per
+    rule application, each set expanded once. A level holds its sets in
+    the order of the smallest sequence reaching them, and each set tries
+    its applicable rules in id order, so the first sequence that makes the
+    target is the lexicographically smallest among those of minimal
+    length. A set reached again, at this level or an earlier one, is not
+    kept: its smallest sequence was already found. Raises `Unreachable` if
+    no sequence within `max_depth` produces the target (the search stops
+    at the first level that adds no new set), `UnstableTarget` if the
+    target species cannot be isolated and `ValueError` if the database has
+    no such species.
     """
     if target not in db.species:
         raise ValueError(f"unknown species {target!r}")
@@ -579,31 +580,22 @@ def plan_pathway(db: RuleDatabase, target: str, stock: set[str] | frozenset[str]
     if target in stock:
         return Pathway(target, ())
 
-    for depth in range(1, max_depth + 1):
-        dead: set[tuple[frozenset[str], int]] = set()
-
-        def dfs(available: frozenset[str], remaining: int) -> list[str] | None:
-            key = (available, remaining)
-            if key in dead:
-                return None
+    seen = {stock}
+    level: list[tuple[frozenset[str], tuple[str, ...]]] = [(stock, ())]
+    for _ in range(max_depth):
+        next_level = []
+        for available, seq in level:
             for rule in sorted(db._candidates(available), key=attrgetter("id")):
-                if not _applicable(rule, available):
+                if not (available.issuperset(rule.reagent_pattern)
+                        and available.issuperset(rule.catalysts)):
                     continue
-                new = available | set(rule.products)
-                if new == available:
-                    continue  # adds nothing; a minimal sequence never does this
+                new = available.union(rule.products)
                 if target in new:
-                    return [rule.id]
-                if remaining > 1:
-                    tail = dfs(new, remaining - 1)
-                    if tail is not None:
-                        return [rule.id] + tail
-            dead.add(key)
-            return None
-
-        seq = dfs(stock, depth)
-        if seq is not None:
-            return _size_pathway(db, target, stock, seq)
+                    return _size_pathway(db, target, stock, [*seq, rule.id])
+                if new not in seen:
+                    seen.add(new)
+                    next_level.append((new, (*seq, rule.id)))
+        level = next_level  # empty once a level adds no new set: nothing left to expand
     raise Unreachable(f"{target} not reachable from {sorted(stock)} within {max_depth} steps")
 
 

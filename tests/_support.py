@@ -6,6 +6,7 @@ checked against, the whole-database scans the indexed matcher and planner
 are checked against, a seeded generator of (program, rig) pairs for
 binding checks, the char-by-char tokenizer the DSL scanner is checked
 against, with seeded mutations of program texts to check it on, the
+unit-operation lowering that `cstm.expand_unit_op` is checked against, the
 Monte Carlo kernel that `assembly.monte_carlo` is checked against, with
 the configs to check it on, and the paired loop that
 `dec.evaluate_correction` is checked against."""
@@ -23,13 +24,17 @@ import numpy as np
 
 from chemvm.assembly import MonteCarloConfig, load_mc_config
 from chemvm.chemlang import (
-    ChemProgram, OpKind, ParseError, UnitOperation, format_program, parse_program,
+    AMBIENT_C, OP_SPECS, ChemProgram, OpKind, ParseError, Quantity, ReagentDecl,
+    UnitOperation, format_program, parse_program,
 )
 from chemvm.chemlang.corpus import random_program
 from chemvm.chempiler import (
     CompiledPlan, HardwareGraph, build_default_graph, chempile, execute_plan, loads_graph,
 )
-from chemvm.cstm import ExecutionTrace, run
+from chemvm.cstm import (
+    AGITATE_S, CLEAN_CHARGE_MOL, SEPARATE_CHARGE_MOL, SOAK_S, ExecutionTrace, MachineError,
+    Primitive, run,
+)
 from chemvm.dec import CorrectionPolicy, run_with_dec, sign_test
 from chemvm.rules import (
     PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, load_rules,
@@ -197,9 +202,10 @@ def random_shared_db(seed: int) -> tuple[RuleDatabase, str, frozenset[str]]:
 
 def plan_ids_linear(db: RuleDatabase, target: str, stock: frozenset[str],
                     max_depth: int) -> list[str] | None:
-    """The rule ids `plan_pathway` should choose, by the same iterative
-    deepening with every rule tried in id order at every node; None when no
-    sequence within `max_depth` makes the target."""
+    """The rule ids `plan_pathway` should choose, by iterative deepening
+    with every rule tried in id order at every node (no index, no shared
+    set of expanded species sets); None when no sequence within
+    `max_depth` makes the target."""
     if target in stock:
         return []
     rule_ids = sorted(db.rules)
@@ -478,6 +484,118 @@ def mutated_texts(seed: int, count: int) -> list[str]:
     rng = random.Random(seed)
     texts = program_texts()
     return [mutate(rng, rng.choice(texts)) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# The lowering's oracle
+
+def _reference_qv(op, key: str) -> float | None:
+    v = op.params.get(key)
+    if v is None:
+        return None
+    return v.value if isinstance(v, Quantity) else float(v)
+
+
+def reference_expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Primitive]:
+    """The lowering that `cstm.expand_unit_op` replaced, kept as its oracle.
+
+    Lower one unit operation to its primitive sequence, whose codes are
+    its `OP_SPECS` row's, drawing reagents from `decls` (reagent name ->
+    declaration). Raises MachineError when the operation lacks a required
+    parameter or names an undeclared reagent."""
+    k = op.kind
+    p = op.params
+    where = f"step {op_index + 1} ({k.value}, line {op.line})"
+    missing = OP_SPECS[k].required - p.keys()
+    if missing:
+        raise MachineError(f"{where}: {k.value} requires parameter {min(missing)!r}")
+    amount = _reference_qv(op, "amount")
+    temp = _reference_qv(op, "temp")
+    duration = _reference_qv(op, "time")
+
+    def prim(code, cell, **kw):
+        return Primitive(code, cell, op_index, k, **kw)
+
+    def draw(name: str, charge: float | None) -> Primitive:
+        """AM of a declared reagent from its flask into the op's vessel."""
+        decl = decls.get(name)
+        if decl is None:
+            raise MachineError(f"{where}: no reagent declaration {name!r}")
+        return prim("AM", p["vessel"], ends=(decl.source_vessel, p["vessel"]),
+                    reagent=decl, amount=charge)
+
+    def charge_solvent(default: float) -> Primitive:
+        """AM of the op's solvent, or of the shared reservoir when it names none."""
+        solvent = p.get("solvent")
+        charge = amount if amount is not None else default
+        return draw(solvent, charge) if solvent else \
+            prim("AM", p["vessel"], ends=(None, p["vessel"]), amount=charge)
+
+    def take(cell: str, to: str, **kw) -> Primitive:
+        """SM out of `cell` into vessel `to`."""
+        return prim("SM", cell, ends=(cell, to), **kw)
+
+    if k == OpKind.ADD:
+        return [draw(p["reagent"], amount)]
+    if k == OpKind.TRANSFER:
+        return [
+            take(p["from"], p["to"], transit=True, amount=amount),
+            prim("AM", p["to"]),
+        ]
+    if k == OpKind.HEAT_STIR or k == OpKind.CHILL:
+        code = "AE" if k == OpKind.HEAT_STIR else "SE"
+        return [prim(code, p["vessel"], setpoint=temp, duration=duration,
+                     check_reaction=True)]
+    if k == OpKind.REACT_HOT or k == OpKind.REACT_COLD:
+        energy = "AE" if k == OpKind.REACT_HOT else "SE"
+        return [
+            draw(p["reagent"], amount),
+            prim(energy, p["vessel"], setpoint=temp, duration=duration,
+                 check_reaction=True, expects_reaction=True),
+        ]
+    if k == OpKind.SEPARATE:
+        return [
+            charge_solvent(SEPARATE_CHARGE_MOL),
+            prim("AE", p["vessel"], duration=duration if duration is not None else AGITATE_S,
+                 check_reaction=True),
+            take(p["vessel"], p["to"], species=(p["species"],)),
+        ]
+    if k == OpKind.DRY or k == OpKind.EVAPORATE:
+        selector = (p["species"],) if "species" in p else "solvents"
+        return [
+            prim("AE", p["vessel"], setpoint=temp, duration=duration,
+                 check_reaction=True),
+            take(p["vessel"], p.get("to", "waste"), species=selector),
+        ]
+    if k == OpKind.CRYSTALLISE:
+        return [
+            prim("AE", p["vessel"], setpoint=temp,
+                 duration=duration if duration is not None else SOAK_S,
+                 check_reaction=True),
+            prim("SE", p["vessel"], setpoint=_reference_qv(op, "cool_to"), duration=SOAK_S,
+                 check_reaction=True),
+            take(p["vessel"], p["to"], species=(p["species"],)),
+        ]
+    if k == OpKind.DISTIL or k == OpKind.SUBLIME:
+        heat = prim("AE", p["vessel"], setpoint=temp,
+                    duration=duration if duration is not None else SOAK_S,
+                    check_reaction=True)
+        vapour = take(p["vessel"], p["to"], transit=True, species=(p["species"],))
+        cool_to = _reference_qv(op, "cool_to")
+        first = [heat, vapour] if k == OpKind.DISTIL else [vapour, heat]
+        return first + [
+            prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
+                 duration=AGITATE_S, check_reaction=True),
+            prim("AM", p["to"]),
+        ]
+    if k == OpKind.FILTER:
+        return [take(p["vessel"], p["to"], species=(p["species"],))]
+    if k == OpKind.CLEAN:
+        return [
+            charge_solvent(CLEAN_CHARGE_MOL),
+            take(p["vessel"], "waste", reset_cell=True),
+        ]
+    raise ValueError(f"no expansion for {k!r}")
 
 
 # ---------------------------------------------------------------------------

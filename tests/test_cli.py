@@ -368,6 +368,27 @@ def test_dec_run_rejects_unusable_seeds_and_eps(flags, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", "tiny.chem", "--rules", "tiny.rules", "--budget", -1), "budget must be an integer >= 1"),
+    (("run", "tiny.chem", "--rules", "tiny.rules", "--budget", 0), "budget must be an integer >= 1"),
+    (("run", "tiny.chem", "--rules", "tiny.rules", "--seed", -1), "seed must be an integer >= 0"),
+    (("dec-run", "dec_3step.chem", "--rules", "dec_chain.rules", "--budget", 0),
+     "budget must be an integer >= 1"),
+    (("dec-run", "dec_3step.chem", "--rules", "dec_chain.rules", "--seed", -1),
+     "seed must be an integer >= 0"),
+    (("dec-run", "dec_3step.chem", "--rules", "dec_chain.rules", "--compare", "--seed", -3),
+     "seed must be an integer >= 0"),
+    (("plan", "--rules", "default.rules", "--target", "atr", "--stock", "tro", "--depth", -5),
+     "depth must be an integer >= 1"),
+    (("plan", "--rules", "default.rules", "--target", "atr", "--stock", "tro", "--depth", 0),
+     "depth must be an integer >= 1"),
+])
+def test_out_of_range_options_exit_2(argv, message):
+    code, out, err = cli(*(FIXTURES / a if str(a).endswith((".chem", ".rules")) else a
+                           for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_dec_run_policy_file():
     code, out, _ = cli("dec-run", FIXTURES / "dec_3step.chem",
                        "--rules", FIXTURES / "dec_chain.rules",

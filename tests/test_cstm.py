@@ -2,7 +2,9 @@
 checkpointing, and trace serialization."""
 
 import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import (
     DEFAULT_BUDGET,
     Machine,
+    MachineError,
     apply_extent,
     expand_unit_op,
     init_machine,
@@ -26,7 +29,10 @@ from chemvm.dec import ScriptedInjector, run_with_dec
 from chemvm.jsonio import dumps_stable
 from chemvm.rules import load_rules, loads_rules
 
-from _support import FIXTURES, fixture_text, undeclared_reagent_program
+from _support import (
+    FIXTURES, fixture_text, random_program_text, reference_expand_unit_op,
+    undeclared_reagent_program,
+)
 
 EXPANSIONS = {
     "add": ["AM"],
@@ -67,6 +73,59 @@ def test_lowering_follows_expansion_table(kind, optional):
     keys = spec.required | (spec.optional if optional else set())
     op = UnitOperation(kind, {k: SAMPLE_PARAMS[k] for k in keys})
     assert [p.code for p in expand_unit_op(op, 0, SAMPLE_DECLS)] == EXPANSIONS[kind.value]
+
+
+def _lowered(lower, op, op_index, decls):
+    """A lowering's primitives, or the text of the MachineError it raised."""
+    try:
+        return lower(op, op_index, decls)
+    except MachineError as exc:
+        return f"MachineError: {exc}"
+
+
+def _check_lowering(op, op_index, decls):
+    want = _lowered(reference_expand_unit_op, op, op_index, decls)
+    got = _lowered(expand_unit_op, op, op_index, decls)
+    # repr as well: equal tuples could still differ in a field's type
+    assert (got, repr(got)) == (want, repr(want))
+    return got
+
+
+def test_lowering_matches_reference_on_random_programs():
+    kinds = set()
+    for seed in range(1000):
+        prog = parse_program(random_program_text(random.Random(seed), f"p{seed}"))
+        decls = {d.name: d for d in prog.reagents}
+        for i, op in enumerate(prog.steps):
+            _check_lowering(op, i, decls)
+            kinds.add(op.kind)
+    assert kinds == set(OpKind)
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_lowering_matches_reference_on_every_optional_subset(kind):
+    spec = OP_SPECS[kind]
+    for n in range(len(spec.optional) + 1):
+        for extra in itertools.combinations(sorted(spec.optional), n):
+            op = UnitOperation(kind, {k: SAMPLE_PARAMS[k] for k in (*spec.required, *extra)},
+                               line=7)
+            assert not isinstance(_check_lowering(op, 2, SAMPLE_DECLS), str)
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_lowering_error_text_matches_reference(kind):
+    spec = OP_SPECS[kind]
+    full = {k: SAMPLE_PARAMS[k] for k in spec.required | spec.optional}
+    for dropped in [*({k} for k in spec.required), spec.required]:
+        op = UnitOperation(kind, {k: v for k, v in full.items() if k not in dropped}, line=7)
+        assert _check_lowering(op, 2, SAMPLE_DECLS) == (
+            f"MachineError: step 3 ({kind.value}, line 7): {kind.value} requires "
+            f"parameter {min(dropped)!r}")
+    for key in ("reagent", "solvent"):
+        if key in full:
+            op = UnitOperation(kind, {**full, key: "zz"}, line=7)
+            assert _check_lowering(op, 2, SAMPLE_DECLS) == (
+                f"MachineError: step 3 ({kind.value}, line 7): no reagent declaration 'zz'")
 
 
 @pytest.fixture(scope="module")
