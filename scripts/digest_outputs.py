@@ -24,7 +24,8 @@ The outputs:
 - with fixtures/tiny.rules, the criterion-05 corpus (`random_program`
   seeds 0-999 on the built-in rig): validate and compile JSON, and the
   JSONL traces of the abstract, compiled and corrected (eps 0.2) runs at
-  budgets 10,000 and 7;
+  budgets of 10,000 and 7 machine steps (primitives applied, not records
+  written);
 - seeded renamed-vessel pairs that validate accepts, from the binding
   tests' generator (seeds 0-9,999), each program once on its random rig
   and once on the built-in rig: compile JSON, and the JSONL traces of the

@@ -315,8 +315,10 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
     graph = plan.graph
     reservoir = graph.reservoir()
     reservoir_id = reservoir.id if reservoir else None
+    booked = 0      # strokes the run has booked
 
     def book_strokes(machine: Machine, prim: Primitive, move: Movement | None) -> None:
+        nonlocal booked
         if move is None or move.total <= 0 or move.src is move.dst:
             return
         src = reservoir_id if move.src is None else move.src.name
@@ -329,12 +331,15 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                         None)
         total = move.total
         strokes = 1 if pump_cap is None else max(1, math.ceil(total / pump_cap - 1e-12))
+        booked += strokes
+        if booked > machine.budget:
+            machine.fail("budget exhausted")
         per = total / strokes
         moved_so_far = 0.0
         for j in range(1, strokes + 1):
             moved = per if j < strokes else total - moved_so_far
             moved_so_far += per
-            machine.emit({
+            machine.records.append({
                 "kind": "transfer",
                 "step": machine.state.step_count,
                 "op_index": prim.op_index,

@@ -294,6 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="root seed for all randomness (default 0)")
 
+    def budget_flag(p):
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help=f"machine steps a run may take (default {DEFAULT_BUDGET})")
+
     p = sub.add_parser("parse", help="parse a program and print it canonically")
     p.add_argument("path", help="program file, or - for stdin")
     p.add_argument("--out", help="write canonical text here instead of stdout")
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--rules", required=True, help="rule database file")
     p.add_argument("--graph", help="compile onto this rig and execute the plan")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    budget_flag(p)
     seed_flag(p)
     p.add_argument("--trace", "--out", dest="trace", metavar="OUT",
                    help="write the JSON-lines trace here")
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", help="correction policy JSON (default policy if omitted)")
     p.add_argument("--inject-eps", type=float, default=None,
                    help="override every rule's error rate for injection")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    budget_flag(p)
     seed_flag(p)
     p.add_argument("--compare", action="store_true",
                    help="paired with/without-correction success table")

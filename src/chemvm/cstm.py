@@ -25,10 +25,19 @@ predicted one downgrades the run to q_uout, a novel (explored) one to
 q_nout. A run stops early one way: something raises `MachineError` (a
 reaction step whose conditions matched no rule, an overdrawn flask, a hook
 calling `Machine.fail`), and `Machine.execute`, the one place that catches
-it, halts the run at q_fail with the error as the reason. Every record
-appended to the trace costs one unit of budget: `Machine.emit` raises once
-the budget is spent, and `Machine.reserve(n)` raises unless n more records
-fit, so a correction can check before it changes the workspace.
+it, halts the run at q_fail with the error as the reason.
+
+A run's budget B bounds the machine steps it takes: `Machine.apply` stops
+the run with "budget exhausted" before a primitive once `step_count` has
+reached B. Every primitive counts, a redose's and those a revert re-runs
+included (`step_count` is never rolled back), and records cost nothing, so
+the execution arms stop a program at the same step. A compiled run also
+stops before its strokes pass B, so a rig file's tiny pump cannot make a
+movement's strokes outgrow the budget.
+The trace stays linear in B: at most B primitive records, a transition
+per primitive, B stroke records, five correction records per transition
+(a sensing, a deviation, two actions and a revert), a checkpoint per op
+plus one, a record from the stop and the halt: 9B + 3 records in all.
 
 Mass conservation is audited per species:
 
@@ -634,10 +643,10 @@ class Machine:
     compiled plan's) names the cells the vessels run in; without it each
     cell carries its vessel's name.
 
-    A run stops by raising MachineError: `emit` and `reserve` raise when
-    the budget is spent, `execute_op` raises when the run stops, and a hook
-    or a recovery layer stops the run with `fail`. `execute` catches it and
-    halts at q_fail with `halt_reason` set.
+    A run stops by raising MachineError: `apply` raises when the budget of
+    machine steps is spent, `execute_op` raises when the run stops, and a
+    hook or a recovery layer stops the run with `fail`. `execute` catches it
+    and halts at q_fail with `halt_reason` set.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
@@ -671,39 +680,23 @@ class Machine:
         self.seed = seed
         self._explore_rng = None        # drawn when the run first explores
 
-    # -- trace plumbing ----------------------------------------------------
+    # -- op execution ------------------------------------------------------
 
     def fail(self, reason: str, record: dict | None = None) -> NoReturn:
-        """Stop the run: write `record` when the budget holds it, then raise
-        MachineError(reason)."""
-        if record is not None and self.budget >= 1:
-            self.budget -= 1
+        """Stop the run: write `record`, if any, then raise MachineError(reason)."""
+        if record is not None:
             self.records.append(record)
         raise MachineError(reason)
 
-    def reserve(self, records: int = 1) -> None:
-        """Stop the run unless the budget holds `records` more records."""
-        if self.budget < records:
-            self.fail("budget exhausted")
-
-    def emit(self, record: dict) -> None:
-        """Append a record for one unit of budget; stop the run when the
-        budget is spent."""
-        self.reserve()
-        self.budget -= 1
-        self.records.append(record)
-
-    # -- op execution ------------------------------------------------------
-
     def apply(self, prim: Primitive) -> VesselCell | None:
         """Run one primitive and record it; returns the cell it filled (see
-        `step_tape`). Stopped before it runs by a pre hook or a spent
-        budget."""
+        `step_tape`). Stopped before it runs by a spent budget or a pre
+        hook."""
+        if self.state.step_count >= self.budget:
+            self.fail("budget exhausted")
         move = movement(self.state, prim)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
-        self.reserve()
-        self.budget -= 1
         record, filled = apply_primitive(self.state, prim, move)
         self.records.append(record)
         return filled
@@ -726,10 +719,8 @@ class Machine:
 
     def check_reaction(self, prim: Primitive) -> dict | None:
         """Run the reaction the conditions of `prim` trigger in the cell
-        under the head and record it; None when no reaction runs. Nothing
-        runs once the budget is spent, so every booked reaction has its
-        record, and a reaction step that matches nothing stops the run."""
-        self.reserve()
+        under the head and record it; None when no reaction runs. A
+        reaction step that matches nothing stops the run."""
         state = self.state
         cell = state.cells[state.head]
         conditions = (cell.temp, prim.duration)
@@ -771,7 +762,7 @@ class Machine:
             achieved_yield=extent / m.extent if m.extent > 0 else 0.0)
         if mode is not None:
             record["injected"] = mode
-        self.emit(record)
+        self.records.append(record)
         return record
 
     def _transition(self, prim: Primitive, cell: VesselCell, rule_id: str | None,

@@ -18,10 +18,10 @@ answered in kind:
 A checkpoint is taken after every operation whose reactions all validated.
 Reverting dumps the contaminated holdings to waste and re-credits the
 restored inventory as fresh stock, so mass conservation holds across
-timelines; re-execution draws fresh injector outcomes. A correction runs
-only when the budget holds every record it writes, so the trace records
-every correction that changed the workspace, and the result reads its
-counts from the trace.
+timelines; re-execution draws fresh injector outcomes. The run's budget
+counts machine steps, those a redose adds and a revert re-runs included,
+and no record spends it: the trace records every sensing and correction,
+and the result reads its counts from the trace.
 
 A policy file is a JSON object overriding some of the defaults; the
 policy checks every field's type and range and raises `PolicyError`, a
@@ -320,45 +320,41 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
         nonlocal redoses, reverts
         while True:
             reading = sample_sensor(event, sense_rng, policy.sensor_noise_sd)
-            sensing = {
+            machine.records.append({
                 "kind": "sensing",
                 "op_index": op_index,
                 "rule": event.get("rule"),
                 "reading": reading,
                 "step": machine.state.step_count,
-            }
-            machine.emit(sensing)
+            })
             if not corrections_enabled:
                 return True
             gap = max(0.0, 1.0 - reading)
             severity = classify_severity(gap, policy)
             if severity is None:
                 return True
-            dev_record = {
+            machine.records.append({
                 "kind": "deviation",
                 "op_index": op_index,
                 "rule": event.get("rule"),
                 "gap": gap,
                 "severity": severity,
                 "step": machine.state.step_count,
-            }
-            machine.emit(dev_record)
+            })
 
             if severity == "minor":
-                machine.reserve()
-                machine.emit(_tune(machine, event, policy))
+                machine.records.append(_tune(machine, event, policy))
                 return True
 
             if severity == "intermediate" \
                     and redoses < policy.max_redoses:
-                action = {
+                machine.records.append({
                     "kind": "action",
                     "action": "redose_extend",
                     "op_index": op_index,
                     "rule": event.get("rule"),
                     "step": machine.state.step_count,
-                }
-                machine.emit(action)
+                })
                 redoses += 1
                 retried = _redose_retrigger(machine, op_index, policy)
                 if retried is not None:
@@ -368,9 +364,8 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
 
             # major, or an intermediate with no redose budget left
             if reverts < policy.max_reverts:
-                machine.reserve(2)              # the action and the revert
                 reverts += 1
-                machine.emit({
+                machine.records.append({
                     "kind": "action",
                     "action": "revert_replan",
                     "op_index": op_index,
@@ -378,7 +373,7 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                     "step": machine.state.step_count,
                 })
                 machine.restore(checkpoint)
-                machine.emit({
+                machine.records.append({
                     "kind": "revert",
                     "op_index": op_index,
                     "to_pc": machine.pc,
@@ -398,9 +393,8 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 return
         if op_index < 0 or (events and corrections_enabled):
             checkpoint = machine.checkpoint()
-            machine.emit({"kind": "checkpoint", "op_index": op_index,
-                          "pc": machine.pc,
-                          "step": machine.state.step_count})
+            machine.records.append({"kind": "checkpoint", "op_index": op_index,
+                                    "pc": machine.pc, "step": machine.state.step_count})
 
     return DecResult(machine.execute(after_op), corrections_enabled)
 
@@ -429,13 +423,13 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     The arms share each seed's `inject` and `sense` streams, so a baseline
     run is made only where it can differ from its corrected twin. A
     corrected run that wrote no deviation record took no correction: it
-    made the same reactions from the same draws as its baseline, and the
-    two differ only by the corrected arm's checkpoint records, which draw
-    nothing and change no state but do spend budget. So the baseline runs
-    when the corrected trace holds a deviation, or when the corrected run
-    halted on "budget exhausted" (its baseline writes fewer records and
-    may get further); otherwise the baseline's success is the corrected
-    run's. Raises ValueError when `n_seeds` is below 1."""
+    took the same machine steps and made the same reactions from the same
+    draws as its baseline, so it stopped where its baseline stops, on the
+    budget too. The two differ only by the corrected arm's checkpoint
+    records, which draw nothing, change no state and take no step. So the
+    baseline runs only when the corrected trace holds a deviation;
+    otherwise its success is the corrected run's. Raises ValueError when
+    `n_seeds` is below 1."""
     if n_seeds < 1:
         raise ValueError(f"seeds must be at least 1, not {n_seeds}")
     policy = policy or CorrectionPolicy()
@@ -447,7 +441,7 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
         seed = seed0 + k
         on = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
                           corrections_enabled=True)
-        if on.deviations or on.trace.records[-1].get("reason") == "budget exhausted":
+        if on.deviations:
             off_success = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
                                        corrections_enabled=False).success
         else:

@@ -1,7 +1,9 @@
 """Hardware graphs, routing, compilation findings, stroked transfers,
 runtime capacity enforcement, and the lowering view."""
 
+import collections
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -13,6 +15,7 @@ from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import (
     FLOW_KINDS,
     GraphError,
+    HardwareGraph,
     RouteError,
     build_default_graph,
     chempile,
@@ -22,7 +25,7 @@ from chemvm.chempiler import (
     route,
 )
 from chemvm.cli import main
-from chemvm.cstm import run
+from chemvm.cstm import DEFAULT_BUDGET, run
 from chemvm.rules import load_rules, loads_rules, pathway_to_program, plan_pathway
 
 from _support import FIXTURES, fixture_text, random_program_text
@@ -295,24 +298,41 @@ def test_runtime_capacity_checks_the_filled_cell(default_graph, steps, after, ov
                                  **overfill}
 
 
-@pytest.mark.parametrize("budget, reason, deviation", [
-    (10, "budget exhausted", False),
-    (11, "RX1 overfilled: 400 over capacity 250", False),
-    (12, "RX1 overfilled: 400 over capacity 250", True),
-])
-def test_overfill_at_the_budget_edge(default_graph, budget, reason, deviation):
-    # 11 records (8 strokes, the AM, the AE and the transition) come before
-    # the deviation: without room for the transition the budget stops the
-    # run; the overfill stops it once the reaction is recorded, and its
-    # deviation record is written when the budget holds it
+@pytest.mark.parametrize("budget", range(1, 13))
+def test_overfill_at_the_budget_edge(default_graph, budget):
+    # the 200 mol charge takes 8 strokes of the 25 mL pump: below 8 the
+    # budget stops the run before the first of them; from 8 on the charge,
+    # the heat and the reaction run, and the overfill writes its deviation
     plan = chempile(_doubling_program(
         '    react_hot(vessel=RX1, reagent=a, amount=200 mol, temp=80 C, time=600 s)\n'),
         default_graph)
     trace = execute_plan(plan, _DOUBLING_DB, seed=0, budget=budget)
     assert trace.halt == "q_fail"
-    assert trace.records[-1]["reason"] == reason
-    assert len(trace.records) == budget + 1
-    assert (trace.records[-2]["kind"] == "deviation") == deviation
+    kinds = [r["kind"] for r in trace.records]
+    if budget < 8:
+        assert trace.records[-1]["reason"] == "budget exhausted"
+        assert kinds == ["halt"]
+    else:
+        assert trace.records[-1]["reason"] == "RX1 overfilled: 400 over capacity 250"
+        assert kinds == ["transfer"] * 8 + ["primitive", "primitive", "transition",
+                                            "deviation", "halt"]
+
+
+def test_a_tiny_pump_stops_the_run_within_its_record_bound(default_graph):
+    # a rig file may name a 1e-4 mL pump, whose strokes the budget caps as it
+    # caps steps: tiny.chem's first charge alone takes 10,000 strokes
+    nodes = dict(default_graph.nodes)
+    nodes["P1"] = dataclasses.replace(nodes["P1"], capacity=1e-4)
+    plan = chempile(parse_program(fixture_text("tiny.chem")),
+                    HardwareGraph(nodes, default_graph.edges))
+    assert plan.feasible
+    trace = execute_plan(plan, load_rules(FIXTURES / "tiny.rules"), seed=0)
+    assert trace.halt == "q_fail"
+    assert trace.records[-1]["reason"] == "budget exhausted"
+    kinds = collections.Counter(r["kind"] for r in trace.records)
+    assert kinds == {"transfer": DEFAULT_BUDGET, "primitive": 1, "halt": 1}
+    # the bound the cstm docstring states for a run of budget B: 9B + 3
+    assert len(trace.records) <= 9 * DEFAULT_BUDGET + 3
 
 
 def test_compile_refuses_a_movement_overfill(default_graph):

@@ -389,6 +389,17 @@ def test_out_of_range_options_exit_2(argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["run", "dec-run"])
+def test_budget_counts_machine_steps(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--budget BUDGET machine steps a run may take (default 10000)" \
+        in " ".join(capsys.readouterr().out.split())
+    # tiny.chem takes 6 steps, whatever records the arm writes
+    args = (command, FIXTURES / "tiny.chem", "--rules", FIXTURES / "tiny.rules", "--budget")
+    assert [cli(*args, budget)[0] for budget in (5, 6)] == [12, 0]
+
+
 def test_dec_run_policy_file():
     code, out, _ = cli("dec-run", FIXTURES / "dec_3step.chem",
                        "--rules", FIXTURES / "dec_chain.rules",

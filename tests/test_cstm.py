@@ -30,8 +30,8 @@ from chemvm.jsonio import dumps_stable
 from chemvm.rules import load_rules, loads_rules
 
 from _support import (
-    FIXTURES, fixture_text, random_program_text, reference_expand_unit_op,
-    undeclared_reagent_program,
+    FIXTURE_RUNS, FIXTURES, fixture_plan, fixture_text, random_program_text,
+    reference_expand_unit_op, undeclared_reagent_program,
 )
 
 EXPANSIONS = {
@@ -229,6 +229,25 @@ def test_budget_trace_records_every_executed_step(arm, budget):
         applied = [e for e in tr.rule_events if e["kind"] == "applied"]
         reactions = [r for r in tr.records if r["kind"] == "transition" and r["rule"]]
         assert len(applied) == len(reactions)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_arms_halt_alike_at_every_budget(name):
+    # from budget 1 to the compiled run's record count, which is past every
+    # fixture's step count: the budget counts steps, so no arm's records
+    # make it stop sooner than another
+    rules_name, explore = FIXTURE_RUNS[name]
+    prog = parse_program(fixture_text(name))
+    db = load_rules(FIXTURES / rules_name)
+    plan = fixture_plan(name, "default")
+    records = len(execute_plan(plan, db, seed=0, explore=explore).records)
+    for budget in range(1, records + 1):
+        halts = {(r["halt"], r.get("reason"), r["step"]) for r in (
+            run(prog, db, seed=0, budget=budget, explore=explore).records[-1],
+            execute_plan(plan, db, seed=0, budget=budget, explore=explore).records[-1],
+            run_with_dec(prog, db, eps=0.0, seed=0, budget=budget,
+                         explore=explore).trace.records[-1])}
+        assert len(halts) == 1, (budget, halts)
 
 
 @pytest.mark.parametrize("arm", ["run", "execute_plan", "run_with_dec"])

@@ -180,12 +180,15 @@ def test_revert_budget_exhaustion(chain):
 
 
 @pytest.mark.parametrize("mode", ["minor", "intermediate", "major"])
-@pytest.mark.parametrize("budget", range(1, 21))     # 20 records finish every run
+@pytest.mark.parametrize("budget", range(1, 21))
 def test_budget_trace_records_every_correction(mode, budget):
+    # the run takes 6 steps after a tune and 9 after a redose or revert, whose
+    # re-run steps count; the budgets past that check finished runs
     res = run_with_dec(parse_program(fixture_text("tiny.chem")),
                        load_rules(FIXTURES / "tiny.rules"), seed=0,
                        budget=budget, injector=ScriptedInjector([mode]))
     records = res.trace.records
+    finish = 6 if mode == "minor" else 9
 
     def count(kind, action=None):
         return sum(r["kind"] == kind and r.get("action") == action for r in records)
@@ -195,7 +198,8 @@ def test_budget_trace_records_every_correction(mode, budget):
     assert len(res.actions) == sum(r["kind"] == "action" for r in records)
     assert res.redoses == count("action", "redose_extend")
     assert res.reverts == count("action", "revert_replan") == count("revert")
-    assert records[-1]["step"] == count("primitive")
+    assert records[-1]["step"] == count("primitive") == min(budget, finish)
+    assert (records[-1].get("reason") == "budget exhausted") == (budget < finish)
 
 
 def test_corrections_disabled_lets_faults_through(chain):
@@ -292,11 +296,10 @@ def test_baseline_runs_only_where_it_can_differ(chain, monkeypatch):
     assert 40 < len(runs) < 80
 
 
-def test_baseline_runs_when_checkpoints_spend_the_budget(monkeypatch):
-    # every react step writes two primitives, a transition and a sensing; the
-    # corrected arm adds a checkpoint, which takes it past the budget
+def test_a_long_program_completes_in_both_arms(monkeypatch):
+    # 2,200 react steps take 4,402 machine steps; the corrected arm's sensing
+    # and checkpoint records take it past DEFAULT_BUDGET records but no step
     n = 2200
-    assert 4 * n + 3 <= DEFAULT_BUDGET < 5 * n + 3
     prog = parse_program(
         'procedure "long" {\n  reagents {\n    a: sp:a 3000 mol @R1 reagent\n'
         f'    b: sp:b {n} mol @R2 reagent\n  }}\n  steps {{\n'
@@ -306,9 +309,10 @@ def test_baseline_runs_when_checkpoints_spend_the_budget(monkeypatch):
     db = load_rules(FIXTURES / "tiny.rules")
     runs = _record_runs(monkeypatch)
     out = evaluate_correction(prog, db, eps=0.0, n_seeds=1)
-    on, off = runs
-    assert on.trace.records[-1]["reason"] == "budget exhausted"
-    assert not on.deviations
-    assert not off.corrections_enabled and off.success
+    [on] = runs     # no deviation, so no baseline runs
+    off = run_with_dec(prog, db, eps=0.0, seed=0, corrections_enabled=False)
+    assert on.corrections_enabled and on.halt == off.halt == "q_out"
+    assert on.trace.records[-1]["step"] == off.trace.records[-1]["step"] == 2 * n + 2
+    assert len(off.trace.records) < DEFAULT_BUDGET < len(on.trace.records)
     assert out == reference_evaluate_correction(prog, db, eps=0.0, n_seeds=1)
-    assert (out["rate_corrected"], out["rate_baseline"]) == (0.0, 1.0)
+    assert (out["rate_corrected"], out["rate_baseline"]) == (1.0, 1.0)
