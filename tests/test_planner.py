@@ -29,8 +29,19 @@ def test_planner_matches_bfs_oracle(seed):
 
 
 @pytest.mark.parametrize("make_db", [random_db, random_shared_db])
+@pytest.mark.parametrize("seed", range(40))
+def test_planner_matches_linear_scan(make_db, seed):
+    # same rule ids, not just the same length: lexicographic minimality
+    db, target, stock = make_db(seed)
+    try:
+        ids = plan_pathway(db, target, stock, max_depth=DEPTH).rule_ids()
+    except Unreachable:
+        ids = None
+    assert ids == plan_ids_linear(db, target, stock, DEPTH)
+
+
+@pytest.mark.parametrize("make_db", [random_db, random_shared_db])
 def test_planner_matches_iterative_deepening(make_db):
-    # same rule ids, not just the same length (lexicographic minimality), on
     # 300 seeds x depths 1-6 per generator, unreachable targets included
     outcomes = {"planned": 0, "unreachable": 0}
     for seed in range(300):
