@@ -2,8 +2,12 @@
 
 The tape is a row of vessel cells, laid out once when a machine starts:
 waste at index 0, product at index 1, then every other vessel the program
-names, in the order a run first uses it (see `Lowering.vessels`). Every
-unit operation expands to a short fixed sequence of four primitive moves:
+names, in the order a run first uses it (see `Lowering.vessels`). The
+layout also fills `MachineState.slot`, which maps each program vessel to
+the tape index of the cell it runs in (under a compiled plan's bindings,
+several vessels can share a node's cell), so a primitive finds its cells
+with one lookup. Every unit operation expands to a short fixed sequence of
+four primitive moves:
 
     AM  add matter       SM  subtract matter
     AE  add energy       SE  subtract energy
@@ -44,6 +48,8 @@ Mass conservation is audited per species:
     stock_in + produced == consumed + held + waste + product
 
 within a relative residual of 1e-9 (see `LedgerReport.residual`).
+`build_ledger` keys each of the ledger's dicts in species order as it
+builds them, so the halt record copies them and sorts nothing.
 Conversion between mol, g and mL is treated as 1:1 nominal, so all
 amounts are a single "mol" scale.
 """
@@ -76,7 +82,6 @@ __all__ = [
     "Lowering",
     "lower_program",
     "init_machine",
-    "cell_index",
     "movement",
     "step_tape",
     "apply_primitive",
@@ -300,7 +305,7 @@ class VesselCell:
 @dataclass
 class MachineState:
     cells: list[VesselCell]
-    index: dict[str, int]
+    index: dict[str, int]                 # cell name -> tape index
     head: int = 0
     controller: str = "q0"
     transit: dict[str, float] = field(default_factory=dict)
@@ -309,7 +314,8 @@ class MachineState:
     consumed: dict[str, float] = field(default_factory=dict)
     produced: dict[str, float] = field(default_factory=dict)
     solvent_species: frozenset[str] = frozenset()
-    names: dict[str, str] = field(default_factory=dict)   # vessel -> cell name
+    # program vessel -> tape index of the cell it runs in
+    slot: dict[str, int] = field(default_factory=dict)
 
     @property
     def waste_cell(self) -> VesselCell:
@@ -340,30 +346,26 @@ def _drain(contents: dict[str, float], species: str, amount: float) -> None:
 def init_machine(prog: ChemProgram, names: dict[str, str] | None = None
                  ) -> MachineState:
     """Lay out the tape, one cell per distinct cell name of the program's
-    vessels (`Lowering.vessels`), and charge the source flasks from the
-    declarations. `names` maps program vessels to the names their cells run
-    under (a compiled plan's bindings: vessel -> node id); a vessel it does
-    not name runs under its own name."""
+    vessels (`Lowering.vessels`), fill `slot` for every one of those
+    vessels, and charge the source flasks from the declarations. `names`
+    maps program vessels to the names their cells run under (a compiled
+    plan's bindings: vessel -> node id); a vessel it does not name runs
+    under its own name."""
     names = names or {}
     lowering = lower_program(prog)
-    state = MachineState([], {}, names=names, solvent_species=lowering.solvents)
-    cells, index = state.cells, state.index
+    state = MachineState([], {}, solvent_species=lowering.solvents)
+    cells, index, slot = state.cells, state.index, state.slot
     for vessel in lowering.vessels:
         name = names.get(vessel, vessel)
         if name not in index:
             index[name] = len(cells)
             cells.append(VesselCell(name))
+        slot[vessel] = index[name]
     for decl in prog.reagents:
         amount = decl.amount.value
-        _bump(cells[cell_index(state, decl.source_vessel)].contents, decl.species, amount)
+        _bump(cells[slot[decl.source_vessel]].contents, decl.species, amount)
         _bump(state.stock_in, decl.species, amount)
     return state
-
-
-def cell_index(state: MachineState, vessel: str) -> int:
-    """Tape index of the cell a program vessel runs in, named through
-    `state.names`."""
-    return state.index[state.names.get(vessel, vessel)]
 
 
 def selected_species(cell: VesselCell, selector,
@@ -401,13 +403,14 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
     if ends is None:
         return None
     src, dst = ends
-    cell = state.cells[cell_index(state, prim.cell)]
+    slot = state.slot
+    cell = state.cells[slot[prim.cell]]
     if prim.code == "AM":
         if src is None:
             amount = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
             return Movement(None, cell, {RESERVOIR_SPECIES: amount}, amount)
         decl = prim.reagent
-        flask = state.cells[cell_index(state, src)]
+        flask = state.cells[slot[src]]
         avail = flask.contents.get(decl.species, 0.0)
         want = prim.amount if prim.amount is not None else avail
         if want > avail + _AMOUNT_SLACK:
@@ -425,7 +428,7 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
         frac = min(1.0, prim.amount / total) if total > 0 else 0.0
         amounts = {s: v * frac for s, v in amounts.items()}
         total = min(total, prim.amount)
-    return Movement(cell, state.cells[cell_index(state, dst)], amounts, total)
+    return Movement(cell, state.cells[slot[dst]], amounts, total)
 
 
 def step_tape(state: MachineState, prim: Primitive,
@@ -436,7 +439,7 @@ def step_tape(state: MachineState, prim: Primitive,
     None when the SM fills the transit line, which is not a cell; the head
     cell after an AM, and after an energy move, whose reaction books its
     products there."""
-    idx = state.head = cell_index(state, prim.cell)
+    idx = state.head = state.slot[prim.cell]
     cell = state.cells[idx]
     state.step_count += 1
     code = prim.code
@@ -553,18 +556,16 @@ class LedgerReport:
     residual: float
 
     def to_json_dict(self) -> dict:
-        def srt(d: dict[str, float]) -> dict[str, float]:
-            return dict(sorted(d.items()))
         return {
-            "total_in": srt(self.total_in),
-            "total_consumed": srt(self.total_consumed),
-            "total_held": srt(self.total_held),
+            "total_in": dict(self.total_in),
+            "total_consumed": dict(self.total_consumed),
+            "total_held": dict(self.total_held),
             "total_waste": self.total_waste,
             "total_product": self.total_product,
-            "waste_by_species": srt(self.waste_by_species),
-            "product_by_species": srt(self.product_by_species),
-            "stock_in": srt(self.stock_in),
-            "produced": srt(self.produced),
+            "waste_by_species": dict(self.waste_by_species),
+            "product_by_species": dict(self.product_by_species),
+            "stock_in": dict(self.stock_in),
+            "produced": dict(self.produced),
             "energy_in": self.energy_in,
             "energy_out": self.energy_out,
             "residual": self.residual,
@@ -572,6 +573,7 @@ class LedgerReport:
 
 
 def build_ledger(state: MachineState) -> LedgerReport:
+    """The run's ledger, each of its dicts keyed in species order."""
     held: dict[str, float] = {}
     for cell in state.cells[2:]:
         for s, v in cell.contents.items():
@@ -579,11 +581,15 @@ def build_ledger(state: MachineState) -> LedgerReport:
     for s, v in state.transit.items():
         _bump(held, s, v)
     stock_in, produced, consumed = state.stock_in, state.produced, state.consumed
-    waste = dict(state.waste_cell.contents)
-    product = dict(state.product_cell.contents)
+    waste, product = state.waste_cell.contents, state.product_cell.contents
+    species = sorted({**stock_in, **produced, **consumed, **held, **waste, **product})
+
+    def ordered(d: dict[str, float]) -> dict[str, float]:
+        return {s: d[s] for s in species if s in d}
+
     total_in = {}
     residual = 0.0
-    for s in sorted({**stock_in, **produced, **consumed, **held, **waste, **product}):
+    for s in species:
         inflow = total_in[s] = stock_in.get(s, 0.0) + produced.get(s, 0.0)
         outflow = (consumed.get(s, 0.0) + held.get(s, 0.0)
                    + waste.get(s, 0.0) + product.get(s, 0.0))
@@ -592,14 +598,14 @@ def build_ledger(state: MachineState) -> LedgerReport:
             residual = gap
     return LedgerReport(
         total_in=total_in,
-        total_consumed=dict(consumed),
-        total_held=held,
+        total_consumed=ordered(consumed),
+        total_held=ordered(held),
         total_waste=math.fsum(waste.values()),
         total_product=math.fsum(product.values()),
-        waste_by_species=waste,
-        product_by_species=product,
-        stock_in=dict(stock_in),
-        produced=dict(produced),
+        waste_by_species=ordered(waste),
+        product_by_species=ordered(product),
+        stock_in=ordered(stock_in),
+        produced=ordered(produced),
         energy_in=math.fsum(c.energy_in for c in state.cells),
         energy_out=math.fsum(c.energy_out for c in state.cells),
         residual=residual,

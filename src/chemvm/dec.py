@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .chemlang import ChemProgram
-from .cstm import DEFAULT_BUDGET, ExecutionTrace, Machine, apply_extent, cell_index
+from .cstm import DEFAULT_BUDGET, ExecutionTrace, Machine, apply_extent
 from .jsonio import is_integer, is_number, loads_object
 from .rng import substream
 from .rules import RuleDatabase, limiting_extent
@@ -222,7 +222,7 @@ def _redose_retrigger(machine: Machine, op_index: int,
         return None
     decl = dose.reagent
     state = machine.state
-    flask = state.cells[cell_index(state, decl.source_vessel)]
+    flask = state.cells[state.slot[decl.source_vessel]]
     avail = flask.contents.get(decl.species, 0.0)
     base = dose.amount if dose.amount is not None else avail
     take = min(policy.redose_fraction * base, avail)

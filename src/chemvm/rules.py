@@ -34,6 +34,19 @@ and which shares the index, since promotion changes no rule's inputs;
 log is append-only: each new version links one event onto the log of the
 version it was made from, so versions share their common history and
 adding an event copies nothing.
+
+Both questions a run asks of a database are answered once. `match_rule`
+keeps a memo beside the index, keyed by (the frozenset of species present
+above `PRESENCE_EPS`, temperature, duration), whose value is the winning
+rule's id or None: the winner depends on nothing else, since which
+candidates' inputs are present, their windows, priorities and ids are all
+fixed for the index's lifetime. The memo is made with the index and lives
+as long as it: `promote` passes both on, and `commit_discovery` and the
+loaders start both afresh. It holds one entry per distinct question; the
+extent is still worked out on each call's contents, from the rule as the
+asking database holds it. `promote` keeps the database it makes on the one
+it was called with, one child per promoted (database, rule), and returns
+that child on every later call.
 """
 
 from __future__ import annotations
@@ -165,10 +178,18 @@ class RuleDatabase:
     # given (`promote` passes its source's, as no rule's inputs change)
     _index: dict[str, list[TransitionRule]] | None = field(
         default=None, repr=False, compare=False)
+    # match_rule's answers, made and passed on with `_index`: (present
+    # species, temp, duration) -> the winning rule's id, or None
+    _matches: dict[tuple[frozenset[str], float, float], str | None] | None = field(
+        default=None, repr=False, compare=False)
+    # rule id -> the database `promote` made from this one for it
+    _promoted: dict[str, RuleDatabase] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self._index is None:
             self._index = _build_index(self.rules.values())
+            self._matches = {}
 
     @property
     def provenance(self) -> list[dict]:
@@ -436,21 +457,33 @@ def _inputs_present(rule: TransitionRule, contents: dict[str, float]) -> bool:
     return True
 
 
+_UNSEEN = object()
+
+
 def match_rule(db: RuleDatabase, contents: dict[str, float],
                conditions: tuple[float, float]) -> RuleMatch | None:
-    """Best rule for the cell contents at (temperature C, duration s): one
-    pass over the rules filed under the present species, keeping the
-    eligible one first in (-priority, id) order."""
+    """Best rule for the cell contents at (temperature C, duration s). The
+    winner depends only on which species are present and on the
+    conditions, so it is looked up in the database's memo under that key;
+    on a miss, one pass over the rules filed under the present species
+    keeps the eligible one first in (-priority, id) order. The extent is
+    worked out on the contents themselves."""
     temp, duration = conditions
-    best = None
-    for rule in db._candidates(s for s, amount in contents.items() if amount > PRESENCE_EPS):
-        if (best is None or (-rule.priority, rule.id) < (-best.priority, best.id)) \
-                and rule.process_window.contains(temp, duration) \
-                and _inputs_present(rule, contents):
-            best = rule
-    if best is None:
+    present = frozenset([s for s, amount in contents.items() if amount > PRESENCE_EPS])
+    key = (present, temp, duration)
+    best_id = db._matches.get(key, _UNSEEN)
+    if best_id is _UNSEEN:
+        best = None
+        for rule in db._candidates(present):
+            if (best is None or (-rule.priority, rule.id) < (-best.priority, best.id)) \
+                    and rule.process_window.contains(temp, duration) \
+                    and present.issuperset(rule.reagent_pattern) \
+                    and present.issuperset(rule.catalysts):
+                best = rule
+        best_id = db._matches[key] = None if best is None else best.id
+    if best_id is None:
         return None
-    rule = db.rules[best.id]
+    rule = db.rules[best_id]
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
 
 
@@ -474,8 +507,13 @@ def classify_outcome(match: RuleMatch, db: RuleDatabase) -> str:
 def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
     """Record one observed application. Copy-on-write: returns a new
     database whose rules overlay the changed ones on `db`'s base, and which
-    shares `db`'s index; at the second occurrence a predicted/novel rule
-    becomes characterised, with a provenance event either way."""
+    shares `db`'s index and match memo; at the second occurrence a
+    predicted/novel rule becomes characterised, with a provenance event
+    either way. Databases are never changed, so the new one is made once
+    per (db, rule) and kept on `db` for every later call."""
+    child = db._promoted.get(rule_id)
+    if child is not None:
+        return child
     changed, base = {}, db.rules
     if type(base) is ChainMap:
         changed, base = base.maps
@@ -492,7 +530,9 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
     counted = object.__new__(TransitionRule)
     counted.__dict__.update(rule.__dict__, occurrences=new_occ, status=status)
     rules = ChainMap({**changed, rule_id: counted}, base)
-    return RuleDatabase(db.species, rules, db.latent, _Logged(db._log, event), db._index)
+    child = db._promoted[rule_id] = RuleDatabase(
+        db.species, rules, db.latent, _Logged(db._log, event), db._index, db._matches)
+    return child
 
 
 def explore(db: RuleDatabase, contents: dict[str, float],

@@ -3,13 +3,14 @@
 built in Python that names an undeclared reagent, seeded
 rule-database generators, a brute-force reachability oracle the planner is
 checked against, the whole-database scans the indexed matcher and planner
-are checked against, a seeded generator of (program, rig) pairs for
-binding checks, the char-by-char tokenizer the DSL scanner is checked
-against, with seeded mutations of program texts to check it on, the
-unit-operation lowering that `cstm.expand_unit_op` is checked against, the
-Monte Carlo kernel that `assembly.monte_carlo` is checked against, with
-the configs to check it on, and the paired loop that
-`dec.evaluate_correction` is checked against."""
+are checked against, the matcher without its memo and the repeating
+questions the memoized one is checked on, a seeded generator of
+(program, rig) pairs for binding checks, the char-by-char tokenizer the
+DSL scanner is checked against, with seeded mutations of program texts to
+check it on, the unit-operation lowering that `cstm.expand_unit_op` is
+checked against, the Monte Carlo kernel that `assembly.monte_carlo` is
+checked against, with the configs to check it on, and the paired loop
+that `dec.evaluate_correction` is checked against."""
 
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from chemvm.cstm import (
 )
 from chemvm.dec import CorrectionPolicy, run_with_dec, sign_test
 from chemvm.rules import (
-    PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, limiting_extent, load_rules,
-    loads_rules,
+    PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, _inputs_present, limiting_extent,
+    load_rules, loads_rules,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -242,6 +243,32 @@ def plan_ids_linear(db: RuleDatabase, target: str, stock: frozenset[str],
 _PROBE_AMOUNTS = (0.0, PRESENCE_EPS, math.nextafter(PRESENCE_EPS, 1.0))
 
 
+def _random_rule(rng: random.Random, ids: list[str], rid: str) -> dict:
+    """One rule over `ids`: 1-3 reagents, sometimes a catalyst, a priority
+    of 0-2 and a process window that overlaps others on a coarse grid."""
+    n_inputs, n_catalysts = rng.randint(1, 3), rng.choice((0, 0, 1))
+    picked = rng.sample(ids, n_inputs + n_catalysts + 1)
+    inputs, catalysts, product = picked[:n_inputs], picked[n_inputs:-1], picked[-1]
+    temp_min = float(rng.randrange(20, 100, 10))
+    duration_min = float(rng.choice((600, 1800, 3600)))
+    out = {
+        "id": rid,
+        "reagent_pattern": {s: float(rng.choice((1, 2))) for s in inputs},
+        "process_window": {"temp_min": temp_min,
+                           "temp_max": temp_min + rng.choice((10.0, 30.0, 60.0)),
+                           "duration_min": duration_min,
+                           "duration_max": duration_min + rng.choice((1800.0, 5400.0))},
+        "products": {product: 1.0},
+        "yield": 0.9,
+        "epsilon": 0.05,
+        "status": rng.choice(STATUSES),
+        "priority": rng.randint(0, 2),
+    }
+    if catalysts:
+        out["catalysts"] = catalysts
+    return out
+
+
 def random_match_db(seed: int, n_probes: int = 40):
     """A random rule database of 50-500 rules with catalysts, priority ties,
     overlapping process windows and a few latent rules, plus `n_probes`
@@ -250,33 +277,9 @@ def random_match_db(seed: int, n_probes: int = 40):
     the database does not know."""
     rng = random.Random(seed)
     ids = [f"s{i}" for i in range(rng.randint(6, 30))]
-
-    def rule(rid: str) -> dict:
-        n_inputs, n_catalysts = rng.randint(1, 3), rng.choice((0, 0, 1))
-        picked = rng.sample(ids, n_inputs + n_catalysts + 1)
-        inputs, catalysts, product = picked[:n_inputs], picked[n_inputs:-1], picked[-1]
-        temp_min = float(rng.randrange(20, 100, 10))
-        duration_min = float(rng.choice((600, 1800, 3600)))
-        out = {
-            "id": rid,
-            "reagent_pattern": {s: float(rng.choice((1, 2))) for s in inputs},
-            "process_window": {"temp_min": temp_min,
-                               "temp_max": temp_min + rng.choice((10.0, 30.0, 60.0)),
-                               "duration_min": duration_min,
-                               "duration_max": duration_min + rng.choice((1800.0, 5400.0))},
-            "products": {product: 1.0},
-            "yield": 0.9,
-            "epsilon": 0.05,
-            "status": rng.choice(STATUSES),
-            "priority": rng.randint(0, 2),
-        }
-        if catalysts:
-            out["catalysts"] = catalysts
-        return out
-
     n_rules = rng.randint(50, 500)
-    rules = [rule(f"r{j}") for j in rng.sample(range(10 * n_rules), n_rules)]
-    latent = [rule(f"l{j}") for j in range(rng.randint(1, 5))]
+    rules = [_random_rule(rng, ids, f"r{j}") for j in rng.sample(range(10 * n_rules), n_rules)]
+    latent = [_random_rule(rng, ids, f"l{j}") for j in range(rng.randint(1, 5))]
     db = loads_rules(json.dumps({"species": _unit_species(ids), "rules": rules,
                                  "latent": latent}))
     probes = []
@@ -287,6 +290,54 @@ def random_match_db(seed: int, n_probes: int = 40):
         conditions = (rng.uniform(15.0, 170.0), rng.uniform(500.0, 9000.0))
         probes.append((contents, conditions))
     return db, probes
+
+
+def random_memo_case(seed: int, n_questions: int = 60):
+    """A small random rule database (2-25 rules over 5-9 species) and
+    `n_questions` (contents, conditions) questions that repeat: each draws
+    one of four species sets and one of four condition points, some on a
+    window's edges, and gives the set's species fresh amounts just above
+    `PRESENCE_EPS` or ordinary ones. Contents may also hold species at 0.0
+    or exactly at the threshold, which count as absent, and a species the
+    database does not know."""
+    rng = random.Random(seed)
+    ids = [f"s{i}" for i in range(rng.randint(5, 9))]
+    rules = [_random_rule(rng, ids, f"r{j}") for j in range(rng.randint(2, 25))]
+    db = loads_rules(json.dumps({"species": _unit_species(ids), "rules": rules}))
+    temps = [r["process_window"][k] for r in rules for k in ("temp_min", "temp_max")]
+    durations = [r["process_window"][k] for r in rules
+                 for k in ("duration_min", "duration_max")]
+    sets = [rng.sample(ids, rng.randint(1, min(5, len(ids)))) for _ in range(4)]
+    points = [(rng.choice(temps + [rng.uniform(15.0, 170.0)]),
+               rng.choice(durations + [rng.uniform(500.0, 9000.0)])) for _ in range(4)]
+    questions = []
+    for _ in range(n_questions):
+        present = rng.choice(sets)
+        contents = {s: rng.choice((math.nextafter(PRESENCE_EPS, 1.0), rng.uniform(0.01, 2.0)))
+                    for s in present}
+        for s in rng.sample(ids, 2):
+            contents.setdefault(s, rng.choice((0.0, PRESENCE_EPS)))
+        if rng.random() < 0.3:
+            contents["unknown.byproduct"] = rng.uniform(0.01, 1.0)
+        questions.append((contents, rng.choice(points)))
+    return db, questions
+
+
+def reference_match_rule(db: RuleDatabase, contents: dict[str, float],
+                         conditions: tuple[float, float]) -> RuleMatch | None:
+    """`rules.match_rule` as it was before it kept a memo: one pass over the
+    rules filed under the present species on every call."""
+    temp, duration = conditions
+    best = None
+    for rule in db._candidates(s for s, amount in contents.items() if amount > PRESENCE_EPS):
+        if (best is None or (-rule.priority, rule.id) < (-best.priority, best.id)) \
+                and rule.process_window.contains(temp, duration) \
+                and _inputs_present(rule, contents):
+            best = rule
+    if best is None:
+        return None
+    rule = db.rules[best.id]
+    return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
 
 
 def match_rule_linear(db: RuleDatabase, contents: dict[str, float],

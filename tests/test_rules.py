@@ -12,6 +12,7 @@ from chemvm.chempiler import chempile, execute_plan
 from chemvm.cstm import run
 from chemvm.rules import (
     CATALYST_CHARGE_MOL,
+    PRESENCE_EPS,
     RuleLoadError,
     Unreachable,
     UnstableTarget,
@@ -27,7 +28,9 @@ from chemvm.rules import (
     save_rules,
 )
 
-from _support import FIXTURES, match_rule_linear, random_match_db
+from _support import (
+    FIXTURES, match_rule_linear, random_match_db, random_memo_case, reference_match_rule,
+)
 
 import random
 
@@ -243,6 +246,57 @@ def test_indexed_match_agrees_with_linear_scan(seed):
                    latent.process_window.midpoint()))
     hits(discovered)
     assert match_rule(discovered, *probes[-1]).rule.id == latent.id
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_memoized_match_agrees_with_reference(block):
+    # 50 cases a block, 500 in all; each asks its questions of the database
+    # and of children promoted along the way, in turn, which share its memo
+    for seed in range(50 * block, 50 * block + 50):
+        db, questions = random_memo_case(seed)
+        rng = random.Random(seed)
+        family, keys = [db], set()
+        for contents, conditions in questions:
+            if rng.random() < 0.2:
+                family.append(promote(rng.choice(family), rng.choice(sorted(db.rules))))
+            member = rng.choice(family)
+            want = reference_match_rule(member, contents, conditions)
+            assert _match_key(match_rule(member, contents, conditions)) == _match_key(want)
+            keys.add((frozenset(s for s, v in contents.items() if v > PRESENCE_EPS),
+                      *conditions))
+        # one entry per distinct question, shared by the whole family
+        assert all(member._matches is db._matches for member in family)
+        assert len(db._matches) == len(keys) < len(questions)
+
+
+def test_match_memo_never_crosses_an_index():
+    db = load_rules(FIXTURES / "explore.rules")
+    contents, conditions = {"e1": 1.0, "e2": 1.0}, (60.0, 2700.0)
+    assert match_rule(db, contents, conditions) is None
+    assert db._matches == {(frozenset(contents), *conditions): None}
+    found = explore(db, contents, conditions, random.Random(0))
+    discovered = commit_discovery(db, found)
+    assert discovered._matches is not db._matches
+    assert match_rule(discovered, contents, conditions).rule.id == "le"
+    # the parent's answer stands for the parent's index
+    assert match_rule(db, contents, conditions) is None
+
+
+def test_promote_is_made_once_and_equals_a_fresh_build():
+    text = (FIXTURES / "predicted.rules").read_text()
+    db = loads_rules(text)
+    once = promote(promote(db, "rp"), "rp")
+    assert promote(db, "rp") is promote(db, "rp")
+    assert promote(promote(db, "rp"), "rp") is once
+    # the same two promotions on a database nothing has promoted yet
+    fresh = promote(promote(loads_rules(text), "rp"), "rp")
+    assert fresh is not once
+    assert dict(once.rules) == dict(fresh.rules)
+    assert (once.rules["rp"].status, once.rules["rp"].occurrences) == ("characterised", 2)
+    assert once.provenance == fresh.provenance == [
+        {"event": "occurrence", "rule": "rp", "occurrences": 1},
+        {"event": "promoted", "rule": "rp", "occurrences": 2, "from": "predicted"}]
+    assert once == fresh
 
 
 def test_explore_and_commit_discovery():
