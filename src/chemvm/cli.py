@@ -260,9 +260,11 @@ def cmd_dec_run(args, argv: list[str]) -> int:
     inputs = [args.path, args.rules] + ([args.policy] if args.policy else [])
 
     if args.compare:
+        if args.trace:
+            raise ValueError("--trace writes a single run's trace; --compare makes none")
         table = evaluate_correction(prog, db, policy=policy,
                                     eps=args.inject_eps, n_seeds=args.seeds,
-                                    seed0=args.seed)
+                                    seed0=args.seed, budget=args.budget)
         text = dumps_stable(table, indent=2) + "\n"
         outputs = _emit(text, args.out)
         _write_manifest("dec-run", argv, inputs, args.seed, outputs)

@@ -1,13 +1,12 @@
 """Vessel-tape machine: unit operations lowered to matter/energy primitives.
 
-The tape is a row of vessel cells, laid out once when a machine starts:
-waste at index 0, product at index 1, then every other vessel the program
-names, in the order a run first uses it (see `Lowering.vessels`). The
-layout also fills `MachineState.slot`, which maps each program vessel to
-the tape index of the cell it runs in (under a compiled plan's bindings,
-several vessels can share a node's cell), so a primitive finds its cells
-with one lookup. Every unit operation expands to a short fixed sequence of
-four primitive moves:
+The tape is a row of vessel cells: waste at index 0, product at index 1,
+then every other vessel the program names, in the order a run first uses
+it (see `Lowering.vessels`). `MachineState.slot` maps each program
+vessel to the tape index of the cell it runs in (under a compiled plan's
+bindings, several vessels can share a node's cell), so a primitive finds
+its cells with one lookup. Every unit operation expands to a short fixed
+sequence of four primitive moves:
 
     AM  add matter       SM  subtract matter
     AE  add energy       SE  subtract energy
@@ -19,10 +18,14 @@ conditions, not of which surface operation requested the heating. A
 matched rule consumes inputs and books products at its declared yield;
 element surplus goes straight to the waste cell as the rule's byproduct.
 
-A program is lowered once: `lower_program` expands every step the first
-time the program is run or compiled and keeps the result on the program,
-which every later machine and compile reads. This rests on a parsed
-program being immutable; a different program is a new `ChemProgram`.
+A program is lowered once: `lower_program` expands every step and lays
+out the tape (`Layout`: cell names, name -> index, vessel -> slot) the
+first time the program is run or compiled, and keeps the result on the
+program, which every later machine and compile reads. Every machine
+without bindings shares that layout's two maps, which nothing changes,
+and makes only its own fresh cells; a compiled plan's bindings lay out
+their tape through the same function. This rests on a parsed program
+being immutable; a different program is a new `ChemProgram`.
 
 Halting is classified per run: a characterised rule keeps q_out, a
 predicted one downgrades the run to q_uout, a novel (explored) one to
@@ -43,13 +46,19 @@ per primitive, B stroke records, five correction records per transition
 (a sensing, a deviation, two actions and a revert), a checkpoint per op
 plus one, a record from the stop and the halt: 9B + 3 records in all.
 
+A cell's contents, the transit line and the books of stock drawn,
+consumed and produced hold their species in species (sorted id) order:
+`_add` is the one place a species enters any of them, and it keeps that
+order, so a record, a checkpoint or the ledger copies them as they are
+and nothing sorts them on the way.
+
 Mass conservation is audited per species:
 
     stock_in + produced == consumed + held + waste + product
 
 within a relative residual of 1e-9 (see `LedgerReport.residual`).
-`build_ledger` keys each of the ledger's dicts in species order as it
-builds them, so the halt record copies them and sorts nothing.
+`build_ledger` walks the sorted species once, for the totals and the
+residual, and copies the books, already in species order.
 Conversion between mol, g and mL is treated as 1:1 nominal, so all
 amounts are a single "mol" scale.
 """
@@ -65,7 +74,7 @@ from .chemlang import AMBIENT_C, OP_SPECS, ChemProgram, OpKind, Quantity, Reagen
 from .jsonio import dumps_jsonl
 from .rng import substream
 from .rules import (
-    RuleDatabase, RuleMatch, TransitionRule, classify_outcome, commit_discovery,
+    RuleDatabase, RuleMatch, TransitionRule, commit_discovery,
     explore as _explore_latent, limiting_extent, match_rule, promote,
 )
 
@@ -80,6 +89,7 @@ __all__ = [
     "Movement",
     "expand_unit_op",
     "Lowering",
+    "Layout",
     "lower_program",
     "init_machine",
     "movement",
@@ -99,6 +109,8 @@ __all__ = [
 DEFAULT_BUDGET = 10000
 HALT_KINDS = ("q_out", "q_uout", "q_nout", "q_fail")
 _HALT_RANK = {k: i for i, k in enumerate(HALT_KINDS)}
+# A reaction's halt classification, by the status its rule has once promoted.
+_HALT_OF_STATUS = {"characterised": "q_out", "predicted": "q_uout", "novel": "q_nout"}
 
 # Nominal charges and dwell times for operations that do not spell them out.
 CLEAN_CHARGE_MOL = 0.1
@@ -254,8 +266,29 @@ def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Pri
     raise ValueError(f"no expansion for {k!r}")
 
 
+class Layout(NamedTuple):
+    """A tape's layout: what every machine over it shares and never
+    changes."""
+    names: tuple[str, ...]         # cell names, in tape order
+    index: dict[str, int]          # cell name -> tape index
+    slot: dict[str, int]           # program vessel -> tape index of its cell
+
+
+def _lay_out(vessels: tuple[str, ...], names: dict[str, str]) -> Layout:
+    """One cell per distinct cell name of `vessels`, in order; `names`
+    maps a vessel to the name its cell runs under (a compiled plan's
+    bindings), and a vessel it does not name runs under its own."""
+    index: dict[str, int] = {}
+    slot = {}
+    for vessel in vessels:
+        name = names.get(vessel, vessel)
+        slot[vessel] = index.setdefault(name, len(index))
+    return Layout(tuple(index), index, slot)
+
+
 class Lowering(NamedTuple):
-    """What running a program needs that depends on the program alone."""
+    """What running a program needs that depends on the program alone,
+    the layout of its tape included."""
     # per step, its primitives; () for a step that cannot be lowered
     ops: tuple[tuple[Primitive, ...], ...]
     error: str | None                  # the MachineError message of the first such step
@@ -264,6 +297,7 @@ class Lowering(NamedTuple):
     # waste, product, the source flasks, the hardware, then each step's
     # `op.vessels()`, whose order is the order its primitives use them
     vessels: tuple[str, ...]
+    layout: Layout                     # the tape without bindings, a cell per vessel
 
 
 def lower_program(prog: ChemProgram) -> Lowering:
@@ -282,28 +316,35 @@ def lower_program(prog: ChemProgram) -> Lowering:
             except MachineError as exc:
                 ops.append(())
                 error = error or str(exc)
+        vessels = tuple(dict.fromkeys(vessels))
         lowering = prog._lowering = Lowering(
             tuple(ops), error,
             frozenset({RESERVOIR_SPECIES}
                       | {d.species for d in prog.reagents if d.role == "solvent"}),
-            tuple(dict.fromkeys(vessels)))
+            vessels, _lay_out(vessels, {}))
     return lowering
 
 
 # ---------------------------------------------------------------------------
 # Tape state
 
-@dataclass
+@dataclass(slots=True)
 class VesselCell:
     name: str
-    contents: dict[str, float] = field(default_factory=dict)
+    contents: dict[str, float] = field(default_factory=dict)   # in species order
     temp: float = AMBIENT_C
     energy_in: float = 0.0
     energy_out: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class MachineState:
+    """A machine's tape and books. `index` and `slot` are its tape's
+    `Layout`, which nothing changes: without bindings, the program's own,
+    shared by every machine over it. `cells` are the machine's own. Every
+    cell's contents and the transit line hold their species in species
+    order, and so do the books `stock_in`, `consumed` and `produced` (see
+    `_add`)."""
     cells: list[VesselCell]
     index: dict[str, int]                 # cell name -> tape index
     head: int = 0
@@ -329,42 +370,51 @@ class MachineState:
         return self.cells[self.index[name]]
 
 
-def _bump(d: dict[str, float], key: str, amount: float) -> None:
-    """Add `amount` to `d[key]`; a zero amount adds no key."""
-    if amount:
-        d[key] = d.get(key, 0.0) + amount
+def _add(d: dict[str, float], species: str, amount: float) -> None:
+    """Add `amount` to `d[species]`, keeping `d`'s keys in species order; a
+    zero amount adds no key. The one place a species enters a cell, the
+    transit line or a book."""
+    if not amount:
+        return
+    if species in d:
+        d[species] += amount
+    elif not d or species > next(reversed(d)):
+        d[species] = amount
+    else:
+        ordered = sorted([*d.items(), (species, amount)])
+        d.clear()
+        d.update(ordered)
 
 
 def _drain(contents: dict[str, float], species: str, amount: float) -> None:
-    left = contents.get(species, 0.0) - amount
-    if left == 0.0:
-        contents.pop(species, None)
+    """Take `amount` of `species` out of a cell; a species drawn to exactly
+    zero leaves it."""
+    if species in contents:
+        left = contents[species] - amount
+        if left == 0.0:
+            del contents[species]
+        else:
+            contents[species] = left
     else:
-        contents[species] = left
+        _add(contents, species, -amount)
 
 
 def init_machine(prog: ChemProgram, names: dict[str, str] | None = None
                  ) -> MachineState:
-    """Lay out the tape, one cell per distinct cell name of the program's
-    vessels (`Lowering.vessels`), fill `slot` for every one of those
-    vessels, and charge the source flasks from the declarations. `names`
-    maps program vessels to the names their cells run under (a compiled
-    plan's bindings: vessel -> node id); a vessel it does not name runs
-    under its own name."""
-    names = names or {}
+    """A fresh machine state over the program's tape, its source flasks
+    charged from the declarations. Without `names` the tape is the
+    program's own layout (`Lowering.layout`), whose maps the state shares;
+    `names` (a compiled plan's bindings: vessel -> node id) lays out a tape
+    whose cells run under those names, with `_lay_out`."""
     lowering = lower_program(prog)
-    state = MachineState([], {}, solvent_species=lowering.solvents)
-    cells, index, slot = state.cells, state.index, state.slot
-    for vessel in lowering.vessels:
-        name = names.get(vessel, vessel)
-        if name not in index:
-            index[name] = len(cells)
-            cells.append(VesselCell(name))
-        slot[vessel] = index[name]
+    layout = _lay_out(lowering.vessels, names) if names else lowering.layout
+    cells = [VesselCell(name) for name in layout.names]
+    slot = layout.slot
+    state = MachineState(cells, layout.index, solvent_species=lowering.solvents, slot=slot)
     for decl in prog.reagents:
         amount = decl.amount.value
-        _bump(cells[slot[decl.source_vessel]].contents, decl.species, amount)
-        _bump(state.stock_in, decl.species, amount)
+        _add(cells[slot[decl.source_vessel]].contents, decl.species, amount)
+        _add(state.stock_in, decl.species, amount)
     return state
 
 
@@ -373,9 +423,9 @@ def selected_species(cell: VesselCell, selector,
     """Resolve an SM selector against a cell: None selects everything,
     "solvents" the solvent-role species, a tuple exactly those present."""
     if selector is None:
-        return sorted(cell.contents)
+        return list(cell.contents)
     if selector == "solvents":
-        return sorted(s for s in cell.contents if s in solvents)
+        return [s for s in cell.contents if s in solvents]
     return [s for s in selector if s in cell.contents]
 
 
@@ -448,22 +498,22 @@ def step_tape(state: MachineState, prim: Primitive,
         amounts = move.amounts
         if move.src is None:
             for s, v in amounts.items():
-                _bump(state.stock_in, s, v)
+                _add(state.stock_in, s, v)
         else:
             source = move.src.contents
             for s, v in amounts.items():
                 _drain(source, s, v)
         filled = None if prim.transit else move.dst
         into = state.transit if filled is None else filled.contents
-        for s in sorted(amounts):
-            _bump(into, s, amounts[s])
+        for s, v in amounts.items():
+            _add(into, s, v)
         if prim.reset_cell and not cell.contents:
             cell.temp = AMBIENT_C
         return filled
     if code == "AM":
         transit = state.transit
-        for s in sorted(transit):
-            _bump(cell.contents, s, transit[s])
+        for s, v in transit.items():
+            _add(cell.contents, s, v)
         transit.clear()
     elif code == "AE":
         setpoint, rise = prim.setpoint, 0.0
@@ -497,7 +547,7 @@ def apply_primitive(state: MachineState, prim: Primitive, move: Movement | None
         "cell": cell.name,
         "move": "N" if idx == head else ("R" if idx > head else "L"),
         "state": state.controller,
-        "contents": dict(sorted(cell.contents.items())),
+        "contents": dict(cell.contents),
         "temp": cell.temp,
     }, filled
 
@@ -519,29 +569,30 @@ def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
     """Run `rule` forward by `extent` in `cell`: consume its reagents, book
     its products, send its byproduct to waste and turn its catalysts over.
     Zero amounts are not booked."""
-    for s in sorted(rule.reagent_pattern):
-        take = rule.reagent_pattern[s] * extent
+    for s, ratio in rule.reagent_pattern.items():
+        take = ratio * extent
         _drain(cell.contents, s, take)
-        _bump(state.consumed, s, take)
-    for s in sorted(rule.products):
-        out = rule.products[s] * extent
-        _bump(cell.contents, s, out)
-        _bump(state.produced, s, out)
+        _add(state.consumed, s, take)
+    for s, ratio in rule.products.items():
+        out = ratio * extent
+        _add(cell.contents, s, out)
+        _add(state.produced, s, out)
     bp = rule.byproduct_species
     if bp is not None and extent:
-        _bump(state.produced, bp, extent)
-        _bump(state.waste_cell.contents, bp, extent)
+        _add(state.produced, bp, extent)
+        _add(state.waste_cell.contents, bp, extent)
     for c in rule.catalysts:
         # turns over but is not used up; book both sides equally
-        _bump(state.consumed, c, extent)
-        _bump(state.produced, c, extent)
+        _add(state.consumed, c, extent)
+        _add(state.produced, c, extent)
 
 
 # ---------------------------------------------------------------------------
 # Ledger
 
-@dataclass(frozen=True)
-class LedgerReport:
+class LedgerReport(NamedTuple):
+    """A run's conservation ledger (see `build_ledger`): a NamedTuple, so
+    immutable and cheap to build once per run."""
     total_in: dict[str, float]       # stock drawn + reaction products
     total_consumed: dict[str, float]
     total_held: dict[str, float]     # working cells + transit line
@@ -573,23 +624,20 @@ class LedgerReport:
 
 
 def build_ledger(state: MachineState) -> LedgerReport:
-    """The run's ledger, each of its dicts keyed in species order."""
+    """The run's ledger, each of its dicts keyed in species order: one walk
+    of the sorted species makes the totals and the residual, and the
+    books, already in that order, are copied."""
     held: dict[str, float] = {}
     for cell in state.cells[2:]:
         for s, v in cell.contents.items():
-            _bump(held, s, v)
+            _add(held, s, v)
     for s, v in state.transit.items():
-        _bump(held, s, v)
+        _add(held, s, v)
     stock_in, produced, consumed = state.stock_in, state.produced, state.consumed
     waste, product = state.waste_cell.contents, state.product_cell.contents
-    species = sorted({**stock_in, **produced, **consumed, **held, **waste, **product})
-
-    def ordered(d: dict[str, float]) -> dict[str, float]:
-        return {s: d[s] for s in species if s in d}
-
     total_in = {}
     residual = 0.0
-    for s in species:
+    for s in sorted({**stock_in, **produced, **consumed, **held, **waste, **product}):
         inflow = total_in[s] = stock_in.get(s, 0.0) + produced.get(s, 0.0)
         outflow = (consumed.get(s, 0.0) + held.get(s, 0.0)
                    + waste.get(s, 0.0) + product.get(s, 0.0))
@@ -598,14 +646,14 @@ def build_ledger(state: MachineState) -> LedgerReport:
             residual = gap
     return LedgerReport(
         total_in=total_in,
-        total_consumed=ordered(consumed),
-        total_held=ordered(held),
+        total_consumed=dict(consumed),
+        total_held=held,
         total_waste=math.fsum(waste.values()),
         total_product=math.fsum(product.values()),
-        waste_by_species=ordered(waste),
-        product_by_species=ordered(product),
-        stock_in=ordered(stock_in),
-        produced=ordered(produced),
+        waste_by_species=dict(waste),
+        product_by_species=dict(product),
+        stock_in=dict(stock_in),
+        produced=dict(produced),
         energy_in=math.fsum(c.energy_in for c in state.cells),
         energy_out=math.fsum(c.energy_out for c in state.cells),
         residual=residual,
@@ -637,7 +685,10 @@ class ExecutionTrace:
 
 
 def read_trace_jsonl(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """The records of a JSON-lines trace. Lines end at "\\n" alone: a string
+    in a record may hold any other line separator (U+2028, U+0085, ...)
+    raw, as `dumps_jsonl` writes it."""
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
 
 
 class Machine:
@@ -700,7 +751,7 @@ class Machine:
         hook."""
         if self.state.step_count >= self.budget:
             self.fail("budget exhausted")
-        move = movement(self.state, prim)
+        move = None if prim.ends is None else movement(self.state, prim)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
         record, filled = apply_primitive(self.state, prim, move)
@@ -760,7 +811,8 @@ class Machine:
             "kind": "applied", "rule_id": rule.id,
             "occurrences": applied.occurrences, "status_after": applied.status,
         })
-        outcome = classify_outcome(m, self.db)
+        # after promotion, so a second occurrence already reads as characterised
+        outcome = _HALT_OF_STATUS[applied.status]
         self.reaction_outcomes.append(outcome)
         record = self._transition(
             prim, cell, rule.id, outcome, extent=extent, extent_max=m.extent,
@@ -783,7 +835,7 @@ class Machine:
             "outcome": outcome,
             **reaction,
             "cell": cell.name,
-            "contents": dict(sorted(cell.contents.items())),
+            "contents": dict(cell.contents),
             "temp": cell.temp,
             "state": self.state.controller,
         }
@@ -812,18 +864,18 @@ class Machine:
         fresh: dict[str, float] = {}
         for cell, (contents, temp) in zip(st.cells[1:], ckpt["cells"]):
             for s, v in cell.contents.items():
-                _bump(waste, s, v)
+                _add(waste, s, v)
             cell.contents = dict(contents)
             cell.temp = temp
             for s, v in contents.items():
-                _bump(fresh, s, v)
+                fresh[s] = fresh.get(s, 0.0) + v
         for s, v in st.transit.items():
-            _bump(waste, s, v)
+            _add(waste, s, v)
         st.transit = dict(ckpt["transit"])
         for s, v in ckpt["transit"].items():
-            _bump(fresh, s, v)
-        for s in sorted(fresh):
-            _bump(st.stock_in, s, fresh[s])
+            fresh[s] = fresh.get(s, 0.0) + v
+        for s, v in fresh.items():
+            _add(st.stock_in, s, v)
         st.head = ckpt["head"]
         st.controller = ckpt["controller"]
         self.pc = ckpt["pc"]

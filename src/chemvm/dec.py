@@ -415,10 +415,11 @@ def sign_test(b: int, c: int) -> float:
 def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
                         policy: CorrectionPolicy | None = None,
                         eps: float | None = None, n_seeds: int = 200,
-                        seed0: int = 0) -> dict:
-    """Paired comparison, same seeds with and without correction. Returns
-    success rates, the discordant counts and the exact sign-test p-value
-    for "correction helps".
+                        seed0: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
+    """Paired comparison, same seeds with and without correction, each run
+    under a budget of `budget` machine steps. Returns success rates, the
+    discordant counts and the exact sign-test p-value for "correction
+    helps".
 
     The arms share each seed's `inject` and `sense` streams, so a baseline
     run is made only where it can differ from its corrected twin. A
@@ -440,10 +441,10 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     for k in range(n_seeds):
         seed = seed0 + k
         on = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                          corrections_enabled=True)
+                          corrections_enabled=True, budget=budget)
         if on.deviations:
             off_success = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                                       corrections_enabled=False).success
+                                       corrections_enabled=False, budget=budget).success
         else:
             off_success = on.success
         wins_on += on.success

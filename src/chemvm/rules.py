@@ -84,7 +84,6 @@ __all__ = [
     "save_rules",
     "match_rule",
     "limiting_extent",
-    "classify_outcome",
     "promote",
     "explore",
     "commit_discovery",
@@ -446,7 +445,7 @@ def save_rules(db: RuleDatabase, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matching, outcome classification, promotion, exploration
+# Matching, promotion, exploration
 
 def _inputs_present(rule: TransitionRule, contents: dict[str, float]) -> bool:
     """True when the rule's reagents and catalysts are all present in
@@ -492,16 +491,6 @@ def limiting_extent(pattern: dict[str, float],
     """Largest extent a reagent pattern can run to on these contents, and
     the species that limits it (ties go to the smallest id)."""
     return min((contents.get(s, 0.0) / ratio, s) for s, ratio in pattern.items())
-
-
-_OUTCOME = {"characterised": "q_out", "predicted": "q_uout", "novel": "q_nout"}
-
-
-def classify_outcome(match: RuleMatch, db: RuleDatabase) -> str:
-    """Halt classification for one reaction event, by the status its rule
-    has in `db`. Call after promotion so a second occurrence already reads
-    as characterised."""
-    return _OUTCOME[db.rules[match.rule.id].status]
 
 
 def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:

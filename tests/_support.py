@@ -33,8 +33,8 @@ from chemvm.chempiler import (
     CompiledPlan, HardwareGraph, build_default_graph, chempile, execute_plan, loads_graph,
 )
 from chemvm.cstm import (
-    AGITATE_S, CLEAN_CHARGE_MOL, SEPARATE_CHARGE_MOL, SOAK_S, ExecutionTrace, MachineError,
-    Primitive, run,
+    AGITATE_S, CLEAN_CHARGE_MOL, DEFAULT_BUDGET, SEPARATE_CHARGE_MOL, SOAK_S, ExecutionTrace,
+    MachineError, Primitive, run,
 )
 from chemvm.dec import CorrectionPolicy, run_with_dec, sign_test
 from chemvm.rules import (
@@ -689,7 +689,7 @@ def mc_configs() -> list[tuple[str, MonteCarloConfig]]:
 def reference_evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
                                   policy: CorrectionPolicy | None = None,
                                   eps: float | None = None, n_seeds: int = 200,
-                                  seed0: int = 0) -> dict:
+                                  seed0: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """`dec.evaluate_correction` as it was before it skipped the baseline
     runs that cannot differ: both arms run on every seed."""
     policy = policy or CorrectionPolicy()
@@ -700,9 +700,9 @@ def reference_evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     for k in range(n_seeds):
         seed = seed0 + k
         on = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                          corrections_enabled=True)
+                          corrections_enabled=True, budget=budget)
         off = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                           corrections_enabled=False)
+                           corrections_enabled=False, budget=budget)
         wins_on += on.success
         wins_off += off.success
         if on.success and not off.success:

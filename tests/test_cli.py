@@ -354,6 +354,27 @@ def test_dec_run_single_and_compare():
     }
 
 
+def test_dec_run_compare_runs_under_the_budget():
+    args = ("dec-run", FIXTURES / "dec_3step.chem", "--rules", FIXTURES / "dec_chain.rules",
+            "--compare", "--seeds", 5)
+    code, out, _ = cli(*args, "--budget", 1)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rate_corrected"], doc["rate_baseline"]) == (0.0, 0.0)
+    code, out, _ = cli(*args, "--budget", 12)
+    assert json.loads(out)["rate_baseline"] > 0.0
+
+
+def test_dec_run_compare_rejects_trace(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    code, out, err = cli("dec-run", FIXTURES / "dec_3step.chem",
+                         "--rules", FIXTURES / "dec_chain.rules",
+                         "--compare", "--seeds", 3, "--trace", trace)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--compare", "--seeds", 0), "seeds must be at least 1, not 0"),
     (("--compare", "--seeds", -2), "seeds must be at least 1, not -2"),

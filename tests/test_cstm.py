@@ -8,11 +8,14 @@ import random
 
 import pytest
 
+from chemvm import cstm
 from chemvm.chemlang import (
     OP_SPECS, ChemProgram, OpKind, Quantity, ReagentDecl, UnitOperation,
     parse_program,
 )
 from chemvm.chemlang.validate import ValidationReport
+from chemvm.chemlang.corpus import random_program
+from chemvm.chemlang.validate import check_program
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import (
     DEFAULT_BUDGET,
@@ -21,6 +24,7 @@ from chemvm.cstm import (
     apply_extent,
     expand_unit_op,
     init_machine,
+    lower_program,
     read_trace_jsonl,
     run,
     worst_halt,
@@ -30,8 +34,8 @@ from chemvm.jsonio import dumps_stable
 from chemvm.rules import load_rules, loads_rules
 
 from _support import (
-    FIXTURE_RUNS, FIXTURES, fixture_plan, fixture_text, random_program_text,
-    reference_expand_unit_op, undeclared_reagent_program,
+    FIXTURE_ARMS, FIXTURE_RUNS, FIXTURES, fixture_plan, fixture_text, fixture_trace,
+    random_program_text, reference_expand_unit_op, undeclared_reagent_program,
 )
 
 EXPANSIONS = {
@@ -158,6 +162,19 @@ def test_trace_jsonl_roundtrip(tiny_trace):
     assert read_trace_jsonl(text) == tiny_trace.records
     assert tiny_trace.records[-1]["kind"] == "halt"
     assert tiny_trace.records[-1]["halt"] == "q_out"
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_trace_jsonl_roundtrip_with_line_separators_in_strings(separator):
+    # a rule id need not be an identifier; the trace holds it raw
+    doc = json.loads(fixture_text("tiny.rules"))
+    doc["rules"][0]["id"] = f"r{separator}1"
+    db = loads_rules(json.dumps(doc))
+    tr = run(parse_program(fixture_text("tiny.chem")), db, seed=0)
+    text = tr.to_jsonl()
+    assert separator in text
+    assert read_trace_jsonl(text) == json.loads(json.dumps(tr.records))
 
 
 def test_budget_exhaustion_fails():
@@ -421,3 +438,132 @@ def test_explore_discovers_latent_rule():
     assert probed.ledger.product_by_species["en"] == pytest.approx(0.7)
     kinds = [e["kind"] for e in probed.rule_events]
     assert kinds == ["discovered", "applied"]
+
+
+# ---------------------------------------------------------------------------
+# Species order and the shared layout
+
+def _in_species_order(d: dict) -> bool:
+    return list(d) == sorted(d)
+
+
+@pytest.fixture()
+def order_checks(monkeypatch):
+    """Check, after every primitive any machine runs, that each cell, the
+    transit line and the books hold their species in species order, as does
+    the primitive's record. Returns the list of states checked."""
+    checked = []
+    inner = cstm.apply_primitive
+
+    def checked_apply(state, prim, move):
+        record, filled = inner(state, prim, move)
+        for d in (*(c.contents for c in state.cells), state.transit,
+                  state.stock_in, state.consumed, state.produced):
+            assert _in_species_order(d), (prim, d)
+        assert _in_species_order(record["contents"]), record
+        checked.append(state)
+        return record, filled
+
+    monkeypatch.setattr(cstm, "apply_primitive", checked_apply)
+    return checked
+
+
+def _assert_trace_in_species_order(tr) -> None:
+    for r in tr.records:
+        if "contents" in r:
+            assert list(r["contents"].items()) == sorted(r["contents"].items()), r
+    halt = tr.records[-1]
+    assert halt["kind"] == "halt"
+    for key, value in halt["ledger"].items():
+        if isinstance(value, dict):
+            assert _in_species_order(value), key
+    for cell in tr.state.cells:
+        assert _in_species_order(cell.contents)
+
+
+@pytest.mark.parametrize("arm", FIXTURE_ARMS)
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_fixture_runs_keep_species_order(order_checks, name, arm):
+    tr = fixture_trace(name, arm)
+    _assert_trace_in_species_order(tr)
+    assert order_checks
+
+
+def test_random_programs_keep_species_order(order_checks):
+    db = load_rules(FIXTURES / "tiny.rules")
+    graph = build_default_graph()
+    for seed in range(200):
+        prog = random_program(random.Random(seed))
+        plan = chempile(prog, graph)
+        assert plan.feasible, seed
+        for tr in (run(prog, db, seed=seed), execute_plan(plan, db, seed=seed),
+                   run_with_dec(prog, db, eps=0.2, seed=seed).trace):
+            _assert_trace_in_species_order(tr)
+    assert len(order_checks) > 1000
+
+
+def test_revert_keeps_species_order(order_checks):
+    prog = parse_program(fixture_text("dec_3step.chem"))
+    db = load_rules(FIXTURES / "dec_chain.rules")
+    result = run_with_dec(prog, db, seed=0, injector=ScriptedInjector(["major"]))
+    assert result.reverts == 1 and result.halt == "q_out"
+    _assert_trace_in_species_order(result.trace)
+    # the revert dumped the workspace into waste, out of arrival order
+    assert len(result.trace.ledger.waste_by_species) > 1
+
+
+def _layout_snapshot(prog):
+    layout = lower_program(prog).layout
+    return layout.names, dict(layout.index), dict(layout.slot)
+
+
+def test_machines_share_the_programs_layout():
+    prog = parse_program(fixture_text("tiny.chem"))
+    db = load_rules(FIXTURES / "tiny.rules")
+    one, two = Machine(prog, db), Machine(prog, db)
+    layout = lower_program(prog).layout
+    assert one.state.index is two.state.index is layout.index
+    assert one.state.slot is two.state.slot is layout.slot
+    assert [c.name for c in one.state.cells] == list(layout.names)
+    for a, b in zip(one.state.cells, two.state.cells):
+        assert a is not b and a.contents is not b.contents
+    one.execute()
+    assert two.state.cells[two.state.slot["RX1"]].contents == {}
+    assert one.state.cells[one.state.slot["RX1"]].contents == {}
+    assert one.state.product_cell.contents != two.state.product_cell.contents
+
+
+def test_runs_leave_the_layout_unchanged():
+    prog = parse_program(fixture_text("dec_3step.chem"))
+    db = load_rules(FIXTURES / "dec_chain.rules")
+    before = _layout_snapshot(prog)
+    assert run(prog, db).state.slot is lower_program(prog).layout.slot
+    result = run_with_dec(prog, db, seed=0, injector=ScriptedInjector(["major"]))
+    assert result.reverts == 1
+    run_with_dec(prog, db, eps=0.5, seed=3)
+    assert _layout_snapshot(prog) == before
+
+
+def test_bindings_lay_out_node_named_cells(monkeypatch):
+    prog = parse_program(fixture_text("tiny.chem"))
+    db = load_rules(FIXTURES / "tiny.rules")
+    before = _layout_snapshot(prog)
+    states = []
+    inner = cstm.init_machine
+    monkeypatch.setattr(cstm, "init_machine",
+                        lambda *args: states.append(inner(*args)) or states[-1])
+    graph = build_default_graph()
+    report, bindings, _ = check_program(prog, graph)
+    plan = chempile(prog, graph)
+    tr = execute_plan(plan, db, seed=0)
+    assert report.ok and bindings == plan.bindings
+    assert bindings["waste"] != "waste" and bindings["product"] != "product"
+    assert len(states) >= 2 and states[-1] is tr.state
+    vessels = lower_program(prog).vessels
+    for state in states:
+        names = [c.name for c in state.cells]
+        assert names == list(dict.fromkeys(bindings.get(v, v) for v in vessels))
+        assert all(names[state.slot[v]] == bindings.get(v, v) for v in vessels)
+        assert state.index == {name: i for i, name in enumerate(names)}
+        assert state.index is not lower_program(prog).layout.index
+    assert _layout_snapshot(prog) == before

@@ -274,6 +274,16 @@ def test_evaluate_correction_matches_both_arms_run(chain, policy, eps):
     assert evaluate_correction(prog, db, **kw) == reference_evaluate_correction(prog, db, **kw)
 
 
+def test_evaluate_correction_matches_both_arms_run_at_every_budget(chain):
+    # dec_3step takes 12 steps when nothing goes wrong, more when corrected
+    prog, db = chain
+    for budget in range(1, 16):
+        kw = dict(eps=0.3, n_seeds=50, seed0=300, budget=budget)
+        assert evaluate_correction(prog, db, **kw) \
+            == reference_evaluate_correction(prog, db, **kw), budget
+    assert evaluate_correction(prog, db, eps=0.3, n_seeds=50, budget=1)["rate_corrected"] == 0.0
+
+
 def _record_runs(monkeypatch) -> list:
     """Wrap `run_with_dec`; returns the list each run's `DecResult` is
     appended to."""

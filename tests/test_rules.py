@@ -16,7 +16,6 @@ from chemvm.rules import (
     RuleLoadError,
     Unreachable,
     UnstableTarget,
-    classify_outcome,
     commit_discovery,
     explore,
     load_rules,
@@ -180,11 +179,17 @@ def test_match_requires_catalyst_presence():
 
 
 def test_classify_outcome_by_status(default_db):
-    m = match_rule(default_db, {"tro": 1.0, "pha": 1.0}, (120.0, 3600.0))
-    assert classify_outcome(m, default_db) == "q_out"
-    pdb = load_rules(FIXTURES / "predicted.rules")
-    pm = match_rule(pdb, {"p": 1.0, "q": 1.0}, (70.0, 2700.0))
-    assert classify_outcome(pm, pdb) == "q_uout"
+    """A reaction's outcome is its rule's status once promoted: a
+    characterised rule reads q_out, a prediction's first occurrence q_uout,
+    and its second, which characterises it, q_out."""
+    def outcomes(name, db):
+        tr = run(parse_program((FIXTURES / name).read_text()), db)
+        return [r["outcome"] for r in tr.records if r["kind"] == "transition"], tr.db
+
+    assert outcomes("atropine_3step.chem", default_db)[0] == ["q_out"] * 3
+    first, pdb = outcomes("predicted.chem", load_rules(FIXTURES / "predicted.rules"))
+    assert first == ["q_uout"]
+    assert outcomes("predicted.chem", pdb)[0] == ["q_out"]
 
 
 def test_promote_twice_characterises():
