@@ -24,8 +24,6 @@ def _escape(text: str) -> str:
 def _value_text(v) -> str:
     if isinstance(v, Quantity):
         return f"{fmt_num(v.value)} {v.unit}"
-    if isinstance(v, bool):
-        raise TypeError("bool parameter")
     if isinstance(v, (int, float)):
         return fmt_num(v)
     if IDENT_RE.fullmatch(v):

@@ -95,7 +95,7 @@ class HardwareNode:
 class HardwareGraph:
     nodes: dict[str, HardwareNode]
     edges: list[tuple[str, str]]
-    _adj: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    _adj: dict[str, list[str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}

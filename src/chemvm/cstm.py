@@ -731,7 +731,6 @@ class Machine:
         self.ops = lowering.ops
         self.records: list[dict] = []
         self.rule_events: list[dict] = []
-        self.reaction_outcomes: list[str] = []
         self.halt_reason: str | None = lowering.error   # set once the run stops
         self.pc = 0
         self.seed = seed
@@ -812,11 +811,9 @@ class Machine:
             "occurrences": applied.occurrences, "status_after": applied.status,
         })
         # after promotion, so a second occurrence already reads as characterised
-        outcome = _HALT_OF_STATUS[applied.status]
-        self.reaction_outcomes.append(outcome)
         record = self._transition(
-            prim, cell, rule.id, outcome, extent=extent, extent_max=m.extent,
-            limiting=m.limiting, expected_yield=rule.yield_fraction,
+            prim, cell, rule.id, _HALT_OF_STATUS[applied.status], extent=extent,
+            extent_max=m.extent, limiting=m.limiting, expected_yield=rule.yield_fraction,
             achieved_yield=extent / m.extent if m.extent > 0 else 0.0)
         if mode is not None:
             record["injected"] = mode
@@ -850,7 +847,6 @@ class Machine:
             "controller": st.controller,
             "transit": dict(st.transit),
             "cells": [(dict(c.contents), c.temp) for c in st.cells[1:]],
-            "outcomes": list(self.reaction_outcomes),
             "db": self.db,
             "rule_events_len": len(self.rule_events),
         }
@@ -879,7 +875,6 @@ class Machine:
         st.head = ckpt["head"]
         st.controller = ckpt["controller"]
         self.pc = ckpt["pc"]
-        self.reaction_outcomes = list(ckpt["outcomes"])
         self.db = ckpt["db"]
         del self.rule_events[ckpt["rule_events_len"]:]
 
@@ -908,7 +903,9 @@ class Machine:
         return self.finalize()
 
     def finalize(self) -> ExecutionTrace:
-        halt = worst_halt(self.reaction_outcomes) if self.halt_reason is None else "q_fail"
+        halt = "q_fail" if self.halt_reason is not None else worst_halt(
+            _HALT_OF_STATUS[e["status_after"]] for e in self.rule_events
+            if e["kind"] == "applied")
         self.state.controller = halt
         ledger = build_ledger(self.state)
         halt_record = {

@@ -184,7 +184,7 @@ def _tune(machine: Machine, event: dict, policy: CorrectionPolicy) -> dict:
     state = machine.state
     cell = state.cells[state.index[event["cell"]]]
     rule = machine.db.rules[event["rule"]]
-    mid = (rule.process_window.temp_min + rule.process_window.temp_max) / 2.0
+    mid, _ = rule.process_window.midpoint()
     delta = max(-policy.tune_temp_delta_c,
                 min(policy.tune_temp_delta_c, mid - cell.temp))
     if delta > 0:

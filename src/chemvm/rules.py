@@ -100,6 +100,8 @@ PRESENCE_EPS = 1e-12
 
 # Nominal catalyst charge the planner allocates per step that needs one.
 CATALYST_CHARGE_MOL = 0.05
+# Amount of the target a planned pathway is sized to make.
+_TARGET_MOL = 1.0
 
 class RuleLoadError(ValueError):
     pass
@@ -514,10 +516,7 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
         event = {"event": "promoted", "rule": rule_id, "occurrences": new_occ,
                  "from": status}
         status = "characterised"
-    # the frozen rule copied with its new count and status, without the
-    # field-by-field rebuild of dataclasses.replace
-    counted = object.__new__(TransitionRule)
-    counted.__dict__.update(rule.__dict__, occurrences=new_occ, status=status)
+    counted = replace(rule, occurrences=new_occ, status=status)
     rules = ChainMap({**changed, rule_id: counted}, base)
     child = db._promoted[rule_id] = RuleDatabase(
         db.species, rules, db.latent, _Logged(db._log, event), db._index, db._matches)
@@ -629,10 +628,11 @@ def plan_pathway(db: RuleDatabase, target: str, stock: set[str] | frozenset[str]
 
 
 def _size_pathway(db: RuleDatabase, target: str, stock: frozenset[str],
-                  seq: list[str], target_amount: float = 1.0) -> Pathway:
+                  seq: list[str]) -> Pathway:
     """Backward pass: size each step's extent so later steps (and the final
-    target demand) are covered through the declared yields."""
-    need: dict[str, float] = {target: target_amount}
+    target demand) are covered through the declared yields. Every need is
+    met: a step's non-stock inputs are made by an earlier step."""
+    need: dict[str, float] = {target: _TARGET_MOL}
     extents: list[float] = [0.0] * len(seq)
     step_inputs: list[dict[str, float]] = [dict() for _ in seq]
     for i in range(len(seq) - 1, -1, -1):
@@ -642,20 +642,18 @@ def _size_pathway(db: RuleDatabase, target: str, stock: frozenset[str],
         for p, amt in demanded.items():
             extent = max(extent, amt / (rule.products[p] * rule.yield_fraction))
         if extent == 0.0:
-            extent = target_amount  # defensive; minimal sequences always feed a need
-        raw_extent = extent
+            # feeds no need: the step makes a catalyst of a later one, which
+            # the planner charges from stock
+            extent = _TARGET_MOL
         for s, ratio in rule.reagent_pattern.items():
-            amount = ratio * raw_extent
+            amount = ratio * extent
             if s in stock:
                 step_inputs[i][s] = step_inputs[i].get(s, 0.0) + amount
             else:
                 need[s] = need.get(s, 0.0) + amount
         for c in rule.catalysts:
             step_inputs[i][c] = step_inputs[i].get(c, 0.0) + CATALYST_CHARGE_MOL
-        extents[i] = raw_extent * rule.yield_fraction
-    unmet = {s: amt for s, amt in need.items() if s not in stock and amt > PRESENCE_EPS}
-    if unmet:
-        raise Unreachable(f"sequence {seq} cannot source {sorted(unmet)}")
+        extents[i] = extent * rule.yield_fraction
     steps = tuple(
         PathwayStep(seq[i], step_inputs[i], extents[i], db.rules[seq[i]].epsilon)
         for i in range(len(seq))

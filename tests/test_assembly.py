@@ -64,6 +64,18 @@ def test_survival_fraction_validation(eps, a):
         survival_fraction(eps, a)
 
 
+@pytest.mark.parametrize("func, args, message", [
+    (n_min, (0.0, [0.1]), "detection threshold must be positive"),
+    (n_min, (1e6, [0.1, 1.5]), r"error rate must lie in \[0, 1\], got 1.5"),
+    (max_error_for, (0.0, 1e8, 5), "need phi > 0 and a >= 1"),
+    (max_error_for, (1e6, 1e8, 0), "need phi > 0 and a >= 1"),
+    (assembly_bounds, (0,), "an object needs at least one bond"),
+], ids=["phi", "eps", "max-phi", "max-a", "bonds"])
+def test_detectability_inputs_are_checked(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
 def test_assembly_bounds_pinned():
     assert assembly_bounds(8) == (3, 7)
     assert assembly_bounds(65536) == (16, 65535)

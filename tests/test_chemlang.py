@@ -14,6 +14,8 @@ from chemvm.chemlang import (
     validate_program,
 )
 
+from chemvm.chemlang.corpus import synthetic_program
+
 from _support import FIXTURES, fixture_text, undeclared_reagent_program
 
 
@@ -167,6 +169,8 @@ _STEP = '  steps {\n    clean(vessel=A)\n  }\n'
         ('  reagents {\n    a: sp:a 1 mol @R1 reagent\n  }\n'
          '  steps {\n    add(vessel=A, reagent=a, amount=0 mol)\n  }\n',
          "amount must be positive", 6, 1),
+        ('  reagents {\n    a: sp:a 1 C @R1 reagent\n  }\n' + _STEP,
+         "expected a quantity in mol/g/mL", 3, 15),
     ],
 )
 def test_parse_error_positions(body, message, line, col):
@@ -184,6 +188,33 @@ def test_a_quoted_name_must_be_an_identifier():
     prog = parse_program('procedure "p" { steps { clean(vessel="RX1") } }')
     assert prog.steps[0].params["vessel"] == "RX1"
     assert "    clean(vessel=RX1)\n" in format_program(prog)
+
+
+def test_a_value_that_is_no_identifier_is_written_quoted():
+    # only a program built in code can hold one; its text keeps the value
+    # one token, so reading it back names the parameter at fault
+    step = UnitOperation(OpKind.CLEAN, {"vessel": 'my "big" flask'})
+    text = format_program(ChemProgram("p", [], [], [step]))
+    assert '    clean(vessel="my \\"big\\" flask")\n' in text
+    with pytest.raises(ParseError, match="parameter 'vessel' takes an identifier"):
+        parse_program(text)
+
+
+def test_a_bool_parameter_has_no_canonical_text():
+    step = UnitOperation(OpKind.CLEAN, {"vessel": "A", "reaction_step": True})
+    with pytest.raises(TypeError, match="bool is not a quantity"):
+        format_program(ChemProgram("p", [], [], [step]))
+
+
+def test_quantity_takes_base_units_only():
+    with pytest.raises(ValueError, match="not a base unit: 'h'"):
+        Quantity(1.0, "h")
+
+
+@pytest.mark.parametrize("args", [(0,), (1, 0)])
+def test_synthetic_program_needs_a_stage_and_an_op(args):
+    with pytest.raises(ValueError, match="reaction_steps and ops_per_step must be >= 1"):
+        synthetic_program(*args)
 
 
 def test_an_unexpected_string_is_quoted_unescaped():

@@ -104,6 +104,28 @@ def test_route_errors(default_graph):
         route(cut, "RX1", "W")
 
 
+def test_route_expands_each_node_once():
+    # a diamond of valves: V3 is reached along two paths of one length, and
+    # only the first, the smaller, goes on from it
+    graph = _simple_graph(
+        [{"id": "V2", "kind": "Valve"}, {"id": "V3", "kind": "Valve"}],
+        [["R1", "V1"], ["R1", "V2"], ["V1", "V3"], ["V2", "V3"], ["V3", "RX1"]])
+    expanded = []
+    neighbors = graph.neighbors
+    graph.neighbors = lambda node: expanded.append(node) or neighbors(node)
+    assert route(graph, "R1", "RX1") == ["R1", "V1", "V3", "RX1"]
+    assert expanded == ["R1", "V1", "V2", "V3"]
+
+
+def test_an_infeasible_plan_does_not_run():
+    plan = chempile(parse_program(fixture_text("tiny.chem")), _simple_graph())
+    assert not plan.feasible
+    with pytest.raises(GraphError, match="^plan is not feasible:\n") as info:
+        execute_plan(plan, load_rules(FIXTURES / "tiny.rules"))
+    assert str(info.value).splitlines()[1:] == [
+        f"  [{f.code}] {f.message}" for f in plan.report.findings]
+
+
 def test_route_interiors_are_flow_hardware(default_graph):
     stations = [n for n, node in default_graph.nodes.items()
                 if node.kind not in FLOW_KINDS]

@@ -272,6 +272,13 @@ def test_plan_unknown_target_exits_2():
     assert (code, out, err) == (2, "", "error: unknown species 'zz'\n")
 
 
+def test_stats_aggregate_over_one_length_has_no_slope(tmp_path):
+    tiny = FIXTURES / "tiny.chem"
+    code, out, _ = cli("stats", tiny, tiny, "--out", tmp_path / "h.csv")
+    assert code == 0
+    assert json.loads(out)["aggregate"] == {"n": 2, "slope": None, "r2": None}
+
+
 def test_mc_outputs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_trajectories": 40, "ai_max": 12}))
@@ -297,10 +304,12 @@ def test_mc_outputs(tmp_path):
     ({"n0": 0}, (), "n0 must be a finite number >= 1"),
     ({"jitter_sd": -0.1}, (), "jitter_sd must be a finite number >= 0"),
     ({}, ("--seed", -1), "seed must be an integer >= 0"),
+    # JSON text, since json.dumps writes no number that parses to inf
+    ('{"drift_rate": 1e400}', (), "drift_rate must be a finite number"),
 ])
 def test_mc_rejects_unusable_config(tmp_path, config, flags, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     flags = [tmp_path / f if str(f).endswith(".svg") else f for f in flags]
     code, out, err = cli("mc", "--config", cfg, "--out", tmp_path / "mc.csv", *flags)
     assert code == 2

@@ -26,6 +26,26 @@ from chemvm.rules import load_rules, promote
 from _support import FIXTURES, fixture_text, reference_evaluate_correction
 
 
+TINY_DB = load_rules(FIXTURES / "tiny.rules")
+
+
+def _tiny_program(steps: str, b_mol: int = 1):
+    """A program over tiny.rules' r1 (a + b -> x, 60-100 C): 1 mol of a in
+    R1, `b_mol` of b in R2, a charged into RX1, then `steps`."""
+    return parse_program(
+        'procedure "p" {\n  reagents {\n    a: sp:a 1 mol @R1 reagent\n'
+        f'    b: sp:b {b_mol} mol @R2 reagent\n  }}\n  steps {{\n'
+        '    add(vessel=RX1, reagent=a, amount=1 mol)\n' + steps + '  }\n}\n')
+
+
+def _react_b(temp: int) -> str:
+    return f'    react_hot(vessel=RX1, reagent=b, amount=1 mol, temp={temp} C, time=600 s)\n'
+
+
+def _transitions(res) -> list[dict]:
+    return [r for r in res.trace.records if r["kind"] == "transition"]
+
+
 @pytest.fixture(scope="module")
 def chain():
     prog = parse_program(fixture_text("dec_3step.chem"))
@@ -102,6 +122,57 @@ def test_minor_fault_tuned_in_place(chain):
         "sensings": 3, "deviations": 1, "actions": 1,
         "redoses": 0, "reverts": 0, "corrections_enabled": True,
     }
+
+
+@pytest.mark.parametrize("temp, delta, energy", [
+    (65, 10.0, (40 + 6 + 10, 0)),     # heat to 65, hold 600 s, tune up
+    (95, -10.0, (70 + 6, 10)),        # heat to 95, hold 600 s, tune down
+])
+def test_tune_moves_the_temperature_toward_the_window_midpoint(temp, delta, energy):
+    # r1's window midpoint is 80 C; a tune moves at most 10 C toward it
+    res = run_with_dec(_tiny_program(_react_b(temp)), TINY_DB,
+                       injector=ScriptedInjector(["minor"]))
+    [tune] = res.actions
+    assert (tune["action"], tune["temp_delta"], tune["temp"]) == ("tune", delta, temp + delta)
+    assert tune["extent_added"] == pytest.approx(0.09)
+    rx1 = res.trace.state.cell_named("RX1")
+    assert (rx1.temp, rx1.energy_in, rx1.energy_out) == (temp + delta, *energy)
+    assert res.trace.ledger.produced == {"x": pytest.approx(0.9)}
+    assert res.halt == "q_out" and res.trace.ledger.residual <= 1e-9
+
+
+def test_redose_draws_from_a_flask_that_holds_more_than_its_dose():
+    # R2 holds two doses of b: the redose charges half a dose and holds the
+    # conditions again, which runs r1 a second time
+    res = run_with_dec(_tiny_program(_react_b(80), b_mol=2), TINY_DB,
+                       injector=ScriptedInjector(["intermediate"]))
+    first, second = _transitions(res)
+    assert (first["injected"], "injected" in second) == ("intermediate", False)
+    assert (second["op_index"], second["step"]) == (1, first["step"] + 2)
+    assert second["extent"] == pytest.approx(0.9 * 0.325)
+    assert (res.redoses, res.reverts, len(res.sensings)) == (1, 0, 2)
+    assert res.trace.state.cell_named("R2").contents == {"b": pytest.approx(0.5)}
+    assert res.halt == "q_out" and res.trace.ledger.residual <= 1e-9
+
+
+def test_redose_of_a_heat_stir_reaction_escalates_to_a_revert():
+    # a heat_stir charges nothing, so it has no dose to repeat
+    res = run_with_dec(
+        _tiny_program('    add(vessel=RX1, reagent=b, amount=1 mol)\n'
+                      '    heat_stir(vessel=RX1, temp=80 C, time=600 s)\n'),
+        TINY_DB, injector=ScriptedInjector(["intermediate"]))
+    assert [a["action"] for a in res.actions] == ["redose_extend", "revert_replan"]
+    assert [t.get("injected") for t in _transitions(res)] == ["intermediate", None]
+    assert res.trace.state.cell_named("R2").contents == {}
+    assert res.halt == "q_out" and res.trace.ledger.residual <= 1e-9
+
+
+def test_a_scripted_none_is_a_clean_reaction(chain):
+    prog, db = chain
+    res = run_with_dec(prog, db, injector=ScriptedInjector([None, "minor", None]), seed=0)
+    assert [t.get("injected") for t in _transitions(res)] == [None, "minor", None]
+    assert [(d["op_index"], d["severity"]) for d in res.deviations] == [(2, "minor")]
+    assert res.halt == "q_out" and res.trace.ledger.residual <= 1e-9
 
 
 def test_intermediate_fault_redosed(chain):

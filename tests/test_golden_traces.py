@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemvm.cli import main
-from chemvm.jsonio import dumps_jsonl
+from chemvm import jsonio
+from chemvm.jsonio import dumps_jsonl, write_text_atomic
 
 from _support import (
     FIXTURE_ARMS, FIXTURE_PLANS, FIXTURE_RUNS, FIXTURES, fixture_plan, fixture_trace,
@@ -90,6 +91,24 @@ _RECORD = st.recursive(
 def test_dumps_jsonl_is_json_dumps_on_any_records(records):
     assert dumps_jsonl(records) == "".join(
         json.dumps(r, separators=(",", ":"), ensure_ascii=False) + "\n" for r in records)
+
+
+def test_a_failed_atomic_write_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    # a lone surrogate has no UTF-8 form, so the write fails part way
+    target = tmp_path / "out.txt"
+    target.write_text("before\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(target, "after \ud800\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text() == "before\n"
+    # a temp file that cannot be removed does not hide the write's error
+    def unlink(path):
+        raise OSError(f"cannot remove {path}")
+
+    monkeypatch.setattr(jsonio.os, "unlink", unlink)
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(target, "after \ud800\n")
+    assert target.read_text() == "before\n"
 
 
 def test_every_fixture_plan_is_pinned():

@@ -117,6 +117,16 @@ def test_numbers_json_cannot_carry_are_rejected(name, loads, error, path, litera
      "edge ('R1', 'nope') references unknown node"),
     ("default_rig.graph", loads_graph, GraphError, ("nodes", 1, "id"), "CH1",
      "duplicate node id 'CH1'"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "catalysts"), "c",
+     "rule 'r1': catalysts must be a list"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "catalysts"), ["zz"],
+     "rule 'r1': unknown catalyst species 'zz'"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "catalysts"), ["a"],
+     "rule 'r1': catalyst 'a' also appears in reagent_pattern"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "occurrences"), -1,
+     "rule 'r1': occurrences must be a non-negative integer"),
+    ("tiny.rules", loads_rules, RuleLoadError, ("latent",),
+     json.loads(fixture_text("tiny.rules"))["rules"][1:], "duplicate rule id 'r2' (latent)"),
 ])
 def test_entry_errors_name_the_file(name, loads, error, path, value, message):
     with pytest.raises(error, match=f"^file.json: {re.escape(message)}"):

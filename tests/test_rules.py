@@ -442,6 +442,19 @@ def test_planned_pathway_charges_its_catalyst(default_graph):
     assert trace.ledger.product_by_species["b"] == pytest.approx(1.0)
 
 
+def test_a_step_that_only_makes_a_later_catalyst_is_sized_at_one_mole():
+    # r1 makes k, which r2 holds only as a catalyst: no need reaches r1, so
+    # it runs at the target amount, and r2's catalyst is charged from stock
+    db = loads_rules(_db_text(
+        [_sp("a", {"C": 1}), _sp("k", {"C": 1}), _sp("b", {"H": 1}), _sp("t", {"H": 1})],
+        [_rule("r1", {"a": 1.0}, {"k": 1.0}),
+         _rule("r2", {"b": 1.0}, {"t": 1.0}, catalysts=["k"])]))
+    pw = plan_pathway(db, "t", {"a", "b"})
+    assert pw.rule_ids() == ["r1", "r2"]
+    assert (pw.steps[0].inputs, pw.steps[0].extent) == ({"a": 1.0}, 0.9)
+    assert pw.steps[1].inputs == {"b": pytest.approx(1.0 / 0.9), "k": CATALYST_CHARGE_MOL}
+
+
 def test_save_load_round_trip_with_catalysts_and_latent_rules(tmp_path):
     out = tmp_path / "cat.rules"
     save_rules(_CATALYST_DB, out)
