@@ -14,8 +14,10 @@ vessel binder, the machine's lowering and the step classifier all read it;
 
 A parsed program is never mutated: code that needs a different program
 builds a new one (`dataclasses.replace`), so work derived from a program
-alone may be kept on it. A step's `params` is a read-only view of a copy
-of the mapping it was built from, so item assignment raises `TypeError`.
+alone may be kept on it (its lowering), and so may its check against a
+rig, since a built rig is never mutated either. A step's `params` is a
+read-only view of a copy of the mapping it was built from, so item
+assignment raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -198,3 +200,7 @@ class ChemProgram:
     # the machine's lowering of this program, made on first run or compile
     # (`cstm.lower_program`); sound because a parsed program is never mutated
     _lowering: object = field(default=None, init=False, compare=False, repr=False)
+    # the static pass against one rig, (graph, report, bindings, routes),
+    # made by `chemlang.validate.check_program`; sound because neither this
+    # program nor the rig is mutated
+    _checked: object = field(default=None, init=False, compare=False, repr=False)

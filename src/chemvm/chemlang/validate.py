@@ -9,10 +9,12 @@ when the pass runs, since `cstm` imports this package), screens the cells
 it fills against their nodes' capacities (capacity_exceeded). Findings come
 in that order: parameters, binding, routing, capacity. `validate_program`
 reports them, and `chempile` builds its plan on the same pass, so the two
-agree on every program and rig. The graph is duck-typed (`nodes`,
-`by_kind`, `reservoir()`, `neighbors()`; nodes with `id`, `kind`,
-`capabilities`, `capacity`, `reserved`) so this module does not depend on
-the compiler.
+agree on every program and rig. The pass runs once per (program, rig): its
+answer is kept on the program, as the lowering is, which is sound because
+neither a parsed program nor a built rig is ever changed. The graph is
+duck-typed (`nodes`, `by_kind`, `reservoir()`, `neighbors()`; nodes with
+`id`, `kind`, `capabilities`, `capacity`, `reserved`) so this module does
+not depend on the compiler.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ _KIND_WORDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Finding:
     code: str
     message: str
@@ -262,6 +264,24 @@ def check_program(prog: ChemProgram, graph
                   ) -> tuple[ValidationReport, dict[str, str], dict[str, list[str]]]:
     """Whether a program fits a rig: its findings, its bindings (vessel ->
     node id) and its routes ("SRC->DST" -> node path).
+
+    The pass runs on the first call for a rig object and is kept on the
+    program (`ChemProgram._checked`, one entry, which holds the rig so its
+    id is never reused); a call with another rig object runs it again.
+    Every call returns new containers, so a caller that edits its report,
+    bindings or routes does not change a later answer.
+    """
+    checked = prog._checked
+    if checked is None or checked[0] is not graph:
+        checked = prog._checked = (graph, *_check_program(prog, graph))
+    _, report, bindings, routes = checked
+    return (ValidationReport(list(report.findings)), dict(bindings),
+            {key: list(path) for key, path in routes.items()})
+
+
+def _check_program(prog: ChemProgram, graph
+                   ) -> tuple[ValidationReport, dict[str, str], dict[str, list[str]]]:
+    """The pass `check_program` keeps.
 
     One walk of the lowered primitives routes each matter movement, once
     per `SRC->DST` key, and reports each movement with no route (no_route);

@@ -5,7 +5,9 @@ rotavaps, filters, storage, chromatograph, waste, product) connected
 through valves and a syringe pump. `loads_graph` checks a rig's structure
 once, at load: each node's fields, known edge endpoints, no self-edges,
 and no node with more tube partners than ports; it raises `GraphError` (a
-`ValueError`). Whether a program fits a rig is decided by one static pass,
+`ValueError`). A built rig is never changed, so its per-kind node lists
+and its reservoir are derived once, when it is built. Whether a program
+fits a rig is decided by one static pass,
 `chemlang.validate.check_program`, the one `validate_program` reports: it
 checks each step's parameters, binds every program vessel to a node (by
 id when the graph has a compatible node of that name, else first-fit by
@@ -15,8 +17,10 @@ its source node to its destination node (`route`) and screening
 capacities on the machine's movement model. Problems are findings rather
 than exceptions, so a plan can explain everything wrong with it at once.
 `chempile` adds to that pass's bindings and routes only the plan's
-cleaning steps and per-step allocations. The plan maps the program onto
-the rig; it does not rewrite it.
+cleaning steps and per-step allocations. The pass runs once per (program,
+rig object): its answer is kept on the program, so validating and then
+compiling a program against one rig checks it once. The plan maps the
+program onto the rig; it does not rewrite it.
 
 Executing a plan runs the program as written on the same machine the
 abstract run uses, with the plan's bindings naming each vessel's cell
@@ -93,9 +97,15 @@ class HardwareNode:
 
 @dataclass
 class HardwareGraph:
+    """A rig. It is never mutated once built, so the adjacency lists, the
+    nodes of each kind and the reservoir are derived once, in sorted id
+    order, and a program's check against it may be kept on the program."""
+
     nodes: dict[str, HardwareNode]
     edges: list[tuple[str, str]]
     _adj: dict[str, list[str]] = field(init=False, repr=False)
+    _kinds: dict[str, tuple[HardwareNode, ...]] = field(init=False, repr=False)
+    _reservoir: HardwareNode | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
@@ -103,19 +113,21 @@ class HardwareGraph:
             if a in adj:
                 adj[a].add(b)
         self._adj = {n: sorted(v) for n, v in adj.items()}
+        ordered = [self.nodes[i] for i in sorted(self.nodes)]
+        kinds: dict[str, list[HardwareNode]] = {}
+        for node in ordered:
+            kinds.setdefault(node.kind, []).append(node)
+        self._kinds = {k: tuple(v) for k, v in kinds.items()}
+        self._reservoir = next((node for node in ordered if node.reserved), None)
 
     def neighbors(self, node: str) -> list[str]:
         return self._adj.get(node, [])
 
-    def by_kind(self, kind: str) -> list[HardwareNode]:
-        return [self.nodes[i] for i in sorted(self.nodes)
-                if self.nodes[i].kind == kind]
+    def by_kind(self, kind: str) -> tuple[HardwareNode, ...]:
+        return self._kinds.get(kind, ())
 
     def reservoir(self) -> HardwareNode | None:
-        for i in sorted(self.nodes):
-            if self.nodes[i].reserved:
-                return self.nodes[i]
-        return None
+        return self._reservoir
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +327,12 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
     graph = plan.graph
     reservoir = graph.reservoir()
     reservoir_id = reservoir.id if reservoir else None
+    # each route in the plan with the capacity of its first pump (None: no
+    # pump, so one stroke)
+    legs = {key: (path, next((graph.nodes[n].capacity for n in path
+                              if graph.nodes[n].kind == "Pump" and graph.nodes[n].capacity),
+                             None))
+            for key, path in plan.routes.items()}
     booked = 0      # strokes the run has booked
 
     def book_strokes(machine: Machine, prim: Primitive, move: Movement | None) -> None:
@@ -323,12 +341,10 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
             return
         src = reservoir_id if move.src is None else move.src.name
         key = f"{src}->{move.dst.name}"
-        path = plan.routes.get(key)
-        if path is None:
+        leg = legs.get(key)
+        if leg is None:
             machine.fail(f"no route {key} in the plan")
-        pump_cap = next((graph.nodes[n].capacity for n in path
-                         if graph.nodes[n].kind == "Pump" and graph.nodes[n].capacity),
-                        None)
+        path, pump_cap = leg
         total = move.total
         strokes = 1 if pump_cap is None else max(1, math.ceil(total / pump_cap - 1e-12))
         booked += strokes

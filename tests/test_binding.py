@@ -1,20 +1,26 @@
 """The validator and the compiler decide feasibility with one static pass
 (`chemlang.validate.check_program`), so they report the same findings:
-checked on seeded random (program, rig) pairs, on programs they once
-disagreed on, and on a hardware kind word that names no node kind. A
-compiled plan runs the program as written through its bindings, so vessels
-bound to nodes of other names run as they do in the abstract machine."""
+checked on seeded random (program, rig) pairs, in either order, on
+programs they once disagreed on, and on a hardware kind word that names no
+node kind. The pass runs once per (program, rig object), and what a caller
+does to its answer does not reach the next one. A compiled plan runs the
+program as written through its bindings, so vessels bound to nodes of
+other names run as they do in the abstract machine."""
 
+import dataclasses
 import random
 
 import pytest
 
-from chemvm.chemlang import parse_program, validate_program
-from chemvm.chempiler import build_default_graph, chempile, execute_plan, lowering_view
+from chemvm.chemlang import parse_program, validate, validate_program
+from chemvm.chemlang.validate import check_program
+from chemvm.chempiler import (
+    HardwareGraph, build_default_graph, chempile, execute_plan, lowering_view,
+)
 from chemvm.cstm import run
 from chemvm.rules import load_rules
 
-from _support import FIXTURES, random_binding_case, random_program_text
+from _support import FIXTURES, fixture_text, random_binding_case, random_program_text
 
 
 def test_validate_agrees_with_compile_on_random_pairs():
@@ -33,6 +39,91 @@ def test_validate_agrees_with_compile_on_random_pairs():
                      "missing_capability", "no_reservoir", "no_route",
                      "capacity_exceeded"}
     assert 0 < feasible < n
+
+
+def test_compile_then_validate_agrees_on_random_pairs():
+    for seed in range(240):
+        prog, rig = random_binding_case(seed)
+        plan = chempile(prog, rig)
+        assert validate_program(prog, rig).findings == plan.report.findings, seed
+        # and both equal the pass on a program and rig never checked before
+        assert validate_program(*random_binding_case(seed)).findings \
+            == plan.report.findings, seed
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(validate, name)
+    monkeypatch.setattr(validate, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+@pytest.mark.parametrize("first", ["validate", "compile"])
+def test_validate_and_compile_share_one_pass(monkeypatch, first):
+    binds = _count_calls(monkeypatch, "bind_vessels")
+    routed = _count_calls(monkeypatch, "route")
+    prog = parse_program(fixture_text("alkynol_1step.chem"))
+    graph = build_default_graph()
+    if first == "validate":
+        report = validate_program(prog, graph)
+        plan = chempile(prog, graph)
+    else:
+        plan = chempile(prog, graph)
+        report = validate_program(prog, graph)
+    assert report.ok and report.findings == plan.report.findings
+    assert len(binds) == 1
+    assert len(routed) == len(plan.routes) > 1
+
+
+def test_edits_to_an_answer_do_not_reach_the_next(default_graph):
+    prog = parse_program(fixture_text("tiny.chem"))
+    report, bindings, routes = check_program(prog, default_graph)
+    assert report.ok and len(routes) > 1
+    plan_json = chempile(prog, default_graph).to_json()
+    expected = (list(report.findings), dict(bindings),
+                {key: list(path) for key, path in routes.items()})
+    report.add("no_route", "made up", "X->Y")
+    bindings["waste"] = "X"
+    first, second = sorted(routes)[:2]
+    routes[first].append("X")
+    del routes[second]
+    plan = chempile(prog, default_graph)
+    plan.report.findings.clear()
+    plan.bindings.clear()
+    del plan.routes[first]
+    again, bindings, routes = check_program(prog, default_graph)
+    assert (again.findings, bindings, routes) == expected
+    assert chempile(prog, default_graph).to_json() == plan_json
+
+    # a finding cannot be edited in place either
+    bad = parse_program(REPROS["missing_param"][0])
+    report = validate_program(bad, default_graph)
+    findings = list(report.findings)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.findings[0].message = "made up"
+    report.findings.clear()
+    assert validate_program(bad, default_graph).findings == findings
+    assert chempile(bad, default_graph).report.findings == findings
+
+
+def test_each_rig_object_gets_its_own_pass(monkeypatch):
+    binds = _count_calls(monkeypatch, "bind_vessels")
+    prog = parse_program(fixture_text("tiny.chem"))
+    graph, twin = build_default_graph(), build_default_graph()
+    no_waste = HardwareGraph({k: n for k, n in graph.nodes.items() if k != "W"},
+                             [e for e in graph.edges if "W" not in e])
+    assert validate_program(prog, graph).ok
+    lacking = validate_program(prog, no_waste).findings
+    assert [(f.code, f.where) for f in lacking] == [("vessel_class_exhausted", "waste")]
+    assert chempile(prog, no_waste).report.findings == lacking
+    assert len(binds) == 2
+    # the memo holds one rig: going back runs the pass again, and so does
+    # an equal rig that is another object
+    assert chempile(prog, graph).feasible
+    assert twin == graph and twin is not graph
+    assert validate_program(prog, twin).ok
+    assert chempile(prog, twin).feasible
+    assert len(binds) == 4
 
 
 REPROS = {

@@ -14,8 +14,11 @@ import pytest
 from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import (
     FLOW_KINDS,
+    NODE_KINDS,
+    RESERVOIR_ATTACHMENT,
     GraphError,
     HardwareGraph,
+    HardwareNode,
     RouteError,
     build_default_graph,
     chempile,
@@ -28,7 +31,7 @@ from chemvm.cli import main
 from chemvm.cstm import DEFAULT_BUDGET, run
 from chemvm.rules import load_rules, loads_rules, pathway_to_program, plan_pathway
 
-from _support import FIXTURES, fixture_text, random_program_text
+from _support import FIXTURES, fixture_text, random_program_text, random_rig
 
 CAPACITIES = {
     "SOLV": 1000.0, "R1": 500.0, "R2": 500.0, "R3": 500.0, "R4": 500.0,
@@ -66,6 +69,37 @@ def test_default_graph_shape(default_graph):
 
 def test_default_graph_matches_fixture(default_graph):
     assert loads_graph(fixture_text("default_rig.graph")) == default_graph
+
+
+def test_rig_tables_match_sorted_scans(default_graph):
+    # a rig's kind lists and reservoir are derived once; they must equal the
+    # scans over the sorted node ids they replace, whatever the node order
+    spare = HardwareNode("AUX", "ReagentFlask", attachments=(RESERVOIR_ATTACHMENT,))
+    rigs = [default_graph, _simple_graph(),
+            HardwareGraph({**default_graph.nodes, "AUX": spare}, default_graph.edges)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        rig = random_rig(rng)
+        nodes = list(rig.nodes.items())
+        rng.shuffle(nodes)
+        rigs.append(HardwareGraph(dict(nodes), rig.edges))
+    reservoirs = collections.Counter()
+    for g in rigs:
+        for kind in sorted(NODE_KINDS) + ["Oven"]:
+            expected = [g.nodes[i] for i in sorted(g.nodes) if g.nodes[i].kind == kind]
+            got = g.by_kind(kind)
+            assert list(got) == expected, kind
+            with contextlib.suppress(AttributeError, TypeError):
+                got.clear()
+            assert list(g.by_kind(kind)) == expected, kind
+        expected = None
+        for i in sorted(g.nodes):
+            if g.nodes[i].reserved:
+                expected = g.nodes[i]
+                break
+        assert g.reservoir() is expected
+        reservoirs[None if expected is None else expected.id] += 1
+    assert set(reservoirs) == {None, "SOLV", "AUX"}
 
 
 def test_graph_rejects_dangling_edge():
