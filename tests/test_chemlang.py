@@ -179,6 +179,64 @@ def test_parse_error_positions(body, message, line, col):
     assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
 
 
+_CLEAN = "    clean(vessel=A)\n"
+
+
+@pytest.mark.parametrize(
+    "lines, message, line, col",
+    [
+        # a syntax error on line 3, a bad character on line 14
+        (["    clean(vessel=A B)\n", *[_CLEAN] * 10, "    clean(vessel=A$)\n"],
+         "unexpected character '$'", 14, 19),
+        # the parser meets the first of two bad characters itself
+        (["    clean(vessel=A$)\n", _CLEAN, "    clean(vessel=A%)\n"],
+         "unexpected character '$'", 3, 19),
+        (["    clean(vessel=A B)\n", *[_CLEAN] * 10, '  }\n  meta {\n    target = "t\n'],
+         "unterminated string", 16, 14),
+    ],
+)
+def test_a_lexical_error_anywhere_comes_first(lines, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_program('procedure "x" {\n  steps {\n' + "".join(lines) + "  }\n}\n")
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
+def test_one_step_text_on_three_lines_gives_three_ops():
+    text = 'procedure "x" {\n  steps {\n' + "    clean(vessel=A, reaction_step=1)\n" * 3 + "  }\n}\n"
+    steps = parse_program(text).steps
+    assert [op.line for op in steps] == [3, 4, 5]
+    assert steps[0].params == steps[1].params == steps[2].params == {"vessel": "A", "reaction_step": 1}
+    assert steps[0] is not steps[1]
+
+
+def test_a_malformed_copy_of_a_repeated_step_is_the_error():
+    hot = "    heat_stir(vessel=A, temp=80 C, time=60 s)\n"
+    with pytest.raises(ParseError) as info:
+        parse_program('procedure "x" {\n  steps {\n' + hot + hot
+                      + "    heat_stir(vessel=A, temp=80 C, time=60 s, temp=80 C)\n" + hot + "  }\n}\n")
+    assert str(info.value) == "5:47: duplicate parameter 'temp'"
+
+
+_HOT = "heat_stir(vessel=A, temp=80 C, time=60 s)"
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        "heat_stir(vessel=A,\n      temp=80 C, time=60 s)",
+        "heat_stir(vessel=A,  # hot\n      temp=80 C, time=60 s)",
+        'heat_stir(vessel="A", temp=80 C, time=60 s)',
+        "heat_stir (vessel=A, temp=80 C, time=60 s)",
+    ],
+)
+def test_a_step_written_otherwise_equals_its_one_line_form(variant):
+    text = f'procedure "x" {{\n  steps {{\n    {_HOT}\n    {variant}\n    {variant}\n    {_HOT}\n  }}\n}}\n'
+    steps = parse_program(text).steps
+    assert all(op == steps[0] for op in steps)
+    span = variant.count("\n") + 1
+    assert [op.line for op in steps] == [3, 4, 4 + span, 4 + 2 * span]
+
+
 def test_a_quoted_name_must_be_an_identifier():
     # a vessel written as "my flask" would reach the canonical text as an
     # unquoted hardware entry that does not parse again
