@@ -8,9 +8,9 @@ again, a copy that differs from the first, and an error in a later copy."""
 import random
 import re
 
-import _reference_parser as reference
 from chemvm.chemlang import ParseError, format_program, parse_program
 
+import _reference_parser as reference
 from _support import mutate, mutated_texts, program_texts
 
 _STEPS_BLOCK = re.compile(r"(steps \{\n)(.*?)(\n  \})", re.DOTALL)
