@@ -12,12 +12,13 @@ AM/SM/AE/SE primitive codes it lowers to. The parser, the validator, the
 vessel binder, the machine's lowering and the step classifier all read it;
 `PARAM_UNITS` beside it gives the units of the quantity parameters.
 
-A parsed program is never mutated: code that needs a different program
-builds a new one (`dataclasses.replace`), so work derived from a program
-alone may be kept on it (its lowering), and so may its check against a
-rig, since a built rig is never mutated either. A step's `params` is a
-read-only view of a copy of the mapping it was built from, so item
-assignment raises `TypeError`.
+A program is a frozen dataclass of tuples of frozen entries, and its
+metadata and each step's `params` are read-only views of copies of the
+mappings given, so no edit reaches it; a different program is a new one
+(`dataclasses.replace`, which keeps no memo). So work derived from a
+program alone may be kept on it (its lowering), and so may its check
+against a rig, which is frozen too. `settle` is how a frozen object sets
+its read-only copies and its memo slots.
 """
 
 from __future__ import annotations
@@ -145,7 +146,13 @@ class Quantity:
 ParamValue = Quantity | int | float | str
 
 
-@dataclass
+def settle(obj, **fields) -> None:
+    """Set a frozen object's read-only copies and its memo slots."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
 class ReagentDecl:
     """One named charge: `name: sp:<species> <amount> @<flask> <role>`."""
 
@@ -157,7 +164,7 @@ class ReagentDecl:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HardwareReq:
     """A vessel the steps refer to, and the station kind it must be."""
 
@@ -173,7 +180,7 @@ class UnitOperation:
     line: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        settle(self, params=MappingProxyType(dict(self.params)))
 
     @property
     def reaction_step(self) -> int | None:
@@ -190,17 +197,20 @@ class UnitOperation:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChemProgram:
     name: str
-    reagents: list[ReagentDecl]
-    hardware: list[HardwareReq]
-    steps: list[UnitOperation]
-    metadata: dict[str, str] = field(default_factory=dict)
+    reagents: tuple[ReagentDecl, ...]      # each given as any iterable
+    hardware: tuple[HardwareReq, ...]
+    steps: tuple[UnitOperation, ...]
+    metadata: Mapping[str, str] = field(default_factory=dict)   # read-only copy
     # the machine's lowering of this program, made on first run or compile
-    # (`cstm.lower_program`); sound because a parsed program is never mutated
+    # (`cstm.lower_program`)
     _lowering: object = field(default=None, init=False, compare=False, repr=False)
     # the static pass against one rig, (graph, report, bindings, routes),
-    # made by `chemlang.validate.check_program`; sound because neither this
-    # program nor the rig is mutated
+    # made by `chemlang.validate.check_program`
     _checked: object = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        settle(self, reagents=tuple(self.reagents), hardware=tuple(self.hardware),
+               steps=tuple(self.steps), metadata=MappingProxyType(dict(self.metadata)))

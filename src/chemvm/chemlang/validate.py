@@ -11,19 +11,23 @@ in that order: parameters, binding, routing, capacity. `validate_program`
 reports them, and `chempile` builds its plan on the same pass, so the two
 agree on every program and rig. The pass runs once per (program, rig): its
 answer is kept on the program, as the lowering is, which is sound because
-neither a parsed program nor a built rig is ever changed. The graph is
-duck-typed (`nodes`, `by_kind`, `reservoir()`, `neighbors()`; nodes with
-`id`, `kind`, `capabilities`, `capacity`, `reserved`) so this module does
-not depend on the compiler.
+both are frozen dataclasses (`ChemProgram`, `chempiler.HardwareGraph`),
+and is returned as it is kept: a frozen `ValidationReport` whose findings
+are a tuple, and `MappingProxyType` views of the bindings and of the
+routes, each route a tuple. The graph is duck-typed (`nodes`, `by_kind`,
+`reservoir()`, `neighbors()`; nodes with `id`, `kind`, `capabilities`,
+`capacity`, `reserved`) so this module does not depend on the compiler.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..jsonio import dumps_stable
-from .ast import OP_SPECS, PARAM_UNITS, ChemProgram, OpKind, Quantity
+from .ast import OP_SPECS, PARAM_UNITS, ChemProgram, OpKind, Quantity, settle
 
 __all__ = [
     "Finding", "ValidationReport", "validate_program", "check_program",
@@ -46,7 +50,7 @@ class RouteError(Exception):
     pass
 
 
-def route(graph, src: str, dst: str) -> list[str]:
+def route(graph, src: str, dst: str) -> tuple[str, ...]:
     """Shortest pump path src -> dst whose interior is valves and pumps
     only; among equal lengths the lexicographically smallest node sequence.
     """
@@ -60,7 +64,7 @@ def route(graph, src: str, dst: str) -> list[str]:
         n, path = heapq.heappop(heap)
         node = path[-1]
         if node == dst:
-            return list(path)
+            return path
         if node in settled:
             continue
         settled.add(node)
@@ -96,16 +100,16 @@ class Finding:
         return {"code": self.code, "message": self.message, "where": self.where}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
+    findings: tuple[Finding, ...] = ()     # given as any iterable
+
+    def __post_init__(self) -> None:
+        settle(self, findings=tuple(self.findings))
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def add(self, code: str, message: str, where: str) -> None:
-        self.findings.append(Finding(code, message, where))
 
     def to_json(self) -> str:
         return dumps_stable(
@@ -118,10 +122,11 @@ def validate_program(prog: ChemProgram, graph) -> ValidationReport:
     return check_program(prog, graph)[0]
 
 
-def check_params(prog: ChemProgram, report: ValidationReport) -> None:
-    """Report every step's missing parameters (missing_param), reagents
-    and solvents that name no declaration (undeclared_reference), and
+def check_params(prog: ChemProgram) -> list[Finding]:
+    """Every step's missing parameters (missing_param), reagents and
+    solvents that name no declaration (undeclared_reference), and
     temperatures, times and amounts out of range (param_out_of_range)."""
+    findings: list[Finding] = []
     declared = {d.name for d in prog.reagents}
     for i, op in enumerate(prog.steps):
         params = op.params
@@ -147,8 +152,8 @@ def check_params(prog: ChemProgram, report: ValidationReport) -> None:
                 found.append(("param_out_of_range", f"{key} must be positive"))
         if found:
             where = f"step {i + 1} ({op.kind.value}, line {op.line})"
-            for code, message in found:
-                report.add(code, message, where)
+            findings += [Finding(code, message, where) for code, message in found]
+    return findings
 
 
 def bind_vessels(prog: ChemProgram, graph
@@ -166,7 +171,7 @@ def bind_vessels(prog: ChemProgram, graph
     not be bound, and the findings (vessel_class_exhausted,
     missing_capability, no_reservoir).
     """
-    report = ValidationReport()
+    findings: list[Finding] = []
     bindings: dict[str, str] = {}
     claimed: set[str] = set()
     unbound: set[str] = set()          # vessels reported as impossible to bind
@@ -177,13 +182,13 @@ def bind_vessels(prog: ChemProgram, graph
         bindings["waste"] = waste_nodes[0].id
         claimed.add(waste_nodes[0].id)
     else:
-        report.add("vessel_class_exhausted", "no Waste node in graph", "waste")
+        findings.append(Finding("vessel_class_exhausted", "no Waste node in graph", "waste"))
         unbound.add("waste")
     if product_nodes:
         bindings["product"] = product_nodes[0].id
         claimed.add(product_nodes[0].id)
     else:
-        report.add("vessel_class_exhausted", "no Product node in graph", "product")
+        findings.append(Finding("vessel_class_exhausted", "no Product node in graph", "product"))
         unbound.add("product")
 
     reservoir = graph.reservoir()
@@ -192,8 +197,8 @@ def bind_vessels(prog: ChemProgram, graph
         for op in prog.steps
     )
     if needs_reservoir and reservoir is None:
-        report.add("no_reservoir", "program draws wash solvent but the graph "
-                   "has no reservoir flask", None)
+        findings.append(Finding("no_reservoir", "program draws wash solvent but the "
+                                "graph has no reservoir flask", None))
     if reservoir is not None:
         claimed.add(reservoir.id)
 
@@ -213,8 +218,8 @@ def bind_vessels(prog: ChemProgram, graph
             continue
         free = [f for f in flask_pool if f not in claimed]
         if not free:
-            report.add("vessel_class_exhausted",
-                       f"no free ReagentFlask for source vessel {v}", v)
+            findings.append(Finding("vessel_class_exhausted",
+                                    f"no free ReagentFlask for source vessel {v}", v))
             unbound.add(v)
             continue
         bindings[v] = free[0]
@@ -242,13 +247,13 @@ def bind_vessels(prog: ChemProgram, graph
         if not with_caps:
             if candidates and need:
                 missing = need - max(candidates, key=lambda n: len(need & n.capabilities)).capabilities
-                report.add("missing_capability",
-                           f"no free node for {req.vessel} with {sorted(need)} "
-                           f"(closest lacks {sorted(missing)})", req.vessel)
+                findings.append(Finding("missing_capability",
+                                        f"no free node for {req.vessel} with {sorted(need)} "
+                                        f"(closest lacks {sorted(missing)})", req.vessel))
             else:
-                report.add("vessel_class_exhausted",
-                           f"no free node of kind {want_kind or 'any'} for {req.vessel}",
-                           req.vessel)
+                findings.append(Finding("vessel_class_exhausted",
+                                        f"no free node of kind {want_kind or 'any'} for "
+                                        f"{req.vessel}", req.vessel))
             unbound.add(req.vessel)
             continue
         exact = [n for n in with_caps if n.id == req.vessel]
@@ -257,31 +262,19 @@ def bind_vessels(prog: ChemProgram, graph
         bindings[req.vessel] = chosen.id
         claimed.add(chosen.id)
 
-    return bindings, unbound, report.findings
+    return bindings, unbound, findings
 
 
 def check_program(prog: ChemProgram, graph
-                  ) -> tuple[ValidationReport, dict[str, str], dict[str, list[str]]]:
+                  ) -> tuple[ValidationReport, Mapping[str, str], Mapping[str, tuple[str, ...]]]:
     """Whether a program fits a rig: its findings, its bindings (vessel ->
     node id) and its routes ("SRC->DST" -> node path).
 
     The pass runs on the first call for a rig object and is kept on the
     program (`ChemProgram._checked`, one entry, which holds the rig so its
     id is never reused); a call with another rig object runs it again.
-    Every call returns new containers, so a caller that edits its report,
-    bindings or routes does not change a later answer.
-    """
-    checked = prog._checked
-    if checked is None or checked[0] is not graph:
-        checked = prog._checked = (graph, *_check_program(prog, graph))
-    _, report, bindings, routes = checked
-    return (ValidationReport(list(report.findings)), dict(bindings),
-            {key: list(path) for key, path in routes.items()})
-
-
-def _check_program(prog: ChemProgram, graph
-                   ) -> tuple[ValidationReport, dict[str, str], dict[str, list[str]]]:
-    """The pass `check_program` keeps.
+    Every call returns the kept report and read-only views of the kept
+    bindings and routes.
 
     One walk of the lowered primitives routes each matter movement, once
     per `SRC->DST` key, and reports each movement with no route (no_route);
@@ -297,29 +290,31 @@ def _check_program(prog: ChemProgram, graph
     fill no cell, are skipped; a reaction that raises a cell's amount is
     caught at run time by the watchdog.
     """
+    checked = prog._checked
+    if checked is not None and checked[0] is graph:
+        return checked[1:]
     from ..cstm import (  # deferred: cstm imports this package
         MachineError, init_machine, lower_program, movement, over_capacity,
         step_tape,
     )
 
-    report = ValidationReport()
-    check_params(prog, report)
-    bindings, unbound, findings = bind_vessels(prog, graph)
-    report.findings += findings
+    findings = check_params(prog)
+    bindings, unbound, bound = bind_vessels(prog, graph)
+    findings += bound
     reservoir = graph.reservoir()
     reservoir_id = None if reservoir is None else reservoir.id
 
     nodes = graph.nodes
     state = init_machine(prog, bindings)
-    capacity = ValidationReport()      # reported after the routing findings
+    capacity: list[Finding] = []       # reported after the routing findings
     for cell in sorted(state.cells, key=lambda c: c.name):
         over = over_capacity(cell, nodes)
         if over is not None:
-            capacity.add("capacity_exceeded", f"{cell.name} charged with {over[0]:g} mL "
-                         f"against capacity {over[1]:g}", cell.name)
+            capacity.append(Finding("capacity_exceeded", f"{cell.name} charged with {over[0]:g} "
+                                    f"mL against capacity {over[1]:g}", cell.name))
     lowering = lower_program(prog)
-    screening = capacity.ok and lowering.error is None
-    routes: dict[str, list[str]] = {}
+    screening = not capacity and lowering.error is None
+    routes: dict[str, tuple[str, ...]] = {}
     for prims in lowering.ops:         # () for a step reported above
         for prim in prims:
             if prim.code == "AE" or prim.code == "SE":
@@ -334,8 +329,9 @@ def _check_program(prog: ChemProgram, graph
                     try:
                         routes[key] = route(graph, src, dst)
                     except RouteError:
-                        report.add("no_route", f"no path {src} -> {dst} (operation "
-                                   f"{prim.op_index + 1}, {prim.op_kind.value})", key)
+                        findings.append(Finding(
+                            "no_route", f"no path {src} -> {dst} (operation "
+                            f"{prim.op_index + 1}, {prim.op_kind.value})", key))
             if not screening:
                 continue
             try:
@@ -346,10 +342,11 @@ def _check_program(prog: ChemProgram, graph
             cell = step_tape(state, prim, move)
             over = None if cell is None else over_capacity(cell, nodes)
             if over is not None:
-                capacity.add("capacity_exceeded",
-                             f"{cell.name} filled with {over[0]:g} mL against "
-                             f"capacity {over[1]:g} (operation {prim.op_index + 1}, "
-                             f"{prim.op_kind.value})", cell.name)
+                capacity.append(Finding(
+                    "capacity_exceeded", f"{cell.name} filled with {over[0]:g} mL "
+                    f"against capacity {over[1]:g} (operation {prim.op_index + 1}, "
+                    f"{prim.op_kind.value})", cell.name))
                 screening = False
-    report.findings += capacity.findings
-    return report, bindings, routes
+    settle(prog, _checked=(graph, ValidationReport(findings + capacity),
+                           MappingProxyType(bindings), MappingProxyType(routes)))
+    return prog._checked[1:]

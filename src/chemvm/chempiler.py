@@ -5,9 +5,9 @@ rotavaps, filters, storage, chromatograph, waste, product) connected
 through valves and a syringe pump. `loads_graph` checks a rig's structure
 once, at load: each node's fields, known edge endpoints, no self-edges,
 and no node with more tube partners than ports; it raises `GraphError` (a
-`ValueError`). A built rig is never changed, so its per-kind node lists
-and its reservoir are derived once, when it is built. Whether a program
-fits a rig is decided by one static pass,
+`ValueError`). A rig is frozen (`HardwareGraph`), so its adjacency, its
+per-kind node lists and its reservoir are derived once, when it is built.
+Whether a program fits a rig is decided by one static pass,
 `chemlang.validate.check_program`, the one `validate_program` reports: it
 checks each step's parameters, binds every program vessel to a node (by
 id when the graph has a compatible node of that name, else first-fit by
@@ -19,8 +19,9 @@ than exceptions, so a plan can explain everything wrong with it at once.
 `chempile` adds to that pass's bindings and routes only the plan's
 cleaning steps and per-step allocations. The pass runs once per (program,
 rig object): its answer is kept on the program, so validating and then
-compiling a program against one rig checks it once. The plan maps the
-program onto the rig; it does not rewrite it.
+compiling a program against one rig checks it once. The plan is frozen
+and holds the pass's read-only bindings and routes as they are kept. It
+maps the program onto the rig; it does not rewrite it.
 
 Executing a plan runs the program as written on the same machine the
 abstract run uses, with the plan's bindings naming each vessel's cell
@@ -43,10 +44,12 @@ Amounts are mol, volumes mL, converted 1:1 nominal.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
-from .chemlang import ChemProgram, OpKind
+from .chemlang.ast import ChemProgram, OpKind, settle
 from .chemlang.validate import (
     FLOW_KINDS, NODE_KINDS, RouteError, ValidationReport, check_program, route,
 )
@@ -95,33 +98,35 @@ class HardwareNode:
         return RESERVOIR_ATTACHMENT in self.attachments
 
 
-@dataclass
+@dataclass(frozen=True)
 class HardwareGraph:
-    """A rig. It is never mutated once built, so the adjacency lists, the
-    nodes of each kind and the reservoir are derived once, in sorted id
-    order, and a program's check against it may be kept on the program."""
+    """A rig, frozen: `nodes` is a read-only copy and `edges` a tuple, so the
+    adjacency, the nodes of each kind and the reservoir are derived once, in
+    sorted id order, and a program's check against it may be kept on it."""
 
-    nodes: dict[str, HardwareNode]
-    edges: list[tuple[str, str]]
-    _adj: dict[str, list[str]] = field(init=False, repr=False)
+    nodes: Mapping[str, HardwareNode]
+    edges: tuple[tuple[str, str], ...]
+    _adj: dict[str, tuple[str, ...]] = field(init=False, repr=False)
     _kinds: dict[str, tuple[HardwareNode, ...]] = field(init=False, repr=False)
     _reservoir: HardwareNode | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
+        nodes = MappingProxyType(dict(self.nodes))
+        adj: dict[str, set[str]] = {n: set() for n in nodes}
         for a, b in self.edges:
             if a in adj:
                 adj[a].add(b)
-        self._adj = {n: sorted(v) for n, v in adj.items()}
-        ordered = [self.nodes[i] for i in sorted(self.nodes)]
+        ordered = [nodes[i] for i in sorted(nodes)]
         kinds: dict[str, list[HardwareNode]] = {}
         for node in ordered:
             kinds.setdefault(node.kind, []).append(node)
-        self._kinds = {k: tuple(v) for k, v in kinds.items()}
-        self._reservoir = next((node for node in ordered if node.reserved), None)
+        settle(self, nodes=nodes, edges=tuple(self.edges),
+               _adj={n: tuple(sorted(v)) for n, v in adj.items()},
+               _kinds={k: tuple(v) for k, v in kinds.items()},
+               _reservoir=next((node for node in ordered if node.reserved), None))
 
-    def neighbors(self, node: str) -> list[str]:
-        return self._adj.get(node, [])
+    def neighbors(self, node: str) -> tuple[str, ...]:
+        return self._adj.get(node, ())
 
     def by_kind(self, kind: str) -> tuple[HardwareNode, ...]:
         return self._kinds.get(kind, ())
@@ -255,12 +260,12 @@ def build_default_graph() -> HardwareGraph:
 # ---------------------------------------------------------------------------
 # Compilation
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledPlan:
     program: ChemProgram               # as written; run through `bindings`
     graph: HardwareGraph
-    bindings: dict[str, str]           # program vessel -> node id
-    routes: dict[str, list[str]]       # "SRC->DST" -> node path
+    bindings: Mapping[str, str]        # program vessel -> node id, read-only
+    routes: Mapping[str, tuple[str, ...]]   # "SRC->DST" -> node path, read-only
     cleaning: list[dict]               # clean ops: {"op_index", "vessel"}
     allocations: dict[int, list[str]]  # reaction step -> node ids it uses
     report: ValidationReport
@@ -387,7 +392,7 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
                    bindings=plan.bindings).execute()
 
 
-def lowering_view(trace: ExecutionTrace, bindings: dict[str, str] | None = None
+def lowering_view(trace: ExecutionTrace, bindings: Mapping[str, str] | None = None
                   ) -> list[tuple]:
     """Comparable projection of a trace: per primitive/transition record the
     (op_index, discriminator, cell, contents, temp, controller state), with

@@ -148,7 +148,7 @@ def cmd_run(args, argv: list[str]) -> int:
     if args.trace:
         write_text_atomic(args.trace, trace.to_jsonl())
         outputs.append(Path(args.trace))
-    _print_json({"halt": trace.halt, "ledger": trace.ledger.to_json_dict()})
+    _print_json({"halt": trace.halt, "ledger": trace.ledger._asdict()})
 
     if args.persist_rules:
         save_rules(trace.db, args.rules)

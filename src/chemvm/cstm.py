@@ -22,10 +22,10 @@ A program is lowered once: `lower_program` expands every step and lays
 out the tape (`Layout`: cell names, name -> index, vessel -> slot) the
 first time the program is run or compiled, and keeps the result on the
 program, which every later machine and compile reads. Every machine
-without bindings shares that layout's two maps, which nothing changes,
-and makes only its own fresh cells; a compiled plan's bindings lay out
-their tape through the same function. This rests on a parsed program
-being immutable; a different program is a new `ChemProgram`.
+without bindings shares that layout's two maps, which are read-only
+views, and makes only its own fresh cells; a compiled plan's bindings lay
+out their tape through the same function. This rests on `ChemProgram`
+being frozen; a different program is a new `ChemProgram`.
 
 Halting is classified per run: a characterised rule keeps q_out, a
 predicted one downgrades the run to q_uout, a novel (explored) one to
@@ -67,10 +67,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
-from .chemlang import AMBIENT_C, OP_SPECS, ChemProgram, OpKind, Quantity, ReagentDecl
+from .chemlang.ast import AMBIENT_C, OP_SPECS, ChemProgram, OpKind, Quantity, ReagentDecl, settle
 from .jsonio import dumps_jsonl
 from .rng import substream
 from .rules import (
@@ -267,14 +269,14 @@ def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Pri
 
 
 class Layout(NamedTuple):
-    """A tape's layout: what every machine over it shares and never
-    changes."""
+    """A tape's layout, which every machine over it shares: a tuple and
+    two read-only maps."""
     names: tuple[str, ...]         # cell names, in tape order
-    index: dict[str, int]          # cell name -> tape index
-    slot: dict[str, int]           # program vessel -> tape index of its cell
+    index: Mapping[str, int]       # cell name -> tape index
+    slot: Mapping[str, int]        # program vessel -> tape index of its cell
 
 
-def _lay_out(vessels: tuple[str, ...], names: dict[str, str]) -> Layout:
+def _lay_out(vessels: tuple[str, ...], names: Mapping[str, str]) -> Layout:
     """One cell per distinct cell name of `vessels`, in order; `names`
     maps a vessel to the name its cell runs under (a compiled plan's
     bindings), and a vessel it does not name runs under its own."""
@@ -283,7 +285,7 @@ def _lay_out(vessels: tuple[str, ...], names: dict[str, str]) -> Layout:
     for vessel in vessels:
         name = names.get(vessel, vessel)
         slot[vessel] = index.setdefault(name, len(index))
-    return Layout(tuple(index), index, slot)
+    return Layout(tuple(index), MappingProxyType(index), MappingProxyType(slot))
 
 
 class Lowering(NamedTuple):
@@ -303,8 +305,7 @@ class Lowering(NamedTuple):
 def lower_program(prog: ChemProgram) -> Lowering:
     """The program's lowering, made on the first call and kept on the
     program for every later run and compile."""
-    lowering = prog._lowering
-    if lowering is None:
+    if prog._lowering is None:
         decls = {d.name: d for d in prog.reagents}
         ops, error = [], None
         vessels = ["waste", "product", *(d.source_vessel for d in prog.reagents),
@@ -317,12 +318,12 @@ def lower_program(prog: ChemProgram) -> Lowering:
                 ops.append(())
                 error = error or str(exc)
         vessels = tuple(dict.fromkeys(vessels))
-        lowering = prog._lowering = Lowering(
+        settle(prog, _lowering=Lowering(
             tuple(ops), error,
             frozenset({RESERVOIR_SPECIES}
                       | {d.species for d in prog.reagents if d.role == "solvent"}),
-            vessels, _lay_out(vessels, {}))
-    return lowering
+            vessels, _lay_out(vessels, {})))
+    return prog._lowering
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +341,13 @@ class VesselCell:
 @dataclass(slots=True)
 class MachineState:
     """A machine's tape and books. `index` and `slot` are its tape's
-    `Layout`, which nothing changes: without bindings, the program's own,
-    shared by every machine over it. `cells` are the machine's own. Every
+    `Layout`'s read-only maps: without bindings, the program's own, shared
+    by every machine over it. `cells` are the machine's own. Every
     cell's contents and the transit line hold their species in species
     order, and so do the books `stock_in`, `consumed` and `produced` (see
     `_add`)."""
     cells: list[VesselCell]
-    index: dict[str, int]                 # cell name -> tape index
+    index: Mapping[str, int]              # cell name -> tape index
     head: int = 0
     controller: str = "q0"
     transit: dict[str, float] = field(default_factory=dict)
@@ -356,7 +357,7 @@ class MachineState:
     produced: dict[str, float] = field(default_factory=dict)
     solvent_species: frozenset[str] = frozenset()
     # program vessel -> tape index of the cell it runs in
-    slot: dict[str, int] = field(default_factory=dict)
+    slot: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def waste_cell(self) -> VesselCell:
@@ -399,7 +400,7 @@ def _drain(contents: dict[str, float], species: str, amount: float) -> None:
         _add(contents, species, -amount)
 
 
-def init_machine(prog: ChemProgram, names: dict[str, str] | None = None
+def init_machine(prog: ChemProgram, names: Mapping[str, str] | None = None
                  ) -> MachineState:
     """A fresh machine state over the program's tape, its source flasks
     charged from the declarations. Without `names` the tape is the
@@ -591,8 +592,8 @@ def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
 # Ledger
 
 class LedgerReport(NamedTuple):
-    """A run's conservation ledger (see `build_ledger`): a NamedTuple, so
-    immutable and cheap to build once per run."""
+    """A run's conservation ledger (see `build_ledger`), built once per
+    run; the halt record holds it as `_asdict()`, in field order."""
     total_in: dict[str, float]       # stock drawn + reaction products
     total_consumed: dict[str, float]
     total_held: dict[str, float]     # working cells + transit line
@@ -605,22 +606,6 @@ class LedgerReport(NamedTuple):
     energy_in: float
     energy_out: float
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_in": dict(self.total_in),
-            "total_consumed": dict(self.total_consumed),
-            "total_held": dict(self.total_held),
-            "total_waste": self.total_waste,
-            "total_product": self.total_product,
-            "waste_by_species": dict(self.waste_by_species),
-            "product_by_species": dict(self.product_by_species),
-            "stock_in": dict(self.stock_in),
-            "produced": dict(self.produced),
-            "energy_in": self.energy_in,
-            "energy_out": self.energy_out,
-            "residual": self.residual,
-        }
 
 
 def build_ledger(state: MachineState) -> LedgerReport:
@@ -718,7 +703,7 @@ class Machine:
     def __init__(self, prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,
                  explore: bool = False, budget: int = DEFAULT_BUDGET,
                  injector=None, pre_primitive=None, post_primitive=None,
-                 bindings: dict[str, str] | None = None):
+                 bindings: Mapping[str, str] | None = None):
         self.prog = prog
         self.db = db
         self.explore_enabled = explore
@@ -912,7 +897,7 @@ class Machine:
             "kind": "halt",
             "halt": halt,
             "step": self.state.step_count,
-            "ledger": ledger.to_json_dict(),
+            "ledger": ledger._asdict(),
             "rule_events": self.rule_events,
         }
         if self.halt_reason is not None:

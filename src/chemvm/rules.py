@@ -27,10 +27,11 @@ when the database is made, files each rule under one of its inputs
 (reagent or catalyst), the one the fewest rules mention, ties to the
 smallest species id. A rule whose inputs are all present is filed under a
 present species, so only the rules filed under present species are
-candidates. Databases are never changed in place: `promote` returns one
-whose rules overlay the changed rules on the shared base, one level deep,
-and which shares the index, since promotion changes no rule's inputs;
-`commit_discovery` returns one that builds a new index. The provenance
+candidates. A database is a frozen `RuleDatabase` with read-only maps:
+`promote` returns one whose rules overlay the changed rules on the shared
+base, one level deep, and which shares the index, since promotion changes
+no rule's inputs; `commit_discovery` returns one that builds a new index.
+The provenance
 log is append-only: each new version links one event onto the log of the
 version it was made from, so versions share their common history and
 adding an event copies nothing.
@@ -57,9 +58,11 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .chemlang import ChemProgram, HardwareReq, OpKind, Quantity, ReagentDecl, UnitOperation
+from .chemlang.ast import settle
 from .chemlang.parser import IDENT_RE
 from .jsonio import (
     dumps_stable, is_integer, is_number, json_entry, json_object, loads_object,
@@ -168,11 +171,12 @@ class _Logged(NamedTuple):
     event: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleDatabase:
-    species: dict[str, Species]
+    # read-only: `MappingProxyType`s, and after `promote` a `ChainMap` of them
+    species: Mapping[str, Species]
     rules: Mapping[str, TransitionRule]
-    latent: dict[str, TransitionRule] = field(default_factory=dict)
+    latent: Mapping[str, TransitionRule]
     # the provenance log's newest event; read the log as `provenance`
     _log: _Logged | None = field(default=None, repr=False, compare=False)
     # input species -> the rules filed under it; built from `rules` unless
@@ -189,8 +193,7 @@ class RuleDatabase:
 
     def __post_init__(self) -> None:
         if self._index is None:
-            self._index = _build_index(self.rules.values())
-            self._matches = {}
+            settle(self, _index=_build_index(self.rules.values()), _matches={})
 
     @property
     def provenance(self) -> list[dict]:
@@ -387,7 +390,8 @@ def loads_rules(text: str, where: str = "<string>") -> RuleDatabase:
     log = None
     for event in doc.get("provenance", []):
         log = _Logged(log, event)
-    return RuleDatabase(species, rules, latent, log)
+    return RuleDatabase(MappingProxyType(species), MappingProxyType(rules),
+                        MappingProxyType(latent), log)
 
 
 def load_rules(path: str | Path) -> RuleDatabase:
@@ -500,8 +504,8 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
     database whose rules overlay the changed ones on `db`'s base, and which
     shares `db`'s index and match memo; at the second occurrence a
     predicted/novel rule becomes characterised, with a provenance event
-    either way. Databases are never changed, so the new one is made once
-    per (db, rule) and kept on `db` for every later call."""
+    either way. Databases are frozen, so the new one is made once per
+    (db, rule) and kept on `db` for every later call."""
     child = db._promoted.get(rule_id)
     if child is not None:
         return child
@@ -517,7 +521,7 @@ def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
                  "from": status}
         status = "characterised"
     counted = replace(rule, occurrences=new_occ, status=status)
-    rules = ChainMap({**changed, rule_id: counted}, base)
+    rules = ChainMap(MappingProxyType({**changed, rule_id: counted}), base)
     child = db._promoted[rule_id] = RuleDatabase(
         db.species, rules, db.latent, _Logged(db._log, event), db._index, db._matches)
     return child
@@ -542,9 +546,8 @@ def explore(db: RuleDatabase, contents: dict[str, float],
 def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
     """Move an explored rule into the visible database, which builds a
     new index."""
-    rules = dict(db.rules)
-    rules[rule.id] = rule
-    latent = {k: v for k, v in db.latent.items() if k != rule.id}
+    rules = MappingProxyType({**db.rules, rule.id: rule})
+    latent = MappingProxyType({k: v for k, v in db.latent.items() if k != rule.id})
     event = {"event": "discovered", "rule": rule.id}
     return RuleDatabase(db.species, rules, latent, _Logged(db._log, event))
 

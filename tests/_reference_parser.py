@@ -207,9 +207,8 @@ class _Parser:
             self.fail("trailing input after program")
         if not steps:
             self.fail("program has no steps", close)
-        prog = ChemProgram(name, reagents, hardware, steps, metadata)
-        self._check_references(prog)
-        return prog
+        self._check_references(reagents, hardware, steps)
+        return ChemProgram(name, reagents, hardware, steps, metadata)
 
     def reagent_decl(self, existing: list[ReagentDecl]) -> ReagentDecl:
         name = self.expect("ident")
@@ -298,10 +297,10 @@ class _Parser:
             self.fail(f"parameter {key!r} takes an identifier", tok)
         return value
 
-    def _check_references(self, prog: ChemProgram) -> None:
-        declared = {d.name for d in prog.reagents}
+    def _check_references(self, reagents, hardware, steps) -> None:
+        declared = {d.name for d in reagents}
         last_marker = 0
-        for op in prog.steps:
+        for op in steps:
             for key in ("reagent", "solvent"):
                 ref = op.params.get(key)
                 if ref is not None and ref not in declared:
@@ -322,11 +321,11 @@ class _Parser:
             time = op.params.get("time")
             if isinstance(time, Quantity) and time.value <= 0:
                 raise ParseError("time must be positive", op.line, 1)
-        known = {h.vessel for h in prog.hardware} | set(BUILTIN_VESSELS)
-        for op in prog.steps:
+        known = {h.vessel for h in hardware} | set(BUILTIN_VESSELS)
+        for op in steps:
             for v in op.vessels():
                 if v not in known:
-                    prog.hardware.append(HardwareReq(v, "any", line=op.line))
+                    hardware.append(HardwareReq(v, "any", line=op.line))
                     known.add(v)
 
 

@@ -166,7 +166,7 @@ CORPUS = [
 
 def test_criterion_08_lowering_equivalence():
     graph = build_default_graph()
-    assert route(graph, "R1", "RX1") == ["R1", "V1", "P1", "V2", "RX1"]
+    assert route(graph, "R1", "RX1") == ("R1", "V1", "P1", "V2", "RX1")
     flow = {"Valve", "Pump"}
     for prog_name, rules_name, explore in CORPUS:
         prog = parse_program(fixture_text(prog_name))

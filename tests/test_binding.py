@@ -80,17 +80,21 @@ def test_edits_to_an_answer_do_not_reach_the_next(default_graph):
     report, bindings, routes = check_program(prog, default_graph)
     assert report.ok and len(routes) > 1
     plan_json = chempile(prog, default_graph).to_json()
-    expected = (list(report.findings), dict(bindings),
-                {key: list(path) for key, path in routes.items()})
-    report.add("no_route", "made up", "X->Y")
-    bindings["waste"] = "X"
+    expected = (report.findings, dict(bindings), dict(routes))
     first, second = sorted(routes)[:2]
-    routes[first].append("X")
-    del routes[second]
     plan = chempile(prog, default_graph)
-    plan.report.findings.clear()
-    plan.bindings.clear()
-    del plan.routes[first]
+    edits = [
+        lambda: report.findings.append(validate.Finding("no_route", "made up", "X->Y")),
+        lambda: bindings.__setitem__("waste", "X"),
+        lambda: routes[first].append("X"),
+        lambda: routes.__delitem__(second),
+        lambda: plan.report.findings.clear(),
+        lambda: plan.bindings.clear(),
+        lambda: plan.routes.__delitem__(first),
+    ]
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
     again, bindings, routes = check_program(prog, default_graph)
     assert (again.findings, bindings, routes) == expected
     assert chempile(prog, default_graph).to_json() == plan_json
@@ -98,10 +102,11 @@ def test_edits_to_an_answer_do_not_reach_the_next(default_graph):
     # a finding cannot be edited in place either
     bad = parse_program(REPROS["missing_param"][0])
     report = validate_program(bad, default_graph)
-    findings = list(report.findings)
+    findings = report.findings
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.findings[0].message = "made up"
-    report.findings.clear()
+    with pytest.raises(AttributeError):
+        report.findings.clear()
     assert validate_program(bad, default_graph).findings == findings
     assert chempile(bad, default_graph).report.findings == findings
 

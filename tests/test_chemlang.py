@@ -288,7 +288,7 @@ def _codes(report):
 def test_validate_clean_fixture(default_graph):
     report = validate_program(parse_program(fixture_text("atropine_3step.chem")), default_graph)
     assert report.ok
-    assert report.findings == []
+    assert report.findings == ()
 
 
 def test_validate_missing_param(default_graph):

@@ -125,7 +125,7 @@ def test_graph_rejects_more_tube_partners_than_ports():
 
 
 def test_pinned_route(default_graph):
-    assert route(default_graph, "R1", "RX1") == ["R1", "V1", "P1", "V2", "RX1"]
+    assert route(default_graph, "R1", "RX1") == ("R1", "V1", "P1", "V2", "RX1")
 
 
 def test_route_errors(default_graph):
@@ -138,16 +138,17 @@ def test_route_errors(default_graph):
         route(cut, "RX1", "W")
 
 
-def test_route_expands_each_node_once():
+def test_route_expands_each_node_once(monkeypatch):
     # a diamond of valves: V3 is reached along two paths of one length, and
     # only the first, the smaller, goes on from it
     graph = _simple_graph(
         [{"id": "V2", "kind": "Valve"}, {"id": "V3", "kind": "Valve"}],
         [["R1", "V1"], ["R1", "V2"], ["V1", "V3"], ["V2", "V3"], ["V3", "RX1"]])
     expanded = []
-    neighbors = graph.neighbors
-    graph.neighbors = lambda node: expanded.append(node) or neighbors(node)
-    assert route(graph, "R1", "RX1") == ["R1", "V1", "V3", "RX1"]
+    neighbors = HardwareGraph.neighbors
+    monkeypatch.setattr(HardwareGraph, "neighbors",
+                        lambda self, node: expanded.append(node) or neighbors(self, node))
+    assert route(graph, "R1", "RX1") == ("R1", "V1", "V3", "RX1")
     assert expanded == ["R1", "V1", "V2", "V3"]
 
 
@@ -178,7 +179,7 @@ def test_compile_tiny(default_graph):
     assert plan.feasible
     assert plan.bindings == {"waste": "W", "product": "OUT", "R1": "R1",
                              "R2": "R2", "RX1": "RX1", "F1": "F1"}
-    assert plan.routes["R1->RX1"] == ["R1", "V1", "P1", "V2", "RX1"]
+    assert plan.routes["R1->RX1"] == ("R1", "V1", "P1", "V2", "RX1")
     assert plan.allocations == {1: ["RX1", "F1", "OUT"]}
     parsed = json.loads(plan.to_json())
     assert sorted(parsed) == ["allocations", "bindings", "cleaning",
@@ -286,7 +287,7 @@ def test_transfer_is_stroked_by_pump_capacity(default_graph):
              if r.get("kind") == "transfer" and r["op_index"] == 0]
     assert [m["stroke"] for m in moves] == [1, 2, 3]
     assert all(m["strokes"] == 3 for m in moves)
-    assert all(m["route"] == ["R1", "V1", "P1", "V2", "RX1"] for m in moves)
+    assert all(m["route"] == ("R1", "V1", "P1", "V2", "RX1") for m in moves)
     assert sum(m["moved"] for m in moves) == pytest.approx(60.0)
     assert all(m["total"] == pytest.approx(60.0) for m in moves)
 
@@ -328,7 +329,7 @@ def test_runtime_capacity_enforced(default_graph):
     strokes = [r for r in trace.records
                if r.get("kind") == "transfer" and r["op_index"] == 1]
     assert [r["stroke"] for r in strokes] == [1, 2, 3, 4, 5]
-    assert all(r["route"] == ["RX1", "V2", "P1", "V1", "F1"] for r in strokes)
+    assert all(r["route"] == ("RX1", "V2", "P1", "V1", "F1") for r in strokes)
 
 
 @pytest.mark.parametrize("steps, after, overfill", [
@@ -459,7 +460,7 @@ def test_transit_movement_is_one_stroke_group(default_graph):
     assert trace.halt == "q_out"
     moves = _strokes_by_op(trace)[1]
     assert [(m["stroke"], m["strokes"]) for m in moves] == [(1, 2), (2, 2)]
-    assert all(m["route"] == ["RX1", "V2", "P1", "V1", "S1"] for m in moves)
+    assert all(m["route"] == ("RX1", "V2", "P1", "V1", "S1") for m in moves)
     assert plan.routes["RX1->S1"] == moves[0]["route"]
     assert sum(m["moved"] for m in moves) == pytest.approx(45.0)
     # booked ahead of the SM that fills the transit line
@@ -478,14 +479,15 @@ def test_rig_without_pump_books_one_stroke_per_movement():
     trace = execute_plan(plan, _MONO_DB, seed=0)
     assert trace.halt == "q_out"
     groups = _strokes_by_op(trace)
-    assert [g[0]["route"] for g in groups.values()] == [["R1", "V1", "RX1"],
-                                                        ["RX1", "V1", "OUT"]]
+    assert [g[0]["route"] for g in groups.values()] == [("R1", "V1", "RX1"),
+                                                        ("RX1", "V1", "OUT")]
     assert all(len(g) == 1 and g[0]["moved"] == 60.0 for g in groups.values())
 
 
 def test_missing_route_halts_the_run(default_graph):
     plan = chempile(parse_program(fixture_text("tiny.chem")), default_graph)
-    del plan.routes["RX1->F1"]
+    plan = dataclasses.replace(plan, routes={k: v for k, v in plan.routes.items()
+                                             if k != "RX1->F1"})
     trace = execute_plan(plan, load_rules(FIXTURES / "tiny.rules"), seed=0)
     assert trace.halt == "q_fail"
     assert trace.records[-1]["reason"] == "no route RX1->F1 in the plan"
