@@ -12,9 +12,10 @@ AM/SM/AE/SE primitive codes it lowers to. The parser, the validator, the
 vessel binder, the machine's lowering and the step classifier all read it;
 `PARAM_UNITS` beside it gives the units of the quantity parameters.
 
-A program is a frozen dataclass of tuples of frozen entries, and its
-metadata and each step's `params` are read-only views of copies of the
-mappings given, so no edit reaches it; a different program is a new one
+`ChemProgram` is a frozen dataclass holding tuples of frozen entries
+(`ReagentDecl`, `HardwareReq`, `UnitOperation`), and its metadata and each
+step's `params` are `MappingProxyType` views of copies of the mappings
+given, so no edit reaches a program; a different program is a new one
 (`dataclasses.replace`, which keeps no memo). So work derived from a
 program alone may be kept on it (its lowering), and so may its check
 against a rig, which is frozen too. `settle` is how a frozen object sets
@@ -147,9 +148,9 @@ ParamValue = Quantity | int | float | str
 
 
 def settle(obj, **fields) -> None:
-    """Set a frozen object's read-only copies and its memo slots."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    """Set a frozen object's read-only copies and its memo slots: written
+    to the instance dict, as `object.__setattr__` would, in one call."""
+    obj.__dict__.update(fields)
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,10 @@ class ChemProgram:
     hardware: tuple[HardwareReq, ...]
     steps: tuple[UnitOperation, ...]
     metadata: Mapping[str, str] = field(default_factory=dict)   # read-only copy
-    # the machine's lowering of this program, made on first run or compile
-    # (`cstm.lower_program`)
+    # the machine's lowering, made on first run or compile (`cstm.lower_program`)
     _lowering: object = field(default=None, init=False, compare=False, repr=False)
-    # the static pass against one rig, (graph, report, bindings, routes),
-    # made by `chemlang.validate.check_program`
+    # the static pass against one rig: `chemlang.validate.check_program`'s
+    # (graph, report, bindings, routes)
     _checked: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
