@@ -148,9 +148,9 @@ ParamValue = Quantity | int | float | str
 
 
 def settle(obj, **fields) -> None:
-    """Set a frozen object's read-only copies and its memo slots: written
-    to the instance dict, as `object.__setattr__` would, in one call."""
-    obj.__dict__.update(fields)
+    """Set a frozen object's read-only copies and its memo slots."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .ast import (
     Quantity,
     ReagentDecl,
     UnitOperation,
+    settle,
 )
 
 __all__ = ["ESCAPES", "IDENT_RE", "ParseError", "parse_program"]
@@ -264,8 +265,9 @@ class _Parser:
     def step(self) -> UnitOperation:
         m = _STEP_RE.match(self.text, self.tok[2])
         known = self.steps.get(m[0]) if m else None
-        if known is not None:  # parsed before: a copy on this step's line
-            op = UnitOperation(known.kind, known.params, line=self.line(self.tok))
+        if known is not None:  # parsed before: that step on this line, params shared
+            op = object.__new__(UnitOperation)
+            settle(op, kind=known.kind, params=known.params, line=self.line(self.tok))
             self.end = m.end()
             self.lex()
             return op

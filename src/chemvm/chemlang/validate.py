@@ -272,9 +272,8 @@ def check_program(prog: ChemProgram, graph
 
     The pass runs on the first call for a rig object and is kept on the
     program (`ChemProgram._checked`, one entry, which holds the rig so its
-    id is never reused); a call with another rig object runs it again.
-    Every call returns the kept report and read-only views of the kept
-    bindings and routes.
+    id is never reused); every later call for that rig returns the kept
+    objects themselves, and a call with another rig object runs it again.
 
     One walk of the lowered primitives routes each matter movement, once
     per `SRC->DST` key, and reports each movement with no route (no_route);

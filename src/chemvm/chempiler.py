@@ -19,9 +19,8 @@ than exceptions, so a plan can explain everything wrong with it at once.
 `chempile` adds to that pass's bindings and routes only the plan's
 cleaning steps and per-step allocations. The pass runs once per (program,
 rig object): its answer is kept on the program, so validating and then
-compiling a program against one rig checks it once. The plan is frozen
-and holds the pass's read-only bindings and routes as they are kept. It
-maps the program onto the rig; it does not rewrite it.
+compiling a program against one rig checks it once. The plan (a frozen
+`CompiledPlan`) maps the program onto the rig; it does not rewrite it.
 
 Executing a plan runs the program as written on the same machine the
 abstract run uses, with the plan's bindings naming each vessel's cell

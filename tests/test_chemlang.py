@@ -207,6 +207,8 @@ def test_one_step_text_on_three_lines_gives_three_ops():
     assert [op.line for op in steps] == [3, 4, 5]
     assert steps[0].params == steps[1].params == steps[2].params == {"vessel": "A", "reaction_step": 1}
     assert steps[0] is not steps[1]
+    # a repeat shares its first parse's read-only params instead of copying them
+    assert steps[1].params is steps[0].params and steps[2].params is steps[0].params
 
 
 def test_a_malformed_copy_of_a_repeated_step_is_the_error():
