@@ -147,10 +147,10 @@ class Quantity:
 ParamValue = Quantity | int | float | str
 
 
-def settle(obj, **fields) -> None:
-    """Set a frozen object's read-only copies and its memo slots."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+def settle(obj, name: str, value) -> None:
+    """Set field `name` of a frozen object: one of its read-only copies as
+    it is built, or a memo slot."""
+    object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ class UnitOperation:
     line: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        settle(self, params=MappingProxyType(dict(self.params)))
+        settle(self, "params", MappingProxyType(dict(self.params)))
 
     @property
     def reaction_step(self) -> int | None:
@@ -212,5 +212,6 @@ class ChemProgram:
     _checked: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        settle(self, reagents=tuple(self.reagents), hardware=tuple(self.hardware),
-               steps=tuple(self.steps), metadata=MappingProxyType(dict(self.metadata)))
+        for name in ("reagents", "hardware", "steps"):
+            settle(self, name, tuple(getattr(self, name)))
+        settle(self, "metadata", MappingProxyType(dict(self.metadata)))

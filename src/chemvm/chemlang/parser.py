@@ -267,7 +267,9 @@ class _Parser:
         known = self.steps.get(m[0]) if m else None
         if known is not None:  # parsed before: that step on this line, params shared
             op = object.__new__(UnitOperation)
-            settle(op, kind=known.kind, params=known.params, line=self.line(self.tok))
+            settle(op, "kind", known.kind)
+            settle(op, "params", known.params)
+            settle(op, "line", self.line(self.tok))
             self.end = m.end()
             self.lex()
             return op

@@ -105,7 +105,7 @@ class ValidationReport:
     findings: tuple[Finding, ...] = ()     # given as any iterable
 
     def __post_init__(self) -> None:
-        settle(self, findings=tuple(self.findings))
+        settle(self, "findings", tuple(self.findings))
 
     @property
     def ok(self) -> bool:
@@ -346,6 +346,6 @@ def check_program(prog: ChemProgram, graph
                     f"against capacity {over[1]:g} (operation {prim.op_index + 1}, "
                     f"{prim.op_kind.value})", cell.name))
                 screening = False
-    settle(prog, _checked=(graph, ValidationReport(findings + capacity),
-                           MappingProxyType(bindings), MappingProxyType(routes)))
+    settle(prog, "_checked", (graph, ValidationReport(findings + capacity),
+                              MappingProxyType(bindings), MappingProxyType(routes)))
     return prog._checked[1:]

@@ -119,10 +119,11 @@ class HardwareGraph:
         kinds: dict[str, list[HardwareNode]] = {}
         for node in ordered:
             kinds.setdefault(node.kind, []).append(node)
-        settle(self, nodes=nodes, edges=tuple(self.edges),
-               _adj={n: tuple(sorted(v)) for n, v in adj.items()},
-               _kinds={k: tuple(v) for k, v in kinds.items()},
-               _reservoir=next((node for node in ordered if node.reserved), None))
+        settle(self, "nodes", nodes)
+        settle(self, "edges", tuple(self.edges))
+        settle(self, "_adj", {n: tuple(sorted(v)) for n, v in adj.items()})
+        settle(self, "_kinds", {k: tuple(v) for k, v in kinds.items()})
+        settle(self, "_reservoir", next((node for node in ordered if node.reserved), None))
 
     def neighbors(self, node: str) -> tuple[str, ...]:
         return self._adj.get(node, ())

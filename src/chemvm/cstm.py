@@ -318,7 +318,7 @@ def lower_program(prog: ChemProgram) -> Lowering:
                 ops.append(())
                 error = error or str(exc)
         vessels = tuple(dict.fromkeys(vessels))
-        settle(prog, _lowering=Lowering(
+        settle(prog, "_lowering", Lowering(
             tuple(ops), error,
             frozenset({RESERVOIR_SPECIES}
                       | {d.species for d in prog.reagents if d.role == "solvent"}),

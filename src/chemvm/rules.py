@@ -193,7 +193,8 @@ class RuleDatabase:
 
     def __post_init__(self) -> None:
         if self._index is None:
-            settle(self, _index=_build_index(self.rules.values()), _matches={})
+            settle(self, "_index", _build_index(self.rules.values()))
+            settle(self, "_matches", {})
 
     @property
     def provenance(self) -> list[dict]:
@@ -729,58 +730,52 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = No
     steps: list[UnitOperation] = []
     parked: set[str] = set()
     vessel_temp = 25.0
+
+    def add_step(kind: OpKind, params: dict) -> None:
+        if len(steps) == block_start:  # a block's first step carries its marker
+            params["reaction_step"] = k
+        steps.append(UnitOperation(kind, params))
+
     for k, step in enumerate(pathway.steps, start=1):
         rule = rules_seq[k - 1]
         block_start = len(steps)
         carried = carried_in[k - 1]
         if carried:
             if set(carried) == parked:
-                steps.append(UnitOperation(OpKind.TRANSFER, {
-                    "from": "S1", "to": "RX1"}))
+                add_step(OpKind.TRANSFER, {"from": "S1", "to": "RX1"})
             else:
                 # storage holds more than this step needs: pick species out
                 # on the chromatograph and put the rest back
-                steps.append(UnitOperation(OpKind.TRANSFER, {
-                    "from": "S1", "to": "CH1"}))
+                add_step(OpKind.TRANSFER, {"from": "S1", "to": "CH1"})
                 for s in carried:
-                    steps.append(UnitOperation(OpKind.FILTER, {
-                        "vessel": "CH1", "species": s, "to": "RX1"}))
-                steps.append(UnitOperation(OpKind.TRANSFER, {
-                    "from": "CH1", "to": "S1"}))
+                    add_step(OpKind.FILTER, {"vessel": "CH1", "species": s, "to": "RX1"})
+                add_step(OpKind.TRANSFER, {"from": "CH1", "to": "S1"})
             parked -= set(carried)
         stock_inputs = sorted(step.inputs)
         for s in stock_inputs[:-1]:
-            steps.append(UnitOperation(OpKind.ADD, {
-                "vessel": "RX1", "reagent": s, "amount": q(step.inputs[s], "mol")}))
+            add_step(OpKind.ADD, {"vessel": "RX1", "reagent": s,
+                                  "amount": q(step.inputs[s], "mol")})
         temp, duration = rule.process_window.midpoint()
         # heating cannot cool: when the reactor is still hot from the last
         # block, the cold variants bring it down to the new setpoint
         if stock_inputs:
             react_kind = OpKind.REACT_HOT if temp >= vessel_temp else OpKind.REACT_COLD
             last = stock_inputs[-1]
-            steps.append(UnitOperation(react_kind, {
+            add_step(react_kind, {
                 "vessel": "RX1", "reagent": last, "amount": q(step.inputs[last], "mol"),
-                "temp": q(temp, "C"), "time": q(duration, "s")}))
+                "temp": q(temp, "C"), "time": q(duration, "s")})
         else:
             cond_kind = OpKind.HEAT_STIR if temp >= vessel_temp else OpKind.CHILL
-            steps.append(UnitOperation(cond_kind, {
-                "vessel": "RX1", "temp": q(temp, "C"), "time": q(duration, "s")}))
+            add_step(cond_kind, {"vessel": "RX1", "temp": q(temp, "C"), "time": q(duration, "s")})
         vessel_temp = temp
-        steps[block_start] = UnitOperation(
-            steps[block_start].kind,
-            {**steps[block_start].params, "reaction_step": k},
-            steps[block_start].line,
-        )
-        steps.append(UnitOperation(OpKind.TRANSFER, {"from": "RX1", "to": "F1"}))
+        add_step(OpKind.TRANSFER, {"from": "RX1", "to": "F1"})
         if k < n_steps:
             for p in needed_later[k - 1]:
-                steps.append(UnitOperation(OpKind.FILTER, {
-                    "vessel": "F1", "species": p, "to": "S1"}))
+                add_step(OpKind.FILTER, {"vessel": "F1", "species": p, "to": "S1"})
             parked |= set(needed_later[k - 1])
         else:
-            steps.append(UnitOperation(OpKind.FILTER, {
-                "vessel": "F1", "species": pathway.target, "to": "product"}))
-        steps.append(UnitOperation(OpKind.CLEAN, {"vessel": "F1"}))
+            add_step(OpKind.FILTER, {"vessel": "F1", "species": pathway.target, "to": "product"})
+        add_step(OpKind.CLEAN, {"vessel": "F1"})
 
     hardware = [HardwareReq("RX1", "reactor"), HardwareReq("F1", "filter")]
     mentioned = {v for op in steps for v in op.vessels()}
