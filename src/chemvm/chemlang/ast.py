@@ -197,6 +197,10 @@ class UnitOperation:
                 out.append(v)
         return out
 
+    def where(self, index: int) -> str:
+        """The step's place in messages and findings, `index` counted from 0."""
+        return f"step {index + 1} ({self.kind.value}, line {self.line})"
+
 
 @dataclass(frozen=True)
 class ChemProgram:
@@ -207,7 +211,7 @@ class ChemProgram:
     metadata: Mapping[str, str] = field(default_factory=dict)   # read-only copy
     # the machine's lowering, made on first run or compile (`cstm.lower_program`)
     _lowering: object = field(default=None, init=False, compare=False, repr=False)
-    # the static pass against one rig: `chemlang.validate.check_program`'s
+    # the static pass against one rig: `chempiler.check_program`'s
     # (graph, report, bindings, routes)
     _checked: object = field(default=None, init=False, compare=False, repr=False)
 

@@ -8,18 +8,8 @@ and no node with more tube partners than ports; it raises `GraphError` (a
 `ValueError`). A rig is frozen (`HardwareGraph`), so its adjacency, its
 per-kind node lists and its reservoir are derived once, when it is built.
 Whether a program fits a rig is decided by one static pass,
-`chemlang.validate.check_program`, the one `validate_program` reports: it
-checks each step's parameters, binds every program vessel to a node (by
-id when the graph has a compatible node of that name, else first-fit by
-ascending capability count so specialised stations stay free), and walks
-the lowered primitives once, routing every matter movement directly from
-its source node to its destination node (`route`) and screening
-capacities on the machine's movement model. Problems are findings rather
-than exceptions, so a plan can explain everything wrong with it at once.
-`chempile` adds to that pass's bindings and routes only the plan's
-cleaning steps and per-step allocations. The pass runs once per (program,
-rig object): its answer is kept on the program, so validating and then
-compiling a program against one rig checks it once. The plan (a frozen
+`check_program`; `chempile` adds to its bindings and routes only the
+plan's cleaning steps and per-step allocations. The plan (a frozen
 `CompiledPlan`) maps the program onto the rig; it does not rewrite it.
 
 Executing a plan runs the program as written on the same machine the
@@ -42,21 +32,20 @@ Amounts are mol, volumes mL, converted 1:1 nominal.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
-from .chemlang.ast import ChemProgram, OpKind, settle
-from .chemlang.validate import (
-    FLOW_KINDS, NODE_KINDS, RouteError, ValidationReport, check_program, route,
-)
+from .chemlang.ast import OP_SPECS, ChemProgram, OpKind, settle
+from .chemlang.validate import Finding, ValidationReport, check_params
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import RuleDatabase
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, Movement, Primitive, VesselCell,
-    over_capacity,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
+    VesselCell, init_machine, lower_program, movement, over_capacity, step_tape,
 )
 
 __all__ = [
@@ -65,12 +54,15 @@ __all__ = [
     "GraphError",
     "RouteError",
     "CompiledPlan",
-    "NODE_KINDS",
+    "MATTER_KINDS",
     "FLOW_KINDS",
+    "NODE_KINDS",
     "load_graph",
     "loads_graph",
     "build_default_graph",
     "route",
+    "bind_vessels",
+    "check_program",
     "chempile",
     "execute_plan",
     "lowering_view",
@@ -133,6 +125,262 @@ class HardwareGraph:
 
     def reservoir(self) -> HardwareNode | None:
         return self._reservoir
+
+
+# ---------------------------------------------------------------------------
+# Routing, binding and the static check
+
+# Node kinds that can hold material (vs. pure routing nodes).
+MATTER_KINDS = frozenset({
+    "ReagentFlask", "Reactor", "Separator", "Rotavap", "Filter",
+    "Storage", "Chromatograph", "Waste", "Product",
+})
+FLOW_KINDS = frozenset({"Valve", "Pump"})
+NODE_KINDS = MATTER_KINDS | FLOW_KINDS
+
+
+class RouteError(Exception):
+    pass
+
+
+def route(graph, src: str, dst: str) -> tuple[str, ...]:
+    """Shortest pump path src -> dst whose interior is valves and pumps
+    only; among equal lengths the lexicographically smallest node sequence.
+    """
+    if src == dst:
+        raise ValueError("route endpoints must differ")
+    if src not in graph.nodes or dst not in graph.nodes:
+        raise RouteError(f"unknown endpoint {src!r} or {dst!r}")
+    heap: list[tuple[int, tuple[str, ...]]] = [(1, (src,))]
+    settled: set[str] = set()
+    while heap:
+        n, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == dst:
+            return path
+        if node in settled:
+            continue
+        settled.add(node)
+        for nxt in graph.neighbors(node):
+            if nxt in settled or nxt in path:
+                continue
+            if nxt != dst and graph.nodes[nxt].kind not in FLOW_KINDS:
+                continue
+            heapq.heappush(heap, (n + 1, path + (nxt,)))
+    raise RouteError(f"no route {src} -> {dst}")
+
+# DSL hardware-kind word -> graph node kind (None = unconstrained); any
+# other word is read as a node kind itself.
+_KIND_WORDS = {
+    "any": None,
+    "reactor": "Reactor",
+    "separator": "Separator",
+    "rotavap": "Rotavap",
+    "filter": "Filter",
+    "storage": "Storage",
+    "flask": "ReagentFlask",
+    "chromatograph": "Chromatograph",
+}
+
+
+def bind_vessels(prog: ChemProgram, graph
+                 ) -> tuple[dict[str, str], set[str], list[Finding]]:
+    """Bind every program vessel to a graph node.
+
+    Waste and product go to the first node of their kind. Source flasks, in
+    declaration order, go to the ReagentFlask of their name, else to the
+    first free one. Working vessels go to the node of their name, else to
+    the free node of the wanted kind that hosts every station capability
+    the steps ask of them and has the fewest capabilities (a kind word that
+    names no node kind matches no node). The solvent
+    reservoir is never bound, and a program that draws wash solvent needs
+    one. Returns the bindings (vessel -> node id), the vessels that could
+    not be bound, and the findings (vessel_class_exhausted,
+    missing_capability, no_reservoir).
+    """
+    findings: list[Finding] = []
+    bindings: dict[str, str] = {}
+    claimed: set[str] = set()
+    unbound: set[str] = set()          # vessels reported as impossible to bind
+
+    waste_nodes = graph.by_kind("Waste")
+    product_nodes = graph.by_kind("Product")
+    if waste_nodes:
+        bindings["waste"] = waste_nodes[0].id
+        claimed.add(waste_nodes[0].id)
+    else:
+        findings.append(Finding("vessel_class_exhausted", "no Waste node in graph", "waste"))
+        unbound.add("waste")
+    if product_nodes:
+        bindings["product"] = product_nodes[0].id
+        claimed.add(product_nodes[0].id)
+    else:
+        findings.append(Finding("vessel_class_exhausted", "no Product node in graph", "product"))
+        unbound.add("product")
+
+    reservoir = graph.reservoir()
+    needs_reservoir = any(
+        op.kind in (OpKind.SEPARATE, OpKind.CLEAN) and "solvent" not in op.params
+        for op in prog.steps
+    )
+    if needs_reservoir and reservoir is None:
+        findings.append(Finding("no_reservoir", "program draws wash solvent but the "
+                                "graph has no reservoir flask", None))
+    if reservoir is not None:
+        claimed.add(reservoir.id)
+
+    # reagent flasks, declaration order
+    flask_pool = [n.id for n in graph.by_kind("ReagentFlask") if not n.reserved]
+    source_vessels: list[str] = []
+    for decl in prog.reagents:
+        if decl.source_vessel not in source_vessels:
+            source_vessels.append(decl.source_vessel)
+    for v in source_vessels:
+        if v in graph.nodes and graph.nodes[v].kind == "ReagentFlask" \
+                and v not in claimed and not graph.nodes[v].reserved:
+            bindings[v] = v
+            claimed.add(v)
+    for v in source_vessels:
+        if v in bindings:
+            continue
+        free = [f for f in flask_pool if f not in claimed]
+        if not free:
+            findings.append(Finding("vessel_class_exhausted",
+                                    f"no free ReagentFlask for source vessel {v}", v))
+            unbound.add(v)
+            continue
+        bindings[v] = free[0]
+        claimed.add(free[0])
+
+    # working vessels: capability needs from the steps, kind from hardware reqs
+    caps_needed: dict[str, set[str]] = {}
+    for op in prog.steps:
+        cap = OP_SPECS[op.kind].station
+        v = op.params.get("vessel")
+        if cap and isinstance(v, str):
+            caps_needed.setdefault(v, set()).add(cap)
+    for req in prog.hardware:
+        if req.vessel in bindings:
+            continue
+        need = caps_needed.get(req.vessel, set())
+        want_kind = _KIND_WORDS.get(req.kind, req.kind)
+        candidates = [
+            n for nid, n in sorted(graph.nodes.items())
+            if n.kind in MATTER_KINDS and n.kind not in ("ReagentFlask", "Waste", "Product")
+            and nid not in claimed
+            and (want_kind is None or n.kind == want_kind)
+        ]
+        with_caps = [n for n in candidates if need <= n.capabilities]
+        if not with_caps:
+            if candidates and need:
+                missing = need - max(candidates, key=lambda n: len(need & n.capabilities)).capabilities
+                findings.append(Finding("missing_capability",
+                                        f"no free node for {req.vessel} with {sorted(need)} "
+                                        f"(closest lacks {sorted(missing)})", req.vessel))
+            else:
+                findings.append(Finding("vessel_class_exhausted",
+                                        f"no free node of kind {want_kind or 'any'} for "
+                                        f"{req.vessel}", req.vessel))
+            unbound.add(req.vessel)
+            continue
+        exact = [n for n in with_caps if n.id == req.vessel]
+        chosen = exact[0] if exact else sorted(
+            with_caps, key=lambda n: (len(n.capabilities), n.id))[0]
+        bindings[req.vessel] = chosen.id
+        claimed.add(chosen.id)
+
+    return bindings, unbound, findings
+
+
+def check_program(prog: ChemProgram, graph
+                  ) -> tuple[ValidationReport, Mapping[str, str], Mapping[str, tuple[str, ...]]]:
+    """Whether a program fits a rig: its findings, its bindings (vessel ->
+    node id) and its routes ("SRC->DST" -> node path).
+
+    The pass runs `check_params`, `bind_vessels`, then one walk of the
+    lowered primitives that routes and screens capacity, and its findings
+    come in that order: parameters, binding, routing, capacity. Problems
+    are findings rather than exceptions, so one report names everything
+    wrong at once. `chemlang.validate_program` reports them and `chempile`
+    builds its plan on them, so the two agree on every program and rig.
+
+    The pass runs on the first call for a rig object and is kept on the
+    program (`ChemProgram._checked`, one entry, which holds the rig so its
+    id is never reused), which is sound because both are frozen; every
+    later call for that rig returns the kept objects themselves, a frozen
+    report and read-only maps, and a call with another rig object runs it
+    again.
+
+    One walk of the lowered primitives routes each matter movement, once
+    per `SRC->DST` key, and reports each movement with no route (no_route);
+    a vessel that could not be bound gets no route finding on top. The
+    same walk screens capacity on a tape laid out by `init_machine` with
+    the bindings naming its cells: unless a flask is charged over its
+    node's capacity (every such flask is reported), each movement is
+    resolved with `cstm.movement`, applied with `cstm.step_tape`, and the
+    cell it filled, which `step_tape` returns, is checked with
+    `cstm.over_capacity`, as `execute_plan`'s watchdog does. The first
+    overfill or infeasible move ends the screen. The screen runs no
+    reactions, so it is exact for movement, and energy moves, which then
+    fill no cell, are skipped; a reaction that raises a cell's amount is
+    caught at run time by the watchdog.
+    """
+    checked = prog._checked
+    if checked is not None and checked[0] is graph:
+        return checked[1:]
+
+    findings = check_params(prog)
+    bindings, unbound, bound = bind_vessels(prog, graph)
+    findings += bound
+    reservoir = graph.reservoir()
+    reservoir_id = None if reservoir is None else reservoir.id
+
+    nodes = graph.nodes
+    state = init_machine(prog, bindings)
+    capacity: list[Finding] = []       # reported after the routing findings
+    for cell in sorted(state.cells, key=lambda c: c.name):
+        over = over_capacity(cell, nodes)
+        if over is not None:
+            capacity.append(Finding("capacity_exceeded", f"{cell.name} charged with {over[0]:g} "
+                                    f"mL against capacity {over[1]:g}", cell.name))
+    lowering = lower_program(prog)
+    screening = not capacity and lowering.error is None
+    routes: dict[str, tuple[str, ...]] = {}
+    for prims in lowering.ops:         # () for a step reported above
+        for prim in prims:
+            if prim.code == "AE" or prim.code == "SE":
+                continue
+            ends = prim.ends
+            if ends is not None and ends[0] not in unbound and ends[1] not in unbound:
+                src, dst = ends
+                src = reservoir_id if src is None else bindings.get(src, src)
+                dst = bindings.get(dst, dst)
+                key = f"{src}->{dst}"
+                if src is not None and src != dst and key not in routes:
+                    try:
+                        routes[key] = route(graph, src, dst)
+                    except RouteError:
+                        findings.append(Finding(
+                            "no_route", f"no path {src} -> {dst} (operation "
+                            f"{prim.op_index + 1}, {prim.op_kind.value})", key))
+            if not screening:
+                continue
+            try:
+                move = movement(state, prim)
+            except MachineError:
+                screening = False
+                continue
+            cell = step_tape(state, prim, move)
+            over = None if cell is None else over_capacity(cell, nodes)
+            if over is not None:
+                capacity.append(Finding(
+                    "capacity_exceeded", f"{cell.name} filled with {over[0]:g} mL "
+                    f"against capacity {over[1]:g} (operation {prim.op_index + 1}, "
+                    f"{prim.op_kind.value})", cell.name))
+                screening = False
+    settle(prog, "_checked", (graph, ValidationReport(findings + capacity),
+                              MappingProxyType(bindings), MappingProxyType(routes)))
+    return prog._checked[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +514,8 @@ class CompiledPlan:
     graph: HardwareGraph
     bindings: Mapping[str, str]        # program vessel -> node id, read-only
     routes: Mapping[str, tuple[str, ...]]   # "SRC->DST" -> node path, read-only
-    cleaning: list[dict]               # clean ops: {"op_index", "vessel"}
-    allocations: dict[int, list[str]]  # reaction step -> node ids it uses
+    cleaning: tuple[tuple[int, str], ...]   # clean ops: (op_index, node id)
+    allocations: Mapping[int, tuple[str, ...]]  # reaction step -> node ids, read-only
     report: ValidationReport
 
     @property
@@ -280,7 +528,7 @@ class CompiledPlan:
             "feasible": self.feasible,
             "bindings": {k: self.bindings[k] for k in sorted(self.bindings)},
             "routes": {k: self.routes[k] for k in sorted(self.routes)},
-            "cleaning": self.cleaning,
+            "cleaning": [{"op_index": i, "vessel": v} for i, v in self.cleaning],
             "allocations": {str(k): v for k, v in sorted(self.allocations.items())},
             "findings": [f.as_dict() for f in self.report.findings],
         }
@@ -297,7 +545,7 @@ def chempile(prog: ChemProgram, graph: HardwareGraph) -> CompiledPlan:
     capacity_exceeded, no_reservoir).
     """
     report, bindings, routes = check_program(prog, graph)
-    cleaning: list[dict] = []
+    cleaning: list[tuple[int, str]] = []
     allocations: dict[int, list[str]] = {}
     current_step = 1
     for i, op in enumerate(prog.steps):
@@ -311,9 +559,10 @@ def chempile(prog: ChemProgram, graph: HardwareGraph) -> CompiledPlan:
         # a clean without its vessel is a missing_param finding
         if op.kind == OpKind.CLEAN and "vessel" in op.params:
             vessel = op.params["vessel"]
-            cleaning.append({"op_index": i, "vessel": bindings.get(vessel, vessel)})
+            cleaning.append((i, bindings.get(vessel, vessel)))
 
-    return CompiledPlan(prog, graph, bindings, routes, cleaning, allocations,
+    return CompiledPlan(prog, graph, bindings, routes, tuple(cleaning),
+                        MappingProxyType({k: tuple(v) for k, v in allocations.items()}),
                         report)
 
 

@@ -36,6 +36,7 @@ from .assembly import (
     MonteCarloConfig, loads_mc_config, mc_to_csv, mc_to_svg, monte_carlo,
 )
 from .chemlang import (
+    CATEGORIES,
     ParseError,
     classify_steps,
     format_program,
@@ -198,8 +199,6 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float | None, float |
 
 
 def cmd_stats(args, argv: list[str]) -> int:
-    from .chemlang.classify import CATEGORIES
-
     rows: list[str] = ["program,reaction_step," + ",".join(CATEGORIES)
                        + ",ops,cumulative"]
     summary = []

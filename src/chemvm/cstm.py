@@ -181,16 +181,12 @@ def _energy(code: str, cell: str, op_index: int, kind: OpKind, setpoint: float |
                      setpoint, duration, expects_reaction, True)
 
 
-def _where(op, op_index: int) -> str:
-    return f"step {op_index + 1} ({op.kind.value}, line {op.line})"
-
-
 def _draw(op, op_index: int, decls: dict[str, ReagentDecl], name: str,
           amount: float | None) -> Primitive:
     """AM of the declared reagent `name` from its flask into the op's vessel."""
     decl = decls.get(name)
     if decl is None:
-        raise MachineError(f"{_where(op, op_index)}: no reagent declaration {name!r}")
+        raise MachineError(f"{op.where(op_index)}: no reagent declaration {name!r}")
     vessel = op.params["vessel"]
     return _matter("AM", vessel, op_index, op.kind, (decl.source_vessel, vessel), decl,
                    False, None, amount)
@@ -219,7 +215,7 @@ def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Pri
     p = op.params
     required = OP_SPECS[k].required
     if not p.keys() >= required:
-        raise MachineError(f"{_where(op, op_index)}: {k.value} requires parameter "
+        raise MachineError(f"{op.where(op_index)}: {k.value} requires parameter "
                            f"{min(required - p.keys())!r}")
     i = op_index
     if k is OpKind.ADD:

@@ -665,8 +665,8 @@ def _size_pathway(db: RuleDatabase, target: str, stock: frozenset[str],
     return Pathway(target, steps)
 
 
-def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = None):
-    """Encode a pathway as a runnable program.
+def pathway_to_program(pathway: Pathway, db: RuleDatabase):
+    """Encode a pathway as a runnable program named `pathway_<target>`.
 
     The stock species are declared in the built-in rig's four unreserved
     flasks, R1 to R4, in turn. Each step charges its stock inputs into the
@@ -682,7 +682,7 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase, name: str | None = No
     def q(value: float, unit: str) -> Quantity:
         return Quantity(float(value), unit)
 
-    prog_name = name or f"pathway_{pathway.target}"
+    prog_name = f"pathway_{pathway.target}"
     if not pathway.steps:
         # Target already in stock: dispense it straight through.
         decls = [ReagentDecl(pathway.target, pathway.target, q(1.0, "mol"), "R1")]

@@ -1,5 +1,5 @@
 """The validator and the compiler decide feasibility with one static pass
-(`chemlang.validate.check_program`), so they report the same findings:
+(`chempiler.check_program`), so they report the same findings:
 checked on seeded random (program, rig) pairs, in either order, on
 programs they once disagreed on, and on a hardware kind word that names no
 node kind. The pass runs once per (program, rig object), and what a caller
@@ -12,10 +12,11 @@ import random
 
 import pytest
 
+from chemvm import chempiler
 from chemvm.chemlang import parse_program, validate, validate_program
-from chemvm.chemlang.validate import check_program
 from chemvm.chempiler import (
-    HardwareGraph, build_default_graph, chempile, execute_plan, lowering_view,
+    HardwareGraph, build_default_graph, check_program, chempile, execute_plan,
+    lowering_view,
 )
 from chemvm.cstm import run
 from chemvm.rules import load_rules
@@ -53,8 +54,8 @@ def test_compile_then_validate_agrees_on_random_pairs():
 
 def _count_calls(monkeypatch, name: str) -> list:
     calls = []
-    inner = getattr(validate, name)
-    monkeypatch.setattr(validate, name, lambda *args: calls.append(args) or inner(*args))
+    inner = getattr(chempiler, name)
+    monkeypatch.setattr(chempiler, name, lambda *args: calls.append(args) or inner(*args))
     return calls
 
 

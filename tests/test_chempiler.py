@@ -180,7 +180,7 @@ def test_compile_tiny(default_graph):
     assert plan.bindings == {"waste": "W", "product": "OUT", "R1": "R1",
                              "R2": "R2", "RX1": "RX1", "F1": "F1"}
     assert plan.routes["R1->RX1"] == ("R1", "V1", "P1", "V2", "RX1")
-    assert plan.allocations == {1: ["RX1", "F1", "OUT"]}
+    assert plan.allocations == {1: ("RX1", "F1", "OUT")}
     parsed = json.loads(plan.to_json())
     assert sorted(parsed) == ["allocations", "bindings", "cleaning",
                               "feasible", "findings", "routes", "source"]
@@ -510,11 +510,7 @@ def test_overdraw_names_the_bound_flask(default_graph):
 
 def test_cleaning_schedule(default_graph):
     plan = chempile(parse_program(fixture_text("alkynol_1step.chem")), default_graph)
-    assert plan.cleaning == [
-        {"op_index": 6, "vessel": "SEP1"},
-        {"op_index": 10, "vessel": "RV1"},
-        {"op_index": 12, "vessel": "F1"},
-    ]
+    assert plan.cleaning == ((6, "SEP1"), (10, "RV1"), (12, "F1"))
 
 
 @pytest.mark.parametrize("prog_name, rules_name", [

@@ -8,15 +8,14 @@ import random
 
 import pytest
 
-from chemvm import cstm
+from chemvm import chempiler, cstm
 from chemvm.chemlang import (
     OP_SPECS, ChemProgram, OpKind, Quantity, ReagentDecl, UnitOperation,
     parse_program,
 )
 from chemvm.chemlang.validate import ValidationReport
 from chemvm.chemlang.corpus import random_program
-from chemvm.chemlang.validate import check_program
-from chemvm.chempiler import build_default_graph, chempile, execute_plan
+from chemvm.chempiler import build_default_graph, check_program, chempile, execute_plan
 from chemvm.cstm import (
     DEFAULT_BUDGET,
     Machine,
@@ -576,8 +575,9 @@ def test_bindings_lay_out_node_named_cells(monkeypatch):
     before = _layout_snapshot(prog)
     states = []
     inner = cstm.init_machine
-    monkeypatch.setattr(cstm, "init_machine",
-                        lambda *args: states.append(inner(*args)) or states[-1])
+    for module in (cstm, chempiler):
+        monkeypatch.setattr(module, "init_machine",
+                            lambda *args: states.append(inner(*args)) or states[-1])
     graph = build_default_graph()
     report, bindings, _ = check_program(prog, graph)
     plan = chempile(prog, graph)

@@ -11,8 +11,7 @@ from collections.abc import Mapping
 import pytest
 
 from chemvm.chemlang import parse_program, validate_program
-from chemvm.chemlang.validate import check_program
-from chemvm.chempiler import build_default_graph, chempile
+from chemvm.chempiler import build_default_graph, check_program, chempile
 from chemvm.cstm import lower_program
 from chemvm.rules import commit_discovery, load_rules, promote
 
@@ -24,7 +23,8 @@ def _program():
 
 
 def _plan():
-    return chempile(_program(), build_default_graph())
+    # a program with clean steps, so the plan's cleaning is not empty
+    return chempile(parse_program(fixture_text("alkynol_1step.chem")), build_default_graph())
 
 
 def _rules(name="default.rules"):
@@ -57,7 +57,9 @@ CASES = {
     "rules-discovered": lambda: (db := _discovered(), [db.species, db.rules]),
     "report": lambda: (r := validate_program(parse_program(MISSING_TIME),
                                              build_default_graph()), [r.findings]),
-    "plan": lambda: (p := _plan(), [p.bindings, p.routes, next(iter(p.routes.values()))]),
+    "plan": lambda: (p := _plan(), [p.bindings, p.routes, next(iter(p.routes.values())),
+                                    p.cleaning, p.cleaning[0], p.allocations,
+                                    next(iter(p.allocations.values()))]),
     "layout": lambda: (lay := lower_program(_program()).layout,
                        [lay.names, lay.index, lay.slot]),
 }

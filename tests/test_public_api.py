@@ -1,5 +1,6 @@
 """The public surface: every name a module lists in `__all__` exists,
-only the Monte Carlo loads numpy, and every function the traced benchmark
+only the Monte Carlo loads numpy, the language package loads neither the
+machine nor the compiler, and every function the traced benchmark
 wraps still exists."""
 
 import importlib
@@ -51,6 +52,16 @@ def test_only_mc_loads_numpy(tmp_path):
     assert out.stdout.strip() == str([
         ("validate", 0, False), ("compile", 0, False), ("run", 0, False),
         ("dec-run", 0, False), ("mc", 0, True)])
+
+
+def test_the_language_loads_no_machine_or_compiler():
+    # chemlang sits below cstm and the chempiler, which both import it
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(chemvm.__path__[0])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, chemvm.chemlang; "
+         "print(sorted(m for m in ('chemvm.cstm', 'chemvm.chempiler') if m in sys.modules))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_traced_benchmark_functions_resolve():
