@@ -64,16 +64,16 @@ def survival_fraction(eps: float, a: int) -> float:
     """Fraction of copies that come through `a` steps flawless."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"error rate must lie in [0, 1], got {eps}")
-    if a < 0:
-        raise ValueError("assembly index must be non-negative")
+    if not (a >= 0 and math.isfinite(a)):
+        raise ValueError("assembly index must be non-negative and finite")
     return (1.0 - eps) ** a
 
 def n_min(phi: float, eps_list) -> float:
     """Starting copies needed so phi survive the given per-step errors.
     Infinite when any step is certain to fail (or the survival product
     underflows to zero)."""
-    if phi <= 0:
-        raise ValueError("detection threshold must be positive")
+    if not (phi > 0 and math.isfinite(phi)):
+        raise ValueError("detection threshold must be positive and finite")
     denom = 1.0
     for eps in eps_list:
         if not 0.0 <= eps <= 1.0:
@@ -88,8 +88,10 @@ def max_error_for(phi: float, n: float, a: int) -> float:
     """Largest uniform per-step error that still leaves phi of n copies
     after `a` steps. Raises NotDetectable when even flawless assembly
     cannot reach the threshold."""
-    if phi <= 0 or a < 1:
+    if not (phi > 0 and a >= 1):
         raise ValueError("need phi > 0 and a >= 1")
+    if not (math.isfinite(phi) and math.isfinite(n) and math.isfinite(a)):
+        raise ValueError("phi, n and a must be finite")
     if n < phi:
         raise NotDetectable(f"{fmt_num(n)} starting copies cannot yield "
                             f"{fmt_num(phi)} survivors")
@@ -157,6 +159,9 @@ class MCResult:
 # every drift that did not overflow as it was.
 _MAX_EXPONENT = math.log(sys.float_info.max)
 
+# Trajectories per tile of `monte_carlo`'s sequential sum.
+_SUM_BLOCK = 512
+
 
 def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
     import numpy as np
@@ -169,25 +174,38 @@ def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
     steps = np.arange(1, config.ai_max + 1, dtype=np.float64)
     drift = np.exp(np.minimum(config.drift_rate * (steps - 1.0), _MAX_EXPONENT))
     result = MCResult(config, list(range(1, config.ai_max + 1)))
-    # One (trajectory, step) buffer serves every eps0 row. The passes below
+    # One (step, trajectory) buffer serves every eps0 row. The passes below
     # run in place and round exactly as
-    #     cumprod(1 - clip(eps0 * drift + offset, 0, 1), axis=1)
-    # does, so mean_n is bit-identical to that expression. The layout stays
-    # (trajectory, step): numpy sums a (step, trajectory) buffer pairwise
-    # along its rows, which would change the CSV. The product runs column
-    # by column, p[:, s] *= p[:, s - 1]: cumprod's multiplications, but
-    # n_trajectories independent ones per call, not a dependent chain per
-    # trajectory.
-    buf = np.empty((config.n_trajectories, config.ai_max))
-    columns = list(buf.T)
+    #     cumprod(1 - clip(eps0 * drift + offset, 0, 1), axis=1).mean(axis=0)
+    # does on a (trajectory, step) array, so mean_n is bit-identical to that
+    # expression. The product runs row by row, p[s] *= p[s - 1]: cumprod's
+    # multiplications, each call a contiguous one over every trajectory.
+    # The mean must add the trajectories one at a time, in order, as numpy
+    # does down the rows of a (trajectory, step) array; along this buffer's
+    # own trajectory axis numpy sums pairwise, which would change the CSV.
+    # So each block of trajectories is copied, transposed, into a tile
+    # whose row 0 holds the running total, and the tile is summed down its
+    # rows. The tile stays cache-sized where one transposed copy of the
+    # whole buffer would not.
+    n = config.n_trajectories
+    buf = np.empty((config.ai_max, n))
+    rows = list(buf)
+    tile = np.empty((_SUM_BLOCK + 1, config.ai_max))
+    total = np.empty(config.ai_max)
     for eps0 in config.eps0_values:
-        buf[...] = offsets[:, None]
-        buf += eps0 * drift
+        np.add((eps0 * drift)[:, None], offsets, out=buf)
         np.clip(buf, 0.0, 1.0, out=buf)
         np.subtract(1.0, buf, out=buf)
-        for prev, cur in zip(columns, columns[1:]):
+        for prev, cur in zip(rows, rows[1:]):
             np.multiply(cur, prev, out=cur)
-        result.mean_n[eps0] = config.n0 * buf.mean(axis=0)
+        total.fill(0.0)
+        for start in range(0, n, _SUM_BLOCK):
+            block = buf[:, start:start + _SUM_BLOCK].T
+            tile[0] = total
+            tile[1:len(block) + 1] = block
+            np.add.reduce(tile[:len(block) + 1], axis=0, out=total)
+        # what mean computes: the sum, then a true divide by the count
+        result.mean_n[eps0] = config.n0 * (total / n)
     return result
 
 

@@ -153,6 +153,15 @@ def settle(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
+def settle_maps(obj, *names: str) -> None:
+    """Replace each plain dict among fields `names` of a frozen object with
+    a read-only copy; a map that is already read-only is kept as given."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, dict):
+            settle(obj, name, MappingProxyType(dict(value)))
+
+
 @dataclass(frozen=True)
 class ReagentDecl:
     """One named charge: `name: sp:<species> <amount> @<flask> <role>`."""

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
-from .chemlang.ast import OP_SPECS, ChemProgram, OpKind, settle
+from .chemlang.ast import OP_SPECS, ChemProgram, OpKind, settle, settle_maps
 from .chemlang.validate import Finding, ValidationReport, check_params
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import RuleDatabase
@@ -517,6 +517,9 @@ class CompiledPlan:
     cleaning: tuple[tuple[int, str], ...]   # clean ops: (op_index, node id)
     allocations: Mapping[int, tuple[str, ...]]  # reaction step -> node ids, read-only
     report: ValidationReport
+
+    def __post_init__(self) -> None:
+        settle_maps(self, "bindings", "routes", "allocations")
 
     @property
     def feasible(self) -> bool:

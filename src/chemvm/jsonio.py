@@ -88,12 +88,13 @@ def loads_object(text: str, where: str, required: frozenset[str] = frozenset(),
 
 
 def fmt_num(x: float | int) -> str:
-    """Canonical text for a number: integral floats lose the trailing .0."""
+    """Canonical text for a number: integral floats lose the trailing .0;
+    infinities and NaN print as `repr` does."""
     if isinstance(x, bool):
         raise TypeError("bool is not a quantity")
     if isinstance(x, int):
         return str(x)
-    if x == int(x) and abs(x) < 1e15:
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 

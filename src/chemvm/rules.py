@@ -62,7 +62,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .chemlang import ChemProgram, HardwareReq, OpKind, Quantity, ReagentDecl, UnitOperation
-from .chemlang.ast import settle
+from .chemlang.ast import settle, settle_maps
 from .chemlang.parser import IDENT_RE
 from .jsonio import (
     dumps_stable, is_integer, is_number, json_entry, json_object, loads_object,
@@ -173,7 +173,8 @@ class _Logged(NamedTuple):
 
 @dataclass(frozen=True)
 class RuleDatabase:
-    # read-only: `MappingProxyType`s, and after `promote` a `ChainMap` of them
+    # read-only: `MappingProxyType`s (a dict given is copied into one), and
+    # after `promote` a `ChainMap` of them
     species: Mapping[str, Species]
     rules: Mapping[str, TransitionRule]
     latent: Mapping[str, TransitionRule]
@@ -192,6 +193,7 @@ class RuleDatabase:
         default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        settle_maps(self, "species", "rules", "latent")
         if self._index is None:
             settle(self, "_index", _build_index(self.rules.values()))
             settle(self, "_matches", {})

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemvm.assembly import (
+    _SUM_BLOCK,
     DEFAULT_EPS0,
     N_AVOGADRO,
     MonteCarloConfig,
@@ -21,6 +23,7 @@ from chemvm.assembly import (
     n_min,
     survival_fraction,
 )
+from chemvm.jsonio import fmt_num
 
 from _support import mc_configs, reference_monte_carlo
 
@@ -70,7 +73,20 @@ def test_survival_fraction_validation(eps, a):
     (max_error_for, (0.0, 1e8, 5), "need phi > 0 and a >= 1"),
     (max_error_for, (1e6, 1e8, 0), "need phi > 0 and a >= 1"),
     (assembly_bounds, (0,), "an object needs at least one bond"),
-], ids=["phi", "eps", "max-phi", "max-a", "bonds"])
+    (n_min, (math.nan, [0.1]), "detection threshold must be positive and finite"),
+    (n_min, (math.inf, [0.1]), "detection threshold must be positive and finite"),
+    (n_min, (1e6, [math.nan]), r"error rate must lie in \[0, 1\], got nan"),
+    (max_error_for, (math.nan, 5, 3), "need phi > 0 and a >= 1"),
+    (max_error_for, (math.inf, 5, 3), "phi, n and a must be finite"),
+    (max_error_for, (1e6, math.inf, 3), "phi, n and a must be finite"),
+    (max_error_for, (1e6, math.nan, 3), "phi, n and a must be finite"),
+    (max_error_for, (1e6, 1e8, math.inf), "phi, n and a must be finite"),
+    (survival_fraction, (math.nan, 5), r"error rate must lie in \[0, 1\], got nan"),
+    (survival_fraction, (0.1, math.nan), "assembly index must be non-negative and finite"),
+    (survival_fraction, (0.1, math.inf), "assembly index must be non-negative and finite"),
+], ids=["phi", "eps", "max-phi", "max-a", "bonds", "phi-nan", "phi-inf", "eps-nan",
+        "max-phi-nan", "max-phi-inf", "max-n-inf", "max-n-nan", "max-a-inf",
+        "survival-eps-nan", "survival-a-nan", "survival-a-inf"])
 def test_detectability_inputs_are_checked(func, args, message):
     with pytest.raises(ValueError, match=message):
         func(*args)
@@ -177,8 +193,18 @@ def test_detection_horizon_semantics(small_result):
             assert np.all(row[:idx] >= phi)
 
 
-# the kernel that reuses one buffer against the one that built fresh arrays
-@pytest.mark.parametrize("name, config", mc_configs())
+# populations at the edges of the kernel's summing tiles, with and without
+# jitter; kept out of mc_configs(), whose configs the digest listing pins
+BLOCK_EDGES = [
+    (f"n{n}/ai{ai}/sd{sd:g}", MonteCarloConfig(n_trajectories=n, ai_max=ai, jitter_sd=sd))
+    for n in (_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1)
+    for ai in (2, 120) for sd in (0.005, 0)
+]
+
+
+# the kernel that reuses one buffer against the one that built fresh arrays;
+# bytes, since array_equal takes -0.0 for 0.0
+@pytest.mark.parametrize("name, config", mc_configs() + BLOCK_EDGES)
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_mc_kernel_matches_reference(name, config, seed):
     config = dataclasses.replace(config, seed=seed)
@@ -186,7 +212,21 @@ def test_mc_kernel_matches_reference(name, config, seed):
     result = monte_carlo(config)
     assert list(result.mean_n) == list(expected)
     for eps0, row in expected.items():
-        assert np.array_equal(result.mean_n[eps0], row)
+        assert result.mean_n[eps0].tobytes() == row.tobytes()
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([-0.0, 1e15, -1e15, 1e15 - 1, 2.0 ** 53, N_AVOGADRO, 0.5]))
+def test_fmt_num_is_the_int_round_trip_on_finite_floats(x):
+    # the expression fmt_num tested before it asked float.is_integer
+    old = str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
+    assert fmt_num(x) == old
+
+
+@pytest.mark.parametrize("x, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_fmt_num_prints_non_finite_floats_as_repr(x, text):
+    assert fmt_num(x) == text
 
 
 def _sha256(text: str) -> str:

@@ -6,6 +6,7 @@ container they hold, so nothing can change a kept lowering, a kept check,
 a rule index or a match memo behind its back."""
 
 import dataclasses
+from collections import ChainMap
 from collections.abc import Mapping
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import build_default_graph, check_program, chempile
 from chemvm.cstm import lower_program
-from chemvm.rules import commit_discovery, load_rules, promote
+from chemvm.rules import RuleDatabase, commit_discovery, load_rules, promote
 
 from _support import FIXTURES, fixture_text
 
@@ -41,6 +42,18 @@ def _promoted():
     return promote(db, sorted(db.rules)[0])
 
 
+def _replaced_plan():
+    # each map given as a plain dict
+    plan = _plan()
+    return dataclasses.replace(plan, bindings=dict(plan.bindings), routes=dict(plan.routes),
+                               allocations=dict(plan.allocations))
+
+
+def _database_from_dicts():
+    db = _rules()
+    return RuleDatabase(dict(db.species), dict(db.rules), dict(_rules("explore.rules").latent))
+
+
 MISSING_TIME = 'procedure "x" {\n  steps {\n    heat_stir(vessel=RX1, temp=80 C)\n  }\n}\n'
 
 # each frozen object, and the containers it holds; every container is
@@ -55,11 +68,13 @@ CASES = {
     "rules-latent": lambda: (db := _rules("explore.rules"), [db.latent]),
     "rules-promoted": lambda: (db := _promoted(), [db.species, db.rules, db.rules.maps[0]]),
     "rules-discovered": lambda: (db := _discovered(), [db.species, db.rules]),
+    "rules-from-dicts": lambda: (db := _database_from_dicts(), [db.species, db.rules, db.latent]),
     "report": lambda: (r := validate_program(parse_program(MISSING_TIME),
                                              build_default_graph()), [r.findings]),
     "plan": lambda: (p := _plan(), [p.bindings, p.routes, next(iter(p.routes.values())),
                                     p.cleaning, p.cleaning[0], p.allocations,
                                     next(iter(p.allocations.values()))]),
+    "plan-replaced": lambda: (p := _replaced_plan(), [p.bindings, p.routes, p.allocations]),
     "layout": lambda: (lay := lower_program(_program()).layout,
                        [lay.names, lay.index, lay.slot]),
 }
@@ -115,3 +130,19 @@ def test_a_replaced_program_keeps_no_memo():
     assert check_program(other, graph) == (report, bindings, routes)
     assert check_program(other, graph)[2] is not routes
 
+
+
+def test_given_dicts_are_copied_and_read_only_maps_kept():
+    plan = _plan()
+    routes = dict(plan.routes)
+    replaced = dataclasses.replace(plan, routes=routes)
+    routes.clear()
+    assert replaced.routes == plan.routes
+    assert dataclasses.replace(plan).routes is plan.routes
+    rules = dict(_rules().rules)
+    db = RuleDatabase({}, rules, {})
+    rules.clear()
+    assert db.rules == _rules().rules
+    promoted = _promoted()
+    assert type(promoted.rules) is ChainMap
+    assert dataclasses.replace(promoted).rules is promoted.rules
