@@ -3,7 +3,8 @@ hardware entries), a rig, a rule database (loaded, promoted or with a
 discovery committed), a validation report, a compiled plan and a tape
 layout. Assigning any of their fields raises, and so does every edit of a
 container they hold, so nothing can change a kept lowering, a kept check,
-a rule index or a match memo behind its back."""
+a rule index or a match memo behind its back. A plan or database given a
+plain dict for one of its maps holds a read-only copy of it."""
 
 import dataclasses
 from collections import ChainMap
@@ -129,7 +130,6 @@ def test_a_replaced_program_keeps_no_memo():
     assert other.steps == prog.steps
     assert check_program(other, graph) == (report, bindings, routes)
     assert check_program(other, graph)[2] is not routes
-
 
 
 def test_given_dicts_are_copied_and_read_only_maps_kept():
