@@ -66,6 +66,8 @@ def survival_fraction(eps: float, a: int) -> float:
         raise ValueError(f"error rate must lie in [0, 1], got {eps}")
     if not (a >= 0 and math.isfinite(a)):
         raise ValueError("assembly index must be non-negative and finite")
+    if not is_integer(a):
+        raise ValueError("assembly index must be an integer")
     return (1.0 - eps) ** a
 
 def n_min(phi: float, eps_list) -> float:
@@ -92,6 +94,8 @@ def max_error_for(phi: float, n: float, a: int) -> float:
         raise ValueError("need phi > 0 and a >= 1")
     if not (math.isfinite(phi) and math.isfinite(n) and math.isfinite(a)):
         raise ValueError("phi, n and a must be finite")
+    if not is_integer(a):
+        raise ValueError("assembly index must be an integer")
     if n < phi:
         raise NotDetectable(f"{fmt_num(n)} starting copies cannot yield "
                             f"{fmt_num(phi)} survivors")

@@ -35,13 +35,6 @@ class StepHistogram:
     def total_ops(self) -> int:
         return self.cumulative[-1] if self.cumulative else 0
 
-    def totals(self) -> dict[str, int]:
-        out = {c: 0 for c in CATEGORIES}
-        for _, counts in self.per_reaction_step:
-            for c, n in counts.items():
-                out[c] += n
-        return out
-
 
 def classify_steps(prog: ChemProgram) -> StepHistogram:
     groups: list[tuple[int, dict[str, int], int]] = []  # (marker, counts, ops)

@@ -5,8 +5,10 @@ rotavaps, filters, storage, chromatograph, waste, product) connected
 through valves and a syringe pump. `loads_graph` checks a rig's structure
 once, at load: each node's fields, known edge endpoints, no self-edges,
 and no node with more tube partners than ports; it raises `GraphError` (a
-`ValueError`). A rig is frozen (`HardwareGraph`), so its adjacency, its
-per-kind node lists and its reservoir are derived once, when it is built.
+`ValueError`). The built-in rig (`build_default_graph`) is the rig file
+`default_rig.graph` packaged beside this module, read the same way. A
+rig is frozen (`HardwareGraph`), so its adjacency, its per-kind node
+lists and its reservoir are derived once, when it is built.
 Whether a program fits a rig is decided by one static pass,
 `check_program`; `chempile` adds to its bindings and routes only the
 plan's cleaning steps and per-step allocations. The plan (a frozen
@@ -192,42 +194,36 @@ def bind_vessels(prog: ChemProgram, graph
     first free one. Working vessels go to the node of their name, else to
     the free node of the wanted kind that hosts every station capability
     the steps ask of them and has the fewest capabilities (a kind word that
-    names no node kind matches no node). The solvent
-    reservoir is never bound, and a program that draws wash solvent needs
-    one. Returns the bindings (vessel -> node id), the vessels that could
-    not be bound, and the findings (vessel_class_exhausted,
-    missing_capability, no_reservoir).
+    names no node kind matches no node). The solvent reservoir is never
+    bound, and a program whose lowering draws from it (a primitive with no
+    source, see `Primitive.ends`) needs one. Returns the bindings (vessel
+    -> node id), the vessels that could not be bound, and the findings
+    (vessel_class_exhausted, missing_capability, no_reservoir).
     """
     findings: list[Finding] = []
     bindings: dict[str, str] = {}
     claimed: set[str] = set()
     unbound: set[str] = set()          # vessels reported as impossible to bind
 
-    waste_nodes = graph.by_kind("Waste")
-    product_nodes = graph.by_kind("Product")
-    if waste_nodes:
-        bindings["waste"] = waste_nodes[0].id
-        claimed.add(waste_nodes[0].id)
-    else:
-        findings.append(Finding("vessel_class_exhausted", "no Waste node in graph", "waste"))
-        unbound.add("waste")
-    if product_nodes:
-        bindings["product"] = product_nodes[0].id
-        claimed.add(product_nodes[0].id)
-    else:
-        findings.append(Finding("vessel_class_exhausted", "no Product node in graph", "product"))
-        unbound.add("product")
+    def refuse(code: str, message: str, vessel: str) -> None:
+        findings.append(Finding(code, message, vessel))
+        unbound.add(vessel)
+
+    for vessel, kind in (("waste", "Waste"), ("product", "Product")):
+        nodes = graph.by_kind(kind)
+        if nodes:
+            bindings[vessel] = nodes[0].id
+            claimed.add(nodes[0].id)
+        else:
+            refuse("vessel_class_exhausted", f"no {kind} node in graph", vessel)
 
     reservoir = graph.reservoir()
-    needs_reservoir = any(
-        op.kind in (OpKind.SEPARATE, OpKind.CLEAN) and "solvent" not in op.params
-        for op in prog.steps
-    )
-    if needs_reservoir and reservoir is None:
-        findings.append(Finding("no_reservoir", "program draws wash solvent but the "
-                                "graph has no reservoir flask", None))
     if reservoir is not None:
         claimed.add(reservoir.id)
+    elif any(prim.ends is not None and prim.ends[0] is None
+             for prims in lower_program(prog).ops for prim in prims):
+        findings.append(Finding("no_reservoir", "program draws wash solvent but the "
+                                "graph has no reservoir flask", None))
 
     # reagent flasks, declaration order
     flask_pool = [n.id for n in graph.by_kind("ReagentFlask") if not n.reserved]
@@ -245,9 +241,7 @@ def bind_vessels(prog: ChemProgram, graph
             continue
         free = [f for f in flask_pool if f not in claimed]
         if not free:
-            findings.append(Finding("vessel_class_exhausted",
-                                    f"no free ReagentFlask for source vessel {v}", v))
-            unbound.add(v)
+            refuse("vessel_class_exhausted", f"no free ReagentFlask for source vessel {v}", v)
             continue
         bindings[v] = free[0]
         claimed.add(free[0])
@@ -274,14 +268,11 @@ def bind_vessels(prog: ChemProgram, graph
         if not with_caps:
             if candidates and need:
                 missing = need - max(candidates, key=lambda n: len(need & n.capabilities)).capabilities
-                findings.append(Finding("missing_capability",
-                                        f"no free node for {req.vessel} with {sorted(need)} "
-                                        f"(closest lacks {sorted(missing)})", req.vessel))
+                refuse("missing_capability", f"no free node for {req.vessel} with "
+                       f"{sorted(need)} (closest lacks {sorted(missing)})", req.vessel)
             else:
-                findings.append(Finding("vessel_class_exhausted",
-                                        f"no free node of kind {want_kind or 'any'} for "
-                                        f"{req.vessel}", req.vessel))
-            unbound.add(req.vessel)
+                refuse("vessel_class_exhausted", f"no free node of kind "
+                       f"{want_kind or 'any'} for {req.vessel}", req.vessel)
             continue
         exact = [n for n in with_caps if n.id == req.vessel]
         chosen = exact[0] if exact else sorted(
@@ -461,48 +452,7 @@ def build_default_graph() -> HardwareGraph:
     through three valves and one syringe pump, a heated/chilled reactor with
     a photo sensor, a separator with a conductivity sensor, a rotavap, a
     filter, a chromatograph, storage, waste and a product receiver."""
-    def n(id, kind, caps=(), capacity=None, ports=None, attachments=()):
-        return HardwareNode(id, kind, frozenset(caps), capacity, ports,
-                            tuple(attachments))
-
-    nodes = [
-        n("SOLV", "ReagentFlask", capacity=1000.0, ports=2,
-          attachments=(RESERVOIR_ATTACHMENT,)),
-        n("R1", "ReagentFlask", capacity=500.0, ports=2),
-        n("R2", "ReagentFlask", capacity=500.0, ports=2),
-        n("R3", "ReagentFlask", capacity=500.0, ports=2),
-        n("R4", "ReagentFlask", capacity=500.0, ports=2),
-        n("V1", "Valve", ports=8),
-        n("V2", "Valve", ports=8),
-        n("V3", "Valve", ports=8),
-        n("P1", "Pump", capacity=25.0, ports=2),
-        n("RX1", "Reactor",
-          caps=("react_hot", "react_cold", "heat_stir", "chill", "evaporate"),
-          capacity=250.0, ports=4,
-          attachments=("HeaterStirrerChiller", "SensorPhoton")),
-        n("SEP1", "Separator", caps=("separate",), capacity=200.0, ports=4,
-          attachments=("SensorConductivity",)),
-        n("RV1", "Rotavap",
-          caps=("evaporate", "dry", "crystallise", "distil", "sublime",
-                "heat_stir", "chill"),
-          capacity=250.0, ports=4),
-        n("F1", "Filter", caps=("filter", "dry"), capacity=100.0, ports=4),
-        n("CH1", "Chromatograph", caps=("separate", "filter"), capacity=100.0,
-          ports=4),
-        n("S1", "Storage", capacity=500.0, ports=4),
-        n("W", "Waste", capacity=5000.0, ports=2),
-        n("OUT", "Product", capacity=500.0, ports=4),
-    ]
-    both = lambda a, b: [(a, b), (b, a)]
-    edges: list[tuple[str, str]] = []
-    edges += [("SOLV", "V1"), ("R1", "V1"), ("R2", "V1"), ("R3", "V3"), ("R4", "V3")]
-    edges += both("V1", "P1") + both("P1", "V2")
-    edges += both("V2", "V3") + both("V2", "RX1")
-    edges += both("V3", "SEP1") + both("V3", "RV1")
-    edges += both("V1", "F1") + both("V1", "S1")
-    edges += [("V3", "W"), ("SEP1", "CH1"), ("CH1", "OUT"), ("V3", "OUT")]
-    edges += both("CH1", "V3")
-    return HardwareGraph({x.id: x for x in nodes}, edges)
+    return load_graph(Path(__file__).with_name("default_rig.graph"))
 
 
 # ---------------------------------------------------------------------------

@@ -150,11 +150,10 @@ class Primitive(NamedTuple):
     # SM selector: None = everything, "solvents" = solvent-role species,
     # or an explicit tuple of species ids.
     species: tuple[str, ...] | str | None = None
-    amount: float | None = None
+    amount: float | None = None          # always set for a reservoir draw
     setpoint: float | None = None
-    duration: float = 0.0
+    duration: float = 0.0                # an energy move's dwell; > 0 checks for a reaction
     expects_reaction: bool = False
-    check_reaction: bool = False
     reset_cell: bool = False
 
 
@@ -171,14 +170,14 @@ def _matter(code: str, cell: str, op_index: int, kind: OpKind,
             amount: float | None = None, reset_cell: bool = False) -> Primitive:
     """An AM or SM move."""
     return Primitive(code, cell, op_index, kind, ends, reagent, transit, species, amount,
-                     None, 0.0, False, False, reset_cell)
+                     None, 0.0, False, reset_cell)
 
 
 def _energy(code: str, cell: str, op_index: int, kind: OpKind, setpoint: float | None,
             duration: float | None, expects_reaction: bool = False) -> Primitive:
     """An AE or SE move; the machine checks for a reaction after its dwell."""
     return Primitive(code, cell, op_index, kind, None, None, False, None, None,
-                     setpoint, duration, expects_reaction, True)
+                     setpoint, duration, expects_reaction)
 
 
 def _draw(op, op_index: int, decls: dict[str, ReagentDecl], name: str,
@@ -454,8 +453,7 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
     cell = state.cells[slot[prim.cell]]
     if prim.code == "AM":
         if src is None:
-            amount = prim.amount if prim.amount is not None else CLEAN_CHARGE_MOL
-            return Movement(None, cell, {RESERVOIR_SPECIES: amount}, amount)
+            return Movement(None, cell, {RESERVOIR_SPECIES: prim.amount}, prim.amount)
         decl = prim.reagent
         flask = state.cells[slot[src]]
         avail = flask.contents.get(decl.species, 0.0)
@@ -745,7 +743,7 @@ class Machine:
         events: list[dict] = []
         for prim in self.ops[op_index]:
             filled = self.apply(prim)
-            if prim.check_reaction and prim.duration > 0:
+            if prim.duration > 0:
                 ev = self.check_reaction(prim)
                 if ev is not None:
                     events.append(ev)

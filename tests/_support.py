@@ -1,5 +1,6 @@
-"""Shared helpers: fixture paths and the fixture programs' pinned outputs
-(their traces in each execution arm and their compiled plans), a program
+"""Shared helpers: fixture paths, the built-in rig's packaged file, and the
+fixture programs' pinned outputs (their traces in each execution arm and
+their compiled plans), a step histogram's per-category totals, a program
 built in Python that names an undeclared reagent, seeded
 rule-database generators, a brute-force reachability oracle the planner is
 checked against, the whole-database scans the indexed matcher and planner
@@ -23,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from chemvm import chempiler
 from chemvm.assembly import MonteCarloConfig, load_mc_config
 from chemvm.chemlang import (
-    AMBIENT_C, OP_SPECS, ChemProgram, OpKind, ParseError, Quantity, ReagentDecl,
+    AMBIENT_C, CATEGORIES, OP_SPECS, ChemProgram, OpKind, ParseError, Quantity, ReagentDecl,
     UnitOperation, format_program, parse_program,
 )
 from chemvm.chemlang.corpus import random_program
@@ -43,6 +45,8 @@ from chemvm.rules import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the built-in rig's file, packaged with chemvm
+DEFAULT_RIG = Path(chempiler.__file__).with_name("default_rig.graph")
 
 
 def fixture_text(name: str) -> str:
@@ -80,6 +84,11 @@ SMALL_RIG = json.dumps({
     "edges": [["R1", "V1"], ["V1", "P1"], ["P1", "V1"], ["P1", "F1"],
               ["F1", "P1"], ["V1", "W"]],
 })
+
+
+def category_totals(hist) -> dict[str, int]:
+    """A step histogram's count of each category over all reaction steps."""
+    return {c: sum(counts[c] for _, counts in hist.per_reaction_step) for c in CATEGORIES}
 
 
 def undeclared_reagent_program() -> ChemProgram:
@@ -362,9 +371,13 @@ KIND_WORDS = ("any", "reactor", "separator", "rotavap", "filter", "storage",
 SINKS = ("product", "waste", "S1", "B", "F1")
 
 
+# the built-in rig, read once: the output digest draws 10,000 rigs from it
+_FULL_RIG = build_default_graph()
+
+
 def random_rig(rng: random.Random) -> HardwareGraph:
     """A random subset of the default rig's nodes and the edges among them."""
-    full = build_default_graph()
+    full = _FULL_RIG
     share = rng.choice((0.6, 0.9, 1.0))
     keep = {nid for nid in full.nodes if rng.random() < share}
     return HardwareGraph({nid: full.nodes[nid] for nid in sorted(keep)},
@@ -595,48 +608,41 @@ def reference_expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -
         ]
     if k == OpKind.HEAT_STIR or k == OpKind.CHILL:
         code = "AE" if k == OpKind.HEAT_STIR else "SE"
-        return [prim(code, p["vessel"], setpoint=temp, duration=duration,
-                     check_reaction=True)]
+        return [prim(code, p["vessel"], setpoint=temp, duration=duration)]
     if k == OpKind.REACT_HOT or k == OpKind.REACT_COLD:
         energy = "AE" if k == OpKind.REACT_HOT else "SE"
         return [
             draw(p["reagent"], amount),
-            prim(energy, p["vessel"], setpoint=temp, duration=duration,
-                 check_reaction=True, expects_reaction=True),
+            prim(energy, p["vessel"], setpoint=temp, duration=duration, expects_reaction=True),
         ]
     if k == OpKind.SEPARATE:
         return [
             charge_solvent(SEPARATE_CHARGE_MOL),
-            prim("AE", p["vessel"], duration=duration if duration is not None else AGITATE_S,
-                 check_reaction=True),
+            prim("AE", p["vessel"], duration=duration if duration is not None else AGITATE_S),
             take(p["vessel"], p["to"], species=(p["species"],)),
         ]
     if k == OpKind.DRY or k == OpKind.EVAPORATE:
         selector = (p["species"],) if "species" in p else "solvents"
         return [
-            prim("AE", p["vessel"], setpoint=temp, duration=duration,
-                 check_reaction=True),
+            prim("AE", p["vessel"], setpoint=temp, duration=duration),
             take(p["vessel"], p.get("to", "waste"), species=selector),
         ]
     if k == OpKind.CRYSTALLISE:
         return [
             prim("AE", p["vessel"], setpoint=temp,
-                 duration=duration if duration is not None else SOAK_S,
-                 check_reaction=True),
-            prim("SE", p["vessel"], setpoint=_reference_qv(op, "cool_to"), duration=SOAK_S,
-                 check_reaction=True),
+                 duration=duration if duration is not None else SOAK_S),
+            prim("SE", p["vessel"], setpoint=_reference_qv(op, "cool_to"), duration=SOAK_S),
             take(p["vessel"], p["to"], species=(p["species"],)),
         ]
     if k == OpKind.DISTIL or k == OpKind.SUBLIME:
         heat = prim("AE", p["vessel"], setpoint=temp,
-                    duration=duration if duration is not None else SOAK_S,
-                    check_reaction=True)
+                    duration=duration if duration is not None else SOAK_S)
         vapour = take(p["vessel"], p["to"], transit=True, species=(p["species"],))
         cool_to = _reference_qv(op, "cool_to")
         first = [heat, vapour] if k == OpKind.DISTIL else [vapour, heat]
         return first + [
             prim("SE", p["to"], setpoint=cool_to if cool_to is not None else AMBIENT_C,
-                 duration=AGITATE_S, check_reaction=True),
+                 duration=AGITATE_S),
             prim("AM", p["to"]),
         ]
     if k == OpKind.FILTER:

@@ -84,9 +84,14 @@ def test_survival_fraction_validation(eps, a):
     (survival_fraction, (math.nan, 5), r"error rate must lie in \[0, 1\], got nan"),
     (survival_fraction, (0.1, math.nan), "assembly index must be non-negative and finite"),
     (survival_fraction, (0.1, math.inf), "assembly index must be non-negative and finite"),
+    (survival_fraction, (0.1, 2.5), "assembly index must be an integer"),
+    (survival_fraction, (0.1, True), "assembly index must be an integer"),
+    (max_error_for, (1e6, 1e8, 2.5), "assembly index must be an integer"),
+    (max_error_for, (1e6, 1e8, True), "assembly index must be an integer"),
 ], ids=["phi", "eps", "max-phi", "max-a", "bonds", "phi-nan", "phi-inf", "eps-nan",
         "max-phi-nan", "max-phi-inf", "max-n-inf", "max-n-nan", "max-a-inf",
-        "survival-eps-nan", "survival-a-nan", "survival-a-inf"])
+        "survival-eps-nan", "survival-a-nan", "survival-a-inf", "survival-a-fraction",
+        "survival-a-bool", "max-a-fraction", "max-a-bool"])
 def test_detectability_inputs_are_checked(func, args, message):
     with pytest.raises(ValueError, match=message):
         func(*args)

@@ -16,7 +16,7 @@ from chemvm.chemlang import (
 
 from chemvm.chemlang.corpus import synthetic_program
 
-from _support import FIXTURES, fixture_text, undeclared_reagent_program
+from _support import FIXTURES, category_totals, fixture_text, undeclared_reagent_program
 
 
 def test_parse_tiny_structure():
@@ -367,7 +367,7 @@ def test_classify_tiny():
 def test_classify_atropine_golden():
     hist = classify_steps(parse_program(fixture_text("atropine_3step.chem")))
     assert hist.cumulative == [20, 34, 47]
-    assert hist.totals() == {
+    assert category_totals(hist) == {
         "AddMatter": 16, "SubtractMatter": 12, "AddEnergy": 13,
         "SubtractEnergy": 6, "Composite": 4,
     }
@@ -387,4 +387,4 @@ def test_classify_atropine_golden():
 def test_classify_one_step_fixtures(name, totals):
     hist = classify_steps(parse_program(fixture_text(name)))
     assert len(hist.cumulative) == 1
-    assert hist.totals() == totals
+    assert category_totals(hist) == totals

@@ -11,7 +11,7 @@ from chemvm.chemlang import classify_steps, format_program, parse_program
 from chemvm.chemlang.corpus import random_program, synthetic_program
 from chemvm.chemlang.parser import IDENT_RE
 
-from _support import random_program_text
+from _support import category_totals, random_program_text
 
 # text that needs quoting and escaping: quotes, backslashes, tabs, newlines,
 # comment and punctuation characters, and any other character
@@ -58,7 +58,7 @@ def test_histogram_invariants(seed):
     hist = classify_steps(prog)
     assert hist.cumulative == sorted(hist.cumulative)
     assert hist.cumulative[-1] == len(prog.steps)
-    totals = hist.totals()
+    totals = category_totals(hist)
     composites = totals["Composite"]
     assert sum(totals.values()) - composites == len(prog.steps)
     assert hist.total_ops == len(prog.steps)

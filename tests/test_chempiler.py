@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from chemvm.chemlang import parse_program, validate_program
+from chemvm.chemlang import ChemProgram, OpKind, UnitOperation, parse_program, validate_program
 from chemvm.chempiler import (
     FLOW_KINDS,
     NODE_KINDS,
@@ -31,7 +31,7 @@ from chemvm.cli import main
 from chemvm.cstm import DEFAULT_BUDGET, run
 from chemvm.rules import load_rules, loads_rules, pathway_to_program, plan_pathway
 
-from _support import FIXTURES, fixture_text, random_program_text, random_rig
+from _support import DEFAULT_RIG, FIXTURES, fixture_text, random_program_text, random_rig
 
 CAPACITIES = {
     "SOLV": 1000.0, "R1": 500.0, "R2": 500.0, "R3": 500.0, "R4": 500.0,
@@ -68,7 +68,7 @@ def test_default_graph_shape(default_graph):
 
 
 def test_default_graph_matches_fixture(default_graph):
-    assert loads_graph(fixture_text("default_rig.graph")) == default_graph
+    assert loads_graph(DEFAULT_RIG.read_text(encoding="utf-8")) == default_graph
 
 
 def test_rig_tables_match_sorted_scans(default_graph):
@@ -265,6 +265,21 @@ def test_finding_no_reservoir():
     plan = chempile(prog, g)
     assert not plan.feasible
     assert "no_reservoir" in _finding_codes(plan)
+
+
+def test_unnamed_wash_solvent_needs_a_reservoir(default_graph):
+    # a clean built in Python with solvent=None draws from the reservoir,
+    # as its lowering says, so a rig without one cannot run it
+    prog = parse_program(
+        'procedure "x" {\n  hardware {\n    RX1: reactor\n  }\n  steps {\n'
+        '    heat_stir(vessel=RX1, temp=60 C, time=600 s)\n  }\n}\n')
+    clean = UnitOperation(OpKind.CLEAN, {"vessel": "RX1", "solvent": None})
+    prog = ChemProgram(prog.name, prog.reagents, prog.hardware, [*prog.steps, clean],
+                       prog.metadata)
+    rig = HardwareGraph({nid: n for nid, n in default_graph.nodes.items() if nid != "SOLV"},
+                        [e for e in default_graph.edges if "SOLV" not in e])
+    assert [f.code for f in validate_program(prog, rig).findings] == ["no_reservoir"]
+    assert _finding_codes(chempile(prog, rig)) == ["no_reservoir"]
 
 
 _NO_RULES = loads_rules(json.dumps({"species": [], "rules": []}))

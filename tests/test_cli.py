@@ -16,7 +16,7 @@ from chemvm.chemlang import format_program
 from chemvm.chemlang.corpus import synthetic_program
 from chemvm.cli import HALT_EXIT, main
 
-from _support import FIXTURES, fixture_text
+from _support import DEFAULT_RIG, FIXTURES, fixture_text
 
 
 def cli(*argv, stdin=None):
@@ -126,8 +126,7 @@ def test_run_persist_rules_promotes(tmp_path):
 
 def test_run_on_graph(tmp_path):
     code, out, _ = cli("run", FIXTURES / "tiny.chem", "--rules",
-                       FIXTURES / "tiny.rules", "--graph",
-                       FIXTURES / "default_rig.graph")
+                       FIXTURES / "tiny.rules", "--graph", DEFAULT_RIG)
     assert code == 0
     assert json.loads(out)["halt"] == "q_out"
     fat = tmp_path / "fat.chem"
@@ -136,7 +135,7 @@ def test_run_on_graph(tmp_path):
                    '  steps {\n    add(vessel=RX1, reagent=a, amount=600 mol)\n'
                    '  }\n}\n')
     code, _, err = cli("run", fat, "--rules", FIXTURES / "tiny.rules",
-                       "--graph", FIXTURES / "default_rig.graph")
+                       "--graph", DEFAULT_RIG)
     assert code == 2
     assert "infeasible" in err and "capacity_exceeded" in err
 
@@ -223,8 +222,7 @@ def test_step_without_required_parameter(tmp_path):
         assert code == HALT_EXIT["q_fail"]
         last = json.loads(trace.read_text().splitlines()[-1])
         assert (last["halt"], last["reason"], last["step"]) == ("q_fail", reason, 0)
-    code, _, err = cli("run", bad, "--rules", rules, "--graph",
-                       FIXTURES / "default_rig.graph")
+    code, _, err = cli("run", bad, "--rules", rules, "--graph", DEFAULT_RIG)
     assert code == 2
     assert "infeasible: missing_param" in err
 

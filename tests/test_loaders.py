@@ -12,17 +12,24 @@ from chemvm.chempiler import GraphError, loads_graph
 from chemvm.dec import PolicyError, loads_policy
 from chemvm.rules import RuleLoadError, loads_rules
 
-from _support import fixture_text
+from _support import DEFAULT_RIG, fixture_text
+
+# the built-in rig, which `_text` reads from its packaged file
+RIG = DEFAULT_RIG.name
 
 # JSON values of every type and shape that a field could wrongly hold
 REPLACEMENTS = ([], {}, "x", 1.5, -1, 0, None, True, [[1]], [{}], ["x"], {"a": 1})
 
 LOADERS = [
     ("tiny.rules", loads_rules, RuleLoadError),
-    ("default_rig.graph", loads_graph, GraphError),
+    (RIG, loads_graph, GraphError),
     ("policy_default.json", loads_policy, PolicyError),
     ("mc_small.json", loads_mc_config, ValueError),
 ]
+
+
+def _text(name: str) -> str:
+    return DEFAULT_RIG.read_text(encoding="utf-8") if name == RIG else fixture_text(name)
 
 
 def _paths(value, path=()):
@@ -48,7 +55,7 @@ def _replaced(doc, path, value):
 
 @pytest.mark.parametrize("name, loads, error", LOADERS, ids=[n for n, _, _ in LOADERS])
 def test_single_value_mutations_raise_only_the_loader_error(name, loads, error):
-    doc = json.loads(fixture_text(name))
+    doc = json.loads(_text(name))
     escapes = []
     for path in _paths(doc):
         for value in REPLACEMENTS:
@@ -62,7 +69,7 @@ def test_single_value_mutations_raise_only_the_loader_error(name, loads, error):
 
 
 def test_string_attachments_are_rejected():
-    doc = json.loads(fixture_text("default_rig.graph"))
+    doc = json.loads(_text(RIG))
     solv = next(n for n in doc["nodes"] if n["id"] == "SOLV")
     solv["attachments"] = "solvent_reservoir"
     with pytest.raises(GraphError, match="attachments must be lists of strings"):
@@ -70,11 +77,11 @@ def test_string_attachments_are_rejected():
 
 
 def _set(name, path, value) -> str:
-    return json.dumps(_replaced(json.loads(fixture_text(name)), path, value))
+    return json.dumps(_replaced(json.loads(_text(name)), path, value))
 
 
 @pytest.mark.parametrize("name, loads, error, path, message", [
-    ("default_rig.graph", loads_graph, GraphError, ("nodes", 0, "ports"),
+    (RIG, loads_graph, GraphError, ("nodes", 0, "ports"),
      "ports must be a positive integer"),
     ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "priority"),
      "priority must be an integer"),
@@ -90,7 +97,7 @@ def test_integer_fields_reject_booleans(name, loads, error, path, message):
 
 @pytest.mark.parametrize("name, loads, error, path", [
     ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "process_window", "temp_min")),
-    ("default_rig.graph", loads_graph, GraphError, ("nodes", 0, "capacity")),
+    (RIG, loads_graph, GraphError, ("nodes", 0, "capacity")),
     ("policy_default.json", loads_policy, PolicyError, ("sensor_noise_sd",)),
     ("mc_small.json", loads_mc_config, ValueError, ("jitter_sd",)),
 ])
@@ -113,9 +120,9 @@ def test_numbers_json_cannot_carry_are_rejected(name, loads, error, path, litera
      "duplicate species id 'a'"),
     ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "yield"), 2,
      "rule 'r1': yield must lie"),
-    ("default_rig.graph", loads_graph, GraphError, ("edges", 0), ["R1", "nope"],
+    (RIG, loads_graph, GraphError, ("edges", 0), ["R1", "nope"],
      "edge ('R1', 'nope') references unknown node"),
-    ("default_rig.graph", loads_graph, GraphError, ("nodes", 1, "id"), "CH1",
+    (RIG, loads_graph, GraphError, ("nodes", 1, "id"), "CH1",
      "duplicate node id 'CH1'"),
     ("tiny.rules", loads_rules, RuleLoadError, ("rules", 0, "catalysts"), "c",
      "rule 'r1': catalysts must be a list"),

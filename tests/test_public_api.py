@@ -1,7 +1,8 @@
 """The public surface: every name a module lists in `__all__` exists,
 only the Monte Carlo loads numpy, the language package loads neither the
-machine nor the compiler, and every function the traced benchmark
-wraps still exists."""
+machine nor the compiler, every function the traced benchmark
+wraps still exists, and the built-in rig's file is installed with the
+package."""
 
 import importlib
 import os
@@ -78,3 +79,12 @@ def test_traced_benchmark_functions_resolve():
         sys.path.remove(bench)
     assert [name for name, (owner, attr) in tracing.TRACED.items()
             if not callable(getattr(owner, attr, None))] == []
+
+
+def test_builtin_rig_is_package_data():
+    # without it an install would fail only at its first `chemvm validate`
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "default_rig.graph" in config["tool"]["setuptools"]["package-data"]["chemvm"]
+    assert Path(chemvm.__path__[0], "default_rig.graph").is_file()
