@@ -3,7 +3,8 @@
 Canonicalization sorts parameter and metadata keys, normalizes whitespace
 and emits all quantities in base units, so two programs that differ only
 in key order or unit spelling produce identical text. `parse(format(p))`
-is structurally equal to `p`.
+is structurally equal to `p`, up to the parameters a program built in
+code sets to None, which are not given and have no text.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ def _value_text(v) -> str:
 
 
 def _step_text(op: UnitOperation) -> str:
-    parts = [f"{k}={_value_text(op.params[k])}" for k in sorted(op.params)]
+    """A step's text; a parameter whose value is None is not given, so it
+    has no text (see `validate.check_params`)."""
+    params = op.params
+    parts = [f"{k}={_value_text(params[k])}" for k in sorted(params) if params[k] is not None]
     return f"{op.kind.value}({', '.join(parts)})"
 
 

@@ -51,12 +51,14 @@ def validate_program(prog: ChemProgram, graph) -> ValidationReport:
 def check_params(prog: ChemProgram) -> list[Finding]:
     """Every step's missing parameters (missing_param), reagents and
     solvents that name no declaration (undeclared_reference), and
-    temperatures, times and amounts out of range (param_out_of_range)."""
+    temperatures, times and amounts out of range (param_out_of_range). A
+    parameter whose value is None, which only a program built in code can
+    hold, is not given: a required one is missing."""
     findings: list[Finding] = []
     declared = {d.name for d in prog.reagents}
     for i, op in enumerate(prog.steps):
         params = op.params
-        missing = OP_SPECS[op.kind].required - params.keys()
+        missing = [key for key in OP_SPECS[op.kind].required if params.get(key) is None]
         found = [("missing_param", f"{op.kind.value} requires parameter {key!r}")
                  for key in sorted(missing)] if missing else []
         for key in ("reagent", "solvent"):

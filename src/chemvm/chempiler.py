@@ -46,7 +46,7 @@ from .chemlang.validate import Finding, ValidationReport, check_params
 from .jsonio import dumps_stable, is_integer, is_number, json_entry, loads_object
 from .rules import RuleDatabase
 from .cstm import (
-    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Movement, Primitive,
+    DEFAULT_BUDGET, ExecutionTrace, Machine, MachineError, Primitive,
     VesselCell, init_machine, lower_program, movement, over_capacity, step_tape,
 )
 
@@ -542,17 +542,18 @@ def execute_plan(plan: CompiledPlan, db: RuleDatabase, *, seed: int = 0,
             for key, path in plan.routes.items()}
     booked = 0      # strokes the run has booked
 
-    def book_strokes(machine: Machine, prim: Primitive, move: Movement | None) -> None:
+    def book_strokes(machine: Machine, prim: Primitive, move: tuple | None) -> None:
         nonlocal booked
-        if move is None or move.total <= 0 or move.src is move.dst:
+        if move is None:
             return
-        src = reservoir_id if move.src is None else move.src.name
-        key = f"{src}->{move.dst.name}"
+        src, dst, _, total = move
+        if total <= 0 or src is dst:
+            return
+        key = f"{reservoir_id if src is None else src.name}->{dst.name}"
         leg = legs.get(key)
         if leg is None:
             machine.fail(f"no route {key} in the plan")
         path, pump_cap = leg
-        total = move.total
         strokes = 1 if pump_cap is None else max(1, math.ceil(total / pump_cap - 1e-12))
         booked += strokes
         if booked > machine.budget:

@@ -12,11 +12,16 @@ sequence of four primitive moves:
     AE  add energy       SE  subtract energy
 
 The head teleports to the cell a primitive names; each primitive is one
-machine step. Energy primitives that hold the cell for a dwell time
-consult the rule database afterwards, so reactions are a consequence of
-conditions, not of which surface operation requested the heating. A
-matched rule consumes inputs and books products at its declared yield;
-element surplus goes straight to the waste cell as the rule's byproduct.
+machine step, `Machine.step`, which an op and a correction both take: the
+budget check, the primitive's movement resolved against the tape
+(`movement`), the pre hook, the move and its record (`apply_primitive`,
+which moves matter through `step_tape`), the reaction check when the
+primitive dwells, and the post hook. Energy primitives that hold the cell
+for a dwell time consult the rule database afterwards, so reactions are a
+consequence of conditions, not of which surface operation requested the
+heating. A matched rule consumes inputs and books products at its
+declared yield; element surplus goes straight to the waste cell as the
+rule's byproduct.
 
 A program is lowered once: `lower_program` expands every step and lays
 out the tape (`Layout`: cell names, name -> index, vessel -> slot) the
@@ -34,7 +39,7 @@ reaction step whose conditions matched no rule, an overdrawn flask, a hook
 calling `Machine.fail`), and `Machine.execute`, the one place that catches
 it, halts the run at q_fail with the error as the reason.
 
-A run's budget B bounds the machine steps it takes: `Machine.apply` stops
+A run's budget B bounds the machine steps it takes: `Machine.step` stops
 the run with "budget exhausted" before a primitive once `step_count` has
 reached B. Every primitive counts, a redose's and those a revert re-runs
 included (`step_count` is never rolled back), and records cost nothing, so
@@ -88,7 +93,6 @@ __all__ = [
     "LedgerReport",
     "Machine",
     "MachineError",
-    "Movement",
     "expand_unit_op",
     "Lowering",
     "Layout",
@@ -209,13 +213,13 @@ def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Pri
     """Lower one unit operation to its primitive sequence, whose codes are
     its `OP_SPECS` row's, drawing reagents from `decls` (reagent name ->
     declaration). Raises MachineError when the operation lacks a required
-    parameter or names an undeclared reagent."""
+    parameter (a None value gives none) or names an undeclared reagent."""
     k = op.kind
     p = op.params
-    required = OP_SPECS[k].required
-    if not p.keys() >= required:
+    missing = [key for key in OP_SPECS[k].required if p.get(key) is None]
+    if missing:
         raise MachineError(f"{op.where(op_index)}: {k.value} requires parameter "
-                           f"{min(required - p.keys())!r}")
+                           f"{min(missing)!r}")
     i = op_index
     if k is OpKind.ADD:
         return [_draw(op, i, decls, p["reagent"], _qv(p.get("amount")))]
@@ -425,46 +429,38 @@ def selected_species(cell: VesselCell, selector,
     return [s for s in selector if s in cell.contents]
 
 
-class Movement(NamedTuple):
-    """Matter one primitive moves, resolved against the tape before it moves.
-
-    `src` and `dst` are the cells the matter leaves and enters; a `src` of
-    None is the shared solvent reservoir, which books what it gives as
-    fresh stock. A movement through the transit line is one movement, named
-    by the SM that fills the line, with `dst` the cell the line delivers
-    to. `total` is the nominal volume moved, the amount asked for when that
-    is less than the selection.
-    """
-    src: VesselCell | None
-    dst: VesselCell
-    amounts: dict[str, float]
-    total: float
-
-
-def movement(state: MachineState, prim: Primitive) -> Movement | None:
-    """Resolve what a primitive is about to move (see `Primitive.ends`)
-    against the tape, without moving it. Raises MachineError when a flask
-    holds less than the primitive draws."""
+def movement(state: MachineState, prim: Primitive) -> tuple | None:
+    """Resolve what a matter primitive is about to move (see
+    `Primitive.ends`) against the tape, without moving it: None for an
+    energy move and for the AM that empties the transit line, else
+    `(src, dst, what, total)`. `src` and `dst` are the cells the matter
+    leaves and enters; a `src` of None is the shared solvent reservoir,
+    which books what it gives as fresh stock, and a movement through the
+    transit line is one movement, named by the SM that fills the line, with
+    `dst` the cell the line delivers to. `what` is the species of a draw,
+    which moves `total` of it, or an SM's selection (species -> amount);
+    `total` is the nominal volume moved, the amount asked for when that is
+    less than the selection. Raises MachineError when a flask holds less
+    than the primitive draws."""
     ends = prim.ends
     if ends is None:
         return None
     src, dst = ends
-    slot = state.slot
-    cell = state.cells[slot[prim.cell]]
+    slot, cells = state.slot, state.cells
+    cell = cells[slot[prim.cell]]
     if prim.code == "AM":
         if src is None:
-            return Movement(None, cell, {RESERVOIR_SPECIES: prim.amount}, prim.amount)
-        decl = prim.reagent
-        flask = state.cells[slot[src]]
-        avail = flask.contents.get(decl.species, 0.0)
-        want = prim.amount if prim.amount is not None else avail
+            return None, cell, RESERVOIR_SPECIES, prim.amount
+        species = prim.reagent.species
+        flask = cells[slot[src]]
+        avail = flask.contents.get(species, 0.0)
+        want = prim.amount
+        if want is None:
+            return flask, cell, species, avail
         if want > avail + _AMOUNT_SLACK:
-            raise MachineError(
-                f"{decl.name}: need {want:g} {decl.species}, flask "
-                f"{flask.name} holds {avail:g}"
-            )
-        take = min(want, avail)
-        return Movement(flask, cell, {decl.species: take}, take)
+            raise MachineError(f"{prim.reagent.name}: need {want:g} {species}, flask "
+                               f"{flask.name} holds {avail:g}")
+        return flask, cell, species, avail if avail < want else want
     contents = cell.contents
     amounts = {s: contents[s] for s in selected_species(cell, prim.species,
                                                          state.solvent_species)}
@@ -473,42 +469,53 @@ def movement(state: MachineState, prim: Primitive) -> Movement | None:
         frac = min(1.0, prim.amount / total) if total > 0 else 0.0
         amounts = {s: v * frac for s, v in amounts.items()}
         total = min(total, prim.amount)
-    return Movement(cell, state.cells[slot[dst]], amounts, total)
+    return cell, cells[slot[dst]], amounts, total
 
 
-def step_tape(state: MachineState, prim: Primitive,
-              move: Movement | None) -> VesselCell | None:
+def step_tape(state: MachineState, prim: Primitive, move: tuple | None) -> VesselCell | None:
     """Apply one primitive to the tape without recording it: teleport the
-    head, apply its movement (see `movement`) or its energy move. Returns
-    the cell the primitive put matter into: the destination of an SM, or
-    None when the SM fills the transit line, which is not a cell; the head
-    cell after an AM, and after an energy move, whose reaction books its
-    products there."""
+    head, apply its movement (see `movement`) or its energy move. The one
+    place matter moves between cells. Returns the cell the primitive put
+    matter into: the destination of an SM, or None when the SM fills the
+    transit line, which is not a cell; the head cell after an AM, and after
+    an energy move, whose reaction books its products there."""
     idx = state.head = state.slot[prim.cell]
     cell = state.cells[idx]
     state.step_count += 1
-    code = prim.code
 
     if move is not None:
-        amounts = move.amounts
-        if move.src is None:
-            for s, v in amounts.items():
-                _add(state.stock_in, s, v)
+        src, dst, what, total = move
+        into = state.transit if prim.transit else dst.contents
+        if what.__class__ is str:       # a draw: one species
+            if src is None:
+                _add(state.stock_in, what, total)
+            else:
+                _drain(src.contents, what, total)
+            _add(into, what, total)
         else:
-            source = move.src.contents
-            for s, v in amounts.items():
-                _drain(source, s, v)
-        filled = None if prim.transit else move.dst
-        into = state.transit if filled is None else filled.contents
-        for s, v in amounts.items():
-            _add(into, s, v)
+            source = src.contents
+            whole = what == source      # the whole cell moves, in species order
+            if whole:
+                source.clear()
+            else:
+                for s, v in what.items():
+                    _drain(source, s, v)
+            if whole and not into:
+                into.update(what)
+            else:
+                for s, v in what.items():
+                    _add(into, s, v)
         if prim.reset_cell and not cell.contents:
             cell.temp = AMBIENT_C
-        return filled
-    if code == "AM":
+        return None if prim.transit else dst
+    code = prim.code
+    if code == "AM":                    # the transit line empties into the cell
         transit = state.transit
-        for s, v in transit.items():
-            _add(cell.contents, s, v)
+        if cell.contents:
+            for s, v in transit.items():
+                _add(cell.contents, s, v)
+        else:
+            cell.contents.update(transit)
         transit.clear()
     elif code == "AE":
         setpoint, rise = prim.setpoint, 0.0
@@ -525,10 +532,11 @@ def step_tape(state: MachineState, prim: Primitive,
     return cell
 
 
-def apply_primitive(state: MachineState, prim: Primitive, move: Movement | None
+def apply_primitive(state: MachineState, prim: Primitive, move: tuple | None
                     ) -> tuple[dict, VesselCell | None]:
     """Execute one primitive and return its trace record and the cell it
-    filled (see `step_tape`)."""
+    filled (see `step_tape`). Every primitive a machine runs passes
+    through here."""
     head = state.head
     filled = step_tape(state, prim, move)
     idx = state.head
@@ -551,8 +559,8 @@ def over_capacity(cell: VesselCell, nodes) -> tuple[float, float] | None:
     """(held, capacity) when `cell` holds more than the capacity of the
     node it runs as, by more than 1e-9; None when it fits or the node has
     no capacity. `nodes` maps node ids to nodes with a `capacity`."""
-    node = nodes.get(cell.name)
-    capacity = None if node is None else node.capacity
+    name = cell.name   # `in` and a subscript: a read-only map's `get` costs more
+    capacity = nodes[name].capacity if name in nodes else None
     if capacity is None:
         return None
     held = math.fsum(cell.contents.values())
@@ -563,23 +571,26 @@ def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
                  extent: float) -> None:
     """Run `rule` forward by `extent` in `cell`: consume its reagents, book
     its products, send its byproduct to waste and turn its catalysts over.
-    Zero amounts are not booked."""
+    Zero amounts are not booked, so a zero extent changes nothing."""
+    if not extent:
+        return
+    contents, consumed, produced = cell.contents, state.consumed, state.produced
     for s, ratio in rule.reagent_pattern.items():
         take = ratio * extent
-        _drain(cell.contents, s, take)
-        _add(state.consumed, s, take)
+        _drain(contents, s, take)
+        _add(consumed, s, take)
     for s, ratio in rule.products.items():
         out = ratio * extent
-        _add(cell.contents, s, out)
-        _add(state.produced, s, out)
-    bp = rule.byproduct_species
-    if bp is not None and extent:
-        _add(state.produced, bp, extent)
+        _add(contents, s, out)
+        _add(produced, s, out)
+    if rule.byproduct_elements:
+        bp = rule.byproduct_species
+        _add(produced, bp, extent)
         _add(state.waste_cell.contents, bp, extent)
     for c in rule.catalysts:
         # turns over but is not used up; book both sides equally
-        _add(state.consumed, c, extent)
-        _add(state.produced, c, extent)
+        _add(consumed, c, extent)
+        _add(produced, c, extent)
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +690,19 @@ class Machine:
     compiled plan's) names the cells the vessels run in; without it each
     cell carries its vessel's name.
 
-    A run stops by raising MachineError: `apply` raises when the budget of
-    machine steps is spent, `execute_op` raises when the run stops, and a
-    hook or a recovery layer stops the run with `fail`. `execute` catches it
-    and halts at q_fail with `halt_reason` set.
+    Every primitive, an op's and a correction's alike, runs through
+    `step`. A run stops by raising MachineError: `step` raises when the
+    budget of machine steps is spent, `execute_op` raises when the run
+    stops, and a hook or a recovery layer stops the run with `fail`.
+    `execute` catches it and halts at q_fail with `halt_reason` set.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
-    and `post_primitive(machine, prim, cell)` let a hardware layer wrap each
-    primitive, reading the movement it is about to apply and, in `cell`, the
-    cell it filled (see `step_tape`) as it and the reaction it triggered
-    left it, without touching that state. A hook stops the run with
+    and `post_primitive(machine, prim, cell)` are the step's two hook
+    points, which let a hardware layer wrap each primitive, reading the
+    movement it is about to apply (see `movement`) and, in `cell`, the cell
+    it filled (see `step_tape`) as it and the reaction it triggered left
+    it, without touching that state. A hook stops the run with
     `machine.fail`; a pre hook that does so stops the primitive from
     running.
     """
@@ -723,18 +736,25 @@ class Machine:
             self.records.append(record)
         raise MachineError(reason)
 
-    def apply(self, prim: Primitive) -> VesselCell | None:
-        """Run one primitive and record it; returns the cell it filled (see
-        `step_tape`). Stopped before it runs by a spent budget or a pre
-        hook."""
-        if self.state.step_count >= self.budget:
+    def step(self, prim: Primitive) -> dict | None:
+        """One machine step: the budget check, the primitive's movement
+        resolved against the tape (`movement`), the pre hook, the move and
+        its record (`apply_primitive`), the reaction check when the
+        primitive dwells, and the post hook. Returns the transition record
+        of the reaction it ran, or None. A spent budget or a pre hook stops
+        the run before the primitive runs."""
+        state = self.state
+        if state.step_count >= self.budget:
             self.fail("budget exhausted")
-        move = None if prim.ends is None else movement(self.state, prim)
+        move = None if prim.ends is None else movement(state, prim)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
-        record, filled = apply_primitive(self.state, prim, move)
+        record, filled = apply_primitive(state, prim, move)
         self.records.append(record)
-        return filled
+        event = self._react(prim) if prim.duration > 0 else None
+        if self.post_primitive is not None:
+            self.post_primitive(self, prim, filled)
+        return event
 
     def execute_op(self, op_index: int) -> list[dict]:
         """Run one unit operation; returns the reaction records it caused.
@@ -742,17 +762,13 @@ class Machine:
         self.state.controller = f"q{op_index}"
         events: list[dict] = []
         for prim in self.ops[op_index]:
-            filled = self.apply(prim)
-            if prim.duration > 0:
-                ev = self.check_reaction(prim)
-                if ev is not None:
-                    events.append(ev)
-            if self.post_primitive is not None:
-                self.post_primitive(self, prim, filled)
+            event = self.step(prim)
+            if event is not None:
+                events.append(event)
         self.pc = op_index + 1
         return events
 
-    def check_reaction(self, prim: Primitive) -> dict | None:
+    def _react(self, prim: Primitive) -> dict | None:
         """Run the reaction the conditions of `prim` trigger in the cell
         under the head and record it; None when no reaction runs. A
         reaction step that matches nothing stops the run."""

@@ -228,9 +228,8 @@ def _redose_retrigger(machine: Machine, op_index: int,
     take = min(policy.redose_fraction * base, avail)
     if take <= 1e-12:
         return None
-    machine.apply(dose._replace(amount=take))
-    machine.apply(eprim)
-    return machine.check_reaction(eprim)
+    machine.step(dose._replace(amount=take))
+    return machine.step(eprim)
 
 
 # ---------------------------------------------------------------------------
@@ -313,48 +312,36 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                       injector=injector)
     redoses = reverts = 0           # against the policy's bounds
     checkpoint = None               # taken before the first op
+    records, noise_sd = machine.records, policy.sensor_noise_sd
 
     def handle_event(event: dict, op_index: int) -> bool:
         """Sense one reaction event and correct until validated. Returns
         False when the run reverted instead; a stop raises."""
         nonlocal redoses, reverts
         while True:
-            reading = sample_sensor(event, sense_rng, policy.sensor_noise_sd)
-            machine.records.append({
-                "kind": "sensing",
-                "op_index": op_index,
-                "rule": event.get("rule"),
-                "reading": reading,
-                "step": machine.state.step_count,
-            })
+            reading = sample_sensor(event, sense_rng, noise_sd)
+            rule = event["rule"]
+            records.append({"kind": "sensing", "op_index": op_index, "rule": rule,
+                            "reading": reading, "step": machine.state.step_count})
             if not corrections_enabled:
                 return True
-            gap = max(0.0, 1.0 - reading)
+            gap = 1.0 - reading if reading < 1.0 else 0.0
             severity = classify_severity(gap, policy)
             if severity is None:
                 return True
-            machine.records.append({
-                "kind": "deviation",
-                "op_index": op_index,
-                "rule": event.get("rule"),
-                "gap": gap,
-                "severity": severity,
-                "step": machine.state.step_count,
-            })
+            records.append({"kind": "deviation", "op_index": op_index, "rule": rule,
+                            "gap": gap, "severity": severity,
+                            "step": machine.state.step_count})
 
             if severity == "minor":
-                machine.records.append(_tune(machine, event, policy))
+                records.append(_tune(machine, event, policy))
                 return True
 
             if severity == "intermediate" \
                     and redoses < policy.max_redoses:
-                machine.records.append({
-                    "kind": "action",
-                    "action": "redose_extend",
-                    "op_index": op_index,
-                    "rule": event.get("rule"),
-                    "step": machine.state.step_count,
-                })
+                records.append({"kind": "action", "action": "redose_extend",
+                                "op_index": op_index, "rule": rule,
+                                "step": machine.state.step_count})
                 redoses += 1
                 retried = _redose_retrigger(machine, op_index, policy)
                 if retried is not None:
@@ -365,21 +352,13 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
             # major, or an intermediate with no redose budget left
             if reverts < policy.max_reverts:
                 reverts += 1
-                machine.records.append({
-                    "kind": "action",
-                    "action": "revert_replan",
-                    "op_index": op_index,
-                    "rule": event.get("rule"),
-                    "step": machine.state.step_count,
-                })
+                records.append({"kind": "action", "action": "revert_replan",
+                                "op_index": op_index, "rule": rule,
+                                "step": machine.state.step_count})
                 machine.restore(checkpoint)
-                machine.records.append({
-                    "kind": "revert",
-                    "op_index": op_index,
-                    "to_pc": machine.pc,
-                    "count": reverts,
-                    "step": machine.state.step_count,
-                })
+                records.append({"kind": "revert", "op_index": op_index,
+                                "to_pc": machine.pc, "count": reverts,
+                                "step": machine.state.step_count})
                 return False
 
             machine.fail("revert budget exhausted")
@@ -393,8 +372,8 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
                 return
         if op_index < 0 or (events and corrections_enabled):
             checkpoint = machine.checkpoint()
-            machine.records.append({"kind": "checkpoint", "op_index": op_index,
-                                    "pc": machine.pc, "step": machine.state.step_count})
+            records.append({"kind": "checkpoint", "op_index": op_index,
+                            "pc": machine.pc, "step": machine.state.step_count})
 
     return DecResult(machine.execute(after_op), corrections_enabled)
 

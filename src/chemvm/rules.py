@@ -229,8 +229,7 @@ def _build_index(rules: Collection[TransitionRule]) -> dict[str, list[Transition
     return index
 
 
-@dataclass(frozen=True)
-class RuleMatch:
+class RuleMatch(NamedTuple):
     rule: TransitionRule
     extent: float       # limiting extent before yield
     limiting: str       # species id that limits the extent
@@ -491,7 +490,12 @@ def match_rule(db: RuleDatabase, contents: dict[str, float],
         best_id = db._matches[key] = None if best is None else best.id
     if best_id is None:
         return None
-    rule = db.rules[best_id]
+    rules = db.rules
+    if type(rules) is ChainMap:         # a promoted database: changed rules over its base
+        changed, base = rules.maps
+        rule = changed[best_id] if best_id in changed else base[best_id]
+    else:
+        rule = rules[best_id]
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
 
 
@@ -499,7 +503,12 @@ def limiting_extent(pattern: dict[str, float],
                     contents: dict[str, float]) -> tuple[float, str]:
     """Largest extent a reagent pattern can run to on these contents, and
     the species that limits it (ties go to the smallest id)."""
-    return min((contents.get(s, 0.0) / ratio, s) for s, ratio in pattern.items())
+    extent = limiting = None
+    for s, ratio in pattern.items():
+        e = contents.get(s, 0.0) / ratio
+        if limiting is None or e < extent or e == extent and s < limiting:
+            extent, limiting = e, s
+    return extent, limiting
 
 
 def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:

@@ -15,6 +15,9 @@ from chemvm.chemlang import (
 )
 
 from chemvm.chemlang.corpus import synthetic_program
+from chemvm.chemlang.validate import check_params
+from chemvm.chempiler import build_default_graph, chempile
+from chemvm.cstm import lower_program
 
 from _support import FIXTURES, category_totals, fixture_text, undeclared_reagent_program
 
@@ -264,6 +267,31 @@ def test_a_bool_parameter_has_no_canonical_text():
     step = UnitOperation(OpKind.CLEAN, {"vessel": "A", "reaction_step": True})
     with pytest.raises(TypeError, match="bool is not a quantity"):
         format_program(ChemProgram("p", [], [], [step]))
+
+
+def test_a_parameter_set_to_none_is_not_given():
+    # a step built in code may set an optional parameter to None; every tool
+    # reads it as not given, and its text leaves it out
+    graph = build_default_graph()
+    step = UnitOperation(OpKind.CLEAN, {"vessel": "RX1", "solvent": None})
+    prog = ChemProgram("p", [], [], [step])
+    text = format_program(prog)
+    assert "    clean(vessel=RX1)\n" in text
+    again = parse_program(text)
+    assert check_params(prog) == check_params(again) == []
+    assert validate_program(prog, graph) == validate_program(again, graph)
+    assert chempile(prog, graph).feasible and chempile(again, graph).feasible
+
+
+def test_a_required_parameter_set_to_none_is_missing():
+    prog = ChemProgram("p", [], [], [UnitOperation(OpKind.CLEAN, {"vessel": None})])
+    text = format_program(prog)
+    assert "    clean()\n" in text
+    again = parse_program(text)
+    for p in (prog, again):
+        assert [(f.code, f.message) for f in check_params(p)] == [
+            ("missing_param", "clean requires parameter 'vessel'")]
+        assert lower_program(p).error.endswith("clean requires parameter 'vessel'")
 
 
 def test_quantity_takes_base_units_only():

@@ -407,11 +407,11 @@ def test_restore_with_matter_in_the_transit_line():
     m = Machine(prog, load_rules(FIXTURES / "tiny.rules"), seed=0)
     (add_a,), (add_b,), (sm_a, am_a), (sm_b, _) = m.ops
     for prim in (add_a, add_b, sm_a):
-        m.apply(prim)
+        m.step(prim)
     ck = m.checkpoint()
     assert ck["transit"] == {"a": 1.0}
-    m.apply(am_a)
-    m.apply(sm_b)
+    m.step(am_a)
+    m.step(sm_b)
     assert m.state.transit == {"b": 1.0}
     m.restore(ck)
     assert [(c.contents, c.temp) for c in m.state.cells[1:]] == ck["cells"]
