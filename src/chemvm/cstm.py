@@ -54,8 +54,9 @@ plus one, a record from the stop and the halt: 9B + 3 records in all.
 A cell's contents, the transit line and the books of stock drawn,
 consumed and produced hold their species in species (sorted id) order:
 `_add` is the one place a species enters any of them, and it keeps that
-order, so a record, a checkpoint or the ledger copies them as they are
-and nothing sorts them on the way.
+order (`step_tape` copies a whole cell or the transit line, already in
+order, into an empty one as it is), so a record, a checkpoint or the
+ledger copies them as they are and nothing sorts them on the way.
 
 Mass conservation is audited per species:
 
@@ -373,7 +374,7 @@ class MachineState:
 def _add(d: dict[str, float], species: str, amount: float) -> None:
     """Add `amount` to `d[species]`, keeping `d`'s keys in species order; a
     zero amount adds no key. The one place a species enters a cell, the
-    transit line or a book."""
+    transit line or a book that holds any."""
     if not amount:
         return
     if species in d:
