@@ -242,9 +242,10 @@ def expand_unit_op(op, op_index: int, decls: dict[str, ReagentDecl]) -> list[Pri
                 _energy("AE", v, i, k, None, AGITATE_S if time is None else time),
                 _matter("SM", v, i, k, (v, p["to"]), species=(p["species"],))]
     if k is OpKind.DRY or k is OpKind.EVAPORATE:
-        selector = (p["species"],) if "species" in p else "solvents"
+        species, to = p.get("species"), p.get("to")
         return [_energy("AE", v, i, k, _qv(p.get("temp")), _qv(p["time"])),
-                _matter("SM", v, i, k, (v, p.get("to", "waste")), species=selector)]
+                _matter("SM", v, i, k, (v, "waste" if to is None else to),
+                        species="solvents" if species is None else (species,))]
     if k is OpKind.CRYSTALLISE:
         time = _qv(p.get("time"))
         return [_energy("AE", v, i, k, _qv(p["temp"]), SOAK_S if time is None else time),

@@ -281,6 +281,15 @@ def test_a_parameter_set_to_none_is_not_given():
     assert check_params(prog) == check_params(again) == []
     assert validate_program(prog, graph) == validate_program(again, graph)
     assert chempile(prog, graph).feasible and chempile(again, graph).feasible
+    # a dry step without a species dries off the solvents into waste
+    solvent = parse_program('procedure "p" {\n  reagents {\n    w: sp:w 1 mol @R1 solvent\n'
+                            '  }\n  steps {\n    add(vessel=RX1, reagent=w)\n  }\n}\n')
+    dry = UnitOperation(OpKind.DRY, {"vessel": "RX1", "time": Quantity(60.0, "s"),
+                                     "species": None, "to": None})
+    prog = ChemProgram("p", solvent.reagents, solvent.hardware, [*solvent.steps, dry])
+    again = parse_program(format_program(prog))
+    assert lower_program(prog).ops == lower_program(again).ops
+    assert lower_program(prog).ops[1][1].species == "solvents"
 
 
 def test_a_required_parameter_set_to_none_is_missing():
