@@ -491,7 +491,9 @@ def match_rule(db: RuleDatabase, contents: dict[str, float],
     if best_id is None:
         return None
     rules = db.rules
-    if type(rules) is ChainMap:         # a promoted database: changed rules over its base
+    if type(rules) is ChainMap:
+        # a promoted database's changed rules over its base, read without
+        # the KeyError a ChainMap raises and catches on a miss in the first
         changed, base = rules.maps
         rule = changed[best_id] if best_id in changed else base[best_id]
     else:
