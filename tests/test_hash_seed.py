@@ -45,7 +45,8 @@ def _sample(hash_seed: str) -> list[str]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", SAMPLE, str(ROOT / "scripts" / "digest_outputs.py")],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 
 
