@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from chemvm.chemlang import parse_program
-from chemvm.dec import CorrectionPolicy, evaluate_correction, load_policy
+from chemvm.dec import DEFAULT_POLICY, evaluate_correction, load_policy
 from chemvm.rules import load_rules
 
 
@@ -27,7 +27,7 @@ def main() -> None:
 
     prog = parse_program(Path(args.program).read_text(encoding="utf-8"))
     db = load_rules(args.rules)
-    policy = load_policy(args.policy) if args.policy else CorrectionPolicy()
+    policy = load_policy(args.policy) if args.policy else DEFAULT_POLICY
     eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
 
     rows = []

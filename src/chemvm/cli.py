@@ -45,7 +45,7 @@ from .chemlang import (
 )
 from .chempiler import build_default_graph, chempile, execute_plan, load_graph
 from .cstm import DEFAULT_BUDGET, run
-from .dec import CorrectionPolicy, evaluate_correction, load_policy, run_with_dec
+from .dec import DEFAULT_POLICY, evaluate_correction, load_policy, run_with_dec
 from .jsonio import dumps_stable, sha256_file, write_text_atomic
 from .rules import (
     Unreachable,
@@ -255,7 +255,7 @@ def cmd_mc(args, argv: list[str]) -> int:
 def cmd_dec_run(args, argv: list[str]) -> int:
     db = load_rules(args.rules)
     prog = parse_program(_read_text(args.path))
-    policy = load_policy(args.policy) if args.policy else CorrectionPolicy()
+    policy = load_policy(args.policy) if args.policy else DEFAULT_POLICY
     inputs = [args.path, args.rules] + ([args.policy] if args.policy else [])
 
     if args.compare:

@@ -878,17 +878,13 @@ class Machine:
     # -- driving and finalization ---------------------------------------------
 
     def execute(self, after_op=None) -> ExecutionTrace:
-        """Run the program from `pc` to its end and finalize.
-        `after_op(op_index, events)` runs once before the first op, with
-        op_index `pc - 1` and no events, then after each op with the
-        reaction records it caused; it may stop the run or restore a
-        checkpoint. A stop (a MachineError from anywhere in the run) halts
-        the machine at q_fail rather than raising, with the first stop's
-        message as the reason: the trace stays a complete account of how
-        far the run got."""
+        """Run the program from `pc` to its end and finalize. After each op,
+        never before the first, `after_op(op_index, events)` gets the
+        reaction records the op caused; it may stop the run or restore a
+        checkpoint (`dec.Corrector`). A stop (a MachineError from anywhere
+        in the run) halts the machine at q_fail, the first stop's message as
+        its reason, instead of raising: the trace accounts for the whole run."""
         try:
-            if after_op is not None:
-                after_op(self.pc - 1, [])
             while self.halt_reason is None and self.pc < len(self.ops):
                 op_index = self.pc
                 events = self.execute_op(op_index)

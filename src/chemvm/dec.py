@@ -15,7 +15,8 @@ answered in kind:
                   checkpoint, and re-run from there (bounded by
                   max_reverts, then q_fail)
 
-A checkpoint is taken after every operation whose reactions all validated.
+`Corrector` runs this ladder after every op. It takes a checkpoint before
+the first op and after every operation whose reactions all validated.
 Reverting dumps the contaminated holdings to waste and re-credits the
 restored inventory as fresh stock, so mass conservation holds across
 timelines; re-execution draws fresh injector outcomes. The run's budget
@@ -42,6 +43,7 @@ from .rules import RuleDatabase, limiting_extent
 
 __all__ = [
     "CorrectionPolicy",
+    "DEFAULT_POLICY",
     "PolicyError",
     "load_policy",
     "loads_policy",
@@ -50,6 +52,7 @@ __all__ = [
     "MODE_FACTORS",
     "sample_sensor",
     "classify_severity",
+    "Corrector",
     "DecResult",
     "run_with_dec",
     "sign_test",
@@ -98,6 +101,9 @@ class CorrectionPolicy:
             raise PolicyError("sensor_noise_sd must be non-negative")
         if self.tune_temp_delta_c < 0:
             raise PolicyError("tune_temp_delta_c must be non-negative")
+
+
+DEFAULT_POLICY = CorrectionPolicy()
 
 
 def loads_policy(text: str, where: str = "<string>") -> CorrectionPolicy:
@@ -176,64 +182,139 @@ def classify_severity(gap: float, policy: CorrectionPolicy) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Corrections
+# The correction loop
 
-def _tune(machine: Machine, event: dict, policy: CorrectionPolicy) -> dict:
-    """Minor shortfall: nudge temperature toward the window midpoint and
-    convert the missing extent at the declared yield."""
-    state = machine.state
-    cell = state.cells[state.index[event["cell"]]]
-    rule = machine.db.rules[event["rule"]]
-    mid, _ = rule.process_window.midpoint()
-    delta = max(-policy.tune_temp_delta_c,
-                min(policy.tune_temp_delta_c, mid - cell.temp))
-    if delta > 0:
-        cell.temp += delta
-        cell.energy_in += delta
-    elif delta < 0:
-        cell.temp += delta
-        cell.energy_out += -delta
+class Corrector:
+    """The correction ladder over one machine: `answer` senses a reaction
+    and tunes, redoses or reverts; `after_op` is `Machine.execute`'s hook.
+    It takes the op -1 checkpoint when built, then one after each op whose
+    reactions all validated; a revert restores the last, `checkpoint`.
+    `redoses` and `reverts` count against the policy's bounds."""
 
-    want = rule.yield_fraction * event["extent_max"] - event["extent"]
-    headroom, _ = limiting_extent(rule.reagent_pattern, cell.contents)
-    extra = max(0.0, min(want, headroom))
-    apply_extent(state, cell, rule, extra)
-    return {
-        "kind": "action",
-        "action": "tune",
-        "op_index": event["op_index"],
-        "rule": rule.id,
-        "temp_delta": delta,
-        "extent_added": extra,
-        "cell": cell.name,
-        "temp": cell.temp,
-    }
+    def __init__(self, machine: Machine, policy: CorrectionPolicy, sense_rng,
+                 corrections_enabled: bool = True):
+        self.machine = machine
+        self.policy = policy
+        self.sense_rng = sense_rng          # drawn from only under sensor noise
+        self.corrections_enabled = corrections_enabled
+        self.redoses = self.reverts = 0
+        self._take_checkpoint(-1)
 
+    def _take_checkpoint(self, op_index: int) -> None:
+        machine = self.machine
+        self.checkpoint = machine.checkpoint()
+        machine.records.append({"kind": "checkpoint", "op_index": op_index,
+                                "pc": machine.pc, "step": machine.state.step_count})
 
-def _redose_retrigger(machine: Machine, op_index: int,
-                      policy: CorrectionPolicy) -> dict | None:
-    """Intermediate shortfall: charge a fraction of a react step's dose
-    again and hold its conditions again. Returns the retriggered reaction
-    event, or None when there is nothing to redose (not a react step, or an
-    empty flask)."""
-    prims = machine.ops[op_index]
-    dose, eprim = prims[0], prims[-1]   # a react step's AM and its energy move
-    if not eprim.expects_reaction:
-        return None
-    decl = dose.reagent
-    state = machine.state
-    flask = state.cells[state.slot[decl.source_vessel]]
-    avail = flask.contents.get(decl.species, 0.0)
-    base = dose.amount if dose.amount is not None else avail
-    take = min(policy.redose_fraction * base, avail)
-    if take <= 1e-12:
-        return None
-    machine.step(dose._replace(amount=take))
-    return machine.step(eprim)
+    def after_op(self, op_index: int, events: list[dict]) -> None:
+        for event in events:
+            if not self.answer(event, op_index):
+                return
+        if events and self.corrections_enabled:
+            self._take_checkpoint(op_index)
 
+    def answer(self, event: dict, op_index: int) -> bool:
+        """Sense one reaction event and correct until validated. Returns
+        False when the run reverted instead; a stop raises."""
+        machine, policy, enabled = self.machine, self.policy, self.corrections_enabled
+        records, rng, noise_sd = machine.records, self.sense_rng, policy.sensor_noise_sd
+        while True:
+            reading = sample_sensor(event, rng, noise_sd)
+            rule = event["rule"]
+            records.append({"kind": "sensing", "op_index": op_index, "rule": rule,
+                            "reading": reading, "step": machine.state.step_count})
+            if not enabled:
+                return True
+            gap = 1.0 - reading if reading < 1.0 else 0.0
+            severity = classify_severity(gap, policy)
+            if severity is None:
+                return True
+            records.append({"kind": "deviation", "op_index": op_index, "rule": rule,
+                            "gap": gap, "severity": severity,
+                            "step": machine.state.step_count})
 
-# ---------------------------------------------------------------------------
-# The loop
+            if severity == "minor":
+                records.append(self.tune(event))
+                return True
+
+            if severity == "intermediate" \
+                    and self.redoses < policy.max_redoses:
+                records.append({"kind": "action", "action": "redose_extend",
+                                "op_index": op_index, "rule": rule,
+                                "step": machine.state.step_count})
+                self.redoses += 1
+                retried = self.redose(op_index)
+                if retried is not None:
+                    event = retried
+                    continue
+                # nothing left to redose with; escalate below
+
+            # major, or an intermediate with no redose budget left
+            if self.reverts < policy.max_reverts:
+                self.reverts += 1
+                records.append({"kind": "action", "action": "revert_replan",
+                                "op_index": op_index, "rule": rule,
+                                "step": machine.state.step_count})
+                machine.restore(self.checkpoint)
+                records.append({"kind": "revert", "op_index": op_index,
+                                "to_pc": machine.pc, "count": self.reverts,
+                                "step": machine.state.step_count})
+                return False
+
+            machine.fail("revert budget exhausted")
+
+    def tune(self, event: dict) -> dict:
+        """Minor shortfall: nudge temperature toward the window midpoint and
+        convert the missing extent at the declared yield. Returns its record."""
+        state = self.machine.state
+        cell = state.cells[state.index[event["cell"]]]
+        rule = self.machine.db.rules[event["rule"]]
+        mid, _ = rule.process_window.midpoint()
+        limit = self.policy.tune_temp_delta_c
+        delta = max(-limit, min(limit, mid - cell.temp))
+        if delta > 0:
+            cell.temp += delta
+            cell.energy_in += delta
+        elif delta < 0:
+            cell.temp += delta
+            cell.energy_out += -delta
+
+        want = rule.yield_fraction * event["extent_max"] - event["extent"]
+        headroom, _ = limiting_extent(rule.reagent_pattern, cell.contents)
+        extra = max(0.0, min(want, headroom))
+        apply_extent(state, cell, rule, extra)
+        return {
+            "kind": "action",
+            "action": "tune",
+            "op_index": event["op_index"],
+            "rule": rule.id,
+            "temp_delta": delta,
+            "extent_added": extra,
+            "cell": cell.name,
+            "temp": cell.temp,
+        }
+
+    def redose(self, op_index: int) -> dict | None:
+        """Intermediate shortfall: charge a fraction of a react step's dose
+        again and hold its conditions again. Returns the retriggered
+        reaction event, or None when there is nothing to redose (not a
+        react step, or an empty flask)."""
+        machine = self.machine
+        prims = machine.ops[op_index]
+        dose, eprim = prims[0], prims[-1]   # a react step's AM and its energy move
+        if not eprim.expects_reaction:
+            return None
+        decl = dose.reagent
+        state = machine.state
+        flask = state.cells[state.slot[decl.source_vessel]]
+        avail = flask.contents.get(decl.species, 0.0)
+        base = dose.amount if dose.amount is not None else avail
+        take = min(self.policy.redose_fraction * base, avail)
+        if take <= 1e-12:
+            return None
+        machine.step(dose._replace(amount=take))
+        return machine.step(eprim)
+
 
 @dataclass
 class DecResult:
@@ -293,7 +374,7 @@ class DecResult:
 
 
 def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
-                 policy: CorrectionPolicy | None = None, seed: int = 0,
+                 policy: CorrectionPolicy = DEFAULT_POLICY, seed: int = 0,
                  eps: float | None = None, corrections_enabled: bool = True,
                  budget: int = DEFAULT_BUDGET, explore: bool = False,
                  injector=None) -> DecResult:
@@ -304,78 +385,12 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
     record, but nothing is done about deviations: that is the baseline arm
     of any comparison.
     """
-    policy = policy or CorrectionPolicy()
     if injector is None:
         injector = BernoulliInjector(substream(seed, "inject"), eps)
-    sense_rng = substream(seed, "sense")
     machine = Machine(prog, db, seed=seed, explore=explore, budget=budget,
                       injector=injector)
-    redoses = reverts = 0           # against the policy's bounds
-    checkpoint = None               # taken before the first op
-    records, noise_sd = machine.records, policy.sensor_noise_sd
-
-    def handle_event(event: dict, op_index: int) -> bool:
-        """Sense one reaction event and correct until validated. Returns
-        False when the run reverted instead; a stop raises."""
-        nonlocal redoses, reverts
-        while True:
-            reading = sample_sensor(event, sense_rng, noise_sd)
-            rule = event["rule"]
-            records.append({"kind": "sensing", "op_index": op_index, "rule": rule,
-                            "reading": reading, "step": machine.state.step_count})
-            if not corrections_enabled:
-                return True
-            gap = 1.0 - reading if reading < 1.0 else 0.0
-            severity = classify_severity(gap, policy)
-            if severity is None:
-                return True
-            records.append({"kind": "deviation", "op_index": op_index, "rule": rule,
-                            "gap": gap, "severity": severity,
-                            "step": machine.state.step_count})
-
-            if severity == "minor":
-                records.append(_tune(machine, event, policy))
-                return True
-
-            if severity == "intermediate" \
-                    and redoses < policy.max_redoses:
-                records.append({"kind": "action", "action": "redose_extend",
-                                "op_index": op_index, "rule": rule,
-                                "step": machine.state.step_count})
-                redoses += 1
-                retried = _redose_retrigger(machine, op_index, policy)
-                if retried is not None:
-                    event = retried
-                    continue
-                # nothing left to redose with; escalate below
-
-            # major, or an intermediate with no redose budget left
-            if reverts < policy.max_reverts:
-                reverts += 1
-                records.append({"kind": "action", "action": "revert_replan",
-                                "op_index": op_index, "rule": rule,
-                                "step": machine.state.step_count})
-                machine.restore(checkpoint)
-                records.append({"kind": "revert", "op_index": op_index,
-                                "to_pc": machine.pc, "count": reverts,
-                                "step": machine.state.step_count})
-                return False
-
-            machine.fail("revert budget exhausted")
-
-    def after_op(op_index: int, events: list[dict]) -> None:
-        """Correct the op's reactions; checkpoint once they all validated,
-        and at the start of the run."""
-        nonlocal checkpoint
-        for event in events:
-            if not handle_event(event, op_index):
-                return
-        if op_index < 0 or (events and corrections_enabled):
-            checkpoint = machine.checkpoint()
-            records.append({"kind": "checkpoint", "op_index": op_index,
-                            "pc": machine.pc, "step": machine.state.step_count})
-
-    return DecResult(machine.execute(after_op), corrections_enabled)
+    corrector = Corrector(machine, policy, substream(seed, "sense"), corrections_enabled)
+    return DecResult(machine.execute(corrector.after_op), corrections_enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +407,7 @@ def sign_test(b: int, c: int) -> float:
 
 
 def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
-                        policy: CorrectionPolicy | None = None,
+                        policy: CorrectionPolicy = DEFAULT_POLICY,
                         eps: float | None = None, n_seeds: int = 200,
                         seed0: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """Paired comparison, same seeds with and without correction, each run
@@ -412,7 +427,6 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     `n_seeds` is below 1."""
     if n_seeds < 1:
         raise ValueError(f"seeds must be at least 1, not {n_seeds}")
-    policy = policy or CorrectionPolicy()
     b = 0  # corrected succeeded where baseline failed
     c = 0  # baseline succeeded where corrected failed
     wins_on = 0

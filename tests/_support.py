@@ -38,7 +38,7 @@ from chemvm.cstm import (
     AGITATE_S, CLEAN_CHARGE_MOL, DEFAULT_BUDGET, SEPARATE_CHARGE_MOL, SOAK_S, ExecutionTrace,
     MachineError, Primitive, run,
 )
-from chemvm.dec import CorrectionPolicy, run_with_dec, sign_test
+from chemvm.dec import DEFAULT_POLICY, CorrectionPolicy, run_with_dec, sign_test
 from chemvm.rules import (
     PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, _inputs_present, limiting_extent,
     load_rules, loads_rules,
@@ -693,12 +693,11 @@ def mc_configs() -> list[tuple[str, MonteCarloConfig]]:
 # The paired DEC loop's oracle
 
 def reference_evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
-                                  policy: CorrectionPolicy | None = None,
+                                  policy: CorrectionPolicy = DEFAULT_POLICY,
                                   eps: float | None = None, n_seeds: int = 200,
                                   seed0: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """`dec.evaluate_correction` as it was before it skipped the baseline
     runs that cannot differ: both arms run on every seed."""
-    policy = policy or CorrectionPolicy()
     b = 0  # corrected succeeded where baseline failed
     c = 0  # baseline succeeded where corrected failed
     wins_on = 0

@@ -395,6 +395,18 @@ def test_checkpoint_restore_is_bit_identical():
     assert m.rule_events == events
 
 
+def test_after_op_runs_once_after_each_op_in_order():
+    prog = parse_program(fixture_text("dec_3step.chem"))
+    db = load_rules(FIXTURES / "dec_chain.rules")
+    machine = Machine(prog, db, seed=0)
+    calls = []
+    machine.execute(lambda op_index, events: calls.append(op_index))
+    assert calls == list(range(len(machine.ops)))
+    # the correction loop takes its op -1 checkpoint itself, before the first op
+    assert run_with_dec(prog, db).trace.records[0] == \
+        {"kind": "checkpoint", "op_index": -1, "pc": 0, "step": 0}
+
+
 def test_restore_with_matter_in_the_transit_line():
     # a checkpoint between a transfer's SM and AM holds a in the line; by
     # the restore, the line holds the b a later SM moved into it

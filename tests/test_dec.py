@@ -288,6 +288,20 @@ def test_bernoulli_injector_is_seeded(chain):
     assert first.summary() == second.summary()
 
 
+def test_calls_without_a_policy_build_none(chain, monkeypatch):
+    # a policy checks all eight fields when built; the default is built once
+    built = []
+    check = CorrectionPolicy.__post_init__
+    monkeypatch.setattr(CorrectionPolicy, "__post_init__",
+                        lambda policy: built.append(policy) or check(policy))
+    prog, db = chain
+    run_with_dec(prog, db, eps=0.3, seed=1)
+    evaluate_correction(prog, db, eps=0.3, n_seeds=3)
+    assert built == []
+    CorrectionPolicy()
+    assert len(built) == 1
+
+
 def test_sign_test_exact_values():
     assert sign_test(8, 2) == pytest.approx(56 / 1024)
     assert sign_test(0, 0) == 1.0

@@ -1,7 +1,7 @@
 """The machine as a state machine: any interleaving of ops, checkpoints,
 restores to an earlier checkpoint, and injected faults answered by the
-correction layer keeps checkpoints exact and the ledger closed, and ends
-in a halt."""
+correction ladder, `dec.Corrector`, with its bounds, keeps checkpoints
+exact and the ledger closed, and ends in a halt."""
 
 import json
 
@@ -12,9 +12,7 @@ from hypothesis.stateful import (
 
 from chemvm.chemlang import parse_program
 from chemvm.cstm import HALT_KINDS, Machine, MachineError, build_ledger
-from chemvm.dec import (
-    CorrectionPolicy, ScriptedInjector, _redose_retrigger, _tune, classify_severity,
-)
+from chemvm.dec import CorrectionPolicy, Corrector, DecResult, ScriptedInjector
 from chemvm.jsonio import dumps_stable
 from chemvm.rules import load_rules
 
@@ -44,7 +42,6 @@ CASES = {
                   load_rules(FIXTURES / "dec_chain.rules")),
     "wash": (parse_program(WASH), load_rules(FIXTURES / "tiny.rules")),
 }
-POLICY = CorrectionPolicy()
 
 
 def _snapshot(ckpt: dict) -> str:
@@ -53,10 +50,15 @@ def _snapshot(ckpt: dict) -> str:
 
 
 class MachineSteps(RuleBasedStateMachine):
-    @initialize(case=st.sampled_from(sorted(CASES)))
-    def start(self, case):
+    @initialize(case=st.sampled_from(sorted(CASES)),
+                bounds=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def start(self, case, bounds):
         prog, db = CASES[case]
         self.machine = Machine(prog, db, seed=0)
+        # a noise-free sensor draws nothing, so the corrector is given no stream
+        policy = CorrectionPolicy(sensor_noise_sd=0.0, max_redoses=bounds[0],
+                                  max_reverts=bounds[1])
+        self.corrector = Corrector(self.machine, policy, None)
         # the current timeline's checkpoints: (checkpoint, snapshot, rule events)
         self.checkpoints = []
         self.take_checkpoint()
@@ -76,10 +78,10 @@ class MachineSteps(RuleBasedStateMachine):
             self.machine.halt_reason = str(exc)
             return []
 
-    def _restore(self, i: int) -> None:
+    def _restored(self, i: int) -> None:
+        """Check a restore to checkpoint i, which ends the timeline there."""
         ckpt, snapshot, events = self.checkpoints[i]
         del self.checkpoints[i + 1:]
-        self.machine.restore(ckpt)
         again = self.machine.checkpoint()
         assert _snapshot(again) == snapshot
         assert again["db"] is ckpt["db"]
@@ -100,39 +102,36 @@ class MachineSteps(RuleBasedStateMachine):
     @precondition(lambda self: self._running())
     @rule(data=st.data())
     def restore(self, data):
-        self._restore(data.draw(st.integers(0, len(self.checkpoints) - 1)))
+        i = data.draw(st.integers(0, len(self.checkpoints) - 1))
+        self.machine.restore(self.checkpoints[i][0])
+        self._restored(i)
 
     @precondition(lambda self: self._has_op())
     @rule(mode=st.sampled_from(["minor", "intermediate", "major"]))
     def fault(self, mode):
         """Run the next op with one injected fault and answer each reaction
-        it caused as the correction loop does, with a noise-free sensor: a
-        tune, a redose (a revert when there is nothing to redose with), or
-        a revert to the last checkpoint."""
+        it caused through the corrector, whose reverts go to the last
+        checkpoint taken here; past its bounds it stops the run."""
         machine = self.machine
         op_index = machine.pc
         machine.injector = ScriptedInjector([mode])
         events = self._run_op()
         machine.injector = None
-        for event in events:
-            while self._running():
-                reading = event["achieved_yield"] / event["expected_yield"]
-                severity = classify_severity(max(0.0, 1.0 - reading), POLICY)
-                if severity is None:
-                    break
-                if severity == "minor":
-                    machine.records.append(_tune(machine, event, POLICY))
-                    break
-                if severity == "intermediate":
-                    try:
-                        event = _redose_retrigger(machine, op_index, POLICY)
-                    except MachineError as exc:
-                        machine.halt_reason = str(exc)
-                        return
-                    if event is not None:
-                        continue
-                self._restore(len(self.checkpoints) - 1)
-                return
+        self.corrector.checkpoint = self.checkpoints[-1][0]
+        try:
+            for event in events:
+                if not self.corrector.answer(event, op_index):
+                    self._restored(len(self.checkpoints) - 1)
+                    return
+        except MachineError as exc:
+            machine.halt_reason = str(exc)
+
+    @precondition(lambda self: not self._running())
+    @rule()
+    def stopped(self):
+        """Keeps the state machine live once the run stopped: the ledger
+        closes on the workspace as the stop left it."""
+        assert build_ledger(self.machine.state).residual <= 1e-9
 
     @invariant()
     def checkpoint_events_are_a_prefix(self):
@@ -148,8 +147,11 @@ class MachineSteps(RuleBasedStateMachine):
         assert trace.records[-1]["kind"] == "halt"
         assert trace.ledger.residual <= 1e-9
         assert build_ledger(trace.state) == trace.ledger
+        counted = DecResult(trace)
+        assert (counted.redoses, counted.reverts) == \
+            (self.corrector.redoses, self.corrector.reverts)
 
 
 MachineSteps.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=20, deadline=None)
+    max_examples=60, stateful_step_count=30, deadline=None)
 test_machine_steps = MachineSteps.TestCase
