@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Paired correction-on versus correction-off comparison over a sweep of
-injected error rates. Each seed runs the corrected arm, and the baseline
-arm wherever it can differ (see `evaluate_correction`); the exact sign test
-on the discordant pairs says whether closing the loop helps."""
+injected error rates. Each seed runs the corrected arm once; where it
+deviates, the baseline arm is forked off it there and replays its draws
+(see `evaluate_correction`). The exact sign test on the discordant pairs
+says whether closing the loop helps."""
 
 import argparse
 import csv

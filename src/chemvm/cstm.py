@@ -71,6 +71,7 @@ amounts are a single "mol" scale.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Mapping
@@ -834,7 +835,7 @@ class Machine:
             "state": self.state.controller,
         }
 
-    # -- checkpointing (used by the recovery layer) -------------------------
+    # -- checkpoints (the recovery layer) and forks (the paired experiment) --
 
     def checkpoint(self) -> dict:
         st = self.state
@@ -874,6 +875,20 @@ class Machine:
         self.pc = ckpt["pc"]
         self.db = ckpt["db"]
         del self.rule_events[ckpt["rule_events_len"]:]
+
+    def fork(self) -> Machine:
+        """A copy that runs on apart from this machine, with its own cells,
+        transit line, books, records and rule events. It shares the rule
+        database, which a run replaces, never edits, and every stream."""
+        twin = copy.copy(self)
+        st = self.state
+        twin.state = MachineState(
+            [VesselCell(c.name, dict(c.contents), c.temp, c.energy_in, c.energy_out)
+             for c in st.cells], st.index, st.head, st.controller, dict(st.transit),
+            st.step_count, dict(st.stock_in), dict(st.consumed), dict(st.produced),
+            st.solvent_species, st.slot)
+        twin.records, twin.rule_events = list(self.records), list(self.rule_events)
+        return twin
 
     # -- driving and finalization ---------------------------------------------
 

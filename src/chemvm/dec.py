@@ -24,6 +24,10 @@ counts machine steps, those a redose adds and a revert re-runs included,
 and no record spends it: the trace records every sensing and correction,
 and the result reads its counts from the trace.
 
+`evaluate_correction` runs each seed's corrected run once: at its first
+deviation, where the two part, the run forks its baseline twin, which
+then replays the draws the run made after the fork.
+
 A policy file is a JSON object overriding some of the defaults; the
 policy checks every field's type and range and raises `PolicyError`, a
 `ValueError`.
@@ -31,6 +35,7 @@ policy checks every field's type and range and raises `PolicyError`, a
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -189,7 +194,10 @@ class Corrector:
     and tunes, redoses or reverts; `after_op` is `Machine.execute`'s hook.
     It takes the op -1 checkpoint when built, then one after each op whose
     reactions all validated; a revert restores the last, `checkpoint`.
-    `redoses` and `reverts` count against the policy's bounds."""
+    `redoses` and `reverts` count against the policy's bounds. `fork`, when
+    set, is called with each deviating event before it is answered."""
+
+    fork = None
 
     def __init__(self, machine: Machine, policy: CorrectionPolicy, sense_rng,
                  corrections_enabled: bool = True):
@@ -217,9 +225,9 @@ class Corrector:
         """Sense one reaction event and correct until validated. Returns
         False when the run reverted instead; a stop raises."""
         machine, policy, enabled = self.machine, self.policy, self.corrections_enabled
-        records, rng, noise_sd = machine.records, self.sense_rng, policy.sensor_noise_sd
+        records, noise_sd = machine.records, policy.sensor_noise_sd
         while True:
-            reading = sample_sensor(event, rng, noise_sd)
+            reading = sample_sensor(event, self.sense_rng, noise_sd)
             rule = event["rule"]
             records.append({"kind": "sensing", "op_index": op_index, "rule": rule,
                             "reading": reading, "step": machine.state.step_count})
@@ -229,6 +237,8 @@ class Corrector:
             severity = classify_severity(gap, policy)
             if severity is None:
                 return True
+            if self.fork is not None:
+                self.fork(event, op_index)
             records.append({"kind": "deviation", "op_index": op_index, "rule": rule,
                             "gap": gap, "severity": severity,
                             "step": machine.state.step_count})
@@ -396,6 +406,55 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
 # ---------------------------------------------------------------------------
 # Paired evaluation
 
+class _Tape:
+    """A seed's stream from the fork on (see `evaluate_correction`): it keeps
+    what the corrected run draws, then, once `replay` is set, hands it to the
+    twin before drawing on. Each stream is drawn through one call with fixed
+    arguments, so a value is its place's in either arm."""
+
+    def __init__(self, rng):
+        self.rng, self.kept, self.replay = rng, [], None
+
+    def random(self) -> float:
+        return self._draw(self.rng.random)
+
+    def gauss(self, mu: float, sigma: float) -> float:
+        return self._draw(self.rng.gauss, mu, sigma)
+
+    def _draw(self, call, *args) -> float:
+        if self.replay is None:
+            self.kept.append(x := call(*args))
+            return x
+        x = next(self.replay, None)
+        return call(*args) if x is None else x
+
+
+class _Paired(Corrector):
+    """A seed's corrected run, which forks its baseline `twin` at its first
+    deviation (see `evaluate_correction`)."""
+
+    twin = None
+
+    def after_op(self, op_index: int, events: list[dict]) -> None:
+        self.events = events
+        Corrector.after_op(self, op_index, events)
+
+    def fork(self, event: dict, op_index: int) -> None:
+        if self.twin is None:
+            injector = self.machine.injector
+            injector.rng, self.sense_rng = self.tapes = _Tape(injector.rng), _Tape(self.sense_rng)
+            twin = self.twin = copy.copy(self)
+            twin.machine, twin.corrections_enabled = self.machine.fork(), False
+            twin.rest = op_index, self.events[self.events.index(event) + 1:]
+
+    def twin_success(self) -> bool:
+        for tape in self.tapes:
+            tape.replay = iter(tape.kept)
+        twin = self.twin
+        twin.after_op(*twin.rest)
+        return DecResult(twin.machine.execute(twin.after_op), False).success
+
+
 def sign_test(b: int, c: int) -> float:
     """One-sided exact sign test on discordant pairs: probability of at
     least `b` successes out of b + c fair coin flips."""
@@ -403,7 +462,7 @@ def sign_test(b: int, c: int) -> float:
     if n == 0:
         return 1.0
     total = sum(math.comb(n, k) for k in range(b, n + 1))
-    return total / 2.0 ** n
+    return total / 2 ** n
 
 
 def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
@@ -413,39 +472,33 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     """Paired comparison, same seeds with and without correction, each run
     under a budget of `budget` machine steps. Returns success rates, the
     discordant counts and the exact sign-test p-value for "correction
-    helps".
+    helps". Raises ValueError when `n_seeds` is below 1.
 
-    The arms share each seed's `inject` and `sense` streams, so a baseline
-    run is made only where it can differ from its corrected twin. A
-    corrected run that wrote no deviation record took no correction: it
-    took the same machine steps and made the same reactions from the same
-    draws as its baseline, so it stopped where its baseline stops, on the
-    budget too. The two differ only by the corrected arm's checkpoint
-    records, which draw nothing, change no state and take no step. So the
-    baseline runs only when the corrected trace holds a deviation;
-    otherwise its success is the corrected run's. Raises ValueError when
-    `n_seeds` is below 1."""
+    Each seed's corrected run is made once and its baseline twin forked off
+    it. Both arms draw from the seed's `inject` and `sense` streams and take
+    the same steps on the same draws up to the run's first deviation (the
+    corrected arm's checkpoint records draw nothing, change no state and
+    take no step). There the run copies its machine (`Machine.fork`) for
+    the twin, and both streams keep what the run draws from then on. Once
+    the run halts, the twin senses the op's later events with corrections
+    off and runs on from the fork, on the kept values first, then on the
+    streams, which stand where its own would. A run with no deviation
+    stopped where its twin would, on the budget too: the twin's success is
+    the run's."""
     if n_seeds < 1:
         raise ValueError(f"seeds must be at least 1, not {n_seeds}")
-    b = 0  # corrected succeeded where baseline failed
-    c = 0  # baseline succeeded where corrected failed
-    wins_on = 0
-    wins_off = 0
-    for k in range(n_seeds):
-        seed = seed0 + k
-        on = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                          corrections_enabled=True, budget=budget)
-        if on.deviations:
-            off_success = run_with_dec(prog, db, policy=policy, seed=seed, eps=eps,
-                                       corrections_enabled=False, budget=budget).success
-        else:
-            off_success = on.success
-        wins_on += on.success
+    b = c = 0  # discordant pairs: corrected or baseline alone succeeded
+    wins_on = wins_off = 0
+    for seed in range(seed0, seed0 + n_seeds):
+        machine = Machine(prog, db, seed=seed, budget=budget,
+                          injector=BernoulliInjector(substream(seed, "inject"), eps))
+        on = _Paired(machine, policy, substream(seed, "sense"))
+        on_success = DecResult(machine.execute(on.after_op)).success
+        off_success = on_success if on.twin is None else on.twin_success()
+        wins_on += on_success
         wins_off += off_success
-        if on.success and not off_success:
-            b += 1
-        elif off_success and not on.success:
-            c += 1
+        b += on_success > off_success
+        c += off_success > on_success
     return {
         "n": n_seeds,
         "rate_corrected": wins_on / n_seeds,

@@ -1,5 +1,9 @@
 """Closed-loop error correction: severity classes, scripted fault scenarios,
-revert budgets, the paired sign test and its baseline skip, and policy I/O."""
+revert budgets, the paired sign test, the baseline twin forked at the first
+deviation, the paired rates against their closed forms, and policy I/O."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -309,6 +313,14 @@ def test_sign_test_exact_values():
     assert sign_test(0, 5) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("b, c", [(700, 400), (1024, 0), (1289, 84), (20, 1100)])
+def test_sign_test_past_a_float_power_of_two(b, c):
+    # 2.0 ** n overflows once b + c passes 1023; the tail is exact either way
+    n = b + c
+    exact = Fraction(sum(math.comb(n, k) for k in range(b, n + 1)), 2 ** n)
+    assert sign_test(b, c) == float(exact)
+
+
 def test_policy_io(tmp_path):
     assert load_policy(FIXTURES / "policy_default.json") == CorrectionPolicy()
     with pytest.raises(PolicyError, match=r"unknown field\(s\) \['bogus'\]"):
@@ -342,12 +354,16 @@ def test_evaluate_correction_small_sample(chain):
     }
 
 
-# the default policy; a noiseless sensor; and one that tunes every reading
-# the noise puts below 1
+# the default policy; a noiseless sensor; one that tunes every reading the
+# noise puts below 1; no revert or one; and no redose, so that an
+# intermediate gap escalates at once
 ORACLE_POLICIES = {
     "default": CorrectionPolicy(),
     "noiseless": CorrectionPolicy(sensor_noise_sd=0),
     "tune_all": CorrectionPolicy(minor_threshold=1e-9),
+    "no_reverts": CorrectionPolicy(max_reverts=0),
+    "one_revert": CorrectionPolicy(max_reverts=1),
+    "no_redoses": CorrectionPolicy(max_redoses=0),
 }
 
 
@@ -357,6 +373,36 @@ def test_evaluate_correction_matches_both_arms_run(chain, policy, eps):
     prog, db = chain
     kw = dict(policy=ORACLE_POLICIES[policy], eps=eps, n_seeds=200, seed0=1000)
     assert evaluate_correction(prog, db, **kw) == reference_evaluate_correction(prog, db, **kw)
+
+
+# one op that fires two reactions: the crystallise's heat runs r1 (a + b -> x)
+# and its cool r2 (x + c -> t)
+TWO_IN_ONE_OP = parse_program(
+    'procedure "two" {\n  reagents {\n    a: sp:a 1 mol @R1 reagent\n'
+    '    b: sp:b 1 mol @R2 reagent\n    c: sp:c 1 mol @R3 reagent\n  }\n  steps {\n'
+    '    add(vessel=RX1, reagent=a, amount=1 mol)\n'
+    '    add(vessel=RX1, reagent=b, amount=1 mol)\n'
+    '    add(vessel=RX1, reagent=c, amount=1 mol)\n'
+    '    crystallise(vessel=RX1, temp=80 C, cool_to=0 C, species=t, to=product)\n'
+    '  }\n}\n')
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5])
+@pytest.mark.parametrize("policy", sorted(ORACLE_POLICIES))
+def test_evaluate_correction_matches_both_arms_run_on_an_op_of_two_reactions(policy, eps):
+    kw = dict(policy=ORACLE_POLICIES[policy], eps=eps, n_seeds=100, seed0=2000)
+    assert evaluate_correction(TWO_IN_ONE_OP, TINY_DB, **kw) \
+        == reference_evaluate_correction(TWO_IN_ONE_OP, TINY_DB, **kw)
+
+
+def test_an_op_of_two_reactions_deviates_at_its_first():
+    # the twin of such a seed forks with the op's second reaction still to sense
+    first = []
+    for seed in range(2000, 2100):
+        res = run_with_dec(TWO_IN_ONE_OP, TINY_DB, eps=0.5, seed=seed)
+        if res.deviations:
+            first.append(res.deviations[0]["rule"])
+    assert first.count("r1") > 10 and "r2" in first
 
 
 def test_evaluate_correction_matches_both_arms_run_at_every_budget(chain):
@@ -369,26 +415,32 @@ def test_evaluate_correction_matches_both_arms_run_at_every_budget(chain):
     assert evaluate_correction(prog, db, eps=0.3, n_seeds=50, budget=1)["rate_corrected"] == 0.0
 
 
-def _record_runs(monkeypatch) -> list:
-    """Wrap `run_with_dec`; returns the list each run's `DecResult` is
+def _record_forks(monkeypatch) -> list:
+    """Wrap `Machine.fork`; returns the list each forked machine's seed is
     appended to."""
-    runs = []
-    inner = dec_module.run_with_dec
-    monkeypatch.setattr(dec_module, "run_with_dec",
-                        lambda *args, **kw: runs.append(inner(*args, **kw)) or runs[-1])
-    return runs
+    forks = []
+    fork = cstm.Machine.fork
+    monkeypatch.setattr(cstm.Machine, "fork",
+                        lambda machine: forks.append(machine.seed) or fork(machine))
+    return forks
 
 
-def test_baseline_runs_only_where_it_can_differ(chain, monkeypatch):
+def test_each_seed_seeds_its_streams_once_and_forks_at_a_deviation(chain, monkeypatch):
     prog, db = chain
-    runs = _record_runs(monkeypatch)
-    evaluate_correction(prog, db, eps=0.0, n_seeds=40)
-    assert [r.corrections_enabled for r in runs] == [True] * 40
-
-    runs.clear()
-    evaluate_correction(prog, db, eps=0.3, n_seeds=40)
-    assert sum(r.corrections_enabled for r in runs) == 40
-    assert 40 < len(runs) < 80
+    deviating = [seed for seed in range(40)
+                 if run_with_dec(prog, db, eps=0.3, seed=seed).deviations]
+    assert 0 < len(deviating) < 40
+    seeded = []
+    draw = dec_module.substream
+    monkeypatch.setattr(dec_module, "substream",
+                        lambda seed, *names: seeded.append((seed, names)) or draw(seed, *names))
+    forks = _record_forks(monkeypatch)
+    for eps, forked in [(0.0, []), (0.3, deviating)]:
+        seeded.clear()
+        forks.clear()
+        evaluate_correction(prog, db, eps=eps, n_seeds=40)
+        assert seeded == [(seed, (name,)) for seed in range(40) for name in ("inject", "sense")]
+        assert forks == forked, eps
 
 
 def test_a_long_program_completes_in_both_arms(monkeypatch):
@@ -402,12 +454,32 @@ def test_a_long_program_completes_in_both_arms(monkeypatch):
         + '    react_hot(vessel=RX1, reagent=b, amount=1 mol, temp=80 C, time=600 s)\n' * n
         + '    filter(vessel=RX1, species=x, to=product)\n  }\n}\n')
     db = load_rules(FIXTURES / "tiny.rules")
-    runs = _record_runs(monkeypatch)
+    forks = _record_forks(monkeypatch)
     out = evaluate_correction(prog, db, eps=0.0, n_seeds=1)
-    [on] = runs     # no deviation, so no baseline runs
+    assert forks == []      # no deviation, so no twin
+    on = run_with_dec(prog, db, eps=0.0, seed=0)
     off = run_with_dec(prog, db, eps=0.0, seed=0, corrections_enabled=False)
     assert on.corrections_enabled and on.halt == off.halt == "q_out"
     assert on.trace.records[-1]["step"] == off.trace.records[-1]["step"] == 2 * n + 2
     assert len(off.trace.records) < DEFAULT_BUDGET < len(on.trace.records)
     assert out == reference_evaluate_correction(prog, db, eps=0.0, n_seeds=1)
     assert (out["rate_corrected"], out["rate_baseline"]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2, 0.3, 0.5])
+def test_paired_rates_follow_their_closed_forms(chain, eps):
+    # dec_3step chains three reactions. A baseline reaction fails on a major
+    # error, 45% of errors. Under the default policy a corrected one reverts
+    # on a major or an intermediate error (f = 75% of errors), as no flask
+    # holds a second dose to redose with, and the run fails on a fourth
+    # revert: at most three failures before three successes
+    prog, db = chain
+    n = 1000
+    out = evaluate_correction(prog, db, eps=eps, n_seeds=n, seed0=50_000)
+    f = 0.75 * eps
+    predicted = {
+        "rate_baseline": (1 - 0.45 * eps) ** 3,
+        "rate_corrected": sum(math.comb(k + 2, k) * (1 - f) ** 3 * f ** k for k in range(4)),
+    }
+    for key, p in predicted.items():
+        assert abs(out[key] - p) <= 4 * math.sqrt(p * (1 - p) / n), (key, out[key], p)
