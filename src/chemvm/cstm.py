@@ -71,7 +71,6 @@ amounts are a single "mol" scale.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections.abc import Mapping
@@ -880,7 +879,8 @@ class Machine:
         """A copy that runs on apart from this machine, with its own cells,
         transit line, books, records and rule events. It shares the rule
         database, which a run replaces, never edits, and every stream."""
-        twin = copy.copy(self)
+        twin = object.__new__(Machine)
+        twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
         st = self.state
         twin.state = MachineState(
             [VesselCell(c.name, dict(c.contents), c.temp, c.energy_in, c.energy_out)

@@ -35,7 +35,6 @@ policy checks every field's type and range and raises `PolicyError`, a
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -435,19 +434,22 @@ class _Paired(Corrector):
 
     twin = None
 
-    def after_op(self, op_index: int, events: list[dict]) -> None:
-        self.events = events
-        Corrector.after_op(self, op_index, events)
-
     def fork(self, event: dict, op_index: int) -> None:
         if self.twin is None:
             injector = self.machine.injector
             injector.rng, self.sense_rng = self.tapes = _Tape(injector.rng), _Tape(self.sense_rng)
-            twin = self.twin = copy.copy(self)
+            twin = self.twin = object.__new__(_Paired)
+            twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
             twin.machine, twin.corrections_enabled = self.machine.fork(), False
-            twin.rest = op_index, self.events[self.events.index(event) + 1:]
+            # the op's reactions still to sense: its transition records after `event`
+            records = self.machine.records
+            at = len(records) - 1
+            while records[at] is not event:
+                at -= 1
+            twin.rest = op_index, [r for r in records[at + 1:] if r["kind"] == "transition"]
 
     def twin_success(self) -> bool:
+        """Run the twin on from the fork, once this run has halted."""
         for tape in self.tapes:
             tape.replay = iter(tape.kept)
         twin = self.twin
