@@ -438,7 +438,7 @@ class _Paired(Corrector):
         if self.twin is None:
             injector = self.machine.injector
             injector.rng, self.sense_rng = self.tapes = _Tape(injector.rng), _Tape(self.sense_rng)
-            twin = self.twin = object.__new__(_Paired)
+            twin = object.__new__(_Paired)
             twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
             twin.machine, twin.corrections_enabled = self.machine.fork(), False
             # the op's reactions still to sense: its transition records after `event`
@@ -447,6 +447,7 @@ class _Paired(Corrector):
             while records[at] is not event:
                 at -= 1
             twin.rest = op_index, [r for r in records[at + 1:] if r["kind"] == "transition"]
+            self.twin = twin        # set after the copy, so the twin does not hold itself
 
     def twin_success(self) -> bool:
         """Run the twin on from the fork, once this run has halted."""

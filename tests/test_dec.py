@@ -2,6 +2,7 @@
 revert budgets, the paired sign test, the baseline twin forked at the first
 deviation, the paired rates against their closed forms, and policy I/O."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -441,6 +442,19 @@ def test_each_seed_seeds_its_streams_once_and_forks_at_a_deviation(chain, monkey
         evaluate_correction(prog, db, eps=eps, n_seeds=40)
         assert seeded == [(seed, (name,)) for seed in range(40) for name in ("inject", "sense")]
         assert forks == forked, eps
+
+
+def test_forked_twins_leave_no_reference_cycles(chain):
+    # a twin that held itself would keep its machine until the cycle
+    # collector ran, and peak memory would grow with the seeds between runs
+    prog, db = chain
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate_correction(prog, db, eps=0.3, n_seeds=40)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_long_program_completes_in_both_arms(monkeypatch):
