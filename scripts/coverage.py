@@ -59,16 +59,22 @@ def main() -> int:
     files = {str(p): p for p in sorted(SRC.rglob("*.py"))}
     reached: dict[str, set[int]] = {name: set() for name in files}
 
-    def trace(frame, event, arg):
-        hits = reached.get(frame.f_code.co_filename)
-        if hits is None:
-            return None                # no line events for frames outside src/
-
+    def line_tracer(hits: set[int]):
         def local(frame, event, arg):
             if event == "line":
                 hits.add(frame.f_lineno)
             return local
+        return local
 
+    # one local tracer per file, made up front: a closure that returns itself
+    # is a reference cycle, and one made per call would leave garbage that
+    # tests asserting on `gc.collect()` would count
+    tracers = {name: (hits, line_tracer(hits)) for name, hits in reached.items()}
+
+    def trace(frame, event, arg):
+        hits, local = tracers.get(frame.f_code.co_filename, (None, None))
+        if hits is None:
+            return None                # no line events for frames outside src/
         hits.add(frame.f_lineno)       # the call event, on the def line
         return local
 

@@ -15,6 +15,23 @@ from chemvm.dec import DEFAULT_POLICY, evaluate_correction, load_policy
 from chemvm.rules import load_rules
 
 
+def _eps_values(text: str) -> list[float]:
+    """The sweep's error rates. Raises ValueError unless `text` names at
+    least one and each is a number in [0, 1]."""
+    values = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            eps = float(tok)
+        except ValueError:
+            raise ValueError(f"--eps: {tok!r} is not a number") from None
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"--eps: {tok} is not in [0, 1]")
+        values.append(eps)
+    if not values:
+        raise ValueError("--eps names no error rate")
+    return values
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("program", help=".chem program to stress")
@@ -26,10 +43,16 @@ def main() -> None:
     ap.add_argument("--out", help="write the sweep as CSV")
     args = ap.parse_args()
 
-    prog = parse_program(Path(args.program).read_text(encoding="utf-8"))
-    db = load_rules(args.rules)
-    policy = load_policy(args.policy) if args.policy else DEFAULT_POLICY
-    eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+    try:
+        eps_values = _eps_values(args.eps)
+        if args.n_seeds < 1:
+            raise ValueError(f"--n-seeds must be at least 1, not {args.n_seeds}")
+        prog = parse_program(Path(args.program).read_text(encoding="utf-8"))
+        db = load_rules(args.rules)
+        policy = load_policy(args.policy) if args.policy else DEFAULT_POLICY
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     rows = []
     print(f"{'eps':>6} {'corrected':>10} {'baseline':>10} {'b':>4} {'c':>4} {'p':>12}")

@@ -599,8 +599,8 @@ def apply_extent(state: MachineState, cell: VesselCell, rule: TransitionRule,
 # Ledger
 
 class LedgerReport(NamedTuple):
-    """A run's conservation ledger (see `build_ledger`), built once per
-    run; the halt record holds it as `_asdict()`, in field order."""
+    """A run's conservation ledger (see `build_ledger`), built by
+    `Machine.finalize`; the halt record holds it as `_asdict()`, in field order."""
     total_in: dict[str, float]       # stock drawn + reaction products
     total_consumed: dict[str, float]
     total_held: dict[str, float]     # working cells + transit line
@@ -696,7 +696,7 @@ class Machine:
     `step`. A run stops by raising MachineError: `step` raises when the
     budget of machine steps is spent, `execute_op` raises when the run
     stops, and a hook or a recovery layer stops the run with `fail`.
-    `execute` catches it and halts at q_fail with `halt_reason` set.
+    `drive` catches it into `halt_reason`, and the run halts at q_fail.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
@@ -893,28 +893,32 @@ class Machine:
     # -- driving and finalization ---------------------------------------------
 
     def execute(self, after_op=None) -> ExecutionTrace:
-        """Run the program from `pc` to its end and finalize. After each op,
-        never before the first, `after_op(op_index, events)` gets the
-        reaction records the op caused; it may stop the run or restore a
-        checkpoint (`dec.Corrector`). A stop (a MachineError from anywhere
-        in the run) halts the machine at q_fail, the first stop's message as
-        its reason, instead of raising: the trace accounts for the whole run."""
+        """Run the program from `pc` to its end (`drive`), then `finalize`."""
+        self.drive(after_op)
+        return self.finalize()
+
+    def drive(self, after_op=None) -> None:
+        """The run loop, from `pc` to the end. After each op, never before the
+        first, `after_op(op_index, events)` gets the op's reaction records; it may
+        stop the run or restore a checkpoint (`dec.Corrector`). A stop (a
+        MachineError from anywhere) sets `halt_reason` instead of raising."""
         try:
             while self.halt_reason is None and self.pc < len(self.ops):
-                op_index = self.pc
-                events = self.execute_op(op_index)
+                events = self.execute_op(op_index := self.pc)
                 if after_op is not None:
                     after_op(op_index, events)
         except MachineError as exc:
             if self.halt_reason is None:
                 self.halt_reason = str(exc)
-        return self.finalize()
 
-    def finalize(self) -> ExecutionTrace:
-        halt = "q_fail" if self.halt_reason is not None else worst_halt(
+    def halt(self) -> str:
+        """q_fail after a stop, else the worst halt of the applied rules."""
+        return "q_fail" if self.halt_reason is not None else worst_halt(
             _HALT_OF_STATUS[e["status_after"]] for e in self.rule_events
             if e["kind"] == "applied")
-        self.state.controller = halt
+
+    def finalize(self) -> ExecutionTrace:
+        halt = self.state.controller = self.halt()
         ledger = build_ledger(self.state)
         halt_record = {
             "kind": "halt",

@@ -24,9 +24,10 @@ counts machine steps, those a redose adds and a revert re-runs included,
 and no record spends it: the trace records every sensing and correction,
 and the result reads its counts from the trace.
 
-`evaluate_correction` runs each seed's corrected run once: at its first
-deviation, where the two part, the run forks its baseline twin, which
-then replays the draws the run made after the fork.
+`evaluate_correction` runs each seed's corrected run once and forks its
+baseline twin at its first deviation, where the two part; the twin
+replays the draws the run made after the fork. An arm reads only its
+halt and product (`succeeded`) and builds no trace.
 
 A policy file is a JSON object overriding some of the defaults; the
 policy checks every field's type and range and raises `PolicyError`, a
@@ -40,7 +41,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .chemlang import ChemProgram
-from .cstm import DEFAULT_BUDGET, ExecutionTrace, Machine, apply_extent
+from .cstm import DEFAULT_BUDGET, ExecutionTrace, Machine, MachineState, apply_extent
 from .jsonio import is_integer, is_number, loads_object
 from .rng import substream
 from .rules import RuleDatabase, limiting_extent
@@ -57,6 +58,7 @@ __all__ = [
     "sample_sensor",
     "classify_severity",
     "Corrector",
+    "succeeded",
     "DecResult",
     "run_with_dec",
     "sign_test",
@@ -155,17 +157,11 @@ class ScriptedInjector:
     once the script runs out."""
 
     def __init__(self, modes):
-        self.modes = list(modes)
-        self._i = 0
+        self.modes = iter(tuple(modes))
 
     def sample(self, rule) -> tuple[float, str | None]:
-        if self._i >= len(self.modes):
-            return 1.0, None
-        mode = self.modes[self._i]
-        self._i += 1
-        if mode is None:
-            return 1.0, None
-        return MODE_FACTORS[mode], mode
+        mode = next(self.modes, None)
+        return (1.0, None) if mode is None else (MODE_FACTORS[mode], mode)
 
 
 def sample_sensor(event: dict, rng, noise_sd: float) -> float:
@@ -325,6 +321,11 @@ class Corrector:
         return machine.step(eprim)
 
 
+def succeeded(halt: str, state: MachineState) -> bool:
+    """A q_out halt with product, summed as `LedgerReport.total_product` is."""
+    return halt == "q_out" and math.fsum(state.product_cell.contents.values()) > 0.0
+
+
 @dataclass
 class DecResult:
     """A run under sensing and correction. Everything but the arm flag is
@@ -346,7 +347,7 @@ class DecResult:
 
     @property
     def success(self) -> bool:
-        return self.halt == "q_out" and self.product_total > 0.0
+        return succeeded(self.halt, self.trace.state)
 
     @property
     def sensings(self) -> list[dict]:
@@ -449,13 +450,17 @@ class _Paired(Corrector):
             twin.rest = op_index, [r for r in records[at + 1:] if r["kind"] == "transition"]
             self.twin = twin        # set after the copy, so the twin does not hold itself
 
+    def success(self) -> bool:
+        """Drive the run to its halt, unfinalized, and read its success."""
+        self.machine.drive(self.after_op)
+        return succeeded(self.machine.halt(), self.machine.state)
+
     def twin_success(self) -> bool:
         """Run the twin on from the fork, once this run has halted."""
         for tape in self.tapes:
             tape.replay = iter(tape.kept)
-        twin = self.twin
-        twin.after_op(*twin.rest)
-        return DecResult(twin.machine.execute(twin.after_op), False).success
+        self.twin.after_op(*self.twin.rest)
+        return self.twin.success()
 
 
 def sign_test(b: int, c: int) -> float:
@@ -477,17 +482,18 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     discordant counts and the exact sign-test p-value for "correction
     helps". Raises ValueError when `n_seeds` is below 1.
 
-    Each seed's corrected run is made once and its baseline twin forked off
-    it. Both arms draw from the seed's `inject` and `sense` streams and take
-    the same steps on the same draws up to the run's first deviation (the
-    corrected arm's checkpoint records draw nothing, change no state and
-    take no step). There the run copies its machine (`Machine.fork`) for
-    the twin, and both streams keep what the run draws from then on. Once
-    the run halts, the twin senses the op's later events with corrections
-    off and runs on from the fork, on the kept values first, then on the
-    streams, which stand where its own would. A run with no deviation
-    stopped where its twin would, on the budget too: the twin's success is
-    the run's."""
+    Each seed's corrected run is made once and forks its baseline twin. Both
+    arms draw from the seed's `inject` and `sense` streams and take the same
+    steps on the same draws up to the run's first deviation (checkpoint
+    records draw nothing, change no state and take no step). There the run
+    copies its machine (`Machine.fork`) for the twin, and both streams keep
+    what the run draws from then on. Once the run halts, the twin senses the
+    op's later events with corrections off and runs on from the fork, on the
+    kept values first, then on the streams, which stand where its own would.
+    A run with no deviation stopped where its twin would, on the budget too:
+    the twin's success is the run's. Each arm is driven to its halt
+    (`Machine.drive`) and reads only the halt and its product (`succeeded`):
+    none builds a ledger, a halt record or a trace."""
     if n_seeds < 1:
         raise ValueError(f"seeds must be at least 1, not {n_seeds}")
     b = c = 0  # discordant pairs: corrected or baseline alone succeeded
@@ -496,7 +502,7 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
         machine = Machine(prog, db, seed=seed, budget=budget,
                           injector=BernoulliInjector(substream(seed, "inject"), eps))
         on = _Paired(machine, policy, substream(seed, "sense"))
-        on_success = DecResult(machine.execute(on.after_op)).success
+        on_success = on.success()
         off_success = on_success if on.twin is None else on.twin_success()
         wins_on += on_success
         wins_off += off_success

@@ -1,10 +1,15 @@
 """Closed-loop error correction: severity classes, scripted fault scenarios,
 revert budgets, the paired sign test, the baseline twin forked at the first
-deviation, the paired rates against their closed forms, and policy I/O."""
+deviation, the paired arms that build no ledger, the paired rates against
+their closed forms, the experiment script's input errors, and policy I/O."""
 
 import gc
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -416,6 +421,28 @@ def test_evaluate_correction_matches_both_arms_run_at_every_budget(chain):
     assert evaluate_correction(prog, db, eps=0.3, n_seeds=50, budget=1)["rate_corrected"] == 0.0
 
 
+PREDICTED = parse_program(fixture_text("predicted.chem"))
+PREDICTED_DB = load_rules(FIXTURES / "predicted.rules")
+
+
+def test_the_predicted_fixture_halts_unverified_with_product():
+    # its one rule is predicted and not yet seen, so a run that completes
+    # halts q_uout, which is no success, product or none
+    for corrections_enabled in (True, False):
+        res = run_with_dec(PREDICTED, PREDICTED_DB, eps=0.0,
+                           corrections_enabled=corrections_enabled)
+        assert (res.halt, res.success) == ("q_uout", False)
+        assert res.product_total > 0
+
+
+@pytest.mark.parametrize("eps", [None, 0.3, 1.0])
+@pytest.mark.parametrize("policy", sorted(ORACLE_POLICIES))
+def test_evaluate_correction_matches_both_arms_run_on_an_unverified_halt(policy, eps):
+    kw = dict(policy=ORACLE_POLICIES[policy], eps=eps, n_seeds=100, seed0=3000)
+    assert evaluate_correction(PREDICTED, PREDICTED_DB, **kw) \
+        == reference_evaluate_correction(PREDICTED, PREDICTED_DB, **kw)
+
+
 def _record_forks(monkeypatch) -> list:
     """Wrap `Machine.fork`; returns the list each forked machine's seed is
     appended to."""
@@ -442,6 +469,31 @@ def test_each_seed_seeds_its_streams_once_and_forks_at_a_deviation(chain, monkey
         evaluate_correction(prog, db, eps=eps, n_seeds=40)
         assert seeded == [(seed, (name,)) for seed in range(40) for name in ("inject", "sense")]
         assert forks == forked, eps
+
+
+def test_the_paired_arms_build_no_ledger(chain, monkeypatch):
+    # an arm reads its halt and its product off the machine: neither the
+    # corrected run nor its twin is finalized, so none builds a ledger
+    prog, db = chain
+    calls = {"build_ledger": 0, "finalize": 0}
+    build_ledger, finalize = cstm.build_ledger, cstm.Machine.finalize
+
+    def counted(name, call):
+        def wrapper(arg):
+            calls[name] += 1
+            return call(arg)
+        return wrapper
+
+    monkeypatch.setattr(cstm, "build_ledger", counted("build_ledger", build_ledger))
+    monkeypatch.setattr(cstm.Machine, "finalize", counted("finalize", finalize))
+    run_with_dec(prog, db, eps=0.3)
+    assert calls == {"build_ledger": 1, "finalize": 1}
+    forks = _record_forks(monkeypatch)
+    for eps in (0.0, 0.3):
+        calls.update(build_ledger=0, finalize=0)
+        evaluate_correction(prog, db, eps=eps, n_seeds=40)
+        assert calls == {"build_ledger": 0, "finalize": 0}, eps
+    assert forks       # the twins ran too
 
 
 def test_forked_twins_leave_no_reference_cycles(chain):
@@ -497,3 +549,24 @@ def test_paired_rates_follow_their_closed_forms(chain, eps):
     }
     for key, p in predicted.items():
         assert abs(out[key] - p) <= 4 * math.sqrt(p * (1 - p) / n), (key, out[key], p)
+
+
+EXPERIMENT = FIXTURES.parent / "scripts" / "run_dec_experiment.py"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--eps", ""], "--eps names no error rate"),
+    (["--n-seeds", "0"], "--n-seeds must be at least 1, not 0"),
+    (["--eps", "0.1,1.5"], "--eps: 1.5 is not in [0, 1]"),
+    (["--eps", "0.1,abc"], "--eps: 'abc' is not a number"),
+])
+def test_the_experiment_script_rejects_bad_input(tmp_path, args, message):
+    # one error line and exit 2, before any row is run or the CSV is written
+    out_csv = tmp_path / "sweep.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(cstm.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, str(EXPERIMENT), str(FIXTURES / "dec_3step.chem"),
+         str(FIXTURES / "dec_chain.rules"), *args, "--out", str(out_csv)],
+        capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+    assert not out_csv.exists()

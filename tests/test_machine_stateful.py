@@ -71,7 +71,7 @@ class MachineSteps(RuleBasedStateMachine):
 
     def _run_op(self) -> list[dict]:
         """The next op's reaction records; a stop halts the machine, as
-        `Machine.execute` does."""
+        `Machine.drive` does."""
         try:
             return self.machine.execute_op(self.machine.pc)
         except MachineError as exc:
