@@ -10,7 +10,7 @@ import csv
 import sys
 from pathlib import Path
 
-from chemvm.chemlang import parse_program
+from chemvm.chemlang import ParseError, parse_program
 from chemvm.dec import DEFAULT_POLICY, evaluate_correction, load_policy
 from chemvm.rules import load_rules
 
@@ -50,6 +50,9 @@ def main() -> None:
         prog = parse_program(Path(args.program).read_text(encoding="utf-8"))
         db = load_rules(args.rules)
         policy = load_policy(args.policy) if args.policy else DEFAULT_POLICY
+    except ParseError as exc:            # exit codes as `chemvm`'s
+        print(f"parse error: {exc}", file=sys.stderr)
+        sys.exit(1)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

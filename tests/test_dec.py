@@ -554,6 +554,13 @@ def test_paired_rates_follow_their_closed_forms(chain, eps):
 EXPERIMENT = FIXTURES.parent / "scripts" / "run_dec_experiment.py"
 
 
+def _experiment(program: Path, *args: str):
+    env = {**os.environ, "PYTHONPATH": str(Path(cstm.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, str(EXPERIMENT), str(program), str(FIXTURES / "dec_chain.rules"),
+         *args], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("args, message", [
     (["--eps", ""], "--eps names no error rate"),
     (["--n-seeds", "0"], "--n-seeds must be at least 1, not 0"),
@@ -563,10 +570,15 @@ EXPERIMENT = FIXTURES.parent / "scripts" / "run_dec_experiment.py"
 def test_the_experiment_script_rejects_bad_input(tmp_path, args, message):
     # one error line and exit 2, before any row is run or the CSV is written
     out_csv = tmp_path / "sweep.csv"
-    env = {**os.environ, "PYTHONPATH": str(Path(cstm.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, str(EXPERIMENT), str(FIXTURES / "dec_3step.chem"),
-         str(FIXTURES / "dec_chain.rules"), *args, "--out", str(out_csv)],
-        capture_output=True, text=True, env=env)
+    out = _experiment(FIXTURES / "dec_3step.chem", *args, "--out", str(out_csv))
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
     assert not out_csv.exists()
+
+
+def test_the_experiment_script_reports_a_parse_error(tmp_path):
+    # as `chemvm` does: one line and exit 1
+    bad = tmp_path / "bad.chem"
+    bad.write_text('procedure "x" {\n  steps { bogus( }\n}\n', encoding="utf-8")
+    out = _experiment(bad, "--n-seeds", "1")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("parse error: 2:11: ") and out.stderr.count("\n") == 1
