@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Monte Carlo detectability sweep: copy-number decay versus assembly index
 under drifting, jittered per-step error rates. Writes the CSV table and an
-SVG plot, and prints the detection horizon for a chosen instrument floor."""
+SVG plot, and prints the detection horizon for a chosen instrument floor.
+A bad config, seed or floor exits 2 with one `error:` line and writes no file."""
 
 import argparse
 import dataclasses
+import sys
 from pathlib import Path
 
 from chemvm.assembly import (
@@ -30,10 +32,12 @@ def main() -> None:
         config = load_mc_config(args.config) if args.config else MonteCarloConfig()
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+        result = monte_carlo(config)
+        horizon = detection_horizon(result, args.phi)
+    except (OSError, ValueError) as exc:    # exit codes as `chemvm`'s
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
-    result = monte_carlo(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "mc.csv").write_text(mc_to_csv(result), encoding="utf-8")
@@ -41,7 +45,7 @@ def main() -> None:
     print(f"wrote {out / 'mc.csv'} and {out / 'mc.svg'}")
 
     print(f"detection horizon at phi = {args.phi:g} copies:")
-    for eps0, ai in sorted(detection_horizon(result, args.phi).items()):
+    for eps0, ai in sorted(horizon.items()):
         where = "never falls below" if ai is None else f"undetectable past a = {ai}"
         print(f"  eps0 = {eps0:<6g} {where}")
 

@@ -216,6 +216,8 @@ def monte_carlo(config: MonteCarloConfig | None = None) -> MCResult:
 def detection_horizon(result: MCResult, phi: float = 1.0) -> dict[float, int | None]:
     """Per eps0, the smallest assembly index whose mean copy number falls
     below phi; None when the population stays detectable throughout."""
+    if not (phi > 0 and math.isfinite(phi)):
+        raise ValueError("detection threshold must be positive and finite")
     out: dict[float, int | None] = {}
     for eps0, row in result.mean_n.items():
         below = (row < phi).nonzero()[0]

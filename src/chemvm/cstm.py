@@ -697,6 +697,8 @@ class Machine:
     budget of machine steps is spent, `execute_op` raises when the run
     stops, and a hook or a recovery layer stops the run with `fail`.
     `drive` catches it into `halt_reason`, and the run halts at q_fail.
+    `records` is None in a run that keeps no trace (the paired experiment's):
+    it writes no record, and `execute` and `finalize` are for runs that do.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
@@ -723,7 +725,7 @@ class Machine:
         self.state = init_machine(prog, bindings)
         lowering = lower_program(prog)
         self.ops = lowering.ops
-        self.records: list[dict] = []
+        self.records: list[dict] | None = []
         self.rule_events: list[dict] = []
         self.halt_reason: str | None = lowering.error   # set once the run stops
         self.pc = 0
@@ -734,25 +736,28 @@ class Machine:
 
     def fail(self, reason: str, record: dict | None = None) -> NoReturn:
         """Stop the run: write `record`, if any, then raise MachineError(reason)."""
-        if record is not None:
+        if record is not None and self.records is not None:
             self.records.append(record)
         raise MachineError(reason)
 
     def step(self, prim: Primitive) -> dict | None:
         """One machine step: the budget check, the primitive's movement
         resolved against the tape (`movement`), the pre hook, the move and
-        its record (`apply_primitive`), the reaction check when the
-        primitive dwells, and the post hook. Returns the transition record
-        of the reaction it ran, or None. A spent budget or a pre hook stops
-        the run before the primitive runs."""
+        its record (`apply_primitive`, or `step_tape` alone in a run with
+        no trace), the reaction check when the primitive dwells, and the
+        post hook. Returns the transition record of the reaction it ran, or
+        None. A spent budget or a pre hook stops the run before it runs."""
         state = self.state
         if state.step_count >= self.budget:
             self.fail("budget exhausted")
         move = None if prim.ends is None else movement(state, prim)
         if self.pre_primitive is not None:
             self.pre_primitive(self, prim, move)
-        record, filled = apply_primitive(state, prim, move)
-        self.records.append(record)
+        if self.records is None:
+            filled = step_tape(state, prim, move)
+        else:
+            record, filled = apply_primitive(state, prim, move)
+            self.records.append(record)
         event = self._react(prim) if prim.duration > 0 else None
         if self.post_primitive is not None:
             self.post_primitive(self, prim, filled)
@@ -772,7 +777,7 @@ class Machine:
 
     def _react(self, prim: Primitive) -> dict | None:
         """Run the reaction the conditions of `prim` trigger in the cell
-        under the head and record it; None when no reaction runs. A
+        under the head and return its transition record; None when none runs. A
         reaction step that matches nothing stops the run."""
         state = self.state
         cell = state.cells[state.head]
@@ -814,7 +819,8 @@ class Machine:
             achieved_yield=extent / m.extent if m.extent > 0 else 0.0)
         if mode is not None:
             record["injected"] = mode
-        self.records.append(record)
+        if self.records is not None:
+            self.records.append(record)
         return record
 
     def _transition(self, prim: Primitive, cell: VesselCell, rule_id: str | None,
@@ -877,8 +883,8 @@ class Machine:
 
     def fork(self) -> Machine:
         """A copy that runs on apart from this machine, with its own cells,
-        transit line, books, records and rule events. It shares the rule
-        database, which a run replaces, never edits, and every stream."""
+        transit line, books, rule events and trace, if it keeps one. It shares
+        the rule database, which a run replaces, never edits, and every stream."""
         twin = object.__new__(Machine)
         twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
         st = self.state
@@ -887,7 +893,8 @@ class Machine:
              for c in st.cells], st.index, st.head, st.controller, dict(st.transit),
             st.step_count, dict(st.stock_in), dict(st.consumed), dict(st.produced),
             st.solvent_species, st.slot)
-        twin.records, twin.rule_events = list(self.records), list(self.rule_events)
+        twin.records = None if self.records is None else list(self.records)
+        twin.rule_events = list(self.rule_events)
         return twin
 
     # -- driving and finalization ---------------------------------------------

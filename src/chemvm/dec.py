@@ -26,8 +26,8 @@ and the result reads its counts from the trace.
 
 `evaluate_correction` runs each seed's corrected run once and forks its
 baseline twin at its first deviation, where the two part; the twin
-replays the draws the run made after the fork. An arm reads only its
-halt and product (`succeeded`) and builds no trace.
+replays the draws the run made after the fork. An arm's machine keeps no
+trace (`records` is None): it reads only its halt and product (`succeeded`).
 
 A policy file is a JSON object overriding some of the defaults; the
 policy checks every field's type and range and raises `PolicyError`, a
@@ -203,11 +203,15 @@ class Corrector:
         self.redoses = self.reverts = 0
         self._take_checkpoint(-1)
 
+    def _write(self, record: dict) -> None:     # to the machine's trace, if it keeps one
+        if self.machine.records is not None:
+            self.machine.records.append(record)
+
     def _take_checkpoint(self, op_index: int) -> None:
         machine = self.machine
         self.checkpoint = machine.checkpoint()
-        machine.records.append({"kind": "checkpoint", "op_index": op_index,
-                                "pc": machine.pc, "step": machine.state.step_count})
+        self._write({"kind": "checkpoint", "op_index": op_index,
+                     "pc": machine.pc, "step": machine.state.step_count})
 
     def after_op(self, op_index: int, events: list[dict]) -> None:
         for event in events:
@@ -220,12 +224,12 @@ class Corrector:
         """Sense one reaction event and correct until validated. Returns
         False when the run reverted instead; a stop raises."""
         machine, policy, enabled = self.machine, self.policy, self.corrections_enabled
-        records, noise_sd = machine.records, policy.sensor_noise_sd
+        write, noise_sd = self._write, policy.sensor_noise_sd
         while True:
             reading = sample_sensor(event, self.sense_rng, noise_sd)
             rule = event["rule"]
-            records.append({"kind": "sensing", "op_index": op_index, "rule": rule,
-                            "reading": reading, "step": machine.state.step_count})
+            write({"kind": "sensing", "op_index": op_index, "rule": rule,
+                   "reading": reading, "step": machine.state.step_count})
             if not enabled:
                 return True
             gap = 1.0 - reading if reading < 1.0 else 0.0
@@ -234,19 +238,16 @@ class Corrector:
                 return True
             if self.fork is not None:
                 self.fork(event, op_index)
-            records.append({"kind": "deviation", "op_index": op_index, "rule": rule,
-                            "gap": gap, "severity": severity,
-                            "step": machine.state.step_count})
+            write({"kind": "deviation", "op_index": op_index, "rule": rule,
+                   "gap": gap, "severity": severity, "step": machine.state.step_count})
 
             if severity == "minor":
-                records.append(self.tune(event))
+                write(self.tune(event))
                 return True
 
-            if severity == "intermediate" \
-                    and self.redoses < policy.max_redoses:
-                records.append({"kind": "action", "action": "redose_extend",
-                                "op_index": op_index, "rule": rule,
-                                "step": machine.state.step_count})
+            if severity == "intermediate" and self.redoses < policy.max_redoses:
+                write({"kind": "action", "action": "redose_extend", "op_index": op_index,
+                       "rule": rule, "step": machine.state.step_count})
                 self.redoses += 1
                 retried = self.redose(op_index)
                 if retried is not None:
@@ -257,13 +258,11 @@ class Corrector:
             # major, or an intermediate with no redose budget left
             if self.reverts < policy.max_reverts:
                 self.reverts += 1
-                records.append({"kind": "action", "action": "revert_replan",
-                                "op_index": op_index, "rule": rule,
-                                "step": machine.state.step_count})
+                write({"kind": "action", "action": "revert_replan", "op_index": op_index,
+                       "rule": rule, "step": machine.state.step_count})
                 machine.restore(self.checkpoint)
-                records.append({"kind": "revert", "op_index": op_index,
-                                "to_pc": machine.pc, "count": self.reverts,
-                                "step": machine.state.step_count})
+                write({"kind": "revert", "op_index": op_index, "to_pc": machine.pc,
+                       "count": self.reverts, "step": machine.state.step_count})
                 return False
 
             machine.fail("revert budget exhausted")
@@ -435,6 +434,10 @@ class _Paired(Corrector):
 
     twin = None
 
+    def after_op(self, op_index: int, events: list[dict]) -> None:
+        self.events = events        # for `fork`: the op's reactions after the deviation
+        Corrector.after_op(self, op_index, events)
+
     def fork(self, event: dict, op_index: int) -> None:
         if self.twin is None:
             injector = self.machine.injector
@@ -442,12 +445,8 @@ class _Paired(Corrector):
             twin = object.__new__(_Paired)
             twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
             twin.machine, twin.corrections_enabled = self.machine.fork(), False
-            # the op's reactions still to sense: its transition records after `event`
-            records = self.machine.records
-            at = len(records) - 1
-            while records[at] is not event:
-                at -= 1
-            twin.rest = op_index, [r for r in records[at + 1:] if r["kind"] == "transition"]
+            events = self.events
+            twin.rest = op_index, events[next(i for i, e in enumerate(events) if e is event) + 1:]
             self.twin = twin        # set after the copy, so the twin does not hold itself
 
     def success(self) -> bool:
@@ -484,16 +483,16 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
 
     Each seed's corrected run is made once and forks its baseline twin. Both
     arms draw from the seed's `inject` and `sense` streams and take the same
-    steps on the same draws up to the run's first deviation (checkpoint
-    records draw nothing, change no state and take no step). There the run
+    steps on the same draws up to the run's first deviation (checkpoints
+    draw nothing, change no state and take no step). There the run
     copies its machine (`Machine.fork`) for the twin, and both streams keep
     what the run draws from then on. Once the run halts, the twin senses the
     op's later events with corrections off and runs on from the fork, on the
     kept values first, then on the streams, which stand where its own would.
     A run with no deviation stopped where its twin would, on the budget too:
     the twin's success is the run's. Each arm is driven to its halt
-    (`Machine.drive`) and reads only the halt and its product (`succeeded`):
-    none builds a ledger, a halt record or a trace."""
+    (`Machine.drive`) and reads only the halt and its product (`succeeded`);
+    no machine keeps a trace (`records` is None) or builds a ledger."""
     if n_seeds < 1:
         raise ValueError(f"seeds must be at least 1, not {n_seeds}")
     b = c = 0  # discordant pairs: corrected or baseline alone succeeded
@@ -501,6 +500,7 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     for seed in range(seed0, seed0 + n_seeds):
         machine = Machine(prog, db, seed=seed, budget=budget,
                           injector=BernoulliInjector(substream(seed, "inject"), eps))
+        machine.records = None
         on = _Paired(machine, policy, substream(seed, "sense"))
         on_success = on.success()
         off_success = on_success if on.twin is None else on.twin_success()

@@ -2,12 +2,18 @@
 
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemvm import assembly
 from chemvm.assembly import (
     _SUM_BLOCK,
     DEFAULT_EPS0,
@@ -25,7 +31,7 @@ from chemvm.assembly import (
 )
 from chemvm.jsonio import fmt_num
 
-from _support import mc_configs, reference_monte_carlo
+from _support import FIXTURES, mc_configs, reference_monte_carlo
 
 
 def test_survival_fraction_frozen_oracle():
@@ -196,6 +202,74 @@ def test_detection_horizon_semantics(small_result):
             idx = small_result.assembly_indices.index(ai)
             assert row[idx] < phi
             assert np.all(row[:idx] >= phi)
+
+
+@pytest.mark.parametrize("phi", [0.0, -1.0, math.nan, math.inf])
+def test_detection_horizon_rejects_a_floor_that_is_not_positive_and_finite(small_result, phi):
+    # no mean copy number falls below such a floor, so without the check
+    # every row would read None, "never falls below"
+    with pytest.raises(ValueError, match="detection threshold must be positive and finite"):
+        detection_horizon(small_result, phi)
+
+
+EXPERIMENT = FIXTURES.parent / "scripts" / "run_mc_experiment.py"
+
+
+def _experiment(*args: str):
+    env = {**os.environ, "PYTHONPATH": str(Path(assembly.__file__).parents[1])}
+    return subprocess.run([sys.executable, str(EXPERIMENT), *args],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.fixture()
+def small_config(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"n_trajectories": 8, "ai_max": 4}), encoding="utf-8")
+    return str(path)
+
+
+def test_the_mc_script_rejects_a_config_with_an_unknown_field(tmp_path):
+    # exit 2 and one error line, as `chemvm mc` does, and no file written
+    config = tmp_path / "bad.json"
+    config.write_text('{"n_traj": -1}', encoding="utf-8")
+    out = _experiment("--config", str(config), "--out-dir", str(tmp_path / "out"))
+    assert (out.returncode, out.stdout, out.stderr) == \
+        (2, "", f"error: {config}: unknown field(s) ['n_traj']\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_mc_script_rejects_a_missing_config(tmp_path):
+    missing = tmp_path / "missing.json"
+    out = _experiment("--config", str(missing), "--out-dir", str(tmp_path / "out"))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert str(missing) in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_mc_script_rejects_a_negative_seed(tmp_path, small_config):
+    out = _experiment("--config", small_config, "--seed", "-3",
+                      "--out-dir", str(tmp_path / "out"))
+    assert (out.returncode, out.stdout, out.stderr) == \
+        (2, "", "error: seed must be an integer >= 0\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("phi", ["-1", "nan"])
+def test_the_mc_script_rejects_a_floor_that_is_not_positive_and_finite(
+        tmp_path, small_config, phi):
+    out = _experiment("--config", small_config, "--phi", phi,
+                      "--out-dir", str(tmp_path / "out"))
+    assert (out.returncode, out.stdout, out.stderr) == \
+        (2, "", "error: detection threshold must be positive and finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_mc_script_writes_its_table_and_plot(tmp_path, small_config):
+    out = _experiment("--config", small_config, "--out-dir", str(tmp_path / "out"))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["mc.csv", "mc.svg"]
+    assert "detection horizon at phi = 1e+06 copies:" in out.stdout
 
 
 # populations at the edges of the kernel's summing tiles, with and without

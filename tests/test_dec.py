@@ -496,6 +496,28 @@ def test_the_paired_arms_build_no_ledger(chain, monkeypatch):
     assert forks       # the twins ran too
 
 
+def test_the_paired_arms_write_no_record(chain, monkeypatch):
+    # a paired machine keeps no trace: no step makes a primitive record and
+    # its contents copy, and neither the run nor its twin holds a record list
+    prog, db = chain
+    calls = []
+    apply_primitive = cstm.apply_primitive
+    monkeypatch.setattr(cstm, "apply_primitive",
+                        lambda *args: calls.append(1) or apply_primitive(*args))
+    records = run_with_dec(prog, db, eps=0.3).trace.records
+    assert len(calls) == sum(r["kind"] == "primitive" for r in records) > 0
+    calls.clear()
+    machines = []
+    success = dec_module._Paired.success
+    monkeypatch.setattr(dec_module._Paired, "success",
+                        lambda paired: machines.append(paired.machine) or success(paired))
+    forks = _record_forks(monkeypatch)
+    evaluate_correction(prog, db, eps=0.3, n_seeds=40)
+    assert calls == []
+    assert forks and len(machines) == 40 + len(forks)      # every run and every twin
+    assert all(machine.records is None for machine in machines)
+
+
 def test_forked_twins_leave_no_reference_cycles(chain):
     # a twin that held itself would keep its machine until the cycle
     # collector ran, and peak memory would grow with the seeds between runs
