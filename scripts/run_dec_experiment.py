@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Paired correction-on versus correction-off comparison over a sweep of
-injected error rates. Each seed runs the corrected arm once; where it
-deviates, the baseline arm is forked off it there and replays its draws
-(see `evaluate_correction`). The exact sign test on the discordant pairs
-says whether closing the loop helps."""
+injected error rates. Both arms of a seed run on its same draws. An arm's
+state is a function of its draws' classes (each injection's mode, each
+sensing's severity), so each arm walks an outcome tree of those classes
+and runs the machine once per distinct class path, per arm, per eps, not
+once per seed (see `evaluate_correction`). The exact sign test on the
+discordant pairs says whether closing the loop helps."""
 
 import argparse
 import csv

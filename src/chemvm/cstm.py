@@ -840,7 +840,7 @@ class Machine:
             "state": self.state.controller,
         }
 
-    # -- checkpoints (the recovery layer) and forks (the paired experiment) --
+    # -- checkpoints (the recovery layer) -----------------------------------
 
     def checkpoint(self) -> dict:
         st = self.state
@@ -880,22 +880,6 @@ class Machine:
         self.pc = ckpt["pc"]
         self.db = ckpt["db"]
         del self.rule_events[ckpt["rule_events_len"]:]
-
-    def fork(self) -> Machine:
-        """A copy that runs on apart from this machine, with its own cells,
-        transit line, books, rule events and trace, if it keeps one. It shares
-        the rule database, which a run replaces, never edits, and every stream."""
-        twin = object.__new__(Machine)
-        twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
-        st = self.state
-        twin.state = MachineState(
-            [VesselCell(c.name, dict(c.contents), c.temp, c.energy_in, c.energy_out)
-             for c in st.cells], st.index, st.head, st.controller, dict(st.transit),
-            st.step_count, dict(st.stock_in), dict(st.consumed), dict(st.produced),
-            st.solvent_species, st.slot)
-        twin.records = None if self.records is None else list(self.records)
-        twin.rule_events = list(self.rule_events)
-        return twin
 
     # -- driving and finalization ---------------------------------------------
 

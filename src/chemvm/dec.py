@@ -24,10 +24,9 @@ counts machine steps, those a redose adds and a revert re-runs included,
 and no record spends it: the trace records every sensing and correction,
 and the result reads its counts from the trace.
 
-`evaluate_correction` runs each seed's corrected run once and forks its
-baseline twin at its first deviation, where the two part; the twin
-replays the draws the run made after the fork. An arm's machine keeps no
-trace (`records` is None): it reads only its halt and product (`succeeded`).
+`evaluate_correction` runs an arm's machine once per distinct path of
+classes (each injection's mode, each sensing's severity), not once per
+seed, as an arm's state is a function of those classes (see its docstring).
 
 A policy file is a JSON object overriding some of the defaults; the
 policy checks every field's type and range and raises `PolicyError`, a
@@ -55,7 +54,6 @@ __all__ = [
     "BernoulliInjector",
     "ScriptedInjector",
     "MODE_FACTORS",
-    "sample_sensor",
     "classify_severity",
     "Corrector",
     "succeeded",
@@ -143,13 +141,15 @@ class BernoulliInjector:
         self.eps = eps
 
     def sample(self, rule) -> tuple[float, str | None]:
-        eps = rule.epsilon if self.eps is None else self.eps
+        mode = self.misfire(rule.epsilon if self.eps is None else self.eps)
+        return (1.0, None) if mode is None else (MODE_FACTORS[mode], mode)
+
+    def misfire(self, eps: float) -> str | None:
+        """Draw one attempt at error rate `eps`: the mode it misfires in, or None."""
         if self.rng.random() >= eps:
-            return 1.0, None
+            return None
         w = self.rng.random()
-        mode = "minor" if w < _MINOR_CUT else \
-            "intermediate" if w < _INTERMEDIATE_CUT else "major"
-        return MODE_FACTORS[mode], mode
+        return "minor" if w < _MINOR_CUT else "intermediate" if w < _INTERMEDIATE_CUT else "major"
 
 
 class ScriptedInjector:
@@ -162,13 +162,6 @@ class ScriptedInjector:
     def sample(self, rule) -> tuple[float, str | None]:
         mode = next(self.modes, None)
         return (1.0, None) if mode is None else (MODE_FACTORS[mode], mode)
-
-
-def sample_sensor(event: dict, rng, noise_sd: float) -> float:
-    """Achieved/expected yield ratio for a reaction event, with noise."""
-    expected = event.get("expected_yield") or 1.0
-    achieved = event.get("achieved_yield", 0.0)
-    return achieved / expected + (rng.gauss(0.0, noise_sd) if noise_sd else 0.0)
 
 
 def classify_severity(gap: float, policy: CorrectionPolicy) -> str | None:
@@ -189,10 +182,7 @@ class Corrector:
     and tunes, redoses or reverts; `after_op` is `Machine.execute`'s hook.
     It takes the op -1 checkpoint when built, then one after each op whose
     reactions all validated; a revert restores the last, `checkpoint`.
-    `redoses` and `reverts` count against the policy's bounds. `fork`, when
-    set, is called with each deviating event before it is answered."""
-
-    fork = None
+    `redoses` and `reverts` count against the policy's bounds."""
 
     def __init__(self, machine: Machine, policy: CorrectionPolicy, sense_rng,
                  corrections_enabled: bool = True):
@@ -223,21 +213,15 @@ class Corrector:
     def answer(self, event: dict, op_index: int) -> bool:
         """Sense one reaction event and correct until validated. Returns
         False when the run reverted instead; a stop raises."""
-        machine, policy, enabled = self.machine, self.policy, self.corrections_enabled
-        write, noise_sd = self._write, policy.sensor_noise_sd
+        machine, policy, write = self.machine, self.policy, self._write
         while True:
-            reading = sample_sensor(event, self.sense_rng, noise_sd)
+            reading, gap, severity = self.sense(event["achieved_yield"]
+                                                / (event["expected_yield"] or 1.0))
             rule = event["rule"]
             write({"kind": "sensing", "op_index": op_index, "rule": rule,
                    "reading": reading, "step": machine.state.step_count})
-            if not enabled:
-                return True
-            gap = 1.0 - reading if reading < 1.0 else 0.0
-            severity = classify_severity(gap, policy)
             if severity is None:
                 return True
-            if self.fork is not None:
-                self.fork(event, op_index)
             write({"kind": "deviation", "op_index": op_index, "rule": rule,
                    "gap": gap, "severity": severity, "step": machine.state.step_count})
 
@@ -266,6 +250,16 @@ class Corrector:
                 return False
 
             machine.fail("revert budget exhausted")
+
+    def sense(self, ratio: float) -> tuple[float, float, str | None]:
+        """Read a reaction's achieved/expected yield `ratio`, with noise drawn
+        from `sense_rng`: the reading, its gap below 1 and its severity, None
+        when the reading validates or corrections are off."""
+        noise_sd = self.policy.sensor_noise_sd
+        reading = ratio + (self.sense_rng.gauss(0.0, noise_sd) if noise_sd else 0.0)
+        gap = 1.0 - reading if reading < 1.0 else 0.0
+        return reading, gap, classify_severity(gap, self.policy) \
+            if self.corrections_enabled else None
 
     def tune(self, event: dict) -> dict:
         """Minor shortfall: nudge temperature toward the window midpoint and
@@ -406,13 +400,12 @@ def run_with_dec(prog: ChemProgram, db: RuleDatabase, *,
 # Paired evaluation
 
 class _Tape:
-    """A seed's stream from the fork on (see `evaluate_correction`): it keeps
-    what the corrected run draws, then, once `replay` is set, hands it to the
-    twin before drawing on. Each stream is drawn through one call with fixed
-    arguments, so a value is its place's in either arm."""
+    """A seed's stream, drawn once for both arms of `evaluate_correction`: a
+    reader rewound to the start (`at` 0) reads the values kept before drawing
+    on. Each stream is drawn through one call with fixed arguments."""
 
     def __init__(self, rng):
-        self.rng, self.kept, self.replay = rng, [], None
+        self.rng, self.kept, self.at = rng, [], 0
 
     def random(self) -> float:
         return self._draw(self.rng.random)
@@ -421,45 +414,75 @@ class _Tape:
         return self._draw(self.rng.gauss, mu, sigma)
 
     def _draw(self, call, *args) -> float:
-        if self.replay is None:
-            self.kept.append(x := call(*args))
-            return x
-        x = next(self.replay, None)
-        return call(*args) if x is None else x
+        at = self.at = self.at + 1
+        if at > len(self.kept):
+            self.kept.append(call(*args))
+        return self.kept[at - 1]
 
 
-class _Paired(Corrector):
-    """A seed's corrected run, which forks its baseline `twin` at its first
-    deviation (see `evaluate_correction`)."""
+class _Injector(BernoulliInjector):
+    """A paired run's injector: it records each attempt's question and class."""
 
-    twin = None
+    def misfire(self, eps: float) -> str | None:
+        mode = BernoulliInjector.misfire(self, eps)
+        self.path.append((("inject", eps), mode))
+        return mode
 
-    def after_op(self, op_index: int, events: list[dict]) -> None:
-        self.events = events        # for `fork`: the op's reactions after the deviation
-        Corrector.after_op(self, op_index, events)
 
-    def fork(self, event: dict, op_index: int) -> None:
-        if self.twin is None:
-            injector = self.machine.injector
-            injector.rng, self.sense_rng = self.tapes = _Tape(injector.rng), _Tape(self.sense_rng)
-            twin = object.__new__(_Paired)
-            twin.__dict__.update(self.__dict__)     # copy.copy, without its dispatch
-            twin.machine, twin.corrections_enabled = self.machine.fork(), False
-            events = self.events
-            twin.rest = op_index, events[next(i for i, e in enumerate(events) if e is event) + 1:]
-            self.twin = twin        # set after the copy, so the twin does not hold itself
+class _Arm(Corrector):
+    """One arm of `evaluate_correction`, for one call: the corrector of its
+    runs, which records each sensing's question and class, and its outcome
+    tree, held as {None: root}. A node is (question, {class: child}), a
+    leaf the success its class path ends in."""
 
-    def success(self) -> bool:
-        """Drive the run to its halt, unfinalized, and read its success."""
-        self.machine.drive(self.after_op)
-        return succeeded(self.machine.halt(), self.machine.state)
+    def __init__(self, prog: ChemProgram, db: RuleDatabase, budget: int,
+                 policy: CorrectionPolicy, eps: float | None, corrections_enabled: bool):
+        self.prog, self.db, self.budget, self.policy, self.tree = prog, db, budget, policy, {}
+        self.injector, self.corrections_enabled = _Injector(None, eps), corrections_enabled
 
-    def twin_success(self) -> bool:
-        """Run the twin on from the fork, once this run has halted."""
-        for tape in self.tapes:
-            tape.replay = iter(tape.kept)
-        self.twin.after_op(*self.twin.rest)
-        return self.twin.success()
+    def sense(self, ratio: float) -> tuple[float, float, str | None]:
+        reading = Corrector.sense(self, ratio)
+        self.path.append((("sense", ratio), reading[2]))
+        return reading
+
+    def success(self, inject: _Tape, sense: _Tape) -> bool:
+        """The arm's success on a seed's streams: walk the tree, drawing and
+        classing through the calls a run makes; at a class it has not seen,
+        run the machine from the streams' first value and graft its path."""
+        injector, self.sense_rng = self.injector, sense
+        injector.rng, inject.at, sense.at = inject, 0, 0
+        node = self.tree.get(None)
+        while node.__class__ is tuple:     # the run's own calls, without its recording
+            (kind, x), children = node
+            node = children.get(BernoulliInjector.misfire(injector, x) if kind == "inject"
+                                else Corrector.sense(self, x)[2])
+        if node is not None:
+            return node
+        inject.at = sense.at = 0
+        injector.path = self.path = []
+        machine = Machine(self.prog, self.db, budget=self.budget, injector=injector)
+        machine.records = None
+        Corrector.__init__(self, machine, self.policy, sense, self.corrections_enabled)
+        machine.drive(self.after_op)
+        success = succeeded(machine.halt(), machine.state)
+        _graft(self.tree, self.path, success)
+        return success
+
+
+def _graft(tree: dict, path: list, success: bool) -> None:
+    """Graft a run's `path` of (question, class) pairs onto `tree`, held as
+    {None: root} (see `_Arm`), ending in its `success`. Raises RuntimeError
+    where the run asked another question than the tree."""
+    holder, key, at = tree, None, 0
+    while (node := holder.get(key)) is not None:
+        question, cls = path[at] if at < len(path) else (None, None)     # None: it halted
+        asked = node[0] if node.__class__ is tuple else None             # None: a leaf
+        if asked is None or asked != question:
+            raise RuntimeError(f"a run asked {question} where one on its classes asked {asked}")
+        holder, key, at = node[1], cls, at + 1
+    for question, cls in reversed(path[at:]):
+        success = (question, {cls: success})
+    holder[key] = success
 
 
 def sign_test(b: int, c: int) -> float:
@@ -481,37 +504,29 @@ def evaluate_correction(prog: ChemProgram, db: RuleDatabase, *,
     discordant counts and the exact sign-test p-value for "correction
     helps". Raises ValueError when `n_seeds` is below 1.
 
-    Each seed's corrected run is made once and forks its baseline twin. Both
-    arms draw from the seed's `inject` and `sense` streams and take the same
-    steps on the same draws up to the run's first deviation (checkpoints
-    draw nothing, change no state and take no step). There the run
-    copies its machine (`Machine.fork`) for the twin, and both streams keep
-    what the run draws from then on. Once the run halts, the twin senses the
-    op's later events with corrections off and runs on from the fork, on the
-    kept values first, then on the streams, which stand where its own would.
-    A run with no deviation stopped where its twin would, on the budget too:
-    the twin's success is the run's. Each arm is driven to its halt
-    (`Machine.drive`) and reads only the halt and its product (`succeeded`);
-    no machine keeps a trace (`records` is None) or builds a ledger."""
+    A run that keeps no trace depends on a seed's `inject` and `sense`
+    draws only through their classes: the mode `BernoulliInjector.misfire`
+    draws per reaction attempt, the severity `Corrector.sense` reads per
+    sensing. So each arm keeps an outcome tree for the call, a question per
+    node ("inject at eps", "sense at a yield ratio"), a child per class and
+    a success per leaf, and walks it on each seed's streams, which both arms
+    read from the first value. Its machine runs only at a class not seen
+    yet: once per distinct class path, per arm, per call. The run grafts its
+    path on, raising RuntimeError if it asked another question than the
+    tree, and reads only its halt and product (`succeeded`): no trace, no ledger."""
     if n_seeds < 1:
         raise ValueError(f"seeds must be at least 1, not {n_seeds}")
-    b = c = 0  # discordant pairs: corrected or baseline alone succeeded
-    wins_on = wins_off = 0
+    on, off = (_Arm(prog, db, budget, policy, eps, enabled) for enabled in (True, False))
+    pairs = []      # per seed, the corrected and the baseline arm's success
     for seed in range(seed0, seed0 + n_seeds):
-        machine = Machine(prog, db, seed=seed, budget=budget,
-                          injector=BernoulliInjector(substream(seed, "inject"), eps))
-        machine.records = None
-        on = _Paired(machine, policy, substream(seed, "sense"))
-        on_success = on.success()
-        off_success = on_success if on.twin is None else on.twin_success()
-        wins_on += on_success
-        wins_off += off_success
-        b += on_success > off_success
-        c += off_success > on_success
+        inject, sense = _Tape(substream(seed, "inject")), _Tape(substream(seed, "sense"))
+        pairs.append((on.success(inject, sense), off.success(inject, sense)))
+    b = sum(x > y for x, y in pairs)    # discordant pairs: corrected or baseline alone succeeded
+    c = sum(y > x for x, y in pairs)
     return {
         "n": n_seeds,
-        "rate_corrected": wins_on / n_seeds,
-        "rate_baseline": wins_off / n_seeds,
+        "rate_corrected": sum(x for x, _ in pairs) / n_seeds,
+        "rate_baseline": sum(y for _, y in pairs) / n_seeds,
         "discordant_better": b,
         "discordant_worse": c,
         "p_value": sign_test(b, c),

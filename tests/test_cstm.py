@@ -395,19 +395,6 @@ def test_checkpoint_restore_is_bit_identical():
     assert m.rule_events == events
 
 
-def test_a_fork_of_a_traced_run_keeps_its_own_records():
-    # the paired experiment forks machines that keep no trace; a fork of one
-    # that keeps a trace runs on with a copy of it
-    prog = parse_program(fixture_text("tiny.chem"))
-    db = load_rules(FIXTURES / "tiny.rules")
-    m = Machine(prog, db, seed=0)
-    m.execute_op(0)
-    twin = m.fork()
-    assert twin.records == m.records and twin.records is not m.records
-    expected = run(prog, db, seed=0).to_jsonl()
-    assert m.execute().to_jsonl() == twin.execute().to_jsonl() == expected
-
-
 def test_after_op_runs_once_after_each_op_in_order():
     prog = parse_program(fixture_text("dec_3step.chem"))
     db = load_rules(FIXTURES / "dec_chain.rules")

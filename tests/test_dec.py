@@ -1,11 +1,13 @@
 """Closed-loop error correction: severity classes, scripted fault scenarios,
-revert budgets, the paired sign test, the baseline twin forked at the first
-deviation, the paired arms that build no ledger, the paired rates against
-their closed forms, the experiment script's input errors, and policy I/O."""
+revert budgets, the paired sign test, the paired arms' outcome trees
+against both arms run from scratch, the machine runs they make and the
+traces and ledgers they do not, the paired rates against their closed
+forms, the experiment script's input errors, and policy I/O."""
 
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ import pytest
 from chemvm import cstm
 from chemvm import dec as dec_module
 from chemvm.chemlang import parse_program, validate_program
+from chemvm.chemlang.corpus import random_program
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import DEFAULT_BUDGET, Machine, run
 from chemvm.dec import (
@@ -31,9 +34,9 @@ from chemvm.dec import (
     run_with_dec,
     sign_test,
 )
-from chemvm.rules import load_rules, promote
+from chemvm.rules import Unreachable, load_rules, pathway_to_program, plan_pathway, promote
 
-from _support import FIXTURES, fixture_text, reference_evaluate_correction
+from _support import FIXTURES, fixture_text, random_db, reference_evaluate_correction
 
 
 TINY_DB = load_rules(FIXTURES / "tiny.rules")
@@ -402,7 +405,8 @@ def test_evaluate_correction_matches_both_arms_run_on_an_op_of_two_reactions(pol
 
 
 def test_an_op_of_two_reactions_deviates_at_its_first():
-    # the twin of such a seed forks with the op's second reaction still to sense
+    # such a seed's baseline run senses the op's second reaction where the
+    # corrected run reverts instead
     first = []
     for seed in range(2000, 2100):
         res = run_with_dec(TWO_IN_ONE_OP, TINY_DB, eps=0.5, seed=seed)
@@ -419,6 +423,35 @@ def test_evaluate_correction_matches_both_arms_run_at_every_budget(chain):
         assert evaluate_correction(prog, db, **kw) \
             == reference_evaluate_correction(prog, db, **kw), budget
     assert evaluate_correction(prog, db, eps=0.3, n_seeds=50, budget=1)["rate_corrected"] == 0.0
+
+
+def _random_programs() -> list:
+    """(program, rule database) pairs: corpus programs on tiny.rules and
+    the chains planned over seeded random databases that take a step."""
+    pairs = [(random_program(random.Random(seed)), TINY_DB) for seed in range(4)]
+    for seed in range(300):
+        db, target, stock = random_db(seed)
+        try:
+            pathway = plan_pathway(db, target, stock, max_depth=4)
+        except Unreachable:
+            continue
+        if pathway.steps:
+            pairs.append((pathway_to_program(pathway, db), db))
+    return pairs
+
+
+RANDOM_PROGRAMS = _random_programs()
+
+
+@pytest.mark.parametrize("eps", [None, 0.1, 0.3, 0.5, 1.0])
+def test_evaluate_correction_matches_both_arms_run_on_random_programs(eps):
+    assert len(RANDOM_PROGRAMS) == 32
+    # each program on its own seeds: most chains take one step alike
+    for policy in sorted(ORACLE_POLICIES):
+        for i, (prog, db) in enumerate(RANDOM_PROGRAMS):
+            kw = dict(policy=ORACLE_POLICIES[policy], eps=eps, n_seeds=20, seed0=4000 + 20 * i)
+            assert evaluate_correction(prog, db, **kw) \
+                == reference_evaluate_correction(prog, db, **kw), (policy, i)
 
 
 PREDICTED = parse_program(fixture_text("predicted.chem"))
@@ -443,37 +476,49 @@ def test_evaluate_correction_matches_both_arms_run_on_an_unverified_halt(policy,
         == reference_evaluate_correction(PREDICTED, PREDICTED_DB, **kw)
 
 
-def _record_forks(monkeypatch) -> list:
-    """Wrap `Machine.fork`; returns the list each forked machine's seed is
+def _count_machines(monkeypatch) -> list:
+    """Wrap `Machine.__init__`; returns the list each machine built is
     appended to."""
-    forks = []
-    fork = cstm.Machine.fork
-    monkeypatch.setattr(cstm.Machine, "fork",
-                        lambda machine: forks.append(machine.seed) or fork(machine))
-    return forks
+    machines = []
+    init = cstm.Machine.__init__
+    monkeypatch.setattr(cstm.Machine, "__init__",
+                        lambda machine, *args, **kw: machines.append(machine)
+                        or init(machine, *args, **kw))
+    return machines
 
 
-def test_each_seed_seeds_its_streams_once_and_forks_at_a_deviation(chain, monkeypatch):
+def _class_path(res) -> tuple:
+    """A run's class path, read off its trace: the mode injected at each
+    reaction and the severity of each sensing's deviation, if any, in the
+    order drawn."""
+    return tuple((r["kind"], r.get("injected"), r.get("severity")) for r in res.trace.records
+                 if r["kind"] in ("transition", "sensing", "deviation"))
+
+
+def test_each_seed_seeds_its_streams_once_and_runs_a_machine_per_class_path(chain, monkeypatch):
+    # an arm runs its machine once per distinct class path: one path per arm
+    # at eps 0, and at eps 0.3 as many as run_with_dec's traces show
     prog, db = chain
-    deviating = [seed for seed in range(40)
-                 if run_with_dec(prog, db, eps=0.3, seed=seed).deviations]
-    assert 0 < len(deviating) < 40
+    paths = sum(len({_class_path(run_with_dec(prog, db, eps=0.3, seed=seed,
+                                              corrections_enabled=enabled))
+                     for seed in range(40)}) for enabled in (True, False))
+    assert 2 < paths < 80
     seeded = []
     draw = dec_module.substream
     monkeypatch.setattr(dec_module, "substream",
                         lambda seed, *names: seeded.append((seed, names)) or draw(seed, *names))
-    forks = _record_forks(monkeypatch)
-    for eps, forked in [(0.0, []), (0.3, deviating)]:
+    machines = _count_machines(monkeypatch)
+    for eps, runs in [(0.0, 2), (0.3, paths)]:
         seeded.clear()
-        forks.clear()
+        machines.clear()
         evaluate_correction(prog, db, eps=eps, n_seeds=40)
         assert seeded == [(seed, (name,)) for seed in range(40) for name in ("inject", "sense")]
-        assert forks == forked, eps
+        assert len(machines) == runs, eps
 
 
 def test_the_paired_arms_build_no_ledger(chain, monkeypatch):
-    # an arm reads its halt and its product off the machine: neither the
-    # corrected run nor its twin is finalized, so none builds a ledger
+    # an arm reads its halt and its product off the machine: no run of
+    # either arm is finalized, so none builds a ledger
     prog, db = chain
     calls = {"build_ledger": 0, "finalize": 0}
     build_ledger, finalize = cstm.build_ledger, cstm.Machine.finalize
@@ -488,17 +533,17 @@ def test_the_paired_arms_build_no_ledger(chain, monkeypatch):
     monkeypatch.setattr(cstm.Machine, "finalize", counted("finalize", finalize))
     run_with_dec(prog, db, eps=0.3)
     assert calls == {"build_ledger": 1, "finalize": 1}
-    forks = _record_forks(monkeypatch)
+    machines = _count_machines(monkeypatch)
     for eps in (0.0, 0.3):
         calls.update(build_ledger=0, finalize=0)
         evaluate_correction(prog, db, eps=eps, n_seeds=40)
         assert calls == {"build_ledger": 0, "finalize": 0}, eps
-    assert forks       # the twins ran too
+    assert len(machines) > 4       # both arms ran, at eps 0.3 on several paths
 
 
 def test_the_paired_arms_write_no_record(chain, monkeypatch):
     # a paired machine keeps no trace: no step makes a primitive record and
-    # its contents copy, and neither the run nor its twin holds a record list
+    # its contents copy, and no run of either arm holds a record list
     prog, db = chain
     calls = []
     apply_primitive = cstm.apply_primitive
@@ -507,20 +552,15 @@ def test_the_paired_arms_write_no_record(chain, monkeypatch):
     records = run_with_dec(prog, db, eps=0.3).trace.records
     assert len(calls) == sum(r["kind"] == "primitive" for r in records) > 0
     calls.clear()
-    machines = []
-    success = dec_module._Paired.success
-    monkeypatch.setattr(dec_module._Paired, "success",
-                        lambda paired: machines.append(paired.machine) or success(paired))
-    forks = _record_forks(monkeypatch)
+    machines = _count_machines(monkeypatch)
     evaluate_correction(prog, db, eps=0.3, n_seeds=40)
     assert calls == []
-    assert forks and len(machines) == 40 + len(forks)      # every run and every twin
-    assert all(machine.records is None for machine in machines)
+    assert len(machines) > 2 and all(machine.records is None for machine in machines)
 
 
-def test_forked_twins_leave_no_reference_cycles(chain):
-    # a twin that held itself would keep its machine until the cycle
-    # collector ran, and peak memory would grow with the seeds between runs
+def test_the_paired_arms_leave_no_reference_cycles(chain):
+    # an arm or its tree that held itself would keep its machine until the
+    # cycle collector ran, and peak memory would grow between calls
     prog, db = chain
     gc.collect()
     gc.disable()
@@ -529,6 +569,23 @@ def test_forked_twins_leave_no_reference_cycles(chain):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_graft_that_asks_another_question_at_a_node_raises():
+    # a run that asked another question than an earlier run on the same
+    # classes would show an arm whose state is not a function of those classes
+    tree = {}
+    dec_module._graft(tree, [(("inject", 0.3), None), (("sense", 0.9), "minor")], True)
+    dec_module._graft(tree, [(("inject", 0.3), "major")], False)
+    assert tree == {None: (("inject", 0.3), {None: (("sense", 0.9), {"minor": True}),
+                                             "major": False})}
+    for path, asked in [
+        ([(("inject", 0.3), None), (("sense", 0.8), None)], r"\('sense', 0.8\)"),
+        ([(("inject", 0.3), None)], "None"),                        # it halted early
+        ([(("inject", 0.3), "major"), (("sense", 0.0), None)], r"\('sense', 0.0\)"),  # past a halt
+    ]:
+        with pytest.raises(RuntimeError, match=f"^a run asked {asked} where one on its classes"):
+            dec_module._graft(tree, path, True)
 
 
 def test_a_long_program_completes_in_both_arms(monkeypatch):
@@ -542,15 +599,15 @@ def test_a_long_program_completes_in_both_arms(monkeypatch):
         + '    react_hot(vessel=RX1, reagent=b, amount=1 mol, temp=80 C, time=600 s)\n' * n
         + '    filter(vessel=RX1, species=x, to=product)\n  }\n}\n')
     db = load_rules(FIXTURES / "tiny.rules")
-    forks = _record_forks(monkeypatch)
-    out = evaluate_correction(prog, db, eps=0.0, n_seeds=1)
-    assert forks == []      # no deviation, so no twin
+    machines = _count_machines(monkeypatch)
+    out = evaluate_correction(prog, db, eps=0.0, n_seeds=2)
+    assert len(machines) == 2       # no class path but the first, in either arm
     on = run_with_dec(prog, db, eps=0.0, seed=0)
     off = run_with_dec(prog, db, eps=0.0, seed=0, corrections_enabled=False)
     assert on.corrections_enabled and on.halt == off.halt == "q_out"
     assert on.trace.records[-1]["step"] == off.trace.records[-1]["step"] == 2 * n + 2
     assert len(off.trace.records) < DEFAULT_BUDGET < len(on.trace.records)
-    assert out == reference_evaluate_correction(prog, db, eps=0.0, n_seeds=1)
+    assert out == reference_evaluate_correction(prog, db, eps=0.0, n_seeds=2)
     assert (out["rate_corrected"], out["rate_baseline"]) == (1.0, 1.0)
 
 
