@@ -29,7 +29,6 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .jsonio import fmt_num, is_integer, is_number, loads_object
 from .rules import assembly_bounds
@@ -43,7 +42,6 @@ __all__ = [
     "assembly_bounds",
     "MonteCarloConfig",
     "loads_mc_config",
-    "load_mc_config",
     "MCResult",
     "monte_carlo",
     "detection_horizon",
@@ -143,11 +141,6 @@ def loads_mc_config(text: str, where: str = "<string>") -> MonteCarloConfig:
         return MonteCarloConfig(**obj)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-
-
-def load_mc_config(path: str | Path) -> MonteCarloConfig:
-    path = Path(path)
-    return loads_mc_config(path.read_text(encoding="utf-8"), where=str(path))
 
 
 @dataclass

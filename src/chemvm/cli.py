@@ -3,9 +3,10 @@
 One executable, eight subcommands: parse | validate | run | plan |
 compile | stats | mc | dec-run. Every command is deterministic: with
 fixed inputs and a fixed --seed, stdout and every file it writes are
-byte-identical across runs. Next to the first file output of a command
-goes a `<name>.manifest.json` recording the command line, content hashes
-of the inputs, the seed, the tool version and the content hash of every
+byte-identical across runs. Any input path may be `-`, for stdin. Next
+to the first file output of a command goes a `<name>.manifest.json`
+recording the command line, the sha256 of each input file as it was read
+(not of stdin), the seed, the tool version and the sha256 of every
 output, so a result can be traced back to exactly what produced it.
 
 Exit codes:
@@ -26,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import shlex
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .assembly import (
@@ -43,101 +46,119 @@ from .chemlang import (
     parse_program,
     validate_program,
 )
-from .chempiler import build_default_graph, chempile, execute_plan, load_graph
+from .chempiler import build_default_graph, chempile, execute_plan, loads_graph
 from .cstm import DEFAULT_BUDGET, run
-from .dec import DEFAULT_POLICY, evaluate_correction, load_policy, run_with_dec
-from .jsonio import dumps_stable, sha256_file, write_text_atomic
+from .dec import DEFAULT_POLICY, evaluate_correction, loads_policy, run_with_dec
+from .jsonio import dumps_stable, sha256_bytes, sha256_file, write_text_atomic
 from .rules import (
     Unreachable,
     UnstableTarget,
-    load_rules,
+    loads_rules,
     pathway_to_program,
     plan_pathway,
     save_rules,
 )
 
-__all__ = ["main", "HALT_EXIT"]
+__all__ = ["main", "HALT_EXIT", "Files", "exit_code"]
 
 HALT_EXIT = {"q_out": 0, "q_uout": 10, "q_nout": 11, "q_fail": 12}
 
-# The lowest value of each integer option, on every subcommand that has it.
+# The lowest value of each integer option, on every entry point that has it.
 _LOWEST = {"budget": 1, "depth": 1, "seed": 0}
 
 
-def _check_ranges(args) -> None:
-    for name, lowest in _LOWEST.items():
-        value = getattr(args, name, None)
-        if value is not None and value < lowest:
-            raise ValueError(f"{name} must be an integer >= {lowest}")
+def exit_code(args: argparse.Namespace, body: Callable[[], int | None]) -> int:
+    """The exit code of `body()` (0 for None) under the error contract of
+    `main` and the scripts: each integer option `_LOWEST` names is checked
+    first, and an error prints one line to stderr and gives its exit code."""
+    try:
+        for name, lowest in _LOWEST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < lowest:
+                raise ValueError(f"{name} must be an integer >= {lowest}")
+        return body() or 0
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return 1
+    except (UnstableTarget, Unreachable) as e:
+        print(f"no pathway: {e}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+@dataclasses.dataclass
+class Files:
+    """The files one command reads and writes, for its manifest. `text` reads
+    an input path (stdin for `-`), decodes it as `Path.read_text(encoding=
+    "utf-8")` does and keeps the sha256 of the bytes it decoded; `load` hands
+    the text to a loader such as `loads_rules`; `write` lists each output."""
 
+    seed: int | None = None
+    inputs: dict[str, str] = dataclasses.field(default_factory=dict)  # path -> sha256 read
+    outputs: list[Path] = dataclasses.field(default_factory=list)
 
-def _emit(text: str, out: str | None) -> list[Path]:
-    """Write `text` to the --out file, or to stdout when none was asked for.
-    Returns the written paths for the manifest."""
-    if out is None:
-        sys.stdout.write(text)
-        return []
-    write_text_atomic(out, text)
-    return [Path(out)]
+    def text(self, path: str) -> str:
+        if path == "-":
+            return sys.stdin.read()
+        data = Path(path).read_bytes()
+        self.inputs[path] = sha256_bytes(data)
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
+    def load(self, loads: Callable, path: str):
+        return loads(self.text(path), where=str(Path(path)))
 
-def _write_manifest(command: str, argv: list[str], inputs: list[str],
-                    seed: int | None, outputs: list[Path]) -> None:
-    if not outputs:
-        return
-    payload = {
-        "command": shlex.join(["chemvm", *argv]),
-        "subcommand": command,
-        "version": __version__,
-        "seed": seed,
-        "inputs": {p: sha256_file(p) for p in inputs if p != "-"},
-        "outputs": {str(p): sha256_file(p) for p in outputs},
-    }
-    anchor = outputs[0]
-    path = anchor.with_name(anchor.name + ".manifest.json")
-    write_text_atomic(path, dumps_stable(payload, indent=2) + "\n")
+    def write(self, path: str | None, text: str) -> None:
+        """`text` to the output file `path`, or to stdout when it is None."""
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            write_text_atomic(path, text)
+            self.outputs.append(Path(path))
 
-
-def _print_json(obj) -> None:
-    sys.stdout.write(dumps_stable(obj, indent=2) + "\n")
+    def write_manifest(self, command: str, argv: list[str]) -> None:
+        if not self.outputs:
+            return
+        payload = {
+            "command": shlex.join(["chemvm", *argv]),
+            "subcommand": command,
+            "version": __version__,
+            "seed": self.seed,
+            "inputs": self.inputs,
+            "outputs": {str(p): sha256_file(p) for p in self.outputs},
+        }
+        anchor = self.outputs[0]
+        write_text_atomic(anchor.with_name(anchor.name + ".manifest.json"),
+                          dumps_stable(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_parse(args, argv: list[str]) -> int:
-    prog = parse_program(_read_text(args.path))
-    outputs = _emit(format_program(prog), args.out)
-    _write_manifest("parse", argv, [args.path], None, outputs)
+def cmd_parse(args, files: Files) -> int:
+    files.write(args.out, format_program(parse_program(files.text(args.path))))
     return 0
 
 
-def cmd_validate(args, argv: list[str]) -> int:
-    prog = parse_program(_read_text(args.path))
-    graph = load_graph(args.graph) if args.graph else build_default_graph()
+def cmd_validate(args, files: Files) -> int:
+    prog = parse_program(files.text(args.path))
+    graph = files.load(loads_graph, args.graph) if args.graph else build_default_graph()
     report = validate_program(prog, graph)
-    outputs = _emit(report.to_json(), args.out)
-    inputs = [args.path] + ([args.graph] if args.graph else [])
-    _write_manifest("validate", argv, inputs, None, outputs)
+    files.write(args.out, report.to_json())
     return 0 if report.ok else 2
 
 
-def cmd_run(args, argv: list[str]) -> int:
-    db = load_rules(args.rules)
-    prog = parse_program(_read_text(args.path))
+def cmd_run(args, files: Files) -> int:
+    if args.persist_rules and args.rules == "-":
+        raise ValueError("--persist-rules needs a --rules file to write back to, not stdin")
+    db = files.load(loads_rules, args.rules)
+    prog = parse_program(files.text(args.path))
     if args.graph:
-        graph = load_graph(args.graph)
-        plan = chempile(prog, graph)
+        plan = chempile(prog, files.load(loads_graph, args.graph))
         if not plan.feasible:
             for f in plan.report.findings:
-                print(f"infeasible: {f.code}: {f.message} ({f.where})",
-                      file=sys.stderr)
+                print(f"infeasible: {f.code}: {f.message} ({f.where})", file=sys.stderr)
             return 2
         trace = execute_plan(plan, db, seed=args.seed, budget=args.budget,
                              explore=args.explore)
@@ -145,39 +166,30 @@ def cmd_run(args, argv: list[str]) -> int:
         trace = run(prog, db, seed=args.seed, budget=args.budget,
                     explore=args.explore)
 
-    outputs: list[Path] = []
     if args.trace:
-        write_text_atomic(args.trace, trace.to_jsonl())
-        outputs.append(Path(args.trace))
-    _print_json({"halt": trace.halt, "ledger": trace.ledger._asdict()})
-
+        files.write(args.trace, trace.to_jsonl())
+    print(dumps_stable({"halt": trace.halt, "ledger": trace.ledger._asdict()}, indent=2))
     if args.persist_rules:
         save_rules(trace.db, args.rules)
-    inputs = [args.path, args.rules] + ([args.graph] if args.graph else [])
-    _write_manifest("run", argv, inputs, args.seed, outputs)
+        files.outputs.append(Path(args.rules))
     return HALT_EXIT[trace.halt]
 
 
-def cmd_plan(args, argv: list[str]) -> int:
-    db = load_rules(args.rules)
+def cmd_plan(args, files: Files) -> int:
+    db = files.load(loads_rules, args.rules)
     stock = {s.strip() for s in (args.stock or "").split(",") if s.strip()}
     pathway = plan_pathway(db, args.target, stock, max_depth=args.depth)
-    outputs = _emit(pathway.to_json(), args.out)
+    files.write(args.out, pathway.to_json())
     if args.program:
-        prog = pathway_to_program(pathway, db)
-        write_text_atomic(args.program, format_program(prog))
-        outputs.append(Path(args.program))
-    _write_manifest("plan", argv, [args.rules], None, outputs)
+        files.write(args.program, format_program(pathway_to_program(pathway, db)))
     return 0
 
 
-def cmd_compile(args, argv: list[str]) -> int:
-    prog = parse_program(_read_text(args.path))
-    graph = load_graph(args.graph) if args.graph else build_default_graph()
+def cmd_compile(args, files: Files) -> int:
+    prog = parse_program(files.text(args.path))
+    graph = files.load(loads_graph, args.graph) if args.graph else build_default_graph()
     plan = chempile(prog, graph)
-    outputs = _emit(plan.to_json(), args.out)
-    inputs = [args.path] + ([args.graph] if args.graph else [])
-    _write_manifest("compile", argv, inputs, None, outputs)
+    files.write(args.out, plan.to_json())
     return 0 if plan.feasible else 1
 
 
@@ -198,20 +210,17 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float | None, float |
     return slope, r2
 
 
-def cmd_stats(args, argv: list[str]) -> int:
+def cmd_stats(args, files: Files) -> int:
     rows: list[str] = ["program,reaction_step," + ",".join(CATEGORIES)
                        + ",ops,cumulative"]
     summary = []
-    agg_x: list[float] = []
-    agg_y: list[float] = []
     for path in args.paths:
-        prog = parse_program(_read_text(path))
+        prog = parse_program(files.text(path))
         hist = classify_steps(prog)
-        prev = 0
-        for (marker, counts), cum in zip(hist.per_reaction_step, hist.cumulative):
+        for (marker, counts), prev, cum in zip(hist.per_reaction_step,
+                                               [0, *hist.cumulative], hist.cumulative):
             cat_text = ",".join(str(counts[c]) for c in CATEGORIES)
             rows.append(f"{prog.name},{marker},{cat_text},{cum - prev},{cum}")
-            prev = cum
         slope, r2 = _linear_fit(
             [float(m) for m, _ in hist.per_reaction_step],
             [float(c) for c in hist.cumulative])
@@ -224,39 +233,33 @@ def cmd_stats(args, argv: list[str]) -> int:
             "slope": slope,
             "r2": r2,
         })
-        agg_x.append(float(len(hist.per_reaction_step)))
-        agg_y.append(float(hist.total_ops))
 
     result: dict = {"programs": summary}
     if len(args.paths) > 1:
-        slope, r2 = _linear_fit(agg_x, agg_y)
-        result["aggregate"] = {"n": len(agg_x), "slope": slope, "r2": r2}
-    outputs = _emit("\n".join(rows) + "\n", args.out)
-    _print_json(result)
-    _write_manifest("stats", argv, list(args.paths), None, outputs)
+        slope, r2 = _linear_fit([float(s["reaction_steps"]) for s in summary],
+                                [float(s["total_ops"]) for s in summary])
+        result["aggregate"] = {"n": len(summary), "slope": slope, "r2": r2}
+    files.write(args.out, "\n".join(rows) + "\n")
+    print(dumps_stable(result, indent=2))
     return 0
 
 
-def cmd_mc(args, argv: list[str]) -> int:
-    config = loads_mc_config(_read_text(args.config), where=args.config) \
-        if args.config else MonteCarloConfig()
+def cmd_mc(args, files: Files) -> int:
+    config = files.load(loads_mc_config, args.config) if args.config else MonteCarloConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    files.seed = config.seed
     result = monte_carlo(config)
-    outputs = _emit(mc_to_csv(result), args.out)
+    files.write(args.out, mc_to_csv(result))
     if args.svg:
-        write_text_atomic(args.svg, mc_to_svg(result))
-        outputs.append(Path(args.svg))
-    inputs = [args.config] if args.config else []
-    _write_manifest("mc", argv, inputs, config.seed, outputs)
+        files.write(args.svg, mc_to_svg(result))
     return 0
 
 
-def cmd_dec_run(args, argv: list[str]) -> int:
-    db = load_rules(args.rules)
-    prog = parse_program(_read_text(args.path))
-    policy = load_policy(args.policy) if args.policy else DEFAULT_POLICY
-    inputs = [args.path, args.rules] + ([args.policy] if args.policy else [])
+def cmd_dec_run(args, files: Files) -> int:
+    db = files.load(loads_rules, args.rules)
+    prog = parse_program(files.text(args.path))
+    policy = files.load(loads_policy, args.policy) if args.policy else DEFAULT_POLICY
 
     if args.compare:
         if args.trace:
@@ -264,19 +267,14 @@ def cmd_dec_run(args, argv: list[str]) -> int:
         table = evaluate_correction(prog, db, policy=policy,
                                     eps=args.inject_eps, n_seeds=args.seeds,
                                     seed0=args.seed, budget=args.budget)
-        text = dumps_stable(table, indent=2) + "\n"
-        outputs = _emit(text, args.out)
-        _write_manifest("dec-run", argv, inputs, args.seed, outputs)
+        files.write(args.out, dumps_stable(table, indent=2) + "\n")
         return 0
 
     result = run_with_dec(prog, db, policy=policy, seed=args.seed,
                           eps=args.inject_eps, budget=args.budget)
-    outputs = []
     if args.trace:
-        write_text_atomic(args.trace, result.trace.to_jsonl())
-        outputs.append(Path(args.trace))
-    _print_json(result.summary())
-    _write_manifest("dec-run", argv, inputs, args.seed, outputs)
+        files.write(args.trace, result.trace.to_jsonl())
+    print(dumps_stable(result.summary(), indent=2))
     return HALT_EXIT[result.halt]
 
 
@@ -378,20 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        _check_ranges(args)
-        return args.func(args, argv)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 1
-    except (UnstableTarget, Unreachable) as e:
-        print(f"no pathway: {e}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
+    files = Files(seed=getattr(args, "seed", None))    # mc sets its config's
+
+    def command() -> int:
+        code = args.func(args, files)
+        files.write_manifest(args.subcommand, argv)
+        return code
+
+    return exit_code(args, command)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,8 @@ counts machine steps, those a redose adds and a revert re-runs included,
 and no record spends it: the trace records every sensing and correction,
 and the result reads its counts from the trace.
 
-`evaluate_correction` runs an arm's machine once per distinct path of
-classes (each injection's mode, each sensing's severity), not once per
-seed, as an arm's state is a function of those classes (see its docstring).
+`evaluate_correction` pairs runs with and without correction; its
+docstring and README's "Error correction" describe how.
 
 A policy file is a JSON object overriding some of the defaults; the
 policy checks every field's type and range and raises `PolicyError`, a

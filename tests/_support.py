@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from chemvm import chempiler
-from chemvm.assembly import MonteCarloConfig, load_mc_config
+from chemvm.assembly import MonteCarloConfig, loads_mc_config
 from chemvm.chemlang import (
     AMBIENT_C, CATEGORIES, OP_SPECS, ChemProgram, OpKind, ParseError, Quantity, ReagentDecl,
     UnitOperation, format_program, parse_program,
@@ -682,7 +682,7 @@ def mc_configs() -> list[tuple[str, MonteCarloConfig]]:
     the smallest population and depth."""
     return [
         *((f"default/{seed}", MonteCarloConfig(seed=seed)) for seed in range(3)),
-        ("mc_small", load_mc_config(FIXTURES / "mc_small.json")),
+        ("mc_small", loads_mc_config(fixture_text("mc_small.json"))),
         ("no_jitter", MonteCarloConfig(jitter_sd=0)),
         ("overflow", MonteCarloConfig(eps0_values=(0.0, 1.0, 0.5), drift_rate=50)),
         ("tiny", MonteCarloConfig(n_trajectories=1, ai_max=2)),

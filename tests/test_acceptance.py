@@ -39,7 +39,7 @@ from chemvm.rules import (
     plan_pathway,
 )
 
-from _support import FIXTURES, fixture_text, min_applications, random_db
+from _support import FIXTURE_RUNS, FIXTURES, fixture_text, min_applications, random_db
 
 
 def test_criterion_01_survival_after_twenty_steps():
@@ -152,23 +152,11 @@ def test_criterion_07_planner_against_brute_force():
     print("PASS criterion 7: planner matches brute-force reachability on 200 databases")
 
 
-CORPUS = [
-    ("tiny.chem", "tiny.rules", False),
-    ("atropine_3step.chem", "default.rules", False),
-    ("indole_1step.chem", "default.rules", False),
-    ("alkynol_1step.chem", "default.rules", False),
-    ("predicted.chem", "predicted.rules", False),
-    ("explore.chem", "explore.rules", True),
-    ("norule.chem", "tiny.rules", False),
-    ("dec_3step.chem", "dec_chain.rules", False),
-]
-
-
 def test_criterion_08_lowering_equivalence():
     graph = build_default_graph()
     assert route(graph, "R1", "RX1") == ("R1", "V1", "P1", "V2", "RX1")
     flow = {"Valve", "Pump"}
-    for prog_name, rules_name, explore in CORPUS:
+    for prog_name, (rules_name, explore) in FIXTURE_RUNS.items():
         prog = parse_program(fixture_text(prog_name))
         db = load_rules(FIXTURES / rules_name)
         abstract = run(prog, db, seed=0, explore=explore)
@@ -180,7 +168,7 @@ def test_criterion_08_lowering_equivalence():
         for path in plan.routes.values():
             for hop in path[1:-1]:
                 assert graph.nodes[hop].kind in flow, prog_name
-    print(f"PASS criterion 8: lowering equivalence on {len(CORPUS)} fixtures with valid routes")
+    print(f"PASS criterion 8: lowering equivalence on {len(FIXTURE_RUNS)} fixtures with valid routes")
 
 
 def test_criterion_09_correction_beats_baseline():

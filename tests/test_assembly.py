@@ -1,7 +1,9 @@
 """Detectability math and the error-propagation Monte Carlo."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,6 +31,7 @@ from chemvm.assembly import (
     n_min,
     survival_fraction,
 )
+from chemvm.cli import main
 from chemvm.jsonio import fmt_num
 
 from _support import FIXTURES, mc_configs, reference_monte_carlo
@@ -270,6 +273,20 @@ def test_the_mc_script_writes_its_table_and_plot(tmp_path, small_config):
     assert (out.returncode, out.stderr) == (0, "")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["mc.csv", "mc.svg"]
     assert "detection horizon at phi = 1e+06 copies:" in out.stdout
+
+
+def test_the_mc_script_and_chemvm_mc_write_the_same_files(tmp_path):
+    # one detection floor: both plots draw it at one copy
+    config = str(FIXTURES / "mc_small.json")
+    out = _experiment("--config", config, "--seed", "3", "--out-dir", str(tmp_path / "script"))
+    assert (out.returncode, out.stderr) == (0, "")
+    cli = tmp_path / "cli"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["mc", "--config", config, "--seed", "3",
+                     "--out", str(cli / "mc.csv"), "--svg", str(cli / "mc.svg")])
+    assert code == 0
+    for name in ("mc.csv", "mc.svg"):
+        assert (tmp_path / "script" / name).read_bytes() == (cli / name).read_bytes(), name
 
 
 # populations at the edges of the kernel's summing tiles, with and without

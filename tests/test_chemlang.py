@@ -1,7 +1,13 @@
 """Parser, formatter, validator, and step-classification behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chemvm
 from chemvm.chemlang import (
     ChemProgram,
     OpKind,
@@ -312,6 +318,30 @@ def test_quantity_takes_base_units_only():
 def test_synthetic_program_needs_a_stage_and_an_op(args):
     with pytest.raises(ValueError, match="reaction_steps and ops_per_step must be >= 1"):
         synthetic_program(*args)
+
+
+GEN_CORPUS = FIXTURES.parent / "scripts" / "gen_corpus.py"
+
+
+def _gen_corpus(*args: str):
+    env = {**os.environ, "PYTHONPATH": str(Path(chemvm.__file__).parents[1])}
+    return subprocess.run([sys.executable, str(GEN_CORPUS), *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_gen_corpus_writes_one_program_per_chain_length(tmp_path):
+    out = _gen_corpus("--out-dir", str(tmp_path / "c"), "--max-steps", "2", "--ops-per-step", "3")
+    paths = [tmp_path / "c" / f"synthetic_0{k}.chem" for k in (1, 2)]
+    assert (out.returncode, out.stdout, out.stderr) == (0, "".join(f"{p}\n" for p in paths), "")
+    assert [len(parse_program(p.read_text(encoding="utf-8")).steps) for p in paths] == [3, 6]
+
+
+def test_gen_corpus_rejects_an_empty_step_and_writes_nothing(tmp_path):
+    # exit 2 and one error line, as `chemvm` does, not a traceback
+    out = _gen_corpus("--out-dir", str(tmp_path / "c"), "--ops-per-step", "0")
+    assert (out.returncode, out.stdout, out.stderr) == \
+        (2, "", "error: reaction_steps and ops_per_step must be >= 1\n")
+    assert not (tmp_path / "c").exists()
 
 
 def test_an_unexpected_string_is_quoted_unescaped():

@@ -124,6 +124,66 @@ def test_run_persist_rules_promotes(tmp_path):
     assert halts == ["q_uout", "q_out", "q_out"]
 
 
+def test_parse_onto_its_input_records_the_input_as_read(tmp_path):
+    # the manifest hashes the bytes the command read, not the file it wrote over them
+    prog = tmp_path / "x.chem"
+    shutil.copy(FIXTURES / "tiny.chem", prog)
+    read = sha256(prog)
+    code, _, _ = cli("parse", prog, "--out", prog)
+    assert code == 0 and sha256(prog) != read
+    manifest = json.loads((tmp_path / "x.chem.manifest.json").read_text())
+    assert manifest["inputs"] == {str(prog): read}
+    assert manifest["outputs"] == {str(prog): sha256(prog)}
+
+
+@pytest.mark.parametrize("trace", [True, False])
+def test_persist_rules_records_the_rules_as_read_and_as_written(tmp_path, trace):
+    # with or without a trace, the rewritten rules file is an output of the
+    # run, and the manifest hashes the rules the run read
+    rules, prog = tmp_path / "p.rules", FIXTURES / "predicted.chem"
+    shutil.copy(FIXTURES / "predicted.rules", rules)
+    read = sha256(rules)
+    flags = ["--trace", tmp_path / "t.jsonl"] if trace else []
+    code, _, _ = cli("run", prog, "--rules", rules, "--persist-rules", *flags)
+    assert code == 10 and sha256(rules) != read
+    anchor = tmp_path / ("t.jsonl" if trace else "p.rules")
+    manifest = json.loads((tmp_path / f"{anchor.name}.manifest.json").read_text())
+    assert list(manifest["inputs"].items()) == [(str(rules), read), (str(prog), sha256(prog))]
+    assert list(manifest["outputs"]) == [str(anchor)] + ([str(rules)] if trace else [])
+    assert manifest["outputs"][str(rules)] == sha256(rules)
+
+
+def test_any_input_may_be_stdin_and_is_not_recorded(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    code, out, _ = cli("run", FIXTURES / "tiny.chem", "--rules", "-", "--trace", trace,
+                       stdin=fixture_text("tiny.rules"))
+    assert code == 0 and json.loads(out)["halt"] == "q_out"
+    manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
+    assert manifest["inputs"] == {str(FIXTURES / "tiny.chem"): sha256(FIXTURES / "tiny.chem")}
+
+
+def test_persist_rules_cannot_write_back_to_stdin(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = cli("run", FIXTURES / "predicted.chem", "--rules", "-", "--persist-rules",
+                         stdin=fixture_text("predicted.rules"))
+    assert (code, out) == (2, "")
+    assert err == "error: --persist-rules needs a --rules file to write back to, not stdin\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_input_reads_as_read_text_decodes_it(tmp_path):
+    # universal newlines: CRLF and CR line ends parse as LF ones; the
+    # manifest still hashes the bytes on disk
+    crlf = tmp_path / "crlf.chem"
+    crlf.write_bytes(fixture_text("tiny.chem").replace("\n", "\r\n").encode())
+    code, out, _ = cli("parse", crlf, "--out", tmp_path / "fmt.chem")
+    assert code == 0
+    _, canonical, _ = cli("parse", FIXTURES / "tiny.chem")
+    assert (tmp_path / "fmt.chem").read_text() == canonical
+    manifest = json.loads((tmp_path / "fmt.chem.manifest.json").read_text())
+    assert manifest["inputs"] == {str(crlf): sha256(crlf)}
+
+
 def test_run_on_graph(tmp_path):
     code, out, _ = cli("run", FIXTURES / "tiny.chem", "--rules",
                        FIXTURES / "tiny.rules", "--graph", DEFAULT_RIG)

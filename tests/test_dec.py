@@ -4,7 +4,11 @@ against both arms run from scratch, the machine runs they make and the
 traces and ledgers they do not, the paired rates against their closed
 forms, the experiment script's input errors, and policy I/O."""
 
+import contextlib
+import csv
 import gc
+import io
+import json
 import math
 import os
 import random
@@ -18,6 +22,7 @@ import pytest
 from chemvm import cstm
 from chemvm import dec as dec_module
 from chemvm.chemlang import parse_program, validate_program
+from chemvm.cli import main
 from chemvm.chemlang.corpus import random_program
 from chemvm.chempiler import build_default_graph, chempile, execute_plan
 from chemvm.cstm import DEFAULT_BUDGET, Machine, run
@@ -643,11 +648,12 @@ def _experiment(program: Path, *args: str):
 @pytest.mark.parametrize("args, message", [
     (["--eps", ""], "--eps names no error rate"),
     (["--n-seeds", "0"], "--n-seeds must be at least 1, not 0"),
-    (["--eps", "0.1,1.5"], "--eps: 1.5 is not in [0, 1]"),
+    (["--eps", "0.1,1.5"], "inject eps must be a number in [0, 1], not 1.5"),
     (["--eps", "0.1,abc"], "--eps: 'abc' is not a number"),
 ])
 def test_the_experiment_script_rejects_bad_input(tmp_path, args, message):
-    # one error line and exit 2, before any row is run or the CSV is written
+    # one error line and exit 2, with nothing printed and no CSV written;
+    # the rates are checked by `evaluate_correction` itself
     out_csv = tmp_path / "sweep.csv"
     out = _experiment(FIXTURES / "dec_3step.chem", *args, "--out", str(out_csv))
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
@@ -661,3 +667,24 @@ def test_the_experiment_script_reports_a_parse_error(tmp_path):
     out = _experiment(bad, "--n-seeds", "1")
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr.startswith("parse error: 2:11: ") and out.stderr.count("\n") == 1
+
+
+def test_the_experiment_script_rows_are_dec_run_compare(tmp_path):
+    # the script and `chemvm dec-run --compare` are two front ends of one
+    # `evaluate_correction` call per eps
+    out_csv = tmp_path / "sweep.csv"
+    out = _experiment(FIXTURES / "dec_3step.chem", "--eps", "0.0,0.2", "--n-seeds", "50",
+                      "--out", str(out_csv))
+    assert out.returncode == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["eps"] for row in rows] == ["0.0", "0.2"]
+    for row in rows:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(["dec-run", str(FIXTURES / "dec_3step.chem"),
+                         "--rules", str(FIXTURES / "dec_chain.rules"), "--compare",
+                         "--inject-eps", row["eps"], "--seeds", "50"])
+        assert code == 0
+        table = json.loads(text.getvalue())
+        assert row == {"eps": row["eps"], **{k: str(v) for k, v in table.items()}}
