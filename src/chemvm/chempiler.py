@@ -59,7 +59,6 @@ __all__ = [
     "MATTER_KINDS",
     "FLOW_KINDS",
     "NODE_KINDS",
-    "load_graph",
     "loads_graph",
     "build_default_graph",
     "route",
@@ -442,17 +441,13 @@ def loads_graph(text: str, where: str = "<string>") -> HardwareGraph:
     return HardwareGraph(nodes, edges)
 
 
-def load_graph(path: str | Path) -> HardwareGraph:
-    path = Path(path)
-    return loads_graph(path.read_text(encoding="utf-8"), where=str(path))
-
-
 def build_default_graph() -> HardwareGraph:
     """Reference bench: four reagent flasks and a solvent reservoir feeding,
     through three valves and one syringe pump, a heated/chilled reactor with
     a photo sensor, a separator with a conductivity sensor, a rotavap, a
     filter, a chromatograph, storage, waste and a product receiver."""
-    return load_graph(Path(__file__).with_name("default_rig.graph"))
+    path = Path(__file__).with_name("default_rig.graph")
+    return loads_graph(path.read_text(encoding="utf-8"), where=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 One executable, eight subcommands: parse | validate | run | plan |
 compile | stats | mc | dec-run. Every command is deterministic: with
 fixed inputs and a fixed --seed, stdout and every file it writes are
-byte-identical across runs. Any input path may be `-`, for stdin. Next
-to the first file output of a command goes a `<name>.manifest.json`
+byte-identical across runs. Any input path may be `-`, for stdin (read
+once, however many inputs name it), and any output path `-`, for stdout.
+Next to the first file output of a command goes a `<name>.manifest.json`
 recording the command line, the sha256 of each input file as it was read
 (not of stdin), the seed, the tool version and the sha256 of every
 output, so a result can be traced back to exactly what produced it.
@@ -53,6 +54,7 @@ from .jsonio import dumps_stable, sha256_bytes, sha256_file, write_text_atomic
 from .rules import (
     Unreachable,
     UnstableTarget,
+    apply_rule_events,
     loads_rules,
     pathway_to_program,
     plan_pathway,
@@ -63,8 +65,9 @@ __all__ = ["main", "HALT_EXIT", "Files", "exit_code"]
 
 HALT_EXIT = {"q_out": 0, "q_uout": 10, "q_nout": 11, "q_fail": 12}
 
-# The lowest value of each integer option, on every entry point that has it.
-_LOWEST = {"budget": 1, "depth": 1, "seed": 0}
+# The lowest value of each integer option, on every entry point that has it
+# (`max_steps` is `scripts/gen_corpus.py`'s).
+_LOWEST = {"budget": 1, "depth": 1, "seed": 0, "max_steps": 1}
 
 
 def exit_code(args: argparse.Namespace, body: Callable[[], int | None]) -> int:
@@ -91,17 +94,21 @@ def exit_code(args: argparse.Namespace, body: Callable[[], int | None]) -> int:
 @dataclasses.dataclass
 class Files:
     """The files one command reads and writes, for its manifest. `text` reads
-    an input path (stdin for `-`), decodes it as `Path.read_text(encoding=
-    "utf-8")` does and keeps the sha256 of the bytes it decoded; `load` hands
-    the text to a loader such as `loads_rules`; `write` lists each output."""
+    an input path (stdin for `-`, read once and handed back on each later
+    `-`), decodes it as `Path.read_text(encoding="utf-8")` does and keeps
+    the sha256 of the bytes it decoded; `load` hands the text to a loader
+    such as `loads_rules`; `write` lists each output."""
 
     seed: int | None = None
     inputs: dict[str, str] = dataclasses.field(default_factory=dict)  # path -> sha256 read
     outputs: list[Path] = dataclasses.field(default_factory=list)
+    stdin: str | None = None
 
     def text(self, path: str) -> str:
         if path == "-":
-            return sys.stdin.read()
+            if self.stdin is None:
+                self.stdin = sys.stdin.read()
+            return self.stdin
         data = Path(path).read_bytes()
         self.inputs[path] = sha256_bytes(data)
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
@@ -110,8 +117,9 @@ class Files:
         return loads(self.text(path), where=str(Path(path)))
 
     def write(self, path: str | None, text: str) -> None:
-        """`text` to the output file `path`, or to stdout when it is None."""
-        if path is None:
+        """`text` to the output file `path`, or to stdout when it is None
+        or `-`."""
+        if path is None or path == "-":
             sys.stdout.write(text)
         else:
             write_text_atomic(path, text)
@@ -170,7 +178,7 @@ def cmd_run(args, files: Files) -> int:
         files.write(args.trace, trace.to_jsonl())
     print(dumps_stable({"halt": trace.halt, "ledger": trace.ledger._asdict()}, indent=2))
     if args.persist_rules:
-        save_rules(trace.db, args.rules)
+        save_rules(apply_rule_events(db, trace.rule_events), args.rules)
         files.outputs.append(Path(args.rules))
     return HALT_EXIT[trace.halt]
 

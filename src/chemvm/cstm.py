@@ -116,7 +116,7 @@ __all__ = [
 DEFAULT_BUDGET = 10000
 HALT_KINDS = ("q_out", "q_uout", "q_nout", "q_fail")
 _HALT_RANK = {k: i for i, k in enumerate(HALT_KINDS)}
-# A reaction's halt classification, by the status its rule has once promoted.
+# A reaction's halt classification, by its rule's status after the application.
 _HALT_OF_STATUS = {"characterised": "q_out", "predicted": "q_uout", "novel": "q_nout"}
 
 # Nominal charges and dwell times for operations that do not spell them out.
@@ -670,7 +670,6 @@ class ExecutionTrace:
     ledger: LedgerReport
     rule_events: list[dict]
     state: MachineState
-    db: RuleDatabase
 
     def to_jsonl(self) -> str:
         return dumps_jsonl(self.records)
@@ -700,6 +699,11 @@ class Machine:
     `records` is None in a run that keeps no trace (the paired experiment's):
     it writes no record, and `execute` and `finalize` are for runs that do.
 
+    A run leaves `db` as given, but for the rules it discovers: each rule
+    it applies is counted in `rule_events` (and `occurrences`), whose
+    status comes from `rules.promote`. `rules.apply_rule_events` makes the
+    database a run leaves behind from those events.
+
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
     and `post_primitive(machine, prim, cell)` are the step's two hook
@@ -727,6 +731,9 @@ class Machine:
         self.ops = lowering.ops
         self.records: list[dict] | None = []
         self.rule_events: list[dict] = []
+        # rule id -> occurrences of each rule this run applied: the count
+        # as loaded plus the applications in `rule_events`
+        self.occurrences: dict[str, int] = {}
         self.halt_reason: str | None = lowering.error   # set once the run stops
         self.pc = 0
         self.seed = seed
@@ -806,15 +813,16 @@ class Machine:
         extent = rule.yield_fraction * m.extent * factor
         apply_extent(state, cell, rule, extent)
 
-        self.db = promote(self.db, rule.id)
-        applied = self.db.rules[rule.id]
+        occurrences = self.occurrences[rule.id] = \
+            self.occurrences.get(rule.id, rule.occurrences) + 1
+        status = promote(rule, occurrences)
         self.rule_events.append({
             "kind": "applied", "rule_id": rule.id,
-            "occurrences": applied.occurrences, "status_after": applied.status,
+            "occurrences": occurrences, "status_after": status,
         })
         # after promotion, so a second occurrence already reads as characterised
         record = self._transition(
-            prim, cell, rule.id, _HALT_OF_STATUS[applied.status], extent=extent,
+            prim, cell, rule.id, _HALT_OF_STATUS[status], extent=extent,
             extent_max=m.extent, limiting=m.limiting, expected_yield=rule.yield_fraction,
             achieved_yield=extent / m.extent if m.extent > 0 else 0.0)
         if mode is not None:
@@ -880,6 +888,8 @@ class Machine:
         self.pc = ckpt["pc"]
         self.db = ckpt["db"]
         del self.rule_events[ckpt["rule_events_len"]:]
+        self.occurrences = {e["rule_id"]: e["occurrences"] for e in self.rule_events
+                            if e["kind"] == "applied"}
 
     # -- driving and finalization ---------------------------------------------
 
@@ -921,8 +931,7 @@ class Machine:
         if self.halt_reason is not None:
             halt_record["reason"] = self.halt_reason
         self.records.append(halt_record)
-        return ExecutionTrace(self.records, halt, ledger, self.rule_events,
-                              self.state, self.db)
+        return ExecutionTrace(self.records, halt, ledger, self.rule_events, self.state)
 
 
 def run(prog: ChemProgram, db: RuleDatabase, *, seed: int = 0,

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .chemlang import ChemProgram
 from .cstm import DEFAULT_BUDGET, ExecutionTrace, Machine, MachineState, apply_extent
@@ -48,7 +47,6 @@ __all__ = [
     "CorrectionPolicy",
     "DEFAULT_POLICY",
     "PolicyError",
-    "load_policy",
     "loads_policy",
     "BernoulliInjector",
     "ScriptedInjector",
@@ -118,11 +116,6 @@ def loads_policy(text: str, where: str = "<string>") -> CorrectionPolicy:
         return CorrectionPolicy(**doc)
     except PolicyError as exc:
         raise PolicyError(f"{where}: {exc}") from None
-
-
-def load_policy(path: str | Path) -> CorrectionPolicy:
-    path = Path(path)
-    return loads_policy(path.read_text(encoding="utf-8"), where=str(path))
 
 
 # ---------------------------------------------------------------------------

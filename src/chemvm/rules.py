@@ -13,9 +13,9 @@ machine routes to waste.
 Matching is multiset-superset on the reagent pattern plus catalyst
 presence plus the condition point lying inside the rule's process window;
 ties go to higher priority, then lexicographically smaller rule id. A rule
-observed twice stops being a prediction: `promote` increments the
-occurrence counter and flips predicted/novel rules to characterised at the
-second occurrence.
+observed twice stops being a prediction: `promote` gives the status a
+predicted or novel rule has after its n-th occurrence, characterised from
+the second on.
 
 The planner searches forward from stock, breadth first over the sets of
 available species, for a rule sequence of minimal length (ties broken by
@@ -27,33 +27,27 @@ when the database is made, files each rule under one of its inputs
 (reagent or catalyst), the one the fewest rules mention, ties to the
 smallest species id. A rule whose inputs are all present is filed under a
 present species, so only the rules filed under present species are
-candidates. A database is a frozen `RuleDatabase` with read-only maps:
-`promote` returns one whose rules overlay the changed rules on the shared
-base, one level deep, and which shares the index, since promotion changes
-no rule's inputs; `commit_discovery` returns one that builds a new index.
-The provenance
-log is append-only: each new version links one event onto the log of the
-version it was made from, so versions share their common history and
-adding an event copies nothing.
+candidates. A database is a frozen `RuleDatabase` with read-only maps.
+A run does not change the database it runs on: the machine counts each
+rule's applications in its rule events (`cstm.Machine.rule_events`), and
+only a discovery, which the run must be able to match, makes a new
+database (`commit_discovery`, which builds a new index).
+`apply_rule_events` turns a run's events into the database the run leaves
+behind, with a provenance event per rule event; it copies every rule, so
+it is for persisting a run, not for each run.
 
-Both questions a run asks of a database are answered once. `match_rule`
-keeps a memo beside the index, keyed by (the frozenset of species present
-above `PRESENCE_EPS`, temperature, duration), whose value is the winning
-rule's id or None: the winner depends on nothing else, since which
-candidates' inputs are present, their windows, priorities and ids are all
-fixed for the index's lifetime. The memo is made with the index and lives
-as long as it: `promote` passes both on, and `commit_discovery` and the
-loaders start both afresh. It holds one entry per distinct question; the
-extent is still worked out on each call's contents, from the rule as the
-asking database holds it. `promote` keeps the database it makes on the one
-it was called with, one child per promoted (database, rule), and returns
-that child on every later call.
+`match_rule` keeps a memo beside the index, keyed by (the frozenset of
+species present above `PRESENCE_EPS`, temperature, duration), whose value
+is the winning rule's id or None: the winner depends on nothing else,
+since which candidates' inputs are present, their windows, priorities and
+ids are all fixed for the index's lifetime. The memo is made with the
+index and lives as long as it. It holds one entry per distinct question;
+the extent is still worked out on each call's contents.
 """
 
 from __future__ import annotations
 
 import math
-from collections import ChainMap
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -88,6 +82,7 @@ __all__ = [
     "match_rule",
     "limiting_extent",
     "promote",
+    "apply_rule_events",
     "explore",
     "commit_discovery",
     "plan_pathway",
@@ -165,55 +160,30 @@ class TransitionRule:
         return f"{self.id}.byproduct" if self.byproduct_elements else None
 
 
-class _Logged(NamedTuple):
-    """A provenance event linked onto the log before it."""
-    before: _Logged | None
-    event: dict
-
-
 @dataclass(frozen=True)
 class RuleDatabase:
-    # read-only: `MappingProxyType`s (a dict given is copied into one), and
-    # after `promote` a `ChainMap` of them
+    # read-only `MappingProxyType`s (a dict given is copied into one)
     species: Mapping[str, Species]
     rules: Mapping[str, TransitionRule]
     latent: Mapping[str, TransitionRule]
-    # the provenance log's newest event; read the log as `provenance`
-    _log: _Logged | None = field(default=None, repr=False, compare=False)
-    # input species -> the rules filed under it; built from `rules` unless
-    # given (`promote` passes its source's, as no rule's inputs change)
-    _index: dict[str, list[TransitionRule]] | None = field(
-        default=None, repr=False, compare=False)
-    # match_rule's answers, made and passed on with `_index`: (present
-    # species, temp, duration) -> the winning rule's id, or None
-    _matches: dict[tuple[frozenset[str], float, float], str | None] | None = field(
-        default=None, repr=False, compare=False)
-    # rule id -> the database `promote` made from this one for it
-    _promoted: dict[str, RuleDatabase] = field(
-        default_factory=dict, repr=False, compare=False)
+    provenance: tuple[dict, ...] = ()      # oldest event first
+    # input species -> the rules filed under it, built from `rules`
+    _index: dict[str, list[TransitionRule]] = field(
+        default=None, init=False, repr=False, compare=False)
+    # match_rule's answers: (present species, temp, duration) -> the
+    # winning rule's id, or None
+    _matches: dict[tuple[frozenset[str], float, float], str | None] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         settle_maps(self, "species", "rules", "latent")
-        if self._index is None:
-            settle(self, "_index", _build_index(self.rules.values()))
-            settle(self, "_matches", {})
-
-    @property
-    def provenance(self) -> list[dict]:
-        """The provenance events, oldest first."""
-        events = []
-        entry = self._log
-        while entry is not None:
-            events.append(entry.event)
-            entry = entry.before
-        events.reverse()
-        return events
+        settle(self, "provenance", tuple(self.provenance))
+        settle(self, "_index", _build_index(self.rules.values()))
+        settle(self, "_matches", {})
 
     def _candidates(self, present: Iterable[str]) -> list[TransitionRule]:
         """The rules filed under the `present` species: a superset of the
-        rules whose inputs are all present, each once. They are the rules
-        the index was built from, so their occurrences and status may be
-        out of date; read those from `rules`."""
+        rules whose inputs are all present, each once."""
         return [rule for s in present for rule in self._index.get(s, ())]
 
 
@@ -389,11 +359,8 @@ def loads_rules(text: str, where: str = "<string>") -> RuleDatabase:
         if rule.id in rules or rule.id in latent:
             raise RuleLoadError(f"{where}: duplicate rule id {rule.id!r} (latent)")
         latent[rule.id] = rule
-    log = None
-    for event in doc.get("provenance", []):
-        log = _Logged(log, event)
     return RuleDatabase(MappingProxyType(species), MappingProxyType(rules),
-                        MappingProxyType(latent), log)
+                        MappingProxyType(latent), doc.get("provenance", ()))
 
 
 def load_rules(path: str | Path) -> RuleDatabase:
@@ -446,9 +413,8 @@ def save_rules(db: RuleDatabase, path: str | Path) -> None:
     }
     if db.latent:
         doc["latent"] = [_rule_json(db.latent[k]) for k in sorted(db.latent)]
-    provenance = db.provenance
-    if provenance:
-        doc["provenance"] = provenance
+    if db.provenance:
+        doc["provenance"] = list(db.provenance)
     write_text_atomic(path, dumps_stable(doc, indent=2) + "\n")
 
 
@@ -490,14 +456,7 @@ def match_rule(db: RuleDatabase, contents: dict[str, float],
         best_id = db._matches[key] = None if best is None else best.id
     if best_id is None:
         return None
-    rules = db.rules
-    if type(rules) is ChainMap:
-        # a promoted database's changed rules over its base, read without
-        # the KeyError a ChainMap raises and catches on a miss in the first
-        changed, base = rules.maps
-        rule = changed[best_id] if best_id in changed else base[best_id]
-    else:
-        rule = rules[best_id]
+    rule = db.rules[best_id]
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
 
 
@@ -513,32 +472,11 @@ def limiting_extent(pattern: dict[str, float],
     return extent, limiting
 
 
-def promote(db: RuleDatabase, rule_id: str) -> RuleDatabase:
-    """Record one observed application. Copy-on-write: returns a new
-    database whose rules overlay the changed ones on `db`'s base, and which
-    shares `db`'s index and match memo; at the second occurrence a
-    predicted/novel rule becomes characterised, with a provenance event
-    either way. Databases are frozen, so the new one is made once per
-    (db, rule) and kept on `db` for every later call."""
-    child = db._promoted.get(rule_id)
-    if child is not None:
-        return child
-    changed, base = {}, db.rules
-    if type(base) is ChainMap:
-        changed, base = base.maps
-    rule = changed.get(rule_id) or base[rule_id]
-    new_occ = rule.occurrences + 1
-    status = rule.status
-    event = {"event": "occurrence", "rule": rule_id, "occurrences": new_occ}
-    if status in ("predicted", "novel") and new_occ >= PROMOTION_THRESHOLD:
-        event = {"event": "promoted", "rule": rule_id, "occurrences": new_occ,
-                 "from": status}
-        status = "characterised"
-    counted = replace(rule, occurrences=new_occ, status=status)
-    rules = ChainMap(MappingProxyType({**changed, rule_id: counted}), base)
-    child = db._promoted[rule_id] = RuleDatabase(
-        db.species, rules, db.latent, _Logged(db._log, event), db._index, db._matches)
-    return child
+def promote(rule: TransitionRule, occurrences: int) -> str:
+    """The status of `rule` once it has been observed `occurrences` times
+    in all: a predicted or novel rule is characterised from its second
+    occurrence on."""
+    return "characterised" if occurrences >= PROMOTION_THRESHOLD else rule.status
 
 
 def explore(db: RuleDatabase, contents: dict[str, float],
@@ -562,8 +500,31 @@ def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
     new index."""
     rules = MappingProxyType({**db.rules, rule.id: rule})
     latent = MappingProxyType({k: v for k, v in db.latent.items() if k != rule.id})
-    event = {"event": "discovered", "rule": rule.id}
-    return RuleDatabase(db.species, rules, latent, _Logged(db._log, event))
+    return RuleDatabase(db.species, rules, latent,
+                        (*db.provenance, {"event": "discovered", "rule": rule.id}))
+
+
+def apply_rule_events(db: RuleDatabase, events: Iterable[dict]) -> RuleDatabase:
+    """The database a run over `db` leaves behind, from the run's rule
+    events (`Machine.rule_events`), in one pass. A `discovered` event moves
+    the latent rule in as novel; an `applied` event sets the rule's
+    occurrences and status. Each logs one provenance event: `discovered`,
+    or `occurrence`, or `promoted` when the status changed."""
+    rules, latent, log = dict(db.rules), dict(db.latent), list(db.provenance)
+    for e in events:
+        rid = e["rule_id"]
+        if e["kind"] == "discovered":
+            rules[rid] = replace(latent.pop(rid), status="novel", occurrences=0)
+            log.append({"event": "discovered", "rule": rid})
+            continue
+        rule, occurrences, status = rules[rid], e["occurrences"], e["status_after"]
+        event = {"event": "occurrence", "rule": rid, "occurrences": occurrences}
+        if status != rule.status:
+            event = {"event": "promoted", "rule": rid, "occurrences": occurrences,
+                     "from": rule.status}
+        log.append(event)
+        rules[rid] = replace(rule, occurrences=occurrences, status=status)
+    return RuleDatabase(db.species, rules, latent, log)
 
 
 # ---------------------------------------------------------------------------

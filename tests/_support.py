@@ -5,7 +5,8 @@ built in Python that names an undeclared reagent, seeded
 rule-database generators, a brute-force reachability oracle the planner is
 checked against, the whole-database scans the indexed matcher and planner
 are checked against, the matcher without its memo and the repeating
-questions the memoized one is checked on, a seeded generator of
+questions the memoized one is checked on, the per-application promotion
+`rules.apply_rule_events` is checked against, a seeded generator of
 (program, rig) pairs for binding checks, the char-by-char tokenizer the
 DSL scanner is checked against, with seeded mutations of program texts to
 check it on, the unit-operation lowering that `cstm.expand_unit_op` is
@@ -20,6 +21,7 @@ import math
 import random
 import re
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +42,8 @@ from chemvm.cstm import (
 )
 from chemvm.dec import DEFAULT_POLICY, CorrectionPolicy, run_with_dec, sign_test
 from chemvm.rules import (
-    PRESENCE_EPS, STATUSES, RuleDatabase, RuleMatch, _inputs_present, limiting_extent,
-    load_rules, loads_rules,
+    PRESENCE_EPS, PROMOTION_THRESHOLD, STATUSES, RuleDatabase, RuleMatch, _inputs_present,
+    limiting_extent, load_rules, loads_rules,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -347,6 +349,32 @@ def reference_match_rule(db: RuleDatabase, contents: dict[str, float],
         return None
     rule = db.rules[best.id]
     return RuleMatch(rule, *limiting_extent(rule.reagent_pattern, contents))
+
+
+def reference_apply_rule_events(db: RuleDatabase, events: list[dict]) -> RuleDatabase:
+    """The database a run's rule events leave behind, made as runs made it
+    before the machine counted applications itself: a plain copy of the
+    database per event, each application counted from the copy before it.
+    Checks each `applied` event's occurrences and status against that
+    count."""
+    for e in events:
+        rid = e["rule_id"]
+        rules, latent = dict(db.rules), dict(db.latent)
+        if e["kind"] == "discovered":
+            rules[rid] = replace(latent.pop(rid), status="novel", occurrences=0)
+            log = {"event": "discovered", "rule": rid}
+        else:
+            rule = rules[rid]
+            occurrences, status = rule.occurrences + 1, rule.status
+            log = {"event": "occurrence", "rule": rid, "occurrences": occurrences}
+            if status in ("predicted", "novel") and occurrences >= PROMOTION_THRESHOLD:
+                log = {"event": "promoted", "rule": rid, "occurrences": occurrences,
+                       "from": status}
+                status = "characterised"
+            assert (e["occurrences"], e["status_after"]) == (occurrences, status), e
+            rules[rid] = replace(rule, occurrences=occurrences, status=status)
+        db = RuleDatabase(dict(db.species), rules, latent, [*db.provenance, log])
+    return db
 
 
 def match_rule_linear(db: RuleDatabase, contents: dict[str, float],

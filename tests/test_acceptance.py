@@ -33,6 +33,7 @@ from chemvm.jsonio import dumps_stable
 from chemvm.rules import (
     RuleLoadError,
     Unreachable,
+    apply_rule_events,
     load_rules,
     loads_rules,
     pathway_to_program,
@@ -119,7 +120,7 @@ def test_criterion_06_halting_semantics():
     db = load_rules(FIXTURES / "predicted.rules")
     first = run(prog, db, seed=0)
     assert first.halt == "q_uout"
-    second = run(prog, first.db, seed=1)
+    second = run(prog, apply_rule_events(db, first.rule_events), seed=1)
     assert second.halt == "q_out"
     norule = run(parse_program(fixture_text("norule.chem")),
                  load_rules(FIXTURES / "tiny.rules"), seed=0)

@@ -344,6 +344,14 @@ def test_gen_corpus_rejects_an_empty_step_and_writes_nothing(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_gen_corpus_rejects_no_chain_and_writes_nothing(tmp_path, steps):
+    out = _gen_corpus("--out-dir", str(tmp_path / "c"), "--max-steps", steps)
+    assert (out.returncode, out.stdout, out.stderr) == \
+        (2, "", "error: max_steps must be an integer >= 1\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_an_unexpected_string_is_quoted_unescaped():
     with pytest.raises(ParseError) as info:
         parse_program(r'procedure "p" { steps { "x\ty" } }')

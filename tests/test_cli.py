@@ -171,6 +171,28 @@ def test_persist_rules_cannot_write_back_to_stdin(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_stdin_named_twice_is_read_once():
+    # each later `-` gets the text the first read, not an empty stdin
+    tiny = FIXTURES / "tiny.chem"
+    code, out, err = cli("stats", "-", "-", stdin=fixture_text("tiny.chem"))
+    assert (code, err) == (0, "")
+    assert out == cli("stats", tiny, tiny)[1].replace(str(tiny), "-")
+
+
+def test_an_output_of_dash_is_stdout_and_not_listed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = cli("parse", FIXTURES / "tiny.chem", "--out", "-")
+    assert (code, out) == (0, cli("parse", FIXTURES / "tiny.chem")[1])
+    assert list(tmp_path.iterdir()) == []
+    # beside a file output, the manifest lists only the file
+    config = FIXTURES / "mc_small.json"
+    code, out, _ = cli("mc", "--config", config, "--out", "-", "--svg", "d.svg")
+    assert (code, out) == (0, cli("mc", "--config", config)[1])
+    manifest = json.loads((tmp_path / "d.svg.manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["d.svg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.svg", "d.svg.manifest.json"]
+
+
 def test_an_input_reads_as_read_text_decodes_it(tmp_path):
     # universal newlines: CRLF and CR line ends parse as LF ones; the
     # manifest still hashes the bytes on disk

@@ -34,12 +34,13 @@ from chemvm.dec import (
     ScriptedInjector,
     classify_severity,
     evaluate_correction,
-    load_policy,
     loads_policy,
     run_with_dec,
     sign_test,
 )
-from chemvm.rules import Unreachable, load_rules, pathway_to_program, plan_pathway, promote
+from chemvm.rules import (
+    Unreachable, apply_rule_events, load_rules, pathway_to_program, plan_pathway,
+)
 
 from _support import FIXTURES, fixture_text, random_db, reference_evaluate_correction
 
@@ -71,41 +72,27 @@ def chain():
     return prog, db
 
 
-def test_restore_after_promote_brings_back_rule_state():
+def test_restore_recounts_a_reverted_characterising_application():
     # a predicted rule seen once before: the run's reaction is its second
-    # occurrence and characterises it; the revert must undo both
+    # occurrence and characterises it; the revert must undo the count, and
+    # the re-run count it again from the database's one occurrence
     prog = parse_program(fixture_text("predicted.chem"))
-    db = promote(load_rules(FIXTURES / "predicted.rules"), "rp")
+    base = load_rules(FIXTURES / "predicted.rules")
+    db = apply_rule_events(base, run(prog, base).rule_events)
+    assert (db.rules["rp"].occurrences, db.rules["rp"].status) == (1, "predicted")
     m = Machine(prog, db, seed=0)
     m.execute_op(0)
     ck = m.checkpoint()
-    m.execute_op(1)
-    assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (2, "characterised")
+    assert [e["outcome"] for e in m.execute_op(1)] == ["q_out"]
+    assert m.occurrences == {"rp": 2}
     m.restore(ck)
-    assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (1, "predicted")
-    m.execute_op(1)
-    assert (m.db.rules["rp"].occurrences, m.db.rules["rp"].status) == (2, "characterised")
-    assert [e["status_after"] for e in m.rule_events] == ["characterised"]
-
-
-def test_restored_database_keeps_its_provenance():
-    # the branch that ran ahead and the branch restored from the checkpoint
-    # each keep their own provenance, which shares the checkpoint's history
-    prog = parse_program(fixture_text("predicted.chem"))
-    db = promote(load_rules(FIXTURES / "predicted.rules"), "rp")
-    m = Machine(prog, db, seed=0)
-    m.execute_op(0)
-    ck = m.checkpoint()
-    m.execute_op(1)
-    ahead = m.db
-    m.restore(ck)
-    assert m.db.provenance == db.provenance
-    m.execute_op(1)
-    m.db = promote(m.db, "rp")
-    assert [e["occurrences"] for e in ahead.provenance] == [1, 2]
-    assert [e["event"] for e in ahead.provenance] == ["occurrence", "promoted"]
-    assert [e["occurrences"] for e in m.db.provenance] == [1, 2, 3]
-    assert [e["occurrences"] for e in ck["db"].provenance] == [1]
+    assert (m.occurrences, m.rule_events, m.halt()) == ({}, [], "q_out")
+    assert [e["outcome"] for e in m.execute_op(1)] == ["q_out"]
+    assert m.occurrences == {"rp": 2}
+    assert m.rule_events == [{"kind": "applied", "rule_id": "rp", "occurrences": 2,
+                              "status_after": "characterised"}]
+    # the run counts; the database it ran on is left as it was
+    assert m.db is db and db.rules["rp"].occurrences == 1
 
 
 def test_mode_factors():
@@ -336,7 +323,7 @@ def test_sign_test_past_a_float_power_of_two(b, c):
 
 
 def test_policy_io(tmp_path):
-    assert load_policy(FIXTURES / "policy_default.json") == CorrectionPolicy()
+    assert loads_policy(fixture_text("policy_default.json")) == CorrectionPolicy()
     with pytest.raises(PolicyError, match=r"unknown field\(s\) \['bogus'\]"):
         loads_policy('{"bogus": 1}')
     custom = loads_policy('{"max_reverts": 5}')

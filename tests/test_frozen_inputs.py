@@ -1,27 +1,26 @@
 """The inputs the memos rest on are frozen: a program (and its reagent and
-hardware entries), a rig, a rule database (loaded, promoted or with a
-discovery committed), a validation report, a compiled plan and a tape
+hardware entries), a rig, a rule database (loaded, with a discovery
+committed or left behind by a run), a validation report, a compiled plan and a tape
 layout. Assigning any of their fields raises, and so does every edit of a
 container they hold, so nothing can change a kept lowering, a kept check,
 a rule index or a match memo behind its back. A plan or database given a
 plain dict for one of its maps holds a read-only copy of it."""
 
 import dataclasses
-from collections import ChainMap
 from collections.abc import Mapping
 
 import pytest
 
 from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import build_default_graph, check_program, chempile
-from chemvm.cstm import lower_program
-from chemvm.rules import RuleDatabase, commit_discovery, load_rules, promote
+from chemvm.cstm import lower_program, run
+from chemvm.rules import RuleDatabase, apply_rule_events, commit_discovery, load_rules
 
 from _support import FIXTURES, fixture_text
 
 
-def _program():
-    return parse_program(fixture_text("tiny.chem"))
+def _program(name="tiny.chem"):
+    return parse_program(fixture_text(name))
 
 
 def _plan():
@@ -38,9 +37,10 @@ def _discovered():
     return commit_discovery(db, db.latent["le"])
 
 
-def _promoted():
-    db = _rules()
-    return promote(db, sorted(db.rules)[0])
+def _applied():
+    # the database a run that applies a predicted rule leaves behind
+    db = _rules("predicted.rules")
+    return apply_rule_events(db, run(_program("predicted.chem"), db).rule_events)
 
 
 def _replaced_plan():
@@ -67,7 +67,7 @@ CASES = {
     "rig": lambda: (g := build_default_graph(), [g.nodes, g.edges, g.neighbors("V1")]),
     "rules-loaded": lambda: (db := _rules(), [db.species, db.rules]),
     "rules-latent": lambda: (db := _rules("explore.rules"), [db.latent]),
-    "rules-promoted": lambda: (db := _promoted(), [db.species, db.rules, db.rules.maps[0]]),
+    "rules-applied": lambda: (db := _applied(), [db.species, db.rules, db.provenance]),
     "rules-discovered": lambda: (db := _discovered(), [db.species, db.rules]),
     "rules-from-dicts": lambda: (db := _database_from_dicts(), [db.species, db.rules, db.latent]),
     "report": lambda: (r := validate_program(parse_program(MISSING_TIME),
@@ -143,6 +143,5 @@ def test_given_dicts_are_copied_and_read_only_maps_kept():
     db = RuleDatabase({}, rules, {})
     rules.clear()
     assert db.rules == _rules().rules
-    promoted = _promoted()
-    assert type(promoted.rules) is ChainMap
-    assert dataclasses.replace(promoted).rules is promoted.rules
+    applied = _applied()
+    assert dataclasses.replace(applied).rules is applied.rules

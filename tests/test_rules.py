@@ -10,12 +10,14 @@ import pytest
 from chemvm.chemlang import Quantity, parse_program
 from chemvm.chempiler import chempile, execute_plan
 from chemvm.cstm import run
+from chemvm.dec import run_with_dec
 from chemvm.rules import (
     CATALYST_CHARGE_MOL,
     PRESENCE_EPS,
     RuleLoadError,
     Unreachable,
     UnstableTarget,
+    apply_rule_events,
     commit_discovery,
     explore,
     load_rules,
@@ -28,7 +30,8 @@ from chemvm.rules import (
 )
 
 from _support import (
-    FIXTURES, match_rule_linear, random_match_db, random_memo_case, reference_match_rule,
+    FIXTURE_ARMS, FIXTURE_RUNS, FIXTURES, fixture_text, fixture_trace, match_rule_linear,
+    random_match_db, random_memo_case, reference_apply_rule_events, reference_match_rule,
 )
 
 import random
@@ -184,7 +187,8 @@ def test_classify_outcome_by_status(default_db):
     and its second, which characterises it, q_out."""
     def outcomes(name, db):
         tr = run(parse_program((FIXTURES / name).read_text()), db)
-        return [r["outcome"] for r in tr.records if r["kind"] == "transition"], tr.db
+        return ([r["outcome"] for r in tr.records if r["kind"] == "transition"],
+                apply_rule_events(db, tr.rule_events))
 
     assert outcomes("atropine_3step.chem", default_db)[0] == ["q_out"] * 3
     first, pdb = outcomes("predicted.chem", load_rules(FIXTURES / "predicted.rules"))
@@ -193,28 +197,57 @@ def test_classify_outcome_by_status(default_db):
 
 
 def test_promote_twice_characterises():
-    db = load_rules(FIXTURES / "predicted.rules")
-    db1 = promote(db, "rp")
-    assert (db1.rules["rp"].occurrences, db1.rules["rp"].status) == (1, "predicted")
-    db2 = promote(db1, "rp")
-    assert (db2.rules["rp"].occurrences, db2.rules["rp"].status) == (2, "characterised")
-    # original copy untouched
-    assert db.rules["rp"].occurrences == 0
+    rp = load_rules(FIXTURES / "predicted.rules").rules["rp"]
+    assert (rp.status, rp.occurrences) == ("predicted", 0)
+    assert promote(rp, 1) == "predicted"
+    assert promote(rp, 2) == promote(rp, 3) == "characterised"
+    assert promote(replace(rp, status="characterised"), 1) == "characterised"
 
 
-def test_promote_links_onto_the_log_without_copying(tmp_path):
+def test_apply_rule_events_logs_onto_the_loaded_provenance(tmp_path):
     text = json.dumps({**json.loads((FIXTURES / "predicted.rules").read_text()),
                        "provenance": [{"event": "note", "n": i} for i in range(3)]})
     db = loads_rules(text)
-    promoted = promote(db, "rp")
-    # the new version's log is one event on the old one, not a copy of it
-    assert promoted._log.before is db._log
-    assert promoted.provenance == db.provenance + [
-        {"event": "occurrence", "rule": "rp", "occurrences": 1}]
-    assert len(db.provenance) == 3
-    save_rules(promoted, tmp_path / "out.rules")
+    events = [{"kind": "applied", "rule_id": "rp", "occurrences": n, "status_after": status}
+              for n, status in ((1, "predicted"), (2, "characterised"))]
+    after = apply_rule_events(db, events)
+    assert after.provenance == (*db.provenance,
+        {"event": "occurrence", "rule": "rp", "occurrences": 1},
+        {"event": "promoted", "rule": "rp", "occurrences": 2, "from": "predicted"})
+    assert (after.rules["rp"].occurrences, after.rules["rp"].status) == (2, "characterised")
+    # the database the run started from is left as it was
+    assert len(db.provenance) == 3 and db.rules["rp"].occurrences == 0
+    save_rules(after, tmp_path / "out.rules")
     saved = json.loads((tmp_path / "out.rules").read_text())
-    assert saved["provenance"] == promoted.provenance
+    assert saved["provenance"] == list(after.provenance)
+    assert loads_rules((tmp_path / "out.rules").read_text()) == after
+
+
+def _assert_applies_as_reference(db, events, tmp_path):
+    got, want = apply_rule_events(db, events), reference_apply_rule_events(db, events)
+    assert (got.rules, got.latent, got.provenance) == (want.rules, want.latent, want.provenance)
+    save_rules(got, tmp_path / "got.rules")
+    save_rules(want, tmp_path / "want.rules")
+    assert (tmp_path / "got.rules").read_bytes() == (tmp_path / "want.rules").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_apply_rule_events_matches_per_application_promotion_on_fixtures(name, tmp_path):
+    # every arm of every fixture run, explore.chem with explore on
+    db = load_rules(FIXTURES / FIXTURE_RUNS[name][0])
+    for arm in FIXTURE_ARMS:
+        _assert_applies_as_reference(db, fixture_trace(name, arm).rule_events, tmp_path)
+
+
+def test_apply_rule_events_matches_per_application_promotion_across_reverts(tmp_path):
+    prog = parse_program(fixture_text("dec_3step.chem"))
+    db = load_rules(FIXTURES / "dec_chain.rules")
+    reverted = 0
+    for seed in range(200):
+        result = run_with_dec(prog, db, eps=0.3, seed=seed)
+        reverted += result.reverts > 0
+        _assert_applies_as_reference(db, result.trace.rule_events, tmp_path)
+    assert reverted > 50
 
 
 def _match_key(m):
@@ -234,18 +267,11 @@ def test_indexed_match_agrees_with_linear_scan(seed):
         return found
 
     assert hits(db) > 0
-    # promotion carries the index along; some rules are promoted twice so
-    # their status changes in the overlay
-    rng = random.Random(seed)
-    promoted = db
-    for rid in rng.sample(sorted(db.rules), 20) * 2:
-        promoted = promote(promoted, rid)
-    assert promoted._index is db._index
-    hits(promoted)
     # discovery changes which rules mention which species: a new index,
     # which must hold the discovered rule
+    rng = random.Random(seed)
     latent = replace(db.latent[rng.choice(sorted(db.latent))], priority=3)
-    discovered = commit_discovery(promoted, latent)
+    discovered = commit_discovery(db, latent)
     assert discovered._index is not db._index
     probes.append(({s: 1.0 for s in (*latent.reagent_pattern, *latent.catalysts)},
                    latent.process_window.midpoint()))
@@ -255,22 +281,16 @@ def test_indexed_match_agrees_with_linear_scan(seed):
 
 @pytest.mark.parametrize("block", range(10))
 def test_memoized_match_agrees_with_reference(block):
-    # 50 cases a block, 500 in all; each asks its questions of the database
-    # and of children promoted along the way, in turn, which share its memo
+    # 50 cases a block, 500 in all
     for seed in range(50 * block, 50 * block + 50):
         db, questions = random_memo_case(seed)
-        rng = random.Random(seed)
-        family, keys = [db], set()
+        keys = set()
         for contents, conditions in questions:
-            if rng.random() < 0.2:
-                family.append(promote(rng.choice(family), rng.choice(sorted(db.rules))))
-            member = rng.choice(family)
-            want = reference_match_rule(member, contents, conditions)
-            assert _match_key(match_rule(member, contents, conditions)) == _match_key(want)
+            want = reference_match_rule(db, contents, conditions)
+            assert _match_key(match_rule(db, contents, conditions)) == _match_key(want)
             keys.add((frozenset(s for s, v in contents.items() if v > PRESENCE_EPS),
                       *conditions))
-        # one entry per distinct question, shared by the whole family
-        assert all(member._matches is db._matches for member in family)
+        # one entry per distinct question
         assert len(db._matches) == len(keys) < len(questions)
 
 
@@ -285,23 +305,6 @@ def test_match_memo_never_crosses_an_index():
     assert match_rule(discovered, contents, conditions).rule.id == "le"
     # the parent's answer stands for the parent's index
     assert match_rule(db, contents, conditions) is None
-
-
-def test_promote_is_made_once_and_equals_a_fresh_build():
-    text = (FIXTURES / "predicted.rules").read_text()
-    db = loads_rules(text)
-    once = promote(promote(db, "rp"), "rp")
-    assert promote(db, "rp") is promote(db, "rp")
-    assert promote(promote(db, "rp"), "rp") is once
-    # the same two promotions on a database nothing has promoted yet
-    fresh = promote(promote(loads_rules(text), "rp"), "rp")
-    assert fresh is not once
-    assert dict(once.rules) == dict(fresh.rules)
-    assert (once.rules["rp"].status, once.rules["rp"].occurrences) == ("characterised", 2)
-    assert once.provenance == fresh.provenance == [
-        {"event": "occurrence", "rule": "rp", "occurrences": 1},
-        {"event": "promoted", "rule": "rp", "occurrences": 2, "from": "predicted"}]
-    assert once == fresh
 
 
 def test_explore_and_commit_discovery():
