@@ -5,6 +5,9 @@ compile | stats | mc | dec-run. Every command is deterministic: with
 fixed inputs and a fixed --seed, stdout and every file it writes are
 byte-identical across runs. Any input path may be `-`, for stdin (read
 once, however many inputs name it), and any output path `-`, for stdout.
+Stdout carries one document, written once the command returns: the output
+sent there (two are an error), else the summary of run, dec-run or stats,
+which goes to stderr when an output took stdout.
 Next to the first file output of a command goes a `<name>.manifest.json`
 recording the command line, the sha256 of each input file as it was read
 (not of stdin), the seed, the tool version and the sha256 of every
@@ -55,10 +58,10 @@ from .rules import (
     Unreachable,
     UnstableTarget,
     apply_rule_events,
+    dumps_rules,
     loads_rules,
     pathway_to_program,
     plan_pathway,
-    save_rules,
 )
 
 __all__ = ["main", "HALT_EXIT", "Files", "exit_code"]
@@ -97,12 +100,14 @@ class Files:
     an input path (stdin for `-`, read once and handed back on each later
     `-`), decodes it as `Path.read_text(encoding="utf-8")` does and keeps
     the sha256 of the bytes it decoded; `load` hands the text to a loader
-    such as `loads_rules`; `write` lists each output."""
+    such as `loads_rules`; `write` lists each output, and holds the one
+    document for stdout until the command returns."""
 
     seed: int | None = None
     inputs: dict[str, str] = dataclasses.field(default_factory=dict)  # path -> sha256 read
     outputs: list[Path] = dataclasses.field(default_factory=list)
     stdin: str | None = None
+    stdout: str | None = None
 
     def text(self, path: str) -> str:
         if path == "-":
@@ -117,13 +122,23 @@ class Files:
         return loads(self.text(path), where=str(Path(path)))
 
     def write(self, path: str | None, text: str) -> None:
-        """`text` to the output file `path`, or to stdout when it is None
-        or `-`."""
+        """`text` to the output file `path`, or, when it is None or `-`,
+        the stdout document, which only one output may be."""
         if path is None or path == "-":
-            sys.stdout.write(text)
+            if self.stdout is not None:
+                raise ValueError("two outputs go to stdout; give one of them a file")
+            self.stdout = text
         else:
             write_text_atomic(path, text)
             self.outputs.append(Path(path))
+
+    def summary(self, doc: dict) -> None:
+        """A command's summary: to stdout, or to stderr once an output took it."""
+        text = dumps_stable(doc, indent=2) + "\n"
+        if self.stdout is None:
+            self.stdout = text
+        else:
+            sys.stderr.write(text)
 
     def write_manifest(self, command: str, argv: list[str]) -> None:
         if not self.outputs:
@@ -176,10 +191,9 @@ def cmd_run(args, files: Files) -> int:
 
     if args.trace:
         files.write(args.trace, trace.to_jsonl())
-    print(dumps_stable({"halt": trace.halt, "ledger": trace.ledger._asdict()}, indent=2))
     if args.persist_rules:
-        save_rules(apply_rule_events(db, trace.rule_events), args.rules)
-        files.outputs.append(Path(args.rules))
+        files.write(args.rules, dumps_rules(apply_rule_events(db, trace.rule_events)))
+    files.summary({"halt": trace.halt, "ledger": trace.ledger._asdict()})
     return HALT_EXIT[trace.halt]
 
 
@@ -248,7 +262,7 @@ def cmd_stats(args, files: Files) -> int:
                                 [float(s["total_ops"]) for s in summary])
         result["aggregate"] = {"n": len(summary), "slope": slope, "r2": r2}
     files.write(args.out, "\n".join(rows) + "\n")
-    print(dumps_stable(result, indent=2))
+    files.summary(result)
     return 0
 
 
@@ -270,8 +284,6 @@ def cmd_dec_run(args, files: Files) -> int:
     policy = files.load(loads_policy, args.policy) if args.policy else DEFAULT_POLICY
 
     if args.compare:
-        if args.trace:
-            raise ValueError("--trace writes a single run's trace; --compare makes none")
         table = evaluate_correction(prog, db, policy=policy,
                                     eps=args.inject_eps, n_seeds=args.seeds,
                                     seed0=args.seed, budget=args.budget)
@@ -280,9 +292,9 @@ def cmd_dec_run(args, files: Files) -> int:
 
     result = run_with_dec(prog, db, policy=policy, seed=args.seed,
                           eps=args.inject_eps, budget=args.budget)
-    if args.trace:
-        files.write(args.trace, result.trace.to_jsonl())
-    print(dumps_stable(result.summary(), indent=2))
+    if args.out:
+        files.write(args.out, result.trace.to_jsonl())
+    files.summary(result.summary())
     return HALT_EXIT[result.halt]
 
 
@@ -373,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="paired with/without-correction success table")
     p.add_argument("--seeds", type=int, default=200,
                    help="number of paired seeds for --compare (default 200)")
-    p.add_argument("--trace", metavar="OUT",
-                   help="write the JSON-lines trace here (single-run mode)")
-    p.add_argument("--out", metavar="OUT",
-                   help="write the comparison table here (--compare mode)")
+    p.add_argument("--trace", "--out", dest="out", metavar="OUT",
+                   help="write the JSON-lines trace here, or with --compare the table")
     p.set_defaults(func=cmd_dec_run)
 
     return parser
@@ -390,6 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     def command() -> int:
         code = args.func(args, files)
         files.write_manifest(args.subcommand, argv)
+        sys.stdout.write(files.stdout or "")
         return code
 
     return exit_code(args, command)

@@ -82,7 +82,7 @@ from .chemlang.ast import AMBIENT_C, OP_SPECS, ChemProgram, OpKind, Quantity, Re
 from .jsonio import dumps_jsonl
 from .rng import substream
 from .rules import (
-    RuleDatabase, RuleMatch, TransitionRule, commit_discovery,
+    RuleDatabase, RuleMatch, TransitionRule, apply_rule_events,
     explore as _explore_latent, limiting_extent, match_rule, promote,
 )
 
@@ -699,10 +699,10 @@ class Machine:
     `records` is None in a run that keeps no trace (the paired experiment's):
     it writes no record, and `execute` and `finalize` are for runs that do.
 
-    A run leaves `db` as given, but for the rules it discovers: each rule
-    it applies is counted in `rule_events` (and `occurrences`), whose
-    status comes from `rules.promote`. `rules.apply_rule_events` makes the
-    database a run leaves behind from those events.
+    A run's rule history is `rule_events`: each application, counted (also
+    in `occurrences`) with the status `rules.promote` gives, and each
+    discovery. Only a discovery changes `db`: `rules.apply_rule_events`
+    folds its event in, as it folds a whole run's for `--persist-rules`.
 
     Optional hooks: `injector.sample(rule) -> (yield factor, mode)` models
     process errors at reaction time; `pre_primitive(machine, prim, move)`
@@ -788,16 +788,16 @@ class Machine:
         reaction step that matches nothing stops the run."""
         state = self.state
         cell = state.cells[state.head]
-        conditions = (cell.temp, prim.duration)
-        m = match_rule(self.db, cell.contents, conditions)
+        m = match_rule(self.db, cell.contents, (cell.temp, prim.duration))
         if m is None and self.explore_enabled and self.db.latent:
             if self._explore_rng is None:
                 self._explore_rng = substream(self.seed, "explore")
-            found = _explore_latent(self.db, cell.contents, conditions, self._explore_rng)
+            found = _explore_latent(self.db, cell.contents, self._explore_rng)
             if found is not None:
-                self.db = commit_discovery(self.db, found)
-                self.rule_events.append({"kind": "discovered", "rule_id": found.id})
-                rule = self.db.rules[found.id]
+                event = {"kind": "discovered", "rule_id": found}
+                self.rule_events.append(event)
+                self.db = apply_rule_events(self.db, (event,))
+                rule = self.db.rules[found]
                 m = RuleMatch(rule, *limiting_extent(rule.reagent_pattern,
                                                      cell.contents))
         if m is None:

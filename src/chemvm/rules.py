@@ -28,13 +28,11 @@ when the database is made, files each rule under one of its inputs
 smallest species id. A rule whose inputs are all present is filed under a
 present species, so only the rules filed under present species are
 candidates. A database is a frozen `RuleDatabase` with read-only maps.
-A run does not change the database it runs on: the machine counts each
-rule's applications in its rule events (`cstm.Machine.rule_events`), and
-only a discovery, which the run must be able to match, makes a new
-database (`commit_discovery`, which builds a new index).
-`apply_rule_events` turns a run's events into the database the run leaves
-behind, with a provenance event per rule event; it copies every rule, so
-it is for persisting a run, not for each run.
+A run's rule history is its rule events (`cstm.Machine.rule_events`), a
+discovery's included. `apply_rule_events` folds events into a new
+database, one provenance event each; it copies every rule, so it runs once
+per discovery (the run must match what it found) and once per persisted
+run, never once per application. `dumps_rules` is `loads_rules`' inverse.
 
 `match_rule` keeps a memo beside the index, keyed by (the frozenset of
 species present above `PRESENCE_EPS`, temperature, duration), whose value
@@ -56,12 +54,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .chemlang import ChemProgram, HardwareReq, OpKind, Quantity, ReagentDecl, UnitOperation
-from .chemlang.ast import settle, settle_maps
+from .chemlang.ast import AMBIENT_C, settle, settle_maps
 from .chemlang.parser import IDENT_RE
-from .jsonio import (
-    dumps_stable, is_integer, is_number, json_entry, json_object, loads_object,
-    write_text_atomic,
-)
+from .jsonio import dumps_stable, is_integer, is_number, json_entry, json_object, loads_object
 
 __all__ = [
     "Species",
@@ -78,13 +73,12 @@ __all__ = [
     "PROMOTION_THRESHOLD",
     "load_rules",
     "loads_rules",
-    "save_rules",
+    "dumps_rules",
     "match_rule",
     "limiting_extent",
     "promote",
     "apply_rule_events",
     "explore",
-    "commit_discovery",
     "plan_pathway",
     "pathway_to_program",
     "assembly_bounds",
@@ -206,7 +200,7 @@ class RuleMatch(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Load / save
+# Load / dump
 
 def assembly_bounds(bonds: int) -> tuple[int, int]:
     """(lower, upper) bounds on the assembly index of an object with
@@ -405,8 +399,8 @@ def _species_json(s: Species) -> dict:
     return out
 
 
-def save_rules(db: RuleDatabase, path: str | Path) -> None:
-    """Atomic rewrite; this is the persistence layer for promotion."""
+def dumps_rules(db: RuleDatabase) -> str:
+    """The rule file text that `loads_rules` reads back to `db`."""
     doc: dict = {
         "species": [_species_json(db.species[k]) for k in sorted(db.species)],
         "rules": [_rule_json(db.rules[k]) for k in sorted(db.rules)],
@@ -415,7 +409,7 @@ def save_rules(db: RuleDatabase, path: str | Path) -> None:
         doc["latent"] = [_rule_json(db.latent[k]) for k in sorted(db.latent)]
     if db.provenance:
         doc["provenance"] = list(db.provenance)
-    write_text_atomic(path, dumps_stable(doc, indent=2) + "\n")
+    return dumps_stable(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -479,37 +473,27 @@ def promote(rule: TransitionRule, occurrences: int) -> str:
     return "characterised" if occurrences >= PROMOTION_THRESHOLD else rule.status
 
 
-def explore(db: RuleDatabase, contents: dict[str, float],
-            conditions: tuple[float, float], rng) -> TransitionRule | None:
-    """Seeded draw of a latent rule consistent with the cell contents.
+def explore(db: RuleDatabase, contents: dict[str, float], rng) -> str | None:
+    """Seeded draw of a latent rule consistent with the cell contents: its
+    id, or None when no latent rule's inputs are all present.
 
     Exploration models running an uncharacterised reaction anyway: any
     latent rule whose inputs are all present may reveal itself; the choice
-    among several is a deterministic function of the rng stream.
+    among several is a deterministic function of the rng stream. The
+    `discovered` event of `apply_rule_events` moves it in.
     """
-    candidates = [db.latent[k] for k in sorted(db.latent)
-                  if _inputs_present(db.latent[k], contents)]
+    candidates = [k for k in sorted(db.latent) if _inputs_present(db.latent[k], contents)]
     if not candidates:
         return None
-    rule = candidates[rng.randrange(len(candidates))]
-    return replace(rule, status="novel", occurrences=0)
-
-
-def commit_discovery(db: RuleDatabase, rule: TransitionRule) -> RuleDatabase:
-    """Move an explored rule into the visible database, which builds a
-    new index."""
-    rules = MappingProxyType({**db.rules, rule.id: rule})
-    latent = MappingProxyType({k: v for k, v in db.latent.items() if k != rule.id})
-    return RuleDatabase(db.species, rules, latent,
-                        (*db.provenance, {"event": "discovered", "rule": rule.id}))
+    return candidates[rng.randrange(len(candidates))]
 
 
 def apply_rule_events(db: RuleDatabase, events: Iterable[dict]) -> RuleDatabase:
     """The database a run over `db` leaves behind, from the run's rule
     events (`Machine.rule_events`), in one pass. A `discovered` event moves
-    the latent rule in as novel; an `applied` event sets the rule's
-    occurrences and status. Each logs one provenance event: `discovered`,
-    or `occurrence`, or `promoted` when the status changed."""
+    the latent rule in as novel with no occurrences; an `applied` event sets
+    the rule's occurrences and status. Each logs one provenance event:
+    `discovered`, or `occurrence`, or `promoted` when the status changed."""
     rules, latent, log = dict(db.rules), dict(db.latent), list(db.provenance)
     for e in events:
         rid = e["rule_id"]
@@ -670,22 +654,18 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase):
                            {"target": pathway.target})
 
     # Stock species in sorted order, R1, R2, R3, R4, R1, ...
+    # An input is a reagent where some step consumes it, else a catalyst.
     totals: dict[str, float] = {}
-    catalyst_only: set[str] = set()
+    reagents: set[str] = set()
     for step in pathway.steps:
-        rule = db.rules[step.rule_id]
+        pattern = db.rules[step.rule_id].reagent_pattern
         for s, amt in step.inputs.items():
             totals[s] = totals.get(s, 0.0) + amt
-            if s in rule.catalysts and s not in rule.reagent_pattern:
-                catalyst_only.add(s)
-    consumed_as_reagent = {
-        s for step in pathway.steps
-        for s in db.rules[step.rule_id].reagent_pattern if s in step.inputs
-    }
-    decls: list[ReagentDecl] = []
-    for i, s in enumerate(sorted(totals)):
-        role = "catalyst" if s in catalyst_only and s not in consumed_as_reagent else "reagent"
-        decls.append(ReagentDecl(s, s, q(totals[s], "mol"), f"R{i % 4 + 1}", role))
+            if s in pattern:
+                reagents.add(s)
+    decls = [ReagentDecl(s, s, q(totals[s], "mol"), f"R{i % 4 + 1}",
+                         "reagent" if s in reagents else "catalyst")
+             for i, s in enumerate(sorted(totals))]
 
     n_steps = len(pathway.steps)
     rules_seq = [db.rules[s.rule_id] for s in pathway.steps]
@@ -703,7 +683,7 @@ def pathway_to_program(pathway: Pathway, db: RuleDatabase):
 
     steps: list[UnitOperation] = []
     parked: set[str] = set()
-    vessel_temp = 25.0
+    vessel_temp = AMBIENT_C
 
     def add_step(kind: OpKind, params: dict) -> None:
         if len(steps) == block_start:  # a block's first step carries its marker

@@ -15,6 +15,7 @@ import pytest
 from chemvm.chemlang import format_program
 from chemvm.chemlang.corpus import synthetic_program
 from chemvm.cli import HALT_EXIT, main
+from chemvm.cstm import read_trace_jsonl
 
 from _support import DEFAULT_RIG, FIXTURES, fixture_text
 
@@ -175,8 +176,9 @@ def test_stdin_named_twice_is_read_once():
     # each later `-` gets the text the first read, not an empty stdin
     tiny = FIXTURES / "tiny.chem"
     code, out, err = cli("stats", "-", "-", stdin=fixture_text("tiny.chem"))
-    assert (code, err) == (0, "")
-    assert out == cli("stats", tiny, tiny)[1].replace(str(tiny), "-")
+    _, want_out, want_err = cli("stats", tiny, tiny)
+    # the CSV takes stdout, so the summary, which names the paths, is on stderr
+    assert (code, out, err) == (0, want_out, want_err.replace(str(tiny), "-"))
 
 
 def test_an_output_of_dash_is_stdout_and_not_listed(tmp_path, monkeypatch):
@@ -454,14 +456,59 @@ def test_dec_run_compare_runs_under_the_budget():
     assert json.loads(out)["rate_baseline"] > 0.0
 
 
-def test_dec_run_compare_rejects_trace(tmp_path):
-    trace = tmp_path / "t.jsonl"
-    code, out, err = cli("dec-run", FIXTURES / "dec_3step.chem",
-                         "--rules", FIXTURES / "dec_chain.rules",
-                         "--compare", "--seeds", 3, "--trace", trace)
+def test_dec_run_compare_writes_its_table_to_trace(tmp_path):
+    # --trace and --out are one option: with --compare it names the table's file
+    table = tmp_path / "cmp.json"
+    args = ("dec-run", FIXTURES / "dec_3step.chem", "--rules", FIXTURES / "dec_chain.rules",
+            "--compare", "--seeds", 3)
+    code, out, err = cli(*args, "--trace", table)
+    assert (code, out, err) == (0, "", "")
+    assert table.read_text() == cli(*args)[1]
+    manifest = json.loads((tmp_path / "cmp.json.manifest.json").read_text())
+    assert list(manifest["outputs"]) == [str(table)]
+
+
+def test_dec_run_out_writes_the_single_run_trace(tmp_path):
+    trace = tmp_path / "x.json"
+    args = ("dec-run", FIXTURES / "tiny.chem", "--rules", FIXTURES / "tiny.rules")
+    code, out, err = cli(*args, "--out", trace)
+    assert (code, err) == (0, "")
+    records = read_trace_jsonl(trace.read_text())
+    assert records[-1]["kind"] == "halt" and records[-1]["halt"] == "q_out"
+    assert out == cli(*args)[1] and json.loads(out)["halt"] == "q_out"
+    assert (tmp_path / "x.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "dec-run"])
+def test_a_trace_on_stdout_is_the_trace_alone(command):
+    # the summary goes to stderr, so stdout reads back as the JSON-lines trace
+    args = (command, FIXTURES / "tiny.chem", "--rules", FIXTURES / "tiny.rules")
+    code, out, err = cli(*args, "--trace", "-")
+    assert code == 0
+    assert read_trace_jsonl(out)[-1]["kind"] == "halt"
+    assert err == cli(*args)[1]
+
+
+def test_stats_stdout_is_the_csv_alone(tmp_path):
+    csv_path = tmp_path / "h.csv"
+    tiny = FIXTURES / "tiny.chem"
+    code, out, err = cli("stats", tiny)
+    assert code == 0
+    assert cli("stats", tiny, "--out", csv_path)[1] == err
+    assert out == csv_path.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan", "--rules", FIXTURES / "default.rules", "--target", "ind", "--stock", "anl,pyv",
+     "--program", "-"),
+    ("mc", "--config", FIXTURES / "mc_small.json", "--svg", "-"),
+], ids=["plan", "mc"])
+def test_two_documents_for_stdout_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = cli(*argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not trace.exists()
+    assert err == "error: two outputs go to stdout; give one of them a file\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,6 +1,6 @@
 """The inputs the memos rest on are frozen: a program (and its reagent and
 hardware entries), a rig, a rule database (loaded, with a discovery
-committed or left behind by a run), a validation report, a compiled plan and a tape
+folded in or left behind by a run), a validation report, a compiled plan and a tape
 layout. Assigning any of their fields raises, and so does every edit of a
 container they hold, so nothing can change a kept lowering, a kept check,
 a rule index or a match memo behind its back. A plan or database given a
@@ -14,7 +14,7 @@ import pytest
 from chemvm.chemlang import parse_program, validate_program
 from chemvm.chempiler import build_default_graph, check_program, chempile
 from chemvm.cstm import lower_program, run
-from chemvm.rules import RuleDatabase, apply_rule_events, commit_discovery, load_rules
+from chemvm.rules import RuleDatabase, apply_rule_events, load_rules
 
 from _support import FIXTURES, fixture_text
 
@@ -34,7 +34,7 @@ def _rules(name="default.rules"):
 
 def _discovered():
     db = _rules("explore.rules")
-    return commit_discovery(db, db.latent["le"])
+    return apply_rule_events(db, [{"kind": "discovered", "rule_id": "le"}])
 
 
 def _applied():

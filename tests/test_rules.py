@@ -1,5 +1,5 @@
-"""Rule database: schema validation, matching, promotion, discovery and
-the backward-chaining planner."""
+"""Rule database: schema validation, the text codec, matching, promotion,
+discovery and the backward-chaining planner."""
 
 import json
 import re
@@ -9,7 +9,7 @@ import pytest
 
 from chemvm.chemlang import Quantity, parse_program
 from chemvm.chempiler import chempile, execute_plan
-from chemvm.cstm import run
+from chemvm.cstm import Machine, run
 from chemvm.dec import run_with_dec
 from chemvm.rules import (
     CATALYST_CHARGE_MOL,
@@ -18,7 +18,7 @@ from chemvm.rules import (
     Unreachable,
     UnstableTarget,
     apply_rule_events,
-    commit_discovery,
+    dumps_rules,
     explore,
     load_rules,
     loads_rules,
@@ -26,7 +26,6 @@ from chemvm.rules import (
     pathway_to_program,
     plan_pathway,
     promote,
-    save_rules,
 )
 
 from _support import (
@@ -64,16 +63,19 @@ def _rule(rid, inputs, products, **extra):
     return base
 
 
-def test_load_save_roundtrip(tmp_path):
+def test_load_save_roundtrip():
     db = load_rules(FIXTURES / "default.rules")
-    out = tmp_path / "copy.rules"
-    save_rules(db, out)
-    text = out.read_text()
-    save_rules(load_rules(out), out)
-    assert out.read_text() == text
-    db2 = load_rules(out)
+    text = dumps_rules(db)
+    assert dumps_rules(loads_rules(text)) == text
+    db2 = loads_rules(text)
     assert set(db2.rules) == set(db.rules)
     assert set(db2.species) == set(db.species)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.rules")))
+def test_dumps_rules_is_the_inverse_of_loads_rules(name):
+    db = load_rules(FIXTURES / name)
+    assert loads_rules(dumps_rules(db)) == db
 
 
 def test_duplicate_rule_id_rejected():
@@ -204,7 +206,7 @@ def test_promote_twice_characterises():
     assert promote(replace(rp, status="characterised"), 1) == "characterised"
 
 
-def test_apply_rule_events_logs_onto_the_loaded_provenance(tmp_path):
+def test_apply_rule_events_logs_onto_the_loaded_provenance():
     text = json.dumps({**json.loads((FIXTURES / "predicted.rules").read_text()),
                        "provenance": [{"event": "note", "n": i} for i in range(3)]})
     db = loads_rules(text)
@@ -217,37 +219,81 @@ def test_apply_rule_events_logs_onto_the_loaded_provenance(tmp_path):
     assert (after.rules["rp"].occurrences, after.rules["rp"].status) == (2, "characterised")
     # the database the run started from is left as it was
     assert len(db.provenance) == 3 and db.rules["rp"].occurrences == 0
-    save_rules(after, tmp_path / "out.rules")
-    saved = json.loads((tmp_path / "out.rules").read_text())
-    assert saved["provenance"] == list(after.provenance)
-    assert loads_rules((tmp_path / "out.rules").read_text()) == after
+    text = dumps_rules(after)
+    assert json.loads(text)["provenance"] == list(after.provenance)
+    assert loads_rules(text) == after
 
 
-def _assert_applies_as_reference(db, events, tmp_path):
-    got, want = apply_rule_events(db, events), reference_apply_rule_events(db, events)
+def _assert_same_database(got, want):
     assert (got.rules, got.latent, got.provenance) == (want.rules, want.latent, want.provenance)
-    save_rules(got, tmp_path / "got.rules")
-    save_rules(want, tmp_path / "want.rules")
-    assert (tmp_path / "got.rules").read_bytes() == (tmp_path / "want.rules").read_bytes()
+    assert dumps_rules(got) == dumps_rules(want)
+
+
+def _assert_applies_as_reference(db, events):
+    _assert_same_database(apply_rule_events(db, events), reference_apply_rule_events(db, events))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
-def test_apply_rule_events_matches_per_application_promotion_on_fixtures(name, tmp_path):
+def test_apply_rule_events_matches_per_application_promotion_on_fixtures(name):
     # every arm of every fixture run, explore.chem with explore on
     db = load_rules(FIXTURES / FIXTURE_RUNS[name][0])
     for arm in FIXTURE_ARMS:
-        _assert_applies_as_reference(db, fixture_trace(name, arm).rule_events, tmp_path)
+        _assert_applies_as_reference(db, fixture_trace(name, arm).rule_events)
 
 
-def test_apply_rule_events_matches_per_application_promotion_across_reverts(tmp_path):
+def test_apply_rule_events_matches_per_application_promotion_across_reverts():
     prog = parse_program(fixture_text("dec_3step.chem"))
     db = load_rules(FIXTURES / "dec_chain.rules")
     reverted = 0
     for seed in range(200):
         result = run_with_dec(prog, db, eps=0.3, seed=seed)
         reverted += result.reverts > 0
-        _assert_applies_as_reference(db, result.trace.rule_events, tmp_path)
+        _assert_applies_as_reference(db, result.trace.rule_events)
     assert reverted > 50
+
+
+@pytest.fixture
+def machines(monkeypatch):
+    """Every machine the test executes, in order."""
+    executed = []
+    execute = Machine.execute
+
+    def recording(machine, *args):
+        executed.append(machine)
+        return execute(machine, *args)
+
+    monkeypatch.setattr(Machine, "execute", recording)
+    return executed
+
+
+def _assert_db_is_the_fold_of_its_discoveries(db, machine):
+    # the database a run ends on is the start database with the run's
+    # discovered events folded in, and nothing else
+    found = [e for e in machine.rule_events if e["kind"] == "discovered"]
+    assert len(found) == 1
+    _assert_same_database(machine.db, reference_apply_rule_events(db, found))
+
+
+@pytest.mark.parametrize("arm", FIXTURE_ARMS)
+def test_a_run_ends_on_its_discoveries_folded_in(arm, machines):
+    fixture_trace("explore.chem", arm)
+    _assert_db_is_the_fold_of_its_discoveries(load_rules(FIXTURES / "explore.rules"),
+                                             machines[-1])
+
+
+def test_a_run_ends_on_its_discoveries_folded_in_across_reverts(machines):
+    prog = parse_program(fixture_text("explore.chem"))
+    db = load_rules(FIXTURES / "explore.rules")
+    reverted_past = 0
+    for seed in range(200):
+        records = run_with_dec(prog, db, eps=0.3, seed=seed, explore=True).trace.records
+        _assert_db_is_the_fold_of_its_discoveries(db, machines[-1])
+        # the discovery is made in the react op; a revert to before it
+        # rolls the discovery back, and the re-run makes it again
+        found_at = next(r["op_index"] for r in records if r["kind"] == "transition")
+        reverted_past += any(r["kind"] == "revert" and r["to_pc"] <= found_at
+                             for r in records)
+    assert reverted_past > 20
 
 
 def _match_key(m):
@@ -270,13 +316,15 @@ def test_indexed_match_agrees_with_linear_scan(seed):
     # discovery changes which rules mention which species: a new index,
     # which must hold the discovered rule
     rng = random.Random(seed)
-    latent = replace(db.latent[rng.choice(sorted(db.latent))], priority=3)
-    discovered = commit_discovery(db, latent)
+    rid = rng.choice(sorted(db.latent))
+    db = replace(db, latent={**db.latent, rid: replace(db.latent[rid], priority=3)})
+    discovered = apply_rule_events(db, [{"kind": "discovered", "rule_id": rid}])
     assert discovered._index is not db._index
+    latent = discovered.rules[rid]
     probes.append(({s: 1.0 for s in (*latent.reagent_pattern, *latent.catalysts)},
                    latent.process_window.midpoint()))
     hits(discovered)
-    assert match_rule(discovered, *probes[-1]).rule.id == latent.id
+    assert match_rule(discovered, *probes[-1]).rule.id == rid
 
 
 @pytest.mark.parametrize("block", range(10))
@@ -299,22 +347,22 @@ def test_match_memo_never_crosses_an_index():
     contents, conditions = {"e1": 1.0, "e2": 1.0}, (60.0, 2700.0)
     assert match_rule(db, contents, conditions) is None
     assert db._matches == {(frozenset(contents), *conditions): None}
-    found = explore(db, contents, conditions, random.Random(0))
-    discovered = commit_discovery(db, found)
+    found = explore(db, contents, random.Random(0))
+    discovered = apply_rule_events(db, [{"kind": "discovered", "rule_id": found}])
     assert discovered._matches is not db._matches
     assert match_rule(discovered, contents, conditions).rule.id == "le"
     # the parent's answer stands for the parent's index
     assert match_rule(db, contents, conditions) is None
 
 
-def test_explore_and_commit_discovery():
+def test_explore_draws_a_latent_rule_that_a_discovery_moves_in():
     db = load_rules(FIXTURES / "explore.rules")
     assert db.latent and not db.rules
-    cand = explore(db, {"e1": 1.0, "e2": 1.0}, (60.0, 2700.0), random.Random(0))
-    assert (cand.id, cand.status, cand.occurrences) == ("le", "novel", 0)
-    assert explore(db, {"e1": 1.0}, (60.0, 2700.0), random.Random(0)) is None
-    db2 = commit_discovery(db, cand)
-    assert "le" in db2.rules and not db2.latent
+    assert explore(db, {"e1": 1.0, "e2": 1.0}, random.Random(0)) == "le"
+    assert explore(db, {"e1": 1.0}, random.Random(0)) is None
+    db2 = apply_rule_events(db, [{"kind": "discovered", "rule_id": "le"}])
+    assert not db2.latent and db2.provenance == ({"event": "discovered", "rule": "le"},)
+    assert db2.rules["le"] == replace(db.latent["le"], status="novel", occurrences=0)
 
 
 def test_plan_three_step_pathway(default_db):
@@ -445,6 +493,24 @@ def test_planned_pathway_charges_its_catalyst(default_graph):
     assert trace.ledger.product_by_species["b"] == pytest.approx(1.0)
 
 
+def test_an_input_any_step_consumes_is_declared_a_reagent(default_graph):
+    # k is r1's reagent and r2's catalyst, m only r1's catalyst
+    db = loads_rules(_db_text(
+        [_sp("a", {"C": 1}), _sp("k", {"C": 1}), _sp("m", {"H": 1}), _sp("b", {"C": 2}),
+         _sp("t", {"C": 2})],
+        [_rule("r1", {"a": 1.0, "k": 1.0}, {"b": 1.0}, catalysts=["m"]),
+         _rule("r2", {"b": 1.0}, {"t": 1.0}, catalysts=["k"])]))
+    pw = plan_pathway(db, "t", {"a", "k", "m"})
+    assert pw.rule_ids() == ["r1", "r2"]
+    prog = pathway_to_program(pw, db)
+    assert [(d.name, d.role) for d in prog.reagents] == [
+        ("a", "reagent"), ("k", "reagent"), ("m", "catalyst")]
+    assert prog.reagents[1].amount.value == pytest.approx(1.0 / 0.81 + CATALYST_CHARGE_MOL)
+    trace = _compiled_run(prog, db, default_graph)
+    assert trace.halt == "q_out"
+    assert trace.ledger.product_by_species["t"] == pytest.approx(1.0)
+
+
 def test_a_step_that_only_makes_a_later_catalyst_is_sized_at_one_mole():
     # r1 makes k, which r2 holds only as a catalyst: no need reaches r1, so
     # it runs at the target amount, and r2's catalyst is charged from stock
@@ -458,14 +524,11 @@ def test_a_step_that_only_makes_a_later_catalyst_is_sized_at_one_mole():
     assert pw.steps[1].inputs == {"b": pytest.approx(1.0 / 0.9), "k": CATALYST_CHARGE_MOL}
 
 
-def test_save_load_round_trip_with_catalysts_and_latent_rules(tmp_path):
-    out = tmp_path / "cat.rules"
-    save_rules(_CATALYST_DB, out)
-    text = out.read_text()
+def test_save_load_round_trip_with_catalysts_and_latent_rules():
+    text = dumps_rules(_CATALYST_DB)
     saved = json.loads(text)
     assert saved["rules"][0]["catalysts"] == ["k"]
     assert [r["id"] for r in saved["latent"]] == ["lat"]
-    back = load_rules(out)
+    back = loads_rules(text)
     assert back == _CATALYST_DB
-    save_rules(back, out)
-    assert out.read_text() == text
+    assert dumps_rules(back) == text
